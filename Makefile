@@ -6,7 +6,7 @@ GO ?= go
 	chaos chaos-wal \
 	bench-smoke bench bench-read bench-write bench-meta bench-meta-smoke \
 	bench-scale bench-scale-smoke bench-alloc profile fuzz-smoke \
-	bench-tier bench-tier-smoke \
+	bench-tier bench-tier-smoke bench-e2e bench-e2e-smoke \
 	experiments examples tidy
 
 all: vet test
@@ -15,9 +15,10 @@ all: vet test
 # these same targets, so the two cannot drift). The bench smoke job is
 # excluded here because it takes minutes; run `make bench-smoke` to
 # reproduce it. bench-meta-smoke stays in: the reduced metadata-plane
-# suite finishes in seconds and guards the sharded plane end to end.
+# suite finishes in seconds and guards the sharded plane end to end, and
+# so does bench-e2e-smoke, the repository benchmark's own tests.
 ci: vet build test race fmt-check tidy-check determinism chaos bench-alloc \
-	bench-meta-smoke bench-scale-smoke
+	bench-meta-smoke bench-scale-smoke bench-e2e-smoke
 
 test:
 	$(GO) test ./...
@@ -95,15 +96,16 @@ bench-smoke:
 	grep -q '"name": "BenchmarkRepeatedScanCached/tcp"' /tmp/ignem-smoke-read.json
 	grep -q '"ns_per_op"' /tmp/ignem-smoke-write.json
 
-# Allocation and codec regression gate: pins the cached-read allocs/op
-# ceiling, the fast-path-vs-gob speedup floors (read and pipelined
-# write), the ≥50% allocs/op drop on the uncached TCP block read, the
+# Allocation regression gate: pins the cached-read allocs/op ceiling,
+# the ≥50% allocs/op drop on the uncached TCP block read, the bytes a
+# whole-file read may allocate (≤1.5x the file, TCP and in-memory), the
 # ≥4x heap-per-block reduction of the compact block map over the
 # historical two-maps-per-block representation, and the ≤1 alloc/op
-# ceiling on WAL appends.
+# ceiling on WAL appends. Counts only: wall-clock ratios are the
+# repository benchmark's business (bench-e2e), not a test's.
 bench-alloc:
-	$(GO) test ./internal/readbench -run 'TestCachedReadAllocCeiling|TestLargeBlock' -count=1 -v
-	$(GO) test ./internal/writebench -run 'TestLargeWrite' -count=1 -v
+	$(GO) test ./internal/readbench -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop' -count=1 -v
+	$(GO) test ./internal/dfs/client -run 'TestReadFileAllocBytesCeiling' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 
@@ -119,8 +121,12 @@ fuzz-smoke:
 # Profile the data plane: CPU + mutex profiles of the swim experiment
 # (the Ignem master's coarse lock under heartbeat/migration traffic) and
 # CPU + heap + mutex profiles of the read benchmark suite (the TCP block
-# path). Outputs land in ./profiles; inspect with
+# path), which reads block by block, and a CPU profile of whole-file
+# reads over TCP (BenchmarkReadFileTCP: striping and assembly, the part
+# the block benchmarks never reach). Outputs land in ./profiles; inspect
+# with
 #   go tool pprof -top profiles/read.cpu.pprof
+#   go tool pprof -top profiles/readfile.cpu.pprof
 #   go tool pprof -sample_index=contentions -top profiles/swim.mutex.pprof
 profile:
 	mkdir -p profiles
@@ -129,6 +135,21 @@ profile:
 	$(GO) run ./cmd/ignem-bench -readbench /tmp/ignem-profile-read.json \
 		-cpuprofile profiles/read.cpu.pprof -memprofile profiles/read.mem.pprof \
 		-mutexprofile profiles/read.mutex.pprof
+	$(GO) test ./internal/dfs/client -run '^$$' -bench '^BenchmarkReadFileTCP$$' -benchtime 100x \
+		-o profiles/readfile.test -cpuprofile profiles/readfile.cpu.pprof
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): four
+# workloads, every end-to-end metric, ~2 minutes. Pass arguments with
+# `bash bench/run.sh -append hist.jsonl`, `-trace 1`, `-compare a b`.
+bench-e2e:
+	bash bench/run.sh
+
+# The benchmark's own tests: every workload untraced and traced at a tiny
+# geometry (shapes, never speeds), the comparator, and the tracer's
+# "pooled buffers keep their single owner" check. bench/ is a module of
+# its own, so `go test ./...` at the root does not reach it.
+bench-e2e-smoke:
+	cd bench && $(GO) test ./...
 
 # Regenerate every paper table and figure as benchmarks.
 bench:

@@ -1,0 +1,413 @@
+package client_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/dfs"
+	"repro/internal/dfs/client"
+	"repro/internal/dfs/datanode"
+	"repro/internal/dfs/namenode"
+	"repro/internal/simclock"
+	"repro/internal/storage"
+	"repro/internal/transport"
+)
+
+// Tests of the bulk data path on the real clock: a block's bytes reach
+// ReadFile's result through pooled buffers that are filled by the socket
+// and given up as soon as they are copied to their slot, so what is
+// checked here is who owns which bytes when, and what a read allocates.
+
+// liveCluster is a namenode plus RAM-served datanodes on the scaled real
+// clock, over TCP loopback or the in-memory network.
+type liveCluster struct {
+	clock  simclock.Clock
+	net    transport.Network
+	nnAddr string
+}
+
+func startLive(tb testing.TB, tcp bool, nodes int) *liveCluster {
+	tb.Helper()
+	lc := &liveCluster{clock: simclock.NewScaledReal(4), nnAddr: "nn"}
+	addr := func(i int) string { return fmt.Sprintf("dn%d", i) }
+	if tcp {
+		dfs.RegisterWire()
+		tnet := transport.NewTCPNetwork()
+		lc.net = tnet
+		addr = func(int) string { return ephemeralAddr(tb, tnet) }
+		lc.nnAddr = addr(0)
+	} else {
+		lc.net = transport.NewInmemNetwork(lc.clock)
+	}
+	nn := namenode.New(lc.clock, lc.net, namenode.Config{Addr: lc.nnAddr, Seed: 11})
+	if err := nn.Start(); err != nil {
+		tb.Fatalf("namenode start: %v", err)
+	}
+	tb.Cleanup(nn.Close)
+	for i := 0; i < nodes; i++ {
+		dn, err := datanode.New(lc.clock, lc.net, datanode.Config{
+			Addr: addr(i), NameNodeAddr: lc.nnAddr, Media: storage.RAMSpec(),
+			ServeAllFromRAM: true,
+		})
+		if err != nil {
+			tb.Fatalf("datanode new: %v", err)
+		}
+		if err := dn.Start(); err != nil {
+			tb.Fatalf("datanode start: %v", err)
+		}
+		tb.Cleanup(dn.Close)
+	}
+	return lc
+}
+
+func ephemeralAddr(tb testing.TB, tnet transport.TCPNetwork) string {
+	tb.Helper()
+	l, err := tnet.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatalf("Listen: %v", err)
+	}
+	defer l.Close()
+	return l.Addr()
+}
+
+func (lc *liveCluster) client(tb testing.TB, opts ...client.Option) *client.Client {
+	tb.Helper()
+	c, err := client.New(lc.clock, lc.net, lc.nnAddr, opts...)
+	if err != nil {
+		tb.Fatalf("client: %v", err)
+	}
+	tb.Cleanup(c.Close)
+	return c
+}
+
+func patterned(n, salt int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte((i*7 + salt) % 251)
+	}
+	return b
+}
+
+func eachTransport(t *testing.T, fn func(t *testing.T, tcp bool)) {
+	t.Run("tcp", func(t *testing.T) { fn(t, true) })
+	t.Run("inmem", func(t *testing.T) { fn(t, false) })
+}
+
+// The slice ReadFile returns is the caller's alone: scribbling over it
+// must reach neither a pooled buffer a later read is handed (TCP) nor
+// the datanode's stored replica (the in-memory transport passes bodies
+// by reference).
+func TestReadFileResultIsNotAliased(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		lc := startLive(t, tcp, 4)
+		cl := lc.client(t)
+		in := patterned(8*(256<<10)+12345, 1)
+		if err := cl.WriteFile("/own/f", in, 256<<10, 2); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		for round := 0; round < 3; round++ {
+			got, err := cl.ReadFile("/own/f", "")
+			if err != nil {
+				t.Fatalf("ReadFile: %v", err)
+			}
+			if !bytes.Equal(got, in) {
+				t.Fatalf("round %d: read differs from what was written", round)
+			}
+			for i := range got {
+				got[i] = 0xFF
+			}
+		}
+	})
+}
+
+// Four goroutines read whole files through one client while the buffers
+// they give up are handed to each other's fetches; run under -race.
+func TestReadFileConcurrentOnOneClient(t *testing.T) {
+	lc := startLive(t, true, 4)
+	cl := lc.client(t)
+	files := make([][]byte, 2)
+	for i := range files {
+		files[i] = patterned(8*(128<<10), i+2)
+		if err := cl.WriteFile(fmt.Sprintf("/conc/%d", i), files[i], 128<<10, 2); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				f := (g + i) % len(files)
+				got, err := cl.ReadFile(fmt.Sprintf("/conc/%d", f), "")
+				if err != nil {
+					t.Errorf("ReadFile: %v", err)
+					return
+				}
+				if !bytes.Equal(got, files[f]) {
+					t.Errorf("goroutine %d read %d: bytes differ", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// allocBytesPerOp runs op once to warm up, then n times, and returns the
+// heap bytes the whole process allocated per run.
+func allocBytesPerOp(n int, op func()) uint64 {
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestReadFileAllocBytesCeiling pins what a whole-file read may
+// allocate: the result, once, plus whatever pooled buffers a garbage
+// collection made the pool allocate again. Growing the result by append
+// and holding every block's buffer to the end cost about five times the
+// file size.
+func TestReadFileAllocBytesCeiling(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		lc := startLive(t, tcp, 4)
+		cl := lc.client(t)
+		const size = 8 * (4 << 20)
+		if err := cl.WriteFile("/alloc/f", patterned(size, 3), 4<<20, 2); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		got := allocBytesPerOp(5, func() {
+			b, err := cl.ReadFile("/alloc/f", "")
+			if err != nil || len(b) != size {
+				t.Fatalf("ReadFile: %d bytes, %v", len(b), err)
+			}
+		})
+		if ceiling := uint64(size) * 3 / 2; got > ceiling && !raceEnabled {
+			t.Errorf("ReadFile allocated %d bytes per %d-byte file, ceiling %d", got, size, ceiling)
+		}
+		t.Logf("%d bytes allocated per %d-byte ReadFile (%.2fx)", got, size, float64(got)/size)
+	})
+}
+
+// BenchmarkReadFileTCP is the whole-file read the block benchmarks miss:
+// a 64 MiB file in 4 MiB blocks, replication 2, striped over four
+// RAM-served datanodes on TCP loopback. `make profile` profiles it.
+func BenchmarkReadFileTCP(b *testing.B) {
+	lc := startLive(b, true, 4)
+	cl := lc.client(b)
+	const size = 64 << 20
+	if err := cl.WriteFile("/bench/f", patterned(size, 4), 4<<20, 2); err != nil {
+		b.Fatalf("WriteFile: %v", err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := cl.ReadFile("/bench/f", "")
+		if err != nil || len(got) != size {
+			b.Fatalf("ReadFile: %d bytes, %v", len(got), err)
+		}
+	}
+}
+
+// stubReplicas stands in for a namenode and datanodes over TCP: an empty
+// endpoint for the client to dial, and one dn.readBlock server per
+// replica behaviour, so a test decides exactly what each holder returns.
+type stubReplicas struct {
+	t     *testing.T
+	clock simclock.Clock
+	tnet  transport.TCPNetwork
+}
+
+func newStubReplicas(t *testing.T) *stubReplicas {
+	dfs.RegisterWire()
+	return &stubReplicas{t: t, clock: simclock.NewReal(), tnet: transport.NewTCPNetwork()}
+}
+
+// serve starts an endpoint; a nil readBlock leaves it without handlers.
+func (s *stubReplicas) serve(readBlock func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error)) string {
+	s.t.Helper()
+	l, err := s.tnet.Listen("127.0.0.1:0")
+	if err != nil {
+		s.t.Fatalf("Listen: %v", err)
+	}
+	srv := transport.NewServer(s.clock)
+	if readBlock != nil {
+		srv.Handle("dn.readBlock", func(arg any) (any, error) {
+			return readBlock(arg.(dfs.ReadBlockReq))
+		})
+	}
+	srv.ServeBackground(l)
+	s.t.Cleanup(func() { l.Close(); srv.Close() })
+	return l.Addr()
+}
+
+func (s *stubReplicas) client(opts ...client.Option) *client.Client {
+	s.t.Helper()
+	c, err := client.New(s.clock, s.tnet, s.serve(nil), opts...)
+	if err != nil {
+		s.t.Fatalf("client: %v", err)
+	}
+	s.t.Cleanup(c.Close)
+	return c
+}
+
+// firstThen locates a block so that replica choice is forced: first is
+// the Ignem-assigned, already pinned copy, which chooseReplica always
+// prefers; the others are tried in order on failover.
+func firstThen(id dfs.BlockID, data []byte, sum uint32, first string, others ...string) dfs.LocatedBlock {
+	return dfs.LocatedBlock{
+		Block:    dfs.Block{ID: id, Size: int64(len(data))},
+		Nodes:    append([]string{first}, others...),
+		Assigned: first,
+		Migrated: []string{first},
+		Checksum: sum,
+	}
+}
+
+// A reply whose payload is not the located size is a failed replica,
+// with checksums on or off: the read fails over to a holder that
+// returns the right bytes, and surfaces dfs.ErrBlockLength only when
+// every holder disagrees with the namenode.
+func TestReadBlockPayloadLengthIsReplicaHealth(t *testing.T) {
+	const size = 64 << 10
+	want := patterned(size, 5)
+	payload := func(n int) func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+		return func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+			d := patterned(n, 5)
+			return dfs.ReadBlockResp{Data: d, Size: int64(n)}, nil
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		first      int // bytes the preferred replica returns
+		second     int // bytes the other replica returns
+		wantErr    bool
+		wantSecond bool // the read had to fail over
+	}{
+		{"exact", size, size, false, false},
+		{"short", size - 1, size, false, true},
+		{"half", size / 2, size, false, true},
+		{"long", size + 1, size, false, true},
+		{"all_short", size - 1, size - 1, true, true},
+		{"all_long", size + 512, size + 1, true, true},
+	} {
+		for _, sums := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/checksums=%v", tc.name, sums), func(t *testing.T) {
+				s := newStubReplicas(t)
+				var secondCalls int
+				var mu sync.Mutex
+				a := s.serve(payload(tc.first))
+				b := s.serve(func(r dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+					mu.Lock()
+					secondCalls++
+					mu.Unlock()
+					return payload(tc.second)(r)
+				})
+				cl := s.client(client.WithChecksums(sums))
+				var sum uint32
+				if sums {
+					sum = dfs.Checksum(want)
+				}
+				lb := firstThen(1, want, sum, a, b)
+				got, err := cl.ReadBlocks([]dfs.LocatedBlock{lb}, "")
+				if tc.wantErr {
+					if !errors.Is(err, dfs.ErrBlockLength) {
+						t.Fatalf("err = %v, want dfs.ErrBlockLength", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("ReadBlocks: %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("read bytes differ from the block")
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if (secondCalls > 0) != tc.wantSecond {
+					t.Errorf("second replica served %d reads, want failover = %v", secondCalls, tc.wantSecond)
+				}
+			})
+		}
+	}
+}
+
+// A striped read whose blocks fail in the middle — one holder answers
+// with an error, another with bytes that fail the end-to-end CRC — still
+// assembles the exact file, and gives back every buffer it took: were
+// the rejected payloads or the placed ones kept, each read would
+// allocate them afresh, and a buffer given back twice would corrupt a
+// later read.
+func TestReadBlocksMidStripeFailover(t *testing.T) {
+	const (
+		blocks    = 8
+		blockSize = 1 << 20
+	)
+	file := patterned(blocks*blockSize, 6)
+	block := func(id dfs.BlockID) []byte { return file[int(id)*blockSize : int(id+1)*blockSize] }
+	good := func(r dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+		return dfs.ReadBlockResp{Data: block(r.Block), Size: blockSize}, nil
+	}
+	s := newStubReplicas(t)
+	healthy := s.serve(good)
+	erroring := func() string {
+		return s.serve(func(r dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+			return dfs.ReadBlockResp{}, fmt.Errorf("stub: no block %d here", r.Block)
+		})
+	}
+	corrupting := func(id dfs.BlockID) string {
+		bad := append([]byte(nil), block(id)...)
+		bad[len(bad)/2] ^= 0x40
+		return s.serve(func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+			return dfs.ReadBlockResp{Data: bad, Size: blockSize}, nil
+		})
+	}
+	cl := s.client(client.WithReadParallelism(4))
+
+	// Every bad holder is an endpoint of its own: a failed replica's
+	// connection is dropped, which would fail a neighbour's fetch in
+	// flight on it and make the failure counts a matter of timing.
+	const corrupt = 5
+	lbs := make([]dfs.LocatedBlock, blocks)
+	for i := range lbs {
+		id := dfs.BlockID(i)
+		first := healthy
+		switch i {
+		case 0, 5: // arrive good at once
+		case 2:
+			first = erroring()
+		default:
+			first = corrupting(id)
+		}
+		lbs[i] = firstThen(id, block(id), dfs.Checksum(block(id)), first, healthy)
+	}
+
+	const reads = 6
+	perOp := allocBytesPerOp(reads-1, func() {
+		got, err := cl.ReadBlocks(lbs, "")
+		if err != nil {
+			t.Fatalf("ReadBlocks: %v", err)
+		}
+		if !bytes.Equal(got, file) {
+			t.Fatal("assembled bytes differ from the file")
+		}
+	})
+	if got, want := cl.ChecksumFailures(), int64(reads*corrupt); got != want {
+		t.Errorf("ChecksumFailures = %d, want %d (one per corrupt first replica per read)", got, want)
+	}
+	// 13 pooled buffers are taken per read. Keeping the 5 rejected ones
+	// would add 5 MiB to the 8 MiB result, keeping the placed ones 8.
+	if ceiling := uint64(len(file)) * 3 / 2; perOp > ceiling && !raceEnabled {
+		t.Errorf("read with failover allocated %d bytes per %d-byte file, ceiling %d: buffers are not being recycled", perOp, len(file), ceiling)
+	}
+	t.Logf("%d bytes allocated per %d-byte read with failover", perOp, len(file))
+}

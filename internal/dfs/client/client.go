@@ -369,6 +369,16 @@ func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) 
 	if err != nil {
 		return dfs.ReadBlockResp{}, fmt.Errorf("dfs client: read block %d from %s: %w", lb.Block.ID, addr, err)
 	}
+	// Payload length is part of replica health: ReadFile lays each block
+	// at the offset its located size implies, so a replica that returns
+	// any other number of bytes is as wrong as one that fails its CRC,
+	// and is the only check left when checksums are off. A synthetic
+	// block (no bytes, no checksum) has nothing to measure.
+	if n := int64(len(resp.Data)); n != lb.Block.Size && (n > 0 || lb.Checksum != 0) {
+		resp.Release()
+		return dfs.ReadBlockResp{}, fmt.Errorf("dfs client: read block %d from %s: %w: got %d bytes, want %d",
+			lb.Block.ID, addr, dfs.ErrBlockLength, n, lb.Block.Size)
+	}
 	// End-to-end verification: the returned bytes must match the CRC the
 	// writer recorded at allocation time. This catches corruption the
 	// datanode's own check cannot — anything that happened after its
@@ -485,24 +495,26 @@ func (c *Client) ReadBlocks(blocks []dfs.LocatedBlock, job dfs.JobID) ([]byte, e
 
 // readBlocksPath is ReadBlocks with the owning file known, so cache
 // entries installed here can be invalidated when that file mutates.
+//
+// The result is assembled in place: every block's offset is known from
+// its located size before the first byte arrives, so each fetch copies
+// its payload to its slot and gives the buffer up at once. Nothing is
+// held until the last block lands and nothing is grown.
 func (c *Client) readBlocksPath(path string, blocks []dfs.LocatedBlock, job dfs.JobID) ([]byte, error) {
+	asm := newAssembly(blocks)
 	par := c.readPar
 	if par > len(blocks) {
 		par = len(blocks)
 	}
 	if par <= 1 {
-		var out []byte
-		for _, lb := range blocks {
+		for i, lb := range blocks {
 			resp, err := c.readBlockVia(path, lb, job, c.chooseReplica(lb))
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, resp.Data...)
-			// A TCP fast-path response owns a pooled buffer; the bytes
-			// are copied out above, so recycle it.
-			resp.Release()
+			asm.place(i, &resp)
 		}
-		return out, nil
+		return asm.result()
 	}
 
 	// Pre-choose every block's first replica on this goroutine so the
@@ -512,7 +524,6 @@ func (c *Client) readBlocksPath(path string, blocks []dfs.LocatedBlock, job dfs.
 	for i, lb := range blocks {
 		firsts[i] = c.chooseReplica(lb)
 	}
-	resps := make([]dfs.ReadBlockResp, len(blocks))
 	errs := make([]error, len(blocks))
 	var cursor atomic.Int64
 	var failed atomic.Bool
@@ -525,24 +536,66 @@ func (c *Client) readBlocksPath(path string, blocks []dfs.LocatedBlock, job dfs.
 					return
 				}
 				resp, err := c.readBlockVia(path, blocks[i], job, firsts[i])
-				resps[i], errs[i] = resp, err
 				if err != nil {
+					errs[i] = err
 					failed.Store(true) // stop issuing new fetches
+					continue
 				}
+				asm.place(i, &resp)
 			}
 		})
 	}
 	wg.Wait()
 
-	var out []byte
-	for i := range blocks {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, resps[i].Data...)
-		resps[i].Release() // pooled TCP buffers recycle after copy-out
 	}
-	return out, nil
+	return asm.result()
+}
+
+// assembly lays fetched blocks into one result slice. The slice is
+// allocated on the first real payload, at the size the located blocks
+// add up to: a synthetic (size-only) file never allocates and reads as
+// nil, however large it claims to be.
+type assembly struct {
+	offs  []int64 // block i fills out[offs[i]:offs[i+1]]
+	once  sync.Once
+	out   []byte
+	empty atomic.Int64 // blocks that came back without bytes
+}
+
+func newAssembly(blocks []dfs.LocatedBlock) *assembly {
+	a := &assembly{offs: make([]int64, len(blocks)+1)}
+	for i, lb := range blocks {
+		a.offs[i+1] = a.offs[i] + lb.Block.Size
+	}
+	return a
+}
+
+// place copies block i's payload to its slot and releases the response:
+// a pooled TCP buffer goes back to the pool here, not when the whole
+// read ends. readBlockFrom has already held the payload to the located
+// size. Safe for concurrent use on distinct blocks.
+func (a *assembly) place(i int, resp *dfs.ReadBlockResp) {
+	if len(resp.Data) == 0 {
+		a.empty.Add(1)
+		return
+	}
+	a.once.Do(func() { a.out = make([]byte, a.offs[len(a.offs)-1]) })
+	copy(a.out[a.offs[i]:a.offs[i+1]], resp.Data)
+	resp.Release()
+}
+
+// result returns the assembled bytes, or nil when every block was
+// synthetic. Real and size-only blocks cannot share a file, so a mix
+// would leave a hole of zeros in the result and is an error.
+func (a *assembly) result() ([]byte, error) {
+	if a.out != nil && a.empty.Load() > 0 {
+		return nil, fmt.Errorf("dfs client: %d blocks returned no bytes in a file with real data: %w", a.empty.Load(), dfs.ErrBlockLength)
+	}
+	return a.out, nil
 }
 
 // ChecksumFailures reports how many block reads failed end-to-end

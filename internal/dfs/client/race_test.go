@@ -7,13 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dfs"
 	"repro/internal/dfs/client"
-	"repro/internal/dfs/datanode"
-	"repro/internal/dfs/namenode"
-	"repro/internal/simclock"
-	"repro/internal/storage"
-	"repro/internal/transport"
 )
 
 // TestPooledBuffersUnderConcurrentTraffic hammers the pooled-buffer
@@ -33,51 +27,17 @@ func TestPooledBuffersUnderConcurrentTraffic(t *testing.T) {
 		workers       = 3 // per traffic shape
 		iters         = 12
 	)
-	dfs.RegisterWire()
-	clock := simclock.NewScaledReal(4)
-	tnet := transport.NewTCPNetwork()
-	ephemeral := func() string {
-		l, err := tnet.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("Listen: %v", err)
-		}
-		defer l.Close()
-		return l.Addr()
-	}
-
-	nnAddr := ephemeral()
-	nn := namenode.New(clock, tnet, namenode.Config{Addr: nnAddr, Seed: 11})
-	if err := nn.Start(); err != nil {
-		t.Fatalf("namenode start: %v", err)
-	}
-	defer nn.Close()
-	for i := 0; i < raceNodes; i++ {
-		dn, err := datanode.New(clock, tnet, datanode.Config{
-			Addr: ephemeral(), NameNodeAddr: nnAddr, Media: storage.HDDSpec(),
-			ServeAllFromRAM: true,
-		})
-		if err != nil {
-			t.Fatalf("datanode new: %v", err)
-		}
-		if err := dn.Start(); err != nil {
-			t.Fatalf("datanode start: %v", err)
-		}
-		defer dn.Close()
-	}
+	lc := startLive(t, true, raceNodes)
 
 	in := make([]byte, raceBlocks*raceBlockSize)
 	for i := range in {
 		in[i] = byte(i % 251)
 	}
-	cl, err := client.New(clock, tnet, nnAddr,
+	cl := lc.client(t,
 		client.WithReadParallelism(4),
 		client.WithReadAhead(client.DefaultReadAhead),
 		client.WithWriteParallelism(client.DefaultWriteParallelism),
 		client.WithBlockCache(2*int64(len(in))))
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	defer cl.Close()
 	if err := cl.WriteFile("/race/hot", in, raceBlockSize, 2); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}

@@ -407,6 +407,11 @@ const checksumMarker = "DFS_CHECKSUM"
 // the corrupt replica and reports it for re-replication.
 var ErrChecksum = errors.New("block checksum mismatch (" + checksumMarker + ")")
 
+// ErrBlockLength means a replica returned a payload whose length is not
+// the block's recorded size. Readers treat it like ErrChecksum: the
+// replica is bad, another holder is tried.
+var ErrBlockLength = errors.New("block payload length mismatch")
+
 // IsChecksum reports whether err is a checksum-verification failure,
 // directly or after crossing the transport as a remote error string.
 func IsChecksum(err error) bool {
@@ -475,8 +480,8 @@ type WriteBlockReq struct {
 	Checksum uint32
 
 	// pooled marks Data as a bufpool buffer owned by the holder; set
-	// only by the TCP fast-path decode (see frame.go). Unexported so
-	// it never crosses the wire.
+	// only by the frame decoders (see frame.go). Unexported so it
+	// never crosses the wire.
 	pooled bool
 }
 
@@ -509,7 +514,7 @@ type ReadBlockResp struct {
 	Local      bool
 
 	// pooled marks Data as a bufpool buffer owned by the holder; set
-	// only by the TCP fast-path decode (see frame.go).
+	// only by the frame decoders (see frame.go).
 	pooled bool
 }
 
@@ -657,10 +662,11 @@ func RegisterWire() {
 	} {
 		transport.RegisterType(v)
 	}
-	// Bulk block messages additionally take the TCP binary fast path.
-	// ReadBlockReq rides along: it is tiny, but it precedes every block
-	// fetch and its gob round trip showed up in allocation profiles of
-	// the read path.
+	// Bulk block messages additionally take the TCP binary fast path;
+	// the two that carry a payload are transport.BulkFramers, so their
+	// bytes bypass conn scratch (see frame.go). ReadBlockReq rides
+	// along: it is tiny, but it precedes every block fetch and its gob
+	// round trip showed up in allocation profiles of the read path.
 	transport.RegisterFramer[WriteBlockReq, *WriteBlockReq]()
 	transport.RegisterFramer[ReadBlockReq, *ReadBlockReq]()
 	transport.RegisterFramer[ReadBlockResp, *ReadBlockResp]()

@@ -8,22 +8,25 @@ import (
 	"repro/internal/transport"
 )
 
-// Binary fast-path frames for the bulk block messages (transport.Framer).
+// Binary fast-path frames for the bulk block messages.
 //
 // WriteBlockReq and ReadBlockResp carry multi-megabyte payloads; over
-// TCP they are framed by hand so block bytes cross the wire without
-// reflection or gob's per-message allocation. The datanode pipeline
-// forward reuses WriteBlockReq (the receiving node re-sends the request
-// with a shortened Pipeline), so it rides the same fast path.
+// TCP they travel as bulk units (transport.BulkFramer): a hand-framed
+// head with every field but Data, then Data itself, which the sending
+// conn writes straight from this struct's slice and the receiving conn
+// reads straight into a bufpool buffer. The datanode pipeline forward
+// reuses WriteBlockReq (the receiving node re-sends the request with a
+// shortened Pipeline), so it rides the same path.
 //
-// Ownership: DecodeFrame's payload argument is transport receive
-// scratch, valid only during the call, so both implementations copy
-// bulk data into a bufpool buffer and mark the struct pooled. The
-// eventual sole owner calls Release to return the buffer; forgetting to
-// Release is safe (the buffer is garbage collected), releasing twice or
-// while aliases remain is not. The in-memory transport passes bodies by
-// reference and never sets pooled, so inmem payloads — which alias
-// datanode stores and writer buffers — are never returned to the pool.
+// Ownership: a decoded struct whose Data is non-empty owns a pooled
+// buffer and says so through Pooled. DecodeHead adopts the buffer the
+// transport filled; the whole-frame DecodeFrame copies Data out of its
+// argument, which stays the caller's to reuse. The eventual sole owner
+// calls Release to return the buffer; forgetting to Release is safe
+// (the buffer is garbage collected), releasing twice or while aliases
+// remain is not. The in-memory transport passes bodies by reference and
+// never sets pooled, so inmem payloads — which alias datanode stores
+// and writer buffers — are never returned to the pool.
 
 var errShortFrame = errors.New("dfs: malformed block frame")
 
@@ -46,23 +49,39 @@ func frameBytes(b []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
-// copyPooled copies bulk payload bytes out of transport scratch into a
-// pooled buffer; a zero-length payload stays nil (synthetic blocks).
-func copyPooled(raw []byte) ([]byte, bool) {
+// appendBulk ends a whole frame: the bulk bytes as a length-prefixed
+// byte string after the head.
+func appendBulk(head, bulk []byte) []byte {
+	head = binary.AppendUvarint(head, uint64(len(bulk)))
+	return append(head, bulk...)
+}
+
+// decodeBulk is the inverse of appendBulk for what a head decoder left
+// over: one byte string and nothing after it, copied into a pooled
+// buffer so the frame stays the caller's. A zero-length payload stays
+// nil (synthetic blocks).
+func decodeBulk(rest []byte) ([]byte, error) {
+	raw, rest, err := frameBytes(rest)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, errShortFrame
+	}
 	if len(raw) == 0 {
-		return nil, false
+		return nil, nil
 	}
 	d := bufpool.Get(len(raw))
 	copy(d, raw)
-	return d, true
+	return d, nil
 }
 
 // ---- WriteBlockReq ----
 
 const wbFlagEager = 0x01
 
-// AppendFrame implements transport.Framer.
-func (r *WriteBlockReq) AppendFrame(buf []byte) []byte {
+// AppendHead implements transport.BulkFramer: every field but Data.
+func (r *WriteBlockReq) AppendHead(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.Block.ID))
 	buf = binary.AppendUvarint(buf, uint64(r.Block.Size))
 	var flags byte
@@ -76,40 +95,46 @@ func (r *WriteBlockReq) AppendFrame(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(p)))
 		buf = append(buf, p...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Data)))
-	return append(buf, r.Data...)
+	return buf
 }
 
-// DecodeFrame implements transport.Framer. The decoded Data is a pooled
-// copy; the sole owner must eventually call Release (or keep the buffer
-// forever, as the datanode block store does).
-func (r *WriteBlockReq) DecodeFrame(payload []byte) error {
-	id, rest, err := frameUvarint(payload)
+// Bulk implements transport.BulkFramer.
+func (r *WriteBlockReq) Bulk() []byte { return r.Data }
+
+// AppendFrame implements transport.Framer.
+func (r *WriteBlockReq) AppendFrame(buf []byte) []byte {
+	return appendBulk(r.AppendHead(buf), r.Data)
+}
+
+// decodeHead fills every field but Data from the front of b and returns
+// what follows the head.
+func (r *WriteBlockReq) decodeHead(b []byte) ([]byte, error) {
+	id, rest, err := frameUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	size, rest, err := frameUvarint(rest)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(rest) == 0 {
-		return errShortFrame
+		return nil, errShortFrame
 	}
 	flags := rest[0]
 	rest = rest[1:]
 	sum, rest, err := frameUvarint(rest)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if sum > 0xFFFFFFFF {
-		return errShortFrame
+		return nil, errShortFrame
 	}
 	np, rest, err := frameUvarint(rest)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if np > uint64(len(rest)) { // each entry needs ≥1 byte
-		return errShortFrame
+		return nil, errShortFrame
 	}
 	var pipeline []string
 	if np > 0 {
@@ -118,23 +143,46 @@ func (r *WriteBlockReq) DecodeFrame(payload []byte) error {
 			var pb []byte
 			pb, rest, err = frameBytes(rest)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			pipeline = append(pipeline, string(pb))
 		}
 	}
-	raw, rest, err := frameBytes(rest)
+	r.Block = Block{ID: BlockID(id), Size: int64(size)}
+	r.EagerPipeline = flags&wbFlagEager != 0
+	r.Checksum = uint32(sum)
+	r.Pipeline = pipeline
+	return rest, nil
+}
+
+// DecodeHead implements transport.BulkFramer. bulk, when non-nil, is a
+// pooled buffer this struct now owns; the sole owner must eventually
+// call Release (or keep the buffer forever, as the datanode block store
+// does).
+func (r *WriteBlockReq) DecodeHead(head, bulk []byte) error {
+	rest, err := r.decodeHead(head)
 	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
 		return errShortFrame
 	}
-	r.Block = Block{ID: BlockID(id), Size: int64(size)}
-	r.EagerPipeline = flags&wbFlagEager != 0
-	r.Checksum = uint32(sum)
-	r.Pipeline = pipeline
-	r.Data, r.pooled = copyPooled(raw)
+	r.Data, r.pooled = bulk, bulk != nil
+	return nil
+}
+
+// DecodeFrame implements transport.Framer. The decoded Data is a pooled
+// copy, owned as after DecodeHead.
+func (r *WriteBlockReq) DecodeFrame(frame []byte) error {
+	rest, err := r.decodeHead(frame)
+	if err != nil {
+		return err
+	}
+	data, err := decodeBulk(rest)
+	if err != nil {
+		return err
+	}
+	r.Data, r.pooled = data, data != nil
 	return nil
 }
 
@@ -206,8 +254,8 @@ const (
 	rbFlagLocal      = 0x02
 )
 
-// AppendFrame implements transport.Framer.
-func (r *ReadBlockResp) AppendFrame(buf []byte) []byte {
+// AppendHead implements transport.BulkFramer: every field but Data.
+func (r *ReadBlockResp) AppendHead(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.Size))
 	var flags byte
 	if r.FromMemory {
@@ -216,34 +264,61 @@ func (r *ReadBlockResp) AppendFrame(buf []byte) []byte {
 	if r.Local {
 		flags |= rbFlagLocal
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Data)))
-	return append(buf, r.Data...)
+	return append(buf, flags)
 }
 
-// DecodeFrame implements transport.Framer. The decoded Data is a pooled
-// copy; the sole owner must eventually call Release.
-func (r *ReadBlockResp) DecodeFrame(payload []byte) error {
-	size, rest, err := frameUvarint(payload)
+// Bulk implements transport.BulkFramer.
+func (r *ReadBlockResp) Bulk() []byte { return r.Data }
+
+// AppendFrame implements transport.Framer.
+func (r *ReadBlockResp) AppendFrame(buf []byte) []byte {
+	return appendBulk(r.AppendHead(buf), r.Data)
+}
+
+// decodeHead fills every field but Data from the front of b and returns
+// what follows the head.
+func (r *ReadBlockResp) decodeHead(b []byte) ([]byte, error) {
+	size, rest, err := frameUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(rest) == 0 {
-		return errShortFrame
+		return nil, errShortFrame
 	}
 	flags := rest[0]
-	rest = rest[1:]
-	raw, rest, err := frameBytes(rest)
+	r.Size = int64(size)
+	r.FromMemory = flags&rbFlagFromMemory != 0
+	r.Local = flags&rbFlagLocal != 0
+	return rest[1:], nil
+}
+
+// DecodeHead implements transport.BulkFramer. bulk, when non-nil, is a
+// pooled buffer this struct now owns; the sole owner must eventually
+// call Release.
+func (r *ReadBlockResp) DecodeHead(head, bulk []byte) error {
+	rest, err := r.decodeHead(head)
 	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
 		return errShortFrame
 	}
-	r.Size = int64(size)
-	r.FromMemory = flags&rbFlagFromMemory != 0
-	r.Local = flags&rbFlagLocal != 0
-	r.Data, r.pooled = copyPooled(raw)
+	r.Data, r.pooled = bulk, bulk != nil
+	return nil
+}
+
+// DecodeFrame implements transport.Framer. The decoded Data is a pooled
+// copy, owned as after DecodeHead.
+func (r *ReadBlockResp) DecodeFrame(frame []byte) error {
+	rest, err := r.decodeHead(frame)
+	if err != nil {
+		return err
+	}
+	data, err := decodeBulk(rest)
+	if err != nil {
+		return err
+	}
+	r.Data, r.pooled = data, data != nil
 	return nil
 }
 

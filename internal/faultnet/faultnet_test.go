@@ -189,9 +189,13 @@ func TestCrashAfterFiresAtScheduledInstant(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
 	fab := New(v, transport.NewInmemNetwork(v), 1)
 	startEcho(t, v, fab.Node("srv"), "srv")
-	fab.CrashAfter("srv", 5*time.Second)
 	v.Run(func() {
-		c, _ := transport.Dial(v, fab.Node("cli"), "srv")
+		fab.CrashAfter("srv", 5*time.Second) // inside Run: see runLossyScenario
+		c, err := transport.Dial(v, fab.Node("cli"), "srv")
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
 		defer c.Close()
 		if _, err := c.Call("echo", echoReq{}); err != nil {
 			t.Fatalf("call before scheduled crash: %v", err)
@@ -251,9 +255,16 @@ func runLossyScenario(t *testing.T, seed int64) []string {
 	v := simclock.NewVirtual(epoch)
 	fab := New(v, transport.NewInmemNetwork(v), seed)
 	startEcho(t, v, fab.Node("srv"), "srv")
-	fab.CrashAfter("srv", time.Minute) // never fires within the scenario; exercises scheduling
 	v.Run(func() {
-		c, _ := transport.Dial(v, fab.Node("cli"), "srv", transport.WithCallTimeout(500*time.Millisecond))
+		// Armed inside Run: a sleeper started before the root goroutine
+		// exists is the only thing the virtual clock has to wait for, so
+		// the clock may jump the minute and crash srv before the dial.
+		fab.CrashAfter("srv", time.Minute) // never fires within the scenario; exercises scheduling
+		c, err := transport.Dial(v, fab.Node("cli"), "srv", transport.WithCallTimeout(500*time.Millisecond))
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
 		defer c.Close()
 		fab.SetDrop("cli", "srv", 0.4)
 		fab.SetDrop("srv", "cli", 0.2)

@@ -8,31 +8,60 @@ import (
 	"sync"
 )
 
-// Framer is the binary fast path for bulk wire structs. A type that
+// Framer is the binary fast path for hot wire structs. A type that
 // implements it (on its pointer receiver) is sent over TCP as a binary
-// frame — a hand-written header plus raw payload bytes — instead of
-// going through reflection-based gob encoding. Small control messages
-// never bother: gob is fine for them, and the fallback is automatic for
-// any body type that is not registered with RegisterFramer.
+// frame — hand-written fields — instead of going through
+// reflection-based gob encoding. Small control messages never bother:
+// gob is fine for them, and the fallback is automatic for any body type
+// that is not registered with RegisterFramer. A type that carries a
+// block payload implements BulkFramer as well.
 //
 // AppendFrame appends the frame bytes to buf and returns the extended
 // slice, exactly like append: it must not retain buf.
 //
 // DecodeFrame parses a frame produced by AppendFrame. The payload slice
-// is transport-owned receive scratch, valid only for the duration of
-// the call — an implementation that retains bulk data must copy it out
-// (the dfs types copy into bufpool buffers and mark the result pooled;
-// see DESIGN.md "Wire format & buffer ownership").
+// is the caller's (for the transport, receive scratch), valid only for
+// the duration of the call — an implementation copies out whatever it
+// retains (see DESIGN.md "Wire format & buffer ownership").
 type Framer interface {
 	AppendFrame(buf []byte) []byte
 	DecodeFrame(payload []byte) error
 }
 
-// framerInfo is one registered fast-path body type.
+// BulkFramer is a Framer whose frame ends in one bulk byte string — a
+// block payload. Over TCP such a body travels as a bulk unit (see
+// tcp.go): the head and the bulk bytes are framed separately, so Send
+// writes the bulk straight from the body's slice and Recv reads it
+// straight into the buffer the decoded body will own. Bulk bytes are
+// never staged in conn scratch.
+//
+// AppendHead appends every field except the bulk bytes, and Bulk returns
+// those bytes; the transport only reads them, and only until Send
+// returns. AppendFrame's output is AppendHead's followed by the bulk as
+// a uvarint-length-prefixed byte string, so there is one field layout.
+//
+// DecodeHead parses a head produced by AppendHead, with nothing left
+// over, and adopts bulk as the body's payload. bulk is nil for an empty
+// payload and otherwise a bufpool buffer that Recv filled from the
+// socket. On a nil return the body owns it: its eventual sole holder
+// returns it to the pool or keeps it forever. On an error the transport
+// still owns it and returns it. head is receive scratch, as in
+// DecodeFrame.
+type BulkFramer interface {
+	Framer
+	AppendHead(buf []byte) []byte
+	Bulk() []byte
+	DecodeHead(head, bulk []byte) error
+}
+
+// framerInfo is one registered fast-path body type. The head functions
+// are set only for a BulkFramer.
 type framerInfo struct {
-	name   string
-	encode func(body any, buf []byte) []byte
-	decode func(payload []byte) (any, error)
+	name       string
+	encode     func(body any, buf []byte) []byte
+	decode     func(payload []byte) (any, error)
+	encodeHead func(body any, buf []byte) (head, bulk []byte)
+	decodeHead func(head, bulk []byte) (any, error)
 }
 
 var (
@@ -46,28 +75,36 @@ var (
 // value, matching how gob bodies are registered. Like gob.Register,
 // call it once per type from the package that defines the wire struct.
 // Registering the same type twice is safe; two types with the same
-// name is not.
+// name is not. When *T is also a BulkFramer its messages travel as bulk
+// units.
 func RegisterFramer[T any, PT interface {
 	*T
 	Framer
 }]() {
 	t := reflect.TypeOf((*T)(nil)).Elem()
-	// Encode stages the body through a pooled *T: asserting to a local
+	// Encoding stages the body through a pooled *T: asserting to a local
 	// (`v := body.(T)`) and calling AppendFrame on &v sends the copy to
 	// the heap every message, because the pointer escapes through the
 	// Framer interface. Copying into pooled scratch keeps the steady
 	// state allocation-free; the scratch is zeroed before going back so
 	// it never pins a message's bulk payload.
 	scratch := &sync.Pool{New: func() any { return new(T) }}
+	borrow := func(body any) *T {
+		p := scratch.Get().(*T)
+		*p = body.(T)
+		return p
+	}
+	giveBack := func(p *T) {
+		var zero T
+		*p = zero
+		scratch.Put(p)
+	}
 	info := &framerInfo{
 		name: t.String(),
 		encode: func(body any, buf []byte) []byte {
-			p := scratch.Get().(*T)
-			*p = body.(T)
+			p := borrow(body)
 			buf = PT(p).AppendFrame(buf)
-			var zero T
-			*p = zero
-			scratch.Put(p)
+			giveBack(p)
 			return buf
 		},
 		decode: func(payload []byte) (any, error) {
@@ -77,6 +114,23 @@ func RegisterFramer[T any, PT interface {
 			}
 			return v, nil
 		},
+	}
+	if _, ok := any(PT(nil)).(BulkFramer); ok {
+		info.encodeHead = func(body any, buf []byte) ([]byte, []byte) {
+			p := borrow(body)
+			bf := any(PT(p)).(BulkFramer)
+			buf = bf.AppendHead(buf)
+			bulk := bf.Bulk()
+			giveBack(p)
+			return buf, bulk
+		}
+		info.decodeHead = func(head, bulk []byte) (any, error) {
+			var v T
+			if err := any(PT(&v)).(BulkFramer).DecodeHead(head, bulk); err != nil {
+				return nil, err
+			}
+			return v, nil
+		}
 	}
 	framerMu.Lock()
 	defer framerMu.Unlock()
@@ -168,11 +222,14 @@ var errFrame = errors.New("transport: malformed frame")
 //	uvarint  len(Err)    || Err bytes
 //	uvarint  len(body type name) || name bytes
 //	...      body frame (AppendFrame output), to end of unit
+//
+// The head of a bulk unit has the same layout with the body's head
+// (AppendHead output) in place of its frame.
 const fastFlagReply = 0x01
 
-// appendFastUnitPayload serializes a message whose body has a
-// registered framer. buf is the conn's reusable staging buffer.
-func appendFastUnitPayload(buf []byte, m *Message, fi *framerInfo) []byte {
+// appendEnvelope serializes everything of a fast or bulk unit that
+// precedes the body. buf is the conn's reusable staging buffer.
+func appendEnvelope(buf []byte, m *Message, fi *framerInfo) []byte {
 	buf = binary.AppendUvarint(buf, m.ID)
 	var flags byte
 	if m.Reply {
@@ -184,8 +241,19 @@ func appendFastUnitPayload(buf []byte, m *Message, fi *framerInfo) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m.Err)))
 	buf = append(buf, m.Err...)
 	buf = binary.AppendUvarint(buf, uint64(len(fi.name)))
-	buf = append(buf, fi.name...)
-	return fi.encode(m.Body, buf)
+	return append(buf, fi.name...)
+}
+
+// appendFastUnitPayload serializes a message whose body has a
+// registered framer.
+func appendFastUnitPayload(buf []byte, m *Message, fi *framerInfo) []byte {
+	return fi.encode(m.Body, appendEnvelope(buf, m, fi))
+}
+
+// appendBulkUnitHead serializes the head of a message whose body is a
+// BulkFramer and returns the bulk bytes to send after it.
+func appendBulkUnitHead(buf []byte, m *Message, fi *framerInfo) (head, bulk []byte) {
+	return fi.encodeHead(m.Body, appendEnvelope(buf, m, fi))
 }
 
 // uvarint reads one uvarint off b, returning the value and the rest.
@@ -209,45 +277,69 @@ func uvarintBytes(b []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
-// decodeFastUnitPayload parses a fast unit. payload is receive scratch
-// owned by the conn; the decoded body must not retain it (the Framer
-// contract) and neither does the returned Message — Method/Err are
-// string copies.
-func decodeFastUnitPayload(payload []byte) (Message, error) {
-	var m Message
+// decodeEnvelope parses what appendEnvelope wrote off the front of a
+// fast or bulk unit: the message without its body, the body's codec, and
+// the bytes that follow. payload is receive scratch owned by the conn;
+// the returned Message does not retain it — Method/Err are string copies.
+func decodeEnvelope(payload []byte) (m Message, fi *framerInfo, rest []byte, err error) {
 	id, rest, err := uvarint(payload)
 	if err != nil {
-		return m, err
+		return m, nil, nil, err
 	}
 	if len(rest) == 0 {
-		return m, errFrame
+		return m, nil, nil, errFrame
 	}
 	flags := rest[0]
 	rest = rest[1:]
 	method, rest, err := uvarintBytes(rest)
 	if err != nil {
-		return m, err
+		return m, nil, nil, err
 	}
 	errStr, rest, err := uvarintBytes(rest)
 	if err != nil {
-		return m, err
+		return m, nil, nil, err
 	}
 	name, rest, err := uvarintBytes(rest)
 	if err != nil {
-		return m, err
+		return m, nil, nil, err
 	}
 	fi, ok := lookupFramerByName(name)
 	if !ok {
-		return m, fmt.Errorf("transport: frame for unregistered type %q", name)
-	}
-	body, err := fi.decode(rest)
-	if err != nil {
-		return m, err
+		return m, nil, nil, fmt.Errorf("transport: frame for unregistered type %q", name)
 	}
 	m.ID = id
 	m.Reply = flags&fastFlagReply != 0
 	m.Method = internString(method)
 	m.Err = string(errStr)
-	m.Body = body
+	return m, fi, rest, nil
+}
+
+// decodeFastUnitPayload parses a fast unit. The decoded body must not
+// retain payload (the Framer contract).
+func decodeFastUnitPayload(payload []byte) (Message, error) {
+	m, fi, rest, err := decodeEnvelope(payload)
+	if err != nil {
+		return Message{}, err
+	}
+	if m.Body, err = fi.decode(rest); err != nil {
+		return Message{}, err
+	}
+	return m, nil
+}
+
+// decodeBulkUnit parses a bulk unit: head is receive scratch as above,
+// bulk is the pooled buffer (nil when empty) the decoded body adopts.
+// On an error the caller still owns bulk.
+func decodeBulkUnit(head, bulk []byte) (Message, error) {
+	m, fi, rest, err := decodeEnvelope(head)
+	if err != nil {
+		return Message{}, err
+	}
+	if fi.decodeHead == nil {
+		return Message{}, fmt.Errorf("transport: bulk unit for non-bulk type %q", fi.name)
+	}
+	if m.Body, err = fi.decodeHead(rest, bulk); err != nil {
+		return Message{}, err
+	}
 	return m, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/simclock"
 )
 
@@ -53,10 +54,71 @@ func appendUvarintLen(buf []byte, n int) []byte {
 	}
 }
 
+// fuzzBulk is the test-only bulk body: the tag is its head, Data its
+// bulk. Like the dfs block messages it adopts the pooled buffer a bulk
+// unit hands it and copies out of a whole frame.
+type fuzzBulk struct {
+	Tag    string
+	Data   []byte
+	pooled bool
+}
+
+func (b *fuzzBulk) AppendHead(buf []byte) []byte {
+	buf = appendUvarintLen(buf, len(b.Tag))
+	return append(buf, b.Tag...)
+}
+
+func (b *fuzzBulk) Bulk() []byte { return b.Data }
+
+func (b *fuzzBulk) AppendFrame(buf []byte) []byte {
+	buf = appendUvarintLen(b.AppendHead(buf), len(b.Data))
+	return append(buf, b.Data...)
+}
+
+func (b *fuzzBulk) DecodeHead(head, bulk []byte) error {
+	tag, rest, err := uvarintBytes(head)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return errFrame
+	}
+	b.Tag, b.Data, b.pooled = string(tag), bulk, bulk != nil
+	return nil
+}
+
+func (b *fuzzBulk) DecodeFrame(payload []byte) error {
+	tag, rest, err := uvarintBytes(payload)
+	if err != nil {
+		return err
+	}
+	data, rest, err := uvarintBytes(rest)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return errFrame
+	}
+	b.Tag, b.Data, b.pooled = string(tag), append([]byte(nil), data...), false
+	return nil
+}
+
 var registerFuzzBlob = sync.OnceFunc(func() {
 	RegisterFramer[fuzzBlob, *fuzzBlob]()
 	RegisterType(fuzzBlob{})
+	RegisterFramer[fuzzBulk, *fuzzBulk]()
+	RegisterType(fuzzBulk{})
 })
+
+// bulkUnit frames head and bulk as one bulk unit, with the lengths the
+// caller claims rather than the true ones, so seeds can lie.
+func bulkUnit(head, bulk []byte, headLen, bulkLen int) []byte {
+	unit := []byte{unitBulk}
+	unit = appendUvarintLen(unit, headLen)
+	unit = appendUvarintLen(unit, bulkLen)
+	unit = append(unit, head...)
+	return append(unit, bulk...)
+}
 
 // FuzzFastUnitPayload hammers the fast-unit decoder with arbitrary
 // bytes: it must never panic, and whatever it accepts must survive a
@@ -72,7 +134,17 @@ func FuzzFastUnitPayload(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2]) // truncated mid-payload
 	f.Add([]byte{})
+	// The head of a bulk unit shares the envelope, so the same bytes are
+	// also offered to the bulk decoder (below): a real head, one with
+	// trailing bytes, and one naming a type that is not a BulkFramer.
+	head, _ := appendBulkUnitHead(nil, &Message{
+		ID: 9, Reply: true, Body: fuzzBulk{Tag: "job-1", Data: []byte("bulk")},
+	}, mustLookupFramer(f, fuzzBulk{}))
+	f.Add(head)
+	f.Add(append(append([]byte(nil), head...), 0x00))
+	f.Add(appendEnvelope(nil, &Message{ID: 9}, mustLookupFramer(f, fuzzBlob{})))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzBulkHead(t, data)
 		m, err := decodeFastUnitPayload(data)
 		if err != nil {
 			return
@@ -97,10 +169,47 @@ func FuzzFastUnitPayload(f *testing.F) {
 	})
 }
 
-func mustLookupFramer(f *testing.F, body any) *framerInfo {
+// fuzzBulkHead offers data to the bulk-unit decoder as a head, beside a
+// pooled bulk buffer. A head it accepts must re-encode to a head that
+// decodes to the same message, and the body must have adopted the very
+// buffer it was given; a head it rejects must leave the buffer alone.
+func fuzzBulkHead(t *testing.T, data []byte) {
+	bulk := bufpool.Get(600)
+	for i := range bulk {
+		bulk[i] = byte(i)
+	}
+	defer bufpool.Put(bulk) // still ours either way: nothing below releases it
+	m, err := decodeBulkUnit(data, bulk)
+	if err != nil {
+		return
+	}
+	body, ok := m.Body.(fuzzBulk)
+	if !ok {
+		return // some other registered bulk type
+	}
+	if !body.pooled || &body.Data[0] != &bulk[0] || len(body.Data) != len(bulk) {
+		t.Fatal("decoded body did not adopt the buffer it was handed")
+	}
+	fi, _ := lookupFramer(body)
+	head, reBulk := appendBulkUnitHead(nil, &m, fi)
+	if &reBulk[0] != &bulk[0] {
+		t.Fatal("Bulk() is not the body's own slice")
+	}
+	m2, err := decodeBulkUnit(head, reBulk)
+	if err != nil {
+		t.Fatalf("re-decode of re-encoded head failed: %v", err)
+	}
+	b2 := m2.Body.(fuzzBulk)
+	if m2.ID != m.ID || m2.Reply != m.Reply || m2.Method != m.Method || m2.Err != m.Err || b2.Tag != body.Tag {
+		t.Fatalf("round trip changed message: %+v -> %+v", m, m2)
+	}
+}
+
+func mustLookupFramer(tb testing.TB, body any) *framerInfo {
+	tb.Helper()
 	fi, ok := lookupFramer(body)
 	if !ok {
-		f.Fatalf("no framer registered for %T", body)
+		tb.Fatalf("no framer registered for %T", body)
 	}
 	return fi
 }
@@ -124,6 +233,22 @@ func FuzzTCPRecvStream(f *testing.F) {
 	f.Add([]byte{0xFF, 0x00})     // unknown unit kind
 	f.Add([]byte{unitFast, 0x05}) // promised 5 payload bytes, stream ends
 	f.Add([]byte{unitGob, 0x00})  // zero-length gob unit
+	// Bulk units: well formed, then each way the two lengths can lie.
+	head, bulk := appendBulkUnitHead(nil, &Message{
+		ID:     2,
+		Method: "echo",
+		Body:   fuzzBulk{Tag: "t", Data: bytes.Repeat([]byte{0xB7}, 700)},
+	}, mustLookupFramer(f, fuzzBulk{}))
+	f.Add(bulkUnit(head, bulk, len(head), len(bulk)))
+	f.Add(bulkUnit(head, nil, len(head), 0))                          // empty bulk (synthetic block)
+	f.Add(bulkUnit(head, bulk[:300], len(head), len(bulk)))           // truncated bulk
+	f.Add(bulkUnit(head, nil, len(head), maxUnitSize+1))              // bulk length over the cap
+	f.Add(bulkUnit(head, nil, maxHeadSize+1, 0))                      // head length over the cap
+	f.Add(bulkUnit(head, bulk, len(bulk), len(head)))                 // lengths swapped
+	f.Add(bulkUnit(append(head, 0x00), bulk, len(head)+1, len(bulk))) // trailing byte in the head
+	f.Add(bulkUnit(payload, bulk, len(payload), len(bulk)))           // head is a whole fast payload
+	f.Add(bulkUnit(head[:len(head)/2], bulk, len(head)/2, len(bulk))) // head cut mid-envelope
+	f.Add([]byte{unitBulk, 0x05})                                     // stream ends inside the header
 	f.Fuzz(func(t *testing.T, data []byte) {
 		client, server := net.Pipe()
 		done := make(chan struct{})

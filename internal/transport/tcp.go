@@ -9,6 +9,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"repro/internal/bufpool"
 )
 
 // RegisterType registers a concrete message-body type for gob encoding on
@@ -19,25 +21,36 @@ func RegisterType(v any) { gob.Register(v) }
 // Wire protocol: the TCP stream is a sequence of self-delimiting units,
 // each
 //
-//	1 byte   unit kind (unitGob | unitFast)
-//	uvarint  payload length
-//	...      payload bytes
+//	1 byte   unit kind (unitGob | unitFast | unitBulk)
+//	uvarint  payload length (unitBulk: head length)
+//	uvarint  bulk length    (unitBulk only)
+//	...      payload bytes  (unitBulk: head bytes, then bulk bytes)
 //
 // unitGob payloads are the output of one persistent gob Encode of the
 // Message (type definitions included the first time each type appears,
 // exactly as on a raw gob stream). unitFast payloads are the binary
 // fast-path format for bodies registered with RegisterFramer — see
-// frame.go. Every conn decodes both kinds regardless of what it sends,
-// so a fast-path sender interoperates with a gob-only sender on the
-// same stream.
+// frame.go. unitBulk carries a BulkFramer body in two parts: a small
+// head that passes through conn scratch like a fast unit, and the bulk
+// bytes, which Send writes straight from the body's slice and Recv reads
+// straight into the pooled buffer the decoded body owns. Every conn
+// decodes all kinds regardless of what it sends, so a fast-path sender
+// interoperates with a gob-only sender on the same stream.
 const (
 	unitGob  = 0x00
 	unitFast = 0x01
+	unitBulk = 0x02
 
-	// maxUnitSize bounds a unit payload (a corrupted length prefix must
-	// not drive a giant allocation). Comfortably above the largest block
-	// payload the benchmarks or experiments move in one message.
+	// maxUnitSize bounds a unit payload and the bulk part of a bulk unit
+	// (a corrupted length prefix must not drive a giant allocation).
+	// Comfortably above the largest block payload the benchmarks or
+	// experiments move in one message.
 	maxUnitSize = 64 << 20
+
+	// maxHeadSize bounds the head of a bulk unit: a message envelope
+	// plus a handful of scalar fields and pipeline addresses. It is also
+	// the size conn scratch stays under while only bulk units flow.
+	maxHeadSize = 64 << 10
 )
 
 // TCPOption configures the TCP transport.
@@ -114,20 +127,25 @@ type tcpConn struct {
 
 	// Send state, guarded by wmu. The gob encoder is persistent but
 	// stages each Encode into stage so its output can be framed as one
-	// unit; wbuf is grow-once scratch for fast-unit payloads and unit
-	// headers, so steady-state sends allocate nothing.
+	// unit; wbuf is grow-once scratch for fast-unit payloads and bulk-unit
+	// heads, so steady-state sends allocate nothing. vec is the gather
+	// list of a bulk unit (header, head, bulk), kept here because a local
+	// would escape through net.Buffers.WriteTo.
 	wmu   sync.Mutex
 	bw    *bufio.Writer
 	enc   *gob.Encoder
 	stage bytes.Buffer
 	wbuf  []byte
-	hdr   [1 + binary.MaxVarintLen64]byte
+	hdr   [1 + 2*binary.MaxVarintLen64]byte
+	vec   [3][]byte
+	bufs  net.Buffers
 
 	// Recv state, used only by the conn's single reader goroutine. The
 	// gob decoder is persistent and reads each unit's payload through
 	// feed (a byte-counted view of br); rbuf is grow-once scratch for
-	// fast-unit payloads, valid only until the next Recv — DecodeFrame
-	// implementations copy what they keep.
+	// fast-unit payloads and bulk-unit heads, valid only until the next
+	// Recv — DecodeFrame and DecodeHead implementations copy what they
+	// keep of it.
 	br   *bufio.Reader
 	dec  *gob.Decoder
 	feed *payloadFeed
@@ -155,6 +173,9 @@ func (t *tcpConn) Send(m Message) error {
 
 	if t.cfg.fastPath {
 		if fi, ok := lookupFramer(m.Body); ok {
+			if fi.encodeHead != nil {
+				return t.sendBulk(&m, fi)
+			}
 			t.wbuf = appendFastUnitPayload(t.wbuf[:0], &m, fi)
 			if err := t.writeUnitHeader(unitFast, len(t.wbuf)); err != nil {
 				return err
@@ -178,6 +199,26 @@ func (t *tcpConn) Send(m Message) error {
 		return err
 	}
 	return t.bw.Flush()
+}
+
+// sendBulk writes one bulk unit as a single gathered write (writev on a
+// TCP socket): the unit header and the head from conn scratch, the bulk
+// bytes from wherever the body keeps them. bw is empty between Sends, so
+// bypassing it cannot reorder the stream.
+func (t *tcpConn) sendBulk(m *Message, fi *framerInfo) error {
+	var bulk []byte
+	t.wbuf, bulk = appendBulkUnitHead(t.wbuf[:0], m, fi)
+	if len(t.wbuf) > maxHeadSize || len(bulk) > maxUnitSize {
+		return fmt.Errorf("transport: bulk unit of %d+%d bytes exceeds limit", len(t.wbuf), len(bulk))
+	}
+	t.hdr[0] = unitBulk
+	hn := 1 + binary.PutUvarint(t.hdr[1:], uint64(len(t.wbuf)))
+	hn += binary.PutUvarint(t.hdr[hn:], uint64(len(bulk)))
+	t.vec = [3][]byte{t.hdr[:hn], t.wbuf, bulk}
+	t.bufs = t.vec[:]
+	_, err := t.bufs.WriteTo(t.c)
+	t.vec[2] = nil // a failed write leaves the unsent payload listed; do not pin it
+	return err
 }
 
 func (t *tcpConn) writeUnitHeader(kind byte, n int) error {
@@ -214,17 +255,55 @@ func (t *tcpConn) Recv() (Message, error) {
 		}
 		return m, nil
 	case unitFast:
-		if cap(t.rbuf) < int(n) {
-			t.rbuf = make([]byte, n)
-		}
-		buf := t.rbuf[:n]
-		if _, err := io.ReadFull(t.br, buf); err != nil {
+		buf, err := t.readScratch(n)
+		if err != nil {
 			return Message{}, err
 		}
 		return decodeFastUnitPayload(buf)
+	case unitBulk:
+		bn, err := binary.ReadUvarint(t.br)
+		if err != nil {
+			return Message{}, err
+		}
+		// Both bounds are checked before any buffer is taken.
+		if n > maxHeadSize || bn > maxUnitSize {
+			return Message{}, fmt.Errorf("transport: bulk unit of %d+%d bytes exceeds limit", n, bn)
+		}
+		head, err := t.readScratch(n)
+		if err != nil {
+			return Message{}, err
+		}
+		// A read this large bypasses br's buffer, so the socket fills
+		// the pooled buffer directly. From here every failure returns
+		// the buffer: the decoded body owns it only on success.
+		var bulk []byte
+		if bn > 0 {
+			bulk = bufpool.Get(int(bn))
+			if _, err := io.ReadFull(t.br, bulk); err != nil {
+				bufpool.Put(bulk)
+				return Message{}, err
+			}
+		}
+		m, err := decodeBulkUnit(head, bulk)
+		if err != nil {
+			bufpool.Put(bulk)
+			return Message{}, err
+		}
+		return m, nil
 	default:
 		return Message{}, fmt.Errorf("transport: unknown unit kind 0x%02x", kind)
 	}
+}
+
+// readScratch reads the next n bytes of the stream into rbuf, growing it
+// at most once per size, and returns them.
+func (t *tcpConn) readScratch(n uint64) ([]byte, error) {
+	if uint64(cap(t.rbuf)) < n {
+		t.rbuf = make([]byte, n)
+	}
+	buf := t.rbuf[:n]
+	_, err := io.ReadFull(t.br, buf)
+	return buf, err
 }
 
 func (t *tcpConn) Close() error { return t.c.Close() }

@@ -2,7 +2,6 @@ package writebench
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/dfs/client"
 )
@@ -52,118 +51,4 @@ func BenchmarkLargeWritePipelinedGob(b *testing.B) {
 	}
 	defer c.Close()
 	BenchLargeWritePipelined(b, c)
-}
-
-// measureLargeWrite runs the large-block pipelined-write body against a
-// fresh cluster with the fast path on or off.
-func measureLargeWrite(t *testing.T, fast bool) testing.BenchmarkResult {
-	t.Helper()
-	c, err := StartLargeTCP(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	return testing.Benchmark(func(b *testing.B) { BenchLargeWritePipelined(b, c) })
-}
-
-// TestLargeWriteFastPathSpeedup pins the codec acceptance bar on the
-// write side: at the 4MiB block size, a pipelined replication-2 ingest
-// through the binary fast path is meaningfully faster than through the
-// gob baseline (WithTCPFastPath(false)) on the same HEAD. Every replica
-// hop (client→dn and dn→dn forward) pays the codec, so the ratio
-// compounds across the pipeline.
-//
-// The floor is deliberately below the typical speedup: single
-// measurements on a loaded CI machine land anywhere in a 1.33–1.61x
-// band (1.41–1.49x when quiet), because one descheduled gob run or one
-// lucky fast run moves the single-shot ratio by ±0.15x. Each side is
-// therefore measured three times and the best (minimum ns/op) run
-// kept — best-of-N discards scheduler noise, which only ever slows a
-// run down — and the bar asserts 1.25x, low enough that a real
-// regression (the fast path silently falling back to gob would read
-// ~1.0x) still trips it while honest jitter does not.
-func TestLargeWriteFastPathSpeedup(t *testing.T) {
-	const runs = 3
-	best := func(fast bool) int64 {
-		b := int64(0)
-		for i := 0; i < runs; i++ {
-			if r := measureLargeWrite(t, fast).NsPerOp(); b == 0 || r < b {
-				b = r
-			}
-		}
-		return b
-	}
-	gob := best(false)
-	fast := best(true)
-	// The race detector taxes gob's instrumented reflection walk far more
-	// densely than the fast path's memmove, so only the direction is
-	// asserted there; 1.25x is enforced on the normal build.
-	bar := 1.25
-	if raceEnabled {
-		bar = 1.0
-	}
-	if float64(fast)*bar > float64(gob) {
-		t.Errorf("fast path %d ns/op is not ≥%.2fx faster than gob %d ns/op",
-			fast, bar, gob)
-	}
-	t.Logf("gob %d ns/op, fast %d ns/op, speedup %.2fx",
-		gob, fast, float64(gob)/float64(fast))
-}
-
-// TestParallelWriteSpeedupRealClock pins the acceptance bar without
-// needing -bench: on the in-memory transport under the real clock,
-// pipelined ingest with parallelism 4 is at least 2x faster than serial
-// ingest of the same 8-block file. The modeled RAM/network charges
-// dominate both sides, so the ratio is stable even on a loaded machine.
-func TestParallelWriteSpeedupRealClock(t *testing.T) {
-	c, err := Start(Inmem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	elapsed := func(par int) time.Duration {
-		cl, err := c.Client(client.WithWriteParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		// One warmup write so connection dials don't skew either side.
-		warm := c.nextPath()
-		if err := cl.WriteFile(warm, c.in, BlockSize, Replication); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Delete(warm); err != nil {
-			t.Fatal(err)
-		}
-		const iters = 3
-		var total time.Duration
-		for i := 0; i < iters; i++ {
-			path := c.nextPath()
-			start := time.Now()
-			if err := cl.WriteFile(path, c.in, BlockSize, Replication); err != nil {
-				t.Fatal(err)
-			}
-			total += time.Since(start)
-			// Deletion is untimed housekeeping so replicas don't pile up.
-			if err := cl.Delete(path); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return total / iters
-	}
-
-	serial := elapsed(1)
-	parallel := elapsed(client.DefaultWriteParallelism)
-	// Under -race the detector's instrumentation taxes the pipelined side
-	// much harder than the serial side, so only the direction is asserted
-	// there; the 2x bar is enforced on the normal build.
-	bar := 2.0
-	if raceEnabled {
-		bar = 1.2
-	}
-	if float64(parallel)*bar > float64(serial) {
-		t.Errorf("pipelined write %v is not ≥%.1fx faster than serial %v", parallel, bar, serial)
-	}
-	t.Logf("serial %v, pipelined(par=4) %v, speedup %.2fx", serial, parallel, float64(serial)/float64(parallel))
 }
