@@ -3,22 +3,16 @@
 GO ?= go
 
 .PHONY: all ci test race vet build fmt-check tidy-check determinism golden \
-	chaos chaos-wal \
-	bench-smoke bench bench-read bench-write bench-meta bench-meta-smoke \
-	bench-scale bench-scale-smoke bench-alloc profile fuzz-smoke \
-	bench-tier bench-tier-smoke bench-e2e bench-e2e-smoke \
-	experiments examples tidy
+	chaos chaos-wal bench-alloc fuzz-smoke profile cover \
+	bench-e2e bench-e2e-smoke bench experiments examples tidy
 
 all: vet test
 
 # ci mirrors the GitHub Actions pipeline locally (the workflow calls
-# these same targets, so the two cannot drift). The bench smoke job is
-# excluded here because it takes minutes; run `make bench-smoke` to
-# reproduce it. bench-meta-smoke stays in: the reduced metadata-plane
-# suite finishes in seconds and guards the sharded plane end to end, and
-# so does bench-e2e-smoke, the repository benchmark's own tests.
+# these same targets, so the two cannot drift); CI's race and chaos jobs
+# additionally run fuzz-smoke and chaos-wal.
 ci: vet build test race fmt-check tidy-check determinism chaos bench-alloc \
-	bench-meta-smoke bench-scale-smoke bench-e2e-smoke
+	bench-e2e-smoke
 
 test:
 	$(GO) test ./...
@@ -87,15 +81,6 @@ chaos-wal:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -run 'TestWAL' -count=1 ./internal/chaos
 
-# Smoke-runs both benchmark suites and checks the JSON shape only — no
-# throughput-ratio assertions, so it is safe on loaded shared runners.
-bench-smoke:
-	$(GO) run ./cmd/ignem-bench -readbench /tmp/ignem-smoke-read.json
-	$(GO) run ./cmd/ignem-bench -writebench /tmp/ignem-smoke-write.json
-	grep -q '"ns_per_op"' /tmp/ignem-smoke-read.json
-	grep -q '"name": "BenchmarkRepeatedScanCached/tcp"' /tmp/ignem-smoke-read.json
-	grep -q '"ns_per_op"' /tmp/ignem-smoke-write.json
-
 # Allocation regression gate: pins the cached-read allocs/op ceiling,
 # the ≥50% allocs/op drop on the uncached TCP block read, the bytes a
 # whole-file read may allocate (≤1.5x the file, TCP and in-memory), the
@@ -104,8 +89,7 @@ bench-smoke:
 # ceiling on WAL appends. Counts only: wall-clock ratios are the
 # repository benchmark's business (bench-e2e), not a test's.
 bench-alloc:
-	$(GO) test ./internal/readbench -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop' -count=1 -v
-	$(GO) test ./internal/dfs/client -run 'TestReadFileAllocBytesCeiling' -count=1 -v
+	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 
@@ -119,12 +103,12 @@ fuzz-smoke:
 	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzReadBlockRespFrame$$' -fuzztime 10s
 
 # Profile the data plane: CPU + mutex profiles of the swim experiment
-# (the Ignem master's coarse lock under heartbeat/migration traffic) and
-# CPU + heap + mutex profiles of the read benchmark suite (the TCP block
-# path), which reads block by block, and a CPU profile of whole-file
-# reads over TCP (BenchmarkReadFileTCP: striping and assembly, the part
-# the block benchmarks never reach). Outputs land in ./profiles; inspect
-# with
+# (the Ignem master's coarse lock under heartbeat/migration traffic),
+# CPU + heap + mutex profiles of single-block reads over TCP
+# (BenchmarkReadBlockTCP: transport, frame codec, buffer pool), and a CPU
+# profile of whole-file reads over TCP (BenchmarkReadFileTCP: striping
+# and assembly, the part the block benchmark never reaches). Outputs land
+# in ./profiles; inspect with
 #   go tool pprof -top profiles/read.cpu.pprof
 #   go tool pprof -top profiles/readfile.cpu.pprof
 #   go tool pprof -sample_index=contentions -top profiles/swim.mutex.pprof
@@ -132,11 +116,21 @@ profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/ignem-bench -cpuprofile profiles/swim.cpu.pprof \
 		-mutexprofile profiles/swim.mutex.pprof swim
-	$(GO) run ./cmd/ignem-bench -readbench /tmp/ignem-profile-read.json \
-		-cpuprofile profiles/read.cpu.pprof -memprofile profiles/read.mem.pprof \
-		-mutexprofile profiles/read.mutex.pprof
+	$(GO) test ./internal/dfs/client -run '^$$' -bench '^BenchmarkReadBlockTCP$$' -benchtime 300x \
+		-o profiles/read.test -cpuprofile profiles/read.cpu.pprof \
+		-memprofile profiles/read.mem.pprof -mutexprofile profiles/read.mutex.pprof
 	$(GO) test ./internal/dfs/client -run '^$$' -bench '^BenchmarkReadFileTCP$$' -benchtime 100x \
 		-o profiles/readfile.test -cpuprofile profiles/readfile.cpu.pprof
+
+# Coverage as a deletion input: total statement coverage of the product
+# code (internal/ and cmd/) by the tier-1 tests, then every product
+# function no test executes. A function listed here either needs a test
+# or has no caller and should go.
+cover:
+	mkdir -p profiles
+	$(GO) test -coverpkg=./internal/...,./cmd/... -coverprofile profiles/cover.out ./internal/...
+	@$(GO) tool cover -func profiles/cover.out | awk '$$NF == "0.0%" { print; n++ } \
+		/^total:/ { total = $$NF } END { printf "%d functions at 0%%; total statement coverage %s\n", n, total }'
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four
 # workloads, every end-to-end metric, ~2 minutes. Pass arguments with
@@ -154,66 +148,6 @@ bench-e2e-smoke:
 # Regenerate every paper table and figure as benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run XXX .
-
-# Read-path throughput benchmarks (striped ReadFile, Reader read-ahead)
-# on both transports; machine-readable records land in BENCH_read.json.
-bench-read:
-	$(GO) run ./cmd/ignem-bench -readbench BENCH_read.json
-
-# Write-path throughput benchmarks (pipelined Writer vs serial ingest)
-# on both transports; machine-readable records land in BENCH_write.json.
-bench-write:
-	$(GO) run ./cmd/ignem-bench -writebench BENCH_write.json
-
-# Metadata-plane throughput benchmarks (creates/opens/allocs per second
-# vs namespace shard count {1,2,4,8} plus the unsharded baseline) on
-# both transports; machine-readable records land in BENCH_meta.json.
-bench-meta:
-	$(GO) run ./cmd/ignem-bench -metabench BENCH_meta.json
-
-# Reduced metadata-plane suite for CI: shard counts 1 and 4 with a small
-# op budget, checked for completion and JSON shape only.
-bench-meta-smoke:
-	$(GO) run ./cmd/ignem-bench -metabench /tmp/ignem-smoke-meta.json -metabench-smoke
-	grep -q '"name": "BenchmarkMetaAlloc/inmem/shards=4"' /tmp/ignem-smoke-meta.json
-	grep -q '"name": "BenchmarkMetaCreate/tcp/unsharded"' /tmp/ignem-smoke-meta.json
-	grep -q '"ops_per_sec"' /tmp/ignem-smoke-meta.json
-
-# Control-plane scale harness: 1000 synthetic datanodes and a million
-# blocks driving report intake on the modeled transport (TCP at reduced
-# geometry) — full block reports vs incremental deltas, plus the cold
-# reconnect storm with and without intake admission control, measured
-# against an open-loop Zipf client fleet. Records land in
-# BENCH_scale.json.
-bench-scale:
-	$(GO) run ./cmd/ignem-bench -scalebench BENCH_scale.json
-
-# Reduced scale harness for CI: every phase exercised at a small
-# geometry, checked for completion and JSON shape only.
-bench-scale-smoke:
-	$(GO) run ./cmd/ignem-bench -scalebench /tmp/ignem-smoke-scale.json -scalebench-smoke
-	grep -q '"name": "BenchmarkScaleIncremental/inmem"' /tmp/ignem-smoke-scale.json
-	grep -q '"name": "BenchmarkScaleStorm/tcp/gated"' /tmp/ignem-smoke-scale.json
-	grep -q '"bytes_ratio"' /tmp/ignem-smoke-scale.json
-
-# The migration-ladder comparison: the same tight-RAM SWIM workload
-# under pin-in-RAM-only, the HDD→SSD→RAM ladder, and the popularity
-# policy. Machine-readable records (task-time CDFs, tier occupancy
-# timelines, master tier counters) land in BENCH_tier.json. The
-# acceptance bar — ladder p99 task time ≥1.2x better than pin-RAM when
-# the RAM budget is 25% of the working set — is enforced by
-# internal/tierbench's tests; the smoke target additionally checks the
-# record shape.
-bench-tier:
-	$(GO) run ./cmd/ignem-bench -tierbench BENCH_tier.json
-
-bench-tier-smoke:
-	$(GO) run ./cmd/ignem-bench -tierbench /tmp/ignem-smoke-tier.json -tierbench-smoke
-	$(GO) test ./internal/tierbench -run TestLadderBeatsPinRAMAtTightRAMBudget -count=1
-	grep -q '"name": "pin-ram"' /tmp/ignem-smoke-tier.json
-	grep -q '"name": "ladder"' /tmp/ignem-smoke-tier.json
-	grep -q '"p99_speedup_vs_pin_ram"' /tmp/ignem-smoke-tier.json
-	grep -q '"occupancy"' /tmp/ignem-smoke-tier.json
 
 # Regenerate every paper table and figure as rendered text (plus CSVs in
 # ./data for plotting).

@@ -2,33 +2,14 @@
 //
 // Usage:
 //
-//	ignem-bench [-seed N] [experiment ...]
+//	ignem-bench [-seed N] [-out DIR] [experiment ...]
 //	ignem-bench -list
-//	ignem-bench -readbench BENCH_read.json
-//	ignem-bench -writebench BENCH_write.json
-//	ignem-bench -metabench BENCH_meta.json [-metabench-smoke]
-//	ignem-bench -scalebench BENCH_scale.json [-scalebench-smoke]
-//	ignem-bench -tierbench BENCH_tier.json [-tierbench-smoke]
 //
 // With no experiment arguments, every experiment runs in order.
-// -readbench instead runs the read-path throughput benchmarks (striped
-// ReadFile and Reader read-ahead on both transports) and writes the
-// machine-readable records to the given file; -writebench does the same
-// for the write path (pipelined Writer vs serial ingest); -metabench
-// does the same for the metadata plane (creates/opens/allocs per second
-// vs namespace shard count, with -metabench-smoke selecting the reduced
-// CI configuration); -scalebench runs the control-plane load harness
-// (1000-datanode/1M-block report intake: full vs incremental reports
-// and the reconnect storm, with -scalebench-smoke selecting the reduced
-// CI configuration); -tierbench runs the migration-ladder comparison
-// (pin-in-RAM-only vs the HDD→SSD→RAM ladder vs the popularity policy
-// under a tight RAM budget, with -tierbench-smoke selecting the reduced
-// CI configuration).
 //
 // Profiling: -cpuprofile, -memprofile, and -mutexprofile write pprof
-// profiles covering whatever workload the invocation runs (experiments
-// or benchmark suites). Inspect them with `go tool pprof`; `make
-// profile` captures the standard read/write/repeated-scan set.
+// profiles covering the experiments the invocation runs. Inspect them
+// with `go tool pprof`; `make profile` captures the swim set.
 package main
 
 import (
@@ -40,11 +21,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/metabench"
-	"repro/internal/readbench"
-	"repro/internal/scalebench"
-	"repro/internal/tierbench"
-	"repro/internal/writebench"
 )
 
 // startProfiles begins the requested pprof captures and returns a
@@ -100,14 +76,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "random seed for workload generation and placement")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	out := flag.String("out", "", "directory to write raw CSV data for plotting")
-	readJSON := flag.String("readbench", "", "run the read benchmarks and write JSON records to this file")
-	writeJSON := flag.String("writebench", "", "run the write benchmarks and write JSON records to this file")
-	metaJSON := flag.String("metabench", "", "run the metadata-plane benchmarks and write JSON records to this file")
-	metaSmoke := flag.Bool("metabench-smoke", false, "with -metabench, run the reduced CI smoke configuration")
-	scaleJSON := flag.String("scalebench", "", "run the control-plane scale harness and write JSON records to this file")
-	scaleSmoke := flag.Bool("scalebench-smoke", false, "with -scalebench, run the reduced CI smoke configuration")
-	tierJSON := flag.String("tierbench", "", "run the migration-ladder benchmarks and write JSON records to this file")
-	tierSmoke := flag.Bool("tierbench-smoke", false, "with -tierbench, run the reduced CI smoke configuration")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProf := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	mutexProf := flag.String("mutexprofile", "", "write an end-of-run mutex-contention profile to this file")
@@ -132,120 +100,6 @@ func run() int {
 		for _, s := range experiments.All() {
 			fmt.Printf("%-8s %s\n", s.ID, s.Title)
 		}
-		return 0
-	}
-
-	if *readJSON != "" {
-		start := time.Now()
-		results, err := readbench.RunAll()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: readbench: %v\n", err)
-			return 1
-		}
-		for _, r := range results {
-			fmt.Printf("%-42s %12d ns/op %10.1f blocks/s\n", r.Name, r.NsPerOp, r.BlocksPerSec)
-		}
-		if err := readbench.WriteJSON(*readJSON, results); err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: readbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("[read benchmarks completed in %v wall time; records in %s]\n", time.Since(start).Round(time.Millisecond), *readJSON)
-		return 0
-	}
-
-	if *metaJSON != "" {
-		start := time.Now()
-		cfg := metabench.Default()
-		if *metaSmoke {
-			cfg = metabench.Smoke()
-		}
-		results, err := metabench.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: metabench: %v\n", err)
-			return 1
-		}
-		for _, r := range results {
-			fmt.Printf("%-45s %12d ns/op %12.0f ops/s\n", r.Name, r.NsPerOp, r.OpsPerSec)
-		}
-		if err := metabench.WriteJSON(*metaJSON, results); err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: metabench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("[metadata benchmarks completed in %v wall time; records in %s]\n", time.Since(start).Round(time.Millisecond), *metaJSON)
-		return 0
-	}
-
-	if *tierJSON != "" {
-		start := time.Now()
-		cfg := tierbench.Default()
-		if *tierSmoke {
-			cfg = tierbench.Smoke()
-		}
-		results, err := tierbench.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: tierbench: %v\n", err)
-			return 1
-		}
-		for _, r := range results {
-			line := fmt.Sprintf("%-12s task p50 %7.3fs  p99 %7.3fs  mem %4.0f%%  ssd %4.0f%%",
-				r.Name, r.TaskP50Sec, r.TaskP99Sec, r.MemoryHitFrac*100, r.SSDHitFrac*100)
-			if r.P99SpeedupVsPinRAM > 0 {
-				line += fmt.Sprintf("  p99 speedup %.2fx", r.P99SpeedupVsPinRAM)
-			}
-			fmt.Println(line)
-		}
-		if err := tierbench.WriteJSON(*tierJSON, results); err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: tierbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("[tier benchmarks completed in %v wall time; records in %s]\n", time.Since(start).Round(time.Millisecond), *tierJSON)
-		return 0
-	}
-
-	if *scaleJSON != "" {
-		start := time.Now()
-		cfg := scalebench.Default()
-		if *scaleSmoke {
-			cfg = scalebench.Smoke()
-		}
-		results, err := scalebench.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: scalebench: %v\n", err)
-			return 1
-		}
-		for _, r := range results {
-			switch {
-			case r.FleetOps > 0 || r.Gated:
-				fmt.Printf("%-45s %10.1f rpcs/s  p99 %12d ns  busy %6d\n", r.Name, r.RPCsPerSec, r.P99Ns, r.BusyRejects)
-			case r.BytesRatio > 0:
-				fmt.Printf("%-45s %10.1f rpcs/s  %12.0f B/s  (%.1fx fewer bytes than full)\n", r.Name, r.RPCsPerSec, r.BytesPerSec, r.BytesRatio)
-			default:
-				fmt.Printf("%-45s %10.1f rpcs/s  %12.0f B/s\n", r.Name, r.RPCsPerSec, r.BytesPerSec)
-			}
-		}
-		if err := scalebench.WriteJSON(*scaleJSON, results); err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: scalebench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("[scale benchmarks completed in %v wall time; records in %s]\n", time.Since(start).Round(time.Millisecond), *scaleJSON)
-		return 0
-	}
-
-	if *writeJSON != "" {
-		start := time.Now()
-		results, err := writebench.RunAll()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: writebench: %v\n", err)
-			return 1
-		}
-		for _, r := range results {
-			fmt.Printf("%-42s %12d ns/op %10.1f blocks/s\n", r.Name, r.NsPerOp, r.BlocksPerSec)
-		}
-		if err := writebench.WriteJSON(*writeJSON, results); err != nil {
-			fmt.Fprintf(os.Stderr, "ignem-bench: writebench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("[write benchmarks completed in %v wall time; records in %s]\n", time.Since(start).Round(time.Millisecond), *writeJSON)
 		return 0
 	}
 

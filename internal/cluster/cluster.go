@@ -83,10 +83,6 @@ type Config struct {
 	// default — disables it: snapshots flow only at register/reconnect
 	// or on a namenode resync request.
 	DFSFullReportInterval time.Duration
-	// ReportIntake bounds concurrent full-inventory reconciles at the
-	// namenode (see namenode.Config.ReportIntake). Zero selects the
-	// namenode default; negative disables the bound.
-	ReportIntake int
 	// Slave configures the Ignem slaves.
 	Slave ignem.SlaveConfig
 	// SSD, when its Name is non-empty, gives every datanode a local SSD
@@ -124,8 +120,7 @@ type Config struct {
 	// historical unsharded plane; if the IGNEM_META_SHARDS environment
 	// variable is a positive integer it overrides a zero value, so the
 	// determinism and bench jobs can sweep shard counts without
-	// touching experiment code. One extra namenode endpoint per shard
-	// ("namenode-s0"…) is listened for shard-aware clients.
+	// touching experiment code.
 	MetaShards int
 	// WALBackend, when set, gives the namenode's Ignem master a
 	// migration write-ahead log (see namenode.Config.WALBackend):
@@ -197,21 +192,6 @@ const NameNodeAddr = "namenode"
 // (it listens on nothing; the name only matters to WrapNet fault rules).
 const EngineAddr = "engine"
 
-// ShardAddrs names the extra namenode endpoints a sharded metadata
-// plane listens on ("namenode-s0"…), nil when unsharded. Every endpoint
-// serves the full handler set; they exist so shard-aware clients spread
-// transport load.
-func ShardAddrs(metaShards int) []string {
-	if metaShards <= 0 {
-		return nil
-	}
-	out := make([]string, metaShards)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s-s%d", NameNodeAddr, i)
-	}
-	return out
-}
-
 // Start brings up a cluster. It must be called from a simulation
 // goroutine when clock is virtual.
 func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
@@ -238,13 +218,11 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 		}
 	}
 	nn := namenode.New(clock, wrap(NameNodeAddr), namenode.Config{
-		Addr:         NameNodeAddr,
-		Seed:         cfg.Seed,
-		Racks:        racks,
-		MetaShards:   cfg.MetaShards,
-		ShardAddrs:   ShardAddrs(cfg.MetaShards),
-		ReportIntake: cfg.ReportIntake,
-		WALBackend:   cfg.WALBackend,
+		Addr:       NameNodeAddr,
+		Seed:       cfg.Seed,
+		Racks:      racks,
+		MetaShards: cfg.MetaShards,
+		WALBackend: cfg.WALBackend,
 
 		MigrationPolicy: cfg.MigrationPolicy,
 		TierBudgets:     cfg.TierBudgets,
@@ -314,9 +292,6 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 		mapreduce.WithNetworkMBps(cfg.NetMBps))
 	return c, nil
 }
-
-// Mode reports the cluster's file-system configuration.
-func (c *Cluster) Mode() Mode { return c.cfg.Mode }
 
 // UseIgnem reports whether jobs on this cluster should issue Migrate
 // calls (only in ModeIgnem).

@@ -30,13 +30,13 @@ type liveCluster struct {
 	nnAddr string
 }
 
-func startLive(tb testing.TB, tcp bool, nodes int) *liveCluster {
+func startLive(tb testing.TB, tcp bool, nodes int, tcpOpts ...transport.TCPOption) *liveCluster {
 	tb.Helper()
 	lc := &liveCluster{clock: simclock.NewScaledReal(4), nnAddr: "nn"}
 	addr := func(i int) string { return fmt.Sprintf("dn%d", i) }
 	if tcp {
 		dfs.RegisterWire()
-		tnet := transport.NewTCPNetwork()
+		tnet := transport.NewTCPNetwork(tcpOpts...)
 		lc.net = tnet
 		addr = func(int) string { return ephemeralAddr(tb, tnet) }
 		lc.nnAddr = addr(0)
@@ -158,9 +158,9 @@ func TestReadFileConcurrentOnOneClient(t *testing.T) {
 	wg.Wait()
 }
 
-// allocBytesPerOp runs op once to warm up, then n times, and returns the
-// heap bytes the whole process allocated per run.
-func allocBytesPerOp(n int, op func()) uint64 {
+// allocsPerOp runs op once to warm up, then n times, and returns the
+// heap allocations and the heap bytes the whole process made per run.
+func allocsPerOp(n int, op func()) (allocs, bytes uint64) {
 	op()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -168,7 +168,7 @@ func allocBytesPerOp(n int, op func()) uint64 {
 		op()
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+	return (after.Mallocs - before.Mallocs) / uint64(n), (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
 // TestReadFileAllocBytesCeiling pins what a whole-file read may
@@ -184,7 +184,7 @@ func TestReadFileAllocBytesCeiling(t *testing.T) {
 		if err := cl.WriteFile("/alloc/f", patterned(size, 3), 4<<20, 2); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
-		got := allocBytesPerOp(5, func() {
+		_, got := allocsPerOp(5, func() {
 			b, err := cl.ReadFile("/alloc/f", "")
 			if err != nil || len(b) != size {
 				t.Fatalf("ReadFile: %d bytes, %v", len(b), err)
@@ -195,6 +195,78 @@ func TestReadFileAllocBytesCeiling(t *testing.T) {
 		}
 		t.Logf("%d bytes allocated per %d-byte ReadFile (%.2fx)", got, size, float64(got)/size)
 	})
+}
+
+// TestCachedReadAllocCeiling pins what a whole-file scan served from the
+// client block cache may allocate: the located-block reply and the
+// result, about 70 allocations for an 8-block file. The ceiling leaves
+// 3x headroom, so it trips when something allocates per block again and
+// not on a heartbeat that lands inside the measured window.
+func TestCachedReadAllocCeiling(t *testing.T) {
+	const (
+		blocks  = 8
+		size    = blocks * (1 << 20)
+		ceiling = 256
+	)
+	lc := startLive(t, false, 4)
+	cl := lc.client(t, client.WithBlockCache(2*size))
+	if err := cl.WriteFile("/cached/f", patterned(size, 7), 1<<20, 2); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	allocs, _ := allocsPerOp(20, func() { // the warm-up run fills the cache
+		b, err := cl.ReadFile("/cached/f", "")
+		if err != nil || len(b) != size {
+			t.Fatalf("ReadFile: %d bytes, %v", len(b), err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("cached scan made %d allocations, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%d allocations per cached scan of %d blocks (ceiling %d)", allocs, blocks, ceiling)
+}
+
+// ramBlockRead stores one 4 MiB block on RAM-served datanodes over TCP,
+// with the binary fast path on or off (off is the gob codec), and
+// returns an uncached ReadBlock of it. ReadBlock and not ReadFile, so
+// what is measured is the wire path and not the result's allocation,
+// which costs both codecs the same.
+func ramBlockRead(tb testing.TB, fast bool) func() {
+	tb.Helper()
+	const size = 4 << 20
+	lc := startLive(tb, true, 4, transport.WithTCPFastPath(fast))
+	cl := lc.client(tb)
+	if err := cl.WriteFile("/blk/f", patterned(size, 8), size, 2); err != nil {
+		tb.Fatalf("WriteFile: %v", err)
+	}
+	lbs, err := cl.Locations("/blk/f")
+	if err != nil || len(lbs) != 1 {
+		tb.Fatalf("Locations: %d blocks, %v", len(lbs), err)
+	}
+	return func() {
+		resp, err := cl.ReadBlock(lbs[0], "")
+		if err != nil || len(resp.Data) != size {
+			tb.Fatalf("ReadBlock: %d bytes, %v", len(resp.Data), err)
+		}
+		resp.Release()
+	}
+}
+
+// TestLargeBlockReadAllocDrop pins what the fast path is for: gob
+// allocates, and the collector frees, a fresh 4 MiB payload for every
+// block read, while the fast path fills one pooled buffer and gives it
+// back. The fast path may make at most half the allocations, and
+// allocate at most half the bytes, of the gob path.
+func TestLargeBlockReadAllocDrop(t *testing.T) {
+	gobAllocs, gobBytes := allocsPerOp(50, ramBlockRead(t, false))
+	fastAllocs, fastBytes := allocsPerOp(50, ramBlockRead(t, true))
+	if fastAllocs*2 > gobAllocs {
+		t.Errorf("fast path made %d allocations per block, gob %d: not half", fastAllocs, gobAllocs)
+	}
+	if fastBytes*2 > gobBytes {
+		t.Errorf("fast path allocated %d bytes per block, gob %d: not half", fastBytes, gobBytes)
+	}
+	t.Logf("per 4 MiB block: gob %d allocations %d bytes, fast path %d allocations %d bytes",
+		gobAllocs, gobBytes, fastAllocs, fastBytes)
 }
 
 // BenchmarkReadFileTCP is the whole-file read the block benchmarks miss:
@@ -215,6 +287,19 @@ func BenchmarkReadFileTCP(b *testing.B) {
 		if err != nil || len(got) != size {
 			b.Fatalf("ReadFile: %d bytes, %v", len(got), err)
 		}
+	}
+}
+
+// BenchmarkReadBlockTCP is one uncached 4 MiB block per op from a
+// RAM-served datanode on TCP loopback: transport, frame codec and buffer
+// pool with no striping or assembly on top. `make profile` profiles it.
+func BenchmarkReadBlockTCP(b *testing.B) {
+	read := ramBlockRead(b, true)
+	b.SetBytes(4 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
 	}
 }
 
@@ -392,7 +477,7 @@ func TestReadBlocksMidStripeFailover(t *testing.T) {
 	}
 
 	const reads = 6
-	perOp := allocBytesPerOp(reads-1, func() {
+	_, perOp := allocsPerOp(reads-1, func() {
 		got, err := cl.ReadBlocks(lbs, "")
 		if err != nil {
 			t.Fatalf("ReadBlocks: %v", err)

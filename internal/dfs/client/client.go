@@ -101,26 +101,12 @@ func WithChecksums(on bool) Option {
 	return func(c *Client) { c.checksums = on }
 }
 
-// WithDataNodeTimeout overrides the per-call timeout on datanode
-// connections (default dfs.DefaultDataNodeTimeout). Bulk block
-// transfers ride these connections, so the default is generous; lower
-// it for latency-sensitive deployments that would rather fail over to
-// another replica than wait.
-func WithDataNodeTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.dnTimeout = d
-		}
-	}
-}
-
 // Client is a DFS client handle. It is safe for concurrent use.
 type Client struct {
 	clock      simclock.Clock
 	net        transport.Network
 	nnAddr     string
 	nnTimeout  time.Duration
-	dnTimeout  time.Duration
 	nnAttempts int
 	localAddr  string
 	observer   func(BlockReadEvent)
@@ -144,17 +130,11 @@ type Client struct {
 	retryMu  sync.Mutex
 	retryRNG *rand.Rand
 
-	// Shard routing (see shards.go). shardAddrs is fixed after New;
-	// shardConns is guarded by mu.
-	shardAddrs     []string
-	discoverShards bool
-
-	mu         sync.Mutex
-	nn         *transport.Client // current namenode conn; swapped by redialNN
-	closed     bool
-	dns        map[string]*transport.Client
-	shardConns map[string]*transport.Client
-	rng        *rand.Rand
+	mu     sync.Mutex
+	nn     *transport.Client // current namenode conn; swapped by redialNN
+	closed bool
+	dns    map[string]*transport.Client
+	rng    *rand.Rand
 
 	// notifyMu guards the batch of cache-hit read notifications not yet
 	// sent to the namenode.
@@ -170,7 +150,6 @@ func New(clock simclock.Clock, net transport.Network, nnAddr string, opts ...Opt
 		net:           net,
 		nnAddr:        nnAddr,
 		nnTimeout:     5 * time.Minute,
-		dnTimeout:     dfs.DefaultDataNodeTimeout,
 		nnAttempts:    DefaultNNAttempts,
 		dns:           make(map[string]*transport.Client),
 		rng:           rand.New(rand.NewSource(1)),
@@ -189,10 +168,6 @@ func New(clock simclock.Clock, net transport.Network, nnAddr string, opts ...Opt
 		return nil, fmt.Errorf("dfs client: %w", err)
 	}
 	c.nn = nn
-	if err := c.initShardRouting(); err != nil {
-		nn.Close()
-		return nil, fmt.Errorf("dfs client: shard discovery: %w", err)
-	}
 	if c.cacheBytes > 0 {
 		c.cache = blockcache.New(clock, c.cacheBytes)
 	}
@@ -208,15 +183,10 @@ func (c *Client) Close() {
 	nn := c.nn
 	dns := c.dns
 	c.dns = make(map[string]*transport.Client)
-	shardConns := c.shardConns
-	c.shardConns = nil
 	c.mu.Unlock()
 	nn.Close()
 	for _, dc := range dns {
 		dc.Close()
-	}
-	for _, sc := range shardConns {
-		sc.Close()
 	}
 }
 
@@ -224,7 +194,7 @@ func (c *Client) Close() {
 
 // Create starts a new file and returns a Writer for its content.
 func (c *Client) Create(path string, blockSize int64, replication int) (*Writer, error) {
-	_, err := callNNOncePath[dfs.CreateResp](c, "nn.create", path, dfs.CreateReq{
+	_, err := callNNOnce[dfs.CreateResp](c, "nn.create", dfs.CreateReq{
 		Path: path, BlockSize: blockSize, Replication: replication,
 	})
 	if err != nil {
@@ -240,7 +210,7 @@ func (c *Client) Create(path string, blockSize int64, replication int) (*Writer,
 
 // Info fetches file metadata.
 func (c *Client) Info(path string) (dfs.FileInfo, error) {
-	resp, err := callNNPath[dfs.GetInfoResp](c, "nn.getInfo", path, dfs.GetInfoReq{Path: path})
+	resp, err := callNN[dfs.GetInfoResp](c, "nn.getInfo", dfs.GetInfoReq{Path: path})
 	if err != nil {
 		return dfs.FileInfo{}, err
 	}
@@ -255,7 +225,7 @@ func (c *Client) Locations(path string) ([]dfs.LocatedBlock, error) {
 // LocationsForJob fetches the block layout with each block annotated
 // with the replica Ignem assigned to job's migration (if any).
 func (c *Client) LocationsForJob(path string, job dfs.JobID) ([]dfs.LocatedBlock, error) {
-	resp, err := callNNPath[dfs.GetLocationsResp](c, "nn.getLocations", path, dfs.GetLocationsReq{Path: path, Job: job})
+	resp, err := callNN[dfs.GetLocationsResp](c, "nn.getLocations", dfs.GetLocationsReq{Path: path, Job: job})
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +235,7 @@ func (c *Client) LocationsForJob(path string, job dfs.JobID) ([]dfs.LocatedBlock
 // Delete removes a file from the namespace. Any blocks of path held in
 // the client's block cache are dropped.
 func (c *Client) Delete(path string) error {
-	_, err := callNNOncePath[dfs.DeleteResp](c, "nn.delete", path, dfs.DeleteReq{Path: path})
+	_, err := callNNOnce[dfs.DeleteResp](c, "nn.delete", dfs.DeleteReq{Path: path})
 	c.invalidateFile(path)
 	return err
 }
@@ -611,7 +581,7 @@ func (c *Client) datanode(addr string) (*transport.Client, error) {
 	}
 	c.mu.Unlock()
 
-	dc, err := transport.Dial(c.clock, c.net, addr, transport.WithCallTimeout(c.dnTimeout))
+	dc, err := transport.Dial(c.clock, c.net, addr, transport.WithCallTimeout(dfs.DefaultDataNodeTimeout))
 	if err != nil {
 		return nil, fmt.Errorf("dfs client: dial %s: %w", addr, err)
 	}

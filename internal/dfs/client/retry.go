@@ -52,17 +52,6 @@ func callNNOnce[Resp any](c *Client, method string, arg any) (Resp, error) {
 	return transport.Call[Resp](conn, method, arg)
 }
 
-// callNNOncePath is callNNOnce routed to the shard endpoint owning path
-// (the primary connection when routing is off — the default).
-func callNNOncePath[Resp any](c *Client, method, path string, arg any) (Resp, error) {
-	conn := c.nnConnForPath(path)
-	if conn == nil {
-		var zero Resp
-		return zero, errors.New("dfs client: closed")
-	}
-	return transport.Call[Resp](conn, method, arg)
-}
-
 // callNN invokes an idempotent namenode method, retrying transport-level
 // failures (timeouts, dropped connections — anything wrapped in a
 // *transport.CallError) with capped exponential backoff and seeded
@@ -72,21 +61,6 @@ func callNNOncePath[Resp any](c *Client, method, path string, arg any) (Resp, er
 // replica-choice rng and is only drawn between attempts, so a run
 // without faults draws nothing and stays bit-identical.
 func callNN[Resp any](c *Client, method string, arg any) (Resp, error) {
-	return callNNRouted[Resp](c, method, arg, c.nnConn)
-}
-
-// callNNPath is callNN routed to the shard endpoint owning path (the
-// primary connection when routing is off — the default). A routed
-// connection that dies is forgotten so the next attempt re-dials it, or
-// falls back to the primary, which serves every method regardless of
-// shard.
-func callNNPath[Resp any](c *Client, method, path string, arg any) (Resp, error) {
-	return callNNRouted[Resp](c, method, arg, func() *transport.Client {
-		return c.nnConnForPath(path)
-	})
-}
-
-func callNNRouted[Resp any](c *Client, method string, arg any, pick func() *transport.Client) (Resp, error) {
 	var zero Resp
 	backoff := nnRetryBase
 	var lastErr error
@@ -98,7 +72,7 @@ func callNNRouted[Resp any](c *Client, method string, arg any, pick func() *tran
 				backoff = nnRetryMax
 			}
 		}
-		conn := pick()
+		conn := c.nnConn()
 		if conn == nil {
 			return zero, errors.New("dfs client: closed")
 		}
@@ -112,7 +86,6 @@ func callNNRouted[Resp any](c *Client, method string, arg any, pick func() *tran
 		}
 		lastErr = err
 		if errors.Is(err, transport.ErrClosed) {
-			c.forgetShardConn(conn)
 			c.redialNN(conn)
 		}
 	}

@@ -277,7 +277,7 @@ func (w *Writer) Close() error {
 		return flushErr
 	}
 	// Sealing is idempotent, so a lost reply is safely retried.
-	_, err := callNNPath[dfs.CompleteResp](w.c, "nn.complete", w.path, dfs.CompleteReq{Path: w.path})
+	_, err := callNN[dfs.CompleteResp](w.c, "nn.complete", dfs.CompleteReq{Path: w.path})
 	return err
 }
 
@@ -309,7 +309,7 @@ func (c *Client) writeBlockWithFailover(path string, lb dfs.LocatedBlock, data [
 			c.ForgetDataNode(victim)
 			exclude = append(exclude, victim)
 		}
-		resp, rerr := callNNPath[dfs.RetargetBlockResp](c, "nn.retargetBlock", path, dfs.RetargetBlockReq{
+		resp, rerr := callNN[dfs.RetargetBlockResp](c, "nn.retargetBlock", dfs.RetargetBlockReq{
 			Path: path, Block: lb.Block.ID, Exclude: exclude,
 		})
 		if rerr != nil {
@@ -387,13 +387,13 @@ func (c *Client) addBlocks(path string, sizes []int64, sums []uint32) ([]dfs.Loc
 		if len(sums) > 0 {
 			req.Checksum = sums[0]
 		}
-		resp, err := callNNPath[dfs.AddBlockResp](c, "nn.addBlock", path, req)
+		resp, err := callNN[dfs.AddBlockResp](c, "nn.addBlock", req)
 		if err != nil {
 			return nil, fmt.Errorf("dfs client: addBlock: %w", err)
 		}
 		return []dfs.LocatedBlock{resp.Located}, nil
 	}
-	resp, err := callNNPath[dfs.AddBlocksResp](c, "nn.addBlocks", path, dfs.AddBlocksReq{Path: path, Sizes: sizes, Checksums: sums, ReqID: reqID})
+	resp, err := callNN[dfs.AddBlocksResp](c, "nn.addBlocks", dfs.AddBlocksReq{Path: path, Sizes: sizes, Checksums: sums, ReqID: reqID})
 	if err != nil {
 		return nil, fmt.Errorf("dfs client: addBlocks: %w", err)
 	}

@@ -18,8 +18,6 @@ type hotCache struct {
 	used     int64
 	order    *list.List // front = most recently used; values are cacheEntry
 	byID     map[dfs.BlockID]*list.Element
-
-	hits, misses int64
 }
 
 type cacheEntry struct {
@@ -41,11 +39,9 @@ func (h *hotCache) touch(id dfs.BlockID) bool {
 	defer h.mu.Unlock()
 	el, ok := h.byID[id]
 	if !ok {
-		h.misses++
 		return false
 	}
 	h.order.MoveToFront(el)
-	h.hits++
 	return true
 }
 
@@ -72,11 +68,4 @@ func (h *hotCache) insert(id dfs.BlockID, size int64) {
 	}
 	h.byID[id] = h.order.PushFront(cacheEntry{id: id, size: size})
 	h.used += size
-}
-
-// stats returns cumulative hit/miss counts.
-func (h *hotCache) stats() (hits, misses int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.hits, h.misses
 }

@@ -142,7 +142,7 @@ const DefaultReplication = 3
 // DefaultDataNodeTimeout is the per-call timeout for datanode dials —
 // both client→datanode and datanode→datanode (pipeline forwards,
 // re-replication pulls). It is generous because a single call may move
-// a full block. The client can override it with WithDataNodeTimeout.
+// a full block.
 const DefaultDataNodeTimeout = 5 * time.Minute
 
 // ---- Namenode RPC schema (methods prefixed "nn.") ----
@@ -434,19 +434,6 @@ type CorruptReplicaReq struct {
 // CorruptReplicaResp acknowledges a corruption report.
 type CorruptReplicaResp struct{}
 
-// ShardInfoReq asks the namenode for the metadata plane's shard layout.
-// Shard-aware clients use it to route namespace RPCs to the endpoint
-// serving the shard that owns each path.
-type ShardInfoReq struct{}
-
-// ShardInfoResp returns the shard count and the optional per-shard
-// endpoint addresses. Addrs may be shorter than Shards (or empty);
-// unlisted shards are served at the primary namenode address.
-type ShardInfoResp struct {
-	Shards int
-	Addrs  []string
-}
-
 // EpochReq asks the namenode for the Ignem master's current epoch. A
 // revived datanode sends it during re-registration so its slave can
 // reconcile stale pins immediately instead of waiting for the next
@@ -657,7 +644,6 @@ func RegisterWire() {
 		BlockReadReq{}, BlockReadResp{},
 		ReadNotifyBatch{}, ReadNotifyBatchResp{},
 		EpochReq{}, EpochResp{},
-		ShardInfoReq{}, ShardInfoResp{},
 		CorruptReplicaReq{}, CorruptReplicaResp{},
 	} {
 		transport.RegisterType(v)

@@ -51,13 +51,6 @@ type Config struct {
 	// MetaShards=1 the sharded plane draws the seeded rngs
 	// bit-identically to the unsharded one.
 	MetaShards int
-	// ShardAddrs optionally adds one extra listen address per shard.
-	// Every address serves the full handler set (routing is an
-	// optimization, never a correctness requirement); shard-aware
-	// clients spread their namespace RPCs across them. Length need not
-	// match MetaShards — extra addresses are ignored, missing ones fall
-	// back to Addr.
-	ShardAddrs []string
 	// WALBackend, when set, gives the Ignem master a migration
 	// write-ahead log: planning becomes durable-before-send, transport-
 	// failed command batches are retried from the journal instead of
@@ -133,14 +126,13 @@ type dnInfo struct {
 // NameNode itself owns only the datanode registry, the RPC surface, and
 // the embedded Ignem master.
 type NameNode struct {
-	clock          simclock.Clock
-	net            transport.Network
-	cfg            Config
-	server         *transport.Server
-	listener       transport.Listener
-	shardListeners []transport.Listener
-	master         *ignem.Coordinator
-	ns             Namespace
+	clock    simclock.Clock
+	net      transport.Network
+	cfg      Config
+	server   *transport.Server
+	listener transport.Listener
+	master   *ignem.Coordinator
+	ns       Namespace
 	// walLog is the migration WAL handed to the Ignem master, nil when
 	// journaling is off; the namenode owns its lifecycle.
 	walLog *wal.Log
@@ -344,24 +336,10 @@ func (nn *NameNode) Start() error {
 	s.Handle("nn.blockReport", wrap(nn.handleBlockReport))
 	s.Handle("nn.heartbeat", wrap(nn.handleHeartbeat))
 	s.Handle("nn.epoch", wrap(nn.handleEpoch))
-	s.Handle("nn.shardInfo", wrap(nn.handleShardInfo))
 	s.Handle("nn.corruptReplica", wrap(nn.handleCorruptReplica))
 	s.ServeBackground(l)
 	nn.server = s
 	nn.listener = l
-	// Extra per-shard endpoints serve the same handler set on the same
-	// server: a shard address is a load-spreading hint for shard-aware
-	// clients, not a partition boundary, so any request is valid on any
-	// endpoint.
-	for _, addr := range nn.cfg.ShardAddrs {
-		sl, err := nn.net.Listen(addr)
-		if err != nil {
-			nn.Close()
-			return fmt.Errorf("namenode: shard endpoint %s: %w", addr, err)
-		}
-		s.ServeBackground(sl)
-		nn.shardListeners = append(nn.shardListeners, sl)
-	}
 	if err := nn.attachWAL(); err != nil {
 		nn.Close()
 		return err
@@ -404,9 +382,6 @@ func (nn *NameNode) Close() {
 	if nn.listener != nil {
 		nn.listener.Close()
 	}
-	for _, l := range nn.shardListeners {
-		l.Close()
-	}
 	if nn.server != nil {
 		nn.server.Close()
 	}
@@ -425,10 +400,6 @@ func (nn *NameNode) isClosed() bool {
 // Master exposes the embedded Ignem master coordinator (for
 // failure-injection tests and the cluster harness).
 func (nn *NameNode) Master() *ignem.Coordinator { return nn.master }
-
-// Shards reports the metadata plane's partition count (1 when
-// unsharded).
-func (nn *NameNode) Shards() int { return nn.ns.Shards() }
 
 // RestartMaster simulates an Ignem master failure and recovery: the new
 // master starts with an empty state and a new epoch, and the epoch bump
@@ -450,17 +421,6 @@ func (nn *NameNode) RestartMaster() {
 // immediately instead of waiting for the next epoch broadcast.
 func (nn *NameNode) handleEpoch(dfs.EpochReq) (dfs.EpochResp, error) {
 	return dfs.EpochResp{Epoch: nn.master.Epoch()}, nil
-}
-
-// handleShardInfo reports the metadata plane's shard layout so clients
-// can route namespace RPCs shard-locally. Addrs may be shorter than the
-// shard count (or empty): unlisted shards are served at the primary
-// address.
-func (nn *NameNode) handleShardInfo(dfs.ShardInfoReq) (dfs.ShardInfoResp, error) {
-	return dfs.ShardInfoResp{
-		Shards: nn.ns.Shards(),
-		Addrs:  append([]string(nil), nn.cfg.ShardAddrs...),
-	}, nil
 }
 
 // ---- namespace handlers ----

@@ -82,9 +82,6 @@ func NewCoordinator(resolver Resolver, link SlaveLink, seed int64, shards int) *
 	return co
 }
 
-// Shards returns the planner count.
-func (co *Coordinator) Shards() int { return len(co.masters) }
-
 // ConfigureTiers installs the migration ladder: a named policy plus
 // per-tier byte budgets, shared across every planner shard. Call before
 // serving requests (and before RecoverFromJournal, so a recovered
@@ -102,15 +99,6 @@ func (co *Coordinator) ConfigureTiers(policyName string, budgets TierBudgets) er
 		m.setTierPlane(p, co.ledger, co.pop)
 	}
 	return nil
-}
-
-// PolicyName reports the configured policy ("" when no tier plane is
-// configured).
-func (co *Coordinator) PolicyName() string {
-	if co.policy == nil {
-		return ""
-	}
-	return co.policy.Name()
 }
 
 // AttachJournal gives every planner a shared migration WAL and starts

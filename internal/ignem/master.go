@@ -767,13 +767,6 @@ func (m *Master) noteUnpinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) 
 	}
 }
 
-// pendingRetries reports the retry queue length.
-func (m *Master) pendingRetries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.retries)
-}
-
 func sortedJobs[V any](m map[dfs.JobID]V) []dfs.JobID {
 	out := make([]dfs.JobID, 0, len(m))
 	for job := range m {
@@ -837,19 +830,6 @@ func (m *Master) AssignedReplica(job dfs.JobID, block dfs.BlockID) string {
 	return ""
 }
 
-// AssignedTier reports the tier currently targeted for a (job, block)
-// migration (the rung in flight), or TierHDD if none.
-func (m *Master) AssignedTier(job dfs.JobID, block dfs.BlockID) dfs.Tier {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if js := m.jobs[job]; js != nil {
-		if a := js.blocks[block]; a != nil {
-			return a.tier
-		}
-	}
-	return dfs.TierHDD
-}
-
 // Restart simulates a master failure and recovery: the new master starts
 // with empty state and a new epoch. Slaves purge their reference lists
 // when they first see the new epoch, staying consistent with it.
@@ -863,16 +843,6 @@ func (m *Master) Restart() {
 	m.retries = nil
 	// The epoch bump purges every slave, so nothing stays resident.
 	m.ledger.reset()
-}
-
-// clearJobs drops all job state without touching the epoch; the
-// Coordinator's Restart bumps the shared counter (and resets the shared
-// ledger) itself.
-func (m *Master) clearJobs() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobs = make(map[dfs.JobID]*jobState)
-	m.retries = nil
 }
 
 // Epoch returns the current master epoch.

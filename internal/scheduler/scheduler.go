@@ -173,13 +173,6 @@ func (s *Scheduler) IsActive(job dfs.JobID) bool {
 	return ok && !j.finished
 }
 
-// QueueLen reports the number of queued (unassigned) tasks.
-func (s *Scheduler) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
 // heartbeatLoop assigns queued tasks to n's free slots once per interval.
 func (s *Scheduler) heartbeatLoop(n *node) {
 	for {

@@ -69,9 +69,6 @@ func NewRing(shards int) *Ring {
 	return r
 }
 
-// Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
-
 // Shard maps a key to its owning shard: the first virtual node at or
 // clockwise after the key's position.
 func (r *Ring) Shard(key uint64) int {

@@ -232,12 +232,6 @@ func MustNewDevice(clock simclock.Clock, spec Spec) *Device {
 	return d
 }
 
-// Spec returns the device's performance parameters.
-func (d *Device) Spec() Spec { return d.spec }
-
-// Tier reports the device's rank in the migration ladder.
-func (d *Device) Tier() Tier { return d.spec.Tier }
-
 // drawSlowLocked draws a read-cost multiplier from the variability
 // stream: 1 for a fast read, log-uniform in [TailMinX, TailMaxX] for a
 // tail read. Caller holds d.mu, so concurrent submitters consume the
