@@ -73,8 +73,12 @@ chaos:
 
 # The durability suite on its own (it also runs as part of `make
 # chaos`): the WAL crash-at-every-record sweep, checksum corruption
-# recovery with and without readers, and retry-pump convergence
-# through a one-way partition — plain and race-checked.
+# recovery with readers that verify (the reader detects, the holder
+# confirms, drops and reports), with readers that cannot (checksums off,
+# or a file written without them: the datanode verifies before serving
+# and rotten bytes never leave it) and with no readers (the scrubber),
+# and retry-pump convergence through a one-way partition — plain and
+# race-checked.
 chaos-wal:
 	$(GO) test -count=1 ./internal/wal
 	$(GO) test -run 'TestWAL' -count=1 ./internal/chaos
@@ -85,13 +89,17 @@ chaos-wal:
 # the ≥50% allocs/op drop on the uncached TCP block read, the bytes a
 # whole-file read may allocate (≤1.5x the file, TCP and in-memory), the
 # ≥4x heap-per-block reduction of the compact block map over the
-# historical two-maps-per-block representation, and the ≤1 alloc/op
-# ceiling on WAL appends. Counts only: wall-clock ratios are the
+# historical two-maps-per-block representation, the constant (block-
+# count-independent) allocations of a replication sweep over a healthy
+# namespace, the ≤1 alloc/op ceiling on WAL appends, and the slave's
+# eviction tombstones: held ≤ one lifetime's jobs, a constant number
+# examined per evict batch. Counts only: wall-clock ratios are the
 # repository benchmark's business (bench-e2e), not a test's.
 bench-alloc:
 	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling' -count=1 -v
-	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock' -count=1 -v
+	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
+	$(GO) test ./internal/ignem -run 'TestTombstonePruneBounded' -count=1 -v
 
 # Short deterministic-budget fuzz of every frame-codec fuzzer (the
 # committed corpus always runs in plain `make test`; this explores).

@@ -138,11 +138,13 @@ func TestWALCrashAtEveryRecordExactlyOnce(t *testing.T) {
 	}
 }
 
-// A corrupt replica is detected on read, never served, reported, and
-// healed: the datanode's own verification catches the rot (the typed
-// checksum error crosses the wire), the client fails over to the good
-// replica, the namenode drops the bad location, and the replication
-// sweep restores a healthy copy.
+// A corrupt replica is detected on read, never returned to the caller,
+// reported, and healed: the reading client's end-to-end check catches
+// the rot (the datanode served without its own pass because the request
+// said the reader verifies), the holder confirms it against its stored
+// checksum when asked (dn.verifyBlock), drops and reports the replica,
+// the client fails over to the good one, the namenode drops the bad
+// location, and the replication sweep restores a healthy copy.
 func TestWALChecksumCorruptionReadRecovery(t *testing.T) {
 	runChaos(t, Config{Nodes: 4, Seed: 13, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client(client.WithSeed(6))
@@ -208,6 +210,80 @@ func TestWALChecksumCorruptionReadRecovery(t *testing.T) {
 			t.Fatalf("read after heal: %v", err)
 		}
 	})
+}
+
+// A reader that cannot check a block end to end never receives rotten
+// bytes: the datanode verifies before serving whenever the request does
+// not say the reader will. Two such readers — a client with checksums
+// off, and any client reading a file written without checksums (the
+// namenode has nothing to hold the bytes to) — aimed straight at a rotten
+// replica get the datanode's typed checksum error, the replica is
+// dropped and reported by that check, and the file still reads intact
+// from the other holder.
+func TestWALNonVerifyingReaderNeverGetsRottenBytes(t *testing.T) {
+	const blockSize = 1 << 20
+	for _, tc := range []struct {
+		name   string
+		writer []client.Option
+		reader []client.Option
+	}{
+		{"checksums_off_reader", nil, []client.Option{client.WithChecksums(false)}},
+		{"unchecksummed_file", []client.Option{client.WithChecksums(false)}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runChaos(t, Config{Nodes: 4, Seed: 23, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+				w, err := h.Client(append([]client.Option{client.WithSeed(9)}, tc.writer...)...)
+				if err != nil {
+					t.Fatalf("writer: %v", err)
+				}
+				defer w.Close()
+				r, err := h.Client(append([]client.Option{client.WithSeed(10)}, tc.reader...)...)
+				if err != nil {
+					t.Fatalf("reader: %v", err)
+				}
+				defer r.Close()
+				data := filedata(6, 2*blockSize)
+				if err := w.WriteFile("/f", data, blockSize, 2); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				lbs, err := r.Locations("/f")
+				if err != nil || len(lbs) == 0 || len(lbs[0].Nodes) < 2 {
+					t.Fatalf("locations: %v (%v)", err, lbs)
+				}
+				lb := lbs[0]
+				if unsummed := len(tc.writer) > 0; unsummed != (lb.Checksum == 0) {
+					t.Fatalf("located checksum = %#x, unchecksummed writer = %v", lb.Checksum, unsummed)
+				}
+				badAddr := lb.Nodes[0]
+				corrupted := false
+				for _, dn := range h.Cluster.DataNodes {
+					if dn.Addr() == badAddr {
+						corrupted = dn.CorruptReplica(lb.Block.ID)
+					}
+				}
+				if !corrupted {
+					t.Fatalf("corrupt replica %d on %s", lb.Block.ID, badAddr)
+				}
+
+				direct := lb
+				direct.Nodes = []string{badAddr}
+				resp, err := r.ReadBlock(direct, "")
+				if !dfs.IsChecksum(err) || len(resp.Data) != 0 {
+					t.Fatalf("read from rotten replica: %d bytes, err = %v; want no bytes and a checksum error", len(resp.Data), err)
+				}
+				if got := r.ChecksumFailures(); got != 0 {
+					t.Errorf("ChecksumFailures = %d: the datanode, not this client, should have caught it", got)
+				}
+				waitUntil(t, v, time.Minute, func() bool {
+					return h.Cluster.NameNode.Stats().CorruptReports >= 1
+				}, "the datanode's own check reports the replica")
+				got, err := r.ReadFile("/f", "")
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("read with failover: %v", err)
+				}
+			})
+		})
+	}
 }
 
 // The background scrubber finds rot nobody reads: a corrupted replica

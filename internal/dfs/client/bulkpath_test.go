@@ -318,7 +318,14 @@ func newStubReplicas(t *testing.T) *stubReplicas {
 }
 
 // serve starts an endpoint; a nil readBlock leaves it without handlers.
+// It answers dn.verifyBlock with "unknown method", as a datanode older
+// than that RPC does.
 func (s *stubReplicas) serve(readBlock func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error)) string {
+	return s.serveVerifying(readBlock, nil)
+}
+
+// serveVerifying is serve with a dn.verifyBlock handler (nil: none).
+func (s *stubReplicas) serveVerifying(readBlock func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error), verifyBlock func(dfs.VerifyBlockReq)) string {
 	s.t.Helper()
 	l, err := s.tnet.Listen("127.0.0.1:0")
 	if err != nil {
@@ -328,6 +335,12 @@ func (s *stubReplicas) serve(readBlock func(dfs.ReadBlockReq) (dfs.ReadBlockResp
 	if readBlock != nil {
 		srv.Handle("dn.readBlock", func(arg any) (any, error) {
 			return readBlock(arg.(dfs.ReadBlockReq))
+		})
+	}
+	if verifyBlock != nil {
+		srv.Handle("dn.verifyBlock", func(arg any) (any, error) {
+			verifyBlock(arg.(dfs.VerifyBlockReq))
+			return dfs.VerifyBlockResp{}, nil
 		})
 	}
 	srv.ServeBackground(l)
@@ -495,4 +508,96 @@ func TestReadBlocksMidStripeFailover(t *testing.T) {
 		t.Errorf("read with failover allocated %d bytes per %d-byte file, ceiling %d: buffers are not being recycled", perOp, len(file), ceiling)
 	}
 	t.Logf("%d bytes allocated per %d-byte read with failover", perOp, len(file))
+}
+
+// One party verifies each read, and the request says which: a client that
+// will hold the bytes to the located checksum sets ReaderVerifies, any
+// other leaves it clear. When its check fails — wrong bytes or wrong
+// length — it asks the holder that served them to judge its stored copy,
+// once per failed replica and on the connection the bytes came over (a
+// forgotten connection is closed, and the stub would never see the call),
+// then fails over as before.
+func TestReaderVerifiesAndAsksSecondOpinion(t *testing.T) {
+	const size = 64 << 10
+	want := patterned(size, 7)
+	rotten := append([]byte(nil), want...)
+	rotten[size/3] ^= 0x01
+	for _, tc := range []struct {
+		name         string
+		checksums    bool   // client option
+		located      bool   // the namenode recorded a checksum
+		first        []byte // what the preferred replica serves
+		wantVerifies bool   // ReaderVerifies on the requests
+		wantAsked    int    // dn.verifyBlock calls per read
+		wantCRCFails int    // ChecksumFailures per read
+	}{
+		{"healthy", true, true, want, true, 0, 0},
+		{"rotten", true, true, rotten, true, 1, 1},
+		{"short", true, true, want[:size-1], true, 1, 0},
+		{"checksums_off", false, true, want, false, 0, 0},
+		{"unchecksummed_file", true, false, want, false, 0, 0},
+		// Nobody here can tell, which is why the datanode must: a stub
+		// does not, so the rot comes through.
+		{"checksums_off_rotten", false, true, rotten, false, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStubReplicas(t)
+			var mu sync.Mutex
+			var flags []bool
+			var asked []dfs.BlockID
+			serving := func(data []byte) func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+				return func(r dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
+					mu.Lock()
+					flags = append(flags, r.ReaderVerifies)
+					mu.Unlock()
+					return dfs.ReadBlockResp{Data: data, Size: int64(len(data))}, nil
+				}
+			}
+			first := s.serveVerifying(serving(tc.first), func(r dfs.VerifyBlockReq) {
+				mu.Lock()
+				asked = append(asked, r.Block)
+				mu.Unlock()
+			})
+			second := s.serve(serving(want))
+			cl := s.client(client.WithChecksums(tc.checksums))
+			var sum uint32
+			if tc.located {
+				sum = dfs.Checksum(want)
+			}
+			lb := firstThen(3, want, sum, first, second)
+
+			const reads = 3
+			for i := 0; i < reads; i++ {
+				got, err := cl.ReadBlocks([]dfs.LocatedBlock{lb}, "")
+				if err != nil {
+					t.Fatalf("ReadBlocks: %v", err)
+				}
+				expect := tc.first
+				if tc.wantAsked > 0 {
+					expect = want // rejected, then read from the second replica
+				}
+				if !bytes.Equal(got, expect) {
+					t.Fatal("read returned the wrong replica's bytes")
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, f := range flags {
+				if f != tc.wantVerifies {
+					t.Fatalf("ReaderVerifies = %v on a request, want %v", f, tc.wantVerifies)
+				}
+			}
+			if len(asked) != reads*tc.wantAsked {
+				t.Errorf("dn.verifyBlock asked %d times over %d reads, want %d", len(asked), reads, reads*tc.wantAsked)
+			}
+			for _, id := range asked {
+				if id != lb.Block.ID {
+					t.Errorf("dn.verifyBlock asked about block %d, want %d", id, lb.Block.ID)
+				}
+			}
+			if got, want := cl.ChecksumFailures(), int64(reads*tc.wantCRCFails); got != want {
+				t.Errorf("ChecksumFailures = %d, want %d", got, want)
+			}
+		})
+	}
 }

@@ -94,7 +94,11 @@ func WithWriteParallelism(n int) Option {
 // enabled, the writer computes a CRC32C per real-data block, records it
 // at the namenode during allocation, and ships it with the block; every
 // read verifies the returned bytes against the located block's
-// checksum, and a mismatch fails over to another replica. Synthetic
+// checksum, and a mismatch fails over to another replica after asking
+// the holder to judge its stored copy (dn.verifyBlock). Each served
+// block is verified once: by such a read, which tells the datanode so,
+// or else — checksums off, or a file written without them — by the
+// datanode against its own write-time CRC before it serves. Synthetic
 // (size-only) blocks are never checksummed, so experiment-scale
 // workloads are unaffected either way.
 func WithChecksums(on bool) Option {
@@ -332,9 +336,14 @@ func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) 
 		return dfs.ReadBlockResp{}, err
 	}
 	local := addr == c.localAddr
+	// Every served byte is verified once, by the last party that can:
+	// when this read will hold the bytes to the namenode-recorded CRC the
+	// request says so and the datanode skips its own pass; otherwise the
+	// datanode verifies before serving.
+	verify := c.checksums && lb.Checksum != 0
 	start := c.clock.Now()
 	resp, err := transport.Call[dfs.ReadBlockResp](dc, "dn.readBlock", dfs.ReadBlockReq{
-		Block: lb.Block.ID, Job: job, Local: local,
+		Block: lb.Block.ID, Job: job, Local: local, ReaderVerifies: verify,
 	})
 	if err != nil {
 		return dfs.ReadBlockResp{}, fmt.Errorf("dfs client: read block %d from %s: %w", lb.Block.ID, addr, err)
@@ -346,17 +355,20 @@ func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) 
 	// block (no bytes, no checksum) has nothing to measure.
 	if n := int64(len(resp.Data)); n != lb.Block.Size && (n > 0 || lb.Checksum != 0) {
 		resp.Release()
+		if verify {
+			secondOpinion(dc, lb.Block.ID)
+		}
 		return dfs.ReadBlockResp{}, fmt.Errorf("dfs client: read block %d from %s: %w: got %d bytes, want %d",
 			lb.Block.ID, addr, dfs.ErrBlockLength, n, lb.Block.Size)
 	}
 	// End-to-end verification: the returned bytes must match the CRC the
-	// writer recorded at allocation time. This catches corruption the
-	// datanode's own check cannot — anything that happened after its
-	// stored checksum was (wrongly) recomputed, or on the wire. A
+	// writer recorded at allocation time — rot at rest, a stored checksum
+	// (wrongly) recomputed after the damage, or corruption on the wire. A
 	// mismatch counts as a failed replica, so the caller fails over.
-	if c.checksums && lb.Checksum != 0 && len(resp.Data) > 0 && dfs.Checksum(resp.Data) != lb.Checksum {
+	if verify && len(resp.Data) > 0 && dfs.Checksum(resp.Data) != lb.Checksum {
 		resp.Release()
 		c.checksumFailures.Add(1)
+		secondOpinion(dc, lb.Block.ID)
 		return dfs.ReadBlockResp{}, fmt.Errorf("dfs client: read block %d from %s: %w", lb.Block.ID, addr, dfs.ErrChecksum)
 	}
 	if c.observer != nil {
@@ -371,6 +383,16 @@ func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) 
 		})
 	}
 	return resp, nil
+}
+
+// secondOpinion asks the holder of a replica that failed this client's
+// check to verify its stored copy (dn.verifyBlock), so that rot at rest
+// is dropped, reported and re-replicated by the party that can tell it
+// from corruption on the wire. It runs on the connection the bytes came
+// over, before the caller's failover forgets it. Best effort: a holder
+// that is gone, or predates the RPC, changes nothing about the failover.
+func secondOpinion(dc *transport.Client, id dfs.BlockID) {
+	_, _ = transport.Call[dfs.VerifyBlockResp](dc, "dn.verifyBlock", dfs.VerifyBlockReq{Block: id})
 }
 
 // chooseReplica applies migration-aware locality preferences: the

@@ -90,7 +90,8 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// ScrubStats counts the background scrubber's work.
+// ScrubStats counts at-rest verifications: the background scrubber's
+// sweeps and the single-replica checks readers ask for (dn.verifyBlock).
 type ScrubStats struct {
 	// Scanned is the number of replica payloads re-read and verified.
 	Scanned int64
@@ -216,6 +217,7 @@ func (dn *DataNode) Start() error {
 	s.Handle("dn.readBlock", wrap(dn.handleReadBlock))
 	s.Handle("dn.deleteBlocks", wrap(dn.handleDeleteBlocks))
 	s.Handle("dn.pullBlock", wrap(dn.handlePullBlock))
+	s.Handle("dn.verifyBlock", wrap(dn.handleVerifyBlock))
 	s.Handle("ignem.migrateBatch", wrap(dn.handleMigrateBatch))
 	s.Handle("ignem.evictBatch", wrap(dn.handleEvictBatch))
 	s.Handle("ignem.demoteBatch", wrap(dn.handleDemoteBatch))
@@ -558,11 +560,15 @@ func (dn *DataNode) handleReadBlock(req dfs.ReadBlockReq) (dfs.ReadBlockResp, er
 	if !ok {
 		return dfs.ReadBlockResp{}, fmt.Errorf("datanode: no block %d on %s", req.Block, dn.cfg.Addr)
 	}
-	// Never serve bytes that no longer match their write-time checksum:
-	// drop the replica, report it, and fail the read so the client fails
-	// over to a healthy copy. Checked before touching the slave so a
-	// corrupt replica leaves no read-tracking side effects.
-	if sb.Checksum != 0 && len(sb.Data) > 0 && dfs.Checksum(sb.Data) != sb.Checksum {
+	// Every served byte is verified once, by the last party that can. A
+	// reader that checks the bytes end to end (ReaderVerifies) is that
+	// party, and asks for dn.verifyBlock if they fail. For any other
+	// reader it is this datanode: never serve bytes that no longer match
+	// their write-time checksum — drop the replica, report it, and fail
+	// the read so the client fails over to a healthy copy. Checked before
+	// touching the slave so a corrupt replica leaves no read-tracking
+	// side effects.
+	if !req.ReaderVerifies && sb.Checksum != 0 && len(sb.Data) > 0 && dfs.Checksum(sb.Data) != sb.Checksum {
 		dn.dropCorrupt(req.Block)
 		return dfs.ReadBlockResp{}, fmt.Errorf("datanode: read block %d on %s: %w", req.Block, dn.cfg.Addr, dfs.ErrChecksum)
 	}
@@ -598,6 +604,15 @@ func (dn *DataNode) handleReadBlock(req dfs.ReadBlockReq) (dfs.ReadBlockResp, er
 	dn.readsByMe++
 	dn.mu.Unlock()
 	return dfs.ReadBlockResp{Data: sb.Data, Size: sb.Size, FromMemory: fromMemory, Local: req.Local}, nil
+}
+
+// handleVerifyBlock is the holder's second opinion on one replica, asked
+// for by a reader whose end-to-end check failed on bytes this datanode
+// served unverified. Rot at rest is dropped and reported here; corruption
+// that happened on the wire finds the stored copy healthy and changes
+// nothing, so a reader with a wrong checksum cannot delete good replicas.
+func (dn *DataNode) handleVerifyBlock(req dfs.VerifyBlockReq) (dfs.VerifyBlockResp, error) {
+	return dfs.VerifyBlockResp{}, dn.verifyReplica(req.Block)
 }
 
 // handlePullBlock fetches a replica from a peer datanode and stores it
@@ -1017,7 +1032,7 @@ func (dn *DataNode) CorruptReplica(id dfs.BlockID) bool {
 	return dn.store.Corrupt(id)
 }
 
-// ScrubberStats snapshots the background scrubber's counters.
+// ScrubberStats snapshots the at-rest verification counters.
 func (dn *DataNode) ScrubberStats() ScrubStats {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -1043,25 +1058,37 @@ func (dn *DataNode) scrubLoop() {
 }
 
 // scrubOnce sweeps the replica inventory once, in sorted-ID order for
-// determinism. Payload-less (synthetic) and unchecksummed replicas have
-// nothing to verify and are skipped without charging the device.
+// determinism.
 func (dn *DataNode) scrubOnce() {
 	for _, id := range dn.store.IDs() {
-		rep, ok := dn.store.Get(id)
-		if !ok || len(rep.Data) == 0 || rep.Checksum == 0 {
-			continue
-		}
-		if err := dn.media.Read(rep.Size); err != nil {
+		if dn.verifyReplica(id) != nil {
 			return // device closed; abandon the sweep
 		}
-		dn.mu.Lock()
-		dn.scrub.Scanned++
-		dn.mu.Unlock()
-		if dfs.Checksum(rep.Data) != rep.Checksum {
-			dn.mu.Lock()
-			dn.scrub.Corrupt++
-			dn.mu.Unlock()
-			dn.dropCorrupt(id)
-		}
 	}
+}
+
+// verifyReplica re-reads one stored replica against the media device and
+// checks it against its write-time checksum; a corrupt replica is
+// dropped and reported for re-replication. Absent, payload-less
+// (synthetic) and unchecksummed replicas have nothing to verify and are
+// skipped without charging the device. The error is the device's.
+func (dn *DataNode) verifyReplica(id dfs.BlockID) error {
+	rep, ok := dn.store.Get(id)
+	if !ok || len(rep.Data) == 0 || rep.Checksum == 0 {
+		return nil
+	}
+	if err := dn.media.Read(rep.Size); err != nil {
+		return err
+	}
+	corrupt := dfs.Checksum(rep.Data) != rep.Checksum
+	dn.mu.Lock()
+	dn.scrub.Scanned++
+	if corrupt {
+		dn.scrub.Corrupt++
+	}
+	dn.mu.Unlock()
+	if corrupt {
+		dn.dropCorrupt(id)
+	}
+	return nil
 }

@@ -486,10 +486,17 @@ type WriteBlockResp struct{}
 // ReadBlockReq reads a block replica. Job identifies the reader for
 // implicit eviction. Local marks a same-node read, which bypasses the
 // network bandwidth charge like an HDFS short-circuit read.
+// ReaderVerifies says the caller will check the returned bytes against
+// the block's namenode-recorded checksum before using them, so the
+// datanode serves without its own CRC pass: every served byte is
+// verified exactly once, by the last party that can. A reader that
+// cannot verify leaves it clear and the datanode verifies before
+// serving.
 type ReadBlockReq struct {
-	Block BlockID
-	Job   JobID
-	Local bool
+	Block          BlockID
+	Job            JobID
+	Local          bool
+	ReaderVerifies bool
 }
 
 // ReadBlockResp returns the block payload (Data for real blocks, only
@@ -515,6 +522,18 @@ func (r ReadBlockResp) WireSize() int64 {
 	}
 	return r.Size
 }
+
+// VerifyBlockReq asks a datanode to check one stored replica against its
+// write-time checksum now — the second opinion a verifying reader
+// requests after its own end-to-end check failed. The holder decides: a
+// rotten replica is dropped and reported exactly as the scrubber would,
+// a healthy one (the corruption was on the wire, or the reader's
+// checksum is wrong) is left alone.
+type VerifyBlockReq struct{ Block BlockID }
+
+// VerifyBlockResp acknowledges a verification; the outcome reaches the
+// namenode through the corrupt-replica report, not the caller.
+type VerifyBlockResp struct{}
 
 // PullBlockReq tells a datanode to fetch a block replica from a peer
 // (re-replication after a node failure).
@@ -637,6 +656,7 @@ func RegisterWire() {
 		ReadBlockReq{}, ReadBlockResp{},
 		DeleteBlocksReq{}, DeleteBlocksResp{},
 		PullBlockReq{}, PullBlockResp{},
+		VerifyBlockReq{}, VerifyBlockResp{},
 		BlockReportReq{}, BlockReportResp{},
 		MigrateBatch{}, MigrateBatchResp{},
 		EvictBatch{}, EvictBatchResp{},

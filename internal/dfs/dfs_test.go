@@ -41,9 +41,11 @@ func TestWireRoundTrip(t *testing.T) {
 		RegisterReq{Addr: "dn"},
 		HeartbeatReq{Addr: "dn", PinnedBytes: 5, Pinned: []BlockID{1}, Unpinned: []BlockID{2}},
 		WriteBlockReq{Block: Block{ID: 3, Size: 4}, Data: []byte("xy"), Pipeline: []string{"dn1"}, EagerPipeline: true},
-		ReadBlockReq{Block: 3, Job: "j", Local: true},
+		ReadBlockReq{Block: 3, Job: "j", Local: true, ReaderVerifies: true},
 		ReadBlockResp{Data: []byte("xy"), Size: 2, FromMemory: true, Local: true},
 		DeleteBlocksReq{Blocks: []BlockID{1, 2}},
+		VerifyBlockReq{Block: 3},
+		VerifyBlockResp{},
 		MigrateBatch{Epoch: 9, Cmds: []MigrateCmd{{
 			Block: Block{ID: 1, Size: 2}, Job: "j", JobInputSize: 10, SubmitTime: now, Implicit: true,
 		}}},

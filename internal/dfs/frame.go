@@ -203,7 +203,12 @@ func (r *WriteBlockReq) Release() {
 
 // ---- ReadBlockReq ----
 
-const rqFlagLocal = 0x01
+// Unknown flag bits are ignored on decode, so a newer sender's bits do
+// not fail an older receiver.
+const (
+	rqFlagLocal          = 0x01
+	rqFlagReaderVerifies = 0x02
+)
 
 // AppendFrame implements transport.Framer. ReadBlockReq carries no bulk
 // payload, but it precedes every block fetch: profiling the TCP read
@@ -215,6 +220,9 @@ func (r *ReadBlockReq) AppendFrame(buf []byte) []byte {
 	var flags byte
 	if r.Local {
 		flags |= rqFlagLocal
+	}
+	if r.ReaderVerifies {
+		flags |= rqFlagReaderVerifies
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Job)))
@@ -241,6 +249,7 @@ func (r *ReadBlockReq) DecodeFrame(payload []byte) error {
 	}
 	r.Block = BlockID(id)
 	r.Local = flags&rqFlagLocal != 0
+	r.ReaderVerifies = flags&rqFlagReaderVerifies != 0
 	// Job IDs repeat across every block fetch of a job, so intern the
 	// string instead of copying it out of the frame each time.
 	r.Job = JobID(transport.InternBytes(job))

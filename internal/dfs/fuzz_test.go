@@ -65,6 +65,8 @@ func FuzzReadBlockReqFrame(f *testing.F) {
 	enc := full.AppendFrame(nil)
 	f.Add(enc)
 	f.Add(enc[:1])
+	verifying := ReadBlockReq{Block: 7, Job: "job-fuzz", ReaderVerifies: true}
+	f.Add(verifying.AppendFrame(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r ReadBlockReq
 		if err := r.DecodeFrame(data); err != nil {

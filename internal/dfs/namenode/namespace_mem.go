@@ -451,18 +451,22 @@ func scanShardForRepair(blocks map[dfs.BlockID]*blockMeta, table *nodeTable, liv
 		if meta.healing {
 			continue
 		}
-		var holders []string
-		holdsLive := func(addr string) bool {
-			nid, ok := table.lookup(addr)
-			return ok && meta.nodes.contains(nid)
+		// Count before building anything: nearly every block of every
+		// sweep is healthy, and a healthy block must cost no allocation.
+		n := 0
+		for _, nid := range meta.nodes.view() {
+			if live[addrs[nid]] {
+				n++
+			}
 		}
+		if n == 0 || n >= int(meta.want) {
+			continue
+		}
+		holders := make([]string, 0, n)
 		for _, nid := range meta.nodes.view() {
 			if live[addrs[nid]] {
 				holders = append(holders, addrs[nid])
 			}
-		}
-		if len(holders) == 0 || len(holders) >= int(meta.want) {
-			continue
 		}
 		sort.Strings(holders)
 		var candidates []string
@@ -470,7 +474,7 @@ func scanShardForRepair(blocks map[dfs.BlockID]*blockMeta, table *nodeTable, liv
 			if !ok {
 				continue
 			}
-			if !holdsLive(addr) {
+			if nid, known := table.lookup(addr); !known || !meta.nodes.contains(nid) {
 				candidates = append(candidates, addr)
 			}
 		}

@@ -13,6 +13,7 @@ package ignem
 
 import (
 	"container/heap"
+	"container/list"
 	"sync"
 	"time"
 
@@ -171,8 +172,15 @@ type Slave struct {
 	// evicted tombstones completed jobs so migrate commands that are
 	// still queued (or in flight) when the eviction arrives are
 	// discarded instead of pinning memory for a dead job.
-	evicted     map[dfs.JobID]time.Time
-	pinnedBytes int64
+	// Each entry is its job's element of evictedOrder.
+	evicted map[dfs.JobID]*list.Element
+	// evictedOrder holds the tombstones least recently evicted first, so
+	// expiry pops from the front instead of walking the map.
+	evictedOrder list.List
+	// tombstonesExamined counts the tombstones expiry has looked at;
+	// TestTombstonePruneBounded holds it to O(1) per evict batch.
+	tombstonesExamined int64
+	pinnedBytes        int64
 	// ssdBytes tracks flash-rung occupancy; Capacity bounds RAM only
 	// (the master's cluster-wide SSD budget bounds the flash rung).
 	ssdBytes int64
@@ -199,7 +207,7 @@ func NewSlave(clock simclock.Clock, cfg SlaveConfig, media MediaReader, liveness
 		pinned:      make(map[dfs.BlockID]*pinnedBlock),
 		jobBlocks:   make(map[dfs.JobID]map[dfs.BlockID]struct{}),
 		alreadyRead: make(map[readKey]struct{}),
-		evicted:     make(map[dfs.JobID]time.Time),
+		evicted:     make(map[dfs.JobID]*list.Element),
 	}
 	if s.onPin == nil {
 		s.onPin = func(dfs.BlockID, dfs.Tier, bool) {}
@@ -246,7 +254,7 @@ func (s *Slave) ApplyEvictBatch(b dfs.EvictBatch) {
 		// The job is done: forget any missed-read markers it left and
 		// tombstone it so late migrate commands are discarded.
 		delete(s.alreadyRead, readKey{job: cmd.Job, block: cmd.Block})
-		s.evicted[cmd.Job] = now
+		s.tombstoneLocked(cmd.Job, now)
 	}
 	s.pruneTombstonesLocked(now)
 	s.retryDeferredLocked()
@@ -446,7 +454,7 @@ func (s *Slave) Restart() {
 	s.queue.clear()
 	s.deferred = nil
 	s.alreadyRead = make(map[readKey]struct{})
-	s.evicted = make(map[dfs.JobID]time.Time)
+	s.clearTombstonesLocked()
 	s.mu.Unlock()
 	s.notifyUnpinned(unpinned)
 }
@@ -461,18 +469,48 @@ func (s *Slave) Close() {
 	s.mu.Unlock()
 }
 
+// tombstone is the value of an evictedOrder element: job was last
+// evicted at at.
+type tombstone struct {
+	job dfs.JobID
+	at  time.Time
+}
+
+// tombstoneLocked records that job was evicted at now. A job evicted
+// again moves to the back, so evictedOrder stays sorted by age: now is
+// read under s.mu from a clock that does not run backwards.
+func (s *Slave) tombstoneLocked(job dfs.JobID, now time.Time) {
+	if e, ok := s.evicted[job]; ok {
+		e.Value.(*tombstone).at = now
+		s.evictedOrder.MoveToBack(e)
+		return
+	}
+	s.evicted[job] = s.evictedOrder.PushBack(&tombstone{job: job, at: now})
+}
+
 // pruneTombstonesLocked drops eviction tombstones old enough that no
-// command for their job can still be in flight.
+// command for their job can still be in flight. Below 1024 tombstones
+// none is dropped. The expired ones are a prefix of evictedOrder, so
+// the cost is the number dropped, not the number held.
 func (s *Slave) pruneTombstonesLocked(now time.Time) {
 	const tombstoneTTL = 10 * time.Minute
 	if len(s.evicted) < 1024 {
 		return
 	}
-	for job, at := range s.evicted {
-		if now.Sub(at) > tombstoneTTL {
-			delete(s.evicted, job)
+	for e := s.evictedOrder.Front(); e != nil; e = s.evictedOrder.Front() {
+		s.tombstonesExamined++
+		t := e.Value.(*tombstone)
+		if now.Sub(t.at) <= tombstoneTTL {
+			return
 		}
+		s.evictedOrder.Remove(e)
+		delete(s.evicted, t.job)
 	}
+}
+
+func (s *Slave) clearTombstonesLocked() {
+	s.evicted = make(map[dfs.JobID]*list.Element)
+	s.evictedOrder.Init()
 }
 
 // adoptEpochLocked switches to a new master epoch, purging all reference
@@ -486,7 +524,7 @@ func (s *Slave) adoptEpochLocked(epoch uint64) []tierPin {
 	s.queue.clear()
 	s.deferred = nil
 	s.alreadyRead = make(map[readKey]struct{})
-	s.evicted = make(map[dfs.JobID]time.Time)
+	s.clearTombstonesLocked()
 	return unpinned
 }
 
