@@ -41,9 +41,6 @@ type Config struct {
 	Slave ignem.SlaveConfig
 	// DFSHeartbeat overrides the datanode heartbeat interval.
 	DFSHeartbeat time.Duration
-	// MetaShards partitions the namenode's metadata plane (see
-	// cluster.Config.MetaShards). Zero keeps the unsharded plane.
-	MetaShards int
 	// WALBackend gives the Ignem master a migration write-ahead log
 	// (see cluster.Config.WALBackend). Chaos scenarios pass a
 	// wal.MemBackend so they can crash the master at chosen record
@@ -81,7 +78,6 @@ func Start(v *simclock.Virtual, cfg Config) (*Harness, error) {
 		Seed:          cfg.Seed,
 		Slave:         cfg.Slave,
 		DFSHeartbeat:  cfg.DFSHeartbeat,
-		MetaShards:    cfg.MetaShards,
 		WALBackend:    cfg.WALBackend,
 		ScrubInterval: cfg.ScrubInterval,
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/dfs/client"
 	"repro/internal/mapreduce"
-	"repro/internal/shardmap"
 	"repro/internal/simclock"
 )
 
@@ -480,86 +479,6 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 		waitUntil(t, v, time.Minute, func() bool {
 			return h.Cluster.SlaveStats().PinnedBlocks == 4
 		}, "post-revive migration pins under the new epoch")
-	})
-}
-
-// A cross-shard migration must drain while datanodes roll through
-// crash/revive: four files in directories hashing to all four shards of
-// a sharded metadata plane are migrated as one job (the "one sort spans
-// shards" case — every shard's planner contributes fragments of the same
-// job), two nodes die and heal mid-flight, the job is re-issued after
-// the heal, and every block ends pinned exactly once with no stuck
-// migration. Eviction then drains the pins to zero across all shards.
-func TestShardedPlaneMigrationsDrainUnderRollingCrash(t *testing.T) {
-	const shards = 4
-	runChaos(t, Config{Nodes: 4, Seed: 17, Mode: cluster.ModeIgnem, MetaShards: shards}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(3))
-		if err != nil {
-			t.Fatalf("client: %v", err)
-		}
-		defer c.Close()
-
-		// One directory per shard, found by the same hash the namenode
-		// routes with, so the job's inputs provably span every shard.
-		dirs := make([]string, 0, shards)
-		for s, next := 0, 0; s < shards; s++ {
-			for {
-				d := fmt.Sprintf("/in%d", next)
-				next++
-				if shardmap.FileShard(d+"/f", shards) == s {
-					dirs = append(dirs, d)
-					break
-				}
-			}
-		}
-
-		const blockSize = 4 << 20
-		const blocksPerFile = 3
-		var paths []string
-		for i, d := range dirs {
-			p := d + "/f"
-			if err := c.WriteFile(p, filedata(i, blocksPerFile*blockSize), blockSize, 1); err != nil {
-				t.Fatalf("write %s: %v", p, err)
-			}
-			paths = append(paths, p)
-		}
-		const totalBlocks = shards * blocksPerFile
-
-		if _, err := c.Migrate("sort1", paths, false); err != nil {
-			t.Fatalf("migrate: %v", err)
-		}
-		waitUntil(t, v, time.Minute, func() bool {
-			return h.Cluster.SlaveStats().MigratedBlocks >= 1
-		}, "first migration lands")
-
-		// Roll a crash/revive across two datanodes while the job streams.
-		for i := 0; i < 2; i++ {
-			h.CrashDataNode(i)
-			v.Sleep(3 * time.Second)
-			if err := h.ReviveDataNode(i); err != nil {
-				t.Fatalf("revive dn%d: %v", i, err)
-			}
-			v.Sleep(2 * time.Second)
-		}
-
-		// Commands lost to dead nodes are re-issued by resubmitting the
-		// job; already-pinned blocks are filtered, so nothing double-pins.
-		if _, err := c.Migrate("sort1", paths, false); err != nil {
-			t.Fatalf("re-migrate: %v", err)
-		}
-		waitUntil(t, v, 2*time.Minute, func() bool {
-			return h.Cluster.SlaveStats().PinnedBlocks == totalBlocks
-		}, "all shards' migrations drain")
-		if got := h.Cluster.TotalPinnedBytes(); got != int64(totalBlocks*blockSize) {
-			t.Fatalf("pinned %d bytes, want %d — a shard double-pinned after the rolling crash", got, totalBlocks*blockSize)
-		}
-
-		if _, err := c.Evict("sort1", paths); err != nil {
-			t.Fatalf("evict: %v", err)
-		}
-		waitUntil(t, v, time.Minute, func() bool {
-			return h.Cluster.TotalPinnedBytes() == 0
-		}, "eviction drains every shard's pins")
 	})
 }
 

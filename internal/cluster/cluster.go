@@ -10,8 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/dfs/client"
@@ -114,19 +112,11 @@ type Config struct {
 	// HotCacheBytes sizes the per-node hot cache in ModeHotCache.
 	// Default 32 GB.
 	HotCacheBytes int64
-	// MetaShards partitions the namenode's metadata plane (files,
-	// blocks, placement rng, and the Ignem master) into this many
-	// shards, each independently locked. 0 (the default) runs the
-	// historical unsharded plane; if the IGNEM_META_SHARDS environment
-	// variable is a positive integer it overrides a zero value, so the
-	// determinism and bench jobs can sweep shard counts without
-	// touching experiment code.
-	MetaShards int
 	// WALBackend, when set, gives the namenode's Ignem master a
 	// migration write-ahead log (see namenode.Config.WALBackend):
 	// durable planning, journal-backed batch retries, and
 	// RecoverMaster-style resume. Nil — the default — keeps the
-	// historical unjournaled master, so seeded figures are untouched.
+	// master unjournaled, so seeded figures are untouched.
 	WALBackend wal.Backend
 	// ScrubInterval enables the datanodes' background checksum scrubber
 	// at this cadence (see datanode.Config.ScrubInterval). Zero — the
@@ -165,11 +155,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.HotCacheBytes <= 0 {
 		c.HotCacheBytes = 32 << 30
-	}
-	if c.MetaShards == 0 {
-		if n, err := strconv.Atoi(os.Getenv("IGNEM_META_SHARDS")); err == nil && n > 0 {
-			c.MetaShards = n
-		}
 	}
 }
 
@@ -221,7 +206,6 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 		Addr:       NameNodeAddr,
 		Seed:       cfg.Seed,
 		Racks:      racks,
-		MetaShards: cfg.MetaShards,
 		WALBackend: cfg.WALBackend,
 
 		MigrationPolicy: cfg.MigrationPolicy,

@@ -86,7 +86,7 @@ const nodeSetInline = 3
 // spill slice is held behind a pointer: over-replication is transient
 // and rare, and the indirection keeps the embedded set at 24 bytes,
 // which is what holds blockMeta in the 48-byte allocation class.
-// Guarded by the owning block table's lock, like the rest of blockMeta.
+// Guarded by the namespace lock, like the rest of blockMeta.
 type nodeSet struct {
 	n      uint16
 	inline [nodeSetInline]nodeID
@@ -193,7 +193,7 @@ func (s *nodeSet) reset(ids []nodeID) {
 // blockMeta: pinned memory is a small fraction of storage (the paper's
 // whole premise), so most blocks have no pin state at all and should
 // not pay 24 bytes reserving room for it. An entry exists only while
-// its set is non-empty. Guarded by the owning block table's lock.
+// its set is non-empty. Guarded by the namespace lock.
 type pinMap map[dfs.BlockID]*nodeSet
 
 // add records that node holds b pinned.

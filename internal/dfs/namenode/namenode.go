@@ -43,21 +43,13 @@ type Config struct {
 	// replica goes to a different rack than the first, and the third to
 	// the second replica's rack. An empty map means flat placement.
 	Racks map[string]string
-	// MetaShards selects the metadata plane. 0 (the default) runs the
-	// historical unsharded namespace. N >= 1 partitions the namespace
-	// into N shards — files by directory hash, blocks by consistent
-	// hash — each with its own locks and placement rng stream, and runs
-	// one Ignem migration planner per shard behind a coordinator. At
-	// MetaShards=1 the sharded plane draws the seeded rngs
-	// bit-identically to the unsharded one.
-	MetaShards int
 	// WALBackend, when set, gives the Ignem master a migration
 	// write-ahead log: planning becomes durable-before-send, transport-
 	// failed command batches are retried from the journal instead of
 	// dropped, and RecoverMaster resumes in-flight migrations after a
 	// master restart without bumping the epoch (so slave pins survive).
 	// Takes precedence over WALDir. Nil (with an empty WALDir) disables
-	// journaling — the historical behavior.
+	// journaling.
 	WALBackend wal.Backend
 	// WALDir, when non-empty and WALBackend is nil, persists the
 	// migration WAL to a file ("ignem-master.wal") under this directory.
@@ -79,9 +71,9 @@ type Config struct {
 	// the bound are rejected with dfs.ErrBusy and the datanode retries
 	// with jittered backoff. This is the admission control that keeps a
 	// reconnect storm of full reports from stalling namespace RPCs
-	// behind a convoy of full-table scans. 0 selects the default
-	// (2 x max(1, MetaShards)); negative disables the bound. Delta
-	// heartbeats are never gated — they are O(delta) cheap.
+	// behind a convoy of full-table scans. 0 selects the default of 2;
+	// negative disables the bound. Delta heartbeats are never gated —
+	// they are O(delta) cheap.
 	ReportIntake int
 }
 
@@ -131,8 +123,8 @@ type NameNode struct {
 	cfg      Config
 	server   *transport.Server
 	listener transport.Listener
-	master   *ignem.Coordinator
-	ns       Namespace
+	master   *ignem.Master
+	ns       *memNamespace
 	// walLog is the migration WAL handed to the Ignem master, nil when
 	// journaling is off; the namenode owns its lifecycle.
 	walLog *wal.Log
@@ -245,18 +237,13 @@ func New(clock simclock.Clock, net transport.Network, cfg Config) *NameNode {
 		depth := cfg.ReportIntake
 		if depth == 0 {
 			depth = 2
-			if cfg.MetaShards > 1 {
-				depth = 2 * cfg.MetaShards
-			}
 		}
 		nn.intake = make(chan struct{}, depth)
 	}
-	if cfg.MetaShards > 0 {
-		nn.ns = newShardedNamespace(cfg.MetaShards, cfg.Seed, nn.placeTargets)
-	} else {
-		nn.ns = newMemNamespace(cfg.Seed, nn.placeTargets)
-	}
-	nn.master = ignem.NewCoordinator(nn, nn, cfg.Seed+1, nn.ns.Shards())
+	nn.ns = newMemNamespace(cfg.Seed, nn.placeTargets)
+	// Seed+1: the master's replica-choice stream must not replay the
+	// namespace's placement draws.
+	nn.master = ignem.NewMaster(nn, nn, cfg.Seed+1)
 	if cfg.MigrationPolicy != "" || cfg.TierBudgets != (ignem.TierBudgets{}) {
 		// New can't return an error without breaking every caller; an
 		// unknown policy name surfaces when Start reports it.
@@ -397,9 +384,9 @@ func (nn *NameNode) isClosed() bool {
 	return nn.closed
 }
 
-// Master exposes the embedded Ignem master coordinator (for
-// failure-injection tests and the cluster harness).
-func (nn *NameNode) Master() *ignem.Coordinator { return nn.master }
+// Master exposes the embedded Ignem master (for failure-injection tests
+// and the cluster harness).
+func (nn *NameNode) Master() *ignem.Master { return nn.master }
 
 // RestartMaster simulates an Ignem master failure and recovery: the new
 // master starts with an empty state and a new epoch, and the epoch bump
@@ -581,19 +568,18 @@ func (nn *NameNode) handleBlockRead(req dfs.BlockReadReq) (dfs.BlockReadResp, er
 
 // placeTargets picks up to rep distinct live datanodes avoiding the
 // excluded addresses, drawing randomness from the caller's rng stream
-// (the namespace passes the owning shard's). With rack information it
+// (the namespace's placement rng). With rack information it
 // applies HDFS's default policy; otherwise placement is a seeded random
 // choice. The exclusion filter runs after the seeded shuffle, so calls
 // with no exclusions draw the rng exactly as they always have (seeded
 // figures stay bit-identical); an exclusion list that would leave no
 // candidates is ignored rather than failing the allocation — better a
 // replica on a suspect node than none at all. Takes dnmu (read) itself;
-// the caller holds its shard and rng locks.
+// the caller holds the namespace and rng locks.
 func (nn *NameNode) placeTargets(rng *rand.Rand, rep int, exclude []string) []string {
 	cached := nn.liveSorted()
-	// Copy before shuffling: the cache is shared. The base order is the
-	// same sorted list the historical per-call build produced, so the
-	// seeded shuffle draws identically.
+	// Copy before shuffling: the cache is shared. The base order is
+	// sorted, so the seeded shuffle draws depend only on the live set.
 	live := make([]string, len(cached))
 	copy(live, cached)
 	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
@@ -952,7 +938,7 @@ func (nn *NameNode) LiveDataNodes() []string {
 
 // Resolve maps a file to its blocks with live replica locations and
 // current migration state. It is the read hot path: the namespace
-// returns raw locations under its shard read locks, and liveness is
+// returns raw locations under its read lock, and liveness is
 // filtered here under the registry read lock, so concurrent lookups
 // never serialize.
 func (nn *NameNode) Resolve(path string) ([]dfs.LocatedBlock, error) {

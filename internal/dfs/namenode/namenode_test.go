@@ -457,96 +457,106 @@ func TestReadersRaceRegistryTraffic(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
 		h := newHarness(t, v, 4)
 		defer h.nn.Close()
-		registryStorm(t, v, h)
-	})
-}
+		initial := h.mkFile(t, "/hot", 4, 2)
+		var ids []dfs.BlockID
+		for _, lb := range initial {
+			ids = append(ids, lb.Block.ID)
+		}
 
-// registryStorm is the body of TestReadersRaceRegistryTraffic, shared
-// with the sharded-namespace variant: the registry split and the storm's
-// invariants must hold identically on both metadata planes.
-func registryStorm(t *testing.T, v *simclock.Virtual, h *harness) {
-	t.Helper()
-	initial := h.mkFile(t, "/hot", 4, 2)
-	var ids []dfs.BlockID
-	for _, lb := range initial {
-		ids = append(ids, lb.Block.ID)
-	}
-
-	wg := simclock.NewWaitGroup(v)
-	// Readers: lookups only.
-	for r := 0; r < 8; r++ {
-		wg.Go(func() {
-			for i := 0; i < 200; i++ {
-				if _, err := h.nn.handleGetInfo(dfs.GetInfoReq{Path: "/hot"}); err != nil {
-					t.Errorf("getInfo: %v", err)
-					return
-				}
-				if _, err := h.nn.handleGetLocations(dfs.GetLocationsReq{Path: "/hot"}); err != nil {
-					t.Errorf("getLocations: %v", err)
-					return
-				}
-				if _, err := h.nn.handleList(dfs.ListReq{Prefix: "/"}); err != nil {
-					t.Errorf("list: %v", err)
-					return
-				}
-			}
-		})
-	}
-	// Registry writers: heartbeats flipping pin state, block reports,
-	// re-registrations.
-	for w := 0; w < 4; w++ {
-		addr := string(rune('a' + w))
-		wg.Go(func() {
-			for i := 0; i < 100; i++ {
-				req := dfs.HeartbeatReq{Addr: addr}
-				if i%2 == 0 {
-					req.Pinned = ids
-				} else {
-					req.Unpinned = ids
-				}
-				if _, err := h.nn.handleHeartbeat(req); err != nil {
-					t.Errorf("heartbeat: %v", err)
-					return
-				}
-				if i%10 == 0 {
-					if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: addr, Blocks: ids}); err != nil {
-						t.Errorf("blockReport: %v", err)
-						return
-					}
-				}
-				if i%25 == 0 {
-					if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: addr, Blocks: ids}); err != nil {
-						t.Errorf("register: %v", err)
-						return
-					}
+		// retryBusy repeats a full-report call while the intake gate
+		// rejects it with DFS_BUSY, backing off as a datanode does. The
+		// test checks the registry lock split, not the gate.
+		retryBusy := func(call func() error) error {
+			for {
+				if err := call(); !dfs.IsBusy(err) {
+					return err
 				}
 				v.Sleep(time.Millisecond)
 			}
+		}
+
+		wg := simclock.NewWaitGroup(v)
+		// Readers: lookups only.
+		for r := 0; r < 8; r++ {
+			wg.Go(func() {
+				for i := 0; i < 200; i++ {
+					if _, err := h.nn.handleGetInfo(dfs.GetInfoReq{Path: "/hot"}); err != nil {
+						t.Errorf("getInfo: %v", err)
+						return
+					}
+					if _, err := h.nn.handleGetLocations(dfs.GetLocationsReq{Path: "/hot"}); err != nil {
+						t.Errorf("getLocations: %v", err)
+						return
+					}
+					if _, err := h.nn.handleList(dfs.ListReq{Prefix: "/"}); err != nil {
+						t.Errorf("list: %v", err)
+						return
+					}
+				}
+			})
+		}
+		// Registry writers: heartbeats flipping pin state, block reports,
+		// re-registrations.
+		for w := 0; w < 4; w++ {
+			addr := string(rune('a' + w))
+			wg.Go(func() {
+				for i := 0; i < 100; i++ {
+					req := dfs.HeartbeatReq{Addr: addr}
+					if i%2 == 0 {
+						req.Pinned = ids
+					} else {
+						req.Unpinned = ids
+					}
+					if _, err := h.nn.handleHeartbeat(req); err != nil {
+						t.Errorf("heartbeat: %v", err)
+						return
+					}
+					if i%10 == 0 {
+						if err := retryBusy(func() error {
+							_, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: addr, Blocks: ids})
+							return err
+						}); err != nil {
+							t.Errorf("blockReport: %v", err)
+							return
+						}
+					}
+					if i%25 == 0 {
+						if err := retryBusy(func() error {
+							_, err := h.nn.handleRegister(dfs.RegisterReq{Addr: addr, Blocks: ids})
+							return err
+						}); err != nil {
+							t.Errorf("register: %v", err)
+							return
+						}
+					}
+					v.Sleep(time.Millisecond)
+				}
+			})
+		}
+		// Namespace writers: new files appearing during the storm.
+		wg.Go(func() {
+			for i := 0; i < 50; i++ {
+				h.mkFile(t, fmt.Sprintf("/new%d", i), 1, 2)
+				v.Sleep(2 * time.Millisecond)
+			}
 		})
-	}
-	// Namespace writers: new files appearing during the storm.
-	wg.Go(func() {
-		for i := 0; i < 50; i++ {
-			h.mkFile(t, fmt.Sprintf("/new%d", i), 1, 2)
-			v.Sleep(2 * time.Millisecond)
+		wg.Wait()
+
+		// The storm settles into a consistent view: every node's last
+		// block report claimed all of /hot's blocks, so each block ends
+		// with all four locations.
+		lbs, err := h.nn.Resolve("/hot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lb := range lbs {
+			if len(lb.Nodes) != 4 {
+				t.Errorf("block %d ended with %d locations, want 4", lb.Block.ID, len(lb.Nodes))
+			}
+		}
+		files, err := h.nn.handleList(dfs.ListReq{Prefix: "/new"})
+		if err != nil || len(files.Files) != 50 {
+			t.Errorf("list after storm: %d files, err %v", len(files.Files), err)
 		}
 	})
-	wg.Wait()
-
-	// The storm settles into a consistent view: every node's last
-	// block report claimed all of /hot's blocks, so each block ends
-	// with all four locations.
-	lbs, err := h.nn.Resolve("/hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lb := range lbs {
-		if len(lb.Nodes) != 4 {
-			t.Errorf("block %d ended with %d locations, want 4", lb.Block.ID, len(lb.Nodes))
-		}
-	}
-	files, err := h.nn.handleList(dfs.ListReq{Prefix: "/new"})
-	if err != nil || len(files.Files) != 50 {
-		t.Errorf("list after storm: %d files, err %v", len(files.Files), err)
-	}
 }

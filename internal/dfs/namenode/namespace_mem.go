@@ -9,11 +9,12 @@ import (
 	"repro/internal/dfs"
 )
 
-// memNamespace is the historical unsharded namespace: one lock over the
-// file table and block map, one seeded placement rng. It is the
-// reference implementation the sharded plane is measured against —
-// shardedNamespace at shard count 1 must be operation-for-operation
-// equivalent, including the placement rng draws.
+// memNamespace is the metadata plane behind the NameNode's RPC
+// handlers: the file table, the block map, and replica placement, under
+// one lock with one seeded placement rng. The NameNode keeps everything
+// that talks to the outside world — the datanode registry, RPC
+// plumbing, the Ignem master — and delegates every metadata mutation
+// and lookup here.
 type memNamespace struct {
 	place placeFunc
 	// table interns datanode addresses for the compact block map.
@@ -55,8 +56,8 @@ func newMemNamespace(seed int64, place placeFunc) *memNamespace {
 	}
 }
 
-func (ns *memNamespace) Shards() int { return 1 }
-
+// Create registers a new file with resolved (non-zero) block size and
+// replication.
 func (ns *memNamespace) Create(path string, blockSize int64, replication int) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -69,25 +70,49 @@ func (ns *memNamespace) Create(path string, blockSize int64, replication int) er
 	return nil
 }
 
+// Allocate appends len(sizes) blocks to an open file, choosing replica
+// targets for each, and returns the located blocks in order. sums
+// carries the client-computed CRC32C per block (nil, or a slice
+// parallel to sizes; zero entries mean unchecksummed) — the namespace
+// records them so every later Resolve can hand readers the write-time
+// checksum to verify against. reqID (when non-zero) keys a one-deep
+// idempotency cache so a retried allocation after a lost reply returns
+// the cached result instead of allocating twice; batch distinguishes
+// the single-block and batched call shapes, which must not share cache
+// entries.
 func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, exclude []string, reqID uint64, batch bool) ([]dfs.LocatedBlock, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	f, err := openFile(ns.files, path, sizes)
-	if err != nil {
-		return nil, err
+	f, ok := ns.files[path]
+	if !ok {
+		return nil, fmt.Errorf("namenode: no such file %s", path)
 	}
-	if cached, ok := cachedAlloc(f, reqID, batch); ok {
-		return cached, nil
+	if f.info.Complete {
+		return nil, fmt.Errorf("namenode: %s is sealed", path)
+	}
+	for _, size := range sizes {
+		if size <= 0 || size > f.info.BlockSize {
+			return nil, fmt.Errorf("namenode: bad block size %d (file block size %d)", size, f.info.BlockSize)
+		}
+	}
+	if reqID != 0 && reqID == f.lastAllocID && batch == f.lastAllocBatch {
+		return f.lastAlloc, nil
 	}
 	out := make([]dfs.LocatedBlock, 0, len(sizes))
 	for i, size := range sizes {
-		lb, err := ns.allocateBlockLocked(f, size, sumAt(sums, i), exclude)
+		var sum uint32
+		if i < len(sums) {
+			sum = sums[i]
+		}
+		lb, err := ns.allocateBlockLocked(f, size, sum, exclude)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, lb)
 	}
-	rememberAlloc(f, reqID, batch, out)
+	if reqID != 0 {
+		f.lastAllocID, f.lastAllocBatch, f.lastAlloc = reqID, batch, out
+	}
 	return out, nil
 }
 
@@ -117,6 +142,8 @@ func (ns *memNamespace) chooseTargets(rep int, exclude []string) []string {
 	return ns.place(ns.rng, rep, exclude)
 }
 
+// Retarget replaces an allocated block's target set with a fresh
+// placement avoiding the excluded nodes, preserving ID and offset.
 func (ns *memNamespace) Retarget(path string, block dfs.BlockID, exclude []string) (dfs.LocatedBlock, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -140,6 +167,7 @@ func (ns *memNamespace) Retarget(path string, block dfs.BlockID, exclude []strin
 	return dfs.LocatedBlock{Block: blk, Offset: offset, Checksum: ns.sums[block], Nodes: targets}, nil
 }
 
+// Complete seals a file.
 func (ns *memNamespace) Complete(path string) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -151,6 +179,7 @@ func (ns *memNamespace) Complete(path string) error {
 	return nil
 }
 
+// Info returns a file's metadata.
 func (ns *memNamespace) Info(path string) (dfs.FileInfo, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
@@ -161,6 +190,8 @@ func (ns *memNamespace) Info(path string) (dfs.FileInfo, error) {
 	return f.info, nil
 }
 
+// Delete removes a file and its blocks, returning the replica deletion
+// work per datanode address.
 func (ns *memNamespace) Delete(path string) (map[string][]dfs.BlockID, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -185,6 +216,7 @@ func (ns *memNamespace) Delete(path string) (map[string][]dfs.BlockID, error) {
 	return toDelete, nil
 }
 
+// List returns the files under a path prefix, sorted by path.
 func (ns *memNamespace) List(prefix string) []dfs.FileInfo {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
@@ -198,6 +230,8 @@ func (ns *memNamespace) List(prefix string) []dfs.FileInfo {
 	return out
 }
 
+// Resolve maps a file to its blocks with the raw (liveness-unaware)
+// replica and pin locations. The caller filters against the registry.
 func (ns *memNamespace) Resolve(path string) ([]resolvedBlock, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
@@ -211,7 +245,7 @@ func (ns *memNamespace) Resolve(path string) ([]resolvedBlock, error) {
 	for _, b := range f.blocks {
 		rb := resolvedBlock{block: b, offset: offset, checksum: ns.sums[b.ID]}
 		if meta := ns.blocks[b.ID]; meta != nil {
-			rb.nodes = addrSlice(addrs, &meta.nodes)
+			rb.nodes = idAddrs(addrs, meta.nodes.view())
 			rb.pinned = idAddrs(addrs, ns.pins.view(b.ID))
 			rb.onSSD = idAddrs(addrs, ns.ssd.view(b.ID))
 		}
@@ -221,20 +255,54 @@ func (ns *memNamespace) Resolve(path string) ([]resolvedBlock, error) {
 	return out, nil
 }
 
+// Reconcile makes the location map agree with a datanode's actual
+// replica inventory: entries it no longer holds are dropped (with their
+// pins); entries it holds, for blocks the namespace still knows, are
+// added back.
 func (ns *memNamespace) Reconcile(addr string, held []dfs.BlockID) {
-	id := ns.table.intern(addr)
+	node := ns.table.intern(addr)
+	holds := make(map[dfs.BlockID]struct{}, len(held))
+	for _, id := range held {
+		holds[id] = struct{}{}
+	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	reconcileBlocks(ns.blocks, ns.pins, ns.ssd, id, held)
+	for id, meta := range ns.blocks {
+		if _, ok := holds[id]; ok {
+			meta.nodes.add(node)
+		} else {
+			meta.nodes.remove(node)
+			ns.pins.remove(id, node)
+			ns.ssd.remove(id, node)
+		}
+	}
 }
 
+// ApplyReplicaDeltas applies an incremental block report: addr now also
+// holds added and no longer holds removed. O(delta), never a full-table
+// scan. A removed replica also drops the node's pins — storage gone
+// means the pinned copy is gone too. Unknown block IDs are ignored (the
+// namespace may have deleted the file since the datanode queued the
+// delta).
 func (ns *memNamespace) ApplyReplicaDeltas(addr string, added, removed []dfs.BlockID) {
-	id := ns.table.intern(addr)
+	node := ns.table.intern(addr)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	applyReplicaDeltas(ns.blocks, ns.pins, ns.ssd, id, added, removed)
+	for _, b := range added {
+		if meta := ns.blocks[b]; meta != nil {
+			meta.nodes.add(node)
+		}
+	}
+	for _, b := range removed {
+		if meta := ns.blocks[b]; meta != nil {
+			meta.nodes.remove(node)
+			ns.pins.remove(b, node)
+			ns.ssd.remove(b, node)
+		}
+	}
 }
 
+// PinDeltas applies a heartbeat's pinned/unpinned block deltas.
 func (ns *memNamespace) PinDeltas(addr string, pinned, unpinned []dfs.BlockID) {
 	id := ns.table.intern(addr)
 	ns.mu.Lock()
@@ -249,6 +317,8 @@ func (ns *memNamespace) PinDeltas(addr string, pinned, unpinned []dfs.BlockID) {
 	}
 }
 
+// SSDDeltas applies a heartbeat's SSD-tier residency deltas, exactly as
+// PinDeltas does for the RAM tier.
 func (ns *memNamespace) SSDDeltas(addr string, pinned, unpinned []dfs.BlockID) {
 	id := ns.table.intern(addr)
 	ns.mu.Lock()
@@ -263,6 +333,11 @@ func (ns *memNamespace) SSDDeltas(addr string, pinned, unpinned []dfs.BlockID) {
 	}
 }
 
+// FastTierHolders reports which datanodes currently hold the block
+// pinned in RAM and which on SSD, per the heartbeat-maintained side
+// tables. Master recovery reconciles the replayed journal against this
+// authoritative view: pin and unpin deltas the dead master consumed
+// without journaling are still reflected here.
 func (ns *memNamespace) FastTierHolders(block dfs.BlockID) (ram, ssd []string) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
@@ -270,8 +345,15 @@ func (ns *memNamespace) FastTierHolders(block dfs.BlockID) (ram, ssd []string) {
 	return idAddrs(addrs, ns.pins.view(block)), idAddrs(addrs, ns.ssd.view(block))
 }
 
+// DropPinned drops all pinned state (both fast tiers) for the given
+// (dead) datanodes. Addresses the node table never saw hold no pins.
 func (ns *memNamespace) DropPinned(addrs []string) {
-	ids := lookupAll(ns.table, addrs)
+	ids := make([]nodeID, 0, len(addrs))
+	for _, a := range addrs {
+		if id, ok := ns.table.lookup(a); ok {
+			ids = append(ids, id)
+		}
+	}
 	if len(ids) == 0 {
 		return
 	}
@@ -281,60 +363,80 @@ func (ns *memNamespace) DropPinned(addrs []string) {
 	ns.ssd.dropNodes(ids)
 }
 
+// RepairScan finds under-replicated blocks given the current liveness
+// map: for each block with fewer live replicas than its file requested,
+// a live non-holder is chosen to pull a copy from a surviving holder,
+// and the block is marked healing. The caller runs the pulls and
+// reports back through RepairDone. Holder and candidate lists are
+// sorted before the seeded draws pick from them.
 func (ns *memNamespace) RepairScan(live map[string]bool) []repairJob {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return scanShardForRepair(ns.blocks, ns.table, live, &ns.rngMu, ns.rng)
+	var jobs []repairJob
+	addrs := ns.table.addrsView()
+	for id, meta := range ns.blocks {
+		if meta.healing {
+			continue
+		}
+		// Count before building anything: nearly every block of every
+		// sweep is healthy, and a healthy block must cost no allocation.
+		n := 0
+		for _, nid := range meta.nodes.view() {
+			if live[addrs[nid]] {
+				n++
+			}
+		}
+		if n == 0 || n >= int(meta.want) {
+			continue
+		}
+		holders := make([]string, 0, n)
+		for _, nid := range meta.nodes.view() {
+			if live[addrs[nid]] {
+				holders = append(holders, addrs[nid])
+			}
+		}
+		sort.Strings(holders)
+		var candidates []string
+		for addr, ok := range live {
+			if !ok {
+				continue
+			}
+			if nid, known := ns.table.lookup(addr); !known || !meta.nodes.contains(nid) {
+				candidates = append(candidates, addr)
+			}
+		}
+		if len(candidates) == 0 {
+			continue
+		}
+		sort.Strings(candidates)
+		ns.rngMu.Lock()
+		target := candidates[ns.rng.Intn(len(candidates))]
+		source := holders[ns.rng.Intn(len(holders))]
+		ns.rngMu.Unlock()
+		meta.healing = true
+		jobs = append(jobs, repairJob{
+			block:  dfs.Block{ID: id, Size: meta.size},
+			source: source,
+			target: target,
+		})
+	}
+	return jobs
 }
 
+// RepairDone clears a block's healing mark; on ok the target is
+// recorded as a replica holder.
 func (ns *memNamespace) RepairDone(block dfs.BlockID, target string, ok bool) {
 	id := ns.table.intern(target)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	repairDone(ns.blocks, block, id, ok)
-}
-
-// ---- logic shared by both namespace implementations ----
-
-// openFile looks up an open (unsealed) file and validates the proposed
-// block sizes against its block size. Called with the owning lock held.
-func openFile(files map[string]*fileEntry, path string, sizes []int64) (*fileEntry, error) {
-	f, ok := files[path]
-	if !ok {
-		return nil, fmt.Errorf("namenode: no such file %s", path)
+	meta := ns.blocks[block]
+	if meta == nil {
+		return
 	}
-	if f.info.Complete {
-		return nil, fmt.Errorf("namenode: %s is sealed", path)
+	meta.healing = false
+	if ok {
+		meta.nodes.add(id)
 	}
-	for _, size := range sizes {
-		if size <= 0 || size > f.info.BlockSize {
-			return nil, fmt.Errorf("namenode: bad block size %d (file block size %d)", size, f.info.BlockSize)
-		}
-	}
-	return f, nil
-}
-
-// cachedAlloc checks the file's one-deep idempotent allocation cache.
-func cachedAlloc(f *fileEntry, reqID uint64, batch bool) ([]dfs.LocatedBlock, bool) {
-	if reqID != 0 && reqID == f.lastAllocID && batch == f.lastAllocBatch {
-		return f.lastAlloc, true
-	}
-	return nil, false
-}
-
-func rememberAlloc(f *fileEntry, reqID uint64, batch bool, out []dfs.LocatedBlock) {
-	if reqID != 0 {
-		f.lastAllocID, f.lastAllocBatch, f.lastAlloc = reqID, batch, out
-	}
-}
-
-// sumAt indexes an optional checksum slice: nil (or short) means
-// unchecksummed.
-func sumAt(sums []uint32, i int) uint32 {
-	if i < len(sums) {
-		return sums[i]
-	}
-	return 0
 }
 
 // findBlock locates a block in a file's block list, returning its copy
@@ -367,24 +469,6 @@ func internAll(t *nodeTable, addrs []string) []nodeID {
 	return out
 }
 
-// lookupAll resolves already-interned addresses, skipping unknown ones
-// (an address the table never saw cannot appear in any nodeSet).
-func lookupAll(t *nodeTable, addrs []string) []nodeID {
-	out := make([]nodeID, 0, len(addrs))
-	for _, a := range addrs {
-		if id, ok := t.lookup(a); ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// addrSlice maps a nodeSet back to address strings through an
-// addrsView snapshot.
-func addrSlice(addrs []string, set *nodeSet) []string {
-	return idAddrs(addrs, set.view())
-}
-
 // idAddrs maps node IDs back to address strings through an addrsView
 // snapshot.
 func idAddrs(addrs []string, ids []nodeID) []string {
@@ -396,115 +480,4 @@ func idAddrs(addrs []string, ids []nodeID) []string {
 		out = append(out, addrs[id])
 	}
 	return out
-}
-
-// reconcileBlocks makes one block table agree with a datanode's actual
-// replica inventory: entries it no longer holds are dropped; entries it
-// holds (for blocks the namespace still knows) are added back. Called
-// with the table's lock held.
-func reconcileBlocks(blocks map[dfs.BlockID]*blockMeta, pins, ssd pinMap, node nodeID, held []dfs.BlockID) {
-	holds := make(map[dfs.BlockID]struct{}, len(held))
-	for _, id := range held {
-		holds[id] = struct{}{}
-	}
-	for id, meta := range blocks {
-		if _, ok := holds[id]; ok {
-			meta.nodes.add(node)
-		} else {
-			meta.nodes.remove(node)
-			pins.remove(id, node)
-			ssd.remove(id, node)
-		}
-	}
-}
-
-// applyReplicaDeltas applies an incremental report to one block table:
-// O(delta), never a full-table scan. A removed replica also drops the
-// node's pin — storage gone means the pinned copy is gone too. Called
-// with the table's lock held.
-func applyReplicaDeltas(blocks map[dfs.BlockID]*blockMeta, pins, ssd pinMap, node nodeID, added, removed []dfs.BlockID) {
-	for _, b := range added {
-		if meta := blocks[b]; meta != nil {
-			meta.nodes.add(node)
-		}
-	}
-	for _, b := range removed {
-		if meta := blocks[b]; meta != nil {
-			meta.nodes.remove(node)
-			pins.remove(b, node)
-			ssd.remove(b, node)
-		}
-	}
-}
-
-// scanShardForRepair finds under-replicated blocks in one block table:
-// for each block with fewer live replicas than its file requested, a
-// live non-holder is chosen to pull a copy from a surviving holder, and
-// the block is marked healing. Called with the table's lock held; takes
-// the rng lock per chosen block. Holder and candidate lists are built
-// and sorted as address strings, exactly as the historical map-of-maps
-// scan did, so the seeded draws are unchanged.
-func scanShardForRepair(blocks map[dfs.BlockID]*blockMeta, table *nodeTable, live map[string]bool, rngMu *sync.Mutex, rng *rand.Rand) []repairJob {
-	var jobs []repairJob
-	addrs := table.addrsView()
-	for id, meta := range blocks {
-		if meta.healing {
-			continue
-		}
-		// Count before building anything: nearly every block of every
-		// sweep is healthy, and a healthy block must cost no allocation.
-		n := 0
-		for _, nid := range meta.nodes.view() {
-			if live[addrs[nid]] {
-				n++
-			}
-		}
-		if n == 0 || n >= int(meta.want) {
-			continue
-		}
-		holders := make([]string, 0, n)
-		for _, nid := range meta.nodes.view() {
-			if live[addrs[nid]] {
-				holders = append(holders, addrs[nid])
-			}
-		}
-		sort.Strings(holders)
-		var candidates []string
-		for addr, ok := range live {
-			if !ok {
-				continue
-			}
-			if nid, known := table.lookup(addr); !known || !meta.nodes.contains(nid) {
-				candidates = append(candidates, addr)
-			}
-		}
-		if len(candidates) == 0 {
-			continue
-		}
-		sort.Strings(candidates)
-		rngMu.Lock()
-		target := candidates[rng.Intn(len(candidates))]
-		source := holders[rng.Intn(len(holders))]
-		rngMu.Unlock()
-		meta.healing = true
-		jobs = append(jobs, repairJob{
-			block:  dfs.Block{ID: id, Size: meta.size},
-			source: source,
-			target: target,
-		})
-	}
-	return jobs
-}
-
-// repairDone clears a block's healing mark and records the new holder on
-// success. Called with the table's lock held.
-func repairDone(blocks map[dfs.BlockID]*blockMeta, block dfs.BlockID, target nodeID, ok bool) {
-	meta := blocks[block]
-	if meta == nil {
-		return
-	}
-	meta.healing = false
-	if ok {
-		meta.nodes.add(target)
-	}
 }

@@ -10,10 +10,9 @@ import (
 
 	"repro/internal/dfs"
 	"repro/internal/simclock"
-	"repro/internal/transport"
 )
 
-// equivPlacer is a deterministic placeFunc for driving a Namespace
+// equivPlacer is a deterministic placeFunc for driving a namespace
 // without a NameNode: it shuffles a fixed node list with the namespace's
 // own rng stream and takes the first rep non-excluded addresses — the
 // same shape as the real placeTargets, so every call draws the rng.
@@ -39,8 +38,8 @@ func equivPlacer() placeFunc {
 	}
 }
 
-// transcript records every Namespace result in a normalized textual
-// form, so two implementations can be compared step by step.
+// transcript records every namespace result in a normalized textual
+// form, so two runs can be compared step by step.
 type transcript struct {
 	lines []string
 }
@@ -75,9 +74,8 @@ func (tr *transcript) resolved(op string, rbs []resolvedBlock, err error) {
 // batched allocations, idempotent replays, retarget, seal, lookups,
 // reconcile, pin deltas, repair, delete — and returns the normalized
 // transcript of every result.
-func driveNamespace(ns Namespace) []string {
+func driveNamespace(ns *memNamespace) []string {
 	tr := &transcript{}
-	tr.addf("shards=%d", ns.Shards())
 
 	tr.err("create /a/x", ns.Create("/a/x", 1<<20, 2))
 	tr.err("create /a/y", ns.Create("/a/y", 1<<20, 2))
@@ -133,9 +131,10 @@ func driveNamespace(ns Namespace) []string {
 	rbs, err = ns.Resolve("/a/x")
 	tr.resolved("resolve /a/x post-drop", rbs, err)
 
-	// Exactly one block under-replicated: strip every holder of block
-	// ids[0] except "d" (the reconcile above made "d" a holder of all of
-	// /a/x's blocks). Reconcile replaces a node's whole holding set, so
+	// Exactly one block under-replicated at seed 42: strip every holder
+	// of block ids[0] except "d" (the reconcile above made "d" a holder
+	// of all of /a/x's blocks, and of nothing else — a seed that placed
+	// /b/z on "d" leaves that block short too). Reconcile replaces a node's whole holding set, so
 	// rebuild each node's holdings across the live files minus ids[0].
 	// Keeping it to a single block matters: a scan over several
 	// under-replicated blocks draws the rng in map-iteration order —
@@ -197,95 +196,63 @@ func driveNamespace(ns Namespace) []string {
 	return tr.lines
 }
 
-// TestShardedSingleShardMatchesUnsharded drives the historical
-// single-lock namespace and the sharded namespace at shard count 1
-// through an identical workload with the same seed and placer, and
-// requires every result — placements, cached replays, repair choices,
-// error strings — to match line for line. This is the structural half of
-// the bit-identity guarantee; `make determinism` checks it end to end on
-// the experiment figures.
-func TestShardedSingleShardMatchesUnsharded(t *testing.T) {
-	const seed = 42
-	mem := driveNamespace(newMemNamespace(seed, equivPlacer()))
-	sharded := driveNamespace(newShardedNamespace(1, seed, equivPlacer()))
-	if len(mem) != len(sharded) {
-		t.Fatalf("transcript length: mem=%d sharded=%d\nmem:\n%s\nsharded:\n%s",
-			len(mem), len(sharded), strings.Join(mem, "\n"), strings.Join(sharded, "\n"))
-	}
-	for i := range mem {
-		if mem[i] != sharded[i] {
-			t.Errorf("step %d:\n  mem:     %s\n  sharded: %s", i, mem[i], sharded[i])
-		}
-	}
-}
-
-// TestShardedNamespaceWorkloadInvariants drives the sharded namespace at
-// several shard counts through the same workload and checks the
-// seed-independent invariants hold at every count: same op success/error
-// pattern, same block sizes and offsets, same file listing. (Placements
-// differ across counts — each shard draws its own rng stream.)
-func TestShardedNamespaceWorkloadInvariants(t *testing.T) {
+// TestNamespaceWorkloadInvariants drives the namespace through the
+// fixed workload and checks it is deterministic for a seed, and that
+// the seed moves only placement and what placement decides (which
+// blocks the workload's holder stripping leaves under-replicated): the
+// op success/error pattern, block sizes and offsets, and the file
+// listing are the same under any seed.
+func TestNamespaceWorkloadInvariants(t *testing.T) {
 	strip := func(lines []string) []string {
 		out := make([]string, 0, len(lines))
 		for _, l := range lines {
-			if strings.HasPrefix(l, "shards=") {
-				continue
-			}
-			// Normalize away placement- and shard-dependent detail:
-			// node sets, repair endpoints, delete work fan-out.
+			// Normalize away placement-dependent detail: node sets,
+			// repair jobs, delete work fan-out.
 			if i := strings.Index(l, " nodes="); i >= 0 {
 				l = l[:i]
 			}
-			if strings.HasPrefix(l, "repair block=") {
-				l = l[:strings.Index(l, " source=")]
-			}
-			if strings.HasPrefix(l, "  delete work ") {
+			if strings.HasPrefix(l, "repair block=") || strings.HasPrefix(l, "  delete work ") {
 				continue
 			}
 			out = append(out, l)
 		}
 		return out
 	}
-	base := strip(driveNamespace(newShardedNamespace(1, 42, equivPlacer())))
-	for _, shards := range []int{2, 4, 8} {
-		got := strip(driveNamespace(newShardedNamespace(shards, 42, equivPlacer())))
-		if len(got) != len(base) {
-			t.Fatalf("shards=%d: transcript length %d, want %d", shards, len(got), len(base))
+	base := driveNamespace(newMemNamespace(42, equivPlacer()))
+	if again := driveNamespace(newMemNamespace(42, equivPlacer())); strings.Join(again, "\n") != strings.Join(base, "\n") {
+		t.Fatalf("same seed, different transcripts:\n%s\n---\n%s", strings.Join(base, "\n"), strings.Join(again, "\n"))
+	}
+	var repairs []string
+	for _, l := range base {
+		if strings.HasPrefix(l, "repair ") {
+			repairs = append(repairs, l)
 		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Errorf("shards=%d step %d:\n  shards=1: %s\n  shards=%d: %s", shards, i, base[i], shards, got[i])
+	}
+	if len(repairs) != 1 {
+		t.Errorf("seed=42: repair lines %q, want exactly one pull and no re-issue while healing", repairs)
+	}
+	stripped := strip(base)
+	for _, seed := range []int64{1, 7, 1 << 40} {
+		got := strip(driveNamespace(newMemNamespace(seed, equivPlacer())))
+		if len(got) != len(stripped) {
+			t.Fatalf("seed=%d: transcript length %d, want %d", seed, len(got), len(stripped))
+		}
+		for i := range stripped {
+			if got[i] != stripped[i] {
+				t.Errorf("seed=%d step %d:\n  seed=42: %s\n  seed=%d: %s", seed, i, stripped[i], seed, got[i])
 			}
 		}
 	}
 }
 
-// newShardedHarness is newHarness with a partitioned metadata plane.
-func newShardedHarness(t *testing.T, v *simclock.Virtual, datanodes, shards int) *harness {
-	t.Helper()
-	net := transport.NewInmemNetwork(v)
-	nn := New(v, net, Config{Addr: "nn", Seed: 1, HeartbeatExpiry: 5 * time.Second, MetaShards: shards})
-	if err := nn.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	h := &harness{v: v, nn: nn}
-	for i := 0; i < datanodes; i++ {
-		addr := string(rune('a' + i))
-		if _, err := nn.handleRegister(dfs.RegisterReq{Addr: addr}); err != nil {
-			t.Fatalf("register: %v", err)
-		}
-	}
-	return h
-}
-
-// TestShardedConcurrentCreateDeleteOpen hammers a 4-shard namespace with
-// workers creating, allocating, opening, and deleting files in per-worker
-// directories (which hash across shards) while readers list the whole
-// namespace. Run under -race this pins the per-shard lock split; the
-// final listing checks no create or delete was lost across shards.
-func TestShardedConcurrentCreateDeleteOpen(t *testing.T) {
+// TestConcurrentCreateDeleteOpen hammers the namespace with workers
+// creating, allocating, opening, and deleting files in per-worker
+// directories while readers list the whole namespace. Run under -race
+// this pins the namespace's locking; the final listing checks no create
+// or delete was lost.
+func TestConcurrentCreateDeleteOpen(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
-		h := newShardedHarness(t, v, 4, 4)
+		h := newHarness(t, v, 4)
 		defer h.nn.Close()
 
 		const workers = 8
@@ -312,9 +279,7 @@ func TestShardedConcurrentCreateDeleteOpen(t *testing.T) {
 						t.Errorf("getLocations %s: %v", path, err)
 						return
 					}
-					// Every third file is deleted again immediately — the
-					// create/delete pair crosses the file shard and every
-					// block shard its block landed on.
+					// Every third file is deleted again immediately.
 					if i%3 == 0 {
 						if _, err := h.nn.handleDelete(dfs.DeleteReq{Path: path}); err != nil {
 							t.Errorf("delete %s: %v", path, err)
@@ -349,16 +314,5 @@ func TestShardedConcurrentCreateDeleteOpen(t *testing.T) {
 		if len(resp.Files) != workers*perWorker {
 			t.Errorf("final namespace holds %d files, want %d", len(resp.Files), workers*perWorker)
 		}
-	})
-}
-
-// TestShardedReadersRaceRegistryTraffic runs the registry/reader storm
-// against the 4-shard metadata plane: the registry lock split and the
-// storm's consistency invariants must survive sharding unchanged.
-func TestShardedReadersRaceRegistryTraffic(t *testing.T) {
-	run(t, func(v *simclock.Virtual) {
-		h := newShardedHarness(t, v, 4, 4)
-		defer h.nn.Close()
-		registryStorm(t, v, h)
 	})
 }

@@ -113,10 +113,10 @@ func TestJournalZeroSubmitTimeRoundTrips(t *testing.T) {
 	}
 }
 
-// journaledCoordinator builds a single-shard coordinator over the given
-// link with a journal on be.
-func journaledCoordinator(resolver Resolver, link SlaveLink, be wal.Backend) *Coordinator {
-	co := NewCoordinator(resolver, link, 42, 1)
+// journaledMaster builds a master over the given link with a journal
+// on be.
+func journaledMaster(resolver Resolver, link SlaveLink, be wal.Backend) *Master {
+	co := NewMaster(resolver, link, 42)
 	co.AttachJournal(nil, wal.New(be), 0)
 	return co
 }
@@ -126,7 +126,7 @@ func TestTransportFailedBatchParkedAndRetried(t *testing.T) {
 		"/in": {located(1, 64<<20, "dn0"), located(2, 64<<20, "dn1")},
 	}}
 	link := &failLink{fakeLink: newFakeLink(), down: map[string]bool{"dn1": true}}
-	co := journaledCoordinator(resolver, link, wal.NewMem())
+	co := journaledMaster(resolver, link, wal.NewMem())
 
 	if _, err := co.Migrate(dfs.MigrateReq{Job: "job", Paths: []string{"/in"}}); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestEvictCancelsParkedMigrates(t *testing.T) {
 		"/in": {located(1, 64<<20, "dn0")},
 	}}
 	link := &failLink{fakeLink: newFakeLink(), down: map[string]bool{"dn0": true}}
-	co := journaledCoordinator(resolver, link, wal.NewMem())
+	co := journaledMaster(resolver, link, wal.NewMem())
 
 	if _, err := co.Migrate(dfs.MigrateReq{Job: "job", Paths: []string{"/in"}}); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestRecoverResumesUndeliveredBatches(t *testing.T) {
 	}}
 	be := wal.NewMem()
 	link := newFakeLink()
-	co := journaledCoordinator(resolver, link, be)
+	co := journaledMaster(resolver, link, be)
 
 	// Let the plan record through, then crash before any delivery is
 	// journaled: the sends after the crash never happen (a dead master
@@ -197,7 +197,7 @@ func TestRecoverResumesUndeliveredBatches(t *testing.T) {
 	// Restart: fresh coordinator over the surviving log.
 	be.Revive()
 	link2 := newFakeLink()
-	co2 := journaledCoordinator(resolver, link2, be)
+	co2 := journaledMaster(resolver, link2, be)
 	if err := co2.RecoverFromJournal(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRecoverSkipsDeliveredBatchesAndFinishesEvicts(t *testing.T) {
 	}}
 	be := wal.NewMem()
 	link := newFakeLink()
-	co := journaledCoordinator(resolver, link, be)
+	co := journaledMaster(resolver, link, be)
 	if _, err := co.Migrate(dfs.MigrateReq{Job: "job", Paths: []string{"/in"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRecoverSkipsDeliveredBatchesAndFinishesEvicts(t *testing.T) {
 
 	be.Revive()
 	link2 := newFakeLink()
-	co2 := journaledCoordinator(resolver, link2, be)
+	co2 := journaledMaster(resolver, link2, be)
 	if err := co2.RecoverFromJournal(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestPlanAppendFailureFailsMigrateWithoutSideEffects(t *testing.T) {
 	}}
 	be := wal.NewMem()
 	link := newFakeLink()
-	co := journaledCoordinator(resolver, link, be)
+	co := journaledMaster(resolver, link, be)
 	be.CrashAfter(0)
 	_, err := co.Migrate(dfs.MigrateReq{Job: "job", Paths: []string{"/in"}})
 	if err == nil || !strings.Contains(err.Error(), "journal plan") {
@@ -289,7 +289,7 @@ func TestJournalTruncatesWhenNothingInFlight(t *testing.T) {
 		"/in": {located(1, 64<<20, "dn0")},
 	}}
 	be := wal.NewMem()
-	co := journaledCoordinator(resolver, newFakeLink(), be)
+	co := journaledMaster(resolver, newFakeLink(), be)
 	if _, err := co.Migrate(dfs.MigrateReq{Job: "job", Paths: []string{"/in"}}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dfs"
@@ -72,63 +73,25 @@ type MasterStats struct {
 	Tiers TierCounters
 }
 
-// epochCounter is a master epoch shared by every planner of a
-// partitioned master. Slaves hold ONE epoch and purge all state when it
-// changes, so per-shard planners must stamp their batches from a common
-// counter — independent epochs would make shards' batches purge each
-// other's pins on every interleaving.
-type epochCounter struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func newEpochCounter(v uint64) *epochCounter { return &epochCounter{v: v} }
-
-func (e *epochCounter) get() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.v
-}
-
-func (e *epochCounter) bump() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.v++
-	return e.v
-}
-
-// set restores a journaled epoch during WAL recovery. Recovery
-// deliberately does NOT bump: the restarted master resumes the same
-// epoch, so slaves keep their pins and re-sent batches are idempotent
-// no-ops instead of purges.
-func (e *epochCounter) set(v uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.v = v
-}
-
-// Master is a migration planner that runs inside the namenode. It
-// decides *what* to migrate; the slaves decide *how* and *when*. A
-// cluster runs one Master per metadata shard (one at shard count 1),
-// all behind a Coordinator that owns the cross-shard concerns: the
-// shared epoch, request fan-out, and stats merging.
+// Master is the migration planner that runs inside the namenode. It
+// decides *what* to migrate; the slaves decide *how* and *when*.
 type Master struct {
 	resolver Resolver
 	link     SlaveLink
 	rng      *rand.Rand
-	// epoch is shared with the sibling shard planners (and the
-	// Coordinator); a standalone master owns its counter alone.
-	epoch *epochCounter
 
-	// Tier plane, shared across sibling shards (nil on a default
-	// master — every consulting code path then short-circuits to the
-	// paper's pin-in-RAM behavior). policy picks tiers, ledger enforces
-	// the budgets, pop scores the read-notification stream.
+	// Tier plane (nil until ConfigureTiers — every consulting code path
+	// then short-circuits to the paper's pin-in-RAM behavior). policy
+	// picks tiers, ledger enforces the budgets, pop scores the
+	// read-notification stream.
 	policy Policy
 	ledger *tierLedger
 	pop    *popTracker
 
 	mu sync.Mutex
+	// epoch stamps every batch. Slaves hold one epoch and purge all
+	// state when it changes.
+	epoch uint64
 	// jobs records, per job, the placement chosen for each block (and
 	// enough metadata to re-issue ladder rungs) so evictions go to the
 	// replica that was migrated and climbs can rebuild their commands.
@@ -136,11 +99,12 @@ type Master struct {
 	stats MasterStats
 	// journal, when attached, makes planning durable-before-send and
 	// parks transport-failed batches on retries instead of dropping
-	// them. Nil for an unjournaled master (the historical behavior).
+	// them. Nil for an unjournaled master.
 	journal *Journal
 	// retries holds batches that failed transport, re-sent by the retry
 	// pump until they deliver or their epoch goes stale.
-	retries []retryBatch
+	retries     []retryBatch
+	pumpStopped atomic.Bool
 }
 
 // jobState is one job's planning record: the per-block placements plus
@@ -184,33 +148,33 @@ func (rb retryBatch) blockIDs() []dfs.BlockID {
 	return ids
 }
 
-// NewMaster creates a standalone master with the given block resolver
-// and slave link. The seed drives the random single-replica choice.
+// NewMaster creates a master with the given block resolver and slave
+// link. The seed drives the random single-replica choice.
 func NewMaster(resolver Resolver, link SlaveLink, seed int64) *Master {
-	return newShardMaster(resolver, link, seed, newEpochCounter(1))
-}
-
-// newShardMaster creates one shard's planner sharing the given epoch
-// counter.
-func newShardMaster(resolver Resolver, link SlaveLink, seed int64, epoch *epochCounter) *Master {
 	return &Master{
 		resolver: resolver,
 		link:     link,
 		rng:      rand.New(rand.NewSource(seed)),
-		epoch:    epoch,
+		epoch:    1,
 		jobs:     make(map[dfs.JobID]*jobState),
 	}
 }
 
-// setTierPlane installs the shared policy, budget ledger, and
-// popularity tracker (the Coordinator configures all shards from one
-// set). Must be called before the master serves requests.
-func (m *Master) setTierPlane(p Policy, l *tierLedger, pop *popTracker) {
+// ConfigureTiers installs the migration ladder: a named policy plus
+// per-tier byte budgets. Call before serving requests (and before
+// RecoverFromJournal, so a recovered ledger has its limits). A master
+// never configured keeps the paper's pin-in-RAM behavior.
+func (m *Master) ConfigureTiers(policyName string, budgets TierBudgets) error {
+	p, ok := PolicyByName(policyName)
+	if !ok {
+		return fmt.Errorf("ignem: unknown migration policy %q", policyName)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.policy = p
-	m.ledger = l
-	m.pop = pop
+	m.ledger = newTierLedger(budgets)
+	m.pop = newPopTracker()
+	return nil
 }
 
 // Migrate handles a client migrate request: resolve files to blocks,
@@ -234,32 +198,15 @@ func (m *Master) Migrate(req dfs.MigrateReq) (dfs.MigrateResp, error) {
 		totalSize += lb.Block.Size
 	}
 
+	job, submitTime, implicit := req.Job, req.SubmitTime, req.Implicit
+
+	// With a journal attached the plan is made durable BEFORE anything is
+	// assigned or sent: a failed append returns an error with no state
+	// change at all (master-crash model — if the log can't be written,
+	// the master is dead and the client's Migrate fails with it).
 	m.mu.Lock()
 	m.stats.MigrateReqs++
-	m.mu.Unlock()
-	blocks, bytes, err := m.migrateLocated(req.Job, located, totalSize, req.SubmitTime, req.Implicit)
-	if err != nil {
-		return dfs.MigrateResp{}, err
-	}
-	return dfs.MigrateResp{Blocks: blocks, Bytes: bytes}, nil
-}
-
-// migrateLocated assigns one replica per not-yet-assigned block and
-// pushes the batched commands to the slaves. totalSize is the job's
-// WHOLE input size — across every shard when the job's files span
-// shards — because it drives the slaves' smallest-job-first priority:
-// stamping a per-shard subtotal would let one sort's shard fragments
-// jump the global order. The request counter is the caller's concern
-// (the Coordinator counts a cross-shard request once, not once per
-// planner touched).
-//
-// With a journal attached the plan is made durable BEFORE anything is
-// assigned or sent: a failed append returns an error with no state
-// change at all (master-crash model — if the log can't be written, the
-// master is dead and the client's Migrate fails with it).
-func (m *Master) migrateLocated(job dfs.JobID, located []dfs.LocatedBlock, totalSize int64, submitTime time.Time, implicit bool) (int, int64, error) {
-	m.mu.Lock()
-	epoch := m.epoch.get()
+	epoch := m.epoch
 	js := m.jobs[job]
 	batches := make(map[string][]dfs.MigrateCmd)
 	demotes := make(map[string][]dfs.DemoteCmd)
@@ -315,11 +262,11 @@ func (m *Master) migrateLocated(job dfs.JobID, located []dfs.LocatedBlock, total
 				m.ledger.release(c.id, c.addr, c.tier, false)
 			}
 			m.mu.Unlock()
-			return 0, 0, fmt.Errorf("ignem: journal plan for job %s: %w", job, journalErr)
+			return dfs.MigrateResp{}, fmt.Errorf("ignem: journal plan for job %s: %w", job, journalErr)
 		}
 	}
 	if js == nil {
-		// Created even for an empty fragment: a migrate request always
+		// Created even with no blocks: a migrate request always
 		// registers the job (ActiveJobs, idempotent re-migrate).
 		js = &jobState{blocks: make(map[dfs.BlockID]*assignment)}
 		m.jobs[job] = js
@@ -336,7 +283,7 @@ func (m *Master) migrateLocated(job dfs.JobID, located []dfs.LocatedBlock, total
 
 	m.sendDemotes(epoch, demotes)
 	m.sendMigrateBatches(epoch, job, batches)
-	return blocks, bytes, nil
+	return dfs.MigrateResp{Blocks: blocks, Bytes: bytes}, nil
 }
 
 // charge records one fresh ledger reservation taken while planning, so
@@ -434,11 +381,11 @@ func (m *Master) sendDemotes(epoch uint64, demotes map[string][]dfs.DemoteCmd) {
 }
 
 // sendMigrateBatches delivers a job's planned batches. A transport
-// failure parks the batch for retry (when journaled — a bare master
-// keeps the historical drop-and-count behavior); a journal failure
-// recording a delivery stops the loop, since a master that can't write
-// its log is dead (undelivered batches stay planned-not-copied in the
-// journal and are re-sent on recovery).
+// failure parks the batch for retry (when journaled — an unjournaled
+// master only counts the drop); a journal failure recording a delivery
+// stops the loop, since a master that can't write its log is dead
+// (undelivered batches stay planned-not-copied in the journal and are
+// re-sent on recovery).
 func (m *Master) sendMigrateBatches(epoch uint64, job dfs.JobID, batches map[string][]dfs.MigrateCmd) {
 	for _, addr := range sortedKeys(batches) {
 		cmds := batches[addr]
@@ -496,30 +443,19 @@ func (m *Master) journalDelivery(rb retryBatch) bool {
 }
 
 // Evict handles a job-completion eviction: every block recorded for the
-// job is released on the slave it was assigned to, and the job's master
-// state is dropped.
+// job is released on the slave it was assigned to, the job's master
+// state is dropped, and the response counts the evict notifications
+// sent. A job the master never saw is a no-op. With a journal attached
+// the eviction intent is durable before anything is sent or dropped; a
+// failed intent append leaves the job fully intact (the crash model
+// again — the Evict call fails with the dead master). Parked migrate
+// retries for the job are cancelled, so the retry pump can never re-pin
+// a block the job already released.
 func (m *Master) Evict(req dfs.EvictReq) (dfs.EvictResp, error) {
+	job := req.Job
 	m.mu.Lock()
 	m.stats.EvictReqs++
-	m.mu.Unlock()
-	blocks, err := m.evictJob(req.Job)
-	if err != nil {
-		return dfs.EvictResp{}, err
-	}
-	return dfs.EvictResp{Blocks: blocks}, nil
-}
-
-// evictJob releases every block this planner recorded for the job and
-// drops the job's state, returning how many evict notifications went
-// out. A planner that never saw the job is a no-op. With a journal
-// attached the eviction intent is durable before anything is sent or
-// dropped; a failed intent append leaves the job fully intact (the
-// crash model again — the Evict call fails with the dead master).
-// Parked migrate retries for the job are cancelled, so the retry pump
-// can never re-pin a block the job already released.
-func (m *Master) evictJob(job dfs.JobID) (int, error) {
-	m.mu.Lock()
-	epoch := m.epoch.get()
+	epoch := m.epoch
 	js := m.jobs[job]
 	assignedLen := 0
 	if js != nil {
@@ -535,7 +471,7 @@ func (m *Master) evictJob(job dfs.JobID) (int, error) {
 	if m.journal != nil && (assignedLen > 0 || hasRetries) {
 		if err := m.journal.AppendEvictIntent(job); err != nil {
 			m.mu.Unlock()
-			return 0, fmt.Errorf("ignem: journal evict intent for job %s: %w", job, err)
+			return dfs.EvictResp{}, fmt.Errorf("ignem: journal evict intent for job %s: %w", job, err)
 		}
 	}
 	delete(m.jobs, job)
@@ -574,22 +510,22 @@ func (m *Master) evictJob(job dfs.JobID) (int, error) {
 			break
 		}
 	}
-	return blocks, nil
+	m.maybeTruncate()
+	return dfs.EvictResp{Blocks: blocks}, nil
 }
 
-// flushRetries re-sends every parked batch whose epoch is still
-// current; failures park again, stale epochs drop (a restart purged the
-// slaves, so the batch's state is gone anyway). Deliveries are
-// journaled like first-time sends.
-func (m *Master) flushRetries() {
+// FlushRetries re-sends every parked batch whose epoch is still
+// current, then truncates the journal if nothing remains in flight.
+// Failures park again; stale epochs drop (a restart purged the slaves,
+// so the batch's state is gone anyway). Deliveries are journaled like
+// first-time sends. The retry pump calls it on its interval; tests call
+// it directly to make retry timing explicit.
+func (m *Master) FlushRetries() {
 	m.mu.Lock()
 	pending := m.retries
 	m.retries = nil
-	epoch := m.epoch.get()
+	epoch := m.epoch
 	m.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
 	var requeue []retryBatch
 	for _, rb := range pending {
 		if rb.epoch != epoch {
@@ -618,6 +554,7 @@ func (m *Master) flushRetries() {
 		m.retries = append(requeue, m.retries...)
 		m.mu.Unlock()
 	}
+	m.maybeTruncate()
 }
 
 func (m *Master) jobLive(job dfs.JobID) bool {
@@ -627,18 +564,18 @@ func (m *Master) jobLive(job dfs.JobID) bool {
 	return ok
 }
 
-// notePinned records heartbeat-confirmed pins at tier against the
+// NotePinned records heartbeat-confirmed pins at tier against the
 // journal: addr now holds the listed blocks pinned and
 // checksum-verified, which is the state machine's swapped/checked
-// stage. Blocks the planner never assigned (or assigned elsewhere, or
+// stage. Blocks the master never assigned (or assigned elsewhere, or
 // at another tier) are ignored. For SSD pins it then consults the
 // policy for the ladder's second rung, promoting qualifying blocks
-// SSD→RAM.
-func (m *Master) notePinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
+// SSD→RAM. A no-op without a journal or a tier plane.
+func (m *Master) NotePinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
 	m.mu.Lock()
 	j := m.journal
 	pol := m.policy
-	if j == nil && pol == nil {
+	if (j == nil && pol == nil) || len(blocks) == 0 {
 		m.mu.Unlock()
 		return
 	}
@@ -674,7 +611,7 @@ func (m *Master) notePinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
 // releases the flash residency once the RAM pin lands.
 func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 	m.mu.Lock()
-	epoch := m.epoch.get()
+	epoch := m.epoch
 	type jobClimb struct {
 		entries []planEntry
 		cmds    []dfs.MigrateCmd
@@ -748,11 +685,11 @@ func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 	}
 }
 
-// noteUnpinned releases tier-budget charges for blocks a slave reported
+// NoteUnpinned releases tier-budget charges for blocks a slave reported
 // unpinned at tier, journaling the release so a recovered ledger's
 // occupancy matches. A no-op without a configured tier plane, so the
 // default master's journal stream is unchanged.
-func (m *Master) noteUnpinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
+func (m *Master) NoteUnpinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
 	if m.ledger == nil || len(blocks) == 0 {
 		return
 	}
@@ -790,7 +727,7 @@ func (m *Master) NotifyRead(job dfs.JobID, blocks []dfs.BlockID) {
 	// popularity-scored policy promotes on.
 	m.pop.bump(blocks)
 	m.mu.Lock()
-	epoch := m.epoch.get()
+	epoch := m.epoch
 	js := m.jobs[job]
 	batches := make(map[string][]dfs.ReadNotifyCmd)
 	for _, id := range blocks {
@@ -830,15 +767,13 @@ func (m *Master) AssignedReplica(job dfs.JobID, block dfs.BlockID) string {
 	return ""
 }
 
-// Restart simulates a master failure and recovery: the new master starts
-// with empty state and a new epoch. Slaves purge their reference lists
-// when they first see the new epoch, staying consistent with it.
-// (Partitioned masters restart through their Coordinator, which bumps
-// the shared epoch exactly once across all planners.)
+// Restart simulates a master failure and recovery: the epoch bumps
+// exactly once and all job state drops. Slaves purge their reference
+// lists when they first see the new epoch, staying consistent with it.
 func (m *Master) Restart() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.epoch.bump()
+	m.epoch++
 	m.jobs = make(map[dfs.JobID]*jobState)
 	m.retries = nil
 	// The epoch bump purges every slave, so nothing stays resident.
@@ -846,17 +781,10 @@ func (m *Master) Restart() {
 }
 
 // Epoch returns the current master epoch.
-func (m *Master) Epoch() uint64 { return m.epoch.get() }
-
-// jobIDs lists the jobs this planner currently tracks.
-func (m *Master) jobIDs() []dfs.JobID {
+func (m *Master) Epoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]dfs.JobID, 0, len(m.jobs))
-	for job := range m.jobs {
-		out = append(out, job)
-	}
-	return out
+	return m.epoch
 }
 
 // Stats returns a snapshot of master activity.
@@ -864,7 +792,7 @@ func (m *Master) Stats() MasterStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.stats
-	st.Epoch = m.epoch.get()
+	st.Epoch = m.epoch
 	st.ActiveJobs = len(m.jobs)
 	st.PendingRetries = len(m.retries)
 	if m.journal != nil {

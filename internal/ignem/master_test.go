@@ -564,3 +564,102 @@ func TestMasterRestartMidMigrationDropsStaleAndReissues(t *testing.T) {
 		t.Fatalf("pinned bytes = %d after evict, want 0", s.PinnedBytes())
 	}
 }
+
+// A job read from several files is planned as one job: every command
+// carries the whole input size (the smallest-job-first key), the job
+// counts once, and one Evict releases every block.
+func TestMultiFileJobCarriesWholeInputSize(t *testing.T) {
+	res := &fakeResolver{files: map[string][]dfs.LocatedBlock{
+		"/sort/part-0": {located(1, 10, "dn1", "dn2"), located(2, 10, "dn1", "dn2")},
+		"/sort/part-1": {located(3, 10, "dn2"), located(4, 10, "dn1")},
+		"/sort/part-2": {located(5, 10, "dn1", "dn2")},
+	}}
+	link := newFakeLink()
+	m := NewMaster(res, link, 7)
+
+	resp, err := m.Migrate(dfs.MigrateReq{Job: "sort", Paths: []string{"/sort/part-0", "/sort/part-1", "/sort/part-2"}, SubmitTime: time.Unix(9, 0)})
+	if err != nil {
+		t.Fatalf("Migrate: %v", err)
+	}
+	const blocks, wantBytes = 5, 50
+	if resp.Blocks != blocks || resp.Bytes != wantBytes {
+		t.Fatalf("resp = %+v, want %d blocks / %d bytes", resp, blocks, wantBytes)
+	}
+	var cmds int
+	for _, batches := range link.migrates {
+		for _, b := range batches {
+			if b.Epoch != 1 {
+				t.Errorf("batch epoch = %d, want 1", b.Epoch)
+			}
+			for _, c := range b.Cmds {
+				cmds++
+				if c.JobInputSize != wantBytes {
+					t.Errorf("block %d JobInputSize = %d, want whole input %d", c.Block.ID, c.JobInputSize, wantBytes)
+				}
+			}
+		}
+	}
+	if cmds != blocks {
+		t.Errorf("commands = %d, want %d", cmds, blocks)
+	}
+	st := m.Stats()
+	if st.ActiveJobs != 1 || st.MigrateReqs != 1 || st.BlocksAssigned != blocks {
+		t.Errorf("stats = %+v, want 1 active job, 1 request, %d blocks", st, blocks)
+	}
+
+	evResp, err := m.Evict(dfs.EvictReq{Job: "sort"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evResp.Blocks != blocks {
+		t.Errorf("Evict released %d blocks, want %d", evResp.Blocks, blocks)
+	}
+	if st := m.Stats(); st.ActiveJobs != 0 || st.EvictReqs != 1 {
+		t.Errorf("post-evict stats = %+v", st)
+	}
+}
+
+// Restart bumps the epoch exactly once, drops every assignment, and
+// resets the tier ledger (the new epoch purges every slave, so nothing
+// stays resident); batches planned afterwards carry the new epoch.
+func TestRestartBumpsEpochOnceAndResetsLedger(t *testing.T) {
+	res := &fakeResolver{files: map[string][]dfs.LocatedBlock{
+		"/f": {located(1, 8, "dn1"), located(2, 8, "dn1"), located(3, 8, "dn2")},
+	}}
+	link := newFakeLink()
+	m := NewMaster(res, link, 3)
+	if err := m.ConfigureTiers("paper", TierBudgets{RAM: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Migrate(dfs.MigrateReq{Job: "j", Paths: []string{"/f"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().Tiers.RAMUsedBytes; got != 24 {
+		t.Fatalf("RAM occupancy before restart = %d, want 24", got)
+	}
+	m.Restart()
+	if m.Epoch() != 2 {
+		t.Fatalf("Epoch after one Restart = %d, want 2", m.Epoch())
+	}
+	if got := m.AssignedReplica("j", 1); got != "" {
+		t.Fatalf("assignment survived restart: %q", got)
+	}
+	if st := m.Stats(); st.ActiveJobs != 0 || st.Epoch != 2 || st.Tiers.RAMUsedBytes != 0 {
+		t.Fatalf("post-restart stats = %+v", st)
+	}
+	if _, err := m.Migrate(dfs.MigrateReq{Job: "j2", Paths: []string{"/f"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []string{"dn1", "dn2"} {
+		var epochs []uint64
+		for _, b := range link.migrates[addr] {
+			epochs = append(epochs, b.Epoch)
+		}
+		if fmt.Sprint(epochs) != "[1 2]" {
+			t.Errorf("%s batch epochs = %v, want [1 2]", addr, epochs)
+		}
+	}
+	if got := m.Stats().Tiers.RAMUsedBytes; got != 24 {
+		t.Errorf("RAM occupancy after re-migrate = %d, want 24", got)
+	}
+}

@@ -14,9 +14,9 @@ import (
 // read-notification stream, and the tierLedger — the master-side
 // per-tier byte-budget accountant.
 //
-// None of this exists for a default-configured master: a coordinator
+// None of this exists for a default-configured master: a master
 // without ConfigureTiers runs with a nil policy and a nil ledger, and
-// every planner code path that consults them short-circuits to the
+// every planning code path that consults them short-circuits to the
 // paper's pin-in-RAM behavior, bit for bit.
 
 // PlanContext carries what a policy may consider when placing a block.
@@ -218,8 +218,7 @@ func coldestVictims(need int64, residents []Resident) []Resident {
 // ---- popularity tracker ----
 
 // popTracker accumulates per-block read-notification counts, the signal
-// PopularityPolicy (and the ladder's climb) score against. Shared by
-// every planner shard.
+// PopularityPolicy (and the ladder's climb) score against.
 type popTracker struct {
 	mu sync.Mutex
 	m  map[dfs.BlockID]int64
@@ -310,9 +309,8 @@ func (e *ledgerEntry) tier() dfs.Tier {
 	return dfs.TierHDD
 }
 
-// tierLedger enforces the cluster-wide tier budgets. It is shared by
-// every planner shard (like the epoch counter) and holds its own lock;
-// lock order is Master.mu → tierLedger.mu, and the ledger never calls
+// tierLedger enforces the cluster-wide tier budgets. It holds its own
+// lock; lock order is Master.mu → tierLedger.mu, and the ledger never calls
 // out.
 type tierLedger struct {
 	mu       sync.Mutex

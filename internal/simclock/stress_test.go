@@ -77,7 +77,7 @@ func TestVirtualStressMixedPrimitives(t *testing.T) {
 				}
 			})
 		}
-		// Coordinator opens the gate after a delay.
+		// Gatekeeper: opens the gate after a delay.
 		wg.Go(func() {
 			v.Sleep(200 * time.Millisecond)
 			gateMu.Lock()

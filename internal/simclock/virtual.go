@@ -41,8 +41,12 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// Go spawns fn as a simulation goroutine. It may be called from inside or
-// outside the simulation.
+// Go spawns fn as a simulation goroutine. Call it from inside the
+// simulation: the caller's runnable token keeps virtual time from
+// advancing until it parks. A caller outside the simulation holds no
+// token, so the first spawned goroutine to park can let time advance
+// while later ones are still being spawned; outside callers enter
+// through Run instead.
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
 	v.runnable++

@@ -42,16 +42,17 @@ func TestVirtualConcurrentSleepersWakeInOrder(t *testing.T) {
 	v := NewVirtual(epoch)
 	var mu sync.Mutex
 	var order []int
-	for i := 10; i >= 1; i-- {
-		i := i
-		v.Go(func() {
-			v.Sleep(time.Duration(i) * time.Second)
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})
-	}
-	v.Wait()
+	v.Run(func() {
+		for i := 10; i >= 1; i-- {
+			i := i
+			v.Go(func() {
+				v.Sleep(time.Duration(i) * time.Second)
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+			})
+		}
+	})
 	if len(order) != 10 {
 		t.Fatalf("got %d wake-ups, want 10", len(order))
 	}
@@ -155,21 +156,24 @@ func TestVirtualSleepExactness(t *testing.T) {
 		var mu sync.Mutex
 		okAll := true
 		var maxD time.Duration
-		for _, r := range raw {
-			d := time.Duration(r) * time.Millisecond
-			if d > maxD {
-				maxD = d
-			}
-			v.Go(func() {
-				v.Sleep(d)
-				mu.Lock()
-				if !v.Now().Equal(epoch.Add(d)) && v.Now().Before(epoch.Add(d)) {
-					okAll = false
+		// Spawn inside Run: the spawning goroutine holds a runnable
+		// token, so no sleeper's timer fires before every sleeper exists.
+		v.Run(func() {
+			for _, r := range raw {
+				d := time.Duration(r) * time.Millisecond
+				if d > maxD {
+					maxD = d
 				}
-				mu.Unlock()
-			})
-		}
-		v.Wait()
+				v.Go(func() {
+					v.Sleep(d)
+					mu.Lock()
+					if !v.Now().Equal(epoch.Add(d)) && v.Now().Before(epoch.Add(d)) {
+						okAll = false
+					}
+					mu.Unlock()
+				})
+			}
+		})
 		return okAll && v.Now().Equal(epoch.Add(maxD))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
