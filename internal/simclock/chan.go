@@ -200,10 +200,12 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 		return v, ok, timedOut
 	}
 
-	cancel := c.clock.afterFunc(d, w)
-	c.clock.parkPrepare()
+	// Clock is sealed, so any other clock is the virtual one.
+	vc := c.clock.(*Virtual)
+	e := vc.afterFunc(d, w)
+	vc.parkPrepare()
 	<-w.wake
-	cancel()
+	vc.cancel(e)
 	return w.val, w.ok, w.timedOut
 }
 

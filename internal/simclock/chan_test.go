@@ -28,15 +28,16 @@ func TestChanRecvBlocksUntilSend(t *testing.T) {
 	ch := NewChan[string](v)
 	var got string
 	var at time.Time
-	v.Go(func() {
-		got, _ = ch.Recv()
-		at = v.Now()
+	v.Run(func() {
+		v.Go(func() {
+			got, _ = ch.Recv()
+			at = v.Now()
+		})
+		v.Go(func() {
+			v.Sleep(5 * time.Second)
+			ch.Send("hello")
+		})
 	})
-	v.Go(func() {
-		v.Sleep(5 * time.Second)
-		ch.Send("hello")
-	})
-	v.Wait()
 	if got != "hello" {
 		t.Fatalf("got %q", got)
 	}
@@ -50,19 +51,20 @@ func TestChanCloseWakesReceivers(t *testing.T) {
 	ch := NewChan[int](v)
 	var oks []bool
 	var mu sync.Mutex
-	for i := 0; i < 3; i++ {
+	v.Run(func() {
+		for i := 0; i < 3; i++ {
+			v.Go(func() {
+				_, ok := ch.Recv()
+				mu.Lock()
+				oks = append(oks, ok)
+				mu.Unlock()
+			})
+		}
 		v.Go(func() {
-			_, ok := ch.Recv()
-			mu.Lock()
-			oks = append(oks, ok)
-			mu.Unlock()
+			v.Sleep(time.Second)
+			ch.Close()
 		})
-	}
-	v.Go(func() {
-		v.Sleep(time.Second)
-		ch.Close()
 	})
-	v.Wait()
 	if len(oks) != 3 {
 		t.Fatalf("only %d receivers woke", len(oks))
 	}
@@ -110,14 +112,15 @@ func TestChanRecvTimeoutValueWins(t *testing.T) {
 	ch := NewChan[int](v)
 	var got int
 	var timedOut bool
-	v.Go(func() {
-		got, _, timedOut = ch.RecvTimeout(time.Minute)
+	v.Run(func() {
+		v.Go(func() {
+			got, _, timedOut = ch.RecvTimeout(time.Minute)
+		})
+		v.Go(func() {
+			v.Sleep(time.Second)
+			ch.Send(42)
+		})
 	})
-	v.Go(func() {
-		v.Sleep(time.Second)
-		ch.Send(42)
-	})
-	v.Wait()
 	if timedOut || got != 42 {
 		t.Errorf("got=%d timedOut=%v, want 42/false", got, timedOut)
 	}
@@ -152,35 +155,36 @@ func TestChanManyProducersManyConsumers(t *testing.T) {
 	var mu sync.Mutex
 	sum := 0
 	var recvd int
-	for p := 0; p < producers; p++ {
-		p := p
-		v.Go(func() {
-			for i := 0; i < perProducer; i++ {
-				v.Sleep(time.Duration(p+1) * time.Millisecond)
-				ch.Send(1)
-			}
-		})
-	}
-	for cidx := 0; cidx < consumers; cidx++ {
-		v.Go(func() {
-			for {
-				n, ok := ch.Recv()
-				if !ok {
-					return
+	v.Run(func() {
+		for p := 0; p < producers; p++ {
+			p := p
+			v.Go(func() {
+				for i := 0; i < perProducer; i++ {
+					v.Sleep(time.Duration(p+1) * time.Millisecond)
+					ch.Send(1)
 				}
-				mu.Lock()
-				sum += n
-				recvd++
-				done := recvd == producers*perProducer
-				mu.Unlock()
-				if done {
-					ch.Close()
-					return
+			})
+		}
+		for cidx := 0; cidx < consumers; cidx++ {
+			v.Go(func() {
+				for {
+					n, ok := ch.Recv()
+					if !ok {
+						return
+					}
+					mu.Lock()
+					sum += n
+					recvd++
+					done := recvd == producers*perProducer
+					mu.Unlock()
+					if done {
+						ch.Close()
+						return
+					}
 				}
-			}
-		})
-	}
-	v.Wait()
+			})
+		}
+	})
 	if sum != producers*perProducer {
 		t.Errorf("sum = %d, want %d", sum, producers*perProducer)
 	}
@@ -216,23 +220,24 @@ func TestChanFIFOProperty(t *testing.T) {
 		v := NewVirtual(epoch)
 		ch := NewChan[int](v)
 		var got []int
-		v.Go(func() {
-			for i, r := range raw {
-				v.Sleep(time.Duration(r) * time.Millisecond)
-				ch.Send(i)
-			}
-			ch.Close()
-		})
-		v.Go(func() {
-			for {
-				x, ok := ch.Recv()
-				if !ok {
-					return
+		v.Run(func() {
+			v.Go(func() {
+				for i, r := range raw {
+					v.Sleep(time.Duration(r) * time.Millisecond)
+					ch.Send(i)
 				}
-				got = append(got, x)
-			}
+				ch.Close()
+			})
+			v.Go(func() {
+				for {
+					x, ok := ch.Recv()
+					if !ok {
+						return
+					}
+					got = append(got, x)
+				}
+			})
 		})
-		v.Wait()
 		if len(got) != len(raw) {
 			return false
 		}
@@ -254,50 +259,34 @@ func TestCondSignalBroadcast(t *testing.T) {
 	cond := NewCond(v, &mu)
 	ready := 0
 	woken := 0
-	for i := 0; i < 3; i++ {
-		v.Go(func() {
-			mu.Lock()
-			ready++
-			for ready < 100 { // condition never satisfied; rely on broadcast below
-				cond.Wait()
-				woken++
-				if woken >= 3 {
-					break
+	v.Run(func() {
+		for i := 0; i < 3; i++ {
+			v.Go(func() {
+				mu.Lock()
+				ready++
+				for ready < 100 { // condition never satisfied; rely on broadcast below
+					cond.Wait()
+					woken++
+					if woken >= 3 {
+						break
+					}
 				}
-			}
+				mu.Unlock()
+			})
+		}
+		v.Go(func() {
+			v.Sleep(time.Second)
+			mu.Lock()
+			ready = 100
 			mu.Unlock()
+			cond.Broadcast()
 		})
-	}
-	v.Go(func() {
-		v.Sleep(time.Second)
-		mu.Lock()
-		ready = 100
-		mu.Unlock()
-		cond.Broadcast()
 	})
-	v.Wait()
 	mu.Lock()
 	defer mu.Unlock()
 	if woken == 0 {
 		t.Error("broadcast woke nobody")
 	}
-}
-
-func TestCondWaitTimeout(t *testing.T) {
-	v := NewVirtual(epoch)
-	var mu sync.Mutex
-	cond := NewCond(v, &mu)
-	v.Run(func() {
-		mu.Lock()
-		timedOut := cond.WaitTimeout(2 * time.Second)
-		mu.Unlock()
-		if !timedOut {
-			t.Error("WaitTimeout did not time out")
-		}
-		if want := epoch.Add(2 * time.Second); !v.Now().Equal(want) {
-			t.Errorf("timed out at %v, want %v", v.Now(), want)
-		}
-	})
 }
 
 func TestWaitGroup(t *testing.T) {
@@ -336,41 +325,19 @@ func TestWaitGroupPanicsOnNegative(t *testing.T) {
 	wg.Done()
 }
 
-func TestCondWaitTimeoutWokenFirst(t *testing.T) {
-	v := NewVirtual(epoch)
-	var mu sync.Mutex
-	cond := NewCond(v, &mu)
-	var timedOut bool
-	v.Go(func() {
-		mu.Lock()
-		timedOut = cond.WaitTimeout(time.Minute)
-		mu.Unlock()
-	})
-	v.Go(func() {
-		v.Sleep(time.Second)
-		cond.Signal()
-	})
-	v.Wait()
-	if timedOut {
-		t.Error("WaitTimeout reported timeout despite an earlier Signal")
-	}
-	if want := epoch.Add(time.Second); !v.Now().Equal(want) {
-		t.Errorf("woke at %v, want %v", v.Now(), want)
-	}
-}
-
 func TestChanCloseDuringRecvTimeout(t *testing.T) {
 	v := NewVirtual(epoch)
 	ch := NewChan[int](v)
 	var ok, timedOut bool
-	v.Go(func() {
-		_, ok, timedOut = ch.RecvTimeout(time.Minute)
+	v.Run(func() {
+		v.Go(func() {
+			_, ok, timedOut = ch.RecvTimeout(time.Minute)
+		})
+		v.Go(func() {
+			v.Sleep(time.Second)
+			ch.Close()
+		})
 	})
-	v.Go(func() {
-		v.Sleep(time.Second)
-		ch.Close()
-	})
-	v.Wait()
 	if ok || timedOut {
 		t.Errorf("close during RecvTimeout: ok=%v timedOut=%v, want both false", ok, timedOut)
 	}

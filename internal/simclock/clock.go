@@ -45,17 +45,12 @@ type Clock interface {
 	// parked goroutine that the caller is about to wake. It must be
 	// called before (or atomically with) the wake itself.
 	unparkOne()
-
-	// afterFunc arranges for t.timeoutFire to run once d elapses unless
-	// the returned cancel function runs first. The target's timeoutFire
-	// reports whether it won the race against a competing waker; the
-	// virtual clock uses that to fix up its runnable accounting.
-	afterFunc(d time.Duration, t timeoutTarget) (cancel func())
 }
 
-// timeoutTarget is the internal hook used by afterFunc. timeoutFire must
-// be safe to call from any goroutine, must not block, and reports whether
-// it actually fired (won the race against another waker).
+// timeoutTarget is what a RecvTimeout deadline fires. timeoutFire must be
+// safe to call from any goroutine, must not block, and reports whether it
+// actually fired (won the race against another waker); the virtual clock
+// uses that to fix up its runnable accounting.
 type timeoutTarget interface {
 	timeoutFire() bool
 }

@@ -1,9 +1,6 @@
 package simclock
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Cond is a clock-aware condition variable. Like sync.Cond, Wait must be
 // called with L held; unlike sync.Cond it parks cooperatively so the
@@ -36,23 +33,6 @@ func (c *Cond) Wait() {
 	c.clock.parkPrepare()
 	<-w.wake
 	c.L.Lock()
-}
-
-// WaitTimeout is Wait with a deadline. It reports whether the deadline
-// elapsed before a wake-up. c.L is reacquired either way.
-func (c *Cond) WaitTimeout(d time.Duration) (timedOut bool) {
-	w := &waiter[struct{}]{wake: make(chan struct{}, 1)}
-	c.mu.Lock()
-	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-
-	cancel := c.clock.afterFunc(d, w)
-	c.L.Unlock()
-	c.clock.parkPrepare()
-	<-w.wake
-	cancel()
-	c.L.Lock()
-	return w.timedOut
 }
 
 // Signal wakes one waiter, if any.

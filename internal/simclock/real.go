@@ -54,11 +54,6 @@ func (r *Real) Go(fn func()) { go fn() }
 func (r *Real) parkPrepare() {}
 func (r *Real) unparkOne()   {}
 
-func (r *Real) afterFunc(d time.Duration, t timeoutTarget) (cancel func()) {
-	timer := time.AfterFunc(r.scaleDown(d), func() { t.timeoutFire() })
-	return func() { timer.Stop() }
-}
-
 func (r *Real) scaleDown(d time.Duration) time.Duration {
 	if r.scale == 1 {
 		return d

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -13,6 +12,10 @@ import (
 // reaches zero, it advances time to the earliest pending deadline and
 // wakes the goroutines parked on it. When the count is zero and no
 // deadlines remain, the simulation has quiesced and Wait returns.
+//
+// The timer queue holds only armed, uncancelled timers, and they fire in
+// (deadline, seq) order, seq being the order in which they were armed. A
+// cancelled timeout leaves the queue at cancel.
 //
 // The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
@@ -68,16 +71,13 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	wake := make(chan struct{})
+	e := &timerEntry{wake: make(chan struct{}, 1)}
 	v.mu.Lock()
-	v.push(v.now.Add(d), func() {
-		v.runnable++
-		close(wake)
-	})
+	v.push(e, v.now.Add(d))
 	v.runnable--
 	v.advanceLocked()
 	v.mu.Unlock()
-	<-wake
+	<-e.wake
 }
 
 // Run spawns fn and blocks until the whole simulation quiesces.
@@ -93,7 +93,7 @@ func (v *Virtual) Run(fn func()) {
 func (v *Virtual) Wait() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for !(v.runnable == 0 && v.timers.Len() == 0) {
+	for !(v.runnable == 0 && len(v.timers) == 0) {
 		v.quiesced.Wait()
 	}
 }
@@ -121,86 +121,131 @@ func (v *Virtual) unparkOne() {
 	v.mu.Unlock()
 }
 
-func (v *Virtual) afterFunc(d time.Duration, t timeoutTarget) (cancel func()) {
+// afterFunc arms a timeout: once d elapses, t.timeoutFire runs with the
+// clock mutex held, unless cancel removes the returned entry first.
+func (v *Virtual) afterFunc(d time.Duration, t timeoutTarget) *timerEntry {
+	e := &timerEntry{target: t}
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	e := v.push(v.now.Add(d), nil)
-	e.fire = func() {
-		if t.timeoutFire() {
-			// The target was parked; firing the timeout makes it runnable.
-			v.runnable++
-			v.parked--
-		}
-	}
-	return func() {
-		v.mu.Lock()
-		e.dead = true
-		v.mu.Unlock()
-	}
+	v.push(e, v.now.Add(d))
+	v.mu.Unlock()
+	return e
 }
 
-// push inserts a timer entry; the caller must hold v.mu.
-func (v *Virtual) push(when time.Time, fire func()) *timerEntry {
+// cancel takes an armed timeout out of the queue. It is a no-op once the
+// entry has fired.
+func (v *Virtual) cancel(e *timerEntry) {
+	v.mu.Lock()
+	if e.idx >= 0 {
+		v.timers.remove(e.idx)
+	}
+	v.mu.Unlock()
+}
+
+// push queues e for when; the caller must hold v.mu.
+func (v *Virtual) push(e *timerEntry, when time.Time) {
 	v.seq++
-	e := &timerEntry{when: when, seq: v.seq, fire: fire}
-	heap.Push(&v.timers, e)
-	return e
+	e.when, e.key, e.seq = when, when.UnixNano(), v.seq
+	v.timers.push(e)
 }
 
 // advanceLocked advances virtual time while no goroutine is runnable and
 // deadlines remain. The caller must hold v.mu.
 func (v *Virtual) advanceLocked() {
-	for v.runnable == 0 && v.timers.Len() > 0 {
-		e := heap.Pop(&v.timers).(*timerEntry)
-		if e.dead {
-			continue
-		}
+	for v.runnable == 0 && len(v.timers) > 0 {
+		e := v.timers.remove(0)
 		if e.when.After(v.now) {
 			v.now = e.when
 		}
-		e.fire()
+		if e.wake != nil {
+			v.runnable++
+			e.wake <- struct{}{}
+		} else if e.target.timeoutFire() {
+			// The target was parked; firing the timeout makes it runnable.
+			v.runnable++
+			v.parked--
+		}
 	}
-	if v.runnable == 0 && v.timers.Len() == 0 {
+	if v.runnable == 0 && len(v.timers) == 0 {
 		v.quiesced.Broadcast()
 	}
 }
 
+// timerEntry is one armed timer: a Sleep (wake) or a timeout (target).
 type timerEntry struct {
-	when time.Time
-	seq  uint64 // FIFO tie-break for simultaneous deadlines
-	fire func() // runs with the clock mutex held; must not block
-	dead bool
-	idx  int
+	key    int64  // when.UnixNano(), exact for years 1678–2262
+	seq    uint64 // FIFO tie-break for simultaneous deadlines
+	idx    int    // position in the heap; -1 once popped or removed
+	when   time.Time
+	wake   chan struct{} // 1-buffered; receives one value at the deadline
+	target timeoutTarget
 }
 
+// timerHeap is a binary min-heap ordered by (key, seq) that keeps each
+// entry's idx current, so a cancelled entry can be removed in place.
 type timerHeap []*timerEntry
 
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
-	if !h[i].when.Equal(h[j].when) {
-		return h[i].when.Before(h[j].when)
-	}
-	return h[i].seq < h[j].seq
+func (h timerHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.key < b.key || a.key == b.key && a.seq < b.seq
 }
 
-func (h timerHeap) Swap(i, j int) {
+func (h timerHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx, h[j].idx = i, j
 }
 
-func (h *timerHeap) Push(x any) {
-	e := x.(*timerEntry)
-	e.idx = len(*h)
-	*h = append(*h, e)
+func (h timerHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
 }
 
-func (h *timerHeap) Pop() any {
+// down sifts h[i] toward the leaves within h[:n] and reports whether it
+// moved.
+func (h timerHeap) down(i, n int) bool {
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h.swap(i, c)
+		i = c
+	}
+	return i > i0
+}
+
+func (h *timerHeap) push(e *timerEntry) {
+	e.idx = len(*h)
+	*h = append(*h, e)
+	h.up(e.idx)
+}
+
+// remove takes out and returns the entry at i, marking it unqueued.
+func (h *timerHeap) remove(i int) *timerEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	n := len(old) - 1
+	if i != n {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	e := old[n]
+	old[n] = nil
+	*h = old[:n]
+	e.idx = -1
 	return e
 }
 
@@ -210,5 +255,5 @@ func (v *Virtual) String() string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return fmt.Sprintf("virtual(now=%s runnable=%d parked=%d timers=%d)",
-		v.now.Format(time.RFC3339Nano), v.runnable, v.parked, v.timers.Len())
+		v.now.Format(time.RFC3339Nano), v.runnable, v.parked, len(v.timers))
 }

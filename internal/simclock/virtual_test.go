@@ -70,20 +70,21 @@ func TestVirtualNowNeverRegresses(t *testing.T) {
 	for i := range durations {
 		durations[i] = time.Duration(rng.Intn(1000)) * time.Millisecond
 	}
-	for _, d := range durations {
-		d := d
-		v.Go(func() {
-			v.Sleep(d)
-			mu.Lock()
-			stamps = append(stamps, v.Now())
-			mu.Unlock()
-			v.Sleep(d / 2)
-			mu.Lock()
-			stamps = append(stamps, v.Now())
-			mu.Unlock()
-		})
-	}
-	v.Wait()
+	v.Run(func() {
+		for _, d := range durations {
+			d := d
+			v.Go(func() {
+				v.Sleep(d)
+				mu.Lock()
+				stamps = append(stamps, v.Now())
+				mu.Unlock()
+				v.Sleep(d / 2)
+				mu.Lock()
+				stamps = append(stamps, v.Now())
+				mu.Unlock()
+			})
+		}
+	})
 	for i := 1; i < len(stamps); i++ {
 		if stamps[i].Before(stamps[i-1]) {
 			t.Fatalf("time regressed: %v after %v", stamps[i], stamps[i-1])

@@ -21,18 +21,19 @@ func readConcurrently(t *testing.T, spec Spec, streams int, bytes int64) time.Du
 	dev := MustNewDevice(v, spec)
 	var mu sync.Mutex
 	var total time.Duration
-	for i := 0; i < streams; i++ {
-		v.Go(func() {
-			start := v.Now()
-			if err := dev.Read(bytes); err != nil {
-				t.Errorf("Read: %v", err)
-			}
-			mu.Lock()
-			total += v.Now().Sub(start)
-			mu.Unlock()
-		})
-	}
-	v.Wait()
+	v.Run(func() {
+		for i := 0; i < streams; i++ {
+			v.Go(func() {
+				start := v.Now()
+				if err := dev.Read(bytes); err != nil {
+					t.Errorf("Read: %v", err)
+				}
+				mu.Lock()
+				total += v.Now().Sub(start)
+				mu.Unlock()
+			})
+		}
+	})
 	dev.Close()
 	v.Wait()
 	return total / time.Duration(streams)
@@ -163,19 +164,20 @@ func TestCloseFailsPendingRequests(t *testing.T) {
 	dev := MustNewDevice(v, HDDSpec())
 	var errs []error
 	var mu sync.Mutex
-	for i := 0; i < 4; i++ {
+	v.Run(func() {
+		for i := 0; i < 4; i++ {
+			v.Go(func() {
+				err := dev.Read(1 << 30)
+				mu.Lock()
+				errs = append(errs, err)
+				mu.Unlock()
+			})
+		}
 		v.Go(func() {
-			err := dev.Read(1 << 30)
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
+			v.Sleep(time.Second)
+			dev.Close()
 		})
-	}
-	v.Go(func() {
-		v.Sleep(time.Second)
-		dev.Close()
 	})
-	v.Wait()
 	if len(errs) != 4 {
 		t.Fatalf("%d of 4 requests completed", len(errs))
 	}
@@ -241,12 +243,13 @@ func TestConservationOfBytes(t *testing.T) {
 		v := simclock.NewVirtual(epoch)
 		dev := MustNewDevice(v, SSDSpec())
 		var want int64
-		for _, s := range sizes {
-			n := int64(s) * 1024
-			want += n
-			v.Go(func() { _ = dev.Read(n) })
-		}
-		v.Wait()
+		v.Run(func() {
+			for _, s := range sizes {
+				n := int64(s) * 1024
+				want += n
+				v.Go(func() { _ = dev.Read(n) })
+			}
+		})
 		return dev.Stats().BytesServed == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -262,16 +265,17 @@ func TestRoundRobinFairness(t *testing.T) {
 	dev := MustNewDevice(v, HDDSpec())
 	var mu sync.Mutex
 	var times []time.Duration
-	for i := 0; i < streams; i++ {
-		v.Go(func() {
-			start := v.Now()
-			_ = dev.Read(32 << 20)
-			mu.Lock()
-			times = append(times, v.Now().Sub(start))
-			mu.Unlock()
-		})
-	}
-	v.Wait()
+	v.Run(func() {
+		for i := 0; i < streams; i++ {
+			v.Go(func() {
+				start := v.Now()
+				_ = dev.Read(32 << 20)
+				mu.Lock()
+				times = append(times, v.Now().Sub(start))
+				mu.Unlock()
+			})
+		}
+	})
 	min, max := times[0], times[0]
 	for _, d := range times {
 		if d < min {
