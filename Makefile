@@ -87,15 +87,18 @@ chaos-wal:
 # one-block ranged getLocations, the ≤1 alloc/op ceiling on WAL appends, and the slave's
 # eviction tombstones: held ≤ one lifetime's jobs, a constant number
 # examined per evict batch, and the ≤2 allocations of a virtual-clock
-# Sleep (its timer entry and wake channel). Counts only: wall-clock
-# ratios are the repository benchmark's business (bench-e2e), not a
-# test's.
+# Sleep (its timer entry and wake channel), and the ≤17 allocations of a
+# virtual-clock echo RPC over the in-memory transport (22 with a pump
+# goroutine per link and a fresh goroutine per handler). Counts only:
+# wall-clock ratios are the repository benchmark's business
+# (bench-e2e), not a test's.
 bench-alloc:
 	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs|TestRangedLocationsAllocs' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 	$(GO) test ./internal/ignem -run 'TestTombstonePruneBounded' -count=1 -v
 	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs' -count=1 -v
+	$(GO) test ./internal/transport -run 'TestInmemEchoAllocs' -count=1 -v
 
 # Short deterministic-budget fuzz of every frame-codec fuzzer (the
 # committed corpus always runs in plain `make test`; this explores).

@@ -28,7 +28,7 @@
 //
 // Deviation from the transport.Conn contract: Send on a delayed link
 // sleeps the sender for the configured delay (the base in-memory
-// transport charges latency on a pump goroutine instead). This keeps
+// transport charges latency with a delivery timer instead). This keeps
 // delays strictly ordered with the caller's other clock activity, which
 // is what makes delayed scenarios reproducible.
 package faultnet

@@ -14,11 +14,17 @@ import (
 // the park/unpark protocol entirely, which makes simulation components
 // much easier to reason about. Use it as a mailbox between components, not
 // as a synchronization barrier.
+//
+// A timer may deliver into a Chan from inside the virtual clock, with the
+// clock's lock held (see SendAfter), so no method holds c.mu while it
+// calls into the clock: receivers are woken after c.mu is released.
 type Chan[T any] struct {
 	clock Clock
 
 	mu      sync.Mutex
 	buf     []T
+	due     []T // sent with SendAfter and not yet receivable, from dueHead on
+	dueHead int
 	waiters []*waiter[T]
 	closed  bool
 	// wcache holds one idle waiter for reuse by the next receiver. Only
@@ -51,37 +57,121 @@ type waiter[T any] struct {
 	timer *time.Timer
 }
 
-// timeoutFire implements timeoutTarget: the timeout path for RecvTimeout.
-func (w *waiter[T]) timeoutFire() bool {
+// fire implements timerTarget: the timeout path for RecvTimeout.
+func (w *waiter[T]) fire() int {
 	if !w.fired.CompareAndSwap(false, true) {
-		return false
+		return 0
 	}
 	w.timedOut = true
 	w.wake <- struct{}{}
-	return true
+	return 1
 }
 
 // Send appends v to the mailbox, waking a parked receiver if any. It
 // reports false (and drops v) if the mailbox is closed.
 func (c *Chan[T]) Send(v T) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return false
 	}
+	w := c.putLocked(v)
+	c.mu.Unlock()
+	if w != nil {
+		// The sender's own runnable token keeps virtual time still
+		// until the receiver is counted runnable again.
+		c.clock.unparkOne()
+		w.wake <- struct{}{}
+	}
+	return true
+}
+
+// SendAfter is Send delayed by d of clock time: v becomes receivable once
+// d has elapsed, and no goroutine waits meanwhile. Values sent this way
+// become receivable in the order they were sent, so a caller keeps their
+// instants nondecreasing, as a FIFO link does. Plain Sends are not
+// ordered against them. Close lets the values already sent this way
+// arrive and closes the mailbox after the last of them.
+func (c *Chan[T]) SendAfter(d time.Duration, v T) bool {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return false
+	}
+	if c.dueHead > 0 && 2*c.dueHead >= len(c.due) && len(c.due) == cap(c.due) {
+		// Reuse the delivered half rather than grow the array.
+		n := copy(c.due, c.due[c.dueHead:])
+		clear(c.due[n:])
+		c.due, c.dueHead = c.due[:n], 0
+	}
+	c.due = append(c.due, v)
+	c.mu.Unlock()
+	if r, isReal := c.clock.(*Real); isReal {
+		time.AfterFunc(r.scaleDown(d), func() { c.fire() })
+	} else {
+		c.clock.(*Virtual).afterFunc(d, c)
+	}
+	return true
+}
+
+// fire implements timerTarget for SendAfter: each firing makes the oldest
+// delayed value receivable, and the last one after Close also closes the
+// mailbox. It returns how many parked receivers it woke.
+func (c *Chan[T]) fire() int {
+	var zero T
+	c.mu.Lock()
+	v := c.due[c.dueHead]
+	c.due[c.dueHead] = zero // release the reference for the garbage collector
+	c.dueHead++
+	if c.dueHead == len(c.due) {
+		c.due, c.dueHead = c.due[:0], 0 // keep the backing array
+	}
+	w := c.putLocked(v)
+	var shut []*waiter[T]
+	if c.closed && len(c.due) == 0 {
+		shut = c.takeWaitersLocked()
+	}
+	c.mu.Unlock()
+	n := len(shut)
+	if w != nil {
+		w.wake <- struct{}{}
+		n++
+	}
+	for _, w := range shut {
+		w.wake <- struct{}{}
+	}
+	return n
+}
+
+// putLocked hands v to the first parked receiver no other waker has
+// claimed and returns that receiver for the caller to wake once c.mu is
+// released, or buffers v and returns nil. The caller must hold c.mu.
+func (c *Chan[T]) putLocked(v T) *waiter[T] {
 	for len(c.waiters) > 0 {
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
 		if w.fired.CompareAndSwap(false, true) {
 			w.val = v
 			w.ok = true
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
-			return true
+			return w
 		}
 	}
 	c.buf = append(c.buf, v)
-	return true
+	return nil
+}
+
+// takeWaitersLocked unlinks every parked receiver and returns those no
+// other waker has claimed, for the caller to wake with ok=false once c.mu
+// is released. The caller must hold c.mu.
+func (c *Chan[T]) takeWaitersLocked() []*waiter[T] {
+	ws := c.waiters[:0]
+	for _, w := range c.waiters {
+		if w.fired.CompareAndSwap(false, true) {
+			ws = append(ws, w)
+		}
+	}
+	c.waiters = nil
+	return ws
 }
 
 // Recv removes and returns the next value. It blocks (cooperatively with
@@ -94,7 +184,7 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 		c.mu.Unlock()
 		return v, true
 	}
-	if c.closed {
+	if c.closed && len(c.due) == 0 {
 		c.mu.Unlock()
 		return v, false
 	}
@@ -106,9 +196,8 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 	<-w.wake
 	v, ok = w.val, w.ok
 	if ok {
-		// The winning sender delivered and holds no further reference
-		// (its post-wake code runs under c.mu, which recycling also
-		// takes), so the waiter is safe to reuse.
+		// The winning sender's last touch of w was the wake itself, so
+		// the waiter is safe to reuse.
 		c.recycleWaiter(w)
 	}
 	return v, ok
@@ -166,7 +255,7 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 		c.mu.Unlock()
 		return v, true, false
 	}
-	if c.closed {
+	if c.closed && len(c.due) == 0 {
 		c.mu.Unlock()
 		return v, false, false
 	}
@@ -179,7 +268,7 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 		// fresh time.AfterFunc (timer + closure) per call.
 		wall := r.scaleDown(d)
 		if w.timer == nil {
-			w.timer = time.AfterFunc(wall, func() { w.timeoutFire() })
+			w.timer = time.AfterFunc(wall, func() { w.fire() })
 		} else {
 			w.timer.Reset(wall)
 		}
@@ -210,22 +299,25 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 }
 
 // Close closes the mailbox: parked receivers wake with ok=false, buffered
-// values remain receivable, and future sends are dropped. Closing twice
-// is a no-op.
+// values remain receivable, and future sends are dropped. Values already
+// sent with SendAfter still arrive first; receivers see the close after
+// the last of them. Closing twice is a no-op.
 func (c *Chan[T]) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	for _, w := range c.waiters {
-		if w.fired.CompareAndSwap(false, true) {
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
-		}
+	var shut []*waiter[T]
+	if len(c.due) == 0 {
+		shut = c.takeWaitersLocked()
 	}
-	c.waiters = nil
+	c.mu.Unlock()
+	for _, w := range shut {
+		c.clock.unparkOne()
+		w.wake <- struct{}{}
+	}
 }
 
 // TryRecv removes and returns the next value without blocking.

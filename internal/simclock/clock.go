@@ -19,6 +19,17 @@
 //
 // Violating these rules stalls virtual time (the clock believes a
 // goroutine is still runnable and refuses to advance).
+//
+// Inside the package, one lock-order rule holds: a Chan's mutex is never
+// held while taking the clock's lock. The virtual clock fires timers with
+// its lock held, and a firing RecvTimeout deadline or SendAfter delivery
+// takes the Chan's mutex, so Chan methods release theirs before they
+// call into the clock and wake receivers only after releasing it. That
+// is safe because the caller still holds its runnable token: time cannot
+// advance between the release and the wake.
+//
+// Virtual.Go reuses goroutines: a function runs on an idle worker when
+// one exists, and idle workers exit when the simulation quiesces.
 package simclock
 
 import "time"
@@ -47,10 +58,11 @@ type Clock interface {
 	unparkOne()
 }
 
-// timeoutTarget is what a RecvTimeout deadline fires. timeoutFire must be
-// safe to call from any goroutine, must not block, and reports whether it
-// actually fired (won the race against another waker); the virtual clock
-// uses that to fix up its runnable accounting.
-type timeoutTarget interface {
-	timeoutFire() bool
+// timerTarget is what a RecvTimeout deadline or a SendAfter delivery
+// fires. fire must be safe to call from any goroutine and must not block
+// or call into the clock: on the virtual clock it runs with the clock's
+// lock held. It returns how many parked goroutines it woke, which the
+// virtual clock counts as runnable again.
+type timerTarget interface {
+	fire() int
 }

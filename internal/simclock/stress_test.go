@@ -2,7 +2,9 @@ package simclock
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -146,5 +148,105 @@ func TestVirtualManyTimersPerformance(t *testing.T) {
 	}
 	if wall := time.Since(start); wall > 30*time.Second {
 		t.Errorf("%d timers took %v of wall time", n, wall)
+	}
+}
+
+// TestChanTimerDeliveryStress has timers deliver into Chans (SendAfter)
+// while other goroutines Send, RecvTimeout and Close the same Chans. On
+// the virtual clock a delivery runs inside the clock, under its lock,
+// and a goroutine outside the simulation sends and closes besides, so a
+// Chan method that held its mutex while calling into the clock would
+// deadlock here; on the real clock deliveries race the other callers
+// outright. Every value a send accepted must be received exactly once.
+// Run it under -race.
+func TestChanTimerDeliveryStress(t *testing.T) {
+	t.Run("virtual", func(t *testing.T) {
+		v := NewVirtual(epoch)
+		runWithin(t, v, func() { stressTimerDelivery(t, v) })
+	})
+	t.Run("real", func(t *testing.T) {
+		stressTimerDelivery(t, NewScaledReal(1000))
+	})
+}
+
+func stressTimerDelivery(t *testing.T, clock Clock) {
+	const (
+		chans   = 4
+		linkers = 2  // SendAfter senders per Chan
+		sends   = 60 // per sender
+	)
+	var accepted, received, closed atomic.Int64
+	var outsideDone atomic.Bool
+	chs := make([]*Chan[int], chans)
+	for i := range chs {
+		chs[i] = NewChan[int](clock)
+	}
+	count := func(ok bool) {
+		if ok {
+			accepted.Add(1)
+		}
+	}
+
+	// A goroutine outside the simulation sends until every Chan is
+	// closed, and closes one itself.
+	outside := make(chan struct{})
+	go func() {
+		defer close(outside)
+		defer outsideDone.Store(true)
+		for i := 0; closed.Load() < chans; i++ {
+			count(chs[i%chans].Send(i))
+			if i == sends {
+				chs[0].Close()
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	wg := NewWaitGroup(clock)
+	for c, ch := range chs {
+		for s := 0; s < linkers; s++ {
+			wg.Go(func() {
+				rng := rand.New(rand.NewSource(int64(c*10 + s)))
+				for i := 0; i < sends; i++ {
+					clock.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
+					count(ch.SendAfter(time.Duration(rng.Intn(2000))*time.Microsecond, i))
+				}
+			})
+		}
+		wg.Go(func() { // plain sender
+			for i := 0; i < sends; i++ {
+				clock.Sleep(time.Duration(1+i%3) * time.Millisecond)
+				count(ch.Send(i))
+			}
+		})
+		for r := 0; r < 2; r++ {
+			wg.Go(func() { // receivers: until closed and drained
+				for {
+					_, ok, timedOut := ch.RecvTimeout(time.Duration(1+r) * time.Millisecond)
+					if ok {
+						received.Add(1)
+					} else if !timedOut {
+						return
+					}
+				}
+			})
+		}
+		wg.Go(func() { // closer, while deliveries are still in flight
+			clock.Sleep(time.Duration(60+20*c) * time.Millisecond)
+			ch.Close()
+			closed.Add(1)
+		})
+	}
+	// Keep the virtual clock from quiescing while the outside goroutine
+	// still runs.
+	wg.Go(func() {
+		for !outsideDone.Load() {
+			clock.Sleep(time.Millisecond)
+		}
+	})
+	wg.Wait()
+	<-outside
+	if a, r := accepted.Load(), received.Load(); a != r || a == 0 {
+		t.Errorf("%d values accepted, %d received", a, r)
 	}
 }

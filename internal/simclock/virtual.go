@@ -26,6 +26,7 @@ type Virtual struct {
 	parked   int // diagnostic: goroutines parked in channel/cond waits
 	timers   timerHeap
 	seq      uint64
+	idle     []chan func() // workers waiting for a Go, most recently idled last
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -50,19 +51,52 @@ func (v *Virtual) Now() time.Time {
 // token, so the first spawned goroutine to park can let time advance
 // while later ones are still being spawned; outside callers enter
 // through Run instead.
+//
+// fn runs on an idle worker goroutine when there is one, so a stack grown
+// by an earlier function serves the next (most are short RPC handlers).
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
 	v.runnable++
+	if n := len(v.idle); n > 0 {
+		w := v.idle[n-1]
+		v.idle[n-1] = nil
+		v.idle = v.idle[:n-1]
+		v.mu.Unlock()
+		w <- fn
+		return
+	}
 	v.mu.Unlock()
-	go func() {
-		defer func() {
+	go v.work(fn)
+}
+
+// work is a worker goroutine: it runs fn, releases fn's runnable token,
+// and waits idle for the next function Go hands it. It exits when the
+// simulation quiesces, and when a function calls runtime.Goexit, whose
+// token the deferred release still returns.
+func (v *Virtual) work(fn func()) {
+	defer func() {
+		if fn != nil { // fn did not return
 			v.mu.Lock()
 			v.runnable--
 			v.advanceLocked()
 			v.mu.Unlock()
-		}()
-		fn()
+		}
 	}()
+	next := make(chan func(), 1)
+	for fn != nil {
+		fn()
+		fn = nil
+		v.mu.Lock()
+		v.runnable--
+		v.advanceLocked()
+		if v.runnable == 0 { // quiesced: nothing is left to hand out work
+			v.mu.Unlock()
+			return
+		}
+		v.idle = append(v.idle, next)
+		v.mu.Unlock()
+		fn = <-next // nil when the simulation quiesces first
+	}
 }
 
 // Sleep blocks the calling simulation goroutine for d of virtual time.
@@ -121,9 +155,9 @@ func (v *Virtual) unparkOne() {
 	v.mu.Unlock()
 }
 
-// afterFunc arms a timeout: once d elapses, t.timeoutFire runs with the
-// clock mutex held, unless cancel removes the returned entry first.
-func (v *Virtual) afterFunc(d time.Duration, t timeoutTarget) *timerEntry {
+// afterFunc arms a timer: once d elapses, t.fire runs with the clock
+// mutex held, unless cancel removes the returned entry first.
+func (v *Virtual) afterFunc(d time.Duration, t timerTarget) *timerEntry {
 	e := &timerEntry{target: t}
 	v.mu.Lock()
 	v.push(e, v.now.Add(d))
@@ -159,25 +193,31 @@ func (v *Virtual) advanceLocked() {
 		if e.wake != nil {
 			v.runnable++
 			e.wake <- struct{}{}
-		} else if e.target.timeoutFire() {
-			// The target was parked; firing the timeout makes it runnable.
-			v.runnable++
-			v.parked--
+		} else if n := e.target.fire(); n > 0 {
+			// The target woke n parked goroutines; they are runnable now.
+			v.runnable += n
+			v.parked -= n
 		}
 	}
 	if v.runnable == 0 && len(v.timers) == 0 {
+		for i, w := range v.idle {
+			w <- nil
+			v.idle[i] = nil
+		}
+		v.idle = v.idle[:0]
 		v.quiesced.Broadcast()
 	}
 }
 
-// timerEntry is one armed timer: a Sleep (wake) or a timeout (target).
+// timerEntry is one armed timer: a Sleep (wake), or a RecvTimeout
+// deadline or SendAfter delivery (target).
 type timerEntry struct {
 	key    int64  // when.UnixNano(), exact for years 1678–2262
 	seq    uint64 // FIFO tie-break for simultaneous deadlines
 	idx    int    // position in the heap; -1 once popped or removed
 	when   time.Time
 	wake   chan struct{} // 1-buffered; receives one value at the deadline
-	target timeoutTarget
+	target timerTarget
 }
 
 // timerHeap is a binary min-heap ordered by (key, seq) that keeps each

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -214,4 +215,100 @@ func TestNewScaledRealPanicsOnBadScale(t *testing.T) {
 		}
 	}()
 	NewScaledReal(0)
+}
+
+// runWithin runs fn under v.Run and fails the test if the simulation has
+// not quiesced after a minute of wall time. The failure does not print v:
+// a deadlocked clock would never release its lock to String.
+func runWithin(t *testing.T, v *Virtual, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		v.Run(fn)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("simulation did not quiesce within a minute of wall time")
+	}
+}
+
+// A function that ends its goroutine with runtime.Goexit (t.FailNow does)
+// still gives back its runnable token, so time advances and Wait returns.
+func TestVirtualGoexitReleasesToken(t *testing.T) {
+	v := NewVirtual(epoch)
+	var after time.Time
+	runWithin(t, v, func() {
+		v.Go(func() {
+			v.Sleep(time.Second)
+			runtime.Goexit()
+		})
+		v.Go(func() { runtime.Goexit() })
+		v.Sleep(2 * time.Second)
+		after = v.Now()
+	})
+	if want := epoch.Add(2 * time.Second); !after.Equal(want) {
+		t.Errorf("woke at %v, want %v", after, want)
+	}
+}
+
+// Functions handed to reused workers nest like fresh goroutines: every
+// round's spawns run, and their own spawns run, on whatever worker is
+// idle.
+func TestVirtualGoReusesIdleWorkers(t *testing.T) {
+	const rounds, width = 20, 8
+	v := NewVirtual(epoch)
+	var mu sync.Mutex
+	hits := 0
+	idleAfterRound := -1
+	runWithin(t, v, func() {
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < width; i++ {
+				v.Go(func() {
+					v.Sleep(time.Millisecond)
+					v.Go(func() {
+						mu.Lock()
+						hits++
+						mu.Unlock()
+					})
+				})
+			}
+			v.Sleep(time.Second)
+			if r == 0 {
+				v.mu.Lock()
+				idleAfterRound = len(v.idle)
+				v.mu.Unlock()
+			}
+		}
+	})
+	if hits != rounds*width {
+		t.Errorf("got %d nested completions, want %d", hits, rounds*width)
+	}
+	if idleAfterRound < 1 {
+		t.Errorf("no worker was idle after the first round")
+	}
+}
+
+// Idle workers exit when the simulation quiesces, so no goroutine outlives
+// a quiesced clock.
+func TestVirtualWorkersExitOnQuiescence(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	v := NewVirtual(epoch)
+	runWithin(t, v, func() {
+		for i := 0; i < 50; i++ {
+			v.Go(func() {
+				v.Sleep(time.Duration(i) * time.Millisecond)
+				v.Go(func() { v.Sleep(time.Millisecond) })
+			})
+		}
+	})
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100000 && n > baseline; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > baseline {
+		t.Errorf("%d goroutines after quiescence, baseline %d", n, baseline)
+	}
 }

@@ -82,56 +82,53 @@ func (n *InmemNetwork) Dial(addr string) (Conn, error) {
 
 // newConnPair builds two half-duplex links joined into a full-duplex pair.
 func (n *InmemNetwork) newConnPair() (client, server *inmemConn) {
-	ab := newLink(n)
-	ba := newLink(n)
+	ab := &link{net: n, out: simclock.NewChan[Message](n.clock)}
+	ba := &link{net: n, out: simclock.NewChan[Message](n.clock)}
 	client = &inmemConn{send: ab, recv: ba}
 	server = &inmemConn{send: ba, recv: ab}
 	return client, server
 }
 
-// link is one direction of a connection: an input queue drained by a pump
-// goroutine that charges transmission and propagation time per message,
-// preserving FIFO order.
+// link is one direction of a connection. A message sent at t becomes
+// receivable on out at max(t, the previous message's delivery) +
+// latency + transmit time, so messages keep FIFO order and a large body
+// delays the ones queued behind it. No goroutine carries messages: each
+// send arms one clock timer (Chan.SendAfter) for its delivery instant.
 type link struct {
 	net *InmemNetwork
-	in  *simclock.Chan[Message]
 	out *simclock.Chan[Message]
+
+	mu   sync.Mutex
+	busy time.Time // when the last queued message is delivered
 }
 
-func newLink(n *InmemNetwork) *link {
-	l := &link{
-		net: n,
-		in:  simclock.NewChan[Message](n.clock),
-		out: simclock.NewChan[Message](n.clock),
+// send queues m for delivery; it reports false once the link is closed.
+func (l *link) send(m Message) bool {
+	cost := l.net.latency + time.Duration(float64(wireSize(m.Body))/(l.net.mbps*1e6)*float64(time.Second))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	now := l.net.clock.Now()
+	deliver := now
+	if l.busy.After(now) {
+		deliver = l.busy
 	}
-	n.clock.Go(l.pump)
-	return l
-}
-
-func (l *link) pump() {
-	for {
-		m, ok := l.in.Recv()
-		if !ok {
-			l.out.Close()
-			return
-		}
-		transmit := time.Duration(float64(wireSize(m.Body)) / (l.net.mbps * 1e6) * float64(time.Second))
-		l.net.clock.Sleep(l.net.latency + transmit)
-		l.out.Send(m)
+	deliver = deliver.Add(cost)
+	if !l.out.SendAfter(deliver.Sub(now), m) {
+		return false
 	}
+	l.busy = deliver
+	return true
 }
 
 type inmemConn struct {
 	send *link
 	recv *link
-
-	closeOnce sync.Once
 }
 
 var _ Conn = (*inmemConn)(nil)
 
 func (c *inmemConn) Send(m Message) error {
-	if !c.send.in.Send(m) {
+	if !c.send.send(m) {
 		return ErrClosed
 	}
 	return nil
@@ -145,11 +142,11 @@ func (c *inmemConn) Recv() (Message, error) {
 	return m, nil
 }
 
+// Close refuses further sends in both directions; messages already in
+// flight are still delivered, and then the receiving ends report closed.
 func (c *inmemConn) Close() error {
-	c.closeOnce.Do(func() {
-		c.send.in.Close()
-		c.recv.in.Close()
-	})
+	c.send.out.Close()
+	c.recv.out.Close()
 	return nil
 }
 

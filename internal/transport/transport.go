@@ -4,7 +4,10 @@
 //
 //   - The in-memory transport connects components inside one process and
 //     charges simulated network latency and bandwidth through a Clock, so
-//     whole-cluster experiments run under virtual time.
+//     whole-cluster experiments run under virtual time. Each direction
+//     of a connection is a FIFO link: a message becomes receivable at
+//     max(sent, previous delivery) + latency + transmit time, delivered
+//     by a clock timer rather than a goroutine.
 //   - The TCP transport runs the same RPC protocol over real sockets with
 //     gob encoding, for live multi-process deployments.
 //

@@ -451,7 +451,7 @@ func TestHandlerPanicBecomesError(t *testing.T) {
 }
 
 // Property: per-connection message order is preserved regardless of
-// payload sizes (the pump serializes transmission).
+// payload sizes (the link serializes transmission).
 func TestInmemOrderingProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		if len(sizes) == 0 || len(sizes) > 30 {
