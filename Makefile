@@ -100,14 +100,18 @@ bench-alloc:
 	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs' -count=1 -v
 	$(GO) test ./internal/transport -run 'TestInmemEchoAllocs' -count=1 -v
 
-# Short deterministic-budget fuzz of every frame-codec fuzzer (the
-# committed corpus always runs in plain `make test`; this explores).
+# Short deterministic-budget fuzz of every fuzzer: the frame codecs and
+# the migration journal's record decoder (the committed corpus always
+# runs in plain `make test`; this explores).
 fuzz-smoke:
 	$(GO) test ./internal/transport -run XXX -fuzz '^FuzzFastUnitPayload$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run XXX -fuzz '^FuzzTCPRecvStream$$' -fuzztime 10s
 	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzWriteBlockReqFrame$$' -fuzztime 10s
 	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzReadBlockReqFrame$$' -fuzztime 10s
 	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzReadBlockRespFrame$$' -fuzztime 10s
+	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzHeartbeatReqFrame$$' -fuzztime 10s
+	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzBlockReportReqFrame$$' -fuzztime 10s
+	$(GO) test ./internal/ignem -run XXX -fuzz '^FuzzJournalRecord$$' -fuzztime 10s
 
 # Profile the data plane: CPU + mutex profiles of the swim experiment
 # (the Ignem master's coarse lock under heartbeat/migration traffic),

@@ -92,10 +92,11 @@ type Config struct {
 	// from this spec's seed offset by the node index, so nodes draw
 	// independent but reproducible tails.
 	SSD storage.Spec
-	// MigrationPolicy selects the Ignem master's tier-placement policy
-	// ("", "paper", "ladder", "popularity" — see ignem.PolicyByName).
-	// Empty keeps the paper's smallest-job-first-to-RAM plan,
-	// bit-identical to the historical master.
+	// MigrationPolicy selects the Ignem master's tier placement: "" or
+	// "paper" pins every planned block in RAM (bit-identical to the
+	// historical master); "ladder" plans onto the SSD rung first and
+	// climbs SSD→RAM for small or re-read inputs (see
+	// ignem.Master.ConfigureTiers). The ladder never demotes.
 	MigrationPolicy string
 	// TierBudgets caps cluster-wide fast-tier residency in bytes. Zero
 	// RAM = unlimited (historical behavior); zero SSD = SSD tier
@@ -346,7 +347,6 @@ func (c *Cluster) SlaveStats() ignem.SlaveStats {
 		agg.SSDPinnedBlocks += st.SSDPinnedBlocks
 		agg.SSDHits += st.SSDHits
 		agg.ClimbedBlocks += st.ClimbedBlocks
-		agg.Demotions += st.Demotions
 	}
 	return agg
 }

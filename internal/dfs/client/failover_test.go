@@ -77,6 +77,29 @@ func TestWriterSurvivesDeadPipelineNode(t *testing.T) {
 	})
 }
 
+// A namenode that restarts at the same address closes the client's
+// connection under it; the client's next idempotent call sees the
+// closed connection, redials, and succeeds on the retry.
+func TestIdempotentNNCallRedialsRestartedNameNode(t *testing.T) {
+	runSim(t, func(v *simclock.Virtual) {
+		mc := startMini(t, v, miniConfig{nodes: 1})
+		defer mc.close()
+		c := mc.client(t, client.WithSeed(5))
+		defer c.Close()
+		if _, err := c.List("/"); err != nil {
+			t.Fatalf("list before the restart: %v", err)
+		}
+		mc.nn.Close()
+		mc.nn = namenode.New(v, mc.net, namenode.Config{Addr: "nn", Seed: 7})
+		if err := mc.nn.Start(); err != nil {
+			t.Fatalf("namenode restart: %v", err)
+		}
+		if _, err := c.List("/"); err != nil {
+			t.Fatalf("list after the restart: %v", err)
+		}
+	})
+}
+
 // faultyCluster is a miniCluster rebuilt over a faultnet fabric so tests
 // can drop and block the client↔namenode links deterministically.
 type faultyCluster struct {

@@ -220,7 +220,6 @@ func (dn *DataNode) Start() error {
 	s.Handle("dn.verifyBlock", wrap(dn.handleVerifyBlock))
 	s.Handle("ignem.migrateBatch", wrap(dn.handleMigrateBatch))
 	s.Handle("ignem.evictBatch", wrap(dn.handleEvictBatch))
-	s.Handle("ignem.demoteBatch", wrap(dn.handleDemoteBatch))
 	s.Handle("ignem.readNotify", wrap(dn.handleReadNotify))
 	s.ServeBackground(l)
 	dn.server = s
@@ -705,11 +704,6 @@ func (dn *DataNode) handleMigrateBatch(req dfs.MigrateBatch) (dfs.MigrateBatchRe
 func (dn *DataNode) handleEvictBatch(req dfs.EvictBatch) (dfs.EvictBatchResp, error) {
 	dn.slave.ApplyEvictBatch(req)
 	return dfs.EvictBatchResp{}, nil
-}
-
-func (dn *DataNode) handleDemoteBatch(req dfs.DemoteBatch) (dfs.DemoteBatchResp, error) {
-	dn.slave.ApplyDemoteBatch(req)
-	return dfs.DemoteBatchResp{}, nil
 }
 
 func (dn *DataNode) handleReadNotify(req dfs.ReadNotifyBatch) (dfs.ReadNotifyBatchResp, error) {

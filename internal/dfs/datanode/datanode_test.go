@@ -328,3 +328,76 @@ func TestHotCacheEvictsLRU(t *testing.T) {
 		}
 	})
 }
+
+// A pipeline peer that dies and comes back at the same address gets the
+// next pipelined write: the failed forward drops the cached connection
+// to the dead incarnation, so the following write re-dials.
+func TestWritePipelineRedialsRestartedPeer(t *testing.T) {
+	run(t, func(v *simclock.Virtual) {
+		net := transport.NewInmemNetwork(v)
+		nn := namenode.New(v, net, namenode.Config{Addr: "nn", Seed: 1})
+		if err := nn.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer nn.Close()
+		start := func(addr string) *DataNode {
+			dn, err := New(v, net, Config{Addr: addr, NameNodeAddr: "nn"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dn.Start(); err != nil {
+				t.Fatal(err)
+			}
+			return dn
+		}
+		head := start("p0")
+		defer head.Close()
+		peer := start("p1")
+		data := bytes.Repeat([]byte("r"), 1024)
+		write := func(id dfs.BlockID) error {
+			_, err := head.handleWriteBlock(dfs.WriteBlockReq{
+				Block:    dfs.Block{ID: id, Size: int64(len(data))},
+				Data:     data,
+				Pipeline: []string{"p1"},
+			})
+			return err
+		}
+		if err := write(1); err != nil {
+			t.Fatalf("write before the peer died: %v", err)
+		}
+		peer.Close()
+		if err := write(2); err == nil {
+			t.Fatal("write through a dead peer succeeded")
+		}
+		peer = start("p1")
+		defer peer.Close()
+		if err := write(3); err != nil {
+			t.Fatalf("write after the peer came back: %v", err)
+		}
+		if resp, err := peer.handleReadBlock(dfs.ReadBlockReq{Block: 3}); err != nil || !bytes.Equal(resp.Data, data) {
+			t.Fatalf("restarted peer lacks the forwarded replica (err %v)", err)
+		}
+	})
+}
+
+// SSDDevice is the flash rung's device exactly when the datanode has an
+// SSD spec.
+func TestSSDDeviceOnlyWithSSDSpec(t *testing.T) {
+	for _, withSSD := range []bool{false, true} {
+		run(t, func(v *simclock.Virtual) {
+			cfg := Config{Media: storage.HDDSpec()}
+			if withSSD {
+				cfg.SSD = storage.SSDSpec()
+			}
+			nn, dn := startPair(t, v, cfg)
+			defer nn.Close()
+			defer dn.Close()
+			if got := dn.SSDDevice(); (got != nil) != withSSD {
+				t.Fatalf("SSD spec %v: SSDDevice() = %v", withSSD, got)
+			}
+			if withSSD && dn.SSDDevice() == dn.MediaDevice() {
+				t.Fatal("SSDDevice is the cold device")
+			}
+		})
+	}
+}

@@ -50,8 +50,8 @@ func Checksum(data []byte) uint32 {
 type JobID string
 
 // Tier ranks storage classes in the migration ladder, coldest first.
-// Higher tiers are faster; Ignem policies promote blocks upward
-// (HDD→SSD→RAM) and demote them downward. It is defined here — not in
+// Higher tiers are faster; Ignem promotes blocks upward (HDD→SSD→RAM)
+// and never demotes them. It is defined here — not in
 // package storage — because migrate commands and heartbeat pin deltas
 // carry tier identity on the wire; storage aliases it for device specs.
 type Tier int
@@ -603,27 +603,6 @@ type EvictBatch struct {
 // EvictBatchResp acknowledges an evict batch.
 type EvictBatchResp struct{}
 
-// DemoteCmd orders a slave to drop its tier-resident copy of a block
-// regardless of outstanding job references — downward migration. The
-// block's cold HDD replica is untouched, so a demotion never loses
-// data; it only frees the fast tier. Policies use it to drain
-// truly-cold residents (the NOVA-style downward rotation).
-type DemoteCmd struct {
-	Block BlockID
-	// Tier is the tier to vacate (TierSSD for the ladder's downward
-	// arm; TierRAM demotions are expressed as evictions today).
-	Tier Tier
-}
-
-// DemoteBatch carries a batch of demote commands.
-type DemoteBatch struct {
-	Epoch uint64
-	Cmds  []DemoteCmd
-}
-
-// DemoteBatchResp acknowledges a demote batch.
-type DemoteBatchResp struct{}
-
 // ReadNotifyCmd tells a slave that Job read Block somewhere the
 // datanode could not observe (a client cache hit), so the slave applies
 // the same reference-list bookkeeping OnBlockRead would.
@@ -666,7 +645,6 @@ func RegisterWire() {
 		BlockReportReq{}, BlockReportResp{},
 		MigrateBatch{}, MigrateBatchResp{},
 		EvictBatch{}, EvictBatchResp{},
-		DemoteBatch{}, DemoteBatchResp{},
 		BlockReadReq{}, BlockReadResp{},
 		ReadNotifyBatch{}, ReadNotifyBatchResp{},
 		EpochReq{}, EpochResp{},

@@ -57,9 +57,10 @@ type Config struct {
 	// WALRetryInterval paces the journal's retry pump (re-sending
 	// transport-failed batches). Default 1s.
 	WALRetryInterval time.Duration
-	// MigrationPolicy selects the Ignem master's tier-placement policy:
-	// "paper" (or empty — the default smallest-job-first-to-RAM),
-	// "ladder", or "popularity". See ignem.PolicyByName. With the empty
+	// MigrationPolicy selects the Ignem master's tier placement (see
+	// ignem.Master.ConfigureTiers): "paper" (or empty — the default
+	// smallest-job-first pin in RAM) or "ladder" (SSD first, then an
+	// SSD→RAM climb). Any other name makes Start fail. With the empty
 	// default and zero TierBudgets the migration plane is bit-identical
 	// to the pre-ladder master.
 	MigrationPolicy string
@@ -194,8 +195,8 @@ type Stats struct {
 	// reported by slave heartbeats (0 when the tier is disabled).
 	SSDOccupancyBytes int64
 	// Tiers is the Ignem master's tier-ladder accounting: per-tier
-	// reserved bytes, promotions by destination, climbs, demotions, and
-	// budget rejections. Zero-valued for a default (pin-in-RAM) master.
+	// reserved bytes, promotions by destination, climbs, and budget
+	// rejections. Zero-valued for a default (pin-in-RAM) master.
 	Tiers ignem.TierCounters
 }
 
@@ -281,7 +282,7 @@ func (nn *NameNode) attachWAL() error {
 // reflect pin/unpin deltas whose journal appends died with the old
 // master.
 func (nn *NameNode) RecoverMaster() error {
-	return nn.master.RecoverFromJournalReconciled(func(id dfs.BlockID, addr string) (ram, ssd bool) {
+	return nn.master.RecoverFromJournal(func(id dfs.BlockID, addr string) (ram, ssd bool) {
 		ramHolders, ssdHolders := nn.ns.FastTierHolders(id)
 		return containsAddr(ramHolders, addr), containsAddr(ssdHolders, addr)
 	})
@@ -1000,17 +1001,6 @@ func (nn *NameNode) SendEvict(addr string, batch dfs.EvictBatch) error {
 		return err
 	}
 	_, err = transport.Call[dfs.EvictBatchResp](c, "ignem.evictBatch", batch)
-	return err
-}
-
-// SendDemote pushes a demote batch to the slave at addr — the ladder's
-// downward arm (ignem.DemoteSender).
-func (nn *NameNode) SendDemote(addr string, batch dfs.DemoteBatch) error {
-	c, err := nn.slaveClient(addr)
-	if err != nil {
-		return err
-	}
-	_, err = transport.Call[dfs.DemoteBatchResp](c, "ignem.demoteBatch", batch)
 	return err
 }
 

@@ -31,6 +31,9 @@ import (
 //	               fails verification)
 //	recEvictIntent an Evict request was accepted for the job
 //	recEvictBatch  an evict batch was delivered to a slave
+//	recUnpinned    a slave's heartbeat reported blocks unpinned at a
+//	               tier, releasing their budget charge (tiered masters
+//	               only)
 //
 // Records are framed by wal.Log; payloads here are a one-byte kind tag
 // followed by uvarint-encoded fields (strings as length + bytes).
@@ -64,11 +67,12 @@ const (
 	recPinned      = 3
 	recEvictIntent = 4
 	recEvictBatch  = 5
-	// recDemote releases a fast-tier residency: the planner demoted the
-	// block to free budget. recUnpinned mirrors a slave's heartbeat
-	// unpin delta, releasing the block's budget charge at that tier.
-	// Both are ledger-only records — they carry no job state.
-	recDemote   = 6
+	// Tag 6 is retired (it released a demoted residency; the ladder no
+	// longer demotes). Never reuse it: replay rejects it as unknown.
+	//
+	// recUnpinned mirrors a slave's heartbeat unpin delta, releasing the
+	// block's budget charge at that tier. It is a ledger-only record: it
+	// carries no job state.
 	recUnpinned = 7
 )
 
@@ -168,25 +172,14 @@ func (j *Journal) AppendPinned(job dfs.JobID, addr string, tier dfs.Tier, ids []
 	return j.appendDelivery(recPinned, job, addr, tier, fresh)
 }
 
-// AppendDemote journals a budget-pressure demotion: the listed blocks'
-// residency at tier on addr is released. Durable before the demote
-// command is sent, so a recovered ledger never re-charges freed budget.
-func (j *Journal) AppendDemote(addr string, tier dfs.Tier, ids []dfs.BlockID) error {
-	return j.appendTierEvent(recDemote, addr, tier, ids)
-}
-
 // AppendUnpinned journals a slave's heartbeat unpin delta at tier, the
 // budget-release half of the ledger's accounting. Only tiered masters
 // write these; errors are ignorable for the same reason as AppendPinned.
 func (j *Journal) AppendUnpinned(addr string, tier dfs.Tier, ids []dfs.BlockID) error {
-	return j.appendTierEvent(recUnpinned, addr, tier, ids)
-}
-
-func (j *Journal) appendTierEvent(kind byte, addr string, tier dfs.Tier, ids []dfs.BlockID) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	b := j.buf[:0]
-	b = append(b, kind)
+	b = append(b, recUnpinned)
 	b = appendString(b, addr)
 	b = binary.AppendUvarint(b, uint64(tier))
 	b = binary.AppendUvarint(b, uint64(len(ids)))
@@ -271,17 +264,6 @@ type recoveredEntry struct {
 	pinned   bool // slave heartbeat confirmed the pin (current tier)
 }
 
-// recResidency is the replayed tier-ledger state for one (block, addr)
-// residency: which tier budgets it still charges and which jobs still
-// reference it. Mirrors ledgerEntry, rebuilt purely from the record
-// stream so a recovered master's budgets match what it reserved.
-type recResidency struct {
-	size    int64
-	charged [3]bool
-	refs    map[dfs.JobID]struct{}
-	seq     uint64
-}
-
 // recoveredJob is one job's reconstructed state machine.
 type recoveredJob struct {
 	implicit     bool
@@ -295,22 +277,13 @@ type recoveredJob struct {
 
 // recovered is the journal's replayed view of the world.
 type recovered struct {
-	epoch     uint64 // highest plan epoch seen; 0 when the log is empty
-	records   int
-	jobs      map[dfs.JobID]*recoveredJob
-	residency map[residentKey]*recResidency
-	seq       uint64
-}
-
-func (rec *recovered) resident(id dfs.BlockID, addr string, size int64) *recResidency {
-	k := residentKey{id, addr}
-	r := rec.residency[k]
-	if r == nil {
-		rec.seq++
-		r = &recResidency{size: size, refs: make(map[dfs.JobID]struct{}), seq: rec.seq}
-		rec.residency[k] = r
-	}
-	return r
+	epoch   uint64 // highest plan epoch seen; 0 when the log is empty
+	records int
+	jobs    map[dfs.JobID]*recoveredJob
+	// residency is the replayed tier-ledger charges per (block, addr),
+	// rebuilt purely from the record stream so a recovered master's
+	// budgets match what it reserved.
+	residency map[residentKey]*ledgerEntry
 }
 
 // Replay parses the journal back into per-job state machines and
@@ -323,7 +296,7 @@ func (j *Journal) Replay() (*recovered, error) {
 	defer j.mu.Unlock()
 	rec := &recovered{
 		jobs:      make(map[dfs.JobID]*recoveredJob),
-		residency: make(map[residentKey]*recResidency),
+		residency: make(map[residentKey]*ledgerEntry),
 	}
 	pinned := make(map[pinKey]struct{})
 	n, err := j.log.Replay(func(payload []byte) error {
@@ -372,7 +345,7 @@ func decodeRecord(payload []byte, rec *recovered, pinned map[pinKey]struct{}) er
 			size := int64(c.uvarint())
 			sum := uint32(c.uvarint())
 			addr := c.str()
-			tier := dfs.Tier(c.uvarint())
+			tier := c.tier()
 			if c.err != nil {
 				break
 			}
@@ -387,8 +360,12 @@ func decodeRecord(payload []byte, rec *recovered, pinned map[pinKey]struct{}) er
 				e.pinned = false
 			}
 			if tier != dfs.TierHDD {
-				r := rec.resident(id, addr, size)
-				r.refs[job] = struct{}{}
+				k := residentKey{id, addr}
+				r := rec.residency[k]
+				if r == nil {
+					r = &ledgerEntry{size: size}
+					rec.residency[k] = r
+				}
 				r.charged[tier] = true
 			}
 		}
@@ -398,7 +375,7 @@ func decodeRecord(payload []byte, rec *recovered, pinned map[pinKey]struct{}) er
 	case recCopied, recPinned, recEvictBatch:
 		job := dfs.JobID(c.str())
 		addr := c.str()
-		tier := dfs.Tier(c.uvarint())
+		tier := c.tier()
 		n := int(c.uvarint())
 		rj := rec.job(job)
 		for i := 0; i < n && c.err == nil; i++ {
@@ -434,19 +411,10 @@ func decodeRecord(payload []byte, rec *recovered, pinned map[pinKey]struct{}) er
 			}
 		}
 	case recEvictIntent:
-		job := dfs.JobID(c.str())
-		rj := rec.job(job)
-		rj.evictIntent = true
-		// Mirror the runtime ledger: eviction drops the job's residency
-		// references (charges release later, on the slaves' unpin deltas).
-		for id, e := range rj.blocks {
-			if r := rec.residency[residentKey{id, e.addr}]; r != nil {
-				delete(r.refs, job)
-			}
-		}
-	case recDemote, recUnpinned:
+		rec.job(dfs.JobID(c.str())).evictIntent = true
+	case recUnpinned:
 		addr := c.str()
-		tier := dfs.Tier(c.uvarint())
+		tier := c.tier()
 		n := int(c.uvarint())
 		for i := 0; i < n && c.err == nil; i++ {
 			id := dfs.BlockID(c.uvarint())
@@ -501,6 +469,19 @@ func (c *cursor) uvarint() uint64 {
 	}
 	c.b = c.b[n:]
 	return v
+}
+
+// tier reads a tier tag. A value past TierRAM is a corrupt record, not
+// an index into a per-tier table.
+func (c *cursor) tier() dfs.Tier {
+	v := c.uvarint()
+	if c.err == nil && v > uint64(dfs.TierRAM) {
+		c.err = fmt.Errorf("tier %d out of range", v)
+	}
+	if c.err != nil {
+		return dfs.TierHDD
+	}
+	return dfs.Tier(v)
 }
 
 func (c *cursor) str() string {

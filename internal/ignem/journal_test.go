@@ -121,6 +121,11 @@ func journaledMaster(resolver Resolver, link SlaveLink, be wal.Backend) *Master 
 	return co
 }
 
+// noResidency is the residency view of the fake links: their slaves
+// never heartbeat a pin, so nothing is resident and recovery has
+// nothing to reconcile.
+func noResidency(dfs.BlockID, string) (ram, ssd bool) { return false, false }
+
 func TestTransportFailedBatchParkedAndRetried(t *testing.T) {
 	resolver := &fakeResolver{files: map[string][]dfs.LocatedBlock{
 		"/in": {located(1, 64<<20, "dn0"), located(2, 64<<20, "dn1")},
@@ -198,7 +203,7 @@ func TestRecoverResumesUndeliveredBatches(t *testing.T) {
 	be.Revive()
 	link2 := newFakeLink()
 	co2 := journaledMaster(resolver, link2, be)
-	if err := co2.RecoverFromJournal(); err != nil {
+	if err := co2.RecoverFromJournal(noResidency); err != nil {
 		t.Fatal(err)
 	}
 	st := co2.Stats()
@@ -249,7 +254,7 @@ func TestRecoverSkipsDeliveredBatchesAndFinishesEvicts(t *testing.T) {
 	be.Revive()
 	link2 := newFakeLink()
 	co2 := journaledMaster(resolver, link2, be)
-	if err := co2.RecoverFromJournal(); err != nil {
+	if err := co2.RecoverFromJournal(noResidency); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(link2.migrates["dn0"]); got != 0 {
@@ -303,8 +308,12 @@ func TestJournalTruncatesWhenNothingInFlight(t *testing.T) {
 	if len(data) != 0 {
 		t.Fatalf("journal holds %d bytes after the last job settled, want 0", len(data))
 	}
+	// Recovery needs a residency view to reconcile against.
+	if err := co.RecoverFromJournal(nil); err == nil || !strings.Contains(err.Error(), "residency view") {
+		t.Fatalf("recover with a nil view: err = %v, want a residency-view error", err)
+	}
 	// Recovery from the truncated log is a clean no-op.
-	if err := co.RecoverFromJournal(); err != nil {
+	if err := co.RecoverFromJournal(noResidency); err != nil {
 		t.Fatal(err)
 	}
 	if st := co.Stats(); st.ActiveJobs != 0 {

@@ -25,17 +25,6 @@ type SlaveLink interface {
 	SendReadNotify(addr string, batch dfs.ReadNotifyBatch) error
 }
 
-// DemoteSender is an optional SlaveLink extension for the tier ladder:
-// delivery of demote batches (release a fast-tier residency without
-// evicting the job). Links that don't implement it simply never carry
-// demotions — only tier-configured masters issue them. Demotes are
-// advisory at-most-once sends: the budget was already released durably,
-// and a lost demote only leaves the slave's copy resident until the
-// owning jobs evict.
-type DemoteSender interface {
-	SendDemote(addr string, batch dfs.DemoteBatch) error
-}
-
 // MasterStats is a snapshot of master activity.
 type MasterStats struct {
 	Epoch       uint64
@@ -68,8 +57,8 @@ type MasterStats struct {
 	// across all recoveries.
 	ResumedJobs int64
 	// Tiers is the tier ladder's budget accounting (occupancy,
-	// promotions, demotions, rejects). All-zero without a configured
-	// tier plane.
+	// promotions, climbs, rejects). All-zero without a configured tier
+	// plane.
 	Tiers TierCounters
 }
 
@@ -81,12 +70,13 @@ type Master struct {
 	rng      *rand.Rand
 
 	// Tier plane (nil until ConfigureTiers — every consulting code path
-	// then short-circuits to the paper's pin-in-RAM behavior). policy
-	// picks tiers, ledger enforces the budgets, pop scores the
-	// read-notification stream.
-	policy Policy
+	// then short-circuits to the paper's pin-in-RAM behavior). ledger
+	// enforces the budgets, pop scores the read-notification stream for
+	// the climb, and ladder selects SSD-first placement with the
+	// SSD→RAM climb over the paper's pin-in-RAM.
 	ledger *tierLedger
 	pop    *popTracker
+	ladder bool
 
 	mu sync.Mutex
 	// epoch stamps every batch. Slaves hold one epoch and purge all
@@ -160,18 +150,25 @@ func NewMaster(resolver Resolver, link SlaveLink, seed int64) *Master {
 	}
 }
 
-// ConfigureTiers installs the migration ladder: a named policy plus
-// per-tier byte budgets. Call before serving requests (and before
-// RecoverFromJournal, so a recovered ledger has its limits). A master
-// never configured keeps the paper's pin-in-RAM behavior.
+// ConfigureTiers installs the tier plane: a named policy plus per-tier
+// byte budgets. "paper" (or empty) pins every planned block in RAM;
+// "ladder" plans SSD first when the flash rung exists and climbs
+// SSD→RAM for small jobs and re-read blocks. Call before serving
+// requests (and before RecoverFromJournal, so a recovered ledger has
+// its limits). A master never configured keeps the paper's pin-in-RAM
+// behavior with no budgets.
 func (m *Master) ConfigureTiers(policyName string, budgets TierBudgets) error {
-	p, ok := PolicyByName(policyName)
-	if !ok {
+	var ladder bool
+	switch policyName {
+	case "", "paper":
+	case "ladder":
+		ladder = true
+	default:
 		return fmt.Errorf("ignem: unknown migration policy %q", policyName)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.policy = p
+	m.ladder = ladder
 	m.ledger = newTierLedger(budgets)
 	m.pop = newPopTracker()
 	return nil
@@ -209,7 +206,6 @@ func (m *Master) Migrate(req dfs.MigrateReq) (dfs.MigrateResp, error) {
 	epoch := m.epoch
 	js := m.jobs[job]
 	batches := make(map[string][]dfs.MigrateCmd)
-	demotes := make(map[string][]dfs.DemoteCmd)
 	var entries []planEntry
 	var charges []charge
 	pending := make(map[dfs.BlockID]struct{})
@@ -231,8 +227,8 @@ func (m *Master) Migrate(req dfs.MigrateReq) (dfs.MigrateResp, error) {
 		pending[lb.Block.ID] = struct{}{}
 		addr := lb.Nodes[m.rng.Intn(len(lb.Nodes))]
 		tier := dfs.TierRAM
-		if m.policy != nil {
-			tier = m.planTierLocked(job, lb.Block, totalSize, addr, ssdOn, demotes, &charges)
+		if m.ledger != nil {
+			tier = m.planTierLocked(lb.Block, addr, ssdOn, &charges)
 			if tier == dfs.TierHDD {
 				continue // budget-rejected on every rung; the block stays on disk
 			}
@@ -251,15 +247,9 @@ func (m *Master) Migrate(req dfs.MigrateReq) (dfs.MigrateResp, error) {
 		bytes += lb.Block.Size
 	}
 	if m.journal != nil && len(entries) > 0 {
-		// Demote releases go down first: on replay the freed budget must
-		// exist before the plan that consumed it re-charges.
-		journalErr := m.journalDemotesLocked(demotes)
-		if journalErr == nil {
-			journalErr = m.journal.AppendPlan(epoch, job, implicit, totalSize, submitTime, entries)
-		}
-		if journalErr != nil {
+		if journalErr := m.journal.AppendPlan(epoch, job, implicit, totalSize, submitTime, entries); journalErr != nil {
 			for _, c := range charges {
-				m.ledger.release(c.id, c.addr, c.tier, false)
+				m.ledger.release(c.id, c.addr, c.tier)
 			}
 			m.mu.Unlock()
 			return dfs.MigrateResp{}, fmt.Errorf("ignem: journal plan for job %s: %w", job, journalErr)
@@ -281,7 +271,6 @@ func (m *Master) Migrate(req dfs.MigrateReq) (dfs.MigrateResp, error) {
 	m.stats.BytesAssigned += bytes
 	m.mu.Unlock()
 
-	m.sendDemotes(epoch, demotes)
 	m.sendMigrateBatches(epoch, job, batches)
 	return dfs.MigrateResp{Blocks: blocks, Bytes: bytes}, nil
 }
@@ -294,18 +283,21 @@ type charge struct {
 	tier dfs.Tier
 }
 
-// planTierLocked runs the policy for one block: pick a tier, reserve
-// budget for it (demoting victims the policy offers when the budget is
-// short), and fall one rung at a time when a reservation cannot be
-// made. TierHDD means no rung admitted the block.
-func (m *Master) planTierLocked(job dfs.JobID, b dfs.Block, totalSize int64, addr string, ssdOn bool, demotes map[string][]dfs.DemoteCmd, charges *[]charge) dfs.Tier {
-	ctx := PlanContext{Job: job, Block: b, JobInputSize: totalSize, Popularity: m.pop.get(b.ID), SSDEnabled: ssdOn}
-	tier := m.policy.PlanTier(ctx)
-	if tier == dfs.TierSSD && !ssdOn {
-		tier = dfs.TierRAM
+// planTierLocked places one block: RAM under the paper policy, SSD
+// first under the ladder when the flash rung exists. It reserves budget
+// at that tier and falls one rung at a time (RAM→SSD→reject) when the
+// tier is full. TierHDD means no rung admitted the block.
+func (m *Master) planTierLocked(b dfs.Block, addr string, ssdOn bool, charges *[]charge) dfs.Tier {
+	tier := dfs.TierRAM
+	if m.ladder && ssdOn {
+		tier = dfs.TierSSD
 	}
 	for tier > dfs.TierHDD {
-		if m.tryReserveLocked(job, b, addr, tier, demotes, charges) {
+		ok, fresh := m.ledger.reserve(b.ID, addr, b.Size, tier, false)
+		if fresh {
+			*charges = append(*charges, charge{id: b.ID, addr: addr, tier: tier})
+		}
+		if ok {
 			return tier
 		}
 		m.ledger.noteReject(tier)
@@ -316,68 +308,6 @@ func (m *Master) planTierLocked(job dfs.JobID, b dfs.Block, totalSize int64, add
 		tier = dfs.TierHDD
 	}
 	return dfs.TierHDD
-}
-
-// tryReserveLocked attempts a budget reservation at tier, demoting
-// policy-chosen victims to make room when the tier is over budget.
-func (m *Master) tryReserveLocked(job dfs.JobID, b dfs.Block, addr string, tier dfs.Tier, demotes map[string][]dfs.DemoteCmd, charges *[]charge) bool {
-	if need := m.ledger.shortfall(tier, b.Size); need > 0 {
-		victims := m.policy.Victims(tier, need, m.ledger.residents(tier, m.pop))
-		if len(victims) == 0 {
-			return false
-		}
-		for _, v := range victims {
-			m.ledger.release(v.ID, v.Addr, tier, true)
-			demotes[v.Addr] = append(demotes[v.Addr], dfs.DemoteCmd{Block: v.ID, Tier: tier})
-		}
-	}
-	ok, fresh := m.ledger.reserve(b.ID, addr, b.Size, job, tier, false)
-	if fresh {
-		*charges = append(*charges, charge{id: b.ID, addr: addr, tier: tier})
-	}
-	return ok
-}
-
-// journalDemotesLocked makes this plan's demotions durable, grouped by
-// (addr, tier).
-func (m *Master) journalDemotesLocked(demotes map[string][]dfs.DemoteCmd) error {
-	for _, addr := range sortedKeys(demotes) {
-		perTier := make(map[dfs.Tier][]dfs.BlockID)
-		for _, c := range demotes[addr] {
-			perTier[c.Tier] = append(perTier[c.Tier], c.Block)
-		}
-		for _, tier := range []dfs.Tier{dfs.TierSSD, dfs.TierRAM} {
-			if ids := perTier[tier]; len(ids) > 0 {
-				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-				if err := m.journal.AppendDemote(addr, tier, ids); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// sendDemotes delivers demote batches. Failures only count: the budget
-// release is already durable, and the slave's stale copy drains when
-// its jobs evict.
-func (m *Master) sendDemotes(epoch uint64, demotes map[string][]dfs.DemoteCmd) {
-	if len(demotes) == 0 {
-		return
-	}
-	ds, ok := m.link.(DemoteSender)
-	if !ok {
-		return
-	}
-	for _, addr := range sortedKeys(demotes) {
-		cmds := demotes[addr]
-		sort.Slice(cmds, func(i, j int) bool { return cmds[i].Block < cmds[j].Block })
-		if err := ds.SendDemote(addr, dfs.DemoteBatch{Epoch: epoch, Cmds: cmds}); err != nil {
-			m.mu.Lock()
-			m.stats.SendErrors++
-			m.mu.Unlock()
-		}
-	}
 }
 
 // sendMigrateBatches delivers a job's planned batches. A transport
@@ -491,10 +421,6 @@ func (m *Master) Evict(req dfs.EvictReq) (dfs.EvictResp, error) {
 		for id, a := range js.blocks {
 			batches[a.addr] = append(batches[a.addr], dfs.EvictCmd{Block: id, Job: job})
 			blocks++
-			// The ledger keeps the residency's charges (the slave still
-			// holds the bytes until its unpin delta) but the job's
-			// reference drops, making the block a colder demotion victim.
-			m.ledger.dropRef(id, a.addr, job)
 		}
 	}
 	m.mu.Unlock()
@@ -568,14 +494,14 @@ func (m *Master) jobLive(job dfs.JobID) bool {
 // journal: addr now holds the listed blocks pinned and
 // checksum-verified, which is the state machine's swapped/checked
 // stage. Blocks the master never assigned (or assigned elsewhere, or
-// at another tier) are ignored. For SSD pins it then consults the
-// policy for the ladder's second rung, promoting qualifying blocks
-// SSD→RAM. A no-op without a journal or a tier plane.
+// at another tier) are ignored. Under the ladder, SSD pins then take
+// the second rung, promoting qualifying blocks SSD→RAM. A no-op without
+// a journal or a tier plane.
 func (m *Master) NotePinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
 	m.mu.Lock()
 	j := m.journal
-	pol := m.policy
-	if (j == nil && pol == nil) || len(blocks) == 0 {
+	ladder := m.ladder
+	if (j == nil && m.ledger == nil) || len(blocks) == 0 {
 		m.mu.Unlock()
 		return
 	}
@@ -598,17 +524,18 @@ func (m *Master) NotePinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
 			_ = j.AppendPinned(job, addr, tier, ids)
 		}
 	}
-	if pol != nil && tier == dfs.TierSSD {
+	if ladder && tier == dfs.TierSSD {
 		m.climb(addr, perJob)
 	}
 }
 
 // climb issues the ladder's second rung: for blocks just confirmed
-// pinned on addr's SSD, ask the policy whether they earn RAM, reserve
-// RAM budget (no victim demotion for climbs — a full RAM simply leaves
-// the block on flash), journal the re-plan, and send the RAM-rung
-// migrate commands. The slave reads the block from its SSD copy and
-// releases the flash residency once the RAM pin lands.
+// pinned on addr's SSD whose job is small (climbMaxJobSize) or that
+// have been re-read, reserve RAM budget (a full RAM simply leaves the
+// block on flash), journal the re-plan, and send the RAM-rung migrate
+// commands. The slave reads the block
+// from its SSD copy and releases the flash residency once the RAM pin
+// lands.
 func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 	m.mu.Lock()
 	epoch := m.epoch
@@ -629,17 +556,10 @@ func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 			if a == nil || a.addr != addr || a.tier != dfs.TierSSD {
 				continue
 			}
-			ctx := PlanContext{
-				Job:          job,
-				Block:        dfs.Block{ID: id, Size: a.size},
-				JobInputSize: js.inputSize,
-				Popularity:   m.pop.get(id),
-				SSDEnabled:   true,
+			if js.inputSize > climbMaxJobSize && m.pop.get(id) == 0 {
+				continue // a large job's block earns RAM only once re-read
 			}
-			if m.policy.ClimbTier(ctx, dfs.TierSSD) != dfs.TierRAM {
-				continue
-			}
-			if ok, _ := m.ledger.reserve(id, addr, a.size, job, dfs.TierRAM, true); !ok {
+			if ok, _ := m.ledger.reserve(id, addr, a.size, dfs.TierRAM, true); !ok {
 				m.ledger.noteReject(dfs.TierRAM)
 				continue
 			}
@@ -694,7 +614,7 @@ func (m *Master) NoteUnpinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) 
 		return
 	}
 	for _, id := range blocks {
-		m.ledger.release(id, addr, tier, false)
+		m.ledger.release(id, addr, tier)
 	}
 	m.mu.Lock()
 	j := m.journal
@@ -723,8 +643,7 @@ func sortedJobs[V any](m map[dfs.JobID]V) []dfs.JobID {
 // there is no reference to release.
 func (m *Master) NotifyRead(job dfs.JobID, blocks []dfs.BlockID) {
 	// Every notified read feeds the popularity score, whether or not the
-	// block is still assigned: re-reads are the signal the
-	// popularity-scored policy promotes on.
+	// block is still assigned: a re-read earns the ladder's climb.
 	m.pop.bump(blocks)
 	m.mu.Lock()
 	epoch := m.epoch

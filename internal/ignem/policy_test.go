@@ -1,152 +1,35 @@
 package ignem
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dfs"
 )
 
-func TestPolicyByName(t *testing.T) {
+// ConfigureTiers accepts the two policy names (and empty, the paper
+// default) and rejects every other name.
+func TestConfigureTiersPolicyNames(t *testing.T) {
 	cases := []struct {
-		in   string
-		want string
-		ok   bool
+		in     string
+		ladder bool
+		ok     bool
 	}{
-		{"", "paper", true},
-		{"paper", "paper", true},
-		{"ladder", "ladder", true},
-		{"popularity", "popularity", true},
-		{"lru", "", false},
+		{"", false, true},
+		{"paper", false, true},
+		{"ladder", true, true},
+		{"lru", false, false},
 	}
 	for _, c := range cases {
-		p, ok := PolicyByName(c.in)
-		if ok != c.ok {
-			t.Errorf("PolicyByName(%q) ok = %v, want %v", c.in, ok, c.ok)
+		m := NewMaster(&fakeResolver{}, newFakeLink(), 1)
+		err := m.ConfigureTiers(c.in, TierBudgets{})
+		if (err == nil) != c.ok {
+			t.Errorf("ConfigureTiers(%q) err = %v, want ok %v", c.in, err, c.ok)
 			continue
 		}
-		if ok && p.Name() != c.want {
-			t.Errorf("PolicyByName(%q).Name() = %q, want %q", c.in, p.Name(), c.want)
+		if c.ok && m.ladder != c.ladder {
+			t.Errorf("ConfigureTiers(%q) ladder = %v, want %v", c.in, m.ladder, c.ladder)
 		}
-	}
-}
-
-func TestPaperPolicyIsPinInRAM(t *testing.T) {
-	p := PaperPolicy{}
-	ctx := PlanContext{JobInputSize: 1 << 40, Popularity: 100, SSDEnabled: true}
-	if got := p.PlanTier(ctx); got != dfs.TierRAM {
-		t.Errorf("PlanTier = %v, want RAM", got)
-	}
-	for _, cur := range []dfs.Tier{dfs.TierHDD, dfs.TierSSD, dfs.TierRAM} {
-		if got := p.ClimbTier(ctx, cur); got != cur {
-			t.Errorf("ClimbTier(%v) = %v, want no climb", cur, got)
-		}
-	}
-	residents := []Resident{{ID: 1, Size: 1 << 30}}
-	if v := p.Victims(dfs.TierRAM, 1, residents); v != nil {
-		t.Errorf("Victims = %v, want nil (paper never demotes)", v)
-	}
-}
-
-func TestLadderPolicyPlanAndClimb(t *testing.T) {
-	p := LadderPolicy{}
-	if got := p.PlanTier(PlanContext{SSDEnabled: true}); got != dfs.TierSSD {
-		t.Errorf("PlanTier(ssd enabled) = %v, want SSD", got)
-	}
-	if got := p.PlanTier(PlanContext{SSDEnabled: false}); got != dfs.TierRAM {
-		t.Errorf("PlanTier(no ssd) = %v, want RAM", got)
-	}
-
-	small := PlanContext{JobInputSize: 512 << 20, SSDEnabled: true}
-	if got := p.ClimbTier(small, dfs.TierSSD); got != dfs.TierRAM {
-		t.Errorf("small job ClimbTier = %v, want RAM", got)
-	}
-	largeCold := PlanContext{JobInputSize: 2 << 30, SSDEnabled: true}
-	if got := p.ClimbTier(largeCold, dfs.TierSSD); got != dfs.TierSSD {
-		t.Errorf("large cold job ClimbTier = %v, want stay on SSD", got)
-	}
-	largeHot := PlanContext{JobInputSize: 2 << 30, Popularity: 1, SSDEnabled: true}
-	if got := p.ClimbTier(largeHot, dfs.TierSSD); got != dfs.TierRAM {
-		t.Errorf("large popular job ClimbTier = %v, want RAM", got)
-	}
-	// Only an SSD resident climbs; RAM stays, HDD never jumps a rung.
-	if got := p.ClimbTier(small, dfs.TierRAM); got != dfs.TierRAM {
-		t.Errorf("ClimbTier from RAM = %v, want RAM", got)
-	}
-	if got := p.ClimbTier(small, dfs.TierHDD); got != dfs.TierHDD {
-		t.Errorf("ClimbTier from HDD = %v, want HDD", got)
-	}
-
-	// Custom climb threshold.
-	tight := LadderPolicy{ClimbMaxJobSize: 100}
-	if got := tight.ClimbTier(PlanContext{JobInputSize: 101}, dfs.TierSSD); got != dfs.TierSSD {
-		t.Errorf("over custom threshold = %v, want stay on SSD", got)
-	}
-	if got := tight.ClimbTier(PlanContext{JobInputSize: 100}, dfs.TierSSD); got != dfs.TierRAM {
-		t.Errorf("at custom threshold = %v, want RAM", got)
-	}
-}
-
-func TestPopularityPolicy(t *testing.T) {
-	p := PopularityPolicy{}
-	hot := PlanContext{Popularity: 2, SSDEnabled: true}
-	warm := PlanContext{Popularity: 1, SSDEnabled: true}
-	cold := PlanContext{SSDEnabled: true}
-	if got := p.PlanTier(hot); got != dfs.TierRAM {
-		t.Errorf("hot PlanTier = %v, want RAM", got)
-	}
-	if got := p.PlanTier(warm); got != dfs.TierSSD {
-		t.Errorf("warm PlanTier = %v, want SSD", got)
-	}
-	if got := p.PlanTier(cold); got != dfs.TierSSD {
-		t.Errorf("cold PlanTier = %v, want SSD", got)
-	}
-	if got := p.PlanTier(PlanContext{SSDEnabled: false}); got != dfs.TierRAM {
-		t.Errorf("no-ssd PlanTier = %v, want RAM", got)
-	}
-	if got := p.ClimbTier(warm, dfs.TierSSD); got != dfs.TierRAM {
-		t.Errorf("warm ClimbTier = %v, want RAM", got)
-	}
-	if got := p.ClimbTier(cold, dfs.TierSSD); got != dfs.TierSSD {
-		t.Errorf("cold ClimbTier = %v, want stay on SSD", got)
-	}
-	strict := PopularityPolicy{HotThreshold: 5}
-	if got := strict.PlanTier(PlanContext{Popularity: 4, SSDEnabled: true}); got != dfs.TierSSD {
-		t.Errorf("below custom threshold = %v, want SSD", got)
-	}
-	if got := strict.PlanTier(PlanContext{Popularity: 5, SSDEnabled: true}); got != dfs.TierRAM {
-		t.Errorf("at custom threshold = %v, want RAM", got)
-	}
-}
-
-func TestColdestVictimsOrderingAndCoverage(t *testing.T) {
-	residents := []Resident{
-		{ID: 1, Size: 10, Refs: 0, Seq: 3, Pop: 5}, // hot: picked last
-		{ID: 2, Size: 10, Refs: 2, Seq: 1, Pop: 0}, // cold but referenced
-		{ID: 3, Size: 10, Refs: 0, Seq: 2, Pop: 0}, // coldest, newer
-		{ID: 4, Size: 10, Refs: 0, Seq: 1, Pop: 0}, // coldest, oldest: first
-	}
-	v := coldestVictims(20, residents)
-	if len(v) != 2 || v[0].ID != 4 || v[1].ID != 3 {
-		t.Fatalf("victims = %v, want [4 3] (pop asc, refs asc, seq asc)", v)
-	}
-	// Need spills into the referenced then the popular resident.
-	v = coldestVictims(35, residents)
-	if len(v) != 4 || v[2].ID != 2 || v[3].ID != 1 {
-		t.Fatalf("victims = %v, want [4 3 2 1]", v)
-	}
-	// The whole set cannot cover the need: reject with nil.
-	if v = coldestVictims(41, residents); v != nil {
-		t.Fatalf("victims = %v, want nil when need uncoverable", v)
-	}
-	if v = coldestVictims(0, residents); v != nil {
-		t.Fatalf("victims = %v, want nil for zero need", v)
-	}
-	if v = coldestVictims(1, nil); v != nil {
-		t.Fatalf("victims = %v, want nil for no residents", v)
-	}
-	// Input order is preserved (selection sorts a copy).
-	if residents[0].ID != 1 {
-		t.Fatal("coldestVictims mutated its input")
 	}
 }
 
@@ -156,32 +39,32 @@ func TestTierLedgerReserveReleaseBudgets(t *testing.T) {
 		t.Fatal("ssdEnabled = false with SSD budget")
 	}
 
-	ok, fresh := l.reserve(1, "dn1", 40, "j1", dfs.TierSSD, false)
+	ok, fresh := l.reserve(1, "dn1", 40, dfs.TierSSD, false)
 	if !ok || !fresh {
 		t.Fatalf("first reserve = (%v, %v), want (true, true)", ok, fresh)
 	}
-	// Same residency, second job: ref only, no new charge.
-	ok, fresh = l.reserve(1, "dn1", 40, "j2", dfs.TierSSD, false)
+	// Same residency, second job: shares the charge.
+	ok, fresh = l.reserve(1, "dn1", 40, dfs.TierSSD, false)
 	if !ok || fresh {
 		t.Fatalf("duplicate reserve = (%v, %v), want (true, false)", ok, fresh)
 	}
 	// Same block on another datanode is a separate residency and busts
-	// the 50-byte SSD budget.
-	ok, _ = l.reserve(1, "dn2", 40, "j1", dfs.TierSSD, false)
+	// the 50-byte SSD budget without charging or recording anything.
+	ok, _ = l.reserve(1, "dn2", 40, dfs.TierSSD, false)
 	if ok {
 		t.Fatal("over-budget SSD reserve succeeded")
 	}
-	if got := l.shortfall(dfs.TierSSD, 40); got != 30 {
-		t.Errorf("shortfall = %d, want 30", got)
+	if c := l.snapshot(); c.SSDUsedBytes != 40 || len(l.entries) != 1 {
+		t.Errorf("after rejected reserve: ssd %d, %d entries; want 40, 1", c.SSDUsedBytes, len(l.entries))
 	}
 	// HDD is never charged.
-	ok, fresh = l.reserve(2, "dn1", 1<<40, "j1", dfs.TierHDD, false)
+	ok, fresh = l.reserve(2, "dn1", 1<<40, dfs.TierHDD, false)
 	if !ok || fresh {
 		t.Fatalf("HDD reserve = (%v, %v), want (true, false)", ok, fresh)
 	}
 
 	// Climb: the same residency charges RAM on top of SSD.
-	ok, fresh = l.reserve(1, "dn1", 40, "j1", dfs.TierRAM, true)
+	ok, fresh = l.reserve(1, "dn1", 40, dfs.TierRAM, true)
 	if !ok || !fresh {
 		t.Fatalf("climb reserve = (%v, %v), want (true, true)", ok, fresh)
 	}
@@ -195,18 +78,28 @@ func TestTierLedgerReserveReleaseBudgets(t *testing.T) {
 
 	// The slave's unpin delta releases the flash charge; releasing again
 	// is a no-op.
-	l.release(1, "dn1", dfs.TierSSD, false)
-	l.release(1, "dn1", dfs.TierSSD, false)
+	l.release(1, "dn1", dfs.TierSSD)
+	l.release(1, "dn1", dfs.TierSSD)
 	c = l.snapshot()
 	if c.SSDUsedBytes != 0 || c.RAMUsedBytes != 40 {
 		t.Errorf("after SSD release: ssd %d ram %d, want 0/40", c.SSDUsedBytes, c.RAMUsedBytes)
 	}
-	if c.Demotions != 0 {
-		t.Errorf("Demotions = %d, want 0 for a non-demotion release", c.Demotions)
+	// Releasing the last charge drops the entry.
+	l.release(1, "dn1", dfs.TierRAM)
+	if c = l.snapshot(); c.RAMUsedBytes != 0 || len(l.entries) != 0 {
+		t.Errorf("after RAM release: ram %d, %d entries; want 0, 0", c.RAMUsedBytes, len(l.entries))
 	}
-	l.release(1, "dn1", dfs.TierRAM, true)
-	if c = l.snapshot(); c.RAMUsedBytes != 0 || c.Demotions != 1 {
-		t.Errorf("after demotion release: ram %d demotions %d, want 0/1", c.RAMUsedBytes, c.Demotions)
+
+	// reset clears occupancy but keeps cumulative counters.
+	l.reserve(3, "dn1", 30, dfs.TierRAM, false)
+	before := l.snapshot()
+	l.reset()
+	after := l.snapshot()
+	if after.SSDUsedBytes != 0 || after.RAMUsedBytes != 0 || len(l.entries) != 0 {
+		t.Errorf("reset left occupancy %d/%d", after.SSDUsedBytes, after.RAMUsedBytes)
+	}
+	if after.PromotionsToSSD != before.PromotionsToSSD || after.PromotionsToRAM != before.PromotionsToRAM {
+		t.Errorf("reset lost counters: %+v vs %+v", after, before)
 	}
 }
 
@@ -216,11 +109,10 @@ func TestTierLedgerRejectCountersAndUnlimitedRAM(t *testing.T) {
 	if l.ssdEnabled() {
 		t.Fatal("ssdEnabled = true with zero SSD budget")
 	}
-	if ok, _ := l.reserve(1, "dn1", 1<<40, "j1", dfs.TierRAM, false); !ok {
-		t.Fatal("unlimited RAM reserve failed")
-	}
-	if got := l.shortfall(dfs.TierRAM, 1<<40); got != 0 {
-		t.Errorf("unlimited RAM shortfall = %d, want 0", got)
+	for id := dfs.BlockID(1); id <= 2; id++ {
+		if ok, _ := l.reserve(id, "dn1", 1<<40, dfs.TierRAM, false); !ok {
+			t.Fatal("unlimited RAM reserve failed")
+		}
 	}
 	l.noteReject(dfs.TierSSD)
 	l.noteReject(dfs.TierRAM)
@@ -233,66 +125,15 @@ func TestTierLedgerRejectCountersAndUnlimitedRAM(t *testing.T) {
 
 	// A nil ledger (no ConfigureTiers) accepts everything silently.
 	var nilLedger *tierLedger
-	if ok, fresh := nilLedger.reserve(1, "dn1", 1, "j1", dfs.TierRAM, false); !ok || fresh {
+	if ok, fresh := nilLedger.reserve(1, "dn1", 1, dfs.TierRAM, false); !ok || fresh {
 		t.Errorf("nil ledger reserve = (%v, %v)", ok, fresh)
 	}
-	if nilLedger.ssdEnabled() || nilLedger.shortfall(dfs.TierRAM, 1) != 0 {
+	if nilLedger.ssdEnabled() || nilLedger.snapshot() != (TierCounters{}) {
 		t.Error("nil ledger not inert")
 	}
-	nilLedger.release(1, "dn1", dfs.TierRAM, false)
+	nilLedger.release(1, "dn1", dfs.TierRAM)
 	nilLedger.noteReject(dfs.TierRAM)
-}
-
-func TestTierLedgerResidentsAndDropRef(t *testing.T) {
-	l := newTierLedger(TierBudgets{RAM: 1 << 30, SSD: 1 << 30})
-	pop := newPopTracker()
-	l.reserve(1, "dn1", 10, "j1", dfs.TierSSD, false)
-	l.reserve(2, "dn1", 20, "j1", dfs.TierSSD, false)
-	l.reserve(2, "dn1", 20, "j2", dfs.TierSSD, false)
-	l.reserve(3, "dn1", 30, "j1", dfs.TierRAM, false)
-	pop.bump([]dfs.BlockID{2, 2})
-
-	res := l.residents(dfs.TierSSD, pop)
-	if len(res) != 2 {
-		t.Fatalf("SSD residents = %v, want 2 entries", res)
-	}
-	// Sorted by plan sequence, popularity filled from the tracker.
-	if res[0].ID != 1 || res[0].Refs != 1 || res[0].Pop != 0 {
-		t.Errorf("resident[0] = %+v", res[0])
-	}
-	if res[1].ID != 2 || res[1].Refs != 2 || res[1].Pop != 2 {
-		t.Errorf("resident[1] = %+v", res[1])
-	}
-	if ram := l.residents(dfs.TierRAM, nil); len(ram) != 1 || ram[0].ID != 3 {
-		t.Errorf("RAM residents = %v", ram)
-	}
-
-	// Dropping the last job reference keeps the charge (bytes are still
-	// resident on the slave) but zeroes Refs, making it a colder victim.
-	l.dropRef(1, "dn1", "j1")
-	res = l.residents(dfs.TierSSD, nil)
-	if len(res) != 2 || res[0].Refs != 0 {
-		t.Fatalf("after dropRef: residents = %v", res)
-	}
-	if c := l.snapshot(); c.SSDUsedBytes != 30 {
-		t.Errorf("SSDUsedBytes = %d, want 30 (charge survives dropRef)", c.SSDUsedBytes)
-	}
-	// Release + no refs garbage-collects the entry.
-	l.release(1, "dn1", dfs.TierSSD, true)
-	if res = l.residents(dfs.TierSSD, nil); len(res) != 1 || res[0].ID != 2 {
-		t.Errorf("after release: residents = %v", res)
-	}
-
-	// reset clears occupancy but keeps cumulative counters.
-	before := l.snapshot()
-	l.reset()
-	after := l.snapshot()
-	if after.SSDUsedBytes != 0 || after.RAMUsedBytes != 0 {
-		t.Errorf("reset left occupancy %d/%d", after.SSDUsedBytes, after.RAMUsedBytes)
-	}
-	if after.PromotionsToSSD != before.PromotionsToSSD || after.Demotions != before.Demotions {
-		t.Errorf("reset lost counters: %+v vs %+v", after, before)
-	}
+	nilLedger.reset()
 }
 
 func TestPopTrackerNilSafe(t *testing.T) {
@@ -305,5 +146,115 @@ func TestPopTrackerNilSafe(t *testing.T) {
 	p.bump([]dfs.BlockID{1, 1, 2})
 	if p.get(1) != 2 || p.get(2) != 1 || p.get(3) != 0 {
 		t.Errorf("counts = %d/%d/%d", p.get(1), p.get(2), p.get(3))
+	}
+}
+
+// sentTiers collects, per block, the tier of every migrate command the
+// master sent to addr, in send order.
+func sentTiers(link *fakeLink, addr string) map[dfs.BlockID][]dfs.Tier {
+	link.mu.Lock()
+	defer link.mu.Unlock()
+	out := make(map[dfs.BlockID][]dfs.Tier)
+	for _, b := range link.migrates[addr] {
+		for _, c := range b.Cmds {
+			out[c.Block.ID] = append(out[c.Block.ID], c.Tier)
+		}
+	}
+	return out
+}
+
+// The master's tier placement for both policies, with and without an
+// SSD rung: the first tier a block is planned at, the fall from a full
+// RAM budget, and the ladder's SSD→RAM climb boundary (a job input of
+// exactly 1 GiB climbs on its SSD pin; one byte more stays on flash
+// until the block has been re-read).
+func TestMasterTierPlacementAndClimb(t *testing.T) {
+	const gib = int64(1) << 30
+	cases := []struct {
+		policy string
+		ssd    int64
+		// first is the tier an unbudgeted block is planned at.
+		first dfs.Tier
+		// full is the tier the second block falls to once a one-block
+		// RAM budget is taken (TierHDD = rejected, never sent).
+		full dfs.Tier
+		// climbs reports whether SSD residents earn the RAM rung.
+		climbs bool
+	}{
+		{"paper", 1 << 40, dfs.TierRAM, dfs.TierSSD, false},
+		{"paper", 0, dfs.TierRAM, dfs.TierHDD, false},
+		{"ladder", 1 << 40, dfs.TierSSD, dfs.TierSSD, true},
+		// No flash rung and a full RAM: rejected, as under paper — the
+		// ladder never demotes a resident to make room.
+		{"ladder", 0, dfs.TierRAM, dfs.TierHDD, false},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/ssd=%v", c.policy, c.ssd > 0), func(t *testing.T) {
+			// First tier, no budget pressure, and the climb boundary.
+			res := &fakeResolver{files: map[string][]dfs.LocatedBlock{
+				"/exact": {located(1, gib, "dn1")},
+				"/over":  {located(2, gib+1, "dn1")},
+			}}
+			link := newFakeLink()
+			m := NewMaster(res, link, 1)
+			if err := m.ConfigureTiers(c.policy, TierBudgets{SSD: c.ssd}); err != nil {
+				t.Fatal(err)
+			}
+			for job, path := range map[dfs.JobID]string{"exact": "/exact", "over": "/over"} {
+				if _, err := m.Migrate(dfs.MigrateReq{Job: job, Paths: []string{path}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := sentTiers(link, "dn1")
+			for _, id := range []dfs.BlockID{1, 2} {
+				if fmt.Sprint(got[id]) != fmt.Sprint([]dfs.Tier{c.first}) {
+					t.Fatalf("block %d planned at %v, want [%v]", id, got[id], c.first)
+				}
+			}
+			m.NotePinned("dn1", c.first, []dfs.BlockID{1, 2})
+			got = sentTiers(link, "dn1")
+			if climbed := len(got[1]) == 2 && got[1][1] == dfs.TierRAM; climbed != c.climbs {
+				t.Fatalf("1 GiB job after its pin: commands %v, climbed = %v, want %v", got[1], climbed, c.climbs)
+			}
+			if len(got[2]) != 1 {
+				t.Fatalf("1 GiB + 1 job climbed without a re-read: commands %v", got[2])
+			}
+			m.NotifyRead("over", []dfs.BlockID{2})
+			m.NotePinned("dn1", c.first, []dfs.BlockID{2})
+			got = sentTiers(link, "dn1")
+			if climbed := len(got[2]) == 2 && got[2][1] == dfs.TierRAM; climbed != c.climbs {
+				t.Fatalf("1 GiB + 1 job after a re-read: commands %v, climbed = %v, want %v", got[2], climbed, c.climbs)
+			}
+
+			// The fall from a full RAM budget: one block fits.
+			res = &fakeResolver{files: map[string][]dfs.LocatedBlock{
+				"/f": {located(1, 10, "dn1"), located(2, 10, "dn1")},
+			}}
+			link = newFakeLink()
+			m = NewMaster(res, link, 1)
+			if err := m.ConfigureTiers(c.policy, TierBudgets{RAM: 10, SSD: c.ssd}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Migrate(dfs.MigrateReq{Job: "j", Paths: []string{"/f"}}); err != nil {
+				t.Fatal(err)
+			}
+			got = sentTiers(link, "dn1")
+			if fmt.Sprint(got[1]) != fmt.Sprint([]dfs.Tier{c.first}) {
+				t.Fatalf("block 1 planned at %v, want [%v]", got[1], c.first)
+			}
+			if c.full == dfs.TierHDD {
+				if len(got[2]) != 0 {
+					t.Fatalf("block 2 sent at %v, want rejected", got[2])
+				}
+				if r := m.Stats().Tiers.BudgetRejectsRAM; r != 1 {
+					t.Fatalf("BudgetRejectsRAM = %d, want 1", r)
+				}
+			} else if fmt.Sprint(got[2]) != fmt.Sprint([]dfs.Tier{c.full}) {
+				t.Fatalf("block 2 planned at %v, want [%v]", got[2], c.full)
+			}
+			if st := m.Stats().Tiers; st.Demotions != 0 {
+				t.Fatalf("Demotions = %d, want 0", st.Demotions)
+			}
+		})
 	}
 }

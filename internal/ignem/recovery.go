@@ -53,6 +53,14 @@ func (m *Master) maybeTruncate() {
 	}
 }
 
+// ResidencyView reports a block replica's authoritative fast-tier
+// residency — the namenode's heartbeat-maintained pin side tables. The
+// dying master may have consumed pin/unpin deltas whose journal appends
+// failed (the slaves won't re-send them), so replay alone under-counts
+// confirmed pins and over-counts released charges; recovery reconciles
+// against this view to close both gaps.
+type ResidencyView func(id dfs.BlockID, addr string) (ram, ssd bool)
+
 // RecoverFromJournal rebuilds the master's state from the journal,
 // modelling a master restart that resumes in-flight migrations instead
 // of purging them. The journaled epoch is restored WITHOUT bumping —
@@ -65,30 +73,20 @@ func (m *Master) maybeTruncate() {
 //   - jobs with a journaled evict intent stay dropped, and evict
 //     batches not journaled as delivered are re-parked
 //
-// After rebuilding, parked batches are flushed once so recovery
-// converges without waiting for the pump.
-func (m *Master) RecoverFromJournal() error {
-	return m.RecoverFromJournalReconciled(nil)
-}
-
-// ResidencyView reports a block replica's authoritative fast-tier
-// residency — the namenode's heartbeat-maintained pin side tables. The
-// dying master may have consumed pin/unpin deltas whose journal appends
-// failed (the slaves won't re-send them), so replay alone under-counts
-// confirmed pins and over-counts released charges; recovery reconciles
-// against this view to close both gaps.
-type ResidencyView func(id dfs.BlockID, addr string) (ram, ssd bool)
-
-// RecoverFromJournalReconciled is RecoverFromJournal with a residency
-// view to reconcile the replayed state against (nil skips
-// reconciliation):
+// The replay is first reconciled against view, which is required:
 //
 //   - an entry planned at a fast tier whose pin confirmation was lost
 //     but whose residency the view confirms is marked pinned, so the
 //     ladder's next rung still climbs instead of stalling forever
 //   - an SSD budget charge whose block has left flash and reached RAM
 //     (the climb completed; the unpin record was lost) is released
-func (m *Master) RecoverFromJournalReconciled(view ResidencyView) error {
+//
+// After rebuilding, parked batches are flushed once so recovery
+// converges without waiting for the pump.
+func (m *Master) RecoverFromJournal(view ResidencyView) error {
+	if view == nil {
+		return fmt.Errorf("ignem: recover without a residency view")
+	}
 	m.mu.Lock()
 	j := m.journal
 	m.mu.Unlock()
@@ -99,9 +97,7 @@ func (m *Master) RecoverFromJournalReconciled(view ResidencyView) error {
 	if err != nil {
 		return fmt.Errorf("ignem: journal replay: %w", err)
 	}
-	if view != nil {
-		reconcileReplay(j, rec, view)
-	}
+	reconcileReplay(j, rec, view)
 	m.mu.Lock()
 	if rec.epoch > 0 {
 		m.epoch = rec.epoch
@@ -159,9 +155,9 @@ func (m *Master) RecoverFromJournalReconciled(view ResidencyView) error {
 	}
 	m.stats.WALReplayed += int64(rec.records)
 	m.stats.ResumedJobs += resumed
-	pol := m.policy
+	ladder := m.ladder
 	m.mu.Unlock()
-	if pol != nil {
+	if ladder {
 		// Re-run the climb decision for confirmed SSD pins. NotePinned
 		// dedupes the journal side (pinnedSeen was rebuilt by the
 		// replay), so this only issues rungs the dead master never

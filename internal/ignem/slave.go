@@ -131,8 +131,6 @@ type SlaveStats struct {
 	SSDHits int64
 	// ClimbedBlocks counts SSD→RAM second-rung promotions completed.
 	ClimbedBlocks int64
-	// Demotions counts fast-tier residencies released by demote commands.
-	Demotions int64
 }
 
 type readKey struct {
@@ -257,47 +255,6 @@ func (s *Slave) ApplyEvictBatch(b dfs.EvictBatch) {
 		s.tombstoneLocked(cmd.Job, now)
 	}
 	s.pruneTombstonesLocked(now)
-	s.retryDeferredLocked()
-	s.mu.Unlock()
-	s.notifyUnpinned(unpinned)
-}
-
-// ApplyDemoteBatch force-unpins the listed blocks from the named tier —
-// the ladder's downward arm. Demotion ignores outstanding job references
-// (the cold HDD replica still serves them) and is advisory: the master
-// released the tier budget when it issued the command, so a block that
-// is no longer resident, or has since climbed to a different tier, is
-// simply skipped.
-func (s *Slave) ApplyDemoteBatch(b dfs.DemoteBatch) {
-	var unpinned []tierPin
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	unpinned = s.adoptEpochLocked(b.Epoch)
-	for _, cmd := range b.Cmds {
-		pb := s.pinned[cmd.Block]
-		if pb == nil || pb.tier != cmd.Tier.EffectiveTarget() {
-			continue
-		}
-		for job := range pb.refs {
-			if jb := s.jobBlocks[job]; jb != nil {
-				delete(jb, cmd.Block)
-				if len(jb) == 0 {
-					delete(s.jobBlocks, job)
-				}
-			}
-		}
-		delete(s.pinned, cmd.Block)
-		if pb.tier == dfs.TierSSD {
-			s.ssdBytes -= pb.size
-		} else {
-			s.pinnedBytes -= pb.size
-		}
-		s.stats.Demotions++
-		unpinned = append(unpinned, tierPin{id: cmd.Block, tier: pb.tier})
-	}
 	s.retryDeferredLocked()
 	s.mu.Unlock()
 	s.notifyUnpinned(unpinned)
@@ -747,7 +704,7 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 		return false
 	}
 	if cur := s.pinned[id]; cur != pb || cur.tier != dfs.TierSSD {
-		// The block was unpinned, demoted, or already climbed while we
+		// The block was unpinned or already climbed while we
 		// copied; nothing to flip.
 		return false
 	}

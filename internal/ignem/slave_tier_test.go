@@ -135,59 +135,6 @@ func TestSlaveClimbsSSDToRAM(t *testing.T) {
 	}
 }
 
-func TestSlaveDemoteDrainsMatchingTierOnly(t *testing.T) {
-	v := simclock.NewVirtual(epoch)
-	media := &fakeMedia{clock: v, readTime: 10 * time.Millisecond}
-	rec := &tierRecorder{}
-	s := NewSlave(v, SlaveConfig{Capacity: 1 << 30}, media, nil, rec.listener())
-
-	ssd := block(1, 4<<20)
-	ram := block(2, 4<<20)
-	v.Go(func() {
-		s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{
-			tierCmd(ssd, "j1", 8<<20, dfs.TierSSD),
-			tierCmd(ram, "j1", 8<<20, dfs.TierRAM),
-		}})
-	})
-	v.Wait()
-
-	v.Go(func() {
-		s.ApplyDemoteBatch(dfs.DemoteBatch{Epoch: 1, Cmds: []dfs.DemoteCmd{
-			{Block: 1, Tier: dfs.TierSSD},
-			// Tier mismatch: block 2 sits in RAM, not on flash — skipped.
-			{Block: 2, Tier: dfs.TierSSD},
-			// Not resident at all — skipped.
-			{Block: 3, Tier: dfs.TierSSD},
-		}})
-	})
-	v.Wait()
-
-	if s.IsPinned(1) {
-		t.Error("demoted block still resident")
-	}
-	if !s.IsPinned(2) {
-		t.Error("tier-mismatched demote dropped a RAM resident")
-	}
-	if got := s.SSDBytes(); got != 0 {
-		t.Errorf("SSDBytes = %d, want 0", got)
-	}
-	st := s.Stats()
-	if st.Demotions != 1 {
-		t.Errorf("Demotions = %d, want 1", st.Demotions)
-	}
-	// Demotion sends the master an unpin delta so the budget is freed.
-	want := fmt.Sprintf("unpin:1:%v", dfs.TierSSD)
-	var found bool
-	for _, e := range rec.snapshot() {
-		if e == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("pin events %v missing %q", rec.snapshot(), want)
-	}
-}
-
 func TestSlaveLegacyTierlessCommandPinsRAM(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
 	media := &fakeMedia{clock: v, readTime: 10 * time.Millisecond}
