@@ -163,31 +163,49 @@ func sentTiers(link *fakeLink, addr string) map[dfs.BlockID][]dfs.Tier {
 	return out
 }
 
-// The master's tier placement for both policies, with and without an
-// SSD rung: the first tier a block is planned at, the fall from a full
-// RAM budget, and the ladder's SSD→RAM climb boundary (a job input of
-// exactly 1 GiB climbs on its SSD pin; one byte more stays on flash
-// until the block has been re-read).
-func TestMasterTierPlacementAndClimb(t *testing.T) {
-	const gib = int64(1) << 30
-	cases := []struct {
-		policy string
-		ssd    int64
-		// first is the tier an unbudgeted block is planned at.
-		first dfs.Tier
-		// full is the tier the second block falls to once a one-block
-		// RAM budget is taken (TierHDD = rejected, never sent).
-		full dfs.Tier
-		// climbs reports whether SSD residents earn the RAM rung.
-		climbs bool
-	}{
+// tierCase is one row of the master's tier-placement table: a policy
+// with or without an SSD rung.
+type tierCase struct {
+	policy string
+	ssd    int64
+	// first is the tier an unbudgeted block is planned at.
+	first dfs.Tier
+	// full is the tier the second block falls to once a one-block
+	// RAM budget is taken (TierHDD = rejected, never sent).
+	full dfs.Tier
+	// climbs reports whether SSD residents earn the RAM rung.
+	climbs bool
+}
+
+// The paper policy pins in RAM whether or not an SSD rung exists, falls
+// to flash (or is rejected without one) when RAM is full, and never
+// climbs.
+func TestPaperPolicyIsPinInRAM(t *testing.T) {
+	checkTierPlacement(t, []tierCase{
 		{"paper", 1 << 40, dfs.TierRAM, dfs.TierSSD, false},
 		{"paper", 0, dfs.TierRAM, dfs.TierHDD, false},
+	})
+}
+
+// The ladder plans onto SSD first and climbs to RAM at the 1 GiB
+// boundary; with no flash rung it behaves as the paper policy.
+func TestLadderPolicyPlanAndClimb(t *testing.T) {
+	checkTierPlacement(t, []tierCase{
 		{"ladder", 1 << 40, dfs.TierSSD, dfs.TierSSD, true},
 		// No flash rung and a full RAM: rejected, as under paper — the
 		// ladder never demotes a resident to make room.
 		{"ladder", 0, dfs.TierRAM, dfs.TierHDD, false},
-	}
+	})
+}
+
+// checkTierPlacement drives the master through each case: the first
+// tier a block is planned at, the fall from a full RAM budget, and the
+// ladder's SSD→RAM climb boundary (a job input of exactly 1 GiB climbs
+// on its SSD pin; one byte more stays on flash until the block has been
+// re-read).
+func checkTierPlacement(t *testing.T, cases []tierCase) {
+	t.Helper()
+	const gib = int64(1) << 30
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/ssd=%v", c.policy, c.ssd > 0), func(t *testing.T) {
 			// First tier, no budget pressure, and the climb boundary.
