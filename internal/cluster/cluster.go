@@ -75,12 +75,6 @@ type Config struct {
 	// DFSHeartbeat carries datanode liveness and pin/block deltas.
 	// Default 1s.
 	DFSHeartbeat time.Duration
-	// DFSFullReportInterval adds a periodic full-inventory
-	// reconciliation report per datanode on top of the incremental
-	// deltas (see datanode.Config.FullReportInterval). Zero — the
-	// default — disables it: snapshots flow only at register/reconnect
-	// or on a namenode resync request.
-	DFSFullReportInterval time.Duration
 	// Slave configures the Ignem slaves.
 	Slave ignem.SlaveConfig
 	// SSD, when its Name is non-empty, gives every datanode a local SSD
@@ -236,16 +230,15 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 	}
 	for i, addr := range addrs {
 		dncfg := datanode.Config{
-			Addr:               addr,
-			NameNodeAddr:       NameNodeAddr,
-			Media:              cfg.Media,
-			HeartbeatInterval:  cfg.DFSHeartbeat,
-			FullReportInterval: cfg.DFSFullReportInterval,
-			Seed:               cfg.Seed,
-			Slave:              cfg.Slave,
-			Liveness:           sched,
-			ServeAllFromRAM:    cfg.Mode == ModeInputsInRAM,
-			ScrubInterval:      cfg.ScrubInterval,
+			Addr:              addr,
+			NameNodeAddr:      NameNodeAddr,
+			Media:             cfg.Media,
+			HeartbeatInterval: cfg.DFSHeartbeat,
+			Seed:              cfg.Seed,
+			Slave:             cfg.Slave,
+			Liveness:          sched,
+			ServeAllFromRAM:   cfg.Mode == ModeInputsInRAM,
+			ScrubInterval:     cfg.ScrubInterval,
 		}
 		if cfg.SSD.Name != "" {
 			dncfg.SSD = cfg.SSD

@@ -8,9 +8,9 @@ import (
 // WithBlockCache gives the client a shared block cache of at most bytes
 // payload bytes, serving repeated reads of hot inputs from client memory
 // instead of re-fetching from datanodes. The cache is shared across
-// every Reader, ReadBlock, and ReadFile call made through this client,
-// and concurrent reads of one cold block coalesce into a single
-// datanode fetch.
+// every ReadBlock and ReadFile call made through this client, and
+// concurrent reads of one cold block coalesce into a single datanode
+// fetch.
 //
 // The cache defaults off (bytes <= 0 keeps it off): experiment clients
 // must leave it off so seeded virtual-clock figures stay bit-identical,
@@ -39,8 +39,8 @@ func (c *Client) CacheStats() blockcache.Stats {
 // served from client memory; a miss fetches with the usual replica
 // choice and failover and installs the payload for later readers.
 // path may be "" when the caller does not know the owning file (bare
-// ReadBlock/ReadBlocks); such entries still serve hits and honour the
-// byte budget but cannot be invalidated per-file.
+// ReadBlock); such entries still serve hits and honour the byte budget
+// but cannot be invalidated per-file.
 func (c *Client) readBlockVia(path string, lb dfs.LocatedBlock, job dfs.JobID, first string) (dfs.ReadBlockResp, error) {
 	if c.cache == nil {
 		resp, _, err := c.readBlockFrom1st(lb, job, first)

@@ -30,13 +30,13 @@ type liveCluster struct {
 	nnAddr string
 }
 
-func startLive(tb testing.TB, tcp bool, nodes int, tcpOpts ...transport.TCPOption) *liveCluster {
+func startLive(tb testing.TB, tcp bool, nodes int) *liveCluster {
 	tb.Helper()
 	lc := &liveCluster{clock: simclock.NewScaledReal(4), nnAddr: "nn"}
 	addr := func(i int) string { return fmt.Sprintf("dn%d", i) }
 	if tcp {
 		dfs.RegisterWire()
-		tnet := transport.NewTCPNetwork(tcpOpts...)
+		tnet := transport.NewTCPNetwork()
 		lc.net = tnet
 		addr = func(int) string { return ephemeralAddr(tb, tnet) }
 		lc.nnAddr = addr(0)
@@ -255,15 +255,13 @@ func TestCachedReadAllocCeiling(t *testing.T) {
 	t.Logf("%d allocations per cached scan of %d blocks (ceiling %d)", allocs, blocks, ceiling)
 }
 
-// ramBlockRead stores one 4 MiB block on RAM-served datanodes over TCP,
-// with the binary fast path on or off (off is the gob codec), and
-// returns an uncached ReadBlock of it. ReadBlock and not ReadFile, so
-// what is measured is the wire path and not the result's allocation,
-// which costs both codecs the same.
-func ramBlockRead(tb testing.TB, fast bool) func() {
+// ramBlockRead stores one 4 MiB block on RAM-served datanodes over TCP
+// and returns an uncached ReadBlock of it. ReadBlock and not ReadFile,
+// so what is measured is the wire path and not the result's allocation.
+func ramBlockRead(tb testing.TB) func() {
 	tb.Helper()
 	const size = 4 << 20
-	lc := startLive(tb, true, 4, transport.WithTCPFastPath(fast))
+	lc := startLive(tb, true, 4)
 	cl := lc.client(tb)
 	if err := cl.WriteFile("/blk/f", patterned(size, 8), size, 2); err != nil {
 		tb.Fatalf("WriteFile: %v", err)
@@ -281,22 +279,29 @@ func ramBlockRead(tb testing.TB, fast bool) func() {
 	}
 }
 
-// TestLargeBlockReadAllocDrop pins what the fast path is for: gob
-// allocates, and the collector frees, a fresh 4 MiB payload for every
-// block read, while the fast path fills one pooled buffer and gives it
-// back. The fast path may make at most half the allocations, and
-// allocate at most half the bytes, of the gob path.
+// TestLargeBlockReadAllocDrop pins what the bulk wire path is for: the
+// socket fills one pooled buffer per block read and the caller gives it
+// back, where a gob decode allocated (and the collector freed) a fresh
+// 4 MiB payload every time, about 40 allocations and 8.6 MB per read.
+// An uncached 4 MiB block read may make at most 20 allocations and
+// allocate at most 256 KiB; a fresh payload alone breaks the second.
+// Averaging over 200 reads keeps the buffers a garbage collection makes
+// the pool allocate again (one or two per run) well under it.
 func TestLargeBlockReadAllocDrop(t *testing.T) {
-	gobAllocs, gobBytes := allocsPerOp(50, ramBlockRead(t, false))
-	fastAllocs, fastBytes := allocsPerOp(50, ramBlockRead(t, true))
-	if fastAllocs*2 > gobAllocs {
-		t.Errorf("fast path made %d allocations per block, gob %d: not half", fastAllocs, gobAllocs)
+	const (
+		allocCeiling = 20
+		byteCeiling  = 256 << 10
+	)
+	allocs, bytes := allocsPerOp(200, ramBlockRead(t))
+	// The race detector's sync.Pool drops a share of Puts on purpose, so
+	// under it the pool refills and neither count means anything.
+	if allocs > allocCeiling && !raceEnabled {
+		t.Errorf("block read made %d allocations, ceiling %d", allocs, allocCeiling)
 	}
-	if fastBytes*2 > gobBytes {
-		t.Errorf("fast path allocated %d bytes per block, gob %d: not half", fastBytes, gobBytes)
+	if bytes > byteCeiling && !raceEnabled {
+		t.Errorf("block read allocated %d bytes, ceiling %d: the payload is not pooled", bytes, byteCeiling)
 	}
-	t.Logf("per 4 MiB block: gob %d allocations %d bytes, fast path %d allocations %d bytes",
-		gobAllocs, gobBytes, fastAllocs, fastBytes)
+	t.Logf("per 4 MiB block: %d allocations, %d bytes", allocs, bytes)
 }
 
 // BenchmarkReadFileTCP is the whole-file read the block benchmarks miss:
@@ -324,7 +329,7 @@ func BenchmarkReadFileTCP(b *testing.B) {
 // RAM-served datanode on TCP loopback: transport, frame codec and buffer
 // pool with no striping or assembly on top. `make profile` profiles it.
 func BenchmarkReadBlockTCP(b *testing.B) {
-	read := ramBlockRead(b, true)
+	read := ramBlockRead(b)
 	b.SetBytes(4 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -356,36 +361,64 @@ func (s *stubReplicas) serve(readBlock func(dfs.ReadBlockReq) (dfs.ReadBlockResp
 
 // serveVerifying is serve with a dn.verifyBlock handler (nil: none).
 func (s *stubReplicas) serveVerifying(readBlock func(dfs.ReadBlockReq) (dfs.ReadBlockResp, error), verifyBlock func(dfs.VerifyBlockReq)) string {
+	return s.listen(func(srv *transport.Server) {
+		if readBlock != nil {
+			srv.Handle("dn.readBlock", func(arg any) (any, error) {
+				return readBlock(arg.(dfs.ReadBlockReq))
+			})
+		}
+		if verifyBlock != nil {
+			srv.Handle("dn.verifyBlock", func(arg any) (any, error) {
+				verifyBlock(arg.(dfs.VerifyBlockReq))
+				return dfs.VerifyBlockResp{}, nil
+			})
+		}
+	})
+}
+
+// listen starts an endpoint whose handlers register installs.
+func (s *stubReplicas) listen(register func(*transport.Server)) string {
 	s.t.Helper()
 	l, err := s.tnet.Listen("127.0.0.1:0")
 	if err != nil {
 		s.t.Fatalf("Listen: %v", err)
 	}
 	srv := transport.NewServer(s.clock)
-	if readBlock != nil {
-		srv.Handle("dn.readBlock", func(arg any) (any, error) {
-			return readBlock(arg.(dfs.ReadBlockReq))
-		})
-	}
-	if verifyBlock != nil {
-		srv.Handle("dn.verifyBlock", func(arg any) (any, error) {
-			verifyBlock(arg.(dfs.VerifyBlockReq))
-			return dfs.VerifyBlockResp{}, nil
-		})
-	}
+	register(srv)
 	srv.ServeBackground(l)
 	s.t.Cleanup(func() { l.Close(); srv.Close() })
 	return l.Addr()
 }
 
 func (s *stubReplicas) client(opts ...client.Option) *client.Client {
+	return s.clientLocating(nil, opts...)
+}
+
+// clientLocating is client with a namenode that locates every file at
+// blocks.
+func (s *stubReplicas) clientLocating(blocks []dfs.LocatedBlock, opts ...client.Option) *client.Client {
 	s.t.Helper()
-	c, err := client.New(s.clock, s.tnet, s.serve(nil), opts...)
+	nn := s.listen(func(srv *transport.Server) {
+		srv.Handle("nn.getLocations", func(any) (any, error) {
+			return dfs.GetLocationsResp{Blocks: blocks}, nil
+		})
+	})
+	c, err := client.New(s.clock, s.tnet, nn, opts...)
 	if err != nil {
 		s.t.Fatalf("client: %v", err)
 	}
 	s.t.Cleanup(c.Close)
 	return c
+}
+
+// readData is ReadBlock's payload, copied out of the pooled buffer.
+func readData(c *client.Client, lb dfs.LocatedBlock) ([]byte, error) {
+	resp, err := c.ReadBlock(lb, "")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Release()
+	return append([]byte(nil), resp.Data...), nil
 }
 
 // firstThen locates a block so that replica choice is forced: first is
@@ -446,7 +479,7 @@ func TestReadBlockPayloadLengthIsReplicaHealth(t *testing.T) {
 					sum = dfs.Checksum(want)
 				}
 				lb := firstThen(1, want, sum, a, b)
-				got, err := cl.ReadBlocks([]dfs.LocatedBlock{lb}, "")
+				got, err := readData(cl, lb)
 				if tc.wantErr {
 					if !errors.Is(err, dfs.ErrBlockLength) {
 						t.Fatalf("err = %v, want dfs.ErrBlockLength", err)
@@ -454,7 +487,7 @@ func TestReadBlockPayloadLengthIsReplicaHealth(t *testing.T) {
 					return
 				}
 				if err != nil {
-					t.Fatalf("ReadBlocks: %v", err)
+					t.Fatalf("ReadBlock: %v", err)
 				}
 				if !bytes.Equal(got, want) {
 					t.Fatal("read bytes differ from the block")
@@ -499,8 +532,6 @@ func TestReadBlocksMidStripeFailover(t *testing.T) {
 			return dfs.ReadBlockResp{Data: bad, Size: blockSize}, nil
 		})
 	}
-	cl := s.client(client.WithReadParallelism(4))
-
 	// Every bad holder is an endpoint of its own: a failed replica's
 	// connection is dropped, which would fail a neighbour's fetch in
 	// flight on it and make the failure counts a matter of timing.
@@ -518,12 +549,13 @@ func TestReadBlocksMidStripeFailover(t *testing.T) {
 		}
 		lbs[i] = firstThen(id, block(id), dfs.Checksum(block(id)), first, healthy)
 	}
+	cl := s.clientLocating(lbs)
 
 	const reads = 6
 	_, perOp := allocsPerOp(reads-1, func() {
-		got, err := cl.ReadBlocks(lbs, "")
+		got, err := cl.ReadFile("/f", "")
 		if err != nil {
-			t.Fatalf("ReadBlocks: %v", err)
+			t.Fatalf("ReadFile: %v", err)
 		}
 		if !bytes.Equal(got, file) {
 			t.Fatal("assembled bytes differ from the file")
@@ -598,9 +630,9 @@ func TestReaderVerifiesAndAsksSecondOpinion(t *testing.T) {
 
 			const reads = 3
 			for i := 0; i < reads; i++ {
-				got, err := cl.ReadBlocks([]dfs.LocatedBlock{lb}, "")
+				got, err := readData(cl, lb)
 				if err != nil {
-					t.Fatalf("ReadBlocks: %v", err)
+					t.Fatalf("ReadBlock: %v", err)
 				}
 				expect := tc.first
 				if tc.wantAsked > 0 {

@@ -2,7 +2,6 @@ package client_test
 
 import (
 	"bytes"
-	"io"
 	"sync"
 	"testing"
 
@@ -85,9 +84,9 @@ func TestBlockCacheServesSecondScanFromMemory(t *testing.T) {
 	})
 }
 
-// TestBlockCacheSharedAcrossReaders checks one client's Readers and
-// ReadFile calls share a single cache: a Reader stream warmed by a prior
-// ReadFile fetches nothing.
+// TestBlockCacheSharedAcrossReaders checks one client's ReadBlock and
+// ReadFile calls share a single cache: block reads warmed by a prior
+// ReadFile fetch nothing.
 func TestBlockCacheSharedAcrossReaders(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
@@ -101,19 +100,23 @@ func TestBlockCacheSharedAcrossReaders(t *testing.T) {
 		}
 		warm := obs.count()
 
-		r, err := c.Open("/hot", "j")
+		blocks, err := c.Locations("/hot")
 		if err != nil {
-			t.Fatalf("Open: %v", err)
+			t.Fatalf("Locations: %v", err)
 		}
-		got, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatalf("stream: %v", err)
+		var got []byte
+		for _, lb := range blocks {
+			resp, err := c.ReadBlock(lb, "j")
+			if err != nil {
+				t.Fatalf("ReadBlock: %v", err)
+			}
+			got = append(got, resp.Data...)
 		}
 		if !bytes.Equal(got, data) {
-			t.Error("streamed bytes differ from written bytes")
+			t.Error("block-read bytes differ from written bytes")
 		}
 		if obs.count() != warm {
-			t.Errorf("warmed Reader still fetched %d blocks from datanodes", obs.count()-warm)
+			t.Errorf("warmed ReadBlock still fetched %d blocks from datanodes", obs.count()-warm)
 		}
 	})
 }

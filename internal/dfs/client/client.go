@@ -38,8 +38,8 @@ func WithLocalAddr(addr string) Option {
 }
 
 // WithReadObserver installs a callback invoked after every block read.
-// Striped reads and Reader prefetching invoke it from multiple
-// goroutines; the callback must do its own locking.
+// Striped reads invoke it from multiple goroutines; the callback must
+// do its own locking.
 func WithReadObserver(fn func(BlockReadEvent)) Option {
 	return func(c *Client) { c.observer = fn }
 }
@@ -50,30 +50,6 @@ func WithSeed(seed int64) Option {
 	return func(c *Client) {
 		c.rng = rand.New(rand.NewSource(seed))
 		c.retryRNG = rand.New(rand.NewSource(seed ^ 0x7265747279)) // "retry"
-	}
-}
-
-// WithReadParallelism bounds how many blocks ReadFile keeps in flight at
-// once (default 4). n <= 1 restores the historical one-block-at-a-time
-// read path.
-func WithReadParallelism(n int) Option {
-	return func(c *Client) {
-		if n < 1 {
-			n = 1
-		}
-		c.readPar = n
-	}
-}
-
-// WithReadAhead sets how many blocks beyond the current one a Reader
-// opened by this client prefetches (default 2). n = 0 disables
-// read-ahead: each block is fetched on demand, exactly once.
-func WithReadAhead(n int) Option {
-	return func(c *Client) {
-		if n < 0 {
-			n = 0
-		}
-		c.readAhead = n
 	}
 }
 
@@ -114,8 +90,6 @@ type Client struct {
 	nnAttempts int
 	localAddr  string
 	observer   func(BlockReadEvent)
-	readPar    int
-	readAhead  int
 	writePar   int
 	cacheBytes int64
 	cache      *blockcache.Cache
@@ -158,8 +132,6 @@ func New(clock simclock.Clock, net transport.Network, nnAddr string, opts ...Opt
 		dns:           make(map[string]*transport.Client),
 		rng:           rand.New(rand.NewSource(1)),
 		retryRNG:      rand.New(rand.NewSource(1 ^ 0x7265747279)),
-		readPar:       DefaultReadParallelism,
-		readAhead:     DefaultReadAhead,
 		writePar:      DefaultWriteParallelism,
 		checksums:     true,
 		pendingNotify: make(map[dfs.JobID][]dfs.BlockID),
@@ -305,10 +277,10 @@ func (c *Client) ReadBlock(lb dfs.LocatedBlock, job dfs.JobID) (dfs.ReadBlockRes
 }
 
 // readBlockFrom1st is the uncached block read with the first replica
-// already chosen. The striped read path and the Reader's prefetcher
-// pre-choose replicas on the issuing goroutine so the seeded
-// replica-choice rng is drawn in block order, keeping simulations
-// deterministic regardless of how the worker goroutines are scheduled.
+// already chosen. ReadFile pre-chooses replicas on the calling
+// goroutine so the seeded replica-choice rng is drawn in block order,
+// keeping simulations deterministic regardless of how the worker
+// goroutines are scheduled.
 // It also reports which datanode served the block, so the block cache
 // can invalidate by address when a node fails.
 func (c *Client) readBlockFrom1st(lb dfs.LocatedBlock, job dfs.JobID, first string) (dfs.ReadBlockResp, string, error) {
@@ -467,58 +439,26 @@ func (c *Client) pick(addrs []string) string {
 	return addrs[c.rng.Intn(len(addrs))]
 }
 
-// DefaultReadParallelism is how many blocks ReadFile keeps in flight
-// unless WithReadParallelism overrides it.
+// DefaultReadParallelism is how many blocks ReadFile keeps in flight.
 const DefaultReadParallelism = 4
 
-// DefaultReadAhead is how many blocks beyond the current one a Reader
-// prefetches unless WithReadAhead overrides it.
-const DefaultReadAhead = 2
-
 // ReadFile reads a whole file on behalf of job and returns its real
-// bytes (nil for synthetic files). Blocks are fetched by a bounded
-// worker pool (WithReadParallelism, default 4) striped across the file,
-// so independent replicas stream concurrently; bytes are assembled in
+// bytes (nil for synthetic files). Blocks are fetched by a worker pool
+// of min(DefaultReadParallelism, blocks) striped across the file, so
+// independent replicas stream concurrently; bytes are assembled in
 // block order. Each block keeps the usual migration-aware replica choice
 // and per-block failover.
-func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
-	blocks, err := c.Locations(path)
-	if err != nil {
-		return nil, err
-	}
-	return c.readBlocksPath(path, blocks, job)
-}
-
-// ReadBlocks fetches the given blocks with the client's read parallelism
-// and returns their bytes concatenated in slice order.
-func (c *Client) ReadBlocks(blocks []dfs.LocatedBlock, job dfs.JobID) ([]byte, error) {
-	return c.readBlocksPath("", blocks, job)
-}
-
-// readBlocksPath is ReadBlocks with the owning file known, so cache
-// entries installed here can be invalidated when that file mutates.
 //
 // The result is assembled in place: every block's offset is known from
 // its located size before the first byte arrives, so each fetch copies
 // its payload to its slot and gives the buffer up at once. Nothing is
 // held until the last block lands and nothing is grown.
-func (c *Client) readBlocksPath(path string, blocks []dfs.LocatedBlock, job dfs.JobID) ([]byte, error) {
+func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
+	blocks, err := c.Locations(path)
+	if err != nil {
+		return nil, err
+	}
 	asm := newAssembly(blocks)
-	par := c.readPar
-	if par > len(blocks) {
-		par = len(blocks)
-	}
-	if par <= 1 {
-		for i, lb := range blocks {
-			resp, err := c.readBlockVia(path, lb, job, c.chooseReplica(lb))
-			if err != nil {
-				return nil, err
-			}
-			asm.place(i, &resp)
-		}
-		return asm.result()
-	}
-
 	// Pre-choose every block's first replica on this goroutine so the
 	// seeded rng is consumed in block order (determinism), then let the
 	// pool race over the block list via a shared cursor.
@@ -529,25 +469,32 @@ func (c *Client) readBlocksPath(path string, blocks []dfs.LocatedBlock, job dfs.
 	errs := make([]error, len(blocks))
 	var cursor atomic.Int64
 	var failed atomic.Bool
-	wg := simclock.NewWaitGroup(c.clock)
-	for w := 0; w < par; w++ {
-		wg.Go(func() {
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(blocks) || failed.Load() {
-					return
-				}
-				resp, err := c.readBlockVia(path, blocks[i], job, firsts[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true) // stop issuing new fetches
-					continue
-				}
-				asm.place(i, &resp)
+	worker := func() {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(blocks) || failed.Load() {
+				return
 			}
-		})
+			resp, err := c.readBlockVia(path, blocks[i], job, firsts[i])
+			if err != nil {
+				errs[i] = err
+				failed.Store(true) // stop issuing new fetches
+				continue
+			}
+			asm.place(i, &resp)
+		}
 	}
-	wg.Wait()
+	// A pool of one worker is the caller itself: a one-block (or empty)
+	// file spawns nothing.
+	if par := min(DefaultReadParallelism, len(blocks)); par <= 1 {
+		worker()
+	} else {
+		wg := simclock.NewWaitGroup(c.clock)
+		for w := 0; w < par; w++ {
+			wg.Go(worker)
+		}
+		wg.Wait()
+	}
 
 	for _, err := range errs {
 		if err != nil {

@@ -3,7 +3,6 @@ package client_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -624,97 +623,6 @@ func TestReReplicationAfterNodeDeath(t *testing.T) {
 		got, err := c.ReadFile("/f", "j")
 		if err != nil || !bytes.Equal(got, data) {
 			t.Errorf("read after re-replication: %d bytes, err %v", len(got), err)
-		}
-	})
-}
-
-func TestReaderStreamsAcrossBlocks(t *testing.T) {
-	runSim(t, func(v *simclock.Virtual) {
-		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
-		c := mc.client(t)
-		defer c.Close()
-
-		data := bytes.Repeat([]byte("abcdefgh"), 2048) // 16 KB over 4 KB blocks
-		if err := c.WriteFile("/f", data, 4096, 2); err != nil {
-			t.Fatal(err)
-		}
-		r, err := c.Open("/f", "job")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Size() != int64(len(data)) {
-			t.Errorf("Size = %d", r.Size())
-		}
-		got, err := io.ReadAll(r)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Errorf("streamed %d bytes, err %v", len(got), err)
-		}
-		// EOF on further reads.
-		if _, err := r.Read(make([]byte, 1)); err != io.EOF {
-			t.Errorf("want EOF, got %v", err)
-		}
-	})
-}
-
-func TestReaderSeek(t *testing.T) {
-	runSim(t, func(v *simclock.Virtual) {
-		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
-		c := mc.client(t)
-		defer c.Close()
-		data := []byte("0123456789abcdefghij")
-		if err := c.WriteFile("/f", data, 8, 1); err != nil {
-			t.Fatal(err)
-		}
-		r, err := c.Open("/f", "job")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Seek into the middle of the second block.
-		if _, err := r.Seek(10, io.SeekStart); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4)
-		if _, err := io.ReadFull(r, buf); err != nil || string(buf) != "abcd" {
-			t.Errorf("read %q err %v", buf, err)
-		}
-		// Relative and end-based seeks.
-		if pos, _ := r.Seek(-2, io.SeekCurrent); pos != 12 {
-			t.Errorf("SeekCurrent pos = %d", pos)
-		}
-		if pos, _ := r.Seek(-5, io.SeekEnd); pos != 15 {
-			t.Errorf("SeekEnd pos = %d", pos)
-		}
-		rest, _ := io.ReadAll(r)
-		if string(rest) != "fghij" {
-			t.Errorf("tail = %q", rest)
-		}
-		// Error cases.
-		if _, err := r.Seek(-1, io.SeekStart); err == nil {
-			t.Error("negative seek accepted")
-		}
-		if _, err := r.Seek(0, 42); err == nil {
-			t.Error("bad whence accepted")
-		}
-	})
-}
-
-func TestReaderSyntheticFileRejected(t *testing.T) {
-	runSim(t, func(v *simclock.Virtual) {
-		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
-		c := mc.client(t)
-		defer c.Close()
-		if err := c.WriteSyntheticFile("/s", 1<<20, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		r, err := c.Open("/s", "job")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Read(make([]byte, 16)); err == nil {
-			t.Error("streaming a synthetic file succeeded")
 		}
 	})
 }

@@ -30,7 +30,7 @@ func TestReadFileStripedRoundTrip(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
 		defer mc.close()
-		c := mc.client(t, client.WithReadParallelism(4))
+		c := mc.client(t)
 		defer c.Close()
 		data := writeBlocky(t, c, "/f", 8, 4096, 2)
 		got, err := c.ReadFile("/f", "j")
@@ -43,26 +43,36 @@ func TestReadFileStripedRoundTrip(t *testing.T) {
 	})
 }
 
+// readSerially reads blocks one at a time, in order, with ReadBlock: the
+// serial reference a striped ReadFile is held to.
+func readSerially(t *testing.T, c *client.Client, blocks []dfs.LocatedBlock) {
+	t.Helper()
+	for _, lb := range blocks {
+		resp, err := c.ReadBlock(lb, "j")
+		if err != nil {
+			t.Fatalf("ReadBlock: %v", err)
+		}
+		resp.Release()
+	}
+}
+
 // TestReadFileStripedMatchesSerialReplicaChoice pins the determinism
 // contract: a striped read draws the seeded replica-choice rng in block
 // order, so with the same seed it reads every block from the same
-// replica a serial read would have picked.
+// replica a serial ReadBlock loop would have picked.
 func TestReadFileStripedMatchesSerialReplicaChoice(t *testing.T) {
-	readAddrs := func(v *simclock.Virtual, mc *miniCluster, par int) map[dfs.BlockID]string {
+	readAddrs := func(mc *miniCluster, read func(c *client.Client)) map[dfs.BlockID]string {
 		var mu sync.Mutex
 		addrs := map[dfs.BlockID]string{}
 		c := mc.client(t,
 			client.WithSeed(42),
-			client.WithReadParallelism(par),
 			client.WithReadObserver(func(ev client.BlockReadEvent) {
 				mu.Lock()
 				addrs[ev.Block] = ev.Addr
 				mu.Unlock()
 			}))
 		defer c.Close()
-		if _, err := c.ReadFile("/f", "j"); err != nil {
-			t.Fatalf("ReadFile(par=%d): %v", par, err)
-		}
+		read(c)
 		return addrs
 	}
 	runSim(t, func(v *simclock.Virtual) {
@@ -71,8 +81,16 @@ func TestReadFileStripedMatchesSerialReplicaChoice(t *testing.T) {
 		setup := mc.client(t)
 		defer setup.Close()
 		writeBlocky(t, setup, "/f", 8, 4096, 3)
-		serial := readAddrs(v, mc, 1)
-		striped := readAddrs(v, mc, 4)
+		blocks, err := setup.Locations("/f")
+		if err != nil {
+			t.Fatalf("Locations: %v", err)
+		}
+		serial := readAddrs(mc, func(c *client.Client) { readSerially(t, c, blocks) })
+		striped := readAddrs(mc, func(c *client.Client) {
+			if _, err := c.ReadFile("/f", "j"); err != nil {
+				t.Fatalf("ReadFile: %v", err)
+			}
+		})
 		if len(serial) != 8 || len(striped) != 8 {
 			t.Fatalf("serial read %d blocks, striped %d, want 8", len(serial), len(striped))
 		}
@@ -90,7 +108,7 @@ func TestReadFileStripedFailsOver(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
 		defer mc.close()
-		c := mc.client(t, client.WithReadParallelism(4))
+		c := mc.client(t)
 		defer c.Close()
 		data := writeBlocky(t, c, "/f", 8, 4096, 2)
 		mc.dns[0].Close()
@@ -110,7 +128,7 @@ func TestReadFileStripedAllReplicasDead(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 3})
 		defer mc.close()
-		c := mc.client(t, client.WithReadParallelism(4))
+		c := mc.client(t)
 		defer c.Close()
 		writeBlocky(t, c, "/f", 8, 4096, 2)
 		for _, dn := range mc.dns {
@@ -123,8 +141,8 @@ func TestReadFileStripedAllReplicasDead(t *testing.T) {
 }
 
 // TestReadFileStripedFasterThanSerial compares simulated wall-clock time:
-// 4 workers over 8 one-MiB blocks spread across 8 datanodes must beat the
-// serial read by a wide margin.
+// ReadFile's 4 workers over 8 one-MiB blocks spread across 8 datanodes
+// must beat a serial ReadBlock loop by a wide margin.
 func TestReadFileStripedFasterThanSerial(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 8})
@@ -133,17 +151,23 @@ func TestReadFileStripedFasterThanSerial(t *testing.T) {
 		defer setup.Close()
 		writeBlocky(t, setup, "/f", 8, 1<<20, 2)
 
-		elapsed := func(par int) time.Duration {
-			c := mc.client(t, client.WithReadParallelism(par))
+		blocks, err := setup.Locations("/f")
+		if err != nil {
+			t.Fatalf("Locations: %v", err)
+		}
+		elapsed := func(read func(c *client.Client)) time.Duration {
+			c := mc.client(t)
 			defer c.Close()
 			start := v.Now()
-			if _, err := c.ReadFile("/f", "j"); err != nil {
-				t.Fatalf("ReadFile(par=%d): %v", par, err)
-			}
+			read(c)
 			return v.Now().Sub(start)
 		}
-		serial := elapsed(1)
-		striped := elapsed(4)
+		serial := elapsed(func(c *client.Client) { readSerially(t, c, blocks) })
+		striped := elapsed(func(c *client.Client) {
+			if _, err := c.ReadFile("/f", "j"); err != nil {
+				t.Fatalf("ReadFile: %v", err)
+			}
+		})
 		if striped*2 > serial {
 			t.Errorf("striped read %v not ≥2x faster than serial %v", striped, serial)
 		}
@@ -264,18 +288,67 @@ func TestCachedReadersRaceMigrateEvict(t *testing.T) {
 	})
 }
 
-// TestWithReadParallelismClampsToOne makes sure par<=1 (and tiny files)
-// use the historical serial path and still round-trip.
-func TestWithReadParallelismClampsToOne(t *testing.T) {
-	runSim(t, func(v *simclock.Virtual) {
-		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
-		c := mc.client(t, client.WithReadParallelism(-3))
-		defer c.Close()
-		data := writeBlocky(t, c, "/f", 3, 4096, 2)
-		got, err := c.ReadFile("/f", "j")
-		if err != nil || !bytes.Equal(got, data) {
-			t.Errorf("serial-clamped read: %d bytes, err %v", len(got), err)
-		}
-	})
+// TestReadFileBlockCounts covers the block counts around the worker
+// pool's width (DefaultReadParallelism): none, one (the whole read runs
+// on the caller's goroutine), fewer than, exactly and more than the
+// pool width, plus a synthetic file. Each read returns exactly the
+// written bytes (nil for the empty and synthetic files) and fetches
+// every block exactly once.
+func TestReadFileBlockCounts(t *testing.T) {
+	const blockSize = 4096
+	cases := []struct {
+		name      string
+		blocks    int
+		synthetic bool
+	}{
+		{"empty", 0, false},
+		{"one", 1, false},
+		{"three", 3, false},
+		{"four", 4, false},
+		{"nine", 9, false},
+		{"synthetic", 3, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runSim(t, func(v *simclock.Virtual) {
+				mc := startMini(t, v, miniConfig{nodes: 4})
+				defer mc.close()
+				var mu sync.Mutex
+				reads := map[dfs.BlockID]int{}
+				c := mc.client(t, client.WithReadObserver(func(ev client.BlockReadEvent) {
+					mu.Lock()
+					reads[ev.Block]++
+					mu.Unlock()
+				}))
+				defer c.Close()
+				var want []byte
+				if tc.synthetic {
+					if err := c.WriteSyntheticFile("/f", int64(tc.blocks*blockSize), blockSize, 2); err != nil {
+						t.Fatalf("WriteSyntheticFile: %v", err)
+					}
+				} else {
+					want = writeBlocky(t, c, "/f", tc.blocks, blockSize, 2)
+				}
+				got, err := c.ReadFile("/f", "j")
+				if err != nil {
+					t.Fatalf("ReadFile: %v", err)
+				}
+				if tc.synthetic || tc.blocks == 0 {
+					if got != nil {
+						t.Errorf("ReadFile = %d bytes, want nil", len(got))
+					}
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("ReadFile = %d bytes, want the %d written", len(got), len(want))
+				}
+				if len(reads) != tc.blocks {
+					t.Errorf("%d distinct blocks read, want %d", len(reads), tc.blocks)
+				}
+				for id, n := range reads {
+					if n != 1 {
+						t.Errorf("block %d read %d times, want once", id, n)
+					}
+				}
+			})
+		})
+	}
 }

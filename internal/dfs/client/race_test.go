@@ -3,7 +3,6 @@ package client_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -12,10 +11,9 @@ import (
 
 // TestPooledBuffersUnderConcurrentTraffic hammers the pooled-buffer
 // ownership rules on a real TCP cluster: striped whole-file reads,
-// streaming reads with read-ahead (the Reader window holds pooled
-// entries), cache-filling reads (installs copy out of pooled buffers),
-// and a write/verify/delete pipeline all run concurrently on one
-// client. Every read is checked byte-for-byte, so a pooled buffer
+// single-block reads (each response hands its buffer to the caller),
+// cache-filling reads (installs copy out of pooled buffers), and a
+// write/verify/delete pipeline all run concurrently on one client. Every read is checked byte-for-byte, so a pooled buffer
 // returned while still aliased — the failure mode of a double Release
 // or a cache retaining transport scratch — shows up as corruption here
 // or as a data race under -race.
@@ -34,8 +32,6 @@ func TestPooledBuffersUnderConcurrentTraffic(t *testing.T) {
 		in[i] = byte(i % 251)
 	}
 	cl := lc.client(t,
-		client.WithReadParallelism(4),
-		client.WithReadAhead(client.DefaultReadAhead),
 		client.WithWriteParallelism(client.DefaultWriteParallelism),
 		client.WithBlockCache(2*int64(len(in))))
 	if err := cl.WriteFile("/race/hot", in, raceBlockSize, 2); err != nil {
@@ -66,33 +62,30 @@ func TestPooledBuffersUnderConcurrentTraffic(t *testing.T) {
 		}()
 	}
 
-	// Streaming readers: the read-ahead window owns pooled entries until
-	// the stream consumes or discards them.
+	// Block-at-a-time readers: each response owns its buffer until the
+	// caller releases it.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, raceBlockSize)
 			for i := 0; i < iters; i++ {
-				r, err := cl.Open("/race/hot", "race")
+				blocks, err := cl.Locations("/race/hot")
 				if err != nil {
-					fail("Open: %v", err)
+					fail("Locations: %v", err)
 					return
 				}
 				var got []byte
-				for {
-					n, err := r.Read(buf)
-					got = append(got, buf[:n]...)
-					if err == io.EOF {
-						break
-					}
+				for _, lb := range blocks {
+					resp, err := cl.ReadBlock(lb, "race")
 					if err != nil {
-						fail("Reader.Read: %v", err)
+						fail("ReadBlock: %v", err)
 						return
 					}
+					got = append(got, resp.Data...)
+					resp.Release()
 				}
 				if !bytes.Equal(got, in) {
-					fail("streamed read corrupted (iter %d)", i)
+					fail("block-at-a-time read corrupted (iter %d)", i)
 					return
 				}
 			}

@@ -324,8 +324,11 @@ func (c *Client) writeBlockWithFailover(path string, lb dfs.LocatedBlock, data [
 // it directly; a pipeline error reported by a datanode names the
 // downstream victim in its message ("datanode: pipeline to X: ..." —
 // the innermost, i.e. last, occurrence is the edge that actually
-// failed). When neither identifies a node, the entry node is blamed:
-// retrying through it is what just failed.
+// failed). The victim is the pipeline member whose address, followed by
+// ':', starts the text after that occurrence: an address may contain
+// ':' itself (host:port), so the text is matched, not cut. When neither
+// identifies a node, the entry node is blamed: retrying through it is
+// what just failed.
 func failedPipelineNodes(err error, lb dfs.LocatedBlock) []string {
 	var ce *transport.CallError
 	if errors.As(err, &ce) && ce.Addr != "" {
@@ -335,8 +338,10 @@ func failedPipelineNodes(err error, lb dfs.LocatedBlock) []string {
 	if errors.As(err, &re) {
 		if i := strings.LastIndex(re.Msg, "pipeline to "); i >= 0 {
 			rest := re.Msg[i+len("pipeline to "):]
-			if j := strings.IndexByte(rest, ':'); j > 0 {
-				return []string{rest[:j]}
+			for _, addr := range lb.Nodes {
+				if strings.HasPrefix(rest, addr+":") {
+					return []string{addr}
+				}
 			}
 		}
 	}

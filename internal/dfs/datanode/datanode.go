@@ -56,12 +56,6 @@ type Config struct {
 	// paper argues cannot help singly-read inputs — only proactive
 	// migration can. Zero disables it.
 	HotCacheBytes int64
-	// FullReportInterval, when positive, sends a periodic epoch-tagged
-	// full block report as a safety net under incremental reports: any
-	// divergence the deltas missed reconciles within one interval. Zero
-	// (the default) disables the periodic resend — the namenode still
-	// requests a full report on demand when it detects a sequence gap.
-	FullReportInterval time.Duration
 	// Seed drives the jittered busy-backoff; the effective stream is
 	// also mixed with the address so a fleet started from one seed
 	// doesn't back off in lockstep. Only drawn when the namenode pushes
@@ -715,11 +709,9 @@ func (dn *DataNode) handleReadNotify(req dfs.ReadNotifyBatch) (dfs.ReadNotifyBat
 // deltas, and incremental block-report deltas to the namenode.
 func (dn *DataNode) heartbeatLoop() {
 	var sinceBeat time.Duration
-	var sinceFull time.Duration
 	for {
 		dn.clock.Sleep(dn.cfg.PinReportInterval)
 		sinceBeat += dn.cfg.PinReportInterval
-		sinceFull += dn.cfg.PinReportInterval
 		dn.mu.Lock()
 		if dn.closed {
 			dn.mu.Unlock()
@@ -741,11 +733,11 @@ func (dn *DataNode) heartbeatLoop() {
 			_ = dn.register(nn)
 			continue
 		}
-		if dn.needFull || (dn.cfg.FullReportInterval > 0 && sinceFull >= dn.cfg.FullReportInterval) {
+		if dn.needFull {
+			// The namenode saw a sequence gap or a stale epoch and asked
+			// for a full snapshot.
 			dn.mu.Unlock()
-			if err := dn.sendFullReport(); err == nil {
-				sinceFull = 0
-			}
+			_ = dn.sendFullReport()
 			continue
 		}
 		// Skip the RPC when there is nothing to report and the full

@@ -125,7 +125,7 @@ func TestMigrateBatchPinsAndHeartbeatReports(t *testing.T) {
 			t.Fatal(err)
 		}
 		dn.handleMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{{
-			Block: dfs.Block{ID: 7, Size: 8 << 20}, Job: "j", JobInputSize: 8 << 20, SubmitTime: v.Now(),
+			Block: dfs.Block{ID: 7, Size: 8 << 20}, Job: "j", JobInputSize: 8 << 20, SubmitTime: v.Now(), Tier: dfs.TierRAM,
 		}}})
 		// Wait for the migration worker.
 		for dn.Slave().PinnedBytes() == 0 {

@@ -58,8 +58,7 @@ type Tier int
 
 const (
 	// TierHDD is the cold base tier where every block starts. It is
-	// never a migration target, which lets legacy tier-less messages
-	// read the zero value as "RAM" (see MigrateCmd.Tier).
+	// never a migration target: a slave drops a MigrateCmd naming it.
 	TierHDD Tier = iota
 	// TierSSD is the intermediate flash tier.
 	TierSSD
@@ -79,16 +78,6 @@ func (t Tier) String() string {
 	default:
 		return fmt.Sprintf("tier(%d)", int(t))
 	}
-}
-
-// EffectiveTarget maps a migrate command's wire tier to the tier a
-// slave pins at: the zero value (TierHDD, never a valid target) means a
-// legacy pin-in-RAM command.
-func (t Tier) EffectiveTarget() Tier {
-	if t == TierHDD {
-		return TierRAM
-	}
-	return t
 }
 
 // Block is block metadata.
@@ -316,8 +305,7 @@ type BlockReadResp struct{}
 //
 // Seq and Epoch seed the incremental-report protocol (see HeartbeatReq):
 // a register is a full inventory snapshot, so it starts a new epoch and
-// anchors the delta sequence the following heartbeats continue. Zero
-// values opt out of sequencing (legacy senders and tests).
+// anchors the delta sequence the following heartbeats continue.
 type RegisterReq struct {
 	Addr   string
 	Blocks []BlockID
@@ -340,8 +328,9 @@ type RegisterResp struct{}
 // counter; the namenode detects a lost delta as a sequence gap and
 // answers NeedFullReport. Epoch identifies the full-inventory snapshot
 // the deltas extend — it bumps on every register/full report, so a
-// delta from before the latest resync is recognizably stale. Zero Seq
-// opts out of sequencing entirely (legacy senders and tests).
+// delta from before the latest resync is recognizably stale. Seq starts
+// at 1: the namenode rejects a register, heartbeat or block report with
+// Seq 0 and changes no state for it.
 type HeartbeatReq struct {
 	Addr        string
 	PinnedBytes int64
@@ -572,9 +561,9 @@ type MigrateCmd struct {
 	// during the migrate copy, so a corrupt replica is reported instead
 	// of pinned.
 	Checksum uint32
-	// Tier is the target tier of the migration. The zero value (TierHDD
-	// — never a valid target) means TierRAM, so tier-less legacy
-	// commands and journal records replay as the paper's pin-in-RAM.
+	// Tier is the target tier of the migration: TierSSD or TierRAM (the
+	// paper's pin-in-memory). The master stamps every command with one of
+	// the two, and a slave drops a command naming any other tier.
 	Tier Tier
 }
 

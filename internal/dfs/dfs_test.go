@@ -47,7 +47,7 @@ func TestWireRoundTrip(t *testing.T) {
 		VerifyBlockReq{Block: 3},
 		VerifyBlockResp{},
 		MigrateBatch{Epoch: 9, Cmds: []MigrateCmd{{
-			Block: Block{ID: 1, Size: 2}, Job: "j", JobInputSize: 10, SubmitTime: now, Implicit: true,
+			Block: Block{ID: 1, Size: 2}, Job: "j", JobInputSize: 10, SubmitTime: now, Implicit: true, Tier: TierRAM,
 		}}},
 		EvictBatch{Epoch: 9, Cmds: []EvictCmd{{Block: 1, Job: "j"}}},
 	}

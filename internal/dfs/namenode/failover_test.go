@@ -191,7 +191,7 @@ func TestReRegistrationRestoresNodeWithoutDuplicateReplicas(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			v.Sleep(time.Second)
 			for _, addr := range []string{"b", "c"} {
-				if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{Addr: addr}); err != nil {
+				if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: addr}); err != nil {
 					t.Fatalf("heartbeat %s: %v", addr, err)
 				}
 			}
@@ -207,7 +207,7 @@ func TestReRegistrationRestoresNodeWithoutDuplicateReplicas(t *testing.T) {
 
 		// a comes back (twice — re-registration must be idempotent).
 		for i := 0; i < 2; i++ {
-			if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "a", Blocks: heldByA}); err != nil {
+			if _, err := h.nn.register(dfs.RegisterReq{Addr: "a", Blocks: heldByA}); err != nil {
 				t.Fatalf("re-register: %v", err)
 			}
 		}

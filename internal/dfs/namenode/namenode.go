@@ -48,12 +48,8 @@ type Config struct {
 	// failed command batches are retried from the journal instead of
 	// dropped, and RecoverMaster resumes in-flight migrations after a
 	// master restart without bumping the epoch (so slave pins survive).
-	// Takes precedence over WALDir. Nil (with an empty WALDir) disables
-	// journaling.
+	// Nil disables journaling.
 	WALBackend wal.Backend
-	// WALDir, when non-empty and WALBackend is nil, persists the
-	// migration WAL to a file ("ignem-master.wal") under this directory.
-	WALDir string
 	// WALRetryInterval paces the journal's retry pump (re-sending
 	// transport-failed batches). Default 1s.
 	WALRetryInterval time.Duration
@@ -67,16 +63,16 @@ type Config struct {
 	// TierBudgets caps cluster-wide fast-tier residency. A zero SSD
 	// budget means the cluster has no flash rung.
 	TierBudgets ignem.TierBudgets
-	// ReportIntake bounds how many full-inventory reconciles (register
-	// and block-report handling) may run concurrently; reports beyond
-	// the bound are rejected with dfs.ErrBusy and the datanode retries
-	// with jittered backoff. This is the admission control that keeps a
-	// reconnect storm of full reports from stalling namespace RPCs
-	// behind a convoy of full-table scans. 0 selects the default of 2;
-	// negative disables the bound. Delta heartbeats are never gated —
-	// they are O(delta) cheap.
-	ReportIntake int
 }
+
+// reportIntake bounds how many full-inventory reconciles (register and
+// block-report handling) may run concurrently; reports beyond the bound
+// are rejected with dfs.ErrBusy and the datanode retries with jittered
+// backoff. This is the admission control that keeps a reconnect storm of
+// full reports from stalling namespace RPCs behind a convoy of
+// full-table scans. Delta heartbeats are never gated — they are
+// O(delta) cheap.
+const reportIntake = 2
 
 func (c *Config) setDefaults() {
 	if c.DefaultBlockSize <= 0 {
@@ -102,9 +98,9 @@ type dnInfo struct {
 	alive    bool
 	client   *transport.Client
 	// nextSeq is the report sequence number the namenode expects next
-	// from this datanode; a heartbeat arriving with any other non-zero
-	// Seq means a delta was lost (or reordered) and the incremental view
-	// may be stale. Zero until the datanode opts into sequencing.
+	// from this datanode; a heartbeat arriving with any other Seq means
+	// a delta was lost (or reordered) and the incremental view may be
+	// stale.
 	nextSeq uint64
 	// epoch identifies the full-inventory snapshot the datanode's deltas
 	// extend; bumped by every register/full report.
@@ -151,8 +147,7 @@ type NameNode struct {
 	// the placement path — at 1000 nodes that sort dominated placeTargets.
 	liveCache []string
 
-	// intake is the bounded report-admission gate (see
-	// Config.ReportIntake); nil means unbounded.
+	// intake is the bounded report-admission gate (see reportIntake).
 	intake chan struct{}
 
 	metrics nnMetrics
@@ -233,13 +228,7 @@ func New(clock simclock.Clock, net transport.Network, cfg Config) *NameNode {
 		net:       net,
 		cfg:       cfg,
 		datanodes: make(map[string]*dnInfo),
-	}
-	if cfg.ReportIntake >= 0 {
-		depth := cfg.ReportIntake
-		if depth == 0 {
-			depth = 2
-		}
-		nn.intake = make(chan struct{}, depth)
+		intake:    make(chan struct{}, reportIntake),
 	}
 	nn.ns = newMemNamespace(cfg.Seed, nn.placeTargets)
 	// Seed+1: the master's replica-choice stream must not replay the
@@ -253,24 +242,15 @@ func New(clock simclock.Clock, net transport.Network, cfg Config) *NameNode {
 	return nn
 }
 
-// attachWAL opens the configured migration WAL (if any) and hands it to
-// the Ignem master. Called from Start so the retry pump's goroutine
-// spawns alongside the other serving loops.
-func (nn *NameNode) attachWAL() error {
-	be := nn.cfg.WALBackend
-	if be == nil {
-		if nn.cfg.WALDir == "" {
-			return nil
-		}
-		fb, err := wal.OpenFile(nn.cfg.WALDir, "ignem-master.wal")
-		if err != nil {
-			return fmt.Errorf("namenode: open migration WAL: %w", err)
-		}
-		be = fb
+// attachWAL hands the configured migration WAL (if any) to the Ignem
+// master. Called from Start so the retry pump's goroutine spawns
+// alongside the other serving loops.
+func (nn *NameNode) attachWAL() {
+	if nn.cfg.WALBackend == nil {
+		return
 	}
-	nn.walLog = wal.New(be)
+	nn.walLog = wal.New(nn.cfg.WALBackend)
 	nn.master.AttachJournal(nn.clock, nn.walLog, nn.cfg.WALRetryInterval)
-	return nil
 }
 
 // RecoverMaster rebuilds the Ignem master's state from the migration
@@ -328,10 +308,7 @@ func (nn *NameNode) Start() error {
 	s.ServeBackground(l)
 	nn.server = s
 	nn.listener = l
-	if err := nn.attachWAL(); err != nil {
-		nn.Close()
-		return err
-	}
+	nn.attachWAL()
 	nn.clock.Go(nn.expiryLoop)
 	if nn.cfg.ReplicationSweepInterval > 0 {
 		nn.clock.Go(nn.replicationLoop)
@@ -658,9 +635,6 @@ func (nn *NameNode) rackAwareTargets(shuffled []string, rep int) []string {
 // with jittered backoff) is what prevents a reconnect storm from
 // queueing an unbounded convoy of full-table reconciles.
 func (nn *NameNode) acquireIntake() bool {
-	if nn.intake == nil {
-		return true
-	}
 	select {
 	case nn.intake <- struct{}{}:
 		return true
@@ -670,13 +644,19 @@ func (nn *NameNode) acquireIntake() bool {
 	}
 }
 
-func (nn *NameNode) releaseIntake() {
-	if nn.intake != nil {
-		<-nn.intake
-	}
+func (nn *NameNode) releaseIntake() { <-nn.intake }
+
+// errUnsequenced answers a report without a sequence number: datanodes
+// number every report from 1, and the delta protocol has no way to tell
+// an unnumbered one's place.
+func errUnsequenced(addr string) error {
+	return fmt.Errorf("namenode: report from %s carries no sequence number", addr)
 }
 
 func (nn *NameNode) handleRegister(req dfs.RegisterReq) (dfs.RegisterResp, error) {
+	if req.Seq == 0 {
+		return dfs.RegisterResp{}, errUnsequenced(req.Addr)
+	}
 	if !nn.acquireIntake() {
 		return dfs.RegisterResp{}, dfs.ErrBusy
 	}
@@ -691,12 +671,10 @@ func (nn *NameNode) handleRegister(req dfs.RegisterReq) (dfs.RegisterResp, error
 	dn.client = nil
 	dn.alive = true
 	dn.lastSeen = nn.clock.Now()
-	if req.Seq > 0 {
-		// A register is a full snapshot: it re-anchors the delta
-		// sequence and starts the epoch its deltas will extend.
-		dn.nextSeq = req.Seq + 1
-		dn.epoch = req.Epoch
-	}
+	// A register is a full snapshot: it re-anchors the delta sequence and
+	// starts the epoch its deltas will extend.
+	dn.nextSeq = req.Seq + 1
+	dn.epoch = req.Epoch
 	nn.liveCache = nil
 	nn.dnmu.Unlock()
 	nn.metrics.fullReports.Inc()
@@ -709,6 +687,9 @@ func (nn *NameNode) handleRegister(req dfs.RegisterReq) (dfs.RegisterResp, error
 }
 
 func (nn *NameNode) handleBlockReport(req dfs.BlockReportReq) (dfs.BlockReportResp, error) {
+	if req.Seq == 0 {
+		return dfs.BlockReportResp{}, errUnsequenced(req.Addr)
+	}
 	nn.dnmu.RLock()
 	dn := nn.datanodes[req.Addr]
 	nn.dnmu.RUnlock()
@@ -726,10 +707,8 @@ func (nn *NameNode) handleBlockReport(req dfs.BlockReportReq) (dfs.BlockReportRe
 	}
 	dn.alive = true
 	dn.lastSeen = nn.clock.Now()
-	if req.Seq > 0 {
-		dn.nextSeq = req.Seq + 1
-		dn.epoch = req.Epoch
-	}
+	dn.nextSeq = req.Seq + 1
+	dn.epoch = req.Epoch
 	nn.dnmu.Unlock()
 	nn.metrics.fullReports.Inc()
 	nn.metrics.reportBytes.Add(reportWireBytes(len(req.Blocks)))
@@ -738,6 +717,9 @@ func (nn *NameNode) handleBlockReport(req dfs.BlockReportReq) (dfs.BlockReportRe
 }
 
 func (nn *NameNode) handleHeartbeat(req dfs.HeartbeatReq) (dfs.HeartbeatResp, error) {
+	if req.Seq == 0 {
+		return dfs.HeartbeatResp{}, errUnsequenced(req.Addr)
+	}
 	nn.dnmu.Lock()
 	dn := nn.datanodes[req.Addr]
 	if dn == nil {
@@ -754,23 +736,20 @@ func (nn *NameNode) handleHeartbeat(req dfs.HeartbeatReq) (dfs.HeartbeatResp, er
 		nn.metrics.ssdOccupancy.Add(req.SSDBytes - dn.ssdBytes)
 		dn.ssdBytes = req.SSDBytes
 	}
-	if req.Seq > 0 {
-		if dn.nextSeq != 0 && req.Seq != dn.nextSeq {
-			// A delta went missing (lost heartbeat, reordered retry):
-			// the incremental view may have diverged, so ask for a full
-			// snapshot. The deltas that DID arrive still apply — they
-			// only ever make the view fresher.
-			needFull = true
-		}
-		if req.Epoch != dn.epoch {
-			needFull = true
-			// Deltas from an older snapshot than the one already
-			// reconciled could resurrect state the resync removed; skip
-			// them entirely.
-			staleEpoch = req.Epoch < dn.epoch
-		}
-		dn.nextSeq = req.Seq + 1
+	if req.Seq != dn.nextSeq {
+		// A delta went missing (lost heartbeat, reordered retry): the
+		// incremental view may have diverged, so ask for a full snapshot.
+		// The deltas that DID arrive still apply — they only ever make
+		// the view fresher.
+		needFull = true
 	}
+	if req.Epoch != dn.epoch {
+		needFull = true
+		// Deltas from an older snapshot than the one already reconciled
+		// could resurrect state the resync removed; skip them entirely.
+		staleEpoch = req.Epoch < dn.epoch
+	}
+	dn.nextSeq = req.Seq + 1
 	nn.dnmu.Unlock()
 	nn.metrics.heartbeats.Inc()
 	nn.metrics.reportBytes.Add(reportWireBytes(

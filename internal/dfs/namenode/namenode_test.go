@@ -31,11 +31,44 @@ func newHarness(t *testing.T, v *simclock.Virtual, datanodes int) *harness {
 	h := &harness{v: v, nn: nn}
 	for i := 0; i < datanodes; i++ {
 		addr := string(rune('a' + i))
-		if _, err := nn.handleRegister(dfs.RegisterReq{Addr: addr}); err != nil {
+		if _, err := nn.register(dfs.RegisterReq{Addr: addr}); err != nil {
 			t.Fatalf("register: %v", err)
 		}
 	}
 	return h
+}
+
+// The namenode refuses a report without a sequence number. register,
+// heartbeat and blockReport number a test's report the way a datanode
+// numbers its own — one counter from 1 across all three, and a new epoch
+// with every full snapshot — from what the namenode expects of addr
+// next, so tests about something other than sequencing stay in order.
+func (nn *NameNode) nextReport(addr string, full bool) (seq, ep uint64) {
+	nn.dnmu.RLock()
+	defer nn.dnmu.RUnlock()
+	dn := nn.datanodes[addr]
+	if dn == nil {
+		return 1, 1
+	}
+	if full {
+		return dn.nextSeq, dn.epoch + 1
+	}
+	return dn.nextSeq, dn.epoch
+}
+
+func (nn *NameNode) register(req dfs.RegisterReq) (dfs.RegisterResp, error) {
+	req.Seq, req.Epoch = nn.nextReport(req.Addr, true)
+	return nn.handleRegister(req)
+}
+
+func (nn *NameNode) heartbeat(req dfs.HeartbeatReq) (dfs.HeartbeatResp, error) {
+	req.Seq, req.Epoch = nn.nextReport(req.Addr, false)
+	return nn.handleHeartbeat(req)
+}
+
+func (nn *NameNode) blockReport(req dfs.BlockReportReq) (dfs.BlockReportResp, error) {
+	req.Seq, req.Epoch = nn.nextReport(req.Addr, true)
+	return nn.handleBlockReport(req)
 }
 
 func run(t *testing.T, fn func(v *simclock.Virtual)) {
@@ -154,7 +187,7 @@ func TestHeartbeatExpiryRemovesLocations(t *testing.T) {
 				if _, _, timedOut := stop.RecvTimeout(time.Second); !timedOut {
 					return
 				}
-				if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{Addr: "a"}); err != nil {
+				if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: "a"}); err != nil {
 					return
 				}
 			}
@@ -172,7 +205,7 @@ func TestHeartbeatFromUnregisteredRejected(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
 		h := newHarness(t, v, 1)
 		defer h.nn.Close()
-		if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{Addr: "ghost"}); err == nil {
+		if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: "ghost"}); err == nil {
 			t.Error("unregistered heartbeat accepted")
 		}
 	})
@@ -185,14 +218,14 @@ func TestPinStateTracking(t *testing.T) {
 		lbs := h.mkFile(t, "/f", 1, 2)
 		id := lbs[0].Block.ID
 		node := lbs[0].Nodes[0]
-		if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{Addr: node, Pinned: []dfs.BlockID{id}}); err != nil {
+		if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: node, Pinned: []dfs.BlockID{id}}); err != nil {
 			t.Fatal(err)
 		}
 		lbs, _ = h.nn.Resolve("/f")
 		if len(lbs[0].Migrated) != 1 || lbs[0].Migrated[0] != node {
 			t.Errorf("Migrated = %v", lbs[0].Migrated)
 		}
-		if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{Addr: node, Unpinned: []dfs.BlockID{id}}); err != nil {
+		if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: node, Unpinned: []dfs.BlockID{id}}); err != nil {
 			t.Fatal(err)
 		}
 		lbs, _ = h.nn.Resolve("/f")
@@ -325,7 +358,7 @@ func TestRackAwarePlacement(t *testing.T) {
 		}
 		defer nn.Close()
 		for addr := range racks {
-			if _, err := nn.handleRegister(dfs.RegisterReq{Addr: addr}); err != nil {
+			if _, err := nn.register(dfs.RegisterReq{Addr: addr}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -367,7 +400,7 @@ func TestRackAwareDegradesGracefully(t *testing.T) {
 		}
 		defer nn.Close()
 		for addr := range racks {
-			if _, err := nn.handleRegister(dfs.RegisterReq{Addr: addr}); err != nil {
+			if _, err := nn.register(dfs.RegisterReq{Addr: addr}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -507,13 +540,13 @@ func TestReadersRaceRegistryTraffic(t *testing.T) {
 					} else {
 						req.Unpinned = ids
 					}
-					if _, err := h.nn.handleHeartbeat(req); err != nil {
+					if _, err := h.nn.heartbeat(req); err != nil {
 						t.Errorf("heartbeat: %v", err)
 						return
 					}
 					if i%10 == 0 {
 						if err := retryBusy(func() error {
-							_, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: addr, Blocks: ids})
+							_, err := h.nn.blockReport(dfs.BlockReportReq{Addr: addr, Blocks: ids})
 							return err
 						}); err != nil {
 							t.Errorf("blockReport: %v", err)
@@ -522,7 +555,7 @@ func TestReadersRaceRegistryTraffic(t *testing.T) {
 					}
 					if i%25 == 0 {
 						if err := retryBusy(func() error {
-							_, err := h.nn.handleRegister(dfs.RegisterReq{Addr: addr, Blocks: ids})
+							_, err := h.nn.register(dfs.RegisterReq{Addr: addr, Blocks: ids})
 							return err
 						}); err != nil {
 							t.Errorf("register: %v", err)

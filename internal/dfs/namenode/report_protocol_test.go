@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -227,7 +228,7 @@ func TestReportIntakeBusy(t *testing.T) {
 		}
 		// Delta heartbeats are never gated: freshness must survive a
 		// reconnect storm.
-		if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{Addr: "a"}); err != nil {
+		if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: "a"}); err != nil {
 			t.Fatalf("heartbeat under saturated intake: %v", err)
 		}
 		if got := h.nn.Stats().BusyRejects; got != 2 {
@@ -253,7 +254,7 @@ func TestFullReportRefreshesLiveness(t *testing.T) {
 		// Keep "b" alive while "a" expires (harness expiry is 5s).
 		for i := 0; i < 8; i++ {
 			v.Sleep(time.Second)
-			if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{Addr: "b"}); err != nil {
+			if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: "b"}); err != nil {
 				t.Fatalf("heartbeat: %v", err)
 			}
 		}
@@ -265,6 +266,64 @@ func TestFullReportRefreshesLiveness(t *testing.T) {
 		}
 		if live := h.nn.LiveDataNodes(); len(live) != 2 {
 			t.Fatalf("live after full report = %v, want both", live)
+		}
+	})
+}
+
+// TestUnsequencedReportsRejected: datanodes number every report from 1,
+// so a register, heartbeat or block report with Seq 0 is answered with
+// an error and changes nothing — not the registry (membership,
+// liveness, sequence, epoch, SSD occupancy), not the block and pin
+// state, not a counter.
+func TestUnsequencedReportsRejected(t *testing.T) {
+	run(t, func(v *simclock.Virtual) {
+		h := newHarness(t, v, 3)
+		defer h.nn.Close()
+		lbs := h.mkFile(t, "/f", 1, 2)
+		id := lbs[0].Block.ID
+		outsider := ""
+		for _, addr := range []string{"a", "b", "c"} {
+			if !hasAddr(lbs[0].Nodes, addr) {
+				outsider = addr
+			}
+		}
+		type snapshot struct {
+			registry map[string]dnInfo
+			blocks   []dfs.LocatedBlock
+			stats    Stats
+		}
+		take := func() snapshot {
+			s := snapshot{registry: map[string]dnInfo{}, stats: h.nn.Stats()}
+			h.nn.dnmu.RLock()
+			for addr, dn := range h.nn.datanodes {
+				info := *dn
+				info.client = nil
+				s.registry[addr] = info
+			}
+			h.nn.dnmu.RUnlock()
+			var err error
+			if s.blocks, err = h.nn.Resolve("/f"); err != nil {
+				t.Fatalf("resolve: %v", err)
+			}
+			return s
+		}
+		before := take()
+		// An accepted report would move lastSeen. (Short of the first
+		// expiry sweep, which would move the sweep counters.)
+		v.Sleep(100 * time.Millisecond)
+		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "z", Blocks: []dfs.BlockID{id}, Epoch: 1}); err == nil {
+			t.Error("unsequenced register accepted")
+		}
+		if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{
+			Addr: outsider, Epoch: 1, Added: []dfs.BlockID{id}, Pinned: []dfs.BlockID{id}, SSDBytes: 1 << 20,
+		}); err == nil {
+			t.Error("unsequenced heartbeat accepted")
+		}
+		if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: outsider, Blocks: []dfs.BlockID{id}, Epoch: 2}); err == nil {
+			t.Error("unsequenced block report accepted")
+		}
+		if after := take(); !reflect.DeepEqual(after, before) {
+			t.Errorf("rejected reports changed state:\nbefore %+v\nafter  %+v", before, after)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -102,14 +103,46 @@ func TestSwimExperimentShape(t *testing.T) {
 		t.Errorf("hypothetical %.0f below Ignem %.0f",
 			r.HypotheticalMemory.Mean(), ignem.MemoryPerServer.Mean())
 	}
-	for _, render := range []string{
+	parts := []string{
 		r.RenderTable1(), r.RenderFig5(), r.RenderTable2(),
 		r.RenderFig6(), r.RenderFig7(), r.RenderAblation(),
-	} {
+	}
+	for _, render := range parts {
 		if render == "" {
 			t.Error("empty render")
 		}
 	}
+	if r.Render() != strings.Join(parts, "\n") {
+		t.Error("Render is not every figure and table in order")
+	}
+
+	// The CSV export: one file per table and figure, one row per sample.
+	paths, err := r.WriteData(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range paths {
+		names = append(names, filepath.Base(p))
+	}
+	want := []string{"fig6_block_reads.csv", "fig7_memory.csv", "table1_job_durations.csv", "table2_task_durations.csv"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("swim export wrote %v, want %v", names, want)
+	}
+	jobRows := hdfs.JobDurations.Len() + ignem.JobDurations.Len() + ram.JobDurations.Len() + r.FIFOJobDurations.Len()
+	if lines := csvLines(t, paths[2]); lines[0] != "series,seconds_or_bytes" || len(lines) != 1+jobRows {
+		t.Errorf("table1 csv: header %q, %d rows, want %d", lines[0], len(lines)-1, jobRows)
+	}
+}
+
+// csvLines reads an exported CSV file as its lines.
+func csvLines(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSpace(string(data)), "\n")
 }
 
 func TestSortExperimentShape(t *testing.T) {
@@ -175,6 +208,15 @@ func TestHiveExperimentShape(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig 9") {
 		t.Error("render missing caption")
 	}
+	// The CSV export: one row per (query, config).
+	paths, err := r.WriteData(t.TempDir())
+	if err != nil || len(paths) != 1 || filepath.Base(paths[0]) != "fig9_hive.csv" {
+		t.Fatalf("hive export: %v %v", paths, err)
+	}
+	lines := csvLines(t, paths[0])
+	if lines[0] != "query,input_gb,config,seconds" || len(lines) != 1+len(queries)*len(r.Durations) {
+		t.Errorf("fig9 csv: header %q, %d rows, want %d", lines[0], len(lines)-1, len(queries)*len(r.Durations))
+	}
 }
 
 func TestRegistryCoversAllExperiments(t *testing.T) {
@@ -199,37 +241,6 @@ func TestRegistryCoversAllExperiments(t *testing.T) {
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("Find matched a bogus ID")
-	}
-}
-
-func TestSwimFromTraceFile(t *testing.T) {
-	trace := `# name arrival_ms input shuffle output
-j0 0 134217728 0 1048576
-j1 4000 67108864 33554432 8388608
-j2 9000 268435456 0 2097152
-`
-	path := filepath.Join(t.TempDir(), "trace.tsv")
-	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunSwim(SwimConfig{
-		TraceFile: path,
-		Nodes:     3,
-		Seed:      9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mode, mr := range r.Modes {
-		if mr.JobDurations.Len() != 3 {
-			t.Errorf("%s ran %d jobs, want 3", mode, mr.JobDurations.Len())
-		}
-	}
-}
-
-func TestSwimTraceFileMissing(t *testing.T) {
-	if _, err := RunSwim(SwimConfig{TraceFile: "/no/such/file"}); err == nil {
-		t.Error("missing trace file accepted")
 	}
 }
 

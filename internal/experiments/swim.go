@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -35,12 +34,6 @@ type SwimConfig struct {
 	FIFO bool
 	// MemorySampleEvery sets the Fig 7 sampling period. Default 1s.
 	MemorySampleEvery time.Duration
-	// TraceFile, when set, loads a real SWIM-format trace (see
-	// workloads.LoadSwim) instead of synthesizing one. SizeScale and
-	// TimeScale rescale it for the cluster (defaults 1.0).
-	TraceFile string
-	SizeScale float64
-	TimeScale float64
 }
 
 func (c *SwimConfig) setDefaults() {
@@ -110,10 +103,12 @@ type SwimResult struct {
 func RunSwim(cfg SwimConfig) (*SwimResult, error) {
 	cfg.setDefaults()
 	out := &SwimResult{Config: cfg, Modes: make(map[cluster.Mode]*SwimModeResult)}
-	jobs, err := swimJobs(cfg)
-	if err != nil {
-		return nil, err
-	}
+	jobs := workloads.GenerateSwim(workloads.SwimConfig{
+		Jobs:             cfg.Jobs,
+		TotalInputBytes:  cfg.TotalBytes,
+		MeanInterarrival: cfg.MeanInterarrival,
+		Seed:             cfg.Seed,
+	})
 	for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
 		res, err := runSwimMode(cfg, jobs, mode, false)
 		if err != nil {
@@ -278,36 +273,6 @@ func hypotheticalMemory(cfg SwimConfig, ignemRun *SwimModeResult, jobs []workloa
 		}
 	}
 	return out
-}
-
-// swimJobs loads the configured trace file or synthesizes the paper's
-// scaled workload.
-func swimJobs(cfg SwimConfig) ([]workloads.Job, error) {
-	if cfg.TraceFile == "" {
-		return workloads.GenerateSwim(workloads.SwimConfig{
-			Jobs:             cfg.Jobs,
-			TotalInputBytes:  cfg.TotalBytes,
-			MeanInterarrival: cfg.MeanInterarrival,
-			Seed:             cfg.Seed,
-		}), nil
-	}
-	f, err := os.Open(cfg.TraceFile)
-	if err != nil {
-		return nil, fmt.Errorf("swim trace: %w", err)
-	}
-	defer f.Close()
-	jobs, err := workloads.LoadSwim(f)
-	if err != nil {
-		return nil, fmt.Errorf("swim trace %s: %w", cfg.TraceFile, err)
-	}
-	sizeScale, timeScale := cfg.SizeScale, cfg.TimeScale
-	if sizeScale <= 0 {
-		sizeScale = 1
-	}
-	if timeScale <= 0 {
-		timeScale = 1
-	}
-	return workloads.ScaleSwim(jobs, sizeScale, timeScale), nil
 }
 
 func swimPath(j workloads.Job) string { return "/swim/" + j.Name }

@@ -359,8 +359,7 @@ func (m *Master) journalDelivery(rb retryBatch) bool {
 	}
 	perTier := make(map[dfs.Tier][]dfs.BlockID)
 	for _, c := range rb.migrate {
-		t := c.Tier.EffectiveTarget()
-		perTier[t] = append(perTier[t], c.Block.ID)
+		perTier[c.Tier] = append(perTier[c.Tier], c.Block.ID)
 	}
 	for _, tier := range []dfs.Tier{dfs.TierSSD, dfs.TierRAM} {
 		if ids := perTier[tier]; len(ids) > 0 {

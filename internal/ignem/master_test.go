@@ -362,7 +362,7 @@ func TestNoLeakProperty(t *testing.T) {
 			for _, spec := range specs {
 				var cmds []dfs.MigrateCmd
 				for _, b := range spec.blocks {
-					cmds = append(cmds, dfs.MigrateCmd{Block: b, Job: spec.id, JobInputSize: int64(len(spec.blocks)) << 20, SubmitTime: v.Now(), Implicit: spec.impl})
+					cmds = append(cmds, dfs.MigrateCmd{Block: b, Job: spec.id, JobInputSize: int64(len(spec.blocks)) << 20, SubmitTime: v.Now(), Implicit: spec.impl, Tier: dfs.TierRAM})
 				}
 				s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: cmds})
 				v.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)

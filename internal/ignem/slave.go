@@ -219,7 +219,8 @@ func NewSlave(clock simclock.Clock, cfg SlaveConfig, media MediaReader, liveness
 // ApplyMigrateBatch ingests a batch of migration commands from the
 // master. A batch from a newer master epoch first purges all reference
 // lists (the paper's master-failure recovery: slaves reset to match the
-// new master's empty state).
+// new master's empty state). A command whose Tier is neither TierSSD
+// nor TierRAM is dropped.
 func (s *Slave) ApplyMigrateBatch(b dfs.MigrateBatch) {
 	var unpinned []tierPin
 	s.mu.Lock()
@@ -229,6 +230,12 @@ func (s *Slave) ApplyMigrateBatch(b dfs.MigrateBatch) {
 	}
 	unpinned = s.adoptEpochLocked(b.Epoch)
 	for _, cmd := range b.Cmds {
+		// A command names the rung it climbs to; any other tier (the
+		// cold one, or a tag from outside the ladder) is malformed and
+		// never reaches the device.
+		if cmd.Tier != dfs.TierSSD && cmd.Tier != dfs.TierRAM {
+			continue
+		}
 		s.queue.push(&migEntry{cmd: cmd, seq: s.queue.nextSeq()})
 	}
 	s.cond.Broadcast()
@@ -585,7 +592,7 @@ func (s *Slave) worker() {
 			s.stats.DiscardedMissed++
 			continue
 		}
-		target := e.cmd.Tier.EffectiveTarget()
+		target := e.cmd.Tier
 		if pb := s.pinned[e.cmd.Block.ID]; pb != nil {
 			if pb.tier >= target {
 				// Already resident at (or above) the target rung

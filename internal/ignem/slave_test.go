@@ -87,7 +87,7 @@ func (p *pinRecorder) listener() PinListener {
 func block(id dfs.BlockID, size int64) dfs.Block { return dfs.Block{ID: id, Size: size} }
 
 func cmd(b dfs.Block, job dfs.JobID, jobSize int64, implicit bool) dfs.MigrateCmd {
-	return dfs.MigrateCmd{Block: b, Job: job, JobInputSize: jobSize, SubmitTime: epoch, Implicit: implicit}
+	return dfs.MigrateCmd{Block: b, Job: job, JobInputSize: jobSize, SubmitTime: epoch, Implicit: implicit, Tier: dfs.TierRAM}
 }
 
 func newTestSlave(v *simclock.Virtual, cfg SlaveConfig, media *fakeMedia, live Liveness) (*Slave, *pinRecorder) {

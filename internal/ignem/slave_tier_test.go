@@ -2,6 +2,7 @@ package ignem
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -135,17 +136,28 @@ func TestSlaveClimbsSSDToRAM(t *testing.T) {
 	}
 }
 
-func TestSlaveLegacyTierlessCommandPinsRAM(t *testing.T) {
+// TestSlaveDropsCommandsOutsideTheLadder: a migrate command targets
+// TierSSD or TierRAM. One naming the cold tier, or a tier past the top
+// of the ladder, is dropped on arrival: no device read, no pin, no
+// charge to either tier. A valid command in the same batch still runs.
+func TestSlaveDropsCommandsOutsideTheLadder(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
 	media := &fakeMedia{clock: v, readTime: 10 * time.Millisecond}
 	s, _ := newTestSlave(v, SlaveConfig{Capacity: 1 << 30}, media, nil)
-
-	// cmd() leaves Tier at its zero value (TierHDD), which must replay
-	// as the paper's pin-in-RAM target.
 	v.Go(func() {
-		s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{cmd(block(1, 1<<20), "j1", 1<<20, false)}})
+		s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{
+			tierCmd(block(1, 1<<20), "j1", 3<<20, dfs.TierHDD),
+			tierCmd(block(2, 1<<20), "j1", 3<<20, dfs.TierRAM+1),
+			tierCmd(block(3, 1<<20), "j1", 3<<20, dfs.TierRAM),
+		}})
 	})
 	v.Wait()
+	if got := media.readOrder(); !reflect.DeepEqual(got, []dfs.BlockID{3}) {
+		t.Errorf("device reads = %v, want only the valid block [3]", got)
+	}
+	if s.IsPinned(1) || s.IsPinned(2) {
+		t.Error("a command outside the ladder was pinned")
+	}
 	if got := s.PinnedBytes(); got != 1<<20 {
 		t.Errorf("PinnedBytes = %d, want %d", got, 1<<20)
 	}

@@ -72,10 +72,14 @@ type Config struct {
 	// (where the Migrate call sits) and the job's tasks becoming
 	// runnable: application-master startup, shipping binaries, JVM
 	// warm-up (paper §II-C's lead-time sources). Negative disables it;
-	// zero takes the engine default (8s, which together with scheduler
-	// heartbeats yields the ~10s natural lead-time §IV-F reports).
+	// zero takes defaultSubmitOverhead.
 	SubmitOverhead time.Duration
 }
+
+// defaultSubmitOverhead is the platform overhead a job pays when its
+// Config leaves SubmitOverhead zero: 8s, which together with scheduler
+// heartbeats yields the ~10s natural lead-time §IV-F reports.
+const defaultSubmitOverhead = 8 * time.Second
 
 func (c *Config) setDefaults() {
 	if c.TaskOverhead == 0 {
@@ -129,20 +133,13 @@ func WithNetworkMBps(mbps float64) Option {
 	return func(e *Engine) { e.netMBps = mbps }
 }
 
-// WithSubmitOverhead sets the default platform overhead between the job
-// submitter and tasks becoming runnable (default 8s).
-func WithSubmitOverhead(d time.Duration) Option {
-	return func(e *Engine) { e.submitOverhead = d }
-}
-
 // Engine runs MapReduce jobs on a scheduler and a DFS.
 type Engine struct {
-	clock          simclock.Clock
-	sched          *scheduler.Scheduler
-	net            transport.Network
-	nnAddr         string
-	netMBps        float64
-	submitOverhead time.Duration
+	clock   simclock.Clock
+	sched   *scheduler.Scheduler
+	net     transport.Network
+	nnAddr  string
+	netMBps float64
 
 	mu      sync.Mutex
 	submit  *client.Client
@@ -158,14 +155,13 @@ type readCollector struct {
 // NewEngine creates an engine. It dials the namenode lazily per node.
 func NewEngine(clock simclock.Clock, sched *scheduler.Scheduler, net transport.Network, nnAddr string, opts ...Option) *Engine {
 	e := &Engine{
-		clock:          clock,
-		sched:          sched,
-		net:            net,
-		nnAddr:         nnAddr,
-		netMBps:        1250,
-		submitOverhead: 8 * time.Second,
-		clients:        make(map[string]*client.Client),
-		readers:        make(map[dfs.JobID]*readCollector),
+		clock:   clock,
+		sched:   sched,
+		net:     net,
+		nnAddr:  nnAddr,
+		netMBps: 1250,
+		clients: make(map[string]*client.Client),
+		readers: make(map[dfs.JobID]*readCollector),
 	}
 	for _, o := range opts {
 		o(e)
@@ -281,7 +277,7 @@ func (e *Engine) Run(cfg Config) (Result, error) {
 	case cfg.SubmitOverhead > 0:
 		e.clock.Sleep(cfg.SubmitOverhead)
 	case cfg.SubmitOverhead == 0:
-		e.clock.Sleep(e.submitOverhead)
+		e.clock.Sleep(defaultSubmitOverhead)
 	}
 
 	// Resolve inputs to blocks; one map task per block.

@@ -358,6 +358,34 @@ func TestRealJobValidation(t *testing.T) {
 	})
 }
 
+// TestRealJobReduceFailureSurfaces: a reduce task whose output cannot
+// be written (the part file already exists) fails the job with that
+// error instead of reporting success with the output missing.
+func TestRealJobReduceFailureSurfaces(t *testing.T) {
+	runSim(t, func(v *simclock.Virtual) {
+		c := startCluster(t, v, cluster.ModeHDFS)
+		defer c.Close()
+		cl, _ := c.Client()
+		defer cl.Close()
+		if err := cl.WriteFile("/in", []byte("k1 k2"), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.WriteFile("/out/taken/part-00000", []byte("x"), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		_, err := c.Engine.RunReal(mapreduce.RealConfig{
+			ID:         "taken",
+			InputPaths: []string{"/in"},
+			Map: func(data []byte) []mapreduce.Pair {
+				return []mapreduce.Pair{{Key: "k", Value: string(data)}}
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "reduce stage") {
+			t.Fatalf("RunReal over an existing part file: err = %v, want a reduce-stage error", err)
+		}
+	})
+}
+
 func TestRealJobIdentityReduce(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		c := startCluster(t, v, cluster.ModeHDFS)

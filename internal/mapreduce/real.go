@@ -92,7 +92,7 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 			return RealResult{}, fmt.Errorf("mapreduce: migrate: %w", err)
 		}
 	}
-	e.clock.Sleep(e.submitOverhead)
+	e.clock.Sleep(defaultSubmitOverhead)
 
 	var inputBytes int64
 	taskPrefs := make([][]string, len(cfg.InputPaths))

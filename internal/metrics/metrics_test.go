@@ -212,57 +212,6 @@ func TestBarChart(t *testing.T) {
 	}
 }
 
-func TestTimelineWindowMeans(t *testing.T) {
-	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	var tl Timeline
-	tl.Add(start.Add(10*time.Second), 1)
-	tl.Add(start.Add(20*time.Second), 3)
-	tl.Add(start.Add(70*time.Second), 10)
-	means := tl.WindowMeans(start, time.Minute)
-	if len(means) != 2 {
-		t.Fatalf("got %d windows, want 2: %v", len(means), means)
-	}
-	if means[0] != 2 || means[1] != 10 {
-		t.Errorf("window means = %v, want [2 10]", means)
-	}
-}
-
-func TestTimelineGapsYieldZeroWindows(t *testing.T) {
-	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	var tl Timeline
-	tl.Add(start, 5)
-	tl.Add(start.Add(3*time.Minute), 7)
-	means := tl.WindowMeans(start, time.Minute)
-	if len(means) != 4 {
-		t.Fatalf("got %d windows: %v", len(means), means)
-	}
-	if means[1] != 0 || means[2] != 0 {
-		t.Errorf("gap windows not zero: %v", means)
-	}
-}
-
-func TestTimelineNonZero(t *testing.T) {
-	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	var tl Timeline
-	tl.Add(start, 0)
-	tl.Add(start.Add(time.Second), 4)
-	tl.Add(start.Add(2*time.Second), 0)
-	tl.Add(start.Add(3*time.Second), 6)
-	nz := tl.NonZero()
-	if nz.Len() != 2 || nz.Mean() != 5 {
-		t.Errorf("NonZero: len=%d mean=%v", nz.Len(), nz.Mean())
-	}
-	if tl.Mean() != 2.5 {
-		t.Errorf("Mean = %v", tl.Mean())
-	}
-	if tl.Len() != 4 {
-		t.Errorf("Len = %v", tl.Len())
-	}
-	if got := len(tl.Samples()); got != 4 {
-		t.Errorf("Samples len = %d", got)
-	}
-}
-
 func TestHistogramEmptyAndDegenerate(t *testing.T) {
 	var empty Series
 	out := Histogram("empty", &empty, 5)
@@ -296,16 +245,5 @@ func TestSeriesValuesIsCopy(t *testing.T) {
 	vals[0] = 99
 	if s.Min() == 99 {
 		t.Error("Values returned internal storage")
-	}
-}
-
-func TestTimelineWindowMeansEdge(t *testing.T) {
-	var tl Timeline
-	if got := tl.WindowMeans(time.Now(), time.Minute); got != nil {
-		t.Errorf("empty timeline windows = %v", got)
-	}
-	tl.Add(time.Now(), 1)
-	if got := tl.WindowMeans(time.Now(), 0); got != nil {
-		t.Errorf("zero window = %v", got)
 	}
 }

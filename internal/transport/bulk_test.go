@@ -36,8 +36,8 @@ func tcpConnPair(t *testing.T) (dialed, accepted *tcpConn) {
 	if a.err != nil {
 		t.Fatalf("Accept: %v", a.err)
 	}
-	dialed = newTCPConn(c, tcpConfig{fastPath: true})
-	accepted = newTCPConn(a.c, tcpConfig{fastPath: true})
+	dialed = newTCPConn(c)
+	accepted = newTCPConn(a.c)
 	t.Cleanup(func() { dialed.Close(); accepted.Close() })
 	return dialed, accepted
 }
@@ -90,7 +90,7 @@ func recvFrom(t *testing.T, stream []byte) (Message, error) {
 		client.Write(stream)
 		client.Close()
 	}()
-	conn := newTCPConn(server, tcpConfig{fastPath: true})
+	conn := newTCPConn(server)
 	defer conn.Close()
 	server.SetReadDeadline(time.Now().Add(5 * time.Second))
 	return conn.Recv()
@@ -163,7 +163,7 @@ func TestTCPRecvBulkRefusesOversizeLengths(t *testing.T) {
 	} {
 		client, server := net.Pipe()
 		go client.Write(stream) // left open: only a length check can end Recv
-		conn := newTCPConn(server, tcpConfig{fastPath: true})
+		conn := newTCPConn(server)
 		server.SetReadDeadline(time.Now().Add(5 * time.Second))
 		_, err := conn.Recv()
 		if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {

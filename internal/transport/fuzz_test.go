@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/simclock"
 )
 
 // fuzzBlob is a test-only fast-path body: a tag plus bulk bytes, enough
@@ -258,7 +257,7 @@ func FuzzTCPRecvStream(f *testing.F) {
 			client.Write(data)
 			client.Close()
 		}()
-		conn := newTCPConn(server, tcpConfig{fastPath: true})
+		conn := newTCPConn(server)
 		server.SetReadDeadline(time.Now().Add(2 * time.Second))
 		for i := 0; i < 64; i++ { // bound: each Recv consumes ≥1 byte or errors
 			if _, err := conn.Recv(); err != nil {
@@ -268,53 +267,4 @@ func FuzzTCPRecvStream(f *testing.F) {
 		conn.Close()
 		<-done
 	})
-}
-
-// TestTCPFastGobInterop proves the cross-compat claim behind
-// WithTCPFastPath: a fast-path sender and a gob-only sender interoperate
-// on the same stream, because every conn decodes both unit kinds.
-func TestTCPFastGobInterop(t *testing.T) {
-	registerFuzzBlob()
-	clock := simclock.NewReal()
-	payload := bytes.Repeat([]byte{0xA5}, 1<<16)
-
-	for _, tc := range []struct {
-		name       string
-		serverFast bool
-		clientFast bool
-	}{
-		{"fastClient_gobServer", false, true},
-		{"gobClient_fastServer", true, false},
-		{"gobBoth", false, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			snet := NewTCPNetwork(WithTCPFastPath(tc.serverFast))
-			cnet := NewTCPNetwork(WithTCPFastPath(tc.clientFast))
-			srv := NewServer(clock)
-			srv.Handle("swap", func(arg any) (any, error) {
-				b := arg.(fuzzBlob)
-				return fuzzBlob{Tag: b.Tag + "/reply", Data: b.Data}, nil
-			})
-			l, err := snet.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("Listen: %v", err)
-			}
-			defer l.Close()
-			srv.ServeBackground(l)
-			defer srv.Close()
-
-			c, err := Dial(clock, cnet, l.Addr(), WithCallTimeout(5*time.Second))
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			defer c.Close()
-			got, err := Call[fuzzBlob](c, "swap", fuzzBlob{Tag: "req", Data: payload})
-			if err != nil {
-				t.Fatalf("Call: %v", err)
-			}
-			if got.Tag != "req/reply" || !bytes.Equal(got.Data, payload) {
-				t.Errorf("swap reply corrupted: tag %q, %d bytes", got.Tag, len(got.Data))
-			}
-		})
-	}
 }

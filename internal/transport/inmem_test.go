@@ -205,3 +205,32 @@ func TestInmemEchoAllocs(t *testing.T) {
 		t.Errorf("echo RPC allocates %.2f times, want ≤ %d", allocs, ceiling)
 	}
 }
+
+// TestInmemListenerAddr: a listener reports the address it was bound at,
+// and a client dialing that address reaches its server.
+func TestInmemListenerAddr(t *testing.T) {
+	v := simclock.NewVirtual(epoch)
+	net := NewInmemNetwork(v)
+	srv := NewServer(v)
+	srv.Handle("echo", func(arg any) (any, error) { return arg, nil })
+	l, err := net.Listen("dn7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Addr(); got != "dn7" {
+		t.Fatalf("Addr = %q, want %q", got, "dn7")
+	}
+	srv.ServeBackground(l)
+	defer srv.Close()
+	v.Run(func() {
+		c, err := Dial(v, net, l.Addr())
+		if err != nil {
+			t.Errorf("Dial(%q): %v", l.Addr(), err)
+			return
+		}
+		defer c.Close()
+		if got, err := c.Call("echo", 7); err != nil || got != 7 {
+			t.Errorf("echo via Addr = %v, %v", got, err)
+		}
+	})
+}

@@ -257,10 +257,6 @@ func (c *Client) Call(method string, arg any) (any, error) {
 	return m.Body, nil
 }
 
-// Addr returns the remote endpoint this client talks to, or "" when
-// unknown (clients constructed directly over a Conn).
-func (c *Client) Addr() string { return c.addr }
-
 // drop abandons a pending call after a timeout or send failure. The
 // call's mailbox is closed so a reply that arrives later (recvLoop may
 // already hold a reference to it) is dropped by Chan.Send instead of

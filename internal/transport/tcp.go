@@ -33,9 +33,9 @@ func RegisterType(v any) { gob.Register(v) }
 // frame.go. unitBulk carries a BulkFramer body in two parts: a small
 // head that passes through conn scratch like a fast unit, and the bulk
 // bytes, which Send writes straight from the body's slice and Recv reads
-// straight into the pooled buffer the decoded body owns. Every conn
-// decodes all kinds regardless of what it sends, so a fast-path sender
-// interoperates with a gob-only sender on the same stream.
+// straight into the pooled buffer the decoded body owns. A conn sends a
+// body registered with RegisterFramer as a fast or bulk unit and any
+// other body as a gob unit, and decodes all three kinds.
 const (
 	unitGob  = 0x00
 	unitFast = 0x01
@@ -53,36 +53,14 @@ const (
 	maxHeadSize = 64 << 10
 )
 
-// TCPOption configures the TCP transport.
-type TCPOption func(*tcpConfig)
-
-type tcpConfig struct {
-	fastPath bool
-}
-
-// WithTCPFastPath toggles sending binary fast-path units for bodies
-// registered with RegisterFramer (default on). A fast-path-off conn
-// still decodes inbound fast units — the option controls only what this
-// side emits — so it doubles as the gob baseline for benchmarks and the
-// compatibility fallback.
-func WithTCPFastPath(on bool) TCPOption {
-	return func(c *tcpConfig) { c.fastPath = on }
-}
-
 // TCPNetwork is the real-socket Network. It must be used with the real
 // clock: socket reads block natively, which would stall a virtual clock.
-type TCPNetwork struct{ cfg tcpConfig }
+type TCPNetwork struct{}
 
 var _ Network = TCPNetwork{}
 
 // NewTCPNetwork returns the TCP transport.
-func NewTCPNetwork(opts ...TCPOption) TCPNetwork {
-	cfg := tcpConfig{fastPath: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return TCPNetwork{cfg: cfg}
-}
+func NewTCPNetwork() TCPNetwork { return TCPNetwork{} }
 
 // Listen binds a TCP listener on addr (host:port; use 127.0.0.1:0 for an
 // ephemeral port and read it back with Addr).
@@ -91,7 +69,7 @@ func (n TCPNetwork) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l, cfg: n.cfg}, nil
+	return &tcpListener{l: l}, nil
 }
 
 // Dial connects to a TCP RPC endpoint.
@@ -100,13 +78,10 @@ func (n TCPNetwork) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c, n.cfg), nil
+	return newTCPConn(c), nil
 }
 
-type tcpListener struct {
-	l   net.Listener
-	cfg tcpConfig
-}
+type tcpListener struct{ l net.Listener }
 
 var _ Listener = (*tcpListener)(nil)
 
@@ -115,15 +90,14 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c, t.cfg), nil
+	return newTCPConn(c), nil
 }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 type tcpConn struct {
-	c   net.Conn
-	cfg tcpConfig
+	c net.Conn
 
 	// Send state, guarded by wmu. The gob encoder is persistent but
 	// stages each Encode into stage so its output can be framed as one
@@ -154,8 +128,8 @@ type tcpConn struct {
 
 var _ Conn = (*tcpConn)(nil)
 
-func newTCPConn(c net.Conn, cfg tcpConfig) *tcpConn {
-	t := &tcpConn{c: c, cfg: cfg}
+func newTCPConn(c net.Conn) *tcpConn {
+	t := &tcpConn{c: c}
 	t.bw = bufio.NewWriterSize(c, 64<<10)
 	t.enc = gob.NewEncoder(&t.stage)
 	t.br = bufio.NewReaderSize(c, 64<<10)
@@ -171,20 +145,18 @@ func (t *tcpConn) Send(m Message) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 
-	if t.cfg.fastPath {
-		if fi, ok := lookupFramer(m.Body); ok {
-			if fi.encodeHead != nil {
-				return t.sendBulk(&m, fi)
-			}
-			t.wbuf = appendFastUnitPayload(t.wbuf[:0], &m, fi)
-			if err := t.writeUnitHeader(unitFast, len(t.wbuf)); err != nil {
-				return err
-			}
-			if _, err := t.bw.Write(t.wbuf); err != nil {
-				return err
-			}
-			return t.bw.Flush()
+	if fi, ok := lookupFramer(m.Body); ok {
+		if fi.encodeHead != nil {
+			return t.sendBulk(&m, fi)
 		}
+		t.wbuf = appendFastUnitPayload(t.wbuf[:0], &m, fi)
+		if err := t.writeUnitHeader(unitFast, len(t.wbuf)); err != nil {
+			return err
+		}
+		if _, err := t.bw.Write(t.wbuf); err != nil {
+			return err
+		}
+		return t.bw.Flush()
 	}
 
 	// Gob fallback: stage one persistent-stream Encode, then frame it.
@@ -330,6 +302,10 @@ func (f *payloadFeed) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// ReadByte exists only to make payloadFeed an io.ByteReader, so that
+// gob.NewDecoder reads it directly instead of wrapping it in a
+// bufio.Reader that would read ahead across unit boundaries. Gob itself
+// never calls it: its decoder reads through Read.
 func (f *payloadFeed) ReadByte() (byte, error) {
 	if f.remaining == 0 {
 		return 0, io.EOF

@@ -5,14 +5,9 @@
 package workloads
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -188,71 +183,4 @@ func SizeBin(inputBytes int64) string {
 	default:
 		return "large"
 	}
-}
-
-// LoadSwim parses a SWIM-format trace: whitespace-separated lines of
-//
-//	name  arrival_ms  input_bytes  shuffle_bytes  output_bytes
-//
-// Lines starting with '#' are comments.
-func LoadSwim(r io.Reader) ([]Job, error) {
-	var jobs []Job
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 5 {
-			return nil, fmt.Errorf("workloads: line %d: want 5 fields, got %d", lineNo, len(f))
-		}
-		arrival, err := strconv.ParseInt(f[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: line %d arrival: %w", lineNo, err)
-		}
-		in, err := strconv.ParseInt(f[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: line %d input: %w", lineNo, err)
-		}
-		sh, err := strconv.ParseInt(f[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: line %d shuffle: %w", lineNo, err)
-		}
-		out, err := strconv.ParseInt(f[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: line %d output: %w", lineNo, err)
-		}
-		jobs = append(jobs, Job{
-			Name:         f[0],
-			Arrival:      time.Duration(arrival) * time.Millisecond,
-			InputBytes:   in,
-			ShuffleBytes: sh,
-			OutputBytes:  out,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workloads: %w", err)
-	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Arrival < jobs[j].Arrival })
-	return jobs, nil
-}
-
-// ScaleSwim scales a workload's data sizes and arrival gaps, as the
-// paper scales the Facebook trace down to an 8-node cluster.
-func ScaleSwim(jobs []Job, sizeFactor, timeFactor float64) []Job {
-	out := make([]Job, len(jobs))
-	for i, j := range jobs {
-		out[i] = Job{
-			Name:         j.Name,
-			Arrival:      time.Duration(float64(j.Arrival) * timeFactor),
-			InputBytes:   int64(float64(j.InputBytes) * sizeFactor),
-			ShuffleBytes: int64(float64(j.ShuffleBytes) * sizeFactor),
-			OutputBytes:  int64(float64(j.OutputBytes) * sizeFactor),
-		}
-	}
-	return out
 }

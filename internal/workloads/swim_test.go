@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestGenerateSwimMarginals(t *testing.T) {
@@ -91,49 +90,6 @@ func TestSizeBin(t *testing.T) {
 		if got := SizeBin(c.bytes); got != c.want {
 			t.Errorf("SizeBin(%d) = %s, want %s", c.bytes, got, c.want)
 		}
-	}
-}
-
-func TestLoadSwimRoundTrip(t *testing.T) {
-	src := `# name arrival_ms input shuffle output
-jobB 2000 1048576 0 1024
-jobA 1000 2097152 524288 65536
-`
-	jobs, err := LoadSwim(strings.NewReader(src))
-	if err != nil {
-		t.Fatalf("LoadSwim: %v", err)
-	}
-	if len(jobs) != 2 {
-		t.Fatalf("jobs = %d", len(jobs))
-	}
-	// Sorted by arrival.
-	if jobs[0].Name != "jobA" || jobs[0].Arrival != time.Second {
-		t.Errorf("jobs[0] = %+v", jobs[0])
-	}
-	if jobs[1].InputBytes != 1048576 || jobs[1].OutputBytes != 1024 {
-		t.Errorf("jobs[1] = %+v", jobs[1])
-	}
-}
-
-func TestLoadSwimErrors(t *testing.T) {
-	for _, src := range []string{
-		"job 1 2",     // too few fields
-		"job x 1 2 3", // bad arrival
-		"job 1 x 2 3", // bad input
-		"job 1 2 x 3", // bad shuffle
-		"job 1 2 3 x", // bad output
-	} {
-		if _, err := LoadSwim(strings.NewReader(src)); err == nil {
-			t.Errorf("LoadSwim(%q) succeeded, want error", src)
-		}
-	}
-}
-
-func TestScaleSwim(t *testing.T) {
-	jobs := []Job{{Arrival: 10 * time.Second, InputBytes: 100, ShuffleBytes: 50, OutputBytes: 20}}
-	scaled := ScaleSwim(jobs, 0.5, 0.1)
-	if scaled[0].InputBytes != 50 || scaled[0].Arrival != time.Second {
-		t.Errorf("scaled = %+v", scaled[0])
 	}
 }
 
