@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all ci test race vet build fmt-check tidy-check determinism golden \
 	chaos chaos-wal bench-alloc fuzz-smoke profile cover cover-check \
-	bench-e2e bench-e2e-smoke bench experiments examples tidy
+	bench-e2e bench-e2e-smoke experiments examples tidy
 
 all: vet test
 
@@ -35,24 +35,45 @@ fmt-check:
 tidy-check:
 	$(GO) mod tidy -diff
 
-# Guards the paper figures: the seeded-determinism test must pass, and
-# two regenerations of the swim and table3 experiments must render
-# byte-for-byte identical output (wall-time footer lines filtered).
-# The committed golden (internal/experiments/testdata/swim_table3.golden) pins the
-# figures across PRs: at the default config — paper migration policy,
-# no tier budgets, no SSD tier — the output must stay bit-identical to
-# the pre-ladder pin-in-RAM master. Regenerate it deliberately with
-# `make golden` when a change is *supposed* to move the figures.
+# The paper's figures, one golden per experiment in the ignem-bench
+# registry: internal/experiments/testdata/<id>.golden is the output of
+# `ignem-bench <id>` with the wall-time footer line filtered. The IDs
+# come from `ignem-bench -list`, so a registry entry cannot go unpinned.
+GOLDEN_DIR = internal/experiments/testdata
+# Builds ignem-bench once into a temporary directory $$dir (removed on
+# exit) and sets $$bin to it and $$ids to the registry's IDs, for the
+# shell commands that follow; exits the shell if any of that fails.
+WITH_BENCH = dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && bin="$$dir/ignem-bench" && \
+	$(GO) build -o "$$bin" ./cmd/ignem-bench && ids="$$("$$bin" -list | awk '{ print $$1 }')" && \
+	[ -n "$$ids" ] || exit 1
+
+# Guards the paper figures: the seeded toy-scale determinism test must
+# pass, then every registry experiment runs in its own process and is
+# diffed against its golden. Every experiment is checked even after one
+# fails, and the failing IDs are named. At the default config (paper
+# migration policy, no tier budgets, no SSD tier) the output must stay
+# bit-identical to the pre-ladder pin-in-RAM master. Regenerate the
+# goldens deliberately with `make golden` when a change is *supposed* to
+# move a figure.
 determinism:
 	$(GO) test ./internal/experiments -run TestSwimSeededRunsAreBitIdentical -count=1
-	$(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > /tmp/ignem-determinism-a.txt
-	$(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > /tmp/ignem-determinism-b.txt
-	diff /tmp/ignem-determinism-a.txt /tmp/ignem-determinism-b.txt
-	diff /tmp/ignem-determinism-a.txt internal/experiments/testdata/swim_table3.golden
+	@$(WITH_BENCH); failed=; for id in $$ids; do \
+		echo "determinism: $$id"; \
+		"$$bin" "$$id" > "$$dir/out" && grep -v 'wall time' "$$dir/out" | \
+			diff "$(GOLDEN_DIR)/$$id.golden" - || failed="$$failed $$id"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "determinism: differs from its golden:$$failed"; exit 1; fi
 
-# Re-bless the committed figure golden after an intentional change.
+# Re-bless the goldens after an intentional figure change: removes every
+# golden, then writes one per registry experiment. Goroutines that become
+# ready at the same virtual instant still run in host order, so swim now
+# and then renders a different last digit in a few cells: review the
+# `git diff` of the goldens before committing it.
 golden:
-	$(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > internal/experiments/testdata/swim_table3.golden
+	@$(WITH_BENCH); rm -f $(GOLDEN_DIR)/*.golden; for id in $$ids; do \
+		echo "golden: $$id"; \
+		"$$bin" "$$id" > "$$dir/out" && grep -v 'wall time' "$$dir/out" > "$(GOLDEN_DIR)/$$id.golden" || exit 1; \
+	done
 
 # The failure-recovery suite: the deterministic fault fabric's unit
 # tests and the end-to-end chaos scenarios (datanode crash mid-write,
@@ -167,10 +188,6 @@ bench-e2e:
 bench-e2e-smoke:
 	cd bench && $(GO) test ./...
 
-# Regenerate every paper table and figure as benchmarks.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run XXX .
-
 # Regenerate every paper table and figure as rendered text (plus CSVs in
 # ./data for plotting).
 experiments:
@@ -179,7 +196,6 @@ experiments:
 # Run every example end to end.
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/swim
 	$(GO) run ./examples/wordcount
 	$(GO) run ./examples/hive
 	$(GO) run ./examples/failover

@@ -101,9 +101,6 @@ type Config struct {
 	// Racks spreads the datanodes round-robin over this many racks and
 	// enables rack-aware placement. Zero keeps flat placement.
 	Racks int
-	// NetLatency and NetMBps shape the fabric. Defaults: 200µs, 1250.
-	NetLatency time.Duration
-	NetMBps    float64
 	// HotCacheBytes sizes the per-node hot cache in ModeHotCache.
 	// Default 32 GB.
 	HotCacheBytes int64
@@ -142,12 +139,6 @@ func (c *Config) setDefaults() {
 	if c.DFSHeartbeat <= 0 {
 		c.DFSHeartbeat = time.Second
 	}
-	if c.NetLatency <= 0 {
-		c.NetLatency = 200 * time.Microsecond
-	}
-	if c.NetMBps <= 0 {
-		c.NetMBps = 1250
-	}
 	if c.HotCacheBytes <= 0 {
 		c.HotCacheBytes = 32 << 30
 	}
@@ -176,9 +167,10 @@ const EngineAddr = "engine"
 // goroutine when clock is virtual.
 func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 	cfg.setDefaults()
+	// The fabric is a 10 GbE network: 200µs per hop, 1250 MB/s per link.
 	net := transport.NewInmemNetwork(clock,
-		transport.WithLatency(cfg.NetLatency),
-		transport.WithBandwidthMBps(cfg.NetMBps))
+		transport.WithLatency(200*time.Microsecond),
+		transport.WithBandwidthMBps(1250))
 	wrap := func(node string) transport.Network {
 		if cfg.WrapNet != nil {
 			return cfg.WrapNet(node, net)
@@ -266,8 +258,7 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 		c.DataNodes = append(c.DataNodes, dn)
 	}
 	sched.Start()
-	c.Engine = mapreduce.NewEngine(clock, sched, wrap(EngineAddr), NameNodeAddr,
-		mapreduce.WithNetworkMBps(cfg.NetMBps))
+	c.Engine = mapreduce.NewEngine(clock, sched, wrap(EngineAddr), NameNodeAddr)
 	return c, nil
 }
 

@@ -380,25 +380,13 @@ func (c *Client) blockSums(data []byte) []uint32 {
 }
 
 // addBlocks allocates len(sizes) blocks for path in one namenode round
-// trip (a plain nn.addBlock when the window holds a single block),
-// registering each block's write-time checksum (sums may be nil). The
-// request carries a fresh request ID, so the transport-level retry in
-// callNN cannot double-allocate: a retry of a request whose reply was
+// trip, registering each block's write-time checksum (sums may be nil).
+// The request carries a fresh request ID, so the transport-level retry
+// in callNN cannot double-allocate: a retry of a request whose reply was
 // lost gets the blocks the first attempt allocated.
 func (c *Client) addBlocks(path string, sizes []int64, sums []uint32) ([]dfs.LocatedBlock, error) {
-	reqID := c.allocSeq.Add(1)
-	if len(sizes) == 1 {
-		req := dfs.AddBlockReq{Path: path, Size: sizes[0], ReqID: reqID}
-		if len(sums) > 0 {
-			req.Checksum = sums[0]
-		}
-		resp, err := callNN[dfs.AddBlockResp](c, "nn.addBlock", req)
-		if err != nil {
-			return nil, fmt.Errorf("dfs client: addBlock: %w", err)
-		}
-		return []dfs.LocatedBlock{resp.Located}, nil
-	}
-	resp, err := callNN[dfs.AddBlocksResp](c, "nn.addBlocks", dfs.AddBlocksReq{Path: path, Sizes: sizes, Checksums: sums, ReqID: reqID})
+	req := dfs.AddBlocksReq{Path: path, Sizes: sizes, Checksums: sums, ReqID: c.allocSeq.Add(1)}
+	resp, err := callNN[dfs.AddBlocksResp](c, "nn.addBlocks", req)
 	if err != nil {
 		return nil, fmt.Errorf("dfs client: addBlocks: %w", err)
 	}

@@ -146,11 +146,15 @@ type CreateReq struct {
 // CreateResp acknowledges file creation.
 type CreateResp struct{}
 
-// AddBlockReq allocates the next block of an open file; the namenode
-// chooses replica targets.
-type AddBlockReq struct {
-	Path string
-	Size int64 // payload bytes in this block (<= BlockSize)
+// AddBlocksReq allocates the next len(Sizes) blocks of an open file in
+// one call, taking the namenode's namespace lock once per request.
+// Blocks are appended to the file in Sizes order, and placement draws
+// the seeded rng in that same order, so one request for n blocks
+// allocates exactly what n one-block requests would. It is the only
+// allocation RPC: a writer with a single block in flight sends one size.
+type AddBlocksReq struct {
+	Path  string
+	Sizes []int64 // payload bytes per block (each <= BlockSize)
 	// Exclude lists datanode addresses placement must avoid (a writer
 	// retrying after a pipeline failure excludes the nodes it watched
 	// die). Ignored when honoring it would leave no candidates.
@@ -160,30 +164,9 @@ type AddBlockReq struct {
 	// already allocated instead of allocating again, so an RPC retry
 	// after a lost reply cannot double-allocate.
 	ReqID uint64
-	// Checksum is the CRC32C of the block's payload, computed by the
-	// writing client before allocation. Zero means unchecksummed.
-	Checksum uint32
-}
-
-// AddBlockResp returns the allocated block and its target datanodes.
-type AddBlockResp struct {
-	Located LocatedBlock
-}
-
-// AddBlocksReq allocates the next len(Sizes) blocks of an open file in
-// one call, taking the namenode's namespace lock once per window instead
-// of once per block. Blocks are appended to the file in Sizes order, and
-// placement draws the seeded rng in that same order, so a batched
-// allocation is bit-identical to the equivalent sequence of AddBlockReq
-// calls. Used by the parallel write path.
-type AddBlocksReq struct {
-	Path  string
-	Sizes []int64 // payload bytes per block (each <= BlockSize)
-	// Exclude and ReqID behave exactly as on AddBlockReq.
-	Exclude []string
-	ReqID   uint64
-	// Checksums are the per-block CRC32Cs, parallel to Sizes. Nil (or
-	// any zero entry) means the corresponding block is unchecksummed.
+	// Checksums are the per-block CRC32Cs, parallel to Sizes, computed
+	// by the writing client before allocation. Nil (or any zero entry)
+	// means the corresponding block is unchecksummed.
 	Checksums []uint32
 }
 
@@ -614,7 +597,6 @@ type ReadNotifyBatchResp struct{}
 func RegisterWire() {
 	for _, v := range []any{
 		CreateReq{}, CreateResp{},
-		AddBlockReq{}, AddBlockResp{},
 		AddBlocksReq{}, AddBlocksResp{},
 		RetargetBlockReq{}, RetargetBlockResp{},
 		CompleteReq{}, CompleteResp{},

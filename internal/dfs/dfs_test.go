@@ -18,14 +18,10 @@ func TestWireRoundTrip(t *testing.T) {
 	bodies := []any{
 		CreateReq{Path: "/f", BlockSize: 64 << 20, Replication: 3},
 		CreateResp{},
-		AddBlockReq{Path: "/f", Size: 123},
-		AddBlockResp{Located: LocatedBlock{
+		AddBlocksReq{Path: "/f", Sizes: []int64{123, 456}, Exclude: []string{"c"}, ReqID: 5, Checksums: []uint32{1, 2}},
+		AddBlocksResp{Located: []LocatedBlock{{
 			Block: Block{ID: 7, Size: 99}, Offset: 4,
 			Nodes: []string{"a", "b"}, Migrated: []string{"a"}, Assigned: "a",
-		}},
-		AddBlocksReq{Path: "/f", Sizes: []int64{123, 456}},
-		AddBlocksResp{Located: []LocatedBlock{{
-			Block: Block{ID: 7, Size: 99}, Offset: 4, Nodes: []string{"a", "b"},
 		}}},
 		CompleteReq{Path: "/f"},
 		GetInfoReq{Path: "/f"},

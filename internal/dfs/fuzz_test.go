@@ -34,6 +34,9 @@ func FuzzWriteBlockReqFrame(f *testing.F) {
 	enc := full.AppendFrame(nil)
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2]) // truncated mid-payload
+	summed := WriteBlockReq{Block: Block{ID: 43, Size: 512}, Data: fuzzBlockBytes(512)}
+	summed.Checksum = Checksum(summed.Data)
+	f.Add(summed.AppendFrame(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r WriteBlockReq
 		if err := r.DecodeFrame(data); err != nil {
@@ -44,9 +47,9 @@ func FuzzWriteBlockReqFrame(f *testing.F) {
 		if err := r2.DecodeFrame(re); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if r2.Block != r.Block || r2.EagerPipeline != r.EagerPipeline ||
+		if r2.Block != r.Block || r2.EagerPipeline != r.EagerPipeline || r2.Checksum != r.Checksum ||
 			len(r2.Pipeline) != len(r.Pipeline) || !bytes.Equal(r2.Data, r.Data) {
-			t.Fatalf("round trip changed request: %+v -> %+v", r.Block, r2.Block)
+			t.Fatalf("round trip changed request: %+v sum %#x -> %+v sum %#x", r.Block, r.Checksum, r2.Block, r2.Checksum)
 		}
 		for i := range r.Pipeline {
 			if r.Pipeline[i] != r2.Pipeline[i] {

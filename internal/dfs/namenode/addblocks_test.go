@@ -9,9 +9,9 @@ import (
 )
 
 // TestAddBlocksMatchesSerialPlacement pins the determinism contract of
-// the batched allocation RPC: with the same seed, one addBlocks call
-// produces exactly the block IDs, offsets, and replica targets that the
-// equivalent sequence of addBlock calls does.
+// the allocation RPC: with the same seed, one addBlocks call for n
+// blocks produces exactly the block IDs, offsets, and replica targets
+// that n one-block calls do.
 func TestAddBlocksMatchesSerialPlacement(t *testing.T) {
 	sizes := []int64{1 << 20, 1 << 20, 512 << 10, 1 << 20, 1}
 	type alloc struct {
@@ -37,11 +37,11 @@ func TestAddBlocksMatchesSerialPlacement(t *testing.T) {
 				lbs = resp.Located
 			} else {
 				for _, size := range sizes {
-					resp, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: size})
+					lb, err := addBlock(h.nn, "/f", size)
 					if err != nil {
 						t.Fatal(err)
 					}
-					lbs = append(lbs, resp.Located)
+					lbs = append(lbs, lb)
 				}
 			}
 			for _, lb := range lbs {
@@ -96,7 +96,7 @@ func TestAddBlocksValidation(t *testing.T) {
 			t.Fatalf("rejected batches allocated %d blocks", len(lbs))
 		}
 
-		// A sealed file refuses batched allocation like it refuses addBlock.
+		// A sealed file refuses allocation.
 		if _, err := h.nn.handleComplete(dfs.CompleteReq{Path: "/f"}); err != nil {
 			t.Fatal(err)
 		}

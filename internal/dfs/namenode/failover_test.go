@@ -18,19 +18,17 @@ func TestAddBlockExcludeAvoidsNodes(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		for i := 0; i < 10; i++ {
-			resp, err := h.nn.handleAddBlock(dfs.AddBlockReq{
-				Path: "/f", Size: 1 << 20, Exclude: []string{"a", "b"},
-			})
+			lb, err := addBlock(h.nn, "/f", 1<<20, "a", "b")
 			if err != nil {
 				t.Fatalf("addBlock: %v", err)
 			}
-			for _, n := range resp.Located.Nodes {
+			for _, n := range lb.Nodes {
 				if n == "a" || n == "b" {
-					t.Fatalf("excluded node %s chosen: %v", n, resp.Located.Nodes)
+					t.Fatalf("excluded node %s chosen: %v", n, lb.Nodes)
 				}
 			}
-			if len(resp.Located.Nodes) != 2 {
-				t.Fatalf("targets = %v, want 2 of {c,d}", resp.Located.Nodes)
+			if len(lb.Nodes) != 2 {
+				t.Fatalf("targets = %v, want 2 of {c,d}", lb.Nodes)
 			}
 		}
 	})
@@ -43,14 +41,12 @@ func TestExcludeIgnoredWhenNoCandidatesRemain(t *testing.T) {
 		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/f", Replication: 2}); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		resp, err := h.nn.handleAddBlock(dfs.AddBlockReq{
-			Path: "/f", Size: 1 << 20, Exclude: []string{"a", "b"},
-		})
+		lb, err := addBlock(h.nn, "/f", 1<<20, "a", "b")
 		if err != nil {
 			t.Fatalf("addBlock with total exclusion should fall back, got %v", err)
 		}
-		if len(resp.Located.Nodes) != 2 {
-			t.Fatalf("targets = %v, want both nodes despite exclusion", resp.Located.Nodes)
+		if len(lb.Nodes) != 2 {
+			t.Fatalf("targets = %v, want both nodes despite exclusion", lb.Nodes)
 		}
 	})
 }
@@ -62,11 +58,12 @@ func TestAddBlockReqIDRetryReturnsSameAllocation(t *testing.T) {
 		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/f", Replication: 2}); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		first, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1 << 20, ReqID: 7})
+		one := []int64{1 << 20}
+		first, err := h.nn.handleAddBlocks(dfs.AddBlocksReq{Path: "/f", Sizes: one, ReqID: 7})
 		if err != nil {
 			t.Fatalf("addBlock: %v", err)
 		}
-		retry, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1 << 20, ReqID: 7})
+		retry, err := h.nn.handleAddBlocks(dfs.AddBlocksReq{Path: "/f", Sizes: one, ReqID: 7})
 		if err != nil {
 			t.Fatalf("retry: %v", err)
 		}
@@ -78,8 +75,8 @@ func TestAddBlockReqIDRetryReturnsSameAllocation(t *testing.T) {
 			t.Fatalf("size = %d, %v — retry double-allocated", info.Info.Size, err)
 		}
 		// A genuinely new request ID allocates the next block.
-		next, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1 << 20, ReqID: 8})
-		if err != nil || next.Located.Block.ID == first.Located.Block.ID {
+		next, err := h.nn.handleAddBlocks(dfs.AddBlocksReq{Path: "/f", Sizes: one, ReqID: 8})
+		if err != nil || next.Located[0].Block.ID == first.Located[0].Block.ID {
 			t.Fatalf("next alloc = %+v, %v", next, err)
 		}
 	})
@@ -120,11 +117,11 @@ func TestRetargetBlockKeepsIDAndOffset(t *testing.T) {
 		}
 		var lbs []dfs.LocatedBlock
 		for i := 0; i < 3; i++ {
-			resp, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1 << 20})
+			lb, err := addBlock(h.nn, "/f", 1<<20)
 			if err != nil {
 				t.Fatalf("addBlock: %v", err)
 			}
-			lbs = append(lbs, resp.Located)
+			lbs = append(lbs, lb)
 		}
 		victim := lbs[1]
 		resp, err := h.nn.handleRetargetBlock(dfs.RetargetBlockReq{
@@ -225,11 +222,9 @@ func TestReRegistrationRestoresNodeWithoutDuplicateReplicas(t *testing.T) {
 		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/g", Replication: 1}); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		resp, err := h.nn.handleAddBlock(dfs.AddBlockReq{
-			Path: "/g", Size: 1 << 20, Exclude: []string{"b", "c"},
-		})
-		if err != nil || !reflect.DeepEqual(resp.Located.Nodes, []string{"a"}) {
-			t.Fatalf("placement after re-registration = %v, %v (want [a])", resp.Located.Nodes, err)
+		lb, err := addBlock(h.nn, "/g", 1<<20, "b", "c")
+		if err != nil || !reflect.DeepEqual(lb.Nodes, []string{"a"}) {
+			t.Fatalf("placement after re-registration = %v, %v (want [a])", lb.Nodes, err)
 		}
 	})
 }

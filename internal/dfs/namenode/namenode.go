@@ -289,7 +289,6 @@ func (nn *NameNode) Start() error {
 	}
 	s := transport.NewServer(nn.clock)
 	s.Handle("nn.create", wrap(nn.handleCreate))
-	s.Handle("nn.addBlock", wrap(nn.handleAddBlock))
 	s.Handle("nn.addBlocks", wrap(nn.handleAddBlocks))
 	s.Handle("nn.retargetBlock", wrap(nn.handleRetargetBlock))
 	s.Handle("nn.complete", wrap(nn.handleComplete))
@@ -408,21 +407,10 @@ func (nn *NameNode) handleCreate(req dfs.CreateReq) (dfs.CreateResp, error) {
 	return dfs.CreateResp{}, nil
 }
 
-func (nn *NameNode) handleAddBlock(req dfs.AddBlockReq) (dfs.AddBlockResp, error) {
-	var sums []uint32
-	if req.Checksum != 0 {
-		sums = []uint32{req.Checksum}
-	}
-	located, err := nn.ns.Allocate(req.Path, []int64{req.Size}, sums, req.Exclude, req.ReqID, false)
-	if err != nil {
-		return dfs.AddBlockResp{}, err
-	}
-	return dfs.AddBlockResp{Located: located[0]}, nil
-}
-
 // handleAddBlocks allocates a window of blocks under one namespace-lock
 // acquisition. Placement is drawn per block in request order, so a batch
-// yields the same targets the equivalent addBlock sequence would.
+// yields the same targets the equivalent sequence of one-block requests
+// would.
 // Validation is all-or-nothing: a bad size anywhere rejects the batch
 // before any block is allocated.
 func (nn *NameNode) handleAddBlocks(req dfs.AddBlocksReq) (dfs.AddBlocksResp, error) {
@@ -432,7 +420,7 @@ func (nn *NameNode) handleAddBlocks(req dfs.AddBlocksReq) (dfs.AddBlocksResp, er
 	if len(req.Checksums) != 0 && len(req.Checksums) != len(req.Sizes) {
 		return dfs.AddBlocksResp{}, fmt.Errorf("namenode: addBlocks with %d checksums for %d sizes", len(req.Checksums), len(req.Sizes))
 	}
-	located, err := nn.ns.Allocate(req.Path, req.Sizes, req.Checksums, req.Exclude, req.ReqID, true)
+	located, err := nn.ns.Allocate(req.Path, req.Sizes, req.Checksums, req.Exclude, req.ReqID)
 	if err != nil {
 		return dfs.AddBlocksResp{}, err
 	}

@@ -71,6 +71,16 @@ func (nn *NameNode) blockReport(req dfs.BlockReportReq) (dfs.BlockReportResp, er
 	return nn.handleBlockReport(req)
 }
 
+// addBlock allocates one block of size bytes, the way a writer with a
+// single block in flight asks for it.
+func addBlock(nn *NameNode, path string, size int64, exclude ...string) (dfs.LocatedBlock, error) {
+	resp, err := nn.handleAddBlocks(dfs.AddBlocksReq{Path: path, Sizes: []int64{size}, Exclude: exclude})
+	if err != nil {
+		return dfs.LocatedBlock{}, err
+	}
+	return resp.Located[0], nil
+}
+
 func run(t *testing.T, fn func(v *simclock.Virtual)) {
 	t.Helper()
 	v := simclock.NewVirtual(epoch)
@@ -92,7 +102,7 @@ func (h *harness) mkFile(t *testing.T, path string, blocks int, rep int) []dfs.L
 		t.Fatalf("create: %v", err)
 	}
 	for i := 0; i < blocks; i++ {
-		if _, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: path, Size: 1 << 20}); err != nil {
+		if _, err := addBlock(h.nn, path, 1<<20); err != nil {
 			t.Fatalf("addBlock: %v", err)
 		}
 	}
@@ -142,17 +152,17 @@ func TestCreateValidation(t *testing.T) {
 			t.Error("duplicate accepted")
 		}
 		// Sealed file rejects more blocks.
-		if _, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1}); err == nil {
+		if _, err := addBlock(h.nn, "/f", 1); err == nil {
 			t.Error("addBlock on sealed file accepted")
 		}
 		// Oversized block rejected.
 		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/g", BlockSize: 10}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/g", Size: 11}); err == nil {
+		if _, err := addBlock(h.nn, "/g", 11); err == nil {
 			t.Error("oversized block accepted")
 		}
-		if _, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/g", Size: 0}); err == nil {
+		if _, err := addBlock(h.nn, "/g", 0); err == nil {
 			t.Error("zero block accepted")
 		}
 	})
@@ -165,7 +175,7 @@ func TestAddBlockNoDatanodes(t *testing.T) {
 		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/f"}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1}); err == nil ||
+		if _, err := addBlock(h.nn, "/f", 1); err == nil ||
 			!strings.Contains(err.Error(), "no live datanodes") {
 			t.Errorf("err = %v", err)
 		}
@@ -366,11 +376,11 @@ func TestRackAwarePlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 12; i++ {
-			resp, err := nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1 << 20})
+			lb, err := addBlock(nn, "/f", 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes := resp.Located.Nodes
+			nodes := lb.Nodes
 			if len(nodes) != 3 {
 				t.Fatalf("replicas = %v", nodes)
 			}
@@ -407,17 +417,17 @@ func TestRackAwareDegradesGracefully(t *testing.T) {
 		if _, err := nn.handleCreate(dfs.CreateReq{Path: "/f", Replication: 3}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := nn.handleAddBlock(dfs.AddBlockReq{Path: "/f", Size: 1})
+		lb, err := addBlock(nn, "/f", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Located.Nodes) != 3 {
-			t.Errorf("replicas = %v", resp.Located.Nodes)
+		if len(lb.Nodes) != 3 {
+			t.Errorf("replicas = %v", lb.Nodes)
 		}
 		seen := map[string]bool{}
-		for _, n := range resp.Located.Nodes {
+		for _, n := range lb.Nodes {
 			if seen[n] {
-				t.Errorf("duplicate node: %v", resp.Located.Nodes)
+				t.Errorf("duplicate node: %v", lb.Nodes)
 			}
 			seen[n] = true
 		}
@@ -443,7 +453,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 						return
 					}
 					for b := 0; b < 3; b++ {
-						if _, err := h.nn.handleAddBlock(dfs.AddBlockReq{Path: path, Size: 1 << 20}); err != nil {
+						if _, err := addBlock(h.nn, path, 1<<20); err != nil {
 							t.Errorf("addBlock %s: %v", path, err)
 							return
 						}

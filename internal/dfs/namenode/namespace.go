@@ -33,14 +33,13 @@ type resolvedBlock struct {
 type fileEntry struct {
 	info   dfs.FileInfo
 	blocks []dfs.Block
-	// lastAllocID/lastAllocBatch/lastAlloc cache the file's most recent
+	// lastAllocID/lastAlloc cache the file's most recent
 	// allocation keyed by the caller's request ID, making allocation
 	// retries after a lost reply idempotent. One-deep is enough: a file
 	// has one writer and the writer allocates serially, so a retry can
 	// only ever be of the latest allocation.
-	lastAllocID    uint64
-	lastAllocBatch bool
-	lastAlloc      []dfs.LocatedBlock
+	lastAllocID uint64
+	lastAlloc   []dfs.LocatedBlock
 }
 
 // blockMeta is one block-map entry. It is a single flat allocation in

@@ -78,10 +78,8 @@ func (ns *memNamespace) Create(path string, blockSize int64, replication int) er
 // records them so every later Resolve can hand readers the write-time
 // checksum to verify against. reqID (when non-zero) keys a one-deep
 // idempotency cache so a retried allocation after a lost reply returns
-// the cached result instead of allocating twice; batch distinguishes
-// the single-block and batched call shapes, which must not share cache
-// entries.
-func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, exclude []string, reqID uint64, batch bool) ([]dfs.LocatedBlock, error) {
+// the cached result instead of allocating twice.
+func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, exclude []string, reqID uint64) ([]dfs.LocatedBlock, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	f, ok := ns.files[path]
@@ -96,7 +94,7 @@ func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, excl
 			return nil, fmt.Errorf("namenode: bad block size %d (file block size %d)", size, f.info.BlockSize)
 		}
 	}
-	if reqID != 0 && reqID == f.lastAllocID && batch == f.lastAllocBatch {
+	if reqID != 0 && reqID == f.lastAllocID {
 		return f.lastAlloc, nil
 	}
 	out := make([]dfs.LocatedBlock, 0, len(sizes))
@@ -112,7 +110,7 @@ func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, excl
 		out = append(out, lb)
 	}
 	if reqID != 0 {
-		f.lastAllocID, f.lastAllocBatch, f.lastAlloc = reqID, batch, out
+		f.lastAllocID, f.lastAlloc = reqID, out
 	}
 	return out, nil
 }

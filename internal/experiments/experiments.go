@@ -2,8 +2,8 @@
 // evaluation (§II and §IV). Each experiment returns a typed result with
 // the measured numbers plus a Render method that prints the table/figure
 // as text, and records the paper's published values alongside for
-// comparison. The bench harness (bench_test.go) and cmd/ignem-bench both
-// drive these functions.
+// comparison. cmd/ignem-bench runs them through the registry (All), and
+// testdata/<id>.golden pins the rendered output of each registry entry.
 package experiments
 
 import (

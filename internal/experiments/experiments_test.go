@@ -14,8 +14,9 @@ import (
 )
 
 // The tests here run every experiment at reduced scale and assert the
-// paper's qualitative shapes — the full-scale numbers live in the
-// benchmarks (bench_test.go) and EXPERIMENTS.md.
+// paper's qualitative shapes. The full-scale output of each registry
+// entry is pinned in testdata/<id>.golden (`make determinism` diffs it,
+// `make golden` rewrites it) and discussed in EXPERIMENTS.md.
 
 func TestMediaExperimentShape(t *testing.T) {
 	r, err := RunMedia(MediaConfig{Nodes: 4, BlocksPerNode: 6, Seed: 1})
@@ -241,6 +242,30 @@ func TestRegistryCoversAllExperiments(t *testing.T) {
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("Find matched a bogus ID")
+	}
+}
+
+// TestEveryExperimentHasAGolden keeps the registry and the committed
+// goldens in step without running anything: each ID has a
+// testdata/<id>.golden, and no golden exists for an ID the registry
+// lacks.
+func TestEveryExperimentHasAGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, f := range files {
+		have[strings.TrimSuffix(filepath.Base(f), ".golden")] = true
+	}
+	for _, s := range All() {
+		if !have[s.ID] {
+			t.Errorf("experiment %s has no testdata/%s.golden (run make golden)", s.ID, s.ID)
+		}
+		delete(have, s.ID)
+	}
+	for id := range have {
+		t.Errorf("testdata/%s.golden matches no registry experiment", id)
 	}
 }
 

@@ -25,22 +25,24 @@ type Config struct {
 	Servers int
 	// Duration of the analyzed window. Default 24h.
 	Duration time.Duration
-	// TargetUtilization is the mean disk utilization the workload is
-	// sized for. Default 0.031 (the paper's analyzed day).
-	TargetUtilization float64
-	// TasksPerJobMean is the mean task count per job. Default 8.
-	TasksPerJobMean float64
-	Seed            int64
+	Seed     int64
+}
 
+// The synthesizer's calibration.
+const (
+	// targetUtilization is the mean disk utilization the workload is
+	// sized for: the paper's analyzed day.
+	targetUtilization = 0.031
+	// tasksPerJobMean is the mean task count per job.
+	tasksPerJobMean = 8
 	// Lead-time (queue delay) lognormal parameters, calibrated to the
 	// published mean 8.8s / median 1.8s.
-	LeadMedian time.Duration // default 1.8s
-	LeadSigma  float64       // default 1.78
-
+	leadMedian = 1800 * time.Millisecond
+	leadSigma  = 1.78
 	// Per-job total disk IO lognormal parameters (heavy-tailed).
-	ReadMedian time.Duration // default 150ms
-	ReadSigma  float64       // default 2.0
-}
+	readMedian = 150 * time.Millisecond
+	readSigma  = 2.0
+)
 
 func (c *Config) setDefaults() {
 	if c.Servers <= 0 {
@@ -48,24 +50,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 24 * time.Hour
-	}
-	if c.TargetUtilization <= 0 {
-		c.TargetUtilization = 0.031
-	}
-	if c.TasksPerJobMean <= 0 {
-		c.TasksPerJobMean = 8
-	}
-	if c.LeadMedian <= 0 {
-		c.LeadMedian = 1800 * time.Millisecond
-	}
-	if c.LeadSigma <= 0 {
-		c.LeadSigma = 1.78
-	}
-	if c.ReadMedian <= 0 {
-		c.ReadMedian = 150 * time.Millisecond
-	}
-	if c.ReadSigma <= 0 {
-		c.ReadSigma = 2.0
 	}
 }
 
@@ -95,14 +79,14 @@ type Trace struct {
 }
 
 // Generate synthesizes a trace sized so the cluster's mean disk
-// utilization matches Config.TargetUtilization.
+// utilization matches targetUtilization.
 func Generate(cfg Config) *Trace {
 	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Mean per-job IO of the lognormal = median * exp(sigma^2/2).
-	meanJobIO := cfg.ReadMedian.Seconds() * math.Exp(cfg.ReadSigma*cfg.ReadSigma/2)
-	totalIONeeded := cfg.TargetUtilization * float64(cfg.Servers) * cfg.Duration.Seconds()
+	meanJobIO := readMedian.Seconds() * math.Exp(readSigma*readSigma/2)
+	totalIONeeded := targetUtilization * float64(cfg.Servers) * cfg.Duration.Seconds()
 	nJobs := int(totalIONeeded / meanJobIO)
 	if nJobs < 1 {
 		nJobs = 1
@@ -112,10 +96,10 @@ func Generate(cfg Config) *Trace {
 	t.Jobs = make([]JobRecord, 0, nJobs)
 	for i := 0; i < nJobs; i++ {
 		submit := time.Duration(rng.Float64() * float64(cfg.Duration))
-		lead := lognormal(rng, cfg.LeadMedian, cfg.LeadSigma)
-		readTime := lognormal(rng, cfg.ReadMedian, cfg.ReadSigma)
+		lead := lognormal(rng, leadMedian, leadSigma)
+		readTime := lognormal(rng, readMedian, readSigma)
 
-		nTasks := 1 + rng.Intn(int(2*cfg.TasksPerJobMean-1)) // uniform, mean ≈ TasksPerJobMean
+		nTasks := 1 + rng.Intn(int(2*tasksPerJobMean-1)) // uniform, mean ≈ tasksPerJobMean
 		job := JobRecord{Submit: submit, Lead: lead, ReadTime: readTime}
 		// Split the job's IO across its tasks with random weights.
 		weights := make([]float64, nTasks)

@@ -147,11 +147,9 @@ func (h *Hive) RunQuery(q Query, runID string) (QueryResult, error) {
 			// submission overhead at all.
 			cfg.SubmitOverhead = -1
 		}
-		res, err := h.engine.Run(cfg)
-		if err != nil {
+		if _, err := h.engine.Run(cfg); err != nil {
 			return QueryResult{}, fmt.Errorf("hive: %s stage %d: %w", q.Name, stage, err)
 		}
-		_ = res
 		// Next stage reads this stage's output parts.
 		files, err := start.List(out + "/")
 		if err != nil {

@@ -125,21 +125,16 @@ func (r Result) MeanMapDuration() time.Duration {
 	return sum / time.Duration(len(r.MapResults))
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithNetworkMBps sets the shuffle bandwidth model (default 1250 MB/s).
-func WithNetworkMBps(mbps float64) Option {
-	return func(e *Engine) { e.netMBps = mbps }
-}
+// shuffleMBps is the network bandwidth a reducer's shuffle fetch is
+// charged at: the cluster fabric's 1250 MB/s (10 GbE).
+const shuffleMBps = 1250
 
 // Engine runs MapReduce jobs on a scheduler and a DFS.
 type Engine struct {
-	clock   simclock.Clock
-	sched   *scheduler.Scheduler
-	net     transport.Network
-	nnAddr  string
-	netMBps float64
+	clock  simclock.Clock
+	sched  *scheduler.Scheduler
+	net    transport.Network
+	nnAddr string
 
 	mu      sync.Mutex
 	submit  *client.Client
@@ -153,20 +148,15 @@ type readCollector struct {
 }
 
 // NewEngine creates an engine. It dials the namenode lazily per node.
-func NewEngine(clock simclock.Clock, sched *scheduler.Scheduler, net transport.Network, nnAddr string, opts ...Option) *Engine {
-	e := &Engine{
+func NewEngine(clock simclock.Clock, sched *scheduler.Scheduler, net transport.Network, nnAddr string) *Engine {
+	return &Engine{
 		clock:   clock,
 		sched:   sched,
 		net:     net,
 		nnAddr:  nnAddr,
-		netMBps: 1250,
 		clients: make(map[string]*client.Client),
 		readers: make(map[dfs.JobID]*readCollector),
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // Now returns the engine's current (possibly virtual) time.
@@ -303,6 +293,11 @@ func (e *Engine) Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
+	// A failed task does not stop its siblings; the first error fails
+	// the job once its stage has drained.
+	var errMu sync.Mutex
+	var taskErr error
+
 	mapTasks := make([]scheduler.TaskSpec, len(splits))
 	for i, sp := range splits {
 		sp := sp
@@ -312,11 +307,17 @@ func (e *Engine) Run(cfg Config) (Result, error) {
 			PreferredNodes: strong,
 			SecondaryNodes: weak,
 			Run: func(node string) {
-				e.runMapTask(node, cfg, sp.path, sp.lb)
+				if err := e.runMapTask(node, cfg, sp.path, sp.lb); err != nil {
+					recordErr(&errMu, &taskErr, err)
+				}
 			},
 		}
 	}
 	mapResults := job.RunTasks(mapTasks)
+	if taskErr != nil {
+		job.Complete()
+		return Result{}, fmt.Errorf("mapreduce: map stage: %w", taskErr)
+	}
 
 	// Shuffle + reduce stage.
 	if cfg.Reducers > 0 {
@@ -328,11 +329,17 @@ func (e *Engine) Run(cfg Config) (Result, error) {
 			reduceTasks[i] = scheduler.TaskSpec{
 				Name: fmt.Sprintf("%s-reduce-%d", cfg.ID, i),
 				Run: func(node string) {
-					e.runReduceTask(node, cfg, i, shufflePer, outPer)
+					if err := e.runReduceTask(node, cfg, i, shufflePer, outPer); err != nil {
+						recordErr(&errMu, &taskErr, err)
+					}
 				},
 			}
 		}
 		job.RunTasks(reduceTasks)
+		if taskErr != nil {
+			job.Complete()
+			return Result{}, fmt.Errorf("mapreduce: reduce stage: %w", taskErr)
+		}
 	}
 
 	// Completion: release the inputs and the scheduler entry.
@@ -366,11 +373,11 @@ func (e *Engine) Run(cfg Config) (Result, error) {
 	}, nil
 }
 
-func (e *Engine) runMapTask(node string, cfg Config, path string, lb dfs.LocatedBlock) {
+func (e *Engine) runMapTask(node string, cfg Config, path string, lb dfs.LocatedBlock) error {
 	e.clock.Sleep(cfg.TaskOverhead)
 	c, err := e.nodeClient(node)
 	if err != nil {
-		return
+		return err
 	}
 	// Re-resolve the block so the read sees migration state that arrived
 	// after job submission — this is how a task learns a migrated copy
@@ -386,31 +393,31 @@ func (e *Engine) runMapTask(node string, cfg Config, path string, lb dfs.Located
 		}
 	}
 	if _, err := c.ReadBlock(lb, cfg.ID); err != nil {
-		return
+		return fmt.Errorf("%s block %d: %w", path, lb.Block.ID, err)
 	}
 	if cfg.MapRateMBps > 0 {
 		e.clock.Sleep(rateTime(lb.Block.Size, cfg.MapRateMBps))
 	}
+	return nil
 }
 
-func (e *Engine) runReduceTask(node string, cfg Config, idx int, shuffleBytes, outBytes int64) {
+func (e *Engine) runReduceTask(node string, cfg Config, idx int, shuffleBytes, outBytes int64) error {
 	e.clock.Sleep(cfg.TaskOverhead)
 	// Fetch the shuffle partition over the network.
 	if shuffleBytes > 0 {
-		e.clock.Sleep(rateTime(shuffleBytes, e.netMBps))
+		e.clock.Sleep(rateTime(shuffleBytes, shuffleMBps))
 	}
 	if cfg.ReduceRateMBps > 0 && shuffleBytes > 0 {
 		e.clock.Sleep(rateTime(shuffleBytes, cfg.ReduceRateMBps))
 	}
-	if outBytes > 0 {
-		c, err := e.nodeClient(node)
-		if err != nil {
-			return
-		}
-		part := fmt.Sprintf("%s/part-%05d", cfg.OutputPath, idx)
-		// Best effort: output write failures surface via missing files.
-		_ = c.WriteSyntheticFile(part, outBytes, 0, 1)
+	if outBytes == 0 {
+		return nil
 	}
+	c, err := e.nodeClient(node)
+	if err != nil {
+		return err
+	}
+	return c.WriteSyntheticFile(fmt.Sprintf("%s/part-%05d", cfg.OutputPath, idx), outBytes, 0, 1)
 }
 
 // placementPreferences derives the task's locality preference: every

@@ -175,6 +175,33 @@ func TestJobErrors(t *testing.T) {
 	})
 }
 
+// TestTaskErrorFailsJob checks that a failed task fails its job: the
+// second of two jobs writing the same OutputPath finds its part files
+// already there, so its reduce tasks cannot create them and Run must
+// return the error rather than a shorter duration.
+func TestTaskErrorFailsJob(t *testing.T) {
+	runSim(t, func(v *simclock.Virtual) {
+		c := startCluster(t, v, cluster.ModeHDFS)
+		defer c.Close()
+		writeInput(t, c, "/in", 2*dfs.DefaultBlockSize)
+		job := func(id dfs.JobID) error {
+			_, err := c.Engine.Run(mapreduce.Config{
+				ID:          id,
+				InputPaths:  []string{"/in"},
+				OutputBytes: 8 << 20,
+				OutputPath:  "/out/shared",
+			})
+			return err
+		}
+		if err := job("first"); err != nil {
+			t.Fatalf("first run: %v", err)
+		}
+		if err := job("second"); err == nil || !strings.Contains(err.Error(), "reduce stage") {
+			t.Fatalf("second run over existing output: err = %v, want a reduce-stage error", err)
+		}
+	})
+}
+
 func TestMapTasksPreferLocalNodes(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		c := startCluster(t, v, cluster.ModeHDFS)

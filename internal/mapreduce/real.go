@@ -175,7 +175,7 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 			Run: func(node string) {
 				e.clock.Sleep(cfg.TaskOverhead)
 				// Charge the shuffle fetch against the network model.
-				e.clock.Sleep(rateTime(shuffleBytes/int64(cfg.Reducers), e.netMBps))
+				e.clock.Sleep(rateTime(shuffleBytes/int64(cfg.Reducers), shuffleMBps))
 				part := partitions[i]
 				keys := make([]string, 0, len(part))
 				for k := range part {

@@ -134,10 +134,9 @@ func RegisterFramer[T any, PT interface {
 	}
 	framerMu.Lock()
 	defer framerMu.Unlock()
-	if old, ok := framerByType[t]; ok {
+	if _, ok := framerByType[t]; ok {
 		// Same type re-registered (RegisterWire is callable twice):
 		// keep the existing entry so name lookups stay stable.
-		_ = old
 		return
 	}
 	if _, ok := framerByName[info.name]; ok {

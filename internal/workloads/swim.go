@@ -21,16 +21,21 @@ type Job struct {
 	OutputBytes  int64
 }
 
+// The SWIM size bins of the paper's scaled setup: 85% of jobs read at
+// most 64 MB, most of the rest at most 512 MB, and a heavy tail reaches
+// 24 GB.
+const (
+	swimSmallFraction = 0.85
+	swimSmallMax      = 64 << 20
+	swimMediumMax     = 512 << 20
+	swimLargeMax      = 24 << 30
+)
+
 // SwimConfig controls the synthetic SWIM workload. The defaults match
-// the paper's scaled setup: 200 jobs totalling 170 GB of input, 85% of
-// jobs reading at most 64 MB, and a heavy tail up to 24 GB.
+// the paper's scaled setup: 200 jobs totalling 170 GB of input.
 type SwimConfig struct {
 	Jobs            int
 	TotalInputBytes int64
-	SmallFraction   float64 // jobs reading <= SmallMax
-	SmallMax        int64   // 64 MB
-	MediumMax       int64   // 512 MB
-	LargeMax        int64   // 24 GB
 	// MeanInterarrival is the mean gap between job submissions (the
 	// paper halves the trace's inter-arrival times).
 	MeanInterarrival time.Duration
@@ -44,18 +49,6 @@ func (c *SwimConfig) setDefaults() {
 	if c.TotalInputBytes <= 0 {
 		c.TotalInputBytes = 170 << 30
 	}
-	if c.SmallFraction <= 0 {
-		c.SmallFraction = 0.85
-	}
-	if c.SmallMax <= 0 {
-		c.SmallMax = 64 << 20
-	}
-	if c.MediumMax <= 0 {
-		c.MediumMax = 512 << 20
-	}
-	if c.LargeMax <= 0 {
-		c.LargeMax = 24 << 30
-	}
 	if c.MeanInterarrival <= 0 {
 		c.MeanInterarrival = 4 * time.Second
 	}
@@ -68,7 +61,7 @@ func GenerateSwim(cfg SwimConfig) []Job {
 	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	nSmall := int(float64(cfg.Jobs) * cfg.SmallFraction)
+	nSmall := int(float64(cfg.Jobs) * swimSmallFraction)
 	nMedium := (cfg.Jobs - nSmall) * 2 / 3
 	nLarge := cfg.Jobs - nSmall - nMedium
 	if nLarge < 1 {
@@ -79,22 +72,22 @@ func GenerateSwim(cfg SwimConfig) []Job {
 	jobs := make([]Job, 0, cfg.Jobs)
 	var smallMedSum int64
 	for i := 0; i < nSmall; i++ {
-		size := logUniform(rng, 1<<20, cfg.SmallMax)
+		size := logUniform(rng, 1<<20, swimSmallMax)
 		smallMedSum += size
 		jobs = append(jobs, Job{InputBytes: size})
 	}
 	for i := 0; i < nMedium; i++ {
-		size := logUniform(rng, cfg.SmallMax+1, cfg.MediumMax)
+		size := logUniform(rng, swimSmallMax+1, swimMediumMax)
 		smallMedSum += size
 		jobs = append(jobs, Job{InputBytes: size})
 	}
 	// Draw the large bin, then scale it so the workload totals exactly
-	// TotalInputBytes while the biggest job stays near LargeMax.
+	// TotalInputBytes while the biggest job stays near swimLargeMax.
 	largeSizes := make([]int64, nLarge)
 	var largeSum int64
 	var largest int64
 	for i := range largeSizes {
-		largeSizes[i] = logUniform(rng, cfg.MediumMax+1, cfg.LargeMax)
+		largeSizes[i] = logUniform(rng, swimMediumMax+1, swimLargeMax)
 		largeSum += largeSizes[i]
 		if largeSizes[i] > largest {
 			largest = largeSizes[i]
@@ -103,13 +96,13 @@ func GenerateSwim(cfg SwimConfig) []Job {
 	want := cfg.TotalInputBytes - smallMedSum
 	if want > 0 && largeSum > 0 {
 		// Rescale toward the target total, redistributing around the
-		// LargeMax cap over a few passes (capped jobs stay capped; the
+		// swimLargeMax cap over a few passes (capped jobs stay capped; the
 		// shortfall flows to the uncapped ones).
 		for pass := 0; pass < 8; pass++ {
 			var cur, uncapped int64
 			for _, s := range largeSizes {
 				cur += s
-				if s < cfg.LargeMax {
+				if s < swimLargeMax {
 					uncapped += s
 				}
 			}
@@ -119,15 +112,15 @@ func GenerateSwim(cfg SwimConfig) []Job {
 			}
 			scale := 1 + float64(missing)/float64(uncapped)
 			for i, s := range largeSizes {
-				if s >= cfg.LargeMax {
+				if s >= swimLargeMax {
 					continue
 				}
 				ns := int64(float64(s) * scale)
-				if ns > cfg.LargeMax {
-					ns = cfg.LargeMax
+				if ns > swimLargeMax {
+					ns = swimLargeMax
 				}
-				if ns <= cfg.MediumMax {
-					ns = cfg.MediumMax + 1
+				if ns <= swimMediumMax {
+					ns = swimMediumMax + 1
 				}
 				largeSizes[i] = ns
 			}
