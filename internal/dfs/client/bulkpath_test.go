@@ -158,7 +158,7 @@ func TestReadFileConcurrentOnOneClient(t *testing.T) {
 	wg.Wait()
 }
 
-// LocationsInRange over TCP: the range rides the gob-encoded request,
+// LocationsInRange over TCP: the range rides the framed request,
 // so the namenode answers with just the blocks it covers.
 func TestLocationsInRangeOverTCP(t *testing.T) {
 	lc := startLive(t, true, 3)

@@ -17,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/transport"
@@ -144,7 +146,7 @@ type CreateReq struct {
 }
 
 // CreateResp acknowledges file creation.
-type CreateResp struct{}
+type CreateResp struct{ ack }
 
 // AddBlocksReq allocates the next len(Sizes) blocks of an open file in
 // one call, taking the namenode's namespace lock once per request.
@@ -155,10 +157,6 @@ type CreateResp struct{}
 type AddBlocksReq struct {
 	Path  string
 	Sizes []int64 // payload bytes per block (each <= BlockSize)
-	// Exclude lists datanode addresses placement must avoid (a writer
-	// retrying after a pipeline failure excludes the nodes it watched
-	// die). Ignored when honoring it would leave no candidates.
-	Exclude []string
 	// ReqID, when non-zero, makes the allocation idempotent: a retry of
 	// the file's most recent allocation (same ReqID) returns the blocks
 	// already allocated instead of allocating again, so an RPC retry
@@ -196,7 +194,7 @@ type RetargetBlockResp struct {
 type CompleteReq struct{ Path string }
 
 // CompleteResp acknowledges sealing.
-type CompleteResp struct{}
+type CompleteResp struct{ ack }
 
 // GetInfoReq fetches file metadata.
 type GetInfoReq struct{ Path string }
@@ -226,7 +224,7 @@ type GetLocationsResp struct{ Blocks []LocatedBlock }
 type DeleteReq struct{ Path string }
 
 // DeleteResp acknowledges removal.
-type DeleteResp struct{}
+type DeleteResp struct{ ack }
 
 // ListReq lists files whose path starts with Prefix.
 type ListReq struct{ Prefix string }
@@ -278,7 +276,7 @@ type BlockReadReq struct {
 }
 
 // BlockReadResp acknowledges a cache-hit read notification.
-type BlockReadResp struct{}
+type BlockReadResp struct{ ack }
 
 // RegisterReq announces a datanode to the namenode. Blocks is the full
 // block report of what the datanode currently stores; the namenode
@@ -297,7 +295,7 @@ type RegisterReq struct {
 }
 
 // RegisterResp acknowledges registration.
-type RegisterResp struct{}
+type RegisterResp struct{ ack }
 
 // HeartbeatReq is the periodic datanode report. Pinned and Unpinned carry
 // the block IDs whose migration state changed since the last heartbeat, so
@@ -351,7 +349,7 @@ type BlockReportReq struct {
 }
 
 // BlockReportResp acknowledges a block report.
-type BlockReportResp struct{}
+type BlockReportResp struct{ ack }
 
 // busyMarker is the substring IsBusy looks for. Application errors cross
 // the transport as strings (*transport.RemoteError), so the typed
@@ -410,13 +408,13 @@ type CorruptReplicaReq struct {
 }
 
 // CorruptReplicaResp acknowledges a corruption report.
-type CorruptReplicaResp struct{}
+type CorruptReplicaResp struct{ ack }
 
 // EpochReq asks the namenode for the Ignem master's current epoch. A
 // revived datanode sends it during re-registration so its slave can
 // reconcile stale pins immediately instead of waiting for the next
 // epoch broadcast.
-type EpochReq struct{}
+type EpochReq struct{ ack }
 
 // EpochResp returns the master's current epoch.
 type EpochResp struct{ Epoch uint64 }
@@ -459,7 +457,7 @@ func (r WriteBlockReq) WireSize() int64 {
 }
 
 // WriteBlockResp acknowledges a replica write.
-type WriteBlockResp struct{}
+type WriteBlockResp struct{ ack }
 
 // ReadBlockReq reads a block replica. Job identifies the reader for
 // implicit eviction. Local marks a same-node read, which bypasses the
@@ -511,7 +509,7 @@ type VerifyBlockReq struct{ Block BlockID }
 
 // VerifyBlockResp acknowledges a verification; the outcome reaches the
 // namenode through the corrupt-replica report, not the caller.
-type VerifyBlockResp struct{}
+type VerifyBlockResp struct{ ack }
 
 // PullBlockReq tells a datanode to fetch a block replica from a peer
 // (re-replication after a node failure).
@@ -521,13 +519,13 @@ type PullBlockReq struct {
 }
 
 // PullBlockResp acknowledges that the replica is now stored locally.
-type PullBlockResp struct{}
+type PullBlockResp struct{ ack }
 
 // DeleteBlocksReq removes block replicas from a datanode.
 type DeleteBlocksReq struct{ Blocks []BlockID }
 
 // DeleteBlocksResp acknowledges replica removal.
-type DeleteBlocksResp struct{}
+type DeleteBlocksResp struct{ ack }
 
 // ---- Ignem master→slave command schema (methods prefixed "ignem.") ----
 
@@ -558,7 +556,7 @@ type MigrateBatch struct {
 }
 
 // MigrateBatchResp acknowledges a migrate batch.
-type MigrateBatchResp struct{}
+type MigrateBatchResp struct{ ack }
 
 // EvictCmd removes a job from a block's reference list.
 type EvictCmd struct {
@@ -573,7 +571,7 @@ type EvictBatch struct {
 }
 
 // EvictBatchResp acknowledges an evict batch.
-type EvictBatchResp struct{}
+type EvictBatchResp struct{ ack }
 
 // ReadNotifyCmd tells a slave that Job read Block somewhere the
 // datanode could not observe (a client cache hit), so the slave applies
@@ -590,51 +588,43 @@ type ReadNotifyBatch struct {
 }
 
 // ReadNotifyBatchResp acknowledges a read-notify batch.
-type ReadNotifyBatchResp struct{}
+type ReadNotifyBatchResp struct{ ack }
 
-// RegisterWire registers every wire type for the TCP transport's gob
-// codec. It is safe to call more than once.
-func RegisterWire() {
-	for _, v := range []any{
-		CreateReq{}, CreateResp{},
-		AddBlocksReq{}, AddBlocksResp{},
-		RetargetBlockReq{}, RetargetBlockResp{},
-		CompleteReq{}, CompleteResp{},
-		GetInfoReq{}, GetInfoResp{},
-		GetLocationsReq{}, GetLocationsResp{},
-		DeleteReq{}, DeleteResp{},
-		ListReq{}, ListResp{},
-		MigrateReq{}, MigrateResp{},
-		EvictReq{}, EvictResp{},
-		RegisterReq{}, RegisterResp{},
-		HeartbeatReq{}, HeartbeatResp{},
-		WriteBlockReq{}, WriteBlockResp{},
-		ReadBlockReq{}, ReadBlockResp{},
-		DeleteBlocksReq{}, DeleteBlocksResp{},
-		PullBlockReq{}, PullBlockResp{},
-		VerifyBlockReq{}, VerifyBlockResp{},
-		BlockReportReq{}, BlockReportResp{},
-		MigrateBatch{}, MigrateBatchResp{},
-		EvictBatch{}, EvictBatchResp{},
-		BlockReadReq{}, BlockReadResp{},
-		ReadNotifyBatch{}, ReadNotifyBatchResp{},
-		EpochReq{}, EpochResp{},
-		CorruptReplicaReq{}, CorruptReplicaResp{},
+// RegisterWire registers every wire type with the TCP transport's frame
+// codec (see frame.go and ctlframe.go). It is safe to call more than
+// once.
+func RegisterWire() { registerWire() }
+
+// wireTypes lists the registered types in registration order, so the
+// round-trip test and the frame fuzzer can cover every one.
+var wireTypes []reflect.Type
+
+var registerWire = sync.OnceFunc(func() {
+	for _, register := range []func(){
+		wire[CreateReq], wire[CreateResp], wire[AddBlocksReq], wire[AddBlocksResp],
+		wire[RetargetBlockReq], wire[RetargetBlockResp], wire[CompleteReq], wire[CompleteResp],
+		wire[GetInfoReq], wire[GetInfoResp], wire[GetLocationsReq], wire[GetLocationsResp],
+		wire[DeleteReq], wire[DeleteResp], wire[ListReq], wire[ListResp],
+		wire[MigrateReq], wire[MigrateResp], wire[EvictReq], wire[EvictResp],
+		wire[BlockReadReq], wire[BlockReadResp], wire[RegisterReq], wire[RegisterResp],
+		wire[HeartbeatReq], wire[HeartbeatResp], wire[BlockReportReq], wire[BlockReportResp],
+		wire[CorruptReplicaReq], wire[CorruptReplicaResp], wire[EpochReq], wire[EpochResp],
+		// The two messages that carry a block payload are
+		// transport.BulkFramers, so their bytes bypass conn scratch.
+		wire[WriteBlockReq], wire[WriteBlockResp], wire[ReadBlockReq], wire[ReadBlockResp],
+		wire[VerifyBlockReq], wire[VerifyBlockResp], wire[PullBlockReq], wire[PullBlockResp],
+		wire[DeleteBlocksReq], wire[DeleteBlocksResp], wire[MigrateBatch], wire[MigrateBatchResp],
+		wire[EvictBatch], wire[EvictBatchResp], wire[ReadNotifyBatch], wire[ReadNotifyBatchResp],
 	} {
-		transport.RegisterType(v)
+		register()
 	}
-	// Bulk block messages additionally take the TCP binary fast path;
-	// the two that carry a payload are transport.BulkFramers, so their
-	// bytes bypass conn scratch (see frame.go). ReadBlockReq rides
-	// along: it is tiny, but it precedes every block fetch and its gob
-	// round trip showed up in allocation profiles of the read path.
-	transport.RegisterFramer[WriteBlockReq, *WriteBlockReq]()
-	transport.RegisterFramer[ReadBlockReq, *ReadBlockReq]()
-	transport.RegisterFramer[ReadBlockResp, *ReadBlockResp]()
-	// Control-plane report messages are framed too: a full block report
-	// is a long ID list (a million-block datanode ships ~8 MB of IDs),
-	// and at 1000 nodes the per-message gob overhead of even the small
-	// delta heartbeats is what the namenode spends its receive CPU on.
-	transport.RegisterFramer[HeartbeatReq, *HeartbeatReq]()
-	transport.RegisterFramer[BlockReportReq, *BlockReportReq]()
+})
+
+// frame registers T with the transport and records it in wireTypes.
+func wire[T any, PT interface {
+	*T
+	transport.Framer
+}]() {
+	transport.RegisterFramer[T, PT]()
+	wireTypes = append(wireTypes, reflect.TypeFor[T]())
 }

@@ -3,12 +3,21 @@ package dfs
 import (
 	"encoding/binary"
 	"errors"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/transport"
 )
 
-// Binary fast-path frames for the bulk block messages.
+// Binary frames: every wire type RegisterWire registers implements
+// transport.Framer by hand, on the frameWriter/frameReader cursor below.
+// A frame lists the struct's exported fields in a fixed order; integers
+// are uvarints, signed ones zig-zag varints (but block sizes and the
+// report frames' byte counts are uvarints of their two's complement: the
+// five block and report layouts are fixed), and strings and lists carry
+// a uvarint length or count.
+// This file holds the cursor and the block and report frames; ctlframe.go
+// holds the control-plane frames.
 //
 // WriteBlockReq and ReadBlockResp carry multi-megabyte payloads; over
 // TCP they travel as bulk units (transport.BulkFramer): a hand-framed
@@ -28,52 +37,274 @@ import (
 // never sets pooled, so inmem payloads — which alias datanode stores
 // and writer buffers — are never returned to the pool.
 
-var errShortFrame = errors.New("dfs: malformed block frame")
+var errShortFrame = errors.New("dfs: malformed frame")
 
-func frameUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
+// frameWriter appends frame fields; every method returns the extended
+// buffer, like append, so a frame is one chain of calls.
+type frameWriter []byte
+
+func (w frameWriter) uvarint(v uint64) frameWriter { return binary.AppendUvarint(w, v) }
+func (w frameWriter) varint(v int64) frameWriter   { return binary.AppendVarint(w, v) }
+func (w frameWriter) byte(b byte) frameWriter      { return append(w, b) }
+
+func (w frameWriter) str(s string) frameWriter {
+	return append(w.uvarint(uint64(len(s))), s...)
+}
+
+func (w frameWriter) bytes(b []byte) frameWriter {
+	return append(w.uvarint(uint64(len(b))), b...)
+}
+
+func (w frameWriter) bool(b bool) frameWriter {
+	if b {
+		return append(w, 1)
+	}
+	return append(w, 0)
+}
+
+func (w frameWriter) strs(ss []string) frameWriter {
+	w = w.uvarint(uint64(len(ss)))
+	for _, s := range ss {
+		w = w.str(s)
+	}
+	return w
+}
+
+func (w frameWriter) ids(ids []BlockID) frameWriter { return appendIDList(w, ids) }
+
+// time is a zero flag, then Unix seconds and nanoseconds. The location is
+// not carried: receivers only compare times (Equal, Before).
+func (w frameWriter) time(t time.Time) frameWriter {
+	if t.IsZero() {
+		return append(w, 0)
+	}
+	return append(w, 1).varint(t.Unix()).uvarint(uint64(t.Nanosecond()))
+}
+
+func (w frameWriter) block(b Block) frameWriter {
+	return w.uvarint(uint64(b.ID)).uvarint(uint64(b.Size))
+}
+
+func (w frameWriter) located(lb LocatedBlock) frameWriter {
+	return w.block(lb.Block).varint(lb.Offset).strs(lb.Nodes).strs(lb.Migrated).
+		strs(lb.OnSSD).str(lb.Assigned).uvarint(uint64(lb.Checksum))
+}
+
+func (w frameWriter) locatedList(lbs []LocatedBlock) frameWriter {
+	w = w.uvarint(uint64(len(lbs)))
+	for _, lb := range lbs {
+		w = w.located(lb)
+	}
+	return w
+}
+
+func (w frameWriter) info(fi FileInfo) frameWriter {
+	return w.str(fi.Path).varint(fi.Size).varint(fi.BlockSize).varint(int64(fi.Replication)).bool(fi.Complete)
+}
+
+// Minimum encoded sizes of list elements: a decoder refuses a count that
+// the bytes left cannot hold before it allocates the list, so a hostile
+// count in a large unit cannot ask for gigabytes.
+const (
+	minLocatedSize = 8 // block (2), offset, three lists, Assigned, Checksum
+	minInfoSize    = 5 // Path, Size, BlockSize, Replication, Complete
+	minMigrateCmd  = 8 // block (2), Job, JobInputSize, time, Implicit, Checksum, Tier
+	minBlockJob    = 2 // Block, Job: an EvictCmd or ReadNotifyCmd
+)
+
+// frameReader reads frame fields off the front of b. The first malformed
+// field sets err and empties b, so every later read returns a zero value;
+// a decoder reads every field, then checks done once. On an error the
+// fields it assigned are meaningless.
+type frameReader struct {
+	b   []byte
+	err error
+}
+
+func (r *frameReader) fail() {
+	if r.err == nil {
+		r.err = errShortFrame
+	}
+	r.b = nil
+}
+
+// done reports the first error, or an error if bytes remain unread.
+func (r *frameReader) done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail()
+	}
+	return r.err
+}
+
+func (r *frameReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, nil, errShortFrame
+		r.fail()
+		return 0
 	}
-	return v, b[n:], nil
+	r.b = r.b[n:]
+	return v
 }
 
-func frameBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := frameUvarint(b)
-	if err != nil {
-		return nil, nil, err
+func (r *frameReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
 	}
-	if n > uint64(len(rest)) {
-		return nil, nil, errShortFrame
-	}
-	return rest[:n], rest[n:], nil
+	r.b = r.b[n:]
+	return v
 }
 
-// appendBulk ends a whole frame: the bulk bytes as a length-prefixed
-// byte string after the head.
-func appendBulk(head, bulk []byte) []byte {
-	head = binary.AppendUvarint(head, uint64(len(bulk)))
-	return append(head, bulk...)
+func (r *frameReader) byte() byte {
+	if len(r.b) == 0 {
+		r.fail()
+		return 0
+	}
+	b := r.b[0]
+	r.b = r.b[1:]
+	return b
 }
 
-// decodeBulk is the inverse of appendBulk for what a head decoder left
-// over: one byte string and nothing after it, copied into a pooled
-// buffer so the frame stays the caller's. A zero-length payload stays
-// nil (synthetic blocks).
-func decodeBulk(rest []byte) ([]byte, error) {
-	raw, rest, err := frameBytes(rest)
-	if err != nil {
-		return nil, err
+func (r *frameReader) bool() bool {
+	switch r.byte() {
+	case 0:
+		return false
+	case 1:
+		return true
 	}
-	if len(rest) != 0 {
-		return nil, errShortFrame
+	r.fail()
+	return false
+}
+
+// bytes returns a length-prefixed byte string aliasing the frame.
+func (r *frameReader) bytes() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return nil
 	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
+}
+
+func (r *frameReader) str() string { return string(r.bytes()) }
+
+// intern reads a string from a small population that repeats across
+// messages (datanode addresses, job IDs), so repeats do not allocate.
+func (r *frameReader) intern() string { return transport.InternBytes(r.bytes()) }
+
+func (r *frameReader) job() JobID { return JobID(r.intern()) }
+
+// sum reads a CRC32C checksum.
+func (r *frameReader) sum() uint32 {
+	v := r.uvarint()
+	if v > 0xFFFFFFFF {
+		r.fail()
+	}
+	return uint32(v)
+}
+
+// count reads a list count, refusing one the bytes left cannot hold at
+// minSize bytes per element.
+func (r *frameReader) count(minSize int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/minSize) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// makeList reads a list count and returns a list of that length, nil
+// when it is empty.
+func makeList[T any](r *frameReader, minSize int) []T {
+	if n := r.count(minSize); n > 0 {
+		return make([]T, n)
+	}
+	return nil
+}
+
+func (r *frameReader) strs() []string {
+	ss := makeList[string](r, 1)
+	for i := range ss {
+		ss[i] = r.str()
+	}
+	return ss
+}
+
+// addrs reads a list of datanode addresses.
+func (r *frameReader) addrs() []string {
+	ss := makeList[string](r, 1)
+	for i := range ss {
+		ss[i] = r.intern()
+	}
+	return ss
+}
+
+// ids is the inverse of appendIDList. The list is a fresh allocation:
+// report ID lists are retained past the decode (the namenode reconciles
+// against them), so they must not alias scratch.
+func (r *frameReader) ids() []BlockID {
+	ids := makeList[BlockID](r, 1)
+	var prev uint64
+	for i := range ids {
+		prev += r.uvarint()
+		ids[i] = BlockID(prev)
+	}
+	return ids
+}
+
+func (r *frameReader) time() time.Time {
+	switch r.byte() {
+	case 0:
+		return time.Time{}
+	case 1:
+		sec, nsec := r.varint(), r.uvarint()
+		if nsec < 1e9 {
+			// A set time that reads back as zero is not canonical.
+			if t := time.Unix(sec, int64(nsec)); !t.IsZero() {
+				return t
+			}
+		}
+	}
+	r.fail()
+	return time.Time{}
+}
+
+func (r *frameReader) block() Block {
+	return Block{ID: BlockID(r.uvarint()), Size: int64(r.uvarint())}
+}
+
+func (r *frameReader) located() LocatedBlock {
+	return LocatedBlock{Block: r.block(), Offset: r.varint(), Nodes: r.addrs(), Migrated: r.addrs(),
+		OnSSD: r.addrs(), Assigned: r.intern(), Checksum: r.sum()}
+}
+
+func (r *frameReader) locatedList() []LocatedBlock {
+	lbs := makeList[LocatedBlock](r, minLocatedSize)
+	for i := range lbs {
+		lbs[i] = r.located()
+	}
+	return lbs
+}
+
+func (r *frameReader) info() FileInfo {
+	return FileInfo{Path: r.str(), Size: r.varint(), BlockSize: r.varint(),
+		Replication: int(r.varint()), Complete: r.bool()}
+}
+
+// pooledCopy copies a frame's bulk bytes into a pooled buffer, so the
+// frame stays the caller's. A zero-length payload stays nil (synthetic
+// blocks).
+func pooledCopy(raw []byte) []byte {
 	if len(raw) == 0 {
-		return nil, nil
+		return nil
 	}
 	d := bufpool.Get(len(raw))
 	copy(d, raw)
-	return d, nil
+	return d
 }
 
 // ---- WriteBlockReq ----
@@ -82,77 +313,28 @@ const wbFlagEager = 0x01
 
 // AppendHead implements transport.BulkFramer: every field but Data.
 func (r *WriteBlockReq) AppendHead(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Block.ID))
-	buf = binary.AppendUvarint(buf, uint64(r.Block.Size))
 	var flags byte
 	if r.EagerPipeline {
 		flags |= wbFlagEager
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(r.Checksum))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Pipeline)))
-	for _, p := range r.Pipeline {
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
-	}
-	return buf
+	return frameWriter(buf).block(r.Block).byte(flags).uvarint(uint64(r.Checksum)).strs(r.Pipeline)
 }
 
 // Bulk implements transport.BulkFramer.
 func (r *WriteBlockReq) Bulk() []byte { return r.Data }
 
-// AppendFrame implements transport.Framer.
+// AppendFrame implements transport.Framer: the head, then Data as a
+// length-prefixed byte string.
 func (r *WriteBlockReq) AppendFrame(buf []byte) []byte {
-	return appendBulk(r.AppendHead(buf), r.Data)
+	return frameWriter(r.AppendHead(buf)).bytes(r.Data)
 }
 
-// decodeHead fills every field but Data from the front of b and returns
-// what follows the head.
-func (r *WriteBlockReq) decodeHead(b []byte) ([]byte, error) {
-	id, rest, err := frameUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	size, rest, err := frameUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) == 0 {
-		return nil, errShortFrame
-	}
-	flags := rest[0]
-	rest = rest[1:]
-	sum, rest, err := frameUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	if sum > 0xFFFFFFFF {
-		return nil, errShortFrame
-	}
-	np, rest, err := frameUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	if np > uint64(len(rest)) { // each entry needs ≥1 byte
-		return nil, errShortFrame
-	}
-	var pipeline []string
-	if np > 0 {
-		pipeline = make([]string, 0, np)
-		for i := uint64(0); i < np; i++ {
-			var pb []byte
-			pb, rest, err = frameBytes(rest)
-			if err != nil {
-				return nil, err
-			}
-			pipeline = append(pipeline, string(pb))
-		}
-	}
-	r.Block = Block{ID: BlockID(id), Size: int64(size)}
-	r.EagerPipeline = flags&wbFlagEager != 0
-	r.Checksum = uint32(sum)
-	r.Pipeline = pipeline
-	return rest, nil
+// readHead fills every field but Data.
+func (r *WriteBlockReq) readHead(fr *frameReader) {
+	r.Block = fr.block()
+	r.EagerPipeline = fr.byte()&wbFlagEager != 0
+	r.Checksum = fr.sum()
+	r.Pipeline = fr.addrs()
 }
 
 // DecodeHead implements transport.BulkFramer. bulk, when non-nil, is a
@@ -160,12 +342,10 @@ func (r *WriteBlockReq) decodeHead(b []byte) ([]byte, error) {
 // call Release (or keep the buffer forever, as the datanode block store
 // does).
 func (r *WriteBlockReq) DecodeHead(head, bulk []byte) error {
-	rest, err := r.decodeHead(head)
-	if err != nil {
+	fr := frameReader{b: head}
+	r.readHead(&fr)
+	if err := fr.done(); err != nil {
 		return err
-	}
-	if len(rest) != 0 {
-		return errShortFrame
 	}
 	r.Data, r.pooled = bulk, bulk != nil
 	return nil
@@ -174,15 +354,14 @@ func (r *WriteBlockReq) DecodeHead(head, bulk []byte) error {
 // DecodeFrame implements transport.Framer. The decoded Data is a pooled
 // copy, owned as after DecodeHead.
 func (r *WriteBlockReq) DecodeFrame(frame []byte) error {
-	rest, err := r.decodeHead(frame)
-	if err != nil {
+	fr := frameReader{b: frame}
+	r.readHead(&fr)
+	raw := fr.bytes()
+	if err := fr.done(); err != nil {
 		return err
 	}
-	data, err := decodeBulk(rest)
-	if err != nil {
-		return err
-	}
-	r.Data, r.pooled = data, data != nil
+	r.Data = pooledCopy(raw)
+	r.pooled = r.Data != nil
 	return nil
 }
 
@@ -210,13 +389,8 @@ const (
 	rqFlagReaderVerifies = 0x02
 )
 
-// AppendFrame implements transport.Framer. ReadBlockReq carries no bulk
-// payload, but it precedes every block fetch: profiling the TCP read
-// path showed the gob encode/decode of this small request was a top
-// remaining allocation site once the response rode the fast path, so the
-// request is framed too.
+// AppendFrame implements transport.Framer.
 func (r *ReadBlockReq) AppendFrame(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Block))
 	var flags byte
 	if r.Local {
 		flags |= rqFlagLocal
@@ -224,36 +398,18 @@ func (r *ReadBlockReq) AppendFrame(buf []byte) []byte {
 	if r.ReaderVerifies {
 		flags |= rqFlagReaderVerifies
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Job)))
-	return append(buf, r.Job...)
+	return frameWriter(buf).uvarint(uint64(r.Block)).byte(flags).str(string(r.Job))
 }
 
 // DecodeFrame implements transport.Framer.
 func (r *ReadBlockReq) DecodeFrame(payload []byte) error {
-	id, rest, err := frameUvarint(payload)
-	if err != nil {
-		return err
-	}
-	if len(rest) == 0 {
-		return errShortFrame
-	}
-	flags := rest[0]
-	rest = rest[1:]
-	job, rest, err := frameBytes(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errShortFrame
-	}
-	r.Block = BlockID(id)
+	fr := frameReader{b: payload}
+	r.Block = BlockID(fr.uvarint())
+	flags := fr.byte()
 	r.Local = flags&rqFlagLocal != 0
 	r.ReaderVerifies = flags&rqFlagReaderVerifies != 0
-	// Job IDs repeat across every block fetch of a job, so intern the
-	// string instead of copying it out of the frame each time.
-	r.Job = JobID(transport.InternBytes(job))
-	return nil
+	r.Job = fr.job()
+	return fr.done()
 }
 
 // ---- ReadBlockResp ----
@@ -265,7 +421,6 @@ const (
 
 // AppendHead implements transport.BulkFramer: every field but Data.
 func (r *ReadBlockResp) AppendHead(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Size))
 	var flags byte
 	if r.FromMemory {
 		flags |= rbFlagFromMemory
@@ -273,44 +428,34 @@ func (r *ReadBlockResp) AppendHead(buf []byte) []byte {
 	if r.Local {
 		flags |= rbFlagLocal
 	}
-	return append(buf, flags)
+	return frameWriter(buf).uvarint(uint64(r.Size)).byte(flags)
 }
 
 // Bulk implements transport.BulkFramer.
 func (r *ReadBlockResp) Bulk() []byte { return r.Data }
 
-// AppendFrame implements transport.Framer.
+// AppendFrame implements transport.Framer: the head, then Data as a
+// length-prefixed byte string.
 func (r *ReadBlockResp) AppendFrame(buf []byte) []byte {
-	return appendBulk(r.AppendHead(buf), r.Data)
+	return frameWriter(r.AppendHead(buf)).bytes(r.Data)
 }
 
-// decodeHead fills every field but Data from the front of b and returns
-// what follows the head.
-func (r *ReadBlockResp) decodeHead(b []byte) ([]byte, error) {
-	size, rest, err := frameUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) == 0 {
-		return nil, errShortFrame
-	}
-	flags := rest[0]
-	r.Size = int64(size)
+// readHead fills every field but Data.
+func (r *ReadBlockResp) readHead(fr *frameReader) {
+	r.Size = int64(fr.uvarint())
+	flags := fr.byte()
 	r.FromMemory = flags&rbFlagFromMemory != 0
 	r.Local = flags&rbFlagLocal != 0
-	return rest[1:], nil
 }
 
 // DecodeHead implements transport.BulkFramer. bulk, when non-nil, is a
 // pooled buffer this struct now owns; the sole owner must eventually
 // call Release.
 func (r *ReadBlockResp) DecodeHead(head, bulk []byte) error {
-	rest, err := r.decodeHead(head)
-	if err != nil {
+	fr := frameReader{b: head}
+	r.readHead(&fr)
+	if err := fr.done(); err != nil {
 		return err
-	}
-	if len(rest) != 0 {
-		return errShortFrame
 	}
 	r.Data, r.pooled = bulk, bulk != nil
 	return nil
@@ -319,15 +464,14 @@ func (r *ReadBlockResp) DecodeHead(head, bulk []byte) error {
 // DecodeFrame implements transport.Framer. The decoded Data is a pooled
 // copy, owned as after DecodeHead.
 func (r *ReadBlockResp) DecodeFrame(frame []byte) error {
-	rest, err := r.decodeHead(frame)
-	if err != nil {
+	fr := frameReader{b: frame}
+	r.readHead(&fr)
+	raw := fr.bytes()
+	if err := fr.done(); err != nil {
 		return err
 	}
-	data, err := decodeBulk(rest)
-	if err != nil {
-		return err
-	}
-	r.Data, r.pooled = data, data != nil
+	r.Data = pooledCopy(raw)
+	r.pooled = r.Data != nil
 	return nil
 }
 
@@ -363,153 +507,33 @@ func appendIDList(buf []byte, ids []BlockID) []byte {
 	return buf
 }
 
-// decodeIDList is the inverse of appendIDList. The returned slice is a
-// fresh allocation: report ID lists are retained past the decode (the
-// namenode reconciles against them), so they must not alias scratch.
-func decodeIDList(b []byte) ([]BlockID, []byte, error) {
-	n, rest, err := frameUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	if n > uint64(len(rest)) { // each entry needs ≥1 byte
-		return nil, nil, errShortFrame
-	}
-	ids := make([]BlockID, 0, n)
-	var prev uint64
-	for i := uint64(0); i < n; i++ {
-		var d uint64
-		d, rest, err = frameUvarint(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		prev += d
-		ids = append(ids, BlockID(prev))
-	}
-	return ids, rest, nil
-}
-
-// ---- HeartbeatReq ----
-
 // AppendFrame implements transport.Framer. At 1000 datanodes the
-// heartbeat is the highest-rate control-plane message; framing it keeps
-// the namenode's receive path off gob reflection.
+// heartbeat is the highest-rate control-plane message.
 func (r *HeartbeatReq) AppendFrame(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(r.Addr)))
-	buf = append(buf, r.Addr...)
-	buf = binary.AppendUvarint(buf, uint64(r.PinnedBytes))
-	buf = binary.AppendUvarint(buf, r.Seq)
-	buf = binary.AppendUvarint(buf, r.Epoch)
-	buf = appendIDList(buf, r.Pinned)
-	buf = appendIDList(buf, r.Unpinned)
-	buf = appendIDList(buf, r.Added)
-	buf = appendIDList(buf, r.Removed)
-	buf = binary.AppendUvarint(buf, uint64(r.SSDBytes))
-	buf = appendIDList(buf, r.SSDPinned)
-	return appendIDList(buf, r.SSDUnpinned)
+	return frameWriter(buf).str(r.Addr).uvarint(uint64(r.PinnedBytes)).uvarint(r.Seq).uvarint(r.Epoch).
+		ids(r.Pinned).ids(r.Unpinned).ids(r.Added).ids(r.Removed).
+		uvarint(uint64(r.SSDBytes)).ids(r.SSDPinned).ids(r.SSDUnpinned)
 }
 
 // DecodeFrame implements transport.Framer.
 func (r *HeartbeatReq) DecodeFrame(payload []byte) error {
-	addr, rest, err := frameBytes(payload)
-	if err != nil {
-		return err
-	}
-	pinnedBytes, rest, err := frameUvarint(rest)
-	if err != nil {
-		return err
-	}
-	seq, rest, err := frameUvarint(rest)
-	if err != nil {
-		return err
-	}
-	epoch, rest, err := frameUvarint(rest)
-	if err != nil {
-		return err
-	}
-	pinned, rest, err := decodeIDList(rest)
-	if err != nil {
-		return err
-	}
-	unpinned, rest, err := decodeIDList(rest)
-	if err != nil {
-		return err
-	}
-	added, rest, err := decodeIDList(rest)
-	if err != nil {
-		return err
-	}
-	removed, rest, err := decodeIDList(rest)
-	if err != nil {
-		return err
-	}
-	ssdBytes, rest, err := frameUvarint(rest)
-	if err != nil {
-		return err
-	}
-	ssdPinned, rest, err := decodeIDList(rest)
-	if err != nil {
-		return err
-	}
-	ssdUnpinned, rest, err := decodeIDList(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errShortFrame
-	}
-	// Datanode addresses are a small fixed population; intern instead of
-	// copying one out of the frame per heartbeat.
-	r.Addr = transport.InternBytes(addr)
-	r.PinnedBytes = int64(pinnedBytes)
-	r.Seq = seq
-	r.Epoch = epoch
-	r.Pinned, r.Unpinned = pinned, unpinned
-	r.Added, r.Removed = added, removed
-	r.SSDBytes = int64(ssdBytes)
-	r.SSDPinned, r.SSDUnpinned = ssdPinned, ssdUnpinned
-	return nil
+	fr := frameReader{b: payload}
+	r.Addr, r.PinnedBytes, r.Seq, r.Epoch = fr.intern(), int64(fr.uvarint()), fr.uvarint(), fr.uvarint()
+	r.Pinned, r.Unpinned, r.Added, r.Removed = fr.ids(), fr.ids(), fr.ids(), fr.ids()
+	r.SSDBytes, r.SSDPinned, r.SSDUnpinned = int64(fr.uvarint()), fr.ids(), fr.ids()
+	return fr.done()
 }
 
-// ---- BlockReportReq ----
-
 // AppendFrame implements transport.Framer. A full report from a
-// million-block datanode is megabytes of IDs; hand framing (with delta
-// encoding) keeps both the bytes and the decode allocations bounded.
+// million-block datanode is megabytes of IDs; delta encoding keeps both
+// the bytes and the decode allocations bounded.
 func (r *BlockReportReq) AppendFrame(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(r.Addr)))
-	buf = append(buf, r.Addr...)
-	buf = binary.AppendUvarint(buf, r.Seq)
-	buf = binary.AppendUvarint(buf, r.Epoch)
-	return appendIDList(buf, r.Blocks)
+	return frameWriter(buf).str(r.Addr).uvarint(r.Seq).uvarint(r.Epoch).ids(r.Blocks)
 }
 
 // DecodeFrame implements transport.Framer.
 func (r *BlockReportReq) DecodeFrame(payload []byte) error {
-	addr, rest, err := frameBytes(payload)
-	if err != nil {
-		return err
-	}
-	seq, rest, err := frameUvarint(rest)
-	if err != nil {
-		return err
-	}
-	epoch, rest, err := frameUvarint(rest)
-	if err != nil {
-		return err
-	}
-	blocks, rest, err := decodeIDList(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errShortFrame
-	}
-	r.Addr = transport.InternBytes(addr)
-	r.Seq = seq
-	r.Epoch = epoch
-	r.Blocks = blocks
-	return nil
+	fr := frameReader{b: payload}
+	r.Addr, r.Seq, r.Epoch, r.Blocks = fr.intern(), fr.uvarint(), fr.uvarint(), fr.ids()
+	return fr.done()
 }

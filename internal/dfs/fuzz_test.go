@@ -2,7 +2,11 @@ package dfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 // Frame-codec fuzzers: DecodeFrame must never panic on arbitrary bytes
@@ -114,5 +118,57 @@ func FuzzReadBlockRespFrame(f *testing.F) {
 		}
 		r.Release()
 		r2.Release()
+	})
+}
+
+// asFramer returns a pointer to a copy of a wire value, as a Framer.
+func asFramer(v any) transport.Framer {
+	p := reflect.New(reflect.TypeOf(v))
+	p.Elem().Set(reflect.ValueOf(v))
+	return p.Interface().(transport.Framer)
+}
+
+// FuzzControlFrame covers every registered wire type without a block
+// payload (the two bulk messages have fuzzers of their own): the first
+// byte selects the type, the rest is its frame. DecodeFrame must never
+// panic, and whatever it accepts must re-encode to a frame that decodes
+// to an equal value.
+func FuzzControlFrame(f *testing.F) {
+	RegisterWire()
+	var types []reflect.Type
+	for _, typ := range wireTypes {
+		if _, bulk := reflect.New(typ).Interface().(transport.BulkFramer); !bulk {
+			types = append(types, typ)
+		}
+	}
+	samples := wireSamples()
+	for i, typ := range types {
+		for _, s := range samples {
+			if reflect.TypeOf(s) == typ {
+				frame := append([]byte{byte(i)}, asFramer(s).AppendFrame(nil)...)
+				f.Add(frame)
+				f.Add(frame[:len(frame)/2+1])
+			}
+		}
+		// A hostile list count: wherever a count is read, it must be
+		// refused before anything is allocated for it.
+		f.Add(binary.AppendUvarint([]byte{byte(i), 0}, 1<<40))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		typ := types[int(data[0])%len(types)]
+		got := reflect.New(typ).Interface().(transport.Framer)
+		if err := got.DecodeFrame(data[1:]); err != nil {
+			return
+		}
+		again := reflect.New(typ).Interface().(transport.Framer)
+		if err := again.DecodeFrame(got.AppendFrame(nil)); err != nil {
+			t.Fatalf("%v: re-decode failed: %v", typ, err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("%v: round trip changed the value:\n %+v\n %+v", typ, got, again)
+		}
 	})
 }

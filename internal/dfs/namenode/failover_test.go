@@ -10,7 +10,7 @@ import (
 	"repro/internal/simclock"
 )
 
-func TestAddBlockExcludeAvoidsNodes(t *testing.T) {
+func TestRetargetExcludeAvoidsNodes(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
 		h := newHarness(t, v, 4) // a b c d
 		defer h.nn.Close()
@@ -18,9 +18,9 @@ func TestAddBlockExcludeAvoidsNodes(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		for i := 0; i < 10; i++ {
-			lb, err := addBlock(h.nn, "/f", 1<<20, "a", "b")
+			lb, err := retargeted(h.nn, "/f", 1<<20, "a", "b")
 			if err != nil {
-				t.Fatalf("addBlock: %v", err)
+				t.Fatalf("retarget: %v", err)
 			}
 			for _, n := range lb.Nodes {
 				if n == "a" || n == "b" {
@@ -41,9 +41,9 @@ func TestExcludeIgnoredWhenNoCandidatesRemain(t *testing.T) {
 		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/f", Replication: 2}); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		lb, err := addBlock(h.nn, "/f", 1<<20, "a", "b")
+		lb, err := retargeted(h.nn, "/f", 1<<20, "a", "b")
 		if err != nil {
-			t.Fatalf("addBlock with total exclusion should fall back, got %v", err)
+			t.Fatalf("retarget with total exclusion should fall back, got %v", err)
 		}
 		if len(lb.Nodes) != 2 {
 			t.Fatalf("targets = %v, want both nodes despite exclusion", lb.Nodes)
@@ -217,12 +217,12 @@ func TestReRegistrationRestoresNodeWithoutDuplicateReplicas(t *testing.T) {
 			}
 		}
 
-		// Back in placement rotation: an allocation excluding b and c can
-		// only land on a.
+		// Back in placement rotation: a block re-placed away from b and c
+		// can only land on a.
 		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/g", Replication: 1}); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		lb, err := addBlock(h.nn, "/g", 1<<20, "b", "c")
+		lb, err := retargeted(h.nn, "/g", 1<<20, "b", "c")
 		if err != nil || !reflect.DeepEqual(lb.Nodes, []string{"a"}) {
 			t.Fatalf("placement after re-registration = %v, %v (want [a])", lb.Nodes, err)
 		}

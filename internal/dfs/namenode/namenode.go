@@ -420,7 +420,7 @@ func (nn *NameNode) handleAddBlocks(req dfs.AddBlocksReq) (dfs.AddBlocksResp, er
 	if len(req.Checksums) != 0 && len(req.Checksums) != len(req.Sizes) {
 		return dfs.AddBlocksResp{}, fmt.Errorf("namenode: addBlocks with %d checksums for %d sizes", len(req.Checksums), len(req.Sizes))
 	}
-	located, err := nn.ns.Allocate(req.Path, req.Sizes, req.Checksums, req.Exclude, req.ReqID)
+	located, err := nn.ns.Allocate(req.Path, req.Sizes, req.Checksums, req.ReqID)
 	if err != nil {
 		return dfs.AddBlocksResp{}, err
 	}

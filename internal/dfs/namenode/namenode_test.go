@@ -73,12 +73,23 @@ func (nn *NameNode) blockReport(req dfs.BlockReportReq) (dfs.BlockReportResp, er
 
 // addBlock allocates one block of size bytes, the way a writer with a
 // single block in flight asks for it.
-func addBlock(nn *NameNode, path string, size int64, exclude ...string) (dfs.LocatedBlock, error) {
-	resp, err := nn.handleAddBlocks(dfs.AddBlocksReq{Path: path, Sizes: []int64{size}, Exclude: exclude})
+func addBlock(nn *NameNode, path string, size int64) (dfs.LocatedBlock, error) {
+	resp, err := nn.handleAddBlocks(dfs.AddBlocksReq{Path: path, Sizes: []int64{size}})
 	if err != nil {
 		return dfs.LocatedBlock{}, err
 	}
 	return resp.Located[0], nil
+}
+
+// retargeted allocates one block of size bytes, then re-places it
+// avoiding exclude, the way a writer whose pipeline failed retries it.
+func retargeted(nn *NameNode, path string, size int64, exclude ...string) (dfs.LocatedBlock, error) {
+	lb, err := addBlock(nn, path, size)
+	if err != nil {
+		return lb, err
+	}
+	resp, err := nn.handleRetargetBlock(dfs.RetargetBlockReq{Path: path, Block: lb.Block.ID, Exclude: exclude})
+	return resp.Located, err
 }
 
 func run(t *testing.T, fn func(v *simclock.Virtual)) {

@@ -79,7 +79,7 @@ func (ns *memNamespace) Create(path string, blockSize int64, replication int) er
 // checksum to verify against. reqID (when non-zero) keys a one-deep
 // idempotency cache so a retried allocation after a lost reply returns
 // the cached result instead of allocating twice.
-func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, exclude []string, reqID uint64) ([]dfs.LocatedBlock, error) {
+func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, reqID uint64) ([]dfs.LocatedBlock, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	f, ok := ns.files[path]
@@ -103,7 +103,7 @@ func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, excl
 		if i < len(sums) {
 			sum = sums[i]
 		}
-		lb, err := ns.allocateBlockLocked(f, size, sum, exclude)
+		lb, err := ns.allocateBlockLocked(f, size, sum)
 		if err != nil {
 			return nil, err
 		}
@@ -117,8 +117,8 @@ func (ns *memNamespace) Allocate(path string, sizes []int64, sums []uint32, excl
 
 // allocateBlockLocked appends one block to f with freshly chosen replica
 // targets. Called with mu held.
-func (ns *memNamespace) allocateBlockLocked(f *fileEntry, size int64, sum uint32, exclude []string) (dfs.LocatedBlock, error) {
-	targets := ns.chooseTargets(f.info.Replication, exclude)
+func (ns *memNamespace) allocateBlockLocked(f *fileEntry, size int64, sum uint32) (dfs.LocatedBlock, error) {
+	targets := ns.chooseTargets(f.info.Replication, nil)
 	if len(targets) == 0 {
 		return dfs.LocatedBlock{}, fmt.Errorf("namenode: no live datanodes")
 	}

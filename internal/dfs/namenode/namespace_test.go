@@ -82,17 +82,17 @@ func driveNamespace(ns *memNamespace) []string {
 	tr.err("create /b/z", ns.Create("/b/z", 1<<20, 3))
 	tr.err("create dup /a/x", ns.Create("/a/x", 1<<20, 2))
 
-	lbs, err := ns.Allocate("/a/x", []int64{1 << 20}, nil, nil, 1)
+	lbs, err := ns.Allocate("/a/x", []int64{1 << 20}, nil, 1)
 	tr.located("alloc /a/x 1", lbs, err)
-	lbs, err = ns.Allocate("/a/x", []int64{1 << 20, 1 << 19}, nil, nil, 2)
+	lbs, err = ns.Allocate("/a/x", []int64{1 << 20, 1 << 19}, nil, 2)
 	tr.located("alloc /a/x batch", lbs, err)
 	// A replay of the latest request ID must return the cached result
 	// without drawing the rng again.
-	lbs, err = ns.Allocate("/a/x", []int64{1 << 20, 1 << 19}, nil, nil, 2)
+	lbs, err = ns.Allocate("/a/x", []int64{1 << 20, 1 << 19}, nil, 2)
 	tr.located("alloc /a/x batch replay", lbs, err)
-	lbs, err = ns.Allocate("/b/z", []int64{1 << 20}, nil, []string{"a"}, 3)
-	tr.located("alloc /b/z exclude=a", lbs, err)
-	_, err = ns.Allocate("/missing", []int64{1}, nil, nil, 0)
+	lbs, err = ns.Allocate("/b/z", []int64{1 << 20}, nil, 3)
+	tr.located("alloc /b/z", lbs, err)
+	_, err = ns.Allocate("/missing", []int64{1}, nil, 0)
 	tr.err("alloc /missing", err)
 
 	first, err := ns.Resolve("/a/x", 0, 0)
@@ -101,7 +101,7 @@ func driveNamespace(ns *memNamespace) []string {
 	tr.located("retarget /a/x", []dfs.LocatedBlock{lb}, err)
 
 	tr.err("complete /a/x", ns.Complete("/a/x"))
-	_, err = ns.Allocate("/a/x", []int64{1}, nil, nil, 4)
+	_, err = ns.Allocate("/a/x", []int64{1}, nil, 4)
 	tr.err("alloc sealed /a/x", err)
 
 	info, err := ns.Info("/a/x")

@@ -26,7 +26,7 @@ func TestRepairScanHealthyAllocs(t *testing.T) {
 				if err := ns.Create(path, 1<<20, 3); err != nil {
 					t.Fatalf("create: %v", err)
 				}
-				if _, err := ns.Allocate(path, sizes, nil, nil, 0); err != nil {
+				if _, err := ns.Allocate(path, sizes, nil, 0); err != nil {
 					t.Fatalf("allocate: %v", err)
 				}
 			}
@@ -60,7 +60,7 @@ func TestRepairScanDeterministicDraws(t *testing.T) {
 			if err := ns.Create(path, 1<<20, 3); err != nil {
 				t.Fatalf("create: %v", err)
 			}
-			if _, err := ns.Allocate(path, sizes, nil, nil, 0); err != nil {
+			if _, err := ns.Allocate(path, sizes, nil, 0); err != nil {
 				t.Fatalf("allocate: %v", err)
 			}
 		}

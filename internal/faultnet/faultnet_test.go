@@ -17,6 +17,13 @@ var epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 type echoReq struct{ Text string }
 type echoResp struct{ Text string }
 
+// The echo bodies are framed so they can cross a TCP conn: the text is
+// the whole frame.
+func (r *echoReq) AppendFrame(buf []byte) []byte  { return append(buf, r.Text...) }
+func (r *echoReq) DecodeFrame(p []byte) error     { r.Text = string(p); return nil }
+func (r *echoResp) AppendFrame(buf []byte) []byte { return append(buf, r.Text...) }
+func (r *echoResp) DecodeFrame(p []byte) error    { r.Text = string(p); return nil }
+
 // startEcho runs an echo server on the fabric view for node, counting
 // handled requests so tests can tell "request arrived, reply lost" from
 // "request lost".
@@ -296,8 +303,8 @@ func TestSeededDropsAreBitIdentical(t *testing.T) {
 func TestTCPCrashKillsConns(t *testing.T) {
 	clock := simclock.NewReal()
 	fab := New(clock, transport.NewTCPNetwork(), 7)
-	transport.RegisterType(echoReq{})
-	transport.RegisterType(echoResp{})
+	transport.RegisterFramer[echoReq]()
+	transport.RegisterFramer[echoResp]()
 	node := fab.Node("srv")
 	srv := transport.NewServer(clock)
 	srv.Handle("echo", func(arg any) (any, error) {

@@ -8,21 +8,20 @@ import (
 	"sync"
 )
 
-// Framer is the binary fast path for hot wire structs. A type that
-// implements it (on its pointer receiver) is sent over TCP as a binary
-// frame — hand-written fields — instead of going through
-// reflection-based gob encoding. Small control messages never bother:
-// gob is fine for them, and the fallback is automatic for any body type
-// that is not registered with RegisterFramer. A type that carries a
-// block payload implements BulkFramer as well.
+// Framer is the TCP transport's codec for a message body: hand-written
+// binary fields, no reflection. Every body type sent over TCP implements
+// it (on its pointer receiver) and is registered with RegisterFramer;
+// Send refuses any other body type. A type that carries a block payload
+// implements BulkFramer as well.
 //
 // AppendFrame appends the frame bytes to buf and returns the extended
 // slice, exactly like append: it must not retain buf.
 //
-// DecodeFrame parses a frame produced by AppendFrame. The payload slice
-// is the caller's (for the transport, receive scratch), valid only for
-// the duration of the call — an implementation copies out whatever it
-// retains (see DESIGN.md "Wire format & buffer ownership").
+// DecodeFrame parses a frame produced by AppendFrame, and fails unless
+// it consumes all of it. The payload slice is the caller's (for the
+// transport, receive scratch), valid only for the duration of the call —
+// an implementation copies out whatever it retains (see DESIGN.md "Wire
+// format & buffer ownership").
 type Framer interface {
 	AppendFrame(buf []byte) []byte
 	DecodeFrame(payload []byte) error
@@ -54,7 +53,7 @@ type BulkFramer interface {
 	DecodeHead(head, bulk []byte) error
 }
 
-// framerInfo is one registered fast-path body type. The head functions
+// framerInfo is one registered body type. The head functions
 // are set only for a BulkFramer.
 type framerInfo struct {
 	name       string
@@ -64,19 +63,29 @@ type framerInfo struct {
 	decodeHead func(head, bulk []byte) (any, error)
 }
 
+// nilBody is the codec of a message without a body (an error reply): an
+// empty type name and an empty frame.
+var nilBody = &framerInfo{
+	encode: func(_ any, buf []byte) []byte { return buf },
+	decode: func(payload []byte) (any, error) {
+		if len(payload) != 0 {
+			return nil, errFrame
+		}
+		return nil, nil
+	},
+}
+
 var (
 	framerMu     sync.RWMutex
 	framerByType = map[reflect.Type]*framerInfo{}
-	framerByName = map[string]*framerInfo{}
+	framerByName = map[string]*framerInfo{"": nilBody}
 )
 
-// RegisterFramer registers T as a fast-path body type for the TCP
-// transport. *T must implement Framer; message bodies carry T by
-// value, matching how gob bodies are registered. Like gob.Register,
-// call it once per type from the package that defines the wire struct.
-// Registering the same type twice is safe; two types with the same
-// name is not. When *T is also a BulkFramer its messages travel as bulk
-// units.
+// RegisterFramer registers T as a body type for the TCP transport. *T
+// must implement Framer; message bodies carry T by value. Call it once
+// per type from the package that defines the wire struct. Registering
+// the same type twice is safe; two types with the same name is not. When
+// *T is also a BulkFramer its messages travel as bulk units.
 func RegisterFramer[T any, PT interface {
 	*T
 	Framer
@@ -135,8 +144,8 @@ func RegisterFramer[T any, PT interface {
 	framerMu.Lock()
 	defer framerMu.Unlock()
 	if _, ok := framerByType[t]; ok {
-		// Same type re-registered (RegisterWire is callable twice):
-		// keep the existing entry so name lookups stay stable.
+		// Same type re-registered: keep the existing entry so name
+		// lookups stay stable.
 		return
 	}
 	if _, ok := framerByName[info.name]; ok {
@@ -146,11 +155,11 @@ func RegisterFramer[T any, PT interface {
 	framerByName[info.name] = info
 }
 
-// lookupFramer returns the fast-path codec for a message body, if one
-// is registered.
+// lookupFramer returns the codec for a message body, if one is
+// registered.
 func lookupFramer(body any) (*framerInfo, bool) {
 	if body == nil {
-		return nil, false
+		return nilBody, true
 	}
 	framerMu.RLock()
 	fi, ok := framerByType[reflect.TypeOf(body)]
@@ -208,7 +217,7 @@ func internString(b []byte) string {
 	return s
 }
 
-// errFrame reports a malformed fast-path frame; the conn treats it as a
+// errFrame reports a malformed frame; the conn treats it as a
 // protocol error and tears down.
 var errFrame = errors.New("transport: malformed frame")
 
@@ -219,7 +228,7 @@ var errFrame = errors.New("transport: malformed frame")
 //	1 byte   flags (bit 0: Reply)
 //	uvarint  len(Method) || Method bytes
 //	uvarint  len(Err)    || Err bytes
-//	uvarint  len(body type name) || name bytes
+//	uvarint  len(body type name) || name bytes (empty: no body)
 //	...      body frame (AppendFrame output), to end of unit
 //
 // The head of a bulk unit has the same layout with the body's head

@@ -103,10 +103,8 @@ func (b *fuzzBulk) DecodeFrame(payload []byte) error {
 }
 
 var registerFuzzBlob = sync.OnceFunc(func() {
-	RegisterFramer[fuzzBlob, *fuzzBlob]()
-	RegisterType(fuzzBlob{})
-	RegisterFramer[fuzzBulk, *fuzzBulk]()
-	RegisterType(fuzzBulk{})
+	RegisterFramer[fuzzBlob]()
+	RegisterFramer[fuzzBulk]()
 })
 
 // bulkUnit frames head and bulk as one bulk unit, with the lengths the
@@ -231,7 +229,7 @@ func FuzzTCPRecvStream(f *testing.F) {
 	f.Add(unit)
 	f.Add([]byte{0xFF, 0x00})     // unknown unit kind
 	f.Add([]byte{unitFast, 0x05}) // promised 5 payload bytes, stream ends
-	f.Add([]byte{unitGob, 0x00})  // zero-length gob unit
+	f.Add([]byte{0x00, 0x00})     // kind 0x00, the retired gob unit: unknown
 	// Bulk units: well formed, then each way the two lengths can lie.
 	head, bulk := appendBulkUnitHead(nil, &Message{
 		ID:     2,

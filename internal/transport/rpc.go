@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -93,8 +94,13 @@ func (s *Server) serveConn(conn Conn) {
 			} else {
 				reply.Body = body
 			}
-			// Best effort: the conn may have closed while handling.
-			_ = conn.Send(reply)
+			// Best effort: the conn may have closed while handling. A
+			// reply the conn refused to encode (nothing was written)
+			// becomes an error reply, so the caller fails fast instead
+			// of waiting out its timeout.
+			if err := conn.Send(reply); errors.Is(err, errUnencodable) {
+				_ = conn.Send(Message{ID: m.ID, Reply: true, Err: err.Error()})
+			}
 		})
 	}
 }

@@ -2,9 +2,8 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,31 +12,21 @@ import (
 	"repro/internal/bufpool"
 )
 
-// RegisterType registers a concrete message-body type for gob encoding on
-// the TCP transport. Call it once per type, typically from an init in the
-// package that defines the wire structs.
-func RegisterType(v any) { gob.Register(v) }
-
 // Wire protocol: the TCP stream is a sequence of self-delimiting units,
 // each
 //
-//	1 byte   unit kind (unitGob | unitFast | unitBulk)
+//	1 byte   unit kind (unitFast | unitBulk)
 //	uvarint  payload length (unitBulk: head length)
 //	uvarint  bulk length    (unitBulk only)
 //	...      payload bytes  (unitBulk: head bytes, then bulk bytes)
 //
-// unitGob payloads are the output of one persistent gob Encode of the
-// Message (type definitions included the first time each type appears,
-// exactly as on a raw gob stream). unitFast payloads are the binary
-// fast-path format for bodies registered with RegisterFramer — see
-// frame.go. unitBulk carries a BulkFramer body in two parts: a small
-// head that passes through conn scratch like a fast unit, and the bulk
-// bytes, which Send writes straight from the body's slice and Recv reads
-// straight into the pooled buffer the decoded body owns. A conn sends a
-// body registered with RegisterFramer as a fast or bulk unit and any
-// other body as a gob unit, and decodes all three kinds.
+// unitFast payloads are a message framed by its body's registered Framer
+// (see frame.go). unitBulk carries a BulkFramer body in two parts: a
+// small head that passes through conn scratch like a fast unit, and the
+// bulk bytes, which Send writes straight from the body's slice and Recv
+// reads straight into the pooled buffer the decoded body owns. Any other
+// kind, 0x00 included (the retired gob unit), is a protocol error.
 const (
-	unitGob  = 0x00
 	unitFast = 0x01
 	unitBulk = 0x02
 
@@ -52,6 +41,11 @@ const (
 	// the size conn scratch stays under while only bulk units flow.
 	maxHeadSize = 64 << 10
 )
+
+// errUnencodable marks a message Send refused before writing anything:
+// its body type has no registered Framer, or its unit is over the size
+// limit. The conn stays usable.
+var errUnencodable = errors.New("transport: unencodable message")
 
 // TCPNetwork is the real-socket Network. It must be used with the real
 // clock: socket reads block natively, which would stall a virtual clock.
@@ -99,75 +93,59 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 type tcpConn struct {
 	c net.Conn
 
-	// Send state, guarded by wmu. The gob encoder is persistent but
-	// stages each Encode into stage so its output can be framed as one
-	// unit; wbuf is grow-once scratch for fast-unit payloads and bulk-unit
-	// heads, so steady-state sends allocate nothing. vec is the gather
-	// list of a bulk unit (header, head, bulk), kept here because a local
-	// would escape through net.Buffers.WriteTo.
-	wmu   sync.Mutex
-	bw    *bufio.Writer
-	enc   *gob.Encoder
-	stage bytes.Buffer
-	wbuf  []byte
-	hdr   [1 + 2*binary.MaxVarintLen64]byte
-	vec   [3][]byte
-	bufs  net.Buffers
+	// Send state, guarded by wmu. wbuf is grow-once scratch for
+	// fast-unit payloads and bulk-unit heads, so steady-state sends
+	// allocate nothing. vec is the gather list of a bulk unit (header,
+	// head, bulk), kept here because a local would escape through
+	// net.Buffers.WriteTo.
+	wmu  sync.Mutex
+	bw   *bufio.Writer
+	wbuf []byte
+	hdr  [1 + 2*binary.MaxVarintLen64]byte
+	vec  [3][]byte
+	bufs net.Buffers
 
-	// Recv state, used only by the conn's single reader goroutine. The
-	// gob decoder is persistent and reads each unit's payload through
-	// feed (a byte-counted view of br); rbuf is grow-once scratch for
-	// fast-unit payloads and bulk-unit heads, valid only until the next
-	// Recv — DecodeFrame and DecodeHead implementations copy what they
-	// keep of it.
+	// Recv state, used only by the conn's single reader goroutine. rbuf
+	// is grow-once scratch for fast-unit payloads and bulk-unit heads,
+	// valid only until the next Recv — DecodeFrame and DecodeHead
+	// implementations copy what they keep of it.
 	br   *bufio.Reader
-	dec  *gob.Decoder
-	feed *payloadFeed
 	rbuf []byte
 }
 
 var _ Conn = (*tcpConn)(nil)
 
 func newTCPConn(c net.Conn) *tcpConn {
-	t := &tcpConn{c: c}
-	t.bw = bufio.NewWriterSize(c, 64<<10)
-	t.enc = gob.NewEncoder(&t.stage)
-	t.br = bufio.NewReaderSize(c, 64<<10)
-	t.feed = &payloadFeed{br: t.br}
-	// The decoder reads through feed, which implements io.ByteReader,
-	// so gob uses it directly (no internal buffering) and consumes
-	// exactly one unit payload per Decode.
-	t.dec = gob.NewDecoder(t.feed)
-	return t
+	return &tcpConn{c: c, bw: bufio.NewWriterSize(c, 64<<10), br: bufio.NewReaderSize(c, 64<<10)}
 }
 
+// Send frames m and writes it. A body type with no registered Framer, or
+// a unit over the size limit, fails with errUnencodable before any byte
+// is written.
 func (t *tcpConn) Send(m Message) error {
+	fi, ok := lookupFramer(m.Body)
+	if !ok {
+		return fmt.Errorf("%w: no frame codec for body type %T", errUnencodable, m.Body)
+	}
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-
-	if fi, ok := lookupFramer(m.Body); ok {
-		if fi.encodeHead != nil {
-			return t.sendBulk(&m, fi)
-		}
-		t.wbuf = appendFastUnitPayload(t.wbuf[:0], &m, fi)
-		if err := t.writeUnitHeader(unitFast, len(t.wbuf)); err != nil {
-			return err
-		}
-		if _, err := t.bw.Write(t.wbuf); err != nil {
-			return err
-		}
-		return t.bw.Flush()
+	if fi.encodeHead != nil {
+		return t.sendBulk(&m, fi)
 	}
-
-	// Gob fallback: stage one persistent-stream Encode, then frame it.
-	t.stage.Reset()
-	if err := t.enc.Encode(&m); err != nil {
+	t.wbuf = appendFastUnitPayload(t.wbuf[:0], &m, fi)
+	if n := len(t.wbuf); n > maxUnitSize {
+		t.wbuf = nil // do not keep an oversize buffer as scratch
+		return fmt.Errorf("%w: unit of %d bytes exceeds limit", errUnencodable, n)
+	}
+	t.hdr[0] = unitFast
+	hn := 1 + binary.PutUvarint(t.hdr[1:], uint64(len(t.wbuf)))
+	// t.hdr (guarded by wmu) rather than a local: a stack array passed to
+	// bw.Write escapes through the underlying io.Writer interface and
+	// costs one heap allocation per unit sent.
+	if _, err := t.bw.Write(t.hdr[:hn]); err != nil {
 		return err
 	}
-	if err := t.writeUnitHeader(unitGob, t.stage.Len()); err != nil {
-		return err
-	}
-	if _, err := t.stage.WriteTo(t.bw); err != nil {
+	if _, err := t.bw.Write(t.wbuf); err != nil {
 		return err
 	}
 	return t.bw.Flush()
@@ -181,7 +159,7 @@ func (t *tcpConn) sendBulk(m *Message, fi *framerInfo) error {
 	var bulk []byte
 	t.wbuf, bulk = appendBulkUnitHead(t.wbuf[:0], m, fi)
 	if len(t.wbuf) > maxHeadSize || len(bulk) > maxUnitSize {
-		return fmt.Errorf("transport: bulk unit of %d+%d bytes exceeds limit", len(t.wbuf), len(bulk))
+		return fmt.Errorf("%w: bulk unit of %d+%d bytes exceeds limit", errUnencodable, len(t.wbuf), len(bulk))
 	}
 	t.hdr[0] = unitBulk
 	hn := 1 + binary.PutUvarint(t.hdr[1:], uint64(len(t.wbuf)))
@@ -190,16 +168,6 @@ func (t *tcpConn) sendBulk(m *Message, fi *framerInfo) error {
 	t.bufs = t.vec[:]
 	_, err := t.bufs.WriteTo(t.c)
 	t.vec[2] = nil // a failed write leaves the unsent payload listed; do not pin it
-	return err
-}
-
-func (t *tcpConn) writeUnitHeader(kind byte, n int) error {
-	// t.hdr (guarded by wmu) rather than a local: a stack array passed to
-	// bw.Write escapes through the underlying io.Writer interface and
-	// costs one heap allocation per unit sent.
-	t.hdr[0] = kind
-	hn := 1 + binary.PutUvarint(t.hdr[1:], uint64(n))
-	_, err := t.bw.Write(t.hdr[:hn])
 	return err
 }
 
@@ -216,16 +184,6 @@ func (t *tcpConn) Recv() (Message, error) {
 		return Message{}, fmt.Errorf("transport: unit of %d bytes exceeds limit", n)
 	}
 	switch kind {
-	case unitGob:
-		t.feed.remaining = n
-		var m Message
-		if err := t.dec.Decode(&m); err != nil {
-			return Message{}, err
-		}
-		if t.feed.remaining != 0 {
-			return Message{}, fmt.Errorf("transport: gob unit not fully consumed (%d bytes left)", t.feed.remaining)
-		}
-		return m, nil
 	case unitFast:
 		buf, err := t.readScratch(n)
 		if err != nil {
@@ -279,40 +237,3 @@ func (t *tcpConn) readScratch(n uint64) ([]byte, error) {
 }
 
 func (t *tcpConn) Close() error { return t.c.Close() }
-
-// payloadFeed is the persistent gob decoder's view of the stream: it
-// serves bytes from the shared bufio.Reader but refuses to read past
-// the current unit's payload, so a decoding bug cannot desynchronize
-// the unit framing. Implementing io.ByteReader keeps gob from wrapping
-// it in another buffer (which would read ahead across unit boundaries).
-type payloadFeed struct {
-	br        *bufio.Reader
-	remaining uint64
-}
-
-func (f *payloadFeed) Read(p []byte) (int, error) {
-	if f.remaining == 0 {
-		return 0, io.EOF
-	}
-	if uint64(len(p)) > f.remaining {
-		p = p[:f.remaining]
-	}
-	n, err := f.br.Read(p)
-	f.remaining -= uint64(n)
-	return n, err
-}
-
-// ReadByte exists only to make payloadFeed an io.ByteReader, so that
-// gob.NewDecoder reads it directly instead of wrapping it in a
-// bufio.Reader that would read ahead across unit boundaries. Gob itself
-// never calls it: its decoder reads through Read.
-func (f *payloadFeed) ReadByte() (byte, error) {
-	if f.remaining == 0 {
-		return 0, io.EOF
-	}
-	b, err := f.br.ReadByte()
-	if err == nil {
-		f.remaining--
-	}
-	return b, err
-}

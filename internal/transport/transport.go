@@ -8,11 +8,13 @@
 //     of a connection is a FIFO link: a message becomes receivable at
 //     max(sent, previous delivery) + latency + transmit time, delivered
 //     by a clock timer rather than a goroutine.
-//   - The TCP transport runs the same RPC protocol over real sockets with
-//     gob encoding, for live multi-process deployments.
+//   - The TCP transport runs the same RPC protocol over real sockets,
+//     for live multi-process deployments. Every message is a binary
+//     frame: a small envelope, then the body's hand-written Framer
+//     fields (see frame.go and tcp.go).
 //
-// Messages are plain structs. Anything sent over TCP must be registered
-// with RegisterType (a thin wrapper over gob.Register).
+// Messages are plain structs. A body sent over TCP must be of a type
+// registered with RegisterFramer; Send refuses any other.
 package transport
 
 import (

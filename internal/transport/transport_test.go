@@ -17,6 +17,33 @@ var epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 type echoReq struct{ Text string }
 type echoResp struct{ Text string }
 
+// The echo bodies are framed so they can cross a TCP conn.
+func (r *echoReq) AppendFrame(buf []byte) []byte  { return appendText(buf, r.Text) }
+func (r *echoReq) DecodeFrame(p []byte) error     { return decodeText(&r.Text, p) }
+func (r *echoResp) AppendFrame(buf []byte) []byte { return appendText(buf, r.Text) }
+func (r *echoResp) DecodeFrame(p []byte) error    { return decodeText(&r.Text, p) }
+
+func appendText(buf []byte, text string) []byte {
+	return append(appendUvarintLen(buf, len(text)), text...)
+}
+
+func decodeText(dst *string, p []byte) error {
+	text, rest, err := uvarintBytes(p)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return errFrame
+	}
+	*dst = string(text)
+	return nil
+}
+
+var registerEcho = sync.OnceFunc(func() {
+	RegisterFramer[echoReq]()
+	RegisterFramer[echoResp]()
+})
+
 type bulkResp struct {
 	N int64
 }
@@ -353,8 +380,7 @@ func TestTypedCallWrongType(t *testing.T) {
 }
 
 func TestTCPEcho(t *testing.T) {
-	RegisterType(echoReq{})
-	RegisterType(echoResp{})
+	registerEcho()
 	clock := simclock.NewReal()
 	tnet := NewTCPNetwork()
 	srv := NewServer(clock)
@@ -384,8 +410,7 @@ func TestTCPEcho(t *testing.T) {
 }
 
 func TestTCPConcurrentClients(t *testing.T) {
-	RegisterType(echoReq{})
-	RegisterType(echoResp{})
+	registerEcho()
 	clock := simclock.NewReal()
 	tnet := NewTCPNetwork()
 	srv := NewServer(clock)
@@ -505,5 +530,59 @@ func TestInmemOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// unframed is a body type with no registered Framer.
+type unframed struct{ N int }
+
+// A reply the TCP conn cannot encode fails the call with the handler's
+// side of the story, instead of leaving the caller to time out, and the
+// conn stays usable; so does a request it cannot encode, which fails
+// before a byte is written.
+func TestTCPUnencodableMessageFailsTheCall(t *testing.T) {
+	registerEcho()
+	clock := simclock.NewReal()
+	tnet := NewTCPNetwork()
+	srv := NewServer(clock)
+	srv.Handle("echo", func(arg any) (any, error) {
+		return echoResp{Text: arg.(echoReq).Text}, nil
+	})
+	srv.Handle("unframed", func(any) (any, error) { return unframed{N: 1}, nil })
+	l, err := tnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	srv.ServeBackground(l)
+	defer srv.Close()
+	c, err := Dial(clock, tnet, l.Addr(), WithCallTimeout(5*time.Second))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+
+	_, err = c.Call("unframed", echoReq{Text: "x"})
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "transport.unframed") {
+		t.Errorf("unencodable reply: err = %v, want a RemoteError naming the type", err)
+	}
+	_, err = c.Call("echo", unframed{N: 2})
+	var ce *CallError
+	if !errors.As(err, &ce) || errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "transport.unframed") {
+		t.Errorf("unencodable request: err = %v, want a send CallError naming the type", err)
+	}
+	if got, err := Call[echoResp](c, "echo", echoReq{Text: "after"}); err != nil || got.Text != "after" {
+		t.Errorf("next call on the same conn = %q, %v", got.Text, err)
+	}
+}
+
+// Kind 0x00 was the gob unit; like any kind the conn does not know, it
+// is a protocol error.
+func TestTCPRecvRejectsUnknownUnitKinds(t *testing.T) {
+	for _, kind := range []byte{0x00, 0x03, 0xFF} {
+		if _, err := recvFrom(t, []byte{kind, 0x00}); err == nil || !strings.Contains(err.Error(), "unknown unit kind") {
+			t.Errorf("unit kind %#x: Recv = %v, want an unknown-kind error", kind, err)
+		}
 	}
 }
