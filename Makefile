@@ -65,10 +65,8 @@ determinism:
 	if [ -n "$$failed" ]; then echo "determinism: differs from its golden:$$failed"; exit 1; fi
 
 # Re-bless the goldens after an intentional figure change: removes every
-# golden, then writes one per registry experiment. Goroutines that become
-# ready at the same virtual instant still run in host order, so swim now
-# and then renders a different last digit in a few cells: review the
-# `git diff` of the goldens before committing it.
+# golden, then writes one per registry experiment. Review the `git diff`
+# of the goldens before committing it.
 golden:
 	@$(WITH_BENCH); rm -f $(GOLDEN_DIR)/*.golden; for id in $$ids; do \
 		echo "golden: $$id"; \
@@ -170,12 +168,9 @@ cover:
 	@$(GO) tool cover -func profiles/cover.out | awk '$$NF == "0.0%" { print; n++ } \
 		/^total:/ { total = $$NF } END { printf "%d functions at 0%%; total statement coverage %s\n", n, total }'
 
-# Keeps the 0% list closed: runs cover, then fails on any function at 0%
-# other than the two that are meant to be: the real clock's
-# parkPrepare/unparkOne (no-ops; only the virtual clock parks).
+# Keeps the 0% list closed: runs cover, then fails on any function at 0%.
 cover-check: cover
-	@$(GO) tool cover -func profiles/cover.out | awk '$$NF == "0.0%" && \
-		!($$1 ~ /\/simclock\/real\.go:/ && ($$2 == "parkPrepare" || $$2 == "unparkOne")) { \
+	@$(GO) tool cover -func profiles/cover.out | awk '$$NF == "0.0%" { \
 		print "untested:", $$0; bad = 1 } END { exit bad }'
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four

@@ -7,8 +7,8 @@ import (
 )
 
 // Chan is a clock-aware mailbox: an unbounded FIFO channel whose blocking
-// receive integrates with the Clock's runnable accounting, so the virtual
-// clock can advance while receivers wait.
+// receive parks through the Clock, so the virtual clock can advance while
+// receivers wait.
 //
 // Sends never block (the buffer is unbounded); this keeps producers out of
 // the park/unpark protocol entirely, which makes simulation components
@@ -17,7 +17,7 @@ import (
 //
 // A timer may deliver into a Chan from inside the virtual clock, with the
 // clock's lock held (see SendAfter), so no method holds c.mu while it
-// calls into the clock: receivers are woken after c.mu is released.
+// takes the clock's lock: receivers are woken after c.mu is released.
 type Chan[T any] struct {
 	clock Clock
 
@@ -41,11 +41,11 @@ func NewChan[T any](clock Clock) *Chan[T] {
 
 // waiter represents one parked receiver. Exactly one waker — a sender, a
 // Close, or a timeout — wins the fired flag and delivers the outcome by
-// sending on wake (buffered, capacity 1, so the winning waker never
-// blocks and the waiter can be reused after the receiver drains it).
+// waking p (on the real clock a 1-buffered channel, so the winning waker
+// never blocks and the waiter can be reused after the receiver drains it).
 type waiter[T any] struct {
 	fired    atomic.Bool
-	wake     chan struct{}
+	p        parker
 	val      T
 	ok       bool
 	timedOut bool
@@ -58,13 +58,12 @@ type waiter[T any] struct {
 }
 
 // fire implements timerTarget: the timeout path for RecvTimeout.
-func (w *waiter[T]) fire() int {
+func (w *waiter[T]) fire(wake func(*parker)) {
 	if !w.fired.CompareAndSwap(false, true) {
-		return 0
+		return
 	}
 	w.timedOut = true
-	w.wake <- struct{}{}
-	return 1
+	wake(&w.p)
 }
 
 // Send appends v to the mailbox, waking a parked receiver if any. It
@@ -78,10 +77,7 @@ func (c *Chan[T]) Send(v T) bool {
 	w := c.putLocked(v)
 	c.mu.Unlock()
 	if w != nil {
-		// The sender's own runnable token keeps virtual time still
-		// until the receiver is counted runnable again.
-		c.clock.unparkOne()
-		w.wake <- struct{}{}
+		c.clock.wake(&w.p)
 	}
 	return true
 }
@@ -107,7 +103,7 @@ func (c *Chan[T]) SendAfter(d time.Duration, v T) bool {
 	c.due = append(c.due, v)
 	c.mu.Unlock()
 	if r, isReal := c.clock.(*Real); isReal {
-		time.AfterFunc(r.scaleDown(d), func() { c.fire() })
+		time.AfterFunc(r.scaleDown(d), func() { c.fire(r.wake) })
 	} else {
 		c.clock.(*Virtual).afterFunc(d, c)
 	}
@@ -116,8 +112,8 @@ func (c *Chan[T]) SendAfter(d time.Duration, v T) bool {
 
 // fire implements timerTarget for SendAfter: each firing makes the oldest
 // delayed value receivable, and the last one after Close also closes the
-// mailbox. It returns how many parked receivers it woke.
-func (c *Chan[T]) fire() int {
+// mailbox. It wakes the receivers it releases with wake.
+func (c *Chan[T]) fire(wake func(*parker)) {
 	var zero T
 	c.mu.Lock()
 	v := c.due[c.dueHead]
@@ -132,15 +128,12 @@ func (c *Chan[T]) fire() int {
 		shut = c.takeWaitersLocked()
 	}
 	c.mu.Unlock()
-	n := len(shut)
 	if w != nil {
-		w.wake <- struct{}{}
-		n++
+		wake(&w.p)
 	}
 	for _, w := range shut {
-		w.wake <- struct{}{}
+		wake(&w.p)
 	}
-	return n
 }
 
 // putLocked hands v to the first parked receiver no other waker has
@@ -192,8 +185,7 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
 
-	c.clock.parkPrepare()
-	<-w.wake
+	c.clock.park(&w.p)
 	v, ok = w.val, w.ok
 	if ok {
 		// The winning sender's last touch of w was the wake itself, so
@@ -203,17 +195,21 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 	return v, ok
 }
 
-// acquireWaiterLocked returns a reset waiter, reusing the cached one when
-// the Chan runs on the real clock. The caller must hold c.mu.
+// acquireWaiterLocked returns a reset waiter prepared for the caller to
+// park on, reusing the cached one when the Chan runs on the real clock.
+// The caller must hold c.mu.
 func (c *Chan[T]) acquireWaiterLocked() *waiter[T] {
-	if w := c.wcache; w != nil {
+	w := c.wcache
+	if w != nil {
 		c.wcache = nil
 		w.fired.Store(false)
 		w.ok = false
 		w.timedOut = false
-		return w
+	} else {
+		w = &waiter[T]{}
 	}
-	return &waiter[T]{wake: make(chan struct{}, 1)}
+	c.clock.prepare(&w.p)
+	return w
 }
 
 // recycleWaiter caches w for the next receiver. Callers must guarantee no
@@ -268,12 +264,11 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 		// fresh time.AfterFunc (timer + closure) per call.
 		wall := r.scaleDown(d)
 		if w.timer == nil {
-			w.timer = time.AfterFunc(wall, func() { w.fire() })
+			w.timer = time.AfterFunc(wall, func() { w.fire(r.wake) })
 		} else {
 			w.timer.Reset(wall)
 		}
-		c.clock.parkPrepare()
-		<-w.wake
+		r.park(&w.p)
 		v, ok, timedOut = w.val, w.ok, w.timedOut
 		if timedOut {
 			// The timer callback completed (it delivered the wake) and the
@@ -292,8 +287,7 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 	// Clock is sealed, so any other clock is the virtual one.
 	vc := c.clock.(*Virtual)
 	e := vc.afterFunc(d, w)
-	vc.parkPrepare()
-	<-w.wake
+	vc.park(&w.p)
 	vc.cancel(e)
 	return w.val, w.ok, w.timedOut
 }
@@ -315,8 +309,7 @@ func (c *Chan[T]) Close() {
 	}
 	c.mu.Unlock()
 	for _, w := range shut {
-		c.clock.unparkOne()
-		w.wake <- struct{}{}
+		c.clock.wake(&w.p)
 	}
 }
 

@@ -24,14 +24,14 @@ func NewCond(clock Clock, l sync.Locker) *Cond {
 // reacquires c.L. As with sync.Cond, callers must re-check their
 // condition in a loop.
 func (c *Cond) Wait() {
-	w := &waiter[struct{}]{wake: make(chan struct{}, 1)}
+	w := &waiter[struct{}]{}
+	c.clock.prepare(&w.p)
 	c.mu.Lock()
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
 
 	c.L.Unlock()
-	c.clock.parkPrepare()
-	<-w.wake
+	c.clock.park(&w.p)
 	c.L.Lock()
 }
 
@@ -44,8 +44,7 @@ func (c *Cond) Signal() {
 		c.waiters = c.waiters[1:]
 		if w.fired.CompareAndSwap(false, true) {
 			w.ok = true
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
+			c.clock.wake(&w.p)
 			return
 		}
 	}
@@ -58,8 +57,7 @@ func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		if w.fired.CompareAndSwap(false, true) {
 			w.ok = true
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
+			c.clock.wake(&w.p)
 		}
 	}
 	c.waiters = nil

@@ -51,8 +51,15 @@ func (r *Real) Sleep(d time.Duration) {
 // Go spawns fn as an ordinary goroutine.
 func (r *Real) Go(fn func()) { go fn() }
 
-func (r *Real) parkPrepare() {}
-func (r *Real) unparkOne()   {}
+func (r *Real) prepare(p *parker) {
+	if p.ch == nil {
+		p.ch = make(chan struct{}, 1)
+	}
+}
+
+func (r *Real) park(p *parker) { <-p.ch }
+
+func (r *Real) wake(p *parker) { p.ch <- struct{}{} }
 
 func (r *Real) scaleDown(d time.Duration) time.Duration {
 	if r.scale == 1 {

@@ -3,15 +3,18 @@ package simclock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Virtual is a discrete-event simulation clock.
 //
-// It tracks how many simulation goroutines are runnable. When that count
-// reaches zero, it advances time to the earliest pending deadline and
-// wakes the goroutines parked on it. When the count is zero and no
-// deadlines remain, the simulation has quiesced and Wait returns.
+// Exactly one simulation goroutine runs at a time. Go and every wake
+// append a goroutine to a FIFO ready queue, and a driver loop resumes the
+// head of the queue whenever the running goroutine parks, sleeps or
+// returns. When the queue is empty, the driver advances time to the
+// earliest pending deadline and fires it. When no deadlines remain
+// either, the simulation has quiesced and Wait returns.
 //
 // The timer queue holds only armed, uncancelled timers, and they fire in
 // (deadline, seq) order, seq being the order in which they were armed. A
@@ -22,11 +25,26 @@ type Virtual struct {
 	mu       sync.Mutex
 	quiesced *sync.Cond // real condition: signalled whenever the sim quiesces
 	now      time.Time
-	runnable int
-	parked   int // diagnostic: goroutines parked in channel/cond waits
-	timers   timerHeap
-	seq      uint64
-	idle     []chan func() // workers waiting for a Go, most recently idled last
+	// current is the one running simulation goroutine. Only the driver
+	// writes it, just before resuming that goroutine, so the goroutine
+	// may read it without the lock.
+	current   *coro
+	ready     []ready // goroutines waiting to run, oldest at readyHead
+	readyHead int
+	driving   bool         // a driver loop is running
+	parked    atomic.Int64 // diagnostic: goroutines parked in channel/cond waits
+	timers    timerHeap
+	seq       uint64
+	idle      []*coro // coroutines with no function, most recently idled last
+}
+
+// ready is one entry of the ready queue: a parked goroutine to resume
+// (co), or a function spawned by Go that has not started yet (fn). A
+// function gets its coroutine only when it starts, so the ones that
+// finished before it can serve it.
+type ready struct {
+	co *coro
+	fn func()
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -45,58 +63,19 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// Go spawns fn as a simulation goroutine. Call it from inside the
-// simulation: the caller's runnable token keeps virtual time from
-// advancing until it parks. A caller outside the simulation holds no
-// token, so the first spawned goroutine to park can let time advance
-// while later ones are still being spawned; outside callers enter
-// through Run instead.
+// Go spawns fn as a simulation goroutine. It joins the back of the ready
+// queue and runs once every goroutine ahead of it has parked; a caller
+// inside the simulation keeps running until it parks itself. A caller
+// outside the simulation does not hold time still, so the first spawned
+// goroutine to park can let time advance while later ones are still
+// being spawned; outside callers enter through Run instead.
 //
-// fn runs on an idle worker goroutine when there is one, so a stack grown
-// by an earlier function serves the next (most are short RPC handlers).
+// fn runs on an idle coroutine when there is one, so a stack grown by an
+// earlier function serves the next (most are short RPC handlers).
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
-	v.runnable++
-	if n := len(v.idle); n > 0 {
-		w := v.idle[n-1]
-		v.idle[n-1] = nil
-		v.idle = v.idle[:n-1]
-		v.mu.Unlock()
-		w <- fn
-		return
-	}
+	v.readyLocked(ready{fn: fn})
 	v.mu.Unlock()
-	go v.work(fn)
-}
-
-// work is a worker goroutine: it runs fn, releases fn's runnable token,
-// and waits idle for the next function Go hands it. It exits when the
-// simulation quiesces, and when a function calls runtime.Goexit, whose
-// token the deferred release still returns.
-func (v *Virtual) work(fn func()) {
-	defer func() {
-		if fn != nil { // fn did not return
-			v.mu.Lock()
-			v.runnable--
-			v.advanceLocked()
-			v.mu.Unlock()
-		}
-	}()
-	next := make(chan func(), 1)
-	for fn != nil {
-		fn()
-		fn = nil
-		v.mu.Lock()
-		v.runnable--
-		v.advanceLocked()
-		if v.runnable == 0 { // quiesced: nothing is left to hand out work
-			v.mu.Unlock()
-			return
-		}
-		v.idle = append(v.idle, next)
-		v.mu.Unlock()
-		fn = <-next // nil when the simulation quiesces first
-	}
 }
 
 // Sleep blocks the calling simulation goroutine for d of virtual time.
@@ -105,13 +84,11 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	e := &timerEntry{wake: make(chan struct{}, 1)}
+	co := v.current
 	v.mu.Lock()
-	v.push(e, v.now.Add(d))
-	v.runnable--
-	v.advanceLocked()
+	v.push(&co.sleep, v.now.Add(d))
 	v.mu.Unlock()
-	<-e.wake
+	co.yield(struct{}{})
 }
 
 // Run spawns fn and blocks until the whole simulation quiesces.
@@ -120,14 +97,14 @@ func (v *Virtual) Run(fn func()) {
 	v.Wait()
 }
 
-// Wait blocks (in real time) until the simulation quiesces: no runnable
-// goroutines and no pending timers. Goroutines parked on channels that
+// Wait blocks (in real time) until the simulation quiesces: no goroutine
+// ready to run and no pending timers. Goroutines parked on channels that
 // will never receive data (for example server loops awaiting requests) do
 // not prevent quiescence.
 func (v *Virtual) Wait() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for !(v.runnable == 0 && len(v.timers) == 0) {
+	for v.driving {
 		v.quiesced.Wait()
 	}
 }
@@ -135,23 +112,94 @@ func (v *Virtual) Wait() {
 // Parked reports how many goroutines are currently parked in channel or
 // condition waits. Useful to assert clean shutdown in tests.
 func (v *Virtual) Parked() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.parked
+	return int(v.parked.Load())
 }
 
-func (v *Virtual) parkPrepare() {
+func (v *Virtual) prepare(p *parker) {
+	p.co = v.current
+	v.parked.Add(1)
+}
+
+func (v *Virtual) park(p *parker) { p.co.yield(struct{}{}) }
+
+func (v *Virtual) wake(p *parker) {
 	v.mu.Lock()
-	v.runnable--
-	v.parked++
-	v.advanceLocked()
+	v.wakeLocked(p)
 	v.mu.Unlock()
 }
 
-func (v *Virtual) unparkOne() {
+// wakeLocked queues the goroutine parked on p. The caller must hold v.mu.
+func (v *Virtual) wakeLocked(p *parker) {
+	v.parked.Add(-1)
+	v.readyLocked(ready{co: p.co})
+}
+
+// readyLocked appends r to the ready queue. A call from outside the
+// simulation finds no driver running and starts one; inside, the driver
+// is the caller's own resumer. The caller must hold v.mu.
+func (v *Virtual) readyLocked(r ready) {
+	v.ready = append(v.ready, r)
+	if !v.driving {
+		v.driving = true
+		go v.drive()
+	}
+}
+
+// drive is the driver loop. It resumes ready goroutines one at a time in
+// FIFO order and fires the next timer whenever none is ready. With no
+// timers left the simulation has quiesced: drive ends the idle
+// coroutines, releases Wait and returns.
+func (v *Virtual) drive() {
+	wake := v.wakeLocked
 	v.mu.Lock()
-	v.runnable++
-	v.parked--
+	for {
+		if v.readyHead < len(v.ready) {
+			r := v.ready[v.readyHead]
+			v.ready[v.readyHead] = ready{}
+			if v.readyHead++; v.readyHead == len(v.ready) {
+				v.ready, v.readyHead = v.ready[:0], 0 // keep the backing array
+			}
+			co := r.co
+			if co == nil {
+				if n := len(v.idle); n > 0 {
+					co = v.idle[n-1]
+					v.idle[n-1] = nil
+					v.idle = v.idle[:n-1]
+				} else {
+					co = newCoro()
+				}
+				co.fn = r.fn
+			}
+			v.current = co
+			v.mu.Unlock()
+			co.next()
+			v.mu.Lock()
+			if co.fn == nil { // it returned, rather than parked or slept
+				v.idle = append(v.idle, co)
+			}
+			continue
+		}
+		if len(v.timers) == 0 {
+			break
+		}
+		e := v.timers.remove(0)
+		if e.when.After(v.now) {
+			v.now = e.when
+		}
+		if e.co != nil {
+			v.readyLocked(ready{co: e.co})
+		} else {
+			e.target.fire(wake)
+		}
+	}
+	v.current = nil
+	for i, co := range v.idle {
+		co.stop()
+		v.idle[i] = nil
+	}
+	v.idle = v.idle[:0]
+	v.driving = false
+	v.quiesced.Broadcast()
 	v.mu.Unlock()
 }
 
@@ -182,41 +230,14 @@ func (v *Virtual) push(e *timerEntry, when time.Time) {
 	v.timers.push(e)
 }
 
-// advanceLocked advances virtual time while no goroutine is runnable and
-// deadlines remain. The caller must hold v.mu.
-func (v *Virtual) advanceLocked() {
-	for v.runnable == 0 && len(v.timers) > 0 {
-		e := v.timers.remove(0)
-		if e.when.After(v.now) {
-			v.now = e.when
-		}
-		if e.wake != nil {
-			v.runnable++
-			e.wake <- struct{}{}
-		} else if n := e.target.fire(); n > 0 {
-			// The target woke n parked goroutines; they are runnable now.
-			v.runnable += n
-			v.parked -= n
-		}
-	}
-	if v.runnable == 0 && len(v.timers) == 0 {
-		for i, w := range v.idle {
-			w <- nil
-			v.idle[i] = nil
-		}
-		v.idle = v.idle[:0]
-		v.quiesced.Broadcast()
-	}
-}
-
-// timerEntry is one armed timer: a Sleep (wake), or a RecvTimeout
-// deadline or SendAfter delivery (target).
+// timerEntry is one armed timer: a Sleep (co), or a RecvTimeout deadline
+// or SendAfter delivery (target).
 type timerEntry struct {
 	key    int64  // when.UnixNano(), exact for years 1678–2262
 	seq    uint64 // FIFO tie-break for simultaneous deadlines
 	idx    int    // position in the heap; -1 once popped or removed
 	when   time.Time
-	wake   chan struct{} // 1-buffered; receives one value at the deadline
+	co     *coro // the sleeping goroutine, made ready at the deadline
 	target timerTarget
 }
 
@@ -294,6 +315,6 @@ func (h *timerHeap) remove(i int) *timerEntry {
 func (v *Virtual) String() string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return fmt.Sprintf("virtual(now=%s runnable=%d parked=%d timers=%d)",
-		v.now.Format(time.RFC3339Nano), v.runnable, v.parked, len(v.timers))
+	return fmt.Sprintf("virtual(now=%s ready=%d parked=%d timers=%d)",
+		v.now.Format(time.RFC3339Nano), len(v.ready)-v.readyHead, v.parked.Load(), len(v.timers))
 }

@@ -3,8 +3,10 @@ package simclock
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -158,8 +160,8 @@ func TestVirtualSleepExactness(t *testing.T) {
 		var mu sync.Mutex
 		okAll := true
 		var maxD time.Duration
-		// Spawn inside Run: the spawning goroutine holds a runnable
-		// token, so no sleeper's timer fires before every sleeper exists.
+		// Spawn inside Run: the spawning goroutine runs until it
+		// returns, so no sleeper's timer fires before every sleeper exists.
 		v.Run(func() {
 			for _, r := range raw {
 				d := time.Duration(r) * time.Millisecond
@@ -235,7 +237,8 @@ func runWithin(t *testing.T, v *Virtual, fn func()) {
 }
 
 // A function that ends its goroutine with runtime.Goexit (t.FailNow does)
-// still gives back its runnable token, so time advances and Wait returns.
+// still hands control back to the driver, so time advances and Wait
+// returns.
 func TestVirtualGoexitReleasesToken(t *testing.T) {
 	v := NewVirtual(epoch)
 	var after time.Time
@@ -253,15 +256,16 @@ func TestVirtualGoexitReleasesToken(t *testing.T) {
 	}
 }
 
-// Functions handed to reused workers nest like fresh goroutines: every
-// round's spawns run, and their own spawns run, on whatever worker is
-// idle.
+// Functions handed to reused coroutines nest like fresh goroutines: every
+// round's spawns run, and their own spawns run, on whatever coroutine is
+// idle. Reuse keeps the pool at one round's width: without it every round
+// would add its coroutines to the idle list.
 func TestVirtualGoReusesIdleWorkers(t *testing.T) {
 	const rounds, width = 20, 8
 	v := NewVirtual(epoch)
 	var mu sync.Mutex
 	hits := 0
-	idleAfterRound := -1
+	idleAfterRound := make([]int, rounds)
 	runWithin(t, v, func() {
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < width; i++ {
@@ -275,23 +279,25 @@ func TestVirtualGoReusesIdleWorkers(t *testing.T) {
 				})
 			}
 			v.Sleep(time.Second)
-			if r == 0 {
-				v.mu.Lock()
-				idleAfterRound = len(v.idle)
-				v.mu.Unlock()
-			}
+			v.mu.Lock()
+			idleAfterRound[r] = len(v.idle)
+			v.mu.Unlock()
 		}
 	})
 	if hits != rounds*width {
 		t.Errorf("got %d nested completions, want %d", hits, rounds*width)
 	}
-	if idleAfterRound < 1 {
-		t.Errorf("no worker was idle after the first round")
+	if idleAfterRound[0] < 1 {
+		t.Errorf("no coroutine was idle after the first round")
+	}
+	if last := idleAfterRound[rounds-1]; last > 2*width {
+		t.Errorf("%d idle coroutines after %d rounds of %d spawns and %d nested spawns; reuse keeps ≤ %d",
+			last, rounds, width, width, 2*width)
 	}
 }
 
-// Idle workers exit when the simulation quiesces, so no goroutine outlives
-// a quiesced clock.
+// Idle coroutines end when the simulation quiesces, so no goroutine
+// outlives a quiesced clock.
 func TestVirtualWorkersExitOnQuiescence(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	v := NewVirtual(epoch)
@@ -310,5 +316,106 @@ func TestVirtualWorkersExitOnQuiescence(t *testing.T) {
 	}
 	if n > baseline {
 		t.Errorf("%d goroutines after quiescence, baseline %d", n, baseline)
+	}
+}
+
+// Exactly one simulation goroutine runs at a time, and goroutines made
+// ready at the same instant run in the order they were made ready. Each
+// phase below readies n goroutines at one instant through a different
+// primitive — Go, Cond.Broadcast, Send, Sleep deadlines, SendAfter
+// deliveries, Cond.Signal and RecvTimeout deadlines — and every goroutine
+// stays busy across a few host scheduling points each time it runs, so a
+// clock that let two run at once would show them overlapping.
+func TestVirtualRunsOneGoroutineAtATime(t *testing.T) {
+	const n = 6
+	v := NewVirtual(epoch)
+	var inflight, peak atomic.Int32
+	busy := func() {
+		k := inflight.Add(1)
+		for p := peak.Load(); k > p && !peak.CompareAndSwap(p, k); p = peak.Load() {
+		}
+		for i := 0; i < 3; i++ {
+			runtime.Gosched()
+		}
+		inflight.Add(-1)
+	}
+	var mu sync.Mutex
+	var order [][]int // per phase, the goroutines in the order they ran
+	ran := func(phase, i int) {
+		busy()
+		mu.Lock()
+		for len(order) <= phase {
+			order = append(order, nil)
+		}
+		order[phase] = append(order[phase], i)
+		mu.Unlock()
+	}
+
+	var condMu sync.Mutex
+	cond := NewCond(v, &condMu)
+	chans := make([]*Chan[int], n)
+	for i := range chans {
+		chans[i] = NewChan[int](v)
+	}
+	waitCond := func() {
+		condMu.Lock()
+		cond.Wait()
+		condMu.Unlock()
+	}
+	runWithin(t, v, func() {
+		for i := 0; i < n; i++ {
+			v.Go(func() {
+				ran(0, i) // Go
+				waitCond()
+				ran(1, i) // Broadcast
+				chans[i].Recv()
+				ran(2, i) // Send, in reverse
+				v.Sleep(time.Second)
+				ran(3, i) // Sleep deadlines, armed in reverse
+				chans[i].Recv()
+				ran(4, i) // SendAfter deliveries
+				waitCond()
+				ran(5, i) // Signal, in wait order
+				chans[i].RecvTimeout(time.Second)
+				ran(6, i) // RecvTimeout deadlines, armed in forward order
+			})
+			busy()
+		}
+		v.Sleep(time.Millisecond)
+		busy()
+		cond.Broadcast()
+		busy()
+		v.Sleep(time.Millisecond)
+		for i := n - 1; i >= 0; i-- {
+			chans[i].Send(i)
+			busy()
+		}
+		v.Sleep(2 * time.Second)
+		for i := 0; i < n; i++ {
+			chans[i].SendAfter(time.Millisecond, i)
+			busy()
+		}
+		v.Sleep(time.Second)
+		for i := 0; i < n; i++ {
+			cond.Signal()
+			busy()
+		}
+	})
+
+	if p := peak.Load(); p != 1 {
+		t.Errorf("%d simulation goroutines ran at once, want 1", p)
+	}
+	fwd, rev := make([]int, n), make([]int, n)
+	for i := range fwd {
+		fwd[i], rev[n-1-i] = i, i
+	}
+	want := [][]int{fwd, fwd, rev, rev, fwd, fwd, fwd}
+	if len(order) != len(want) {
+		t.Fatalf("%d phases ran, want %d: %v", len(order), len(want), order)
+	}
+	for phase := range want {
+		if !slices.Equal(order[phase], want[phase]) {
+			t.Errorf("phase %d ran %v, want %v", phase, order[phase], want[phase])
+		}
 	}
 }
