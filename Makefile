@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all ci test race vet build fmt-check tidy-check determinism golden \
 	chaos chaos-wal bench-alloc fuzz-smoke profile cover cover-check \
-	bench-e2e bench-e2e-smoke experiments examples tidy
+	bench-e2e bench-e2e-smoke experiments tidy
 
 all: vet test
 
@@ -50,11 +50,10 @@ WITH_BENCH = dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && bin="$$dir/ign
 # Guards the paper figures: the seeded toy-scale determinism test must
 # pass, then every registry experiment runs in its own process and is
 # diffed against its golden. Every experiment is checked even after one
-# fails, and the failing IDs are named. At the default config (paper
-# migration policy, no tier budgets, no SSD tier) the output must stay
-# bit-identical to the pre-ladder pin-in-RAM master. Regenerate the
-# goldens deliberately with `make golden` when a change is *supposed* to
-# move a figure.
+# fails, and the failing IDs are named. The virtual clock makes every
+# run repeat byte for byte, so any difference is a figure the change
+# moved. Regenerate the goldens deliberately with `make golden` when a
+# change is *supposed* to move a figure.
 determinism:
 	$(GO) test ./internal/experiments -run TestSwimSeededRunsAreBitIdentical -count=1
 	@$(WITH_BENCH); failed=; for id in $$ids; do \
@@ -96,25 +95,24 @@ chaos-wal:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -run 'TestWAL' -count=1 ./internal/chaos
 
-# Allocation regression gate: pins the cached-read allocs/op ceiling,
-# the ≤20 allocations and ≤256 KiB of an uncached 4 MiB TCP block read
-# (a fresh payload per read would be 4 MiB), the bytes a
-# whole-file read may allocate (≤1.5x the file, TCP and in-memory), the
-# ≥4x heap-per-block reduction of the compact block map over the
-# historical two-maps-per-block representation, the constant (block-
-# count-independent) allocations of a replication sweep over a healthy
-# namespace, the constant (file-size-independent) allocations of a
-# one-block ranged getLocations, the ≤1 alloc/op ceiling on WAL appends, and the slave's
-# eviction tombstones: held ≤ one lifetime's jobs, a constant number
-# examined per evict batch, and the ≤2 allocations of a virtual-clock
-# Sleep (its timer entry and wake channel), and the ≤17 allocations of a
-# virtual-clock echo RPC over the in-memory transport (22 with a pump
-# goroutine per link and a fresh goroutine per handler), and the
-# allocations of two control RPCs over TCP loopback (a getLocations-
-# shaped call ≤14, a two-command MigrateBatch ≤7, both ends counted; 34
-# and 21 through gob). Counts only:
-# wall-clock ratios are the repository benchmark's business
-# (bench-e2e), not a test's.
+# Allocation regression gate. Counts only: wall-clock ratios are the
+# repository benchmark's business (bench-e2e), not a test's. It pins
+# - client: the cached-read allocs/op ceiling; ≤20 allocations and
+#   ≤256 KiB for an uncached 4 MiB TCP block read (a fresh payload per
+#   read would be 4 MiB); ≤1.5x the file allocated by a whole-file read,
+#   over TCP and in memory;
+# - namenode: ≥4x less heap per block for the compact block map than
+#   for two maps per block; allocations independent of the block count
+#   for a replication sweep over a healthy namespace, and of the file
+#   size for a one-block ranged getLocations;
+# - wal: ≤1 alloc per append;
+# - ignem: the slave's eviction tombstones, held for ≤ one lifetime's
+#   jobs, with a constant number examined per evict batch;
+# - simclock: zero allocations per virtual-clock Sleep;
+# - transport: ≤17 allocations per virtual-clock echo RPC over the
+#   in-memory transport;
+# - dfs: two control RPCs over TCP loopback, both ends counted: ≤14 for
+#   a getLocations-shaped call, ≤7 for a two-command MigrateBatch.
 bench-alloc:
 	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs|TestRangedLocationsAllocs' -count=1 -v
@@ -190,14 +188,6 @@ bench-e2e-smoke:
 # ./data for plotting).
 experiments:
 	$(GO) run ./cmd/ignem-bench -out data
-
-# Run every example end to end.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/wordcount
-	$(GO) run ./examples/hive
-	$(GO) run ./examples/failover
-	$(GO) run ./examples/logscan
 
 tidy:
 	$(GO) mod tidy

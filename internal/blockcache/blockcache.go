@@ -14,7 +14,8 @@
 //
 // All waiting goes through a clock-aware condition variable, so the
 // cache is usable under both the real and the virtual clock (though
-// experiment clients leave it off to keep seeded figures bit-identical).
+// experiment clients leave it off: a hit skips the read observer and
+// reaches Ignem's reference lists only through a batched notification).
 package blockcache
 
 import (

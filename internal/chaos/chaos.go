@@ -99,10 +99,8 @@ func Start(v *simclock.Virtual, cfg Config) (*Harness, error) {
 }
 
 // Client opens a DFS client dialing from the fabric's ClientAddr node,
-// so crash/partition/drop rules on "client" links apply to it. Writes
-// default to the serial path, as cluster.Client does.
+// so crash/partition/drop rules on "client" links apply to it.
 func (h *Harness) Client(opts ...client.Option) (*client.Client, error) {
-	opts = append([]client.Option{client.WithWriteParallelism(1)}, opts...)
 	return client.New(h.Clock, h.Fabric.Node(ClientAddr), cluster.NameNodeAddr, opts...)
 }
 

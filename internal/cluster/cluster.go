@@ -275,11 +275,8 @@ func (c *Cluster) NodeAddrs() []string {
 	return out
 }
 
-// Client opens a new DFS client against the cluster. Writes default to
-// the serial path so seeded virtual-clock experiments keep bit-identical
-// timing; callers can still opt in with WithWriteParallelism.
+// Client opens a new DFS client against the cluster.
 func (c *Cluster) Client(opts ...client.Option) (*client.Client, error) {
-	opts = append([]client.Option{client.WithWriteParallelism(1)}, opts...)
 	return client.New(c.Clock, c.Net, NameNodeAddr, opts...)
 }
 

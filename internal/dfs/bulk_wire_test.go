@@ -52,15 +52,13 @@ func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
 			t.Run(fmt.Sprintf("WriteBlockReq/%d", n), func(t *testing.T) {
 				sent := WriteBlockReq{
 					Block: Block{ID: 42, Size: int64(n)}, Data: data,
-					Pipeline: []string{"dn1:9000", "dn2:9000"}, EagerPipeline: true,
-					Checksum: Checksum(data),
+					Pipeline: []string{"dn1:9000", "dn2:9000"}, Checksum: Checksum(data),
 				}
 				got, err := transport.Call[WriteBlockReq](c, "echo", sent)
 				if err != nil {
 					t.Fatalf("Call: %v", err)
 				}
-				if got.Block != sent.Block || got.EagerPipeline != sent.EagerPipeline ||
-					got.Checksum != sent.Checksum || !reflect.DeepEqual(got.Pipeline, sent.Pipeline) {
+				if got.Block != sent.Block || got.Checksum != sent.Checksum || !reflect.DeepEqual(got.Pipeline, sent.Pipeline) {
 					t.Errorf("head changed: %+v -> %+v", sent.Block, got.Block)
 				}
 				checkBulk(t, got.Data, data, got.Pooled(), wantPooled)

@@ -12,12 +12,12 @@ import (
 // concurrent reads of one cold block coalesce into a single datanode
 // fetch.
 //
-// The cache defaults off (bytes <= 0 keeps it off): experiment clients
-// must leave it off so seeded virtual-clock figures stay bit-identical,
-// mirroring their WithWriteParallelism(1) pinning. Cached hits bypass
-// the datanode entirely, so they fire no WithReadObserver event and do
-// not advance Ignem's implicit-eviction reference lists; only the
-// initial fetch of each block does.
+// The cache defaults off (bytes <= 0 keeps it off), and experiment
+// clients leave it off: cached hits bypass the datanode entirely, so
+// they fire no WithReadObserver event (the task timings and tier counts
+// the figures are built from) and never reach Ignem's implicit-eviction
+// reference lists through a datanode read — only a batched, best-effort
+// nn.blockRead notification reports them.
 func WithBlockCache(bytes int64) Option {
 	return func(c *Client) {
 		if bytes > 0 {

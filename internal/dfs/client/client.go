@@ -53,19 +53,6 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithWriteParallelism bounds how many blocks a Writer keeps in flight at
-// once (default 4): each full block is shipped to its datanode pipeline
-// by a worker while the caller keeps buffering. n <= 1 restores the
-// historical one-block-at-a-time write path.
-func WithWriteParallelism(n int) Option {
-	return func(c *Client) {
-		if n < 1 {
-			n = 1
-		}
-		c.writePar = n
-	}
-}
-
 // WithChecksums toggles end-to-end block checksums (default on). When
 // enabled, the writer computes a CRC32C per real-data block, records it
 // at the namenode during allocation, and ships it with the block; every
@@ -90,7 +77,6 @@ type Client struct {
 	nnAttempts int
 	localAddr  string
 	observer   func(BlockReadEvent)
-	writePar   int
 	cacheBytes int64
 	cache      *blockcache.Cache
 	checksums  bool
@@ -132,7 +118,6 @@ func New(clock simclock.Clock, net transport.Network, nnAddr string, opts ...Opt
 		dns:           make(map[string]*transport.Client),
 		rng:           rand.New(rand.NewSource(1)),
 		retryRNG:      rand.New(rand.NewSource(1 ^ 0x7265747279)),
-		writePar:      DefaultWriteParallelism,
 		checksums:     true,
 		pendingNotify: make(map[dfs.JobID][]dfs.BlockID),
 	}

@@ -23,7 +23,7 @@ func TestWriterSurvivesDeadPipelineNode(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
 		defer mc.close()
-		c := mc.client(t, client.WithWriteParallelism(2))
+		c := mc.client(t)
 		defer c.Close()
 
 		const blockSize = 256 << 10
@@ -207,7 +207,7 @@ func TestAllocationRetryAfterLostReplyDoesNotDoubleAllocate(t *testing.T) {
 		fc := startFaulty(t, v, 3)
 		defer fc.close()
 		c, err := client.New(v, fc.fab.Node("client"), "nn",
-			client.WithNNTimeout(time.Second), client.WithWriteParallelism(1), client.WithSeed(3))
+			client.WithNNTimeout(time.Second), client.WithSeed(3))
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}

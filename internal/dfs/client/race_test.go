@@ -31,9 +31,7 @@ func TestPooledBuffersUnderConcurrentTraffic(t *testing.T) {
 	for i := range in {
 		in[i] = byte(i % 251)
 	}
-	cl := lc.client(t,
-		client.WithWriteParallelism(client.DefaultWriteParallelism),
-		client.WithBlockCache(2*int64(len(in))))
+	cl := lc.client(t, client.WithBlockCache(2*int64(len(in))))
 	if err := cl.WriteFile("/race/hot", in, raceBlockSize, 2); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}

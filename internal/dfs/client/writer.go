@@ -11,8 +11,7 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultWriteParallelism is how many blocks a Writer keeps in flight
-// unless WithWriteParallelism overrides it.
+// DefaultWriteParallelism is how many blocks a Writer keeps in flight.
 const DefaultWriteParallelism = 4
 
 // writeMode distinguishes real-byte files from synthetic (size-only)
@@ -25,21 +24,20 @@ const (
 	modeSynthetic
 )
 
-// Writer streams a file into the DFS block by block. With write
-// parallelism > 1 (the default) it keeps a bounded window of blocks in
-// flight: each full block is shipped to its datanode pipeline by a
-// worker goroutine while the caller keeps buffering, and block
-// allocation is batched (one nn.addBlocks round trip per window) on the
-// caller's goroutine so blocks are appended — and placement is drawn —
-// in file order regardless of worker scheduling. Errors from in-flight
-// blocks surface on the next Write, WriteSynthetic, or Close.
+// Writer streams a file into the DFS block by block. It keeps a window
+// of up to DefaultWriteParallelism blocks in flight: each full block is
+// shipped to its datanode pipeline by a worker goroutine while the
+// caller keeps buffering, and block allocation is batched (one
+// nn.addBlocks round trip per window) on the caller's goroutine so
+// blocks are appended — and placement is drawn — in file order
+// regardless of worker scheduling. Errors from in-flight blocks surface
+// on the next Write, WriteSynthetic, or Close.
 //
 // A Writer is not safe for concurrent use.
 type Writer struct {
 	c         *Client
 	path      string
 	blockSize int64
-	par       int
 	buf       []byte
 	closed    bool
 	mode      writeMode
@@ -54,7 +52,7 @@ type Writer struct {
 }
 
 func newWriter(c *Client, path string, blockSize int64) *Writer {
-	w := &Writer{c: c, path: path, blockSize: blockSize, par: c.writePar}
+	w := &Writer{c: c, path: path, blockSize: blockSize}
 	w.cond = simclock.NewCond(c.clock, &w.mu)
 	return w
 }
@@ -86,23 +84,12 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// flushFullBlocks drains every full block in the buffer. Serial writers
-// allocate and ship one block per round trip; parallel writers allocate
-// a window of blocks in one nn.addBlocks call and hand each to the
+// flushFullBlocks drains every full block in the buffer: it allocates
+// a window of blocks in one nn.addBlocks call and hands each to the
 // bounded in-flight window.
 func (w *Writer) flushFullBlocks() error {
 	for int64(len(w.buf)) >= w.blockSize {
-		if w.par <= 1 {
-			if err := w.flushBlock(w.buf[:w.blockSize], nil); err != nil {
-				return err
-			}
-			w.buf = w.buf[w.blockSize:]
-			continue
-		}
-		n := int(int64(len(w.buf)) / w.blockSize)
-		if n > w.par {
-			n = w.par
-		}
+		n := min(int(int64(len(w.buf))/w.blockSize), DefaultWriteParallelism)
 		sizes := make([]int64, n)
 		for i := range sizes {
 			sizes[i] = w.blockSize
@@ -149,26 +136,10 @@ func (w *Writer) WriteSynthetic(size int64) error {
 		return nil
 	}
 	w.mode = modeSynthetic
-	if w.par <= 1 {
-		for size > 0 {
-			n := size
-			if n > w.blockSize {
-				n = w.blockSize
-			}
-			if err := w.flushBlock(nil, &n); err != nil {
-				return err
-			}
-			size -= n
-		}
-		return nil
-	}
 	for size > 0 {
 		var sizes []int64
-		for len(sizes) < w.par && size > 0 {
-			n := size
-			if n > w.blockSize {
-				n = w.blockSize
-			}
+		for len(sizes) < DefaultWriteParallelism && size > 0 {
+			n := min(size, w.blockSize)
 			sizes = append(sizes, n)
 			size -= n
 		}
@@ -185,26 +156,12 @@ func (w *Writer) WriteSynthetic(size int64) error {
 	return nil
 }
 
-// flushBlock allocates a block at the namenode and writes it to every
-// replica target — the serial write path.
-func (w *Writer) flushBlock(data []byte, synthSize *int64) error {
-	size := int64(len(data))
-	if synthSize != nil {
-		size = *synthSize
-	}
-	lbs, err := w.c.addBlocks(w.path, []int64{size}, w.c.blockSums(data))
-	if err != nil {
-		return err
-	}
-	return w.c.writeBlockWithFailover(w.path, lbs[0], data, false)
-}
-
 // dispatch hands one allocated block to the in-flight window, blocking
 // (on the clock) while the window is full. A sticky in-flight error
 // aborts the dispatch and is returned instead.
 func (w *Writer) dispatch(lb dfs.LocatedBlock, data []byte) error {
 	w.mu.Lock()
-	for w.inflight >= w.par && w.werr == nil {
+	for w.inflight >= DefaultWriteParallelism && w.werr == nil {
 		w.cond.Wait()
 	}
 	if w.werr != nil {
@@ -215,7 +172,7 @@ func (w *Writer) dispatch(lb dfs.LocatedBlock, data []byte) error {
 	w.inflight++
 	w.mu.Unlock()
 	w.c.clock.Go(func() {
-		err := w.c.writeBlockWithFailover(w.path, lb, data, true)
+		err := w.c.writeBlockWithFailover(w.path, lb, data)
 		w.mu.Lock()
 		if err != nil && w.werr == nil {
 			w.werr = err
@@ -256,9 +213,7 @@ func (w *Writer) Close() error {
 	w.closed = true
 	var flushErr error
 	if len(w.buf) > 0 {
-		if w.par <= 1 {
-			flushErr = w.flushBlock(w.buf, nil)
-		} else if flushErr = w.asyncErr(); flushErr == nil {
+		if flushErr = w.asyncErr(); flushErr == nil {
 			var lbs []dfs.LocatedBlock
 			lbs, flushErr = w.c.addBlocks(w.path, []int64{int64(len(w.buf))}, w.c.blockSums(w.buf))
 			if flushErr == nil {
@@ -293,10 +248,10 @@ const maxBlockWriteAttempts = 4
 // excluding every node seen to fail so far, and the block is re-sent to
 // the fresh pipeline. The block's ID and file offset never change, so
 // concurrent in-flight writes of later blocks are unaffected.
-func (c *Client) writeBlockWithFailover(path string, lb dfs.LocatedBlock, data []byte, eager bool) error {
+func (c *Client) writeBlockWithFailover(path string, lb dfs.LocatedBlock, data []byte) error {
 	var exclude []string
 	for attempt := 1; ; attempt++ {
-		err := c.sendBlock(lb, data, eager)
+		err := c.sendBlock(lb, data)
 		if err == nil {
 			return nil
 		}
@@ -353,13 +308,12 @@ func failedPipelineNodes(err error, lb dfs.LocatedBlock) []string {
 
 // sendBlock writes one allocated block to its replica pipeline:
 // HDFS-style, the client sends once to the first target, which stores
-// its replica and forwards down the chain. eager asks the datanodes to
-// overlap their local store with the downstream forward.
-func (c *Client) sendBlock(lb dfs.LocatedBlock, data []byte, eager bool) error {
+// its replica while forwarding down the chain.
+func (c *Client) sendBlock(lb dfs.LocatedBlock, data []byte) error {
 	if len(lb.Nodes) == 0 {
 		return fmt.Errorf("dfs client: block %d allocated with no targets", lb.Block.ID)
 	}
-	req := dfs.WriteBlockReq{Block: lb.Block, Data: data, Checksum: lb.Checksum, Pipeline: lb.Nodes[1:], EagerPipeline: eager}
+	req := dfs.WriteBlockReq{Block: lb.Block, Data: data, Checksum: lb.Checksum, Pipeline: lb.Nodes[1:]}
 	dc, err := c.datanode(lb.Nodes[0])
 	if err != nil {
 		return err

@@ -11,8 +11,8 @@ import (
 )
 
 // TestWriteSyntheticBoundaries drives WriteSynthetic across block-size
-// boundaries on both the serial and the pipelined writer and checks the
-// resulting block layout.
+// and window boundaries and checks the resulting block layout. Subtests
+// are named for the write window the cases are sized against.
 func TestWriteSyntheticBoundaries(t *testing.T) {
 	const blockSize = 1024
 	cases := []struct {
@@ -28,49 +28,48 @@ func TestWriteSyntheticBoundaries(t *testing.T) {
 		{"sub_block_tail", 2*blockSize + 512, 3, 512},
 		{"window_plus_tail", 5*blockSize + 1, 6, 1},
 	}
-	for _, par := range []int{1, 4} {
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("par%d/%s", par, tc.name), func(t *testing.T) {
-				runSim(t, func(v *simclock.Virtual) {
-					mc := startMini(t, v, miniConfig{})
-					defer mc.close()
-					c := mc.client(t, client.WithWriteParallelism(par))
-					defer c.Close()
-					if err := c.WriteSyntheticFile("/f", tc.size, blockSize, 2); err != nil {
-						t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("par%d/%s", client.DefaultWriteParallelism, tc.name), func(t *testing.T) {
+			runSim(t, func(v *simclock.Virtual) {
+				mc := startMini(t, v, miniConfig{})
+				defer mc.close()
+				c := mc.client(t)
+				defer c.Close()
+				if err := c.WriteSyntheticFile("/f", tc.size, blockSize, 2); err != nil {
+					t.Fatal(err)
+				}
+				info, err := c.Info("/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !info.Complete || info.Size != tc.size {
+					t.Errorf("info = %+v, want complete with size %d", info, tc.size)
+				}
+				lbs, err := c.Locations("/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(lbs) != tc.wantBlocks {
+					t.Fatalf("got %d blocks, want %d", len(lbs), tc.wantBlocks)
+				}
+				for i, lb := range lbs {
+					want := int64(blockSize)
+					if i == len(lbs)-1 {
+						want = tc.wantLast
 					}
-					info, err := c.Info("/f")
-					if err != nil {
-						t.Fatal(err)
+					if lb.Block.Size != want {
+						t.Errorf("block %d size %d, want %d", i, lb.Block.Size, want)
 					}
-					if !info.Complete || info.Size != tc.size {
-						t.Errorf("info = %+v, want complete with size %d", info, tc.size)
-					}
-					lbs, err := c.Locations("/f")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(lbs) != tc.wantBlocks {
-						t.Fatalf("got %d blocks, want %d", len(lbs), tc.wantBlocks)
-					}
-					for i, lb := range lbs {
-						want := int64(blockSize)
-						if i == len(lbs)-1 {
-							want = tc.wantLast
-						}
-						if lb.Block.Size != want {
-							t.Errorf("block %d size %d, want %d", i, lb.Block.Size, want)
-						}
-					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 
 // TestWriterMixingErrors checks that real and synthetic writes cannot be
 // mixed on one file in either order, including when a real write landed
-// on an exact block boundary so the buffer happens to be empty.
+// on an exact block boundary so the buffer happens to be empty. Subtests
+// are named for the write window, as in TestWriteSyntheticBoundaries.
 func TestWriterMixingErrors(t *testing.T) {
 	const blockSize = 1024
 	cases := []struct {
@@ -94,42 +93,41 @@ func TestWriterMixingErrors(t *testing.T) {
 			func(w *client.Writer) error { _, err := w.Write([]byte("x")); return err },
 		},
 	}
-	for _, par := range []int{1, 4} {
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("par%d/%s", par, tc.name), func(t *testing.T) {
-				runSim(t, func(v *simclock.Virtual) {
-					mc := startMini(t, v, miniConfig{})
-					defer mc.close()
-					c := mc.client(t, client.WithWriteParallelism(par))
-					defer c.Close()
-					w, err := c.Create("/f", blockSize, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := tc.first(w); err != nil {
-						t.Fatalf("first write: %v", err)
-					}
-					if err := tc.then(w); err == nil {
-						t.Error("mixed real+synthetic write accepted")
-					}
-					if err := w.Close(); err != nil {
-						t.Fatalf("close: %v", err)
-					}
-				})
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("par%d/%s", client.DefaultWriteParallelism, tc.name), func(t *testing.T) {
+			runSim(t, func(v *simclock.Virtual) {
+				mc := startMini(t, v, miniConfig{})
+				defer mc.close()
+				c := mc.client(t)
+				defer c.Close()
+				w, err := c.Create("/f", blockSize, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.first(w); err != nil {
+					t.Fatalf("first write: %v", err)
+				}
+				if err := tc.then(w); err == nil {
+					t.Error("mixed real+synthetic write accepted")
+				}
+				if err := w.Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
 			})
-		}
+		})
 	}
 }
 
-// TestWriteReturnsConsumedCount pins the Write error contract: when a
-// flush fails, Write reports the bytes it consumed into the writer's
-// state, so a retrying caller doesn't duplicate data; once the error is
-// sticky, the next Write consumes nothing and reports 0.
+// TestWriteReturnsConsumedCount pins the Write count contract: Write
+// consumes all of p into the buffer or the in-flight window, so it
+// reports len(p) even when a flush fails (a retrying caller doesn't
+// duplicate data), and a failed block ship surfaces by Close at the
+// latest.
 func TestWriteReturnsConsumedCount(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
 		defer mc.close()
-		c := mc.client(t, client.WithWriteParallelism(1))
+		c := mc.client(t)
 		defer c.Close()
 		w, err := c.Create("/f", 1024, 1)
 		if err != nil {
@@ -138,12 +136,12 @@ func TestWriteReturnsConsumedCount(t *testing.T) {
 		// Kill the only datanode: allocation still succeeds, shipping fails.
 		mc.dns[0].Close()
 		p := make([]byte, 3000)
-		n, err := w.Write(p)
-		if err == nil {
-			t.Fatal("write to dead datanode succeeded")
-		}
+		n, werr := w.Write(p)
 		if n != len(p) {
-			t.Errorf("consumed count = %d, want %d", n, len(p))
+			t.Errorf("consumed count = %d, want %d (err %v)", n, len(p), werr)
+		}
+		if cerr := w.Close(); werr == nil && cerr == nil {
+			t.Fatal("write to dead datanode never surfaced an error")
 		}
 	})
 }
@@ -155,7 +153,7 @@ func TestWriteStickyAsyncError(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
 		defer mc.close()
-		c := mc.client(t, client.WithWriteParallelism(4))
+		c := mc.client(t)
 		defer c.Close()
 		w, err := c.Create("/f", 1024, 1)
 		if err != nil {
@@ -186,7 +184,7 @@ func TestParallelWriteErrorSurfacesLater(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
 		defer mc.close()
-		c := mc.client(t, client.WithWriteParallelism(4))
+		c := mc.client(t)
 		defer c.Close()
 		w, err := c.Create("/f", 1024, 1)
 		if err != nil {
@@ -224,7 +222,7 @@ func TestParallelWriteRoundTrip(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
 		defer mc.close()
-		c := mc.client(t, client.WithWriteParallelism(4))
+		c := mc.client(t)
 		defer c.Close()
 		data := make([]byte, 8*4096+123)
 		for i := range data {
@@ -243,65 +241,38 @@ func TestParallelWriteRoundTrip(t *testing.T) {
 	})
 }
 
-// TestParallelWritePlacementMatchesSerial pins the determinism claim:
-// with the same namenode seed, the pipelined writer (batched allocation)
-// places blocks on exactly the nodes the serial writer does.
-func TestParallelWritePlacementMatchesSerial(t *testing.T) {
-	placements := func(par int) [][]string {
-		var out [][]string
-		runSim(t, func(v *simclock.Virtual) {
-			mc := startMini(t, v, miniConfig{nodes: 6})
-			defer mc.close()
-			c := mc.client(t, client.WithWriteParallelism(par))
-			defer c.Close()
-			if err := c.WriteSyntheticFile("/f", 8*4096+100, 4096, 2); err != nil {
-				t.Fatal(err)
-			}
-			lbs, err := c.Locations("/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, lb := range lbs {
-				out = append(out, append([]string(nil), lb.Nodes...))
-			}
-		})
-		return out
-	}
-	serial := placements(1)
-	parallel := placements(4)
-	if len(serial) != len(parallel) {
-		t.Fatalf("block counts differ: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if fmt.Sprint(serial[i]) != fmt.Sprint(parallel[i]) {
-			t.Errorf("block %d placement differs: serial %v, parallel %v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 // TestParallelWriteFasterThanSerial checks the pipelined writer beats
-// the serial one in virtual time on an 8-block file.
+// a serial baseline in virtual time: one 8-block file against eight
+// one-block files written one after another.
 func TestParallelWriteFasterThanSerial(t *testing.T) {
-	elapsed := func(par int) int64 {
-		var d int64
+	const blockSize = 1 << 20
+	elapsed := func(write func(c *client.Client)) time.Duration {
+		var d time.Duration
 		runSim(t, func(v *simclock.Virtual) {
 			mc := startMini(t, v, miniConfig{nodes: 6})
 			defer mc.close()
-			c := mc.client(t, client.WithWriteParallelism(par))
+			c := mc.client(t)
 			defer c.Close()
-			data := make([]byte, 8*(1<<20))
 			start := v.Now()
-			if err := c.WriteFile("/f", data, 1<<20, 2); err != nil {
-				t.Fatal(err)
-			}
-			d = int64(v.Now().Sub(start))
+			write(c)
+			d = v.Now().Sub(start)
 		})
 		return d
 	}
-	serial := elapsed(1)
-	parallel := elapsed(4)
-	if parallel*2 > serial {
-		t.Errorf("pipelined write (%d ns virtual) is not ≥2x faster than serial (%d ns virtual)", parallel, serial)
+	serial := elapsed(func(c *client.Client) {
+		for i := 0; i < 8; i++ {
+			if err := c.WriteFile(fmt.Sprintf("/f%d", i), make([]byte, blockSize), blockSize, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	pipelined := elapsed(func(c *client.Client) {
+		if err := c.WriteFile("/f", make([]byte, 8*blockSize), blockSize, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pipelined*2 > serial {
+		t.Errorf("pipelined write %v not ≥2x faster than serial %v", pipelined, serial)
 	}
-	t.Logf("virtual time: serial %d ns, pipelined %d ns, speedup %.2fx", serial, parallel, float64(serial)/float64(parallel))
+	t.Logf("virtual time: serial %v, pipelined %v, speedup %.2fx", serial, pipelined, float64(serial)/float64(pipelined))
 }

@@ -478,33 +478,13 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 	}
 	// Forward along the HDFS-style write pipeline and wait for the
 	// downstream ack; a broken chain fails the whole write so the client
-	// can retry against fresh targets. An eager pipeline overlaps the
-	// forward with the local buffer-cache write; otherwise the node
-	// stores, then forwards — the historical ordering, kept so
-	// timing-sensitive virtual-clock runs are unchanged.
-	// Every failure talking to the next hop — dial refused or call
-	// failed — is reported as "pipeline to <addr>", which is how the
-	// writing client identifies the dead node to exclude on retry. A
-	// failed peer's cached connection is dropped so a retry after the
-	// peer recovers re-dials instead of reusing a dead conn.
-	forward := func() error {
-		next, err := dn.peer(req.Pipeline[0])
-		if err != nil {
-			return fmt.Errorf("datanode: pipeline to %s: %w", req.Pipeline[0], err)
-		}
-		fwd := req
-		fwd.Pipeline = req.Pipeline[1:]
-		if _, err := transport.Call[dfs.WriteBlockResp](next, "dn.writeBlock", fwd); err != nil {
-			dn.forgetPeer(req.Pipeline[0])
-			return fmt.Errorf("datanode: pipeline to %s: %w", req.Pipeline[0], err)
-		}
-		return nil
-	}
+	// can retry against fresh targets. The forward overlaps the local
+	// buffer-cache write.
 	var wg *simclock.WaitGroup
 	var fwdErr error
-	if req.EagerPipeline && len(req.Pipeline) > 0 {
+	if len(req.Pipeline) > 0 {
 		wg = simclock.NewWaitGroup(dn.clock)
-		wg.Go(func() { fwdErr = forward() })
+		wg.Go(func() { fwdErr = dn.forward(req) })
 	}
 
 	// Writes land in the buffer cache (the paper: "the buffer cache can
@@ -528,7 +508,7 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 	// us; transferring it into the store (instead of copying and
 	// releasing) makes the receive path zero-copy. Stored payloads are
 	// retained indefinitely and are therefore never returned to the
-	// pool — deletion simply lets the GC have them. The eager-pipeline
+	// pool — deletion simply lets the GC have them. The pipeline
 	// forward above shares the same buffer read-only; the store never
 	// mutates payloads, so that alias is safe.
 	dn.store.Put(req.Block.ID, size, req.Data, sum)
@@ -537,15 +517,28 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 
 	if wg != nil {
 		wg.Wait()
-		if fwdErr != nil {
-			return dfs.WriteBlockResp{}, fwdErr
-		}
-	} else if len(req.Pipeline) > 0 {
-		if err := forward(); err != nil {
-			return dfs.WriteBlockResp{}, err
-		}
 	}
-	return dfs.WriteBlockResp{}, nil
+	return dfs.WriteBlockResp{}, fwdErr
+}
+
+// forward sends req to the next hop of its write pipeline and waits for
+// the downstream ack. Every failure talking to the next hop — dial
+// refused or call failed — is reported as "pipeline to <addr>", which is
+// how the writing client identifies the dead node to exclude on retry. A
+// failed peer's cached connection is dropped so a retry after the peer
+// recovers re-dials instead of reusing a dead conn.
+func (dn *DataNode) forward(req dfs.WriteBlockReq) error {
+	next, err := dn.peer(req.Pipeline[0])
+	if err != nil {
+		return fmt.Errorf("datanode: pipeline to %s: %w", req.Pipeline[0], err)
+	}
+	fwd := req
+	fwd.Pipeline = req.Pipeline[1:]
+	if _, err := transport.Call[dfs.WriteBlockResp](next, "dn.writeBlock", fwd); err != nil {
+		dn.forgetPeer(req.Pipeline[0])
+		return fmt.Errorf("datanode: pipeline to %s: %w", req.Pipeline[0], err)
+	}
+	return nil
 }
 
 func (dn *DataNode) handleReadBlock(req dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {

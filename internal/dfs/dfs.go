@@ -426,16 +426,12 @@ type EpochResp struct{ Epoch uint64 }
 // declares a synthetic block used by experiment-scale workloads.
 // Pipeline lists the remaining downstream replica targets: the receiving
 // datanode stores its copy and forwards the block along the chain, as
-// the HDFS write pipeline does. EagerPipeline overlaps the local
-// buffer-cache write with the downstream forward (set by the parallel
-// write path); when false the datanode stores, then forwards — the
-// historical ordering, kept for virtual-clock runs whose figures are
-// timing-sensitive.
+// the HDFS write pipeline does, overlapping the forward with its local
+// buffer-cache write.
 type WriteBlockReq struct {
-	Block         Block
-	Data          []byte
-	Pipeline      []string
-	EagerPipeline bool
+	Block    Block
+	Data     []byte
+	Pipeline []string
 	// Checksum is the client-computed CRC32C of Data (zero when
 	// unchecksummed). Each datanode on the pipeline verifies the
 	// payload against it before storing, so a corruption anywhere on

@@ -55,8 +55,7 @@ func wireSamples() []any {
 		CorruptReplicaResp{},
 		EpochReq{},
 		EpochResp{Epoch: 6},
-		WriteBlockReq{Block: Block{ID: 3, Size: 2}, Data: data, Pipeline: []string{"dn1"}, EagerPipeline: true,
-			Checksum: Checksum(data)},
+		WriteBlockReq{Block: Block{ID: 3, Size: 2}, Data: data, Pipeline: []string{"dn1"}, Checksum: Checksum(data)},
 		WriteBlockResp{},
 		ReadBlockReq{Block: 3, Job: "j", Local: true, ReaderVerifies: true},
 		ReadBlockResp{Data: data, Size: 2, FromMemory: true, Local: true},

@@ -309,15 +309,9 @@ func pooledCopy(raw []byte) []byte {
 
 // ---- WriteBlockReq ----
 
-const wbFlagEager = 0x01
-
 // AppendHead implements transport.BulkFramer: every field but Data.
 func (r *WriteBlockReq) AppendHead(buf []byte) []byte {
-	var flags byte
-	if r.EagerPipeline {
-		flags |= wbFlagEager
-	}
-	return frameWriter(buf).block(r.Block).byte(flags).uvarint(uint64(r.Checksum)).strs(r.Pipeline)
+	return frameWriter(buf).block(r.Block).uvarint(uint64(r.Checksum)).strs(r.Pipeline)
 }
 
 // Bulk implements transport.BulkFramer.
@@ -332,7 +326,6 @@ func (r *WriteBlockReq) AppendFrame(buf []byte) []byte {
 // readHead fills every field but Data.
 func (r *WriteBlockReq) readHead(fr *frameReader) {
 	r.Block = fr.block()
-	r.EagerPipeline = fr.byte()&wbFlagEager != 0
 	r.Checksum = fr.sum()
 	r.Pipeline = fr.addrs()
 }

@@ -30,10 +30,9 @@ func FuzzWriteBlockReqFrame(f *testing.F) {
 	empty := WriteBlockReq{}
 	f.Add(empty.AppendFrame(nil))
 	full := WriteBlockReq{
-		Block:         Block{ID: 42, Size: fuzzMaxBlock},
-		Data:          fuzzBlockBytes(fuzzMaxBlock),
-		Pipeline:      []string{"dn1:9000", "dn2:9000"},
-		EagerPipeline: true,
+		Block:    Block{ID: 42, Size: fuzzMaxBlock},
+		Data:     fuzzBlockBytes(fuzzMaxBlock),
+		Pipeline: []string{"dn1:9000", "dn2:9000"},
 	}
 	enc := full.AppendFrame(nil)
 	f.Add(enc)
@@ -51,7 +50,7 @@ func FuzzWriteBlockReqFrame(f *testing.F) {
 		if err := r2.DecodeFrame(re); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if r2.Block != r.Block || r2.EagerPipeline != r.EagerPipeline || r2.Checksum != r.Checksum ||
+		if r2.Block != r.Block || r2.Checksum != r.Checksum ||
 			len(r2.Pipeline) != len(r.Pipeline) || !bytes.Equal(r2.Data, r.Data) {
 			t.Fatalf("round trip changed request: %+v sum %#x -> %+v sum %#x", r.Block, r.Checksum, r2.Block, r2.Checksum)
 		}

@@ -38,12 +38,16 @@ func runOnCluster(cfg cluster.Config, fn func(v *simclock.Virtual, c *cluster.Cl
 	return inner
 }
 
-// speedup formats the paper's "Speedup w.r.t HDFS" column.
+// speedup formats the paper's "Speedup w.r.t HDFS" column. A slowdown
+// too small to show rounds to "0%", not to a signed "-0%".
 func speedup(base, other float64) string {
 	if base <= 0 {
 		return ""
 	}
-	return fmt.Sprintf("%.0f%%", (1-other/base)*100)
+	if s := fmt.Sprintf("%.0f%%", (1-other/base)*100); s != "-0%" {
+		return s
+	}
+	return "0%"
 }
 
 // gb renders a byte count in GB with one decimal.

@@ -18,6 +18,27 @@ import (
 // entry is pinned in testdata/<id>.golden (`make determinism` diffs it,
 // `make golden` rewrites it) and discussed in EXPERIMENTS.md.
 
+func TestSpeedupFormat(t *testing.T) {
+	cases := []struct {
+		base, other float64
+		want        string
+	}{
+		{0, 5, ""},
+		{-1, 5, ""},
+		{10, 10, "0%"},
+		{13.6, 13.61, "0%"}, // tiny slowdown: no signed zero
+		{13.6, 13.59, "0%"},
+		{10, 5, "50%"},
+		{10, 12, "-20%"},
+		{10, 0, "100%"},
+	}
+	for _, tc := range cases {
+		if got := speedup(tc.base, tc.other); got != tc.want {
+			t.Errorf("speedup(%v, %v) = %q, want %q", tc.base, tc.other, got, tc.want)
+		}
+	}
+}
+
 func TestMediaExperimentShape(t *testing.T) {
 	r, err := RunMedia(MediaConfig{Nodes: 4, BlocksPerNode: 6, Seed: 1})
 	if err != nil {

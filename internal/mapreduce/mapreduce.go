@@ -186,10 +186,7 @@ func (e *Engine) SubmitClient() (*client.Client, error) {
 
 func (e *Engine) submitLocked() (*client.Client, error) {
 	if e.submit == nil {
-		// Serial writes: task-output timing feeds the seeded experiment
-		// figures, which must stay bit-identical.
-		c, err := client.New(e.clock, e.net, e.nnAddr,
-			client.WithReadObserver(e.dispatch), client.WithWriteParallelism(1))
+		c, err := client.New(e.clock, e.net, e.nnAddr, client.WithReadObserver(e.dispatch))
 		if err != nil {
 			return nil, err
 		}
@@ -206,8 +203,7 @@ func (e *Engine) nodeClient(node string) (*client.Client, error) {
 		return c, nil
 	}
 	c, err := client.New(e.clock, e.net, e.nnAddr,
-		client.WithLocalAddr(node), client.WithReadObserver(e.dispatch),
-		client.WithWriteParallelism(1))
+		client.WithLocalAddr(node), client.WithReadObserver(e.dispatch))
 	if err != nil {
 		return nil, err
 	}
