@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci test race vet build fmt-check tidy-check determinism golden \
+.PHONY: all ci test race vet build fmt-check tidy-check golden \
 	chaos chaos-wal bench-alloc fuzz-smoke profile cover cover-check \
 	bench-e2e bench-e2e-smoke experiments tidy
 
@@ -11,7 +11,7 @@ all: vet test
 # ci mirrors the GitHub Actions pipeline locally (the workflow calls
 # these same targets, so the two cannot drift); CI's race and chaos jobs
 # additionally run fuzz-smoke and chaos-wal.
-ci: vet build test race fmt-check tidy-check determinism chaos bench-alloc \
+ci: vet build test race fmt-check tidy-check chaos bench-alloc \
 	cover-check bench-e2e-smoke
 
 test:
@@ -39,6 +39,9 @@ tidy-check:
 # registry: internal/experiments/testdata/<id>.golden is the output of
 # `ignem-bench <id>` with the wall-time footer line filtered. The IDs
 # come from `ignem-bench -list`, so a registry entry cannot go unpinned.
+# Tier-1 (TestExperimentsMatchGoldens) diffs every experiment against
+# its golden; the virtual clock makes every run repeat byte for byte, so
+# any difference is a figure the change moved.
 GOLDEN_DIR = internal/experiments/testdata
 # Builds ignem-bench once into a temporary directory $$dir (removed on
 # exit) and sets $$bin to it and $$ids to the registry's IDs, for the
@@ -46,22 +49,6 @@ GOLDEN_DIR = internal/experiments/testdata
 WITH_BENCH = dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && bin="$$dir/ignem-bench" && \
 	$(GO) build -o "$$bin" ./cmd/ignem-bench && ids="$$("$$bin" -list | awk '{ print $$1 }')" && \
 	[ -n "$$ids" ] || exit 1
-
-# Guards the paper figures: the seeded toy-scale determinism test must
-# pass, then every registry experiment runs in its own process and is
-# diffed against its golden. Every experiment is checked even after one
-# fails, and the failing IDs are named. The virtual clock makes every
-# run repeat byte for byte, so any difference is a figure the change
-# moved. Regenerate the goldens deliberately with `make golden` when a
-# change is *supposed* to move a figure.
-determinism:
-	$(GO) test ./internal/experiments -run TestSwimSeededRunsAreBitIdentical -count=1
-	@$(WITH_BENCH); failed=; for id in $$ids; do \
-		echo "determinism: $$id"; \
-		"$$bin" "$$id" > "$$dir/out" && grep -v 'wall time' "$$dir/out" | \
-			diff "$(GOLDEN_DIR)/$$id.golden" - || failed="$$failed $$id"; \
-	done; \
-	if [ -n "$$failed" ]; then echo "determinism: differs from its golden:$$failed"; exit 1; fi
 
 # Re-bless the goldens after an intentional figure change: removes every
 # golden, then writes one per registry experiment. Review the `git diff`
@@ -102,14 +89,20 @@ chaos-wal:
 #   read would be 4 MiB); ≤1.5x the file allocated by a whole-file read,
 #   over TCP and in memory;
 # - namenode: ≥4x less heap per block for the compact block map than
-#   for two maps per block; allocations independent of the block count
-#   for a replication sweep over a healthy namespace, and of the file
-#   size for a one-block ranged getLocations;
+#   for two maps per block; zero allocations for a replication sweep over
+#   a healthy namespace, full or queued, and no block visited by a queued
+#   one; allocations independent of the file size for a one-block ranged
+#   getLocations;
 # - wal: ≤1 alloc per append;
 # - ignem: the slave's eviction tombstones, held for ≤ one lifetime's
 #   jobs, with a constant number examined per evict batch;
-# - simclock: zero allocations per virtual-clock Sleep;
-# - transport: ≤17 allocations per virtual-clock echo RPC over the
+# - simclock: zero allocations per virtual-clock Sleep, per RecvTimeout
+#   that a delivery answers and per one that times out, and per
+#   Cond.Wait/Signal cycle;
+# - storage: zero allocations per queued Device.Read;
+# - datanode: zero allocations per idle heartbeat build-and-succeed
+#   cycle, one (its ID list) with a pin delta;
+# - transport: ≤3 allocations per virtual-clock echo RPC over the
 #   in-memory transport;
 # - dfs: two control RPCs over TCP loopback, both ends counted: ≤14 for
 #   a getLocations-shaped call, ≤7 for a two-command MigrateBatch.
@@ -118,7 +111,9 @@ bench-alloc:
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs|TestRangedLocationsAllocs' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 	$(GO) test ./internal/ignem -run 'TestTombstonePruneBounded' -count=1 -v
-	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs' -count=1 -v
+	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs|TestVirtualRecvTimeoutAllocs|TestVirtualCondAllocs' -count=1 -v
+	$(GO) test ./internal/storage -run 'TestDeviceReadAllocs' -count=1 -v
+	$(GO) test ./internal/dfs/datanode -run 'TestHeartbeatCycleAllocs' -count=1 -v
 	$(GO) test ./internal/transport -run 'TestInmemEchoAllocs' -count=1 -v
 	$(GO) test ./internal/dfs -run 'TestControlCallAllocCeiling' -count=1 -v
 

@@ -51,8 +51,8 @@ type Config struct {
 	ScrubInterval time.Duration
 	// SSD gives every datanode a flash rung (see cluster.Config.SSD);
 	// MigrationPolicy and TierBudgets configure the master's migration
-	// ladder. Zero values keep the historical two-tier pin-in-RAM
-	// cluster.
+	// ladder. Zero values give the two-tier (HDD + RAM) cluster, which
+	// pins every planned block in RAM.
 	SSD             storage.Spec
 	MigrationPolicy string
 	TierBudgets     ignem.TierBudgets

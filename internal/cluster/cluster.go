@@ -79,22 +79,22 @@ type Config struct {
 	Slave ignem.SlaveConfig
 	// SSD, when its Name is non-empty, gives every datanode a local SSD
 	// tier device (see datanode.Config.SSD) so the migration ladder has
-	// a middle rung. Zero — the default — runs the historical two-tier
-	// (HDD + RAM) cluster. Use storage.SSDSpec() for the fixed-latency
+	// a middle rung. Zero, the default, runs a two-tier (HDD + RAM)
+	// cluster. Use storage.SSDSpec() for the fixed-latency
 	// model or storage.SSDVarSpec(seed) for the seeded read-latency
 	// long tail; each datanode's device derives its variability stream
 	// from this spec's seed offset by the node index, so nodes draw
 	// independent but reproducible tails.
 	SSD storage.Spec
 	// MigrationPolicy selects the Ignem master's tier placement: "" or
-	// "paper" pins every planned block in RAM (bit-identical to the
-	// historical master); "ladder" plans onto the SSD rung first and
+	// "paper" pins every planned block in RAM, as the paper's master
+	// does; "ladder" plans onto the SSD rung first and
 	// climbs SSD→RAM for small or re-read inputs (see
 	// ignem.Master.ConfigureTiers). The ladder never demotes.
 	MigrationPolicy string
 	// TierBudgets caps cluster-wide fast-tier residency in bytes. Zero
-	// RAM = unlimited (historical behavior); zero SSD = SSD tier
-	// absent. See ignem.TierBudgets.
+	// RAM = unlimited, bounded only by each slave's capacity; zero SSD =
+	// SSD tier absent. See ignem.TierBudgets.
 	TierBudgets ignem.TierBudgets
 	// Seed drives all randomness (placement, replica choice).
 	Seed int64

@@ -368,8 +368,8 @@ func secondOpinion(dc *transport.Client, id dfs.BlockID) {
 // then a local replica, then any. A not-yet-pinned assigned copy on
 // another node is NOT preferred over a local disk replica: a local disk
 // read is cheaper than a remote one. The SSD slot draws from the rng
-// only when OnSSD is non-empty, so clusters without an SSD tier see
-// exactly the legacy draw sequence.
+// only when OnSSD is non-empty, so a cluster without an SSD tier makes
+// no draw for it.
 func (c *Client) chooseReplica(lb dfs.LocatedBlock) string {
 	if lb.Assigned != "" {
 		if lb.Assigned == c.localAddr || contains(lb.Migrated, lb.Assigned) {

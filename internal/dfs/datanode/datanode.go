@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,6 +132,9 @@ type DataNode struct {
 	// false = deleted). Block deltas ride whatever heartbeat goes out
 	// next; they never trigger an early send.
 	blkPending map[dfs.BlockID]bool
+	// spare holds the delta maps of the last acknowledged heartbeat,
+	// cleared, to become the pending maps when the next one is built.
+	spare reportUndo
 	// seq numbers every report sent (register, heartbeat, full report)
 	// from one counter; epoch counts full-inventory snapshots the
 	// namenode has accepted. Together they let the namenode detect a
@@ -395,8 +398,8 @@ func (dn *DataNode) ReadForMigration(b dfs.Block, checksum uint32) error {
 // checksum verification as a RAM migration) plus the flash write;
 // SSD→RAM reads the flash copy instead of the contended disk — the
 // whole point of climbing through the middle tier. Any other pair, or
-// a datanode without a flash device, falls back to the historical
-// ReadForMigration cost.
+// a datanode without a flash device, costs a ReadForMigration, as an
+// HDD→RAM migration does.
 func (dn *DataNode) CopyForMigration(b dfs.Block, checksum uint32, from, to dfs.Tier) error {
 	if dn.ssd == nil {
 		return dn.ReadForMigration(b, checksum)
@@ -795,16 +798,23 @@ func (dn *DataNode) buildHeartbeatLocked() (dfs.HeartbeatReq, reportUndo) {
 			req.Removed = append(req.Removed, id)
 		}
 	}
-	sortIDs(req.Pinned)
-	sortIDs(req.Unpinned)
-	sortIDs(req.SSDPinned)
-	sortIDs(req.SSDUnpinned)
-	sortIDs(req.Added)
-	sortIDs(req.Removed)
+	slices.Sort(req.Pinned)
+	slices.Sort(req.Unpinned)
+	slices.Sort(req.SSDPinned)
+	slices.Sort(req.SSDUnpinned)
+	slices.Sort(req.Added)
+	slices.Sort(req.Removed)
 	undo := reportUndo{pins: dn.pinPending, ssd: dn.ssdPending, blks: dn.blkPending}
-	dn.pinPending = make(map[dfs.BlockID]bool)
-	dn.ssdPending = make(map[dfs.BlockID]bool)
-	dn.blkPending = make(map[dfs.BlockID]bool)
+	next := dn.spare
+	dn.spare = reportUndo{}
+	if next.pins == nil {
+		next = reportUndo{
+			pins: make(map[dfs.BlockID]bool),
+			ssd:  make(map[dfs.BlockID]bool),
+			blks: make(map[dfs.BlockID]bool),
+		}
+	}
+	dn.pinPending, dn.ssdPending, dn.blkPending = next.pins, next.ssd, next.blks
 	dn.pinDirty = false
 	return req, undo
 }
@@ -821,6 +831,11 @@ func (dn *DataNode) handleHeartbeatResult(err error, undo reportUndo, needFull b
 		if needFull {
 			dn.needFull = true
 		}
+		// The namenode has the deltas: their maps serve the next report.
+		clear(undo.pins)
+		clear(undo.ssd)
+		clear(undo.blks)
+		dn.spare = undo
 		return
 	}
 	var remote *transport.RemoteError
@@ -982,12 +997,6 @@ func (dn *DataNode) sendFullReport() error {
 // reconciling any staleness in its location map.
 func (dn *DataNode) SendBlockReport() error {
 	return dn.sendFullReport()
-}
-
-// sortIDs sorts a block-ID list in place; every report ships sorted
-// lists so the wire codec can delta-encode them compactly.
-func sortIDs(ids []dfs.BlockID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // mixSeed derives the busy-backoff jitter seed from the configured seed

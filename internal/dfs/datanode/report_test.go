@@ -193,3 +193,34 @@ func TestTransportFailureRequeuesDeltas(t *testing.T) {
 type errLost struct{}
 
 func (errLost) Error() string { return "datanode test: report lost" }
+
+// TestHeartbeatCycleAllocs pins the datanode's side of a heartbeat that
+// succeeds: building it and handling the success allocates nothing when
+// it carries no deltas, and only the ID list when it carries one, because
+// the acknowledged delta maps are cleared and become the next pending
+// ones. Run via `make bench-alloc`.
+func TestHeartbeatCycleAllocs(t *testing.T) {
+	run(t, func(v *simclock.Virtual) {
+		nn, dn := startPair(t, v, Config{})
+		defer nn.Close()
+		defer dn.Close()
+		cycle := func() {
+			dn.mu.Lock()
+			_, undo := dn.buildHeartbeatLocked()
+			dn.mu.Unlock()
+			dn.handleHeartbeatResult(nil, undo, false)
+		}
+		idle := testing.AllocsPerRun(100, cycle)
+		pinned := testing.AllocsPerRun(100, func() {
+			dn.onPinChange(7, dfs.TierRAM, true)
+			cycle()
+		})
+		t.Logf("%.1f allocations per idle heartbeat cycle, %.1f with one pin delta", idle, pinned)
+		if idle > 0 {
+			t.Errorf("idle heartbeat cycle allocates %.1f times, want 0", idle)
+		}
+		if pinned > 1 {
+			t.Errorf("heartbeat cycle with one pin delta allocates %.1f times, want ≤ 1 (its Pinned list)", pinned)
+		}
+	})
+}

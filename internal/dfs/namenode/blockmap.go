@@ -9,8 +9,7 @@ import (
 
 // Compact block-map building blocks. The block map is the NameNode's
 // dominant heap consumer: one entry per block, two replica-location sets
-// per entry. The historical representation — map[string]struct{} per
-// set — costs two map headers, their buckets, and a copy of every
+// per entry. A map[string]struct{} per set would cost two map headers, their buckets, and a copy of every
 // datanode address string per block. At a million blocks that is
 // hundreds of megabytes of pure bookkeeping.
 //

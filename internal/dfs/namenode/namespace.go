@@ -52,4 +52,5 @@ type blockMeta struct {
 	nodes   nodeSet // datanodes with a replica
 	want    uint16  // the file's replication factor
 	healing bool    // a re-replication pull is in flight
+	queued  bool    // listed in the replication sweep's suspects
 }

@@ -37,6 +37,19 @@ type memNamespace struct {
 	sums      map[dfs.BlockID]uint32
 	nextBlock dfs.BlockID
 
+	// The replication sweep's queue (see RepairScan). suspects lists,
+	// once each (blockMeta.queued), the blocks whose replica set or
+	// healing mark changed since the last sweep, plus the short blocks
+	// it found no candidate for; entries of deleted blocks are skipped.
+	// Nothing is queued before the first sweep, which scans every block.
+	suspects []dfs.BlockID
+	swept    bool
+	// alive is the last sweep's liveness by node ID; aliveNext is the
+	// buffer the next sweep builds its own in.
+	alive, aliveNext []bool
+	// visits counts the blocks the sweeps have examined, for tests.
+	visits int
+
 	// rngMu guards the placement rng. It is a leaf lock: nothing else is
 	// acquired while holding it except what placeFunc takes (the
 	// registry lock, briefly, in read mode).
@@ -126,6 +139,7 @@ func (ns *memNamespace) allocateBlockLocked(f *fileEntry, size int64, sum uint32
 	b := dfs.Block{ID: ns.nextBlock, Size: size}
 	meta := newBlockMeta(ns.table, size, f.info.Replication, targets)
 	ns.blocks[b.ID] = meta
+	ns.suspectLocked(b.ID, meta)
 	if sum != 0 {
 		ns.sums[b.ID] = sum
 	}
@@ -163,6 +177,7 @@ func (ns *memNamespace) Retarget(path string, block dfs.BlockID, exclude []strin
 		return dfs.LocatedBlock{}, fmt.Errorf("namenode: no live datanodes")
 	}
 	meta.nodes.reset(internAll(ns.table, targets))
+	ns.suspectLocked(block, meta)
 	return dfs.LocatedBlock{Block: blk, Offset: offset, Checksum: ns.sums[block], Nodes: targets}, nil
 }
 
@@ -287,9 +302,13 @@ func (ns *memNamespace) Reconcile(addr string, held []dfs.BlockID) {
 	defer ns.mu.Unlock()
 	for id, meta := range ns.blocks {
 		if _, ok := holds[id]; ok {
-			meta.nodes.add(node)
+			if meta.nodes.add(node) {
+				ns.suspectLocked(id, meta)
+			}
 		} else {
-			meta.nodes.remove(node)
+			if meta.nodes.remove(node) {
+				ns.suspectLocked(id, meta)
+			}
 			ns.pins.remove(id, node)
 			ns.ssd.remove(id, node)
 		}
@@ -307,13 +326,15 @@ func (ns *memNamespace) ApplyReplicaDeltas(addr string, added, removed []dfs.Blo
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	for _, b := range added {
-		if meta := ns.blocks[b]; meta != nil {
-			meta.nodes.add(node)
+		if meta := ns.blocks[b]; meta != nil && meta.nodes.add(node) {
+			ns.suspectLocked(b, meta)
 		}
 	}
 	for _, b := range removed {
 		if meta := ns.blocks[b]; meta != nil {
-			meta.nodes.remove(node)
+			if meta.nodes.remove(node) {
+				ns.suspectLocked(b, meta)
+			}
 			ns.pins.remove(b, node)
 			ns.ssd.remove(b, node)
 		}
@@ -389,31 +410,46 @@ func (ns *memNamespace) DropPinned(addrs []string) {
 // block in ID order, each from sorted holder and candidate lists, and
 // the jobs come back in that order, so a seed fixes which block gets
 // which pull however the block map iterates.
+//
+// Like HDFS's queue of blocks needing replication, the sweep examines
+// only the queued suspects. A block's shortness depends only on its
+// replica set, its healing mark and the liveness of its holders, and
+// every change to the first two queues the block, so when liveness by
+// node ID is what the last sweep saw, no unqueued block can be short.
+// The first sweep, and any sweep whose liveness differs, scans every
+// block instead. Either way the short blocks, and so the jobs and the
+// draws, are exactly those of a full scan.
 func (ns *memNamespace) RepairScan(live map[string]bool) []repairJob {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	addrs := ns.table.addrsView()
 	// Liveness by node ID, built once per sweep, so checking a holder is
 	// an index rather than a string-map lookup.
-	alive := make([]bool, len(addrs))
-	for nid, addr := range addrs {
-		alive[nid] = live[addr]
+	alive := ns.aliveNext[:0]
+	for _, addr := range addrs {
+		alive = append(alive, live[addr])
 	}
-	var short []dfs.BlockID
-	for id, meta := range ns.blocks {
-		if meta.healing {
-			continue
+	full := !ns.swept || !slices.Equal(alive, ns.alive)
+	ns.alive, ns.aliveNext, ns.swept = alive, ns.alive, true
+	queued := ns.suspects
+	for _, id := range queued {
+		if meta := ns.blocks[id]; meta != nil {
+			meta.queued = false
 		}
-		// Count before building anything: nearly every block of every
-		// sweep is healthy, and a healthy block must cost no allocation.
-		n := 0
-		for _, nid := range meta.nodes.view() {
-			if alive[nid] {
-				n++
+	}
+	ns.suspects = queued[:0]
+	var short []dfs.BlockID
+	if full {
+		for id, meta := range ns.blocks {
+			if ns.shortLocked(meta, alive) {
+				short = append(short, id)
 			}
 		}
-		if n > 0 && n < int(meta.want) {
-			short = append(short, id)
+	} else {
+		for _, id := range queued {
+			if meta := ns.blocks[id]; meta != nil && ns.shortLocked(meta, alive) {
+				short = append(short, id)
+			}
 		}
 	}
 	if len(short) == 0 {
@@ -444,6 +480,7 @@ func (ns *memNamespace) RepairScan(live map[string]bool) []repairJob {
 			}
 		}
 		if len(candidates) == 0 {
+			ns.suspectLocked(id, meta) // look again next sweep
 			continue
 		}
 		ns.rngMu.Lock()
@@ -474,6 +511,34 @@ func (ns *memNamespace) RepairDone(block dfs.BlockID, target string, ok bool) {
 	if ok {
 		meta.nodes.add(id)
 	}
+	ns.suspectLocked(block, meta)
+}
+
+// suspectLocked queues a block for the next replication sweep, once.
+// Called with mu held.
+func (ns *memNamespace) suspectLocked(id dfs.BlockID, meta *blockMeta) {
+	if ns.swept && !meta.queued {
+		meta.queued = true
+		ns.suspects = append(ns.suspects, id)
+	}
+}
+
+// shortLocked reports whether a block is under-replicated and not
+// already healing: some, but fewer than wanted, of its holders are
+// alive. It allocates nothing, as nearly every block it sees is
+// healthy. Called with mu held.
+func (ns *memNamespace) shortLocked(meta *blockMeta, alive []bool) bool {
+	ns.visits++
+	if meta.healing {
+		return false
+	}
+	n := 0
+	for _, nid := range meta.nodes.view() {
+		if alive[nid] {
+			n++
+		}
+	}
+	return n > 0 && n < int(meta.want)
 }
 
 // findBlock locates a block in a file's block list, returning its copy

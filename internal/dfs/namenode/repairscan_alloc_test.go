@@ -6,11 +6,13 @@ import (
 )
 
 // TestRepairScanHealthyAllocs is the count gate on the replication
-// sweep's steady state: every block of every sweep is visited, nearly all
-// are fully replicated, and such a block must cost no allocation — the
-// sweep used to build a holder list per block (3 allocations each). The
-// ceiling is a constant, the same at 1 k and 10 k blocks; today a
-// healthy sweep allocates once, for its node-ID-indexed liveness slice.
+// sweep's steady state, at 1 k and 10 k healthy blocks. A sweep whose
+// liveness matches the last one examines only queued blocks, and with
+// no mutation in between it must visit no block and allocate nothing.
+// A sweep after a liveness change scans every block, nearly all of them
+// healthy, and a healthy block must cost no allocation either (the
+// sweep used to build a holder list per block, 3 allocations each), so
+// the full sweep allocates nothing once its liveness buffers exist.
 // Run via `make bench-alloc`.
 func TestRepairScanHealthyAllocs(t *testing.T) {
 	live := map[string]bool{"a": true, "b": true, "c": true, "d": true, "e": true, "f": true}
@@ -30,16 +32,26 @@ func TestRepairScanHealthyAllocs(t *testing.T) {
 					t.Fatalf("allocate: %v", err)
 				}
 			}
+			// "g" holds nothing, so flipping it forces a full sweep that
+			// finds every block healthy.
+			ns.table.intern("g")
 			var jobs int
-			allocs := testing.AllocsPerRun(5, func() { jobs += len(ns.RepairScan(live)) })
+			full := testing.AllocsPerRun(5, func() {
+				live["g"] = !live["g"]
+				jobs += len(ns.RepairScan(live))
+			})
+			before := ns.visits
+			steady := testing.AllocsPerRun(5, func() { jobs += len(ns.RepairScan(live)) })
 			if jobs != 0 {
 				t.Fatalf("RepairScan found %d jobs in a fully replicated namespace", jobs)
 			}
-			const ceiling = 4
-			if allocs > ceiling {
-				t.Errorf("RepairScan over %d healthy blocks: %.0f allocs, ceiling %d", blocks, allocs, ceiling)
+			if v := ns.visits - before; v != 0 {
+				t.Errorf("steady-state sweeps visited %d blocks, want 0", v)
 			}
-			t.Logf("%d healthy blocks: %.0f allocs per sweep", blocks, allocs)
+			if full > 0 || steady > 0 {
+				t.Errorf("RepairScan over %d healthy blocks: %.0f allocs per full sweep, %.0f per steady sweep, want 0", blocks, full, steady)
+			}
+			t.Logf("%d healthy blocks: %.0f allocs per full sweep, %.0f per steady sweep", blocks, full, steady)
 		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // The tests here run every experiment at reduced scale and assert the
 // paper's qualitative shapes. The full-scale output of each registry
-// entry is pinned in testdata/<id>.golden (`make determinism` diffs it,
-// `make golden` rewrites it) and discussed in EXPERIMENTS.md.
+// entry is pinned in testdata/<id>.golden (TestExperimentsMatchGoldens
+// diffs it, `make golden` rewrites it) and discussed in EXPERIMENTS.md.
 
 func TestSpeedupFormat(t *testing.T) {
 	cases := []struct {

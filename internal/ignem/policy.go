@@ -61,8 +61,8 @@ func (p *popTracker) get(id dfs.BlockID) int64 {
 // budget has no SSD rung, so the ladder plans RAM only.
 type TierBudgets struct {
 	// RAM bounds bytes planned into pinned memory across the cluster.
-	// 0 = unlimited (the historical master never budgeted RAM; the
-	// slaves' per-node Capacity was the only bound).
+	// 0 = unlimited: the slaves' per-node Capacity is then the only
+	// bound, as in the paper's master.
 	RAM int64
 	// SSD bounds bytes planned onto the flash rung. 0 = no SSD tier.
 	SSD int64

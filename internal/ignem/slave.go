@@ -727,8 +727,8 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 	return false
 }
 
-// copyForMigration moves a block's bytes between tiers. The historical
-// HDD→RAM path goes through ReadForMigration unchanged (its cost model
+// copyForMigration moves a block's bytes between tiers. The paper's
+// HDD→RAM path goes through ReadForMigration (its cost model
 // is part of the paper reproduction); other tier pairs use the media's
 // TierCopier when it offers one, falling back to a plain device read.
 func (s *Slave) copyForMigration(b dfs.Block, checksum uint32, from, to dfs.Tier) error {

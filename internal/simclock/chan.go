@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,10 +28,10 @@ type Chan[T any] struct {
 	dueHead int
 	waiters []*waiter[T]
 	closed  bool
-	// wcache holds one idle waiter for reuse by the next receiver. Only
-	// real-clock receivers recycle into it (the virtual clock's event
-	// scheduling stays byte-for-byte untouched); a waiter is recycled
-	// only when no waker can still reference it.
+	// wcache holds one idle waiter, with its timeout timer, for reuse by
+	// the next receiver on either clock. A waiter is recycled only when no
+	// waker can still reference it, so reuse never changes which waker
+	// wins or when.
 	wcache *waiter[T]
 }
 
@@ -55,6 +56,35 @@ type waiter[T any] struct {
 	// closure) was a top allocation site; reusing the timer with the
 	// waiter removes it from the hot path.
 	timer *time.Timer
+	// vt is the same reusable timeout on the virtual clock: RecvTimeout
+	// arms it in place, with the waiter as its target.
+	vt timerEntry
+}
+
+// reuseWaiter takes the waiter cached in *cache, reset for another park,
+// or makes a new one when the cache is empty.
+func reuseWaiter[T any](cache **waiter[T]) *waiter[T] {
+	w := *cache
+	if w == nil {
+		w = &waiter[T]{}
+		w.vt.target = w
+		return w
+	}
+	*cache = nil
+	w.fired.Store(false)
+	w.ok = false
+	w.timedOut = false
+	return w
+}
+
+// popFront removes and returns the first element of a FIFO slice,
+// shifting the rest down so the backing array serves later appends.
+func popFront[E any](s []E) (E, []E) {
+	v := s[0]
+	n := copy(s, s[1:])
+	var zero E
+	s[n] = zero // release the reference for the garbage collector
+	return v, s[:n]
 }
 
 // fire implements timerTarget: the timeout path for RecvTimeout.
@@ -105,7 +135,7 @@ func (c *Chan[T]) SendAfter(d time.Duration, v T) bool {
 	if r, isReal := c.clock.(*Real); isReal {
 		time.AfterFunc(r.scaleDown(d), func() { c.fire(r.wake) })
 	} else {
-		c.clock.(*Virtual).afterFunc(d, c)
+		c.clock.(*Virtual).deliverAfter(d, c)
 	}
 	return true
 }
@@ -141,8 +171,8 @@ func (c *Chan[T]) fire(wake func(*parker)) {
 // released, or buffers v and returns nil. The caller must hold c.mu.
 func (c *Chan[T]) putLocked(v T) *waiter[T] {
 	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		var w *waiter[T]
+		w, c.waiters = popFront(c.waiters)
 		if w.fired.CompareAndSwap(false, true) {
 			w.val = v
 			w.ok = true
@@ -196,30 +226,19 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 }
 
 // acquireWaiterLocked returns a reset waiter prepared for the caller to
-// park on, reusing the cached one when the Chan runs on the real clock.
-// The caller must hold c.mu.
+// park on, reusing the cached one if there is one. The caller must hold
+// c.mu.
 func (c *Chan[T]) acquireWaiterLocked() *waiter[T] {
-	w := c.wcache
-	if w != nil {
-		c.wcache = nil
-		w.fired.Store(false)
-		w.ok = false
-		w.timedOut = false
-	} else {
-		w = &waiter[T]{}
-	}
+	w := reuseWaiter(&c.wcache)
 	c.clock.prepare(&w.p)
 	return w
 }
 
 // recycleWaiter caches w for the next receiver. Callers must guarantee no
-// waker still references w: its outcome was consumed and any timeout
-// timer is stopped or already fired. Only real-clock waiters are cached;
-// virtual-clock receivers keep their original allocation behaviour.
+// waker still references w: its outcome was consumed, it is unlinked
+// from c.waiters, and its timeout timer is stopped, cancelled or already
+// fired.
 func (c *Chan[T]) recycleWaiter(w *waiter[T]) {
-	if _, isReal := c.clock.(*Real); !isReal {
-		return
-	}
 	var zero T
 	w.val = zero // release the reference for the garbage collector
 	c.mu.Lock()
@@ -233,11 +252,8 @@ func (c *Chan[T]) recycleWaiter(w *waiter[T]) {
 // skipped) by a later Send once recycled.
 func (c *Chan[T]) removeWaiter(w *waiter[T]) {
 	c.mu.Lock()
-	for i, cand := range c.waiters {
-		if cand == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			break
-		}
+	if i := slices.Index(c.waiters, w); i >= 0 {
+		c.waiters = slices.Delete(c.waiters, i, i+1)
 	}
 	c.mu.Unlock()
 }
@@ -284,12 +300,19 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 		return v, ok, timedOut
 	}
 
-	// Clock is sealed, so any other clock is the virtual one.
+	// Clock is sealed, so any other clock is the virtual one. Once cancel
+	// returns, the deadline has fired or never will, so after a timed-out
+	// waiter is unlinked nothing can reach it.
 	vc := c.clock.(*Virtual)
-	e := vc.afterFunc(d, w)
+	vc.arm(&w.vt, d)
 	vc.park(&w.p)
-	vc.cancel(e)
-	return w.val, w.ok, w.timedOut
+	vc.cancel(&w.vt)
+	v, ok, timedOut = w.val, w.ok, w.timedOut
+	if timedOut {
+		c.removeWaiter(w)
+	}
+	c.recycleWaiter(w)
+	return v, ok, timedOut
 }
 
 // Close closes the mailbox: parked receivers wake with ok=false, buffered

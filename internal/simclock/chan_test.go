@@ -289,6 +289,43 @@ func TestCondSignalBroadcast(t *testing.T) {
 	}
 }
 
+// TestCondRealClockWaiterReuse runs real-clock goroutines through Wait,
+// Signal and Broadcast on one Cond at once, so its cached waiter is
+// taken and returned concurrently; run it under -race. Every token the
+// producer adds must be consumed, with no wakeup lost.
+func TestCondRealClockWaiterReuse(t *testing.T) {
+	var mu sync.Mutex
+	cond := NewCond(NewReal(), &mu)
+	const workers, rounds = 8, 200
+	tokens := 0
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				mu.Lock()
+				for tokens == 0 {
+					cond.Wait()
+				}
+				tokens--
+				mu.Unlock()
+			}
+		}()
+	}
+	for j := 0; j < workers*rounds; j++ {
+		mu.Lock()
+		tokens++
+		if j%2 == 0 {
+			cond.Signal()
+		} else {
+			cond.Broadcast()
+		}
+		mu.Unlock()
+	}
+	wg.Wait()
+}
+
 func TestWaitGroup(t *testing.T) {
 	v := NewVirtual(epoch)
 	wg := NewWaitGroup(v)

@@ -12,6 +12,7 @@ type Cond struct {
 	clock   Clock
 	mu      sync.Mutex
 	waiters []*waiter[struct{}]
+	wcache  *waiter[struct{}] // one idle waiter for the next Wait
 }
 
 // NewCond returns a condition variable bound to clock whose Wait releases
@@ -24,14 +25,21 @@ func NewCond(clock Clock, l sync.Locker) *Cond {
 // reacquires c.L. As with sync.Cond, callers must re-check their
 // condition in a loop.
 func (c *Cond) Wait() {
-	w := &waiter[struct{}]{}
-	c.clock.prepare(&w.p)
 	c.mu.Lock()
+	w := reuseWaiter(&c.wcache)
+	c.clock.prepare(&w.p)
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
 
 	c.L.Unlock()
 	c.clock.park(&w.p)
+	// Signal and Broadcast unlink a waiter before waking it, so nothing
+	// references w any more.
+	c.mu.Lock()
+	if c.wcache == nil {
+		c.wcache = w
+	}
+	c.mu.Unlock()
 	c.L.Lock()
 }
 
@@ -40,8 +48,8 @@ func (c *Cond) Signal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		var w *waiter[struct{}]
+		w, c.waiters = popFront(c.waiters)
 		if w.fired.CompareAndSwap(false, true) {
 			w.ok = true
 			c.clock.wake(&w.p)
@@ -60,7 +68,8 @@ func (c *Cond) Broadcast() {
 			c.clock.wake(&w.p)
 		}
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // WaitGroup is a clock-aware sync.WaitGroup analogue.

@@ -48,6 +48,73 @@ func TestVirtualSleepAllocs(t *testing.T) {
 	}
 }
 
+// TestVirtualRecvTimeoutAllocs pins a virtual-clock RecvTimeout at zero
+// allocations in steady state, both when a SendAfter delivery answers it
+// and when it times out: the waiter and its timeout entry are reused
+// with the mailbox, and a delivery's entry comes from the clock's free
+// list.
+func TestVirtualRecvTimeoutAllocs(t *testing.T) {
+	v := NewVirtual(epoch)
+	var delivered, timedOut float64
+	v.Run(func() {
+		ch := NewChan[int](v)
+		delivered = testing.AllocsPerRun(1000, func() {
+			ch.SendAfter(time.Millisecond, 1)
+			if _, ok, _ := ch.RecvTimeout(time.Second); !ok {
+				t.Fatal("RecvTimeout missed the delivery")
+			}
+		})
+		timedOut = testing.AllocsPerRun(1000, func() {
+			if _, _, to := ch.RecvTimeout(time.Millisecond); !to {
+				t.Fatal("RecvTimeout on an empty mailbox did not time out")
+			}
+		})
+	})
+	t.Logf("%.1f allocations per delivered RecvTimeout, %.1f per timed-out one", delivered, timedOut)
+	if delivered > 0 || timedOut > 0 {
+		t.Errorf("RecvTimeout allocates %.1f (delivered) and %.1f (timed out) times, want 0", delivered, timedOut)
+	}
+}
+
+// TestVirtualCondAllocs pins a Cond.Wait woken by Signal at zero
+// allocations in steady state: each Cond reuses one waiter.
+func TestVirtualCondAllocs(t *testing.T) {
+	v := NewVirtual(epoch)
+	var mu sync.Mutex
+	cond := NewCond(v, &mu)
+	var allocs float64
+	v.Run(func() {
+		n, stop := 0, false
+		v.Go(func() {
+			mu.Lock()
+			defer mu.Unlock()
+			for !stop {
+				mu.Unlock()
+				v.Sleep(time.Millisecond)
+				mu.Lock()
+				n++
+				cond.Signal()
+			}
+		})
+		seen := 0
+		allocs = testing.AllocsPerRun(1000, func() {
+			mu.Lock()
+			for n == seen {
+				cond.Wait()
+			}
+			seen = n
+			mu.Unlock()
+		})
+		mu.Lock()
+		stop = true
+		mu.Unlock()
+	})
+	t.Logf("%.1f allocations per Cond.Wait/Signal cycle", allocs)
+	if allocs > 0 {
+		t.Errorf("Cond.Wait/Signal allocates %.1f times, want 0", allocs)
+	}
+}
+
 const (
 	kindSleep     = iota // Sleep
 	kindTimeout          // RecvTimeout nobody answers

@@ -35,7 +35,8 @@ type Virtual struct {
 	parked    atomic.Int64 // diagnostic: goroutines parked in channel/cond waits
 	timers    timerHeap
 	seq       uint64
-	idle      []*coro // coroutines with no function, most recently idled last
+	idle      []*coro       // coroutines with no function, most recently idled last
+	free      []*timerEntry // fired SendAfter entries, for deliverAfter to reuse
 }
 
 // ready is one entry of the ready queue: a parked goroutine to resume
@@ -190,6 +191,10 @@ func (v *Virtual) drive() {
 			v.readyLocked(ready{co: e.co})
 		} else {
 			e.target.fire(wake)
+			if e.pooled {
+				e.target = nil
+				v.free = append(v.free, e)
+			}
 		}
 	}
 	v.current = nil
@@ -203,14 +208,31 @@ func (v *Virtual) drive() {
 	v.mu.Unlock()
 }
 
-// afterFunc arms a timer: once d elapses, t.fire runs with the clock
-// mutex held, unless cancel removes the returned entry first.
-func (v *Virtual) afterFunc(d time.Duration, t timerTarget) *timerEntry {
-	e := &timerEntry{target: t}
+// arm queues e, whose target is set, to fire once d elapses: e.target.fire
+// then runs with the clock mutex held, unless cancel removes e first. The
+// caller owns e and may arm it again once it has fired or been cancelled.
+func (v *Virtual) arm(e *timerEntry, d time.Duration) {
 	v.mu.Lock()
 	v.push(e, v.now.Add(d))
 	v.mu.Unlock()
-	return e
+}
+
+// deliverAfter arms a timer that fires t once d elapses and is never
+// cancelled, as a SendAfter delivery is. Its entry comes from the free
+// list and returns there after it fires.
+func (v *Virtual) deliverAfter(d time.Duration, t timerTarget) {
+	v.mu.Lock()
+	var e *timerEntry
+	if n := len(v.free); n > 0 {
+		e = v.free[n-1]
+		v.free[n-1] = nil
+		v.free = v.free[:n-1]
+	} else {
+		e = &timerEntry{pooled: true}
+	}
+	e.target = t
+	v.push(e, v.now.Add(d))
+	v.mu.Unlock()
 }
 
 // cancel takes an armed timeout out of the queue. It is a no-op once the
@@ -239,6 +261,7 @@ type timerEntry struct {
 	when   time.Time
 	co     *coro // the sleeping goroutine, made ready at the deadline
 	target timerTarget
+	pooled bool // a deliverAfter entry: back to the free list once fired
 }
 
 // timerHeap is a binary min-heap ordered by (key, seq) that keeps each

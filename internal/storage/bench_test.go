@@ -22,3 +22,25 @@ func BenchmarkDeviceConcurrentReads(b *testing.B) {
 		<-done
 	}
 }
+
+// TestDeviceReadAllocs pins a queued Device.Read at zero allocations in
+// steady state: the request and its completion mailbox are reused, and
+// the round-robin queue keeps its backing array. Run via `make
+// bench-alloc`.
+func TestDeviceReadAllocs(t *testing.T) {
+	v := simclock.NewVirtual(time.Unix(0, 0))
+	dev := MustNewDevice(v, HDDSpec())
+	defer dev.Close()
+	var allocs float64
+	v.Run(func() {
+		allocs = testing.AllocsPerRun(100, func() {
+			if err := dev.Read(5 << 20); err != nil { // three granules
+				t.Fatal(err)
+			}
+		})
+	})
+	t.Logf("%.1f allocations per queued Device.Read", allocs)
+	if allocs > 0 {
+		t.Errorf("Device.Read allocates %.1f times, want 0", allocs)
+	}
+}

@@ -84,12 +84,11 @@ type Spec struct {
 	// Name labels the device in metrics output ("hdd", "ssd", "ram").
 	Name string
 	// Tier ranks the device in the migration ladder. The zero value is
-	// TierHDD, which matches every historical cold-media spec.
+	// TierHDD, the cold tier.
 	Tier Tier
 	// ReadVar, when non-nil, adds seeded long-tail read-cost
-	// variability (see ReadVar). Nil — the default on every historical
-	// spec — keeps reads exactly at sequential bandwidth, so seeded
-	// figures are untouched.
+	// variability (see ReadVar). Nil, the default on every spec but
+	// SSDVarSpec, keeps reads exactly at sequential bandwidth.
 	ReadVar *ReadVar
 	// SeqReadMBps is the sequential streaming read throughput in MB/s.
 	SeqReadMBps float64
@@ -199,6 +198,7 @@ type Device struct {
 	mu      sync.Mutex
 	cond    *simclock.Cond
 	queue   []*request
+	free    []*request // completed requests, with their mailboxes, for reuse
 	nextID  uint64
 	lastID  uint64
 	closed  bool
@@ -260,14 +260,21 @@ func (d *Device) submit(kind opKind, n int64) error {
 	if d.spec.Parallel {
 		return d.submitParallel(kind, n)
 	}
-	req := &request{kind: kind, remaining: n, done: simclock.NewChan[error](d.clock)}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return ErrClosed
 	}
+	var req *request
+	if k := len(d.free); k > 0 {
+		req = d.free[k-1]
+		d.free[k-1] = nil
+		d.free = d.free[:k-1]
+	} else {
+		req = &request{done: simclock.NewChan[error](d.clock)}
+	}
 	d.nextID++
-	req.id = d.nextID
+	req.id, req.kind, req.remaining, req.slow = d.nextID, kind, n, 0
 	if kind == opRead && d.rvRng != nil {
 		req.slow = d.drawSlowLocked()
 	}
@@ -275,6 +282,12 @@ func (d *Device) submit(kind opKind, n int64) error {
 	d.cond.Signal()
 	d.mu.Unlock()
 	err, _ := req.done.Recv()
+	if err == nil {
+		// run sent the completion and let go of req; nothing else holds it.
+		d.mu.Lock()
+		d.free = append(d.free, req)
+		d.mu.Unlock()
+	}
 	return err
 }
 
@@ -327,7 +340,9 @@ func (d *Device) run() {
 		}
 
 		req := d.queue[0]
-		d.queue = d.queue[1:]
+		k := copy(d.queue, d.queue[1:])
+		d.queue[k] = nil
+		d.queue = d.queue[:k]
 		slice := req.remaining
 		if slice > d.spec.Granule {
 			slice = d.spec.Granule

@@ -125,6 +125,34 @@ func TestSerializedBeatsConcurrent(t *testing.T) {
 		float64(concurrent)/float64(serialized))
 }
 
+// TestDeviceRealClockConcurrentReads: on the real clock, requests and
+// their completion mailboxes are reused across goroutines that submit at
+// once; run it under -race. Every read completes and every byte is
+// served.
+func TestDeviceRealClockConcurrentReads(t *testing.T) {
+	spec := Spec{Name: "fast", SeqReadMBps: 1e6, SeqWriteMBps: 1e6, Granule: 1 << 10}
+	dev := MustNewDevice(simclock.NewReal(), spec)
+	defer dev.Close()
+	const readers, reads, size = 8, 50, 4 << 10
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < reads; j++ {
+				if err := dev.Read(size); err != nil {
+					t.Errorf("Read: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := dev.Stats().BytesServed; got != readers*reads*size {
+		t.Errorf("served %d bytes, want %d", got, readers*reads*size)
+	}
+}
+
 func TestWriteUsesWriteBandwidth(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
 	spec := Spec{Name: "asym", SeqReadMBps: 1000, SeqWriteMBps: 10, Seek: 0, Granule: 1 << 20}
