@@ -119,17 +119,19 @@ bench-alloc:
 
 # Short deterministic-budget fuzz of every fuzzer: the frame codecs and
 # the migration journal's record decoder (the committed corpus always
-# runs in plain `make test`; this explores).
+# runs in plain `make test`; this explores). The list comes from
+# `go test -list`, so a new fuzzer is picked up and a deleted one cannot
+# leave behind a pattern that matches nothing and passes.
 fuzz-smoke:
-	$(GO) test ./internal/transport -run XXX -fuzz '^FuzzFastUnitPayload$$' -fuzztime 10s
-	$(GO) test ./internal/transport -run XXX -fuzz '^FuzzTCPRecvStream$$' -fuzztime 10s
-	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzWriteBlockReqFrame$$' -fuzztime 10s
-	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzReadBlockReqFrame$$' -fuzztime 10s
-	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzReadBlockRespFrame$$' -fuzztime 10s
-	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzHeartbeatReqFrame$$' -fuzztime 10s
-	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzBlockReportReqFrame$$' -fuzztime 10s
-	$(GO) test ./internal/dfs -run XXX -fuzz '^FuzzControlFrame$$' -fuzztime 10s
-	$(GO) test ./internal/ignem -run XXX -fuzz '^FuzzJournalRecord$$' -fuzztime 10s
+	@out="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$out"; exit 1; }; \
+	list="$$(echo "$$out" | awk '/^Fuzz/ { f = f " " $$1 } /^ok / { if (f != "") print $$2 f; f = "" }')"; \
+	[ -n "$$list" ] || { echo "fuzz-smoke: no fuzzers found"; exit 1; }; \
+	echo "$$list" | while read -r pkg fuzzers; do \
+		for f in $$fuzzers; do \
+			echo "$(GO) test $$pkg -run XXX -fuzz ^$$f\$$ -fuzztime 10s"; \
+			$(GO) test $$pkg -run XXX -fuzz "^$$f\$$" -fuzztime 10s || exit 1; \
+		done; \
+	done
 
 # Profile the data plane: CPU + mutex profiles of the swim experiment
 # (the Ignem master's coarse lock under heartbeat/migration traffic),

@@ -113,7 +113,7 @@ func (h *Harness) CrashDataNode(i int) {
 }
 
 // ReviveDataNode heals datanode i's fabric node and re-registers it
-// with the namenode (full block report), so the replica map reconciles.
+// with the namenode (its full inventory), so the replica map reconciles.
 func (h *Harness) ReviveDataNode(i int) error {
 	h.Fabric.Revive(h.Cluster.DataNodes[i].Addr())
 	return h.Cluster.DataNodes[i].Reconnect()

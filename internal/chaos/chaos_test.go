@@ -108,7 +108,7 @@ func TestDataNodeCrashMidTrafficNoAckedDataLost(t *testing.T) {
 			return true
 		}, "re-replication onto survivors")
 
-		// The healed node re-registers with a full block report and counts
+		// The healed node re-registers with its full inventory and counts
 		// as live again.
 		if err := h.ReviveDataNode(1); err != nil {
 			t.Fatalf("revive dn1: %v", err)

@@ -208,6 +208,9 @@ func (m *BlockReadReq) DecodeFrame(payload []byte) error {
 	return r.done()
 }
 
+// AppendFrame implements transport.Framer. A register from a
+// million-block datanode is megabytes of IDs; delta encoding keeps both
+// the bytes and the decode allocations bounded.
 func (m *RegisterReq) AppendFrame(buf []byte) []byte {
 	return frameWriter(buf).str(m.Addr).ids(m.Blocks).uvarint(m.Seq).uvarint(m.Epoch)
 }

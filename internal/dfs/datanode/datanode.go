@@ -135,18 +135,18 @@ type DataNode struct {
 	// spare holds the delta maps of the last acknowledged heartbeat,
 	// cleared, to become the pending maps when the next one is built.
 	spare reportUndo
-	// seq numbers every report sent (register, heartbeat, full report)
-	// from one counter; epoch counts full-inventory snapshots the
-	// namenode has accepted. Together they let the namenode detect a
-	// lost delta and request a resync (see dfs.HeartbeatReq).
+	// seq numbers every report sent (register or heartbeat) from one
+	// counter; epoch counts the register snapshots the namenode has
+	// accepted. Together they let the namenode detect a lost delta and
+	// request a resync (see dfs.HeartbeatReq).
 	seq   uint64
 	epoch uint64
-	// needFull is set when the namenode answered NeedFullReport; the
-	// loop sends a full block report at the next tick. needRegister is
-	// set when the namenode no longer recognizes this datanode (it
-	// restarted): re-register first.
-	needFull     bool
-	needRegister bool
+	// needFull is the one resync flag: the loop registers again with a
+	// fresh snapshot at its next tick. It is set while a register is in
+	// flight and stays set if that register fails, and is set when the
+	// namenode answers NeedFullReport or rejects a report (it restarted
+	// and no longer knows this datanode).
+	needFull bool
 	// skipTicks/busyStreak implement the jittered busy backoff: after a
 	// dfs.ErrBusy rejection the loop sits out an exponentially growing,
 	// jittered number of report ticks.
@@ -230,7 +230,9 @@ func (dn *DataNode) Start() error {
 	dn.mu.Lock()
 	dn.nnClient = c
 	dn.mu.Unlock()
-	if err := dn.register(c); err != nil {
+	// A busy namenode is not a failure: the loop registers after the
+	// backoff.
+	if err := dn.register(c); err != nil && !dfs.IsBusy(err) {
 		s.Close()
 		c.Close()
 		return fmt.Errorf("datanode: register: %w", err)
@@ -306,8 +308,9 @@ func (dn *DataNode) Close() {
 // (listener and connections severed — a faultnet crash) without
 // restarting the process: stored blocks and pinned memory survive. It
 // re-binds the RPC listener, redials the namenode, and re-registers with
-// a full block report so the namenode reconciles its replica map instead
-// of trusting stale state.
+// a full snapshot so the namenode reconciles its replica map instead of
+// trusting stale state. A busy namenode defers that register to the
+// heartbeat loop, after its backoff.
 func (dn *DataNode) Reconnect() error {
 	dn.mu.Lock()
 	if dn.closed {
@@ -339,7 +342,7 @@ func (dn *DataNode) Reconnect() error {
 		l.Close()
 		return fmt.Errorf("datanode: redial namenode: %w", err)
 	}
-	if err := dn.register(c); err != nil {
+	if err := dn.register(c); err != nil && !dfs.IsBusy(err) {
 		l.Close()
 		c.Close()
 		return fmt.Errorf("datanode: re-register: %w", err)
@@ -564,7 +567,7 @@ func (dn *DataNode) handleReadBlock(req dfs.ReadBlockReq) (dfs.ReadBlockResp, er
 	// The read path carries the job ID (the paper's HDFS extension): the
 	// slave decides which tier serves the read and performs implicit
 	// eviction.
-	tier, resident := dn.slave.OnBlockReadTier(req.Block, req.Job)
+	tier, resident := dn.slave.OnBlockRead(req.Block, req.Job)
 	fromMemory := resident && tier == dfs.TierRAM
 	fromSSD := resident && tier == dfs.TierSSD && dn.ssd != nil
 	if !fromMemory && !fromSSD && dn.hot != nil && dn.hot.touch(req.Block) {
@@ -720,20 +723,11 @@ func (dn *DataNode) heartbeatLoop() {
 			dn.mu.Unlock()
 			continue
 		}
-		if dn.needRegister {
-			// The namenode rejected a report because it no longer knows
-			// us (it restarted). Re-register with a full snapshot, then
-			// resume normal reporting.
+		if dn.needFull {
+			// Resync (or finish registering): send a fresh snapshot.
 			nn := dn.nnClient
 			dn.mu.Unlock()
 			_ = dn.register(nn)
-			continue
-		}
-		if dn.needFull {
-			// The namenode saw a sequence gap or a stale epoch and asked
-			// for a full snapshot.
-			dn.mu.Unlock()
-			_ = dn.sendFullReport()
 			continue
 		}
 		// Skip the RPC when there is nothing to report and the full
@@ -819,10 +813,9 @@ func (dn *DataNode) buildHeartbeatLocked() (dfs.HeartbeatReq, reportUndo) {
 	return req, undo
 }
 
-// handleHeartbeatResult processes a heartbeat outcome: schedules a full
-// report when the namenode detected a gap, re-registers when it no
-// longer knows us, and requeues the deltas when the transport may have
-// lost them.
+// handleHeartbeatResult processes a heartbeat outcome: schedules a
+// register when the namenode detected a gap or rejected the report, and
+// requeues the deltas when the transport may have lost them.
 func (dn *DataNode) handleHeartbeatResult(err error, undo reportUndo, needFull bool) {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -843,7 +836,7 @@ func (dn *DataNode) handleHeartbeatResult(err error, undo reportUndo, needFull b
 		// The namenode answered but rejected the report: it restarted
 		// and dropped our registration. The register snapshot will
 		// supersede the unsent deltas, so they are not requeued.
-		dn.needRegister = true
+		dn.needFull = true
 		return
 	}
 	// Transport failure: the report may or may not have arrived.
@@ -889,114 +882,44 @@ func (dn *DataNode) backoffLocked() {
 }
 
 // nextSeqLocked consumes the next report sequence number. One counter
-// numbers every report (register, heartbeat, full report) so the
-// namenode can detect a lost report as a gap.
+// numbers every report (register or heartbeat) so the namenode can
+// detect a lost report as a gap.
 func (dn *DataNode) nextSeqLocked() uint64 {
 	dn.seq++
 	return dn.seq
 }
 
-// heldBlocksLocked snapshots the replica inventory, sorted, for
-// registration and full block reports.
-func (dn *DataNode) heldBlocksLocked() []dfs.BlockID {
-	return dn.store.IDs()
-}
-
-// register sends a full-inventory registration to the namenode,
-// retrying with jittered exponential backoff while the namenode pushes
-// back busy (a reconnect storm hitting the intake gate). On success the
-// epoch advances: the namenode accepted a fresh snapshot, so block
-// deltas queued before it are subsumed and dropped.
+// register sends the full-inventory snapshot, the datanode's only full
+// report: it registers with a namenode that does not know this address
+// and resyncs one that does. The snapshot is a consistent cut, so block
+// deltas queued before it are subsumed and dropped; deltas recorded
+// after it accumulate for the next heartbeat. On success the epoch
+// advances. On failure needFull stays set, so the loop sends a fresh
+// snapshot at a later tick (after the busy backoff, if the namenode
+// pushed back).
 func (dn *DataNode) register(c *transport.Client) error {
 	dn.mu.Lock()
 	req := dfs.RegisterReq{
 		Addr:   dn.cfg.Addr,
-		Blocks: dn.heldBlocksLocked(),
+		Blocks: dn.store.IDs(),
 		Seq:    dn.nextSeqLocked(),
 		Epoch:  dn.epoch + 1,
 	}
-	// The snapshot covers everything up to this consistent cut; deltas
-	// recorded after it accumulate for the next heartbeat.
 	clear(dn.blkPending)
+	dn.needFull = true
 	dn.mu.Unlock()
-	delay := 50 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		_, err := transport.Call[dfs.RegisterResp](c, "nn.register", req)
-		if err == nil {
-			break
-		}
-		if !dfs.IsBusy(err) || attempt >= 8 {
-			return err
-		}
-		dn.mu.Lock()
-		sleep := time.Duration(float64(delay) * (0.5 + dn.jitter.Float64()))
-		req.Seq = dn.nextSeqLocked()
-		dn.mu.Unlock()
-		dn.clock.Sleep(sleep)
-		if delay < time.Second {
-			delay *= 2
-		}
-	}
-	dn.mu.Lock()
-	dn.epoch = req.Epoch
-	dn.needRegister = false
-	dn.needFull = false
-	dn.busyStreak = 0
-	dn.mu.Unlock()
-	return nil
-}
-
-// sendFullReport ships a full epoch-tagged inventory snapshot; on
-// success the epoch advances and the namenode discards any stale
-// replica state the deltas missed.
-func (dn *DataNode) sendFullReport() error {
-	dn.mu.Lock()
-	nn := dn.nnClient
-	if nn == nil {
-		dn.mu.Unlock()
-		return fmt.Errorf("datanode: not registered")
-	}
-	req := dfs.BlockReportReq{
-		Addr:   dn.cfg.Addr,
-		Blocks: dn.heldBlocksLocked(),
-		Seq:    dn.nextSeqLocked(),
-		Epoch:  dn.epoch + 1,
-	}
-	// As in register: the snapshot is a consistent cut, so queued block
-	// deltas are subsumed by it. Keep them aside to requeue if the
-	// transport loses the report.
-	undo := reportUndo{blks: dn.blkPending}
-	dn.blkPending = make(map[dfs.BlockID]bool)
-	dn.mu.Unlock()
-
-	_, err := transport.Call[dfs.BlockReportResp](nn, "nn.blockReport", req)
+	_, err := transport.Call[dfs.RegisterResp](c, "nn.register", req)
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
-	if err == nil {
+	switch {
+	case err == nil:
 		dn.epoch = req.Epoch
 		dn.needFull = false
 		dn.busyStreak = 0
-		return nil
-	}
-	if dfs.IsBusy(err) {
+	case dfs.IsBusy(err):
 		dn.backoffLocked()
-		dn.needFull = true // try again after the backoff window
-		return err
 	}
-	var remote *transport.RemoteError
-	if errors.As(err, &remote) {
-		dn.needRegister = true
-		return err
-	}
-	dn.requeueLocked(undo)
-	dn.needFull = true
 	return err
-}
-
-// SendBlockReport pushes a full replica inventory to the namenode,
-// reconciling any staleness in its location map.
-func (dn *DataNode) SendBlockReport() error {
-	return dn.sendFullReport()
 }
 
 // mixSeed derives the busy-backoff jitter seed from the configured seed

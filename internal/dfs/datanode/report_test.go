@@ -1,10 +1,15 @@
 package datanode
 
 import (
+	"errors"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/simclock"
+	"repro/internal/transport"
 )
 
 // drainHeartbeat builds the next heartbeat the loop would send,
@@ -86,7 +91,7 @@ func TestBlockDeltaCollapse(t *testing.T) {
 }
 
 // TestReportSequenceNumbers: every report (the register included)
-// consumes from one monotonic sequence, and a successful full report
+// consumes from one monotonic sequence, and a successful re-register
 // advances the epoch.
 func TestReportSequenceNumbers(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
@@ -108,15 +113,133 @@ func TestReportSequenceNumbers(t *testing.T) {
 		if r1.Epoch != epochAfterRegister {
 			t.Errorf("heartbeat epoch %d, want register epoch %d", r1.Epoch, epochAfterRegister)
 		}
-		if err := dn.SendBlockReport(); err != nil {
-			t.Fatalf("block report: %v", err)
+		dn.mu.Lock()
+		c := dn.nnClient
+		dn.mu.Unlock()
+		if err := dn.register(c); err != nil {
+			t.Fatalf("re-register: %v", err)
 		}
 		dn.mu.Lock()
-		epochAfterFull := dn.epoch
+		epochAfterReregister := dn.epoch
 		dn.mu.Unlock()
-		if epochAfterFull != epochAfterRegister+1 {
-			t.Errorf("epoch after full report = %d, want %d", epochAfterFull, epochAfterRegister+1)
+		if epochAfterReregister != epochAfterRegister+1 {
+			t.Errorf("epoch after re-register = %d, want %d", epochAfterReregister, epochAfterRegister+1)
 		}
+	})
+}
+
+// TestRegisterDrivenByLoop runs the datanode against a fake namenode. A
+// busy namenode does not fail Start: the heartbeat loop finishes
+// registering after its backoff and sends no heartbeat before that.
+// A rejected heartbeat makes the next report a register with a new
+// epoch. A block delta drained into a failed register is subsumed by
+// the snapshot and never resent as a delta.
+func TestRegisterDrivenByLoop(t *testing.T) {
+	run(t, func(v *simclock.Virtual) {
+		// ids is a register's snapshot or a heartbeat's added deltas.
+		type report struct {
+			register bool
+			epoch    uint64
+			ids      []dfs.BlockID
+		}
+		var (
+			mu       sync.Mutex
+			reports  []report
+			busy     = 2 // registers still to answer with dfs.ErrBusy
+			rejectHB bool
+		)
+		net := transport.NewInmemNetwork(v)
+		fake := transport.NewServer(v)
+		fake.Handle("nn.register", func(arg any) (any, error) {
+			req := arg.(dfs.RegisterReq)
+			mu.Lock()
+			defer mu.Unlock()
+			reports = append(reports, report{register: true, epoch: req.Epoch, ids: req.Blocks})
+			if busy > 0 {
+				busy--
+				return nil, dfs.ErrBusy
+			}
+			return dfs.RegisterResp{}, nil
+		})
+		fake.Handle("nn.heartbeat", func(arg any) (any, error) {
+			req := arg.(dfs.HeartbeatReq)
+			mu.Lock()
+			defer mu.Unlock()
+			reports = append(reports, report{epoch: req.Epoch, ids: req.Added})
+			if rejectHB {
+				rejectHB = false
+				return nil, errors.New("fake namenode: heartbeat from unregistered dn0")
+			}
+			return dfs.HeartbeatResp{}, nil
+		})
+		l, err := net.Listen("nn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fake.ServeBackground(l)
+		defer fake.Close()
+
+		dn, err := New(v, net, Config{Addr: "dn0", NameNodeAddr: "nn"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A replica stored before Start is a pending delta that the
+		// first, busy register drains.
+		if _, err := dn.handleWriteBlock(dfs.WriteBlockReq{Block: dfs.Block{ID: 5, Size: 64}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dn.Start(); err != nil {
+			t.Fatalf("Start against a busy namenode: %v", err)
+		}
+		defer dn.Close()
+		mu.Lock()
+		sent := len(reports)
+		mu.Unlock()
+		if sent != 1 {
+			t.Fatalf("Start sent %d reports, want 1: the loop retries a busy register", sent)
+		}
+
+		// check asserts that reports open with registers, the last of
+		// them accepted at epoch with block 5 in its snapshot, followed
+		// by heartbeats at epoch that carry no block delta.
+		check := func(phase string, got []report, registers int, epoch uint64) {
+			t.Helper()
+			if len(got) <= registers {
+				t.Fatalf("%s: %d reports, want %d registers then heartbeats", phase, len(got), registers)
+			}
+			for i, r := range got {
+				if r.register != (i < registers) {
+					t.Fatalf("%s: report %d register=%v, want registers first: %+v", phase, i, r.register, got)
+				}
+				if i < registers-1 {
+					continue
+				}
+				if r.epoch != epoch {
+					t.Errorf("%s: report %d at epoch %d, want %d", phase, i, r.epoch, epoch)
+				}
+				if r.register && !slices.Equal(r.ids, []dfs.BlockID{5}) {
+					t.Errorf("%s: register snapshot %v, want [5]", phase, r.ids)
+				}
+				if !r.register && len(r.ids) > 0 {
+					t.Errorf("%s: heartbeat %d resends block deltas %v", phase, i, r.ids)
+				}
+			}
+		}
+		v.Sleep(10 * time.Second)
+		mu.Lock()
+		start := slices.Clone(reports)
+		rejectHB = true
+		mu.Unlock()
+		check("start", start, 3, 1)
+
+		v.Sleep(5 * time.Second)
+		mu.Lock()
+		resync := slices.Clone(reports[len(start):])
+		mu.Unlock()
+		if len(resync) == 0 || resync[0].register {
+			t.Fatalf("after start: reports %+v, want the rejected heartbeat first", resync)
+		}
+		check("resync", resync[1:], 1, 2)
 	})
 }
 

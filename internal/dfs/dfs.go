@@ -178,7 +178,7 @@ type AddBlocksResp struct {
 // mid-block uses it to retry the same block on fresh nodes (excluding
 // the dead ones) without disturbing the file's block order. Replicas
 // the old targets may still hold become harmless over-replication,
-// cleaned up by their next block report.
+// cleaned up once their datanodes report them.
 type RetargetBlockReq struct {
 	Path    string
 	Block   BlockID
@@ -278,15 +278,17 @@ type BlockReadReq struct {
 // BlockReadResp acknowledges a cache-hit read notification.
 type BlockReadResp struct{ ack }
 
-// RegisterReq announces a datanode to the namenode. Blocks is the full
-// block report of what the datanode currently stores; the namenode
-// reconciles its location map against it, so a datanode that restarted
-// empty sheds its stale replica entries (re-replication then repairs
-// the under-replicated blocks).
+// RegisterReq is a datanode's full-inventory report, the only one it
+// sends. Blocks is everything the datanode currently stores; the
+// namenode reconciles its location map against it, so a datanode that
+// restarted empty sheds its stale replica entries (re-replication then
+// repairs the under-replicated blocks). A register from an unknown
+// address adds the datanode; one from a known address is a resync,
+// after a NeedFullReport reply or a rejected report.
 //
-// Seq and Epoch seed the incremental-report protocol (see HeartbeatReq):
-// a register is a full inventory snapshot, so it starts a new epoch and
-// anchors the delta sequence the following heartbeats continue.
+// Seq and Epoch anchor the incremental-report protocol (see
+// HeartbeatReq): a register is a snapshot, so it starts a new epoch and
+// re-anchors the delta sequence the following heartbeats continue.
 type RegisterReq struct {
 	Addr   string
 	Blocks []BlockID
@@ -305,13 +307,12 @@ type RegisterResp struct{ ack }
 // stored or dropped since the previous report, so the namenode's
 // location map stays fresh without the datanode shipping its full
 // inventory every reporting period. Seq numbers every report the
-// datanode sends (register, heartbeat, full block report) from one
-// counter; the namenode detects a lost delta as a sequence gap and
-// answers NeedFullReport. Epoch identifies the full-inventory snapshot
-// the deltas extend — it bumps on every register/full report, so a
-// delta from before the latest resync is recognizably stale. Seq starts
-// at 1: the namenode rejects a register, heartbeat or block report with
-// Seq 0 and changes no state for it.
+// datanode sends (register or heartbeat) from one counter; the namenode
+// detects a lost delta as a sequence gap and answers NeedFullReport.
+// Epoch identifies the register snapshot the deltas extend — it bumps
+// on every register, so a delta from before the latest resync is
+// recognizably stale. Seq starts at 1: the namenode rejects a register
+// or heartbeat with Seq 0 and changes no state for it.
 type HeartbeatReq struct {
 	Addr        string
 	PinnedBytes int64
@@ -331,25 +332,12 @@ type HeartbeatReq struct {
 }
 
 // HeartbeatResp acknowledges a heartbeat. NeedFullReport asks the
-// datanode to send a full block report: the namenode saw a sequence gap
-// or a stale epoch, so its incremental view may have missed a delta.
+// datanode to register again with a full snapshot: the namenode saw a
+// sequence gap or a stale epoch, so its incremental view may have
+// missed a delta.
 type HeartbeatResp struct {
 	NeedFullReport bool
 }
-
-// BlockReportReq is a full replica inventory from a datanode, sent after
-// registration and usable any time the namenode's view may be stale.
-// Seq/Epoch behave as on RegisterReq: a full report is a snapshot, so it
-// starts a new epoch and re-anchors the delta sequence.
-type BlockReportReq struct {
-	Addr   string
-	Blocks []BlockID
-	Seq    uint64
-	Epoch  uint64
-}
-
-// BlockReportResp acknowledges a block report.
-type BlockReportResp struct{ ack }
 
 // busyMarker is the substring IsBusy looks for. Application errors cross
 // the transport as strings (*transport.RemoteError), so the typed
@@ -571,7 +559,7 @@ type EvictBatchResp struct{ ack }
 
 // ReadNotifyCmd tells a slave that Job read Block somewhere the
 // datanode could not observe (a client cache hit), so the slave applies
-// the same reference-list bookkeeping OnBlockRead would.
+// the same reference-list bookkeeping the slave's OnBlockRead would.
 type ReadNotifyCmd struct {
 	Block BlockID
 	Job   JobID
@@ -603,8 +591,8 @@ var registerWire = sync.OnceFunc(func() {
 		wire[DeleteReq], wire[DeleteResp], wire[ListReq], wire[ListResp],
 		wire[MigrateReq], wire[MigrateResp], wire[EvictReq], wire[EvictResp],
 		wire[BlockReadReq], wire[BlockReadResp], wire[RegisterReq], wire[RegisterResp],
-		wire[HeartbeatReq], wire[HeartbeatResp], wire[BlockReportReq], wire[BlockReportResp],
-		wire[CorruptReplicaReq], wire[CorruptReplicaResp], wire[EpochReq], wire[EpochResp],
+		wire[HeartbeatReq], wire[HeartbeatResp], wire[CorruptReplicaReq], wire[CorruptReplicaResp],
+		wire[EpochReq], wire[EpochResp],
 		// The two messages that carry a block payload are
 		// transport.BulkFramers, so their bytes bypass conn scratch.
 		wire[WriteBlockReq], wire[WriteBlockResp], wire[ReadBlockReq], wire[ReadBlockResp],

@@ -49,8 +49,6 @@ func wireSamples() []any {
 		HeartbeatReq{Addr: "dn", PinnedBytes: 5, Pinned: []BlockID{1}, Unpinned: []BlockID{2}, Seq: 3, Epoch: 4,
 			Added: []BlockID{5}, Removed: []BlockID{6}, SSDPinned: []BlockID{7}, SSDUnpinned: []BlockID{8}, SSDBytes: 9},
 		HeartbeatResp{NeedFullReport: true},
-		BlockReportReq{Addr: "dn", Blocks: []BlockID{1, 5}, Seq: 3, Epoch: 4},
-		BlockReportResp{},
 		CorruptReplicaReq{Addr: "dn", Block: 9},
 		CorruptReplicaResp{},
 		EpochReq{},

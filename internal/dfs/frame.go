@@ -516,17 +516,3 @@ func (r *HeartbeatReq) DecodeFrame(payload []byte) error {
 	r.SSDBytes, r.SSDPinned, r.SSDUnpinned = int64(fr.uvarint()), fr.ids(), fr.ids()
 	return fr.done()
 }
-
-// AppendFrame implements transport.Framer. A full report from a
-// million-block datanode is megabytes of IDs; delta encoding keeps both
-// the bytes and the decode allocations bounded.
-func (r *BlockReportReq) AppendFrame(buf []byte) []byte {
-	return frameWriter(buf).str(r.Addr).uvarint(r.Seq).uvarint(r.Epoch).ids(r.Blocks)
-}
-
-// DecodeFrame implements transport.Framer.
-func (r *BlockReportReq) DecodeFrame(payload []byte) error {
-	fr := frameReader{b: payload}
-	r.Addr, r.Seq, r.Epoch, r.Blocks = fr.intern(), fr.uvarint(), fr.uvarint(), fr.ids()
-	return fr.done()
-}

@@ -152,6 +152,14 @@ func FuzzControlFrame(f *testing.F) {
 		// A hostile list count: wherever a count is read, it must be
 		// refused before anything is allocated for it.
 		f.Add(binary.AppendUvarint([]byte{byte(i), 0}, 1<<40))
+		if typ == reflect.TypeFor[RegisterReq]() {
+			// The full-inventory report, the largest control frame,
+			// also gets an empty report and a one-byte cut.
+			empty := RegisterReq{}
+			full := RegisterReq{Addr: "dn1:9000", Seq: 3, Epoch: 1, Blocks: []BlockID{1, 5, 9}}
+			f.Add(append([]byte{byte(i)}, empty.AppendFrame(nil)...))
+			f.Add(append([]byte{byte(i)}, full.AppendFrame(nil)[:1]...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

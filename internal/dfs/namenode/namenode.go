@@ -65,13 +65,12 @@ type Config struct {
 	TierBudgets ignem.TierBudgets
 }
 
-// reportIntake bounds how many full-inventory reconciles (register and
-// block-report handling) may run concurrently; reports beyond the bound
-// are rejected with dfs.ErrBusy and the datanode retries with jittered
-// backoff. This is the admission control that keeps a reconnect storm of
-// full reports from stalling namespace RPCs behind a convoy of
-// full-table scans. Delta heartbeats are never gated — they are
-// O(delta) cheap.
+// reportIntake bounds how many full-inventory reconciles (registers)
+// may run concurrently; reports beyond the bound are rejected with
+// dfs.ErrBusy and the datanode retries after a jittered backoff. This is
+// the admission control that keeps a reconnect storm of registers from
+// stalling namespace RPCs behind a convoy of full-table scans. Delta
+// heartbeats are never gated — they are O(delta) cheap.
 const reportIntake = 2
 
 func (c *Config) setDefaults() {
@@ -103,7 +102,7 @@ type dnInfo struct {
 	// stale.
 	nextSeq uint64
 	// epoch identifies the full-inventory snapshot the datanode's deltas
-	// extend; bumped by every register/full report.
+	// extend; bumped by every register.
 	epoch uint64
 	// ssdBytes is the flash occupancy this datanode last reported; kept
 	// so the cluster-wide occupancy gauge can be maintained by delta.
@@ -158,7 +157,7 @@ type NameNode struct {
 // internal/metrics; Stats snapshots them.
 type nnMetrics struct {
 	heartbeats     metrics.Counter // heartbeat RPCs processed
-	fullReports    metrics.Counter // full-inventory reconciles (register + blockReport)
+	fullReports    metrics.Counter // full-inventory reconciles (registers)
 	deltaAdded     metrics.Counter // block IDs added via incremental reports
 	deltaRemoved   metrics.Counter // block IDs removed via incremental reports
 	reportBytes    metrics.Counter // estimated wire bytes of report intake
@@ -300,7 +299,6 @@ func (nn *NameNode) Start() error {
 	s.Handle("nn.evict", wrap(nn.handleEvict))
 	s.Handle("nn.blockRead", wrap(nn.handleBlockRead))
 	s.Handle("nn.register", wrap(nn.handleRegister))
-	s.Handle("nn.blockReport", wrap(nn.handleBlockReport))
 	s.Handle("nn.heartbeat", wrap(nn.handleHeartbeat))
 	s.Handle("nn.epoch", wrap(nn.handleEpoch))
 	s.Handle("nn.corruptReplica", wrap(nn.handleCorruptReplica))
@@ -641,6 +639,10 @@ func errUnsequenced(addr string) error {
 	return fmt.Errorf("namenode: report from %s carries no sequence number", addr)
 }
 
+// handleRegister takes a datanode's full-inventory snapshot: it adds an
+// unknown address and re-anchors a known one's sequence and epoch. Either
+// way it drops the cached command client, which may belong to a dead
+// connection of the datanode's previous life.
 func (nn *NameNode) handleRegister(req dfs.RegisterReq) (dfs.RegisterResp, error) {
 	if req.Seq == 0 {
 		return dfs.RegisterResp{}, errUnsequenced(req.Addr)
@@ -672,36 +674,6 @@ func (nn *NameNode) handleRegister(req dfs.RegisterReq) (dfs.RegisterResp, error
 		stale.Close()
 	}
 	return dfs.RegisterResp{}, nil
-}
-
-func (nn *NameNode) handleBlockReport(req dfs.BlockReportReq) (dfs.BlockReportResp, error) {
-	if req.Seq == 0 {
-		return dfs.BlockReportResp{}, errUnsequenced(req.Addr)
-	}
-	nn.dnmu.RLock()
-	dn := nn.datanodes[req.Addr]
-	nn.dnmu.RUnlock()
-	if dn == nil {
-		return dfs.BlockReportResp{}, fmt.Errorf("namenode: block report from unregistered %s", req.Addr)
-	}
-	if !nn.acquireIntake() {
-		return dfs.BlockReportResp{}, dfs.ErrBusy
-	}
-	defer nn.releaseIntake()
-	nn.dnmu.Lock()
-	// A full report proves the node is alive just as well as a heartbeat.
-	if !dn.alive {
-		nn.liveCache = nil
-	}
-	dn.alive = true
-	dn.lastSeen = nn.clock.Now()
-	dn.nextSeq = req.Seq + 1
-	dn.epoch = req.Epoch
-	nn.dnmu.Unlock()
-	nn.metrics.fullReports.Inc()
-	nn.metrics.reportBytes.Add(reportWireBytes(len(req.Blocks)))
-	nn.ns.Reconcile(req.Addr, req.Blocks)
-	return dfs.BlockReportResp{}, nil
 }
 
 func (nn *NameNode) handleHeartbeat(req dfs.HeartbeatReq) (dfs.HeartbeatResp, error) {

@@ -38,11 +38,11 @@ func newHarness(t *testing.T, v *simclock.Virtual, datanodes int) *harness {
 	return h
 }
 
-// The namenode refuses a report without a sequence number. register,
-// heartbeat and blockReport number a test's report the way a datanode
-// numbers its own — one counter from 1 across all three, and a new epoch
-// with every full snapshot — from what the namenode expects of addr
-// next, so tests about something other than sequencing stay in order.
+// The namenode refuses a report without a sequence number. register and
+// heartbeat number a test's report the way a datanode numbers its own —
+// one counter from 1 across both, and a new epoch with every register
+// snapshot — from what the namenode expects of addr next, so tests about
+// something other than sequencing stay in order.
 func (nn *NameNode) nextReport(addr string, full bool) (seq, ep uint64) {
 	nn.dnmu.RLock()
 	defer nn.dnmu.RUnlock()
@@ -64,11 +64,6 @@ func (nn *NameNode) register(req dfs.RegisterReq) (dfs.RegisterResp, error) {
 func (nn *NameNode) heartbeat(req dfs.HeartbeatReq) (dfs.HeartbeatResp, error) {
 	req.Seq, req.Epoch = nn.nextReport(req.Addr, false)
 	return nn.handleHeartbeat(req)
-}
-
-func (nn *NameNode) blockReport(req dfs.BlockReportReq) (dfs.BlockReportResp, error) {
-	req.Seq, req.Epoch = nn.nextReport(req.Addr, true)
-	return nn.handleBlockReport(req)
 }
 
 // addBlock allocates one block of size bytes, the way a writer with a
@@ -504,7 +499,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 
 // TestReadersRaceRegistryTraffic hammers the read hot path (getInfo,
 // getLocations, list) from many goroutines while heartbeats with pin
-// deltas, block reports, and re-registrations mutate the registry and
+// deltas and full-inventory re-registrations mutate the registry and
 // block state underneath. Run under -race this pins the RWMutex split:
 // metadata lookups take read locks, registry traffic its own lock.
 func TestReadersRaceRegistryTraffic(t *testing.T) {
@@ -549,8 +544,8 @@ func TestReadersRaceRegistryTraffic(t *testing.T) {
 				}
 			})
 		}
-		// Registry writers: heartbeats flipping pin state, block reports,
-		// re-registrations.
+		// Registry writers: heartbeats flipping pin state and
+		// full-inventory re-registrations.
 		for w := 0; w < 4; w++ {
 			addr := string(rune('a' + w))
 			wg.Go(func() {
@@ -566,15 +561,6 @@ func TestReadersRaceRegistryTraffic(t *testing.T) {
 						return
 					}
 					if i%10 == 0 {
-						if err := retryBusy(func() error {
-							_, err := h.nn.blockReport(dfs.BlockReportReq{Addr: addr, Blocks: ids})
-							return err
-						}); err != nil {
-							t.Errorf("blockReport: %v", err)
-							return
-						}
-					}
-					if i%25 == 0 {
 						if err := retryBusy(func() error {
 							_, err := h.nn.register(dfs.RegisterReq{Addr: addr, Blocks: ids})
 							return err
@@ -597,8 +583,8 @@ func TestReadersRaceRegistryTraffic(t *testing.T) {
 		wg.Wait()
 
 		// The storm settles into a consistent view: every node's last
-		// block report claimed all of /hot's blocks, so each block ends
-		// with all four locations.
+		// register claimed all of /hot's blocks, so each block ends with
+		// all four locations.
 		lbs, err := h.nn.Resolve("/hot")
 		if err != nil {
 			t.Fatal(err)

@@ -151,9 +151,9 @@ func TestStaleEpochDeltasSkipped(t *testing.T) {
 		if hasAddr(lbs[0].Nodes, "a") {
 			outsider = "b"
 		}
-		// The outsider's full report at epoch 2 says it holds nothing.
-		if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: outsider, Seq: 2, Epoch: 2}); err != nil {
-			t.Fatalf("blockReport: %v", err)
+		// The outsider's register at epoch 2 says it holds nothing.
+		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: outsider, Seq: 2, Epoch: 2}); err != nil {
+			t.Fatalf("register: %v", err)
 		}
 		// A straggler delta from epoch 1 claims it holds the block. It
 		// must be skipped: the epoch-2 snapshot supersedes it.
@@ -172,8 +172,8 @@ func TestStaleEpochDeltasSkipped(t *testing.T) {
 	})
 }
 
-// TestDuplicateFullReportIdempotent: a retried full report (same seq,
-// same epoch, same inventory) leaves the replica map unchanged.
+// TestDuplicateFullReportIdempotent: a retried register (same seq, same
+// epoch, same inventory) leaves the replica map unchanged.
 func TestDuplicateFullReportIdempotent(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
 		h := newHarness(t, v, 0)
@@ -188,10 +188,10 @@ func TestDuplicateFullReportIdempotent(t *testing.T) {
 		inventory := []dfs.BlockID{lbs[0].Block.ID, lbs[1].Block.ID}
 		before := nodesOf(t, h.nn, "/f")
 		for i := 0; i < 2; i++ {
-			if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{
+			if _, err := h.nn.handleRegister(dfs.RegisterReq{
 				Addr: holder, Blocks: inventory, Seq: 7, Epoch: 2,
 			}); err != nil {
-				t.Fatalf("blockReport %d: %v", i, err)
+				t.Fatalf("register %d: %v", i, err)
 			}
 			after := nodesOf(t, h.nn, "/f")
 			if !hasAddr(after, holder) {
@@ -209,8 +209,9 @@ func TestDuplicateFullReportIdempotent(t *testing.T) {
 	})
 }
 
-// TestReportIntakeBusy: with the intake gate saturated, registers and
-// full reports bounce with dfs.ErrBusy — heartbeats (deltas) never do.
+// TestReportIntakeBusy: with the intake gate saturated, registers from
+// new and known datanodes bounce with dfs.ErrBusy — heartbeats (deltas)
+// never do.
 func TestReportIntakeBusy(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
 		h := newHarness(t, v, 1)
@@ -223,8 +224,8 @@ func TestReportIntakeBusy(t *testing.T) {
 		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "z", Seq: 1, Epoch: 1}); !dfs.IsBusy(err) {
 			t.Fatalf("register under saturated intake: err = %v, want busy", err)
 		}
-		if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: "a", Seq: 1, Epoch: 1}); !dfs.IsBusy(err) {
-			t.Fatalf("blockReport under saturated intake: err = %v, want busy", err)
+		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "a", Seq: 1, Epoch: 1}); !dfs.IsBusy(err) {
+			t.Fatalf("re-register under saturated intake: err = %v, want busy", err)
 		}
 		// Delta heartbeats are never gated: freshness must survive a
 		// reconnect storm.
@@ -244,9 +245,9 @@ func TestReportIntakeBusy(t *testing.T) {
 	})
 }
 
-// TestFullReportRefreshesLiveness: a full block report proves the node
-// is alive just as a heartbeat does — an expired node sending its
-// resync snapshot comes back live without a separate re-register.
+// TestFullReportRefreshesLiveness: a register proves the node is alive
+// just as a heartbeat does — an expired node sending its resync snapshot
+// comes back live.
 func TestFullReportRefreshesLiveness(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
 		h := newHarness(t, v, 2)
@@ -261,18 +262,18 @@ func TestFullReportRefreshesLiveness(t *testing.T) {
 		if live := h.nn.LiveDataNodes(); len(live) != 1 || live[0] != "b" {
 			t.Fatalf("live = %v, want [b]", live)
 		}
-		if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: "a", Seq: 9, Epoch: 2}); err != nil {
-			t.Fatalf("blockReport: %v", err)
+		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "a", Seq: 9, Epoch: 2}); err != nil {
+			t.Fatalf("register: %v", err)
 		}
 		if live := h.nn.LiveDataNodes(); len(live) != 2 {
-			t.Fatalf("live after full report = %v, want both", live)
+			t.Fatalf("live after register = %v, want both", live)
 		}
 	})
 }
 
 // TestUnsequencedReportsRejected: datanodes number every report from 1,
-// so a register, heartbeat or block report with Seq 0 is answered with
-// an error and changes nothing — not the registry (membership,
+// so a register from a new or known datanode, or a heartbeat, with Seq 0
+// is answered with an error and changes nothing — not the registry (membership,
 // liveness, sequence, epoch, SSD occupancy), not the block and pin
 // state, not a counter.
 func TestUnsequencedReportsRejected(t *testing.T) {
@@ -319,8 +320,8 @@ func TestUnsequencedReportsRejected(t *testing.T) {
 		}); err == nil {
 			t.Error("unsequenced heartbeat accepted")
 		}
-		if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: outsider, Blocks: []dfs.BlockID{id}, Epoch: 2}); err == nil {
-			t.Error("unsequenced block report accepted")
+		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: outsider, Blocks: []dfs.BlockID{id}, Epoch: 2}); err == nil {
+			t.Error("unsequenced re-register accepted")
 		}
 		if after := take(); !reflect.DeepEqual(after, before) {
 			t.Errorf("rejected reports changed state:\nbefore %+v\nafter  %+v", before, after)

@@ -57,18 +57,18 @@ func TestHeartbeatReqFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockReportReqFrameRoundTrip(t *testing.T) {
+func TestRegisterReqFrameRoundTrip(t *testing.T) {
 	ids := make([]BlockID, 10000)
 	for i := range ids {
 		ids[i] = BlockID(i*3 + 1)
 	}
-	cases := []BlockReportReq{
+	cases := []RegisterReq{
 		{},
 		{Addr: "dn7:9000", Seq: 99, Epoch: 5, Blocks: ids},
 	}
 	for i, in := range cases {
 		enc := in.AppendFrame(nil)
-		var out BlockReportReq
+		var out RegisterReq
 		if err := out.DecodeFrame(enc); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -78,7 +78,7 @@ func TestBlockReportReqFrameRoundTrip(t *testing.T) {
 		}
 	}
 	// Sorted dense IDs should cost ~1-2 bytes each, far under the 8-byte
-	// fixed encoding — the point of delta encoding full reports.
+	// fixed encoding — the point of delta encoding the register snapshot.
 	enc := cases[1].AppendFrame(nil)
 	if got, max := len(enc), 3*len(ids); got > max {
 		t.Fatalf("full report frame too large: %d bytes for %d ids (max %d)", got, len(ids), max)
@@ -94,12 +94,12 @@ func TestReportFrameTruncated(t *testing.T) {
 			t.Fatalf("decode of %d/%d-byte truncation unexpectedly succeeded", cut, len(enc))
 		}
 	}
-	br := BlockReportReq{Addr: "dn1", Seq: 5, Epoch: 1, Blocks: []BlockID{1, 2, 3}}
-	benc := br.AppendFrame(nil)
-	for cut := 0; cut < len(benc); cut++ {
-		var out BlockReportReq
-		if err := out.DecodeFrame(benc[:cut]); err == nil {
-			t.Fatalf("decode of %d/%d-byte truncation unexpectedly succeeded", cut, len(benc))
+	reg := RegisterReq{Addr: "dn1", Seq: 5, Epoch: 1, Blocks: []BlockID{1, 2, 3}}
+	renc := reg.AppendFrame(nil)
+	for cut := 0; cut < len(renc); cut++ {
+		var out RegisterReq
+		if err := out.DecodeFrame(renc[:cut]); err == nil {
+			t.Fatalf("decode of %d/%d-byte truncation unexpectedly succeeded", cut, len(renc))
 		}
 	}
 }
@@ -132,30 +132,6 @@ func FuzzHeartbeatReqFrame(f *testing.F) {
 			!idsEqual(r2.Added, r.Added) || !idsEqual(r2.Removed, r.Removed) ||
 			r2.SSDBytes != r.SSDBytes ||
 			!idsEqual(r2.SSDPinned, r.SSDPinned) || !idsEqual(r2.SSDUnpinned, r.SSDUnpinned) {
-			t.Fatalf("round trip changed request")
-		}
-	})
-}
-
-func FuzzBlockReportReqFrame(f *testing.F) {
-	empty := BlockReportReq{}
-	f.Add(empty.AppendFrame(nil))
-	full := BlockReportReq{Addr: "dn1:9000", Seq: 3, Epoch: 1, Blocks: []BlockID{1, 5, 9}}
-	enc := full.AppendFrame(nil)
-	f.Add(enc)
-	f.Add(enc[:1])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var r BlockReportReq
-		if err := r.DecodeFrame(data); err != nil {
-			return
-		}
-		re := r.AppendFrame(nil)
-		var r2 BlockReportReq
-		if err := r2.DecodeFrame(re); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if r2.Addr != r.Addr || r2.Seq != r.Seq || r2.Epoch != r.Epoch ||
-			!idsEqual(r2.Blocks, r.Blocks) {
 			t.Fatalf("round trip changed request")
 		}
 	})

@@ -1,8 +1,10 @@
 package ignem
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -514,7 +516,7 @@ func (m *Master) NotePinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
 	}
 	m.mu.Unlock()
 	if j != nil {
-		for _, job := range sortedJobs(perJob) {
+		for _, job := range sortedKeys(perJob) {
 			ids := perJob[job]
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			// Append failures are ignored: pins re-confirm on the next
@@ -543,7 +545,7 @@ func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 		cmds    []dfs.MigrateCmd
 	}
 	plans := make(map[dfs.JobID]*jobClimb)
-	for _, job := range sortedJobs(perJob) {
+	for _, job := range sortedKeys(perJob) {
 		js := m.jobs[job]
 		if js == nil {
 			continue
@@ -585,7 +587,7 @@ func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 		cmds []dfs.MigrateCmd
 	}
 	var sends []send
-	for _, job := range sortedJobs(plans) {
+	for _, job := range sortedKeys(plans) {
 		jc := plans[job]
 		js := m.jobs[job]
 		if m.journal != nil {
@@ -621,15 +623,6 @@ func (m *Master) NoteUnpinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) 
 	if j != nil {
 		_ = j.AppendUnpinned(addr, tier, blocks)
 	}
-}
-
-func sortedJobs[V any](m map[dfs.JobID]V) []dfs.JobID {
-	out := make([]dfs.JobID, 0, len(m))
-	for job := range m {
-		out = append(out, job)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // NotifyRead handles a client's batched cache-hit notification: the
@@ -720,11 +713,13 @@ func (m *Master) Stats() MasterStats {
 	return st
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys in ascending order: iterating maps through
+// it keeps command batches and journal records in a reproducible order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }

@@ -2,7 +2,6 @@ package ignem
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/dfs"
@@ -115,7 +114,7 @@ func (m *Master) RecoverFromJournal(view ResidencyView) error {
 	// for them once the master is unlocked (heartbeats won't re-send
 	// those deltas — the slaves already reported them).
 	ssdPinned := make(map[string][]dfs.BlockID)
-	for _, job := range sortedJobs(rec.jobs) {
+	for _, job := range sortedKeys(rec.jobs) {
 		rj := rec.jobs[job]
 		if rj.evictIntent {
 			m.repileEvictsLocked(epoch, job, rj)
@@ -130,7 +129,7 @@ func (m *Master) RecoverFromJournal(view ResidencyView) error {
 		}
 		m.jobs[job] = js
 		pending := make(map[string][]dfs.MigrateCmd)
-		for _, id := range sortedBlockIDs(rj.blocks) {
+		for _, id := range sortedKeys(rj.blocks) {
 			e := rj.blocks[id]
 			js.blocks[id] = &assignment{addr: e.addr, size: e.size, checksum: e.checksum, tier: e.tier}
 			if e.pinned && e.tier == dfs.TierSSD {
@@ -211,7 +210,7 @@ func reconcileReplay(j *Journal, rec *recovered, view ResidencyView) {
 // batches. Called with m.mu held.
 func (m *Master) repileEvictsLocked(epoch uint64, job dfs.JobID, rj *recoveredJob) {
 	pending := make(map[string][]dfs.EvictCmd)
-	for _, id := range sortedBlockIDs(rj.blocks) {
+	for _, id := range sortedKeys(rj.blocks) {
 		e := rj.blocks[id]
 		if !e.copied && !e.pinned {
 			continue // never reached a slave; nothing to release
@@ -224,13 +223,4 @@ func (m *Master) repileEvictsLocked(epoch uint64, job dfs.JobID, rj *recoveredJo
 	for _, addr := range sortedKeys(pending) {
 		m.retries = append(m.retries, retryBatch{epoch: epoch, addr: addr, job: job, evict: pending[addr]})
 	}
-}
-
-func sortedBlockIDs[V any](m map[dfs.BlockID]V) []dfs.BlockID {
-	out := make([]dfs.BlockID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

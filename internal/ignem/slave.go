@@ -320,21 +320,13 @@ func (s *Slave) ApplyReadNotifyBatch(b dfs.ReadNotifyBatch) {
 	s.notifyUnpinned(unpinned)
 }
 
-// OnBlockRead hooks the datanode read path. It reports whether the block
-// was served from pinned memory, and performs implicit eviction when the
-// reading job opted into it.
-func (s *Slave) OnBlockRead(id dfs.BlockID, job dfs.JobID) (fromMemory bool) {
-	tier, resident := s.OnBlockReadTier(id, job)
-	return resident && tier == dfs.TierRAM
-}
-
-// OnBlockReadTier is the tier-aware read hook: it reports which tier
+// OnBlockRead is the datanode read path's hook: it reports which tier
 // the block is resident on (and whether it is resident at all), counts
 // the hit against that tier, and performs implicit eviction when the
 // reading job opted into it. The reference-list bookkeeping is
 // tier-agnostic — a job's read releases its reference whether the copy
 // sits in RAM or on flash.
-func (s *Slave) OnBlockReadTier(id dfs.BlockID, job dfs.JobID) (tier dfs.Tier, resident bool) {
+func (s *Slave) OnBlockRead(id dfs.BlockID, job dfs.JobID) (tier dfs.Tier, resident bool) {
 	var unpinned []tierPin
 	s.mu.Lock()
 	if s.closed {

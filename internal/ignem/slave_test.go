@@ -196,7 +196,7 @@ func TestSlaveImplicitEvictionOnRead(t *testing.T) {
 	if !s.IsPinned(1) {
 		t.Fatal("not pinned")
 	}
-	if from := s.OnBlockRead(1, "j1"); !from {
+	if tier, resident := s.OnBlockRead(1, "j1"); !resident || tier != dfs.TierRAM {
 		t.Error("read not served from memory")
 	}
 	if s.IsPinned(1) {
@@ -272,7 +272,7 @@ func TestSlaveMissedReadDiscardsQueuedCommand(t *testing.T) {
 			cmd(b2, "j1", 8<<20, false),
 		}})
 		v.Sleep(100 * time.Millisecond)
-		if from := s.OnBlockRead(2, "j1"); from {
+		if _, resident := s.OnBlockRead(2, "j1"); resident {
 			t.Error("b2 unexpectedly in memory already")
 		}
 	})
@@ -481,7 +481,7 @@ func TestSlaveCloseStopsWorker(t *testing.T) {
 	}
 	// Post-close applies are no-ops.
 	s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{cmd(block(2, 1<<20), "j2", 1<<20, false)}})
-	if s.OnBlockRead(2, "j2") {
+	if _, resident := s.OnBlockRead(2, "j2"); resident {
 		t.Error("closed slave claims memory hit")
 	}
 }

@@ -71,9 +71,9 @@ func TestSlaveMigratesToSSDTier(t *testing.T) {
 	}
 
 	// A read is served from flash, not memory.
-	tier, resident := s.OnBlockReadTier(1, "other")
+	tier, resident := s.OnBlockRead(1, "other")
 	if !resident || tier != dfs.TierSSD {
-		t.Errorf("OnBlockReadTier = (%v, %v), want (SSD, true)", tier, resident)
+		t.Errorf("OnBlockRead = (%v, %v), want (SSD, true)", tier, resident)
 	}
 	if st = s.Stats(); st.SSDHits != 1 || st.MemoryHits != 0 {
 		t.Errorf("hit counters = ssd %d mem %d", st.SSDHits, st.MemoryHits)
@@ -131,8 +131,8 @@ func TestSlaveClimbsSSDToRAM(t *testing.T) {
 		}
 	}
 	// And the read hook now reports a memory hit.
-	if tier, resident := s.OnBlockReadTier(1, "other"); !resident || tier != dfs.TierRAM {
-		t.Errorf("OnBlockReadTier = (%v, %v), want (RAM, true)", tier, resident)
+	if tier, resident := s.OnBlockRead(1, "other"); !resident || tier != dfs.TierRAM {
+		t.Errorf("OnBlockRead = (%v, %v), want (RAM, true)", tier, resident)
 	}
 }
 
