@@ -87,7 +87,8 @@ chaos-wal:
 # - client: the cached-read allocs/op ceiling; ≤20 allocations and
 #   ≤256 KiB for an uncached 4 MiB TCP block read (a fresh payload per
 #   read would be 4 MiB); ≤1.5x the file allocated by a whole-file read,
-#   over TCP and in memory;
+#   over TCP and in memory; ≤2.5x the file allocated by a whole-file
+#   write at replication 2 (the two replicas; a staged copy makes 3x);
 # - namenode: ≥4x less heap per block for the compact block map than
 #   for two maps per block; zero allocations for a replication sweep over
 #   a healthy namespace, full or queued, and no block visited by a queued
@@ -107,7 +108,7 @@ chaos-wal:
 # - dfs: two control RPCs over TCP loopback, both ends counted: ≤14 for
 #   a getLocations-shaped call, ≤7 for a two-command MigrateBatch.
 bench-alloc:
-	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling' -count=1 -v
+	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling|TestWriteFileAllocBytesCeiling' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs|TestRangedLocationsAllocs' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 	$(GO) test ./internal/ignem -run 'TestTombstonePruneBounded' -count=1 -v
@@ -136,12 +137,14 @@ fuzz-smoke:
 # Profile the data plane: CPU + mutex profiles of the swim experiment
 # (the Ignem master's coarse lock under heartbeat/migration traffic),
 # CPU + heap + mutex profiles of single-block reads over TCP
-# (BenchmarkReadBlockTCP: transport, frame codec, buffer pool), and a CPU
-# profile of whole-file reads over TCP (BenchmarkReadFileTCP: striping
-# and assembly, the part the block benchmark never reaches). Outputs land
-# in ./profiles; inspect with
+# (BenchmarkReadBlockTCP: transport, frame codec, buffer pool), and CPU
+# profiles of whole-file reads and writes over TCP (BenchmarkReadFileTCP:
+# striping and assembly; BenchmarkWriteFileTCP: the writer's window and
+# the datanode pipeline; the parts the block benchmark never reaches).
+# Outputs land in ./profiles; inspect with
 #   go tool pprof -top profiles/read.cpu.pprof
 #   go tool pprof -top profiles/readfile.cpu.pprof
+#   go tool pprof -top profiles/writefile.cpu.pprof
 #   go tool pprof -sample_index=contentions -top profiles/swim.mutex.pprof
 profile:
 	mkdir -p profiles
@@ -152,6 +155,8 @@ profile:
 		-memprofile profiles/read.mem.pprof -mutexprofile profiles/read.mutex.pprof
 	$(GO) test ./internal/dfs/client -run '^$$' -bench '^BenchmarkReadFileTCP$$' -benchtime 100x \
 		-o profiles/readfile.test -cpuprofile profiles/readfile.cpu.pprof
+	$(GO) test ./internal/dfs/client -run '^$$' -bench '^BenchmarkWriteFileTCP$$' -benchtime 50x \
+		-o profiles/writefile.test -cpuprofile profiles/writefile.cpu.pprof
 
 # Coverage as a deletion input: total statement coverage of the product
 # code (internal/ and cmd/) by the tier-1 tests, then every product

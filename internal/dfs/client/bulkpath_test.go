@@ -124,6 +124,50 @@ func TestReadFileResultIsNotAliased(t *testing.T) {
 	})
 }
 
+// The slice WriteFile was given is the caller's again once it returns:
+// scribbling over it must reach no replica. Every replica is read back
+// from its own holder. The blocks are sent from the caller's slice, so
+// this holds only because each datanode owns what it stores: a pooled
+// buffer decoded from the wire (TCP), or its own copy of the sender's
+// memory (in memory, where bodies pass by reference).
+func TestWriteFileReplicasOwnTheirBytes(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		lc := startLive(t, tcp, 4)
+		for _, sums := range []bool{true, false} {
+			cl := lc.client(t, client.WithChecksums(sums))
+			path := fmt.Sprintf("/own/w-%t", sums)
+			in := patterned(8*(256<<10)+12345, 5)
+			want := bytes.Clone(in)
+			if err := cl.WriteFile(path, in, 256<<10, 2); err != nil {
+				t.Fatalf("WriteFile: %v", err)
+			}
+			for i := range in {
+				in[i] = 0xFF
+			}
+			lbs, err := cl.Locations(path)
+			if err != nil || len(lbs) != 9 {
+				t.Fatalf("Locations: %d blocks, %v", len(lbs), err)
+			}
+			for _, lb := range lbs {
+				if len(lb.Nodes) != 2 {
+					t.Fatalf("block %d has replicas on %v, want 2", lb.Block.ID, lb.Nodes)
+				}
+				for _, addr := range lb.Nodes {
+					pinned := lb
+					pinned.Nodes = []string{addr}
+					got, err := readData(cl, pinned)
+					if err != nil {
+						t.Fatalf("checksums %t: block %d on %s: %v", sums, lb.Block.ID, addr, err)
+					}
+					if !bytes.Equal(got, want[lb.Offset:lb.Offset+lb.Block.Size]) {
+						t.Fatalf("checksums %t: block %d on %s changed with the caller's slice", sums, lb.Block.ID, addr)
+					}
+				}
+			}
+		}
+	})
+}
+
 // Four goroutines read whole files through one client while the buffers
 // they give up are handed to each other's fetches; run under -race.
 func TestReadFileConcurrentOnOneClient(t *testing.T) {
@@ -227,6 +271,32 @@ func TestReadFileAllocBytesCeiling(t *testing.T) {
 	})
 }
 
+// TestWriteFileAllocBytesCeiling pins what a whole-file write may
+// allocate at replication 2: the two stored replicas, and no staging
+// copy of the file in the writer. Over TCP each datanode adopts the
+// pooled buffer the socket filled; in memory each hop copies the
+// sender's bytes. A staged write costs about 3x the file over TCP.
+func TestWriteFileAllocBytesCeiling(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		lc := startLive(t, tcp, 4)
+		cl := lc.client(t)
+		const size = 8 * (4 << 20)
+		in := patterned(size, 6)
+		_, got := allocsPerOp(5, func() {
+			if err := cl.WriteFile("/walloc/f", in, 4<<20, 2); err != nil {
+				t.Fatalf("WriteFile: %v", err)
+			}
+			if err := cl.Delete("/walloc/f"); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+		})
+		if ceiling := uint64(size) * 5 / 2; got > ceiling && !raceEnabled {
+			t.Errorf("WriteFile allocated %d bytes per %d-byte file, ceiling %d", got, size, ceiling)
+		}
+		t.Logf("%d bytes allocated per %d-byte WriteFile (%.2fx)", got, size, float64(got)/size)
+	})
+}
+
 // TestCachedReadAllocCeiling pins what a whole-file scan served from the
 // client block cache may allocate: the located-block reply and the
 // result, about 70 allocations for an 8-block file. The ceiling leaves
@@ -321,6 +391,29 @@ func BenchmarkReadFileTCP(b *testing.B) {
 		got, err := cl.ReadFile("/bench/f", "")
 		if err != nil || len(got) != size {
 			b.Fatalf("ReadFile: %d bytes, %v", len(got), err)
+		}
+	}
+}
+
+// BenchmarkWriteFileTCP is the whole-file write the block benchmarks
+// miss: a 64 MiB file in 4 MiB blocks, replication 2, pipelined to four
+// RAM-served datanodes on TCP loopback, with checksums on. Each op
+// writes the file and deletes it, so the replicas do not pile up.
+// `make profile` profiles it.
+func BenchmarkWriteFileTCP(b *testing.B) {
+	lc := startLive(b, true, 4)
+	cl := lc.client(b)
+	const size = 64 << 20
+	in := patterned(size, 9)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cl.WriteFile("/bench/w", in, 4<<20, 2); err != nil {
+			b.Fatalf("WriteFile: %v", err)
+		}
+		if err := cl.Delete("/bench/w"); err != nil {
+			b.Fatalf("Delete: %v", err)
 		}
 	}
 }

@@ -3,9 +3,12 @@ package client_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dfs"
 	"repro/internal/dfs/client"
 	"repro/internal/dfs/datanode"
 	"repro/internal/dfs/namenode"
@@ -248,4 +251,113 @@ func TestAllocationRetryAfterLostReplyDoesNotDoubleAllocate(t *testing.T) {
 			t.Fatalf("read back failed: %d bytes, %v", len(got), err)
 		}
 	})
+}
+
+// lateNet holds the first dn.writeBlock a client sends and delivers it
+// hold later, on a connection of its own: a block attempt that reaches
+// its datanode after the caller's call timed out, the block was written
+// elsewhere and WriteFile returned. The held attempt's call never gets a
+// reply.
+type lateNet struct {
+	transport.Network
+	clock simclock.Clock
+	hold  time.Duration
+
+	mu     sync.Mutex
+	victim string // the datanode the held attempt goes to
+}
+
+func (n *lateNet) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &lateConn{Conn: c, n: n, addr: addr}, nil
+}
+
+type lateConn struct {
+	transport.Conn
+	n    *lateNet
+	addr string
+}
+
+func (c *lateConn) Send(m transport.Message) error {
+	if m.Method != "dn.writeBlock" || !c.n.take(c.addr) {
+		return c.Conn.Send(m)
+	}
+	c.n.clock.Go(func() {
+		c.n.clock.Sleep(c.n.hold)
+		if late, err := c.n.Network.Dial(c.addr); err == nil {
+			_ = late.Send(m)
+			_ = late.Close() // what was sent is still delivered
+		}
+	})
+	return nil
+}
+
+// take claims the one held attempt for addr.
+func (n *lateNet) take(addr string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.victim != "" {
+		return false
+	}
+	n.victim = addr
+	return true
+}
+
+// A block attempt delivered after WriteFile returned must not store the
+// bytes the caller has written over its slice since. The first attempt
+// is held past the datanode call timeout, the retry succeeds on another
+// node, the caller scribbles, and then the stale attempt lands. With
+// checksums on, WriteFile sends from the caller's slice and the
+// datanode's CRC check rejects the changed bytes; with checksums off
+// nothing would, so the writer sends a staged copy and the stale replica
+// holds the original bytes.
+func TestStaleBlockAttemptStoresNoScribbledBytes(t *testing.T) {
+	for _, sums := range []bool{true, false} {
+		t.Run(fmt.Sprintf("checksums=%t", sums), func(t *testing.T) {
+			runSim(t, func(v *simclock.Virtual) {
+				mc := startMini(t, v, miniConfig{nodes: 3})
+				defer mc.close()
+				ln := &lateNet{Network: mc.net, clock: v, hold: dfs.DefaultDataNodeTimeout + time.Minute}
+				c, err := client.New(v, ln, "nn", client.WithChecksums(sums), client.WithSeed(4))
+				if err != nil {
+					t.Fatalf("client: %v", err)
+				}
+				defer c.Close()
+
+				in := bytes.Repeat([]byte("the caller's bytes "), 4096)
+				want := bytes.Clone(in)
+				start := v.Now()
+				if err := c.WriteFile("/late/f", in, int64(len(in)), 1); err != nil {
+					t.Fatalf("WriteFile: %v", err)
+				}
+				if ln.victim == "" || v.Now().Sub(start) >= ln.hold {
+					t.Fatalf("held attempt to %q; WriteFile took %v, want < %v", ln.victim, v.Now().Sub(start), ln.hold)
+				}
+				for i := range in {
+					in[i] = 0xFF
+				}
+				v.Sleep(ln.hold) // the stale attempt lands
+
+				lbs, err := c.Locations("/late/f")
+				if err != nil || len(lbs) != 1 {
+					t.Fatalf("Locations = %+v, %v; want one block", lbs, err)
+				}
+				for _, dn := range mc.dns {
+					pinned := lbs[0]
+					pinned.Nodes = []string{dn.Addr()}
+					got, err := c.ReadBlock(pinned, "")
+					held := err == nil
+					if held && !bytes.Equal(got.Data, want) {
+						t.Fatalf("%s stores the caller's scribbled bytes", dn.Addr())
+					}
+					if dn.Addr() == ln.victim && held != !sums {
+						t.Fatalf("stale attempt on %s: stored %t, want %t", dn.Addr(), held, !sums)
+					}
+				}
+			})
+		})
+	}
 }

@@ -61,8 +61,17 @@ func newWriter(c *Client, path string, blockSize int64) *Writer {
 // count is the number of bytes of p the writer consumed — on error after
 // some bytes were buffered or handed to a flush it reports those bytes
 // as consumed, so a caller that retries from the count does not
-// duplicate data.
+// duplicate data. Write copies p, as io.Writer requires: the caller may
+// reuse p as soon as Write returns.
 func (w *Writer) Write(p []byte) (int, error) {
+	return w.write(p, true)
+}
+
+// write is Write with the copy optional. Without it (stage false, on a
+// writer that holds no bytes yet) the writer's blocks are p's own
+// memory: checksums, dispatch, failover retries and Close's tail block
+// all read p, so the caller must leave p untouched until Close returns.
+func (w *Writer) write(p []byte, stage bool) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("dfs client: write to closed writer")
 	}
@@ -76,7 +85,11 @@ func (w *Writer) Write(p []byte) (int, error) {
 		return 0, nil
 	}
 	w.mode = modeReal
-	w.buf = append(w.buf, p...)
+	if stage {
+		w.buf = append(w.buf, p...)
+	} else {
+		w.buf = p
+	}
 	if err := w.flushFullBlocks(); err != nil {
 		// Everything in p is already in the writer's buffer or window.
 		return len(p), err
@@ -350,13 +363,23 @@ func (c *Client) addBlocks(path string, sizes []int64, sums []uint32) ([]dfs.Loc
 	return resp.Located, nil
 }
 
-// WriteFile creates path and writes data in one call.
+// WriteFile creates path and writes data in one call. It reads data
+// until it returns and never after, so the caller may reuse data then.
+//
+// The blocks are sent from data itself, with no staging copy: WriteFile
+// returns only after Close has drained every block in flight, and a
+// datanode stores its own copy of any payload it did not decode from
+// the wire. One stale reader remains: a block attempt that the
+// transport or a faulty network delivers after its call timed out, and
+// so possibly after WriteFile returned. With checksums on, the
+// datanode's CRC check rejects bytes the caller changed since; with
+// checksums off nothing would, so that configuration stages a copy.
 func (c *Client) WriteFile(path string, data []byte, blockSize int64, replication int) error {
 	w, err := c.Create(path, blockSize, replication)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(data); err != nil {
+	if _, err := w.write(data, !c.checksums); err != nil {
 		_ = w.Close() // drain in-flight blocks; the write already failed
 		return err
 	}

@@ -4,6 +4,7 @@
 package datanode
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -469,6 +470,15 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 	if size <= 0 {
 		return dfs.WriteBlockResp{}, fmt.Errorf("datanode: empty block %d", req.Block.ID)
 	}
+	// A replica is memory no one else writes. A payload the TCP decoder
+	// filled is a pooled buffer this request owns, and the store adopts
+	// it below. Any other payload is the sender's memory: the in-memory
+	// transport passes bodies by reference, and WriteFile sends from its
+	// caller's slice. It is copied first, and the copy is what is
+	// verified, forwarded and stored.
+	if len(req.Data) > 0 && !req.Pooled() {
+		req.Data = bytes.Clone(req.Data)
+	}
 	// Verify the payload against the client's checksum before storing or
 	// forwarding: a block mangled in transit fails the write, and the
 	// client retries against fresh targets. When the writer sent no
@@ -509,14 +519,13 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 		}
 		return dfs.WriteBlockResp{}, fmt.Errorf("datanode: closed")
 	}
-	// The store takes ownership of req.Data. When the request arrived on
-	// the TCP fast path, Data is a pooled buffer the frame decode handed
-	// us; transferring it into the store (instead of copying and
-	// releasing) makes the receive path zero-copy. Stored payloads are
-	// retained indefinitely and are therefore never returned to the
-	// pool — deletion simply lets the GC have them. The pipeline
-	// forward above shares the same buffer read-only; the store never
-	// mutates payloads, so that alias is safe.
+	// The store takes ownership of req.Data: a pooled buffer from the
+	// TCP decoder, adopted instead of copied and released, so the
+	// receive path is zero-copy, or this handler's own copy. Stored
+	// payloads are retained indefinitely and are therefore never
+	// returned to the pool — deletion simply lets the GC have them. The
+	// pipeline forward above shares the same buffer read-only; the store
+	// never mutates payloads, so that alias is safe.
 	dn.store.Put(req.Block.ID, size, req.Data, sum)
 	dn.blkPending[req.Block.ID] = true
 	dn.mu.Unlock()

@@ -35,7 +35,7 @@ import (
 // (the buffer is garbage collected), releasing twice or while aliases
 // remain is not. The in-memory transport passes bodies by reference and
 // never sets pooled, so inmem payloads — which alias datanode stores
-// and writer buffers — are never returned to the pool.
+// and the memory writers send from — are never returned to the pool.
 
 var errShortFrame = errors.New("dfs: malformed frame")
 

@@ -496,13 +496,20 @@ func (nn *NameNode) handleDelete(req dfs.DeleteReq) (dfs.DeleteResp, error) {
 	if err != nil {
 		return dfs.DeleteResp{}, err
 	}
-	// Best effort: a dead datanode's replicas die with it anyway.
-	for addr, ids := range toDelete {
+	// Best effort: a dead datanode's replicas die with it anyway. Holders
+	// are told in address order, not map order, so a virtual-clock run
+	// that deletes a file replays.
+	holders := make([]string, 0, len(toDelete))
+	for addr := range toDelete {
+		holders = append(holders, addr)
+	}
+	sort.Strings(holders)
+	for _, addr := range holders {
 		c, err := nn.slaveClient(addr)
 		if err != nil {
 			continue
 		}
-		_, _ = transport.Call[dfs.DeleteBlocksResp](c, "dn.deleteBlocks", dfs.DeleteBlocksReq{Blocks: ids})
+		_, _ = transport.Call[dfs.DeleteBlocksResp](c, "dn.deleteBlocks", dfs.DeleteBlocksReq{Blocks: toDelete[addr]})
 	}
 	return dfs.DeleteResp{}, nil
 }

@@ -2,7 +2,9 @@ package namenode
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,6 +146,85 @@ func TestNamespaceLifecycle(t *testing.T) {
 			t.Errorf("offsets wrong: %+v", lbs)
 		}
 	})
+}
+
+// deleteLog wraps a network so that every dn.deleteBlocks call is
+// recorded, by destination, in the order it was sent.
+type deleteLog struct {
+	transport.Network
+	mu    sync.Mutex
+	calls []string
+}
+
+func (n *deleteLog) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &deleteLogConn{Conn: c, n: n, addr: addr}, nil
+}
+
+type deleteLogConn struct {
+	transport.Conn
+	n    *deleteLog
+	addr string
+}
+
+func (c *deleteLogConn) Send(m transport.Message) error {
+	if m.Method == "dn.deleteBlocks" {
+		c.n.mu.Lock()
+		c.n.calls = append(c.n.calls, c.addr)
+		c.n.mu.Unlock()
+	}
+	return c.Conn.Send(m)
+}
+
+// A delete tells the file's holders in address order, never map order:
+// the fan-out is an input to every virtual-clock run that deletes a
+// file, and such a run must replay. Ten runs of three deletes each over
+// five holders: map order passes one delete at most one time in five.
+func TestDeleteTellsHoldersInAddressOrder(t *testing.T) {
+	for r := 0; r < 10; r++ {
+		run(t, func(v *simclock.Virtual) {
+			rec := &deleteLog{Network: transport.NewInmemNetwork(v)}
+			h := &harness{v: v, nn: New(v, rec, Config{Addr: "nn", Seed: int64(r)})}
+			if err := h.nn.Start(); err != nil {
+				t.Fatalf("start: %v", err)
+			}
+			defer h.nn.Close()
+			for i := 0; i < 5; i++ {
+				addr := fmt.Sprintf("dn%d", i)
+				l, err := rec.Listen(addr)
+				if err != nil {
+					t.Fatalf("listen: %v", err)
+				}
+				srv := transport.NewServer(v)
+				srv.Handle("dn.deleteBlocks", func(any) (any, error) { return dfs.DeleteBlocksResp{}, nil })
+				srv.ServeBackground(l)
+				defer srv.Close()
+				defer l.Close()
+				if _, err := h.nn.register(dfs.RegisterReq{Addr: addr}); err != nil {
+					t.Fatalf("register: %v", err)
+				}
+			}
+			for f := 0; f < 3; f++ {
+				path := fmt.Sprintf("/del/%d", f)
+				var want []string
+				for _, lb := range h.mkFile(t, path, 8, 3) {
+					want = append(want, lb.Nodes...)
+				}
+				slices.Sort(want)
+				want = slices.Compact(want)
+				rec.calls = nil
+				if _, err := h.nn.handleDelete(dfs.DeleteReq{Path: path}); err != nil {
+					t.Fatalf("delete: %v", err)
+				}
+				if !slices.Equal(rec.calls, want) {
+					t.Fatalf("run %d, %s: dn.deleteBlocks went to %v, want %v", r, path, rec.calls, want)
+				}
+			}
+		})
+	}
 }
 
 func TestCreateValidation(t *testing.T) {
