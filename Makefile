@@ -99,7 +99,7 @@ chaos-wal:
 #   jobs, with a constant number examined per evict batch;
 # - simclock: zero allocations per virtual-clock Sleep, per RecvTimeout
 #   that a delivery answers and per one that times out, and per
-#   Cond.Wait/Signal cycle;
+#   Cond.Wait/Signal cycle; zero per short scaled real-clock Sleep;
 # - storage: zero allocations per queued Device.Read;
 # - datanode: zero allocations per idle heartbeat build-and-succeed
 #   cycle, one (its ID list) with a pin delta;
@@ -112,7 +112,7 @@ bench-alloc:
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs|TestRangedLocationsAllocs' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 	$(GO) test ./internal/ignem -run 'TestTombstonePruneBounded' -count=1 -v
-	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs|TestVirtualRecvTimeoutAllocs|TestVirtualCondAllocs' -count=1 -v
+	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs|TestVirtualRecvTimeoutAllocs|TestVirtualCondAllocs|TestRealSleepAllocs' -count=1 -v
 	$(GO) test ./internal/storage -run 'TestDeviceReadAllocs' -count=1 -v
 	$(GO) test ./internal/dfs/datanode -run 'TestHeartbeatCycleAllocs' -count=1 -v
 	$(GO) test ./internal/transport -run 'TestInmemEchoAllocs' -count=1 -v

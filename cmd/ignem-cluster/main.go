@@ -140,10 +140,3 @@ func waitForPins(dns []*datanode.DataNode, want int, timeout time.Duration) {
 	}
 	log.Fatalf("timed out waiting for %d pinned blocks", want)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -21,10 +21,6 @@ import (
 type Config struct {
 	// Addr is the address the namenode listens on.
 	Addr string
-	// DefaultBlockSize applies to files created without one.
-	DefaultBlockSize int64
-	// DefaultReplication applies to files created without one.
-	DefaultReplication int
 	// HeartbeatExpiry is how long after the last heartbeat a datanode is
 	// declared dead. Default 10s.
 	HeartbeatExpiry time.Duration
@@ -74,12 +70,6 @@ type Config struct {
 const reportIntake = 2
 
 func (c *Config) setDefaults() {
-	if c.DefaultBlockSize <= 0 {
-		c.DefaultBlockSize = dfs.DefaultBlockSize
-	}
-	if c.DefaultReplication <= 0 {
-		c.DefaultReplication = dfs.DefaultReplication
-	}
 	if c.HeartbeatExpiry <= 0 {
 		c.HeartbeatExpiry = 10 * time.Second
 	}
@@ -393,11 +383,11 @@ func (nn *NameNode) handleCreate(req dfs.CreateReq) (dfs.CreateResp, error) {
 	}
 	bs := req.BlockSize
 	if bs <= 0 {
-		bs = nn.cfg.DefaultBlockSize
+		bs = dfs.DefaultBlockSize
 	}
 	rep := req.Replication
 	if rep <= 0 {
-		rep = nn.cfg.DefaultReplication
+		rep = dfs.DefaultReplication
 	}
 	if err := nn.ns.Create(req.Path, bs, rep); err != nil {
 		return dfs.CreateResp{}, err

@@ -170,14 +170,11 @@ func (t *Trace) ServerUtilization(window time.Duration) [][]float64 {
 			// IO density per second of runtime.
 			density := task.IOTime.Seconds() / task.Duration.Seconds()
 			start := task.Start
-			end := task.Start + task.Duration
-			if end > cfg.Duration {
-				end = cfg.Duration
-			}
+			end := min(task.Start+task.Duration, cfg.Duration)
 			for w := int(start / window); w <= int(end/window) && w < nWin; w++ {
 				wStart := time.Duration(w) * window
 				wEnd := wStart + window
-				overlap := minDur(end, wEnd) - maxDur(start, wStart)
+				overlap := min(end, wEnd) - max(start, wStart)
 				if overlap <= 0 {
 					continue
 				}
@@ -244,18 +241,4 @@ func (t *Trace) LeadTimeStats() (mean, median time.Duration) {
 	}
 	return time.Duration(s.Mean() * float64(time.Second)),
 		time.Duration(s.Median() * float64(time.Second))
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

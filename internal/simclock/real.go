@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"runtime"
 	"time"
 )
 
@@ -40,12 +41,30 @@ func (r *Real) Now() time.Time {
 	return r.base.Add(r.scaleUp(elapsed))
 }
 
-// Sleep pauses for d of scaled time (d/scale of wall time).
+// timerSlack is the granularity of the Go runtime's timer in a mostly
+// idle process: its netpoller waits in whole milliseconds, so a bare
+// time.Sleep of a few microseconds can return a millisecond or more late.
+const timerSlack = time.Millisecond
+
+// Sleep pauses for d of scaled time (d/scale of wall time). It fixes the
+// wall deadline on entry, leaves the first d/scale - timerSlack of the
+// wait to the runtime's timer, and yields the processor until the
+// deadline for the rest, so a device wait of a few microseconds costs
+// its nominal time rather than the timer's granularity. The loop yields
+// on every turn, so it cannot starve the goroutines the sleeper waits
+// on, and it runs for at most the last timerSlack of each wait.
 func (r *Real) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	time.Sleep(r.scaleDown(d))
+	wall := r.scaleDown(d)
+	deadline := time.Now().Add(wall)
+	if wall > timerSlack {
+		time.Sleep(wall - timerSlack)
+	}
+	for time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
 }
 
 // Go spawns fn as an ordinary goroutine.

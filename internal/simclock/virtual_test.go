@@ -185,40 +185,6 @@ func TestVirtualSleepExactness(t *testing.T) {
 	}
 }
 
-func TestRealClockScaled(t *testing.T) {
-	r := NewScaledReal(100)
-	start := r.Now()
-	wall := time.Now()
-	r.Sleep(time.Second) // should take ~10ms of wall time
-	if w := time.Since(wall); w > 500*time.Millisecond {
-		t.Errorf("scaled sleep of 1s took %v of wall time", w)
-	}
-	if got := r.Now().Sub(start); got < time.Second {
-		t.Errorf("scaled clock advanced only %v, want >= 1s", got)
-	}
-}
-
-func TestRealClockBasics(t *testing.T) {
-	r := NewReal()
-	t0 := r.Now()
-	r.Sleep(10 * time.Millisecond)
-	if r.Now().Before(t0.Add(5 * time.Millisecond)) {
-		t.Error("real clock did not advance with sleep")
-	}
-	done := make(chan struct{})
-	r.Go(func() { close(done) })
-	<-done
-}
-
-func TestNewScaledRealPanicsOnBadScale(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for non-positive scale")
-		}
-	}()
-	NewScaledReal(0)
-}
-
 // runWithin runs fn under v.Run and fails the test if the simulation has
 // not quiesced after a minute of wall time. The failure does not print v:
 // a deadlocked clock would never release its lock to String.
