@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all ci test race vet build fmt-check tidy-check golden \
 	chaos chaos-wal bench-alloc fuzz-smoke profile cover cover-check \
-	bench-e2e bench-e2e-smoke experiments tidy
+	reach-check bench-e2e bench-e2e-smoke experiments tidy
 
 all: vet test
 
@@ -12,7 +12,7 @@ all: vet test
 # these same targets, so the two cannot drift); CI's race and chaos jobs
 # additionally run fuzz-smoke and chaos-wal.
 ci: vet build test race fmt-check tidy-check chaos bench-alloc \
-	cover-check bench-e2e-smoke
+	cover-check reach-check bench-e2e-smoke
 
 test:
 	$(GO) test ./...
@@ -71,9 +71,9 @@ chaos:
 # The durability suite on its own (it also runs as part of `make
 # chaos`): the WAL crash-at-every-record sweep, checksum corruption
 # recovery with readers that verify (the reader detects, the holder
-# confirms, drops and reports), with readers that cannot (checksums off,
-# or a file written without them: the datanode verifies before serving
-# and rotten bytes never leave it) and with no readers (the scrubber),
+# confirms, drops and reports), with the reader that cannot (a
+# re-replication pull: the datanode verifies before serving and rotten
+# bytes never leave it) and with no readers (the scrubber),
 # and retry-pump convergence through a one-way partition — plain and
 # race-checked.
 chaos-wal:
@@ -169,9 +169,20 @@ cover:
 		/^total:/ { total = $$NF } END { printf "%d functions at 0%%; total statement coverage %s\n", n, total }'
 
 # Keeps the 0% list closed: runs cover, then fails on any function at 0%.
+# cover-check asks whether every product function is tested; reach-check
+# asks the converse, whether every tested function is a product function.
 cover-check: cover
 	@$(GO) tool cover -func profiles/cover.out | awk '$$NF == "0.0%" { \
 		print "untested:", $$0; bad = 1 } END { exit bad }'
+
+# Keeps every product function in some binary: builds each main package
+# of the root module and bench/ without inlining, lists their text
+# symbols with `go tool nm`, and fails on any non-test function none of
+# them links, unless tools/reachcheck/allow.txt names it with a reason
+# (fault-injection code and test harnesses). An allow entry that names
+# nothing unlinked fails too, so the list only shrinks.
+reach-check:
+	$(GO) run ./tools/reachcheck
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four
 # workloads, every end-to-end metric, ~2 minutes. Pass arguments with

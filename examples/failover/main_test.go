@@ -12,4 +12,6 @@ func Example() {
 	// 5. data still readable from disk after slave restart (621.728215ms)
 	// 6. datanode dn0 died
 	// 7. namenode expired the dead node; reads fail over to surviving replicas
+	// 8. journaled master restarted (epoch 1 -> 1, pinned: 128 MB)
+	// 9. the resumed master evicted job4 (pinned: 0 MB)
 }

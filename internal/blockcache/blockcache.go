@@ -71,7 +71,6 @@ type shard struct {
 
 // Cache is a shared block cache. The zero value is not usable; call New.
 type Cache struct {
-	maxBytes    int64
 	shardbudget int64
 	shards      [nShards]shard
 
@@ -94,7 +93,6 @@ func New(clock simclock.Clock, maxBytes int64) *Cache {
 		maxBytes = 1
 	}
 	c := &Cache{
-		maxBytes:    maxBytes,
 		shardbudget: maxBytes / nShards,
 		gens:        make(map[string]uint64),
 	}
@@ -109,9 +107,6 @@ func New(clock simclock.Clock, maxBytes int64) *Cache {
 	}
 	return c
 }
-
-// MaxBytes returns the configured byte budget.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
 func (c *Cache) shard(id uint64) *shard {
 	// Fibonacci hashing spreads the namenode's sequential block IDs.

@@ -79,7 +79,8 @@ func TestNilPayloadPassesThroughUncached(t *testing.T) {
 // entries first.
 func TestByteBoundEvictsLRU(t *testing.T) {
 	const blockLen = 1024
-	c := New(simclock.NewReal(), nShards*4*blockLen) // 4 blocks per shard
+	const budget = nShards * 4 * blockLen // 4 blocks per shard
+	c := New(simclock.NewReal(), budget)
 	data := bytes.Repeat([]byte("x"), blockLen)
 	for id := uint64(0); id < 64; id++ {
 		if _, _, err := c.GetOrFetch("/f", id, fetchBytes(data, "dn0", nil)); err != nil {
@@ -87,8 +88,8 @@ func TestByteBoundEvictsLRU(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Bytes > c.MaxBytes() {
-		t.Errorf("resident %d bytes exceeds budget %d", st.Bytes, c.MaxBytes())
+	if st.Bytes > budget {
+		t.Errorf("resident %d bytes exceeds budget %d", st.Bytes, budget)
 	}
 	if st.Evictions == 0 {
 		t.Error("no evictions after overfilling the cache")

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
-	"repro/internal/dfs/client"
 	"repro/internal/mapreduce"
 	"repro/internal/simclock"
 )
@@ -56,7 +55,7 @@ func filedata(i, n int) []byte {
 // the cluster.
 func TestDataNodeCrashMidTrafficNoAckedDataLost(t *testing.T) {
 	runChaos(t, Config{Nodes: 4, Seed: 42}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(1))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -129,7 +128,7 @@ func TestDataNodeCrashMidTrafficNoAckedDataLost(t *testing.T) {
 // and after heal the next job migrates end-to-end.
 func TestPartitionedSlaveConvergesAfterHeal(t *testing.T) {
 	runChaos(t, Config{Nodes: 4, Seed: 7, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(2))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -200,7 +199,7 @@ func TestPartitionedSlaveConvergesAfterHeal(t *testing.T) {
 // re-issued job pins everything exactly once, and eviction drains it.
 func TestMasterRestartMidMigrationConvergesEndToEnd(t *testing.T) {
 	runChaos(t, Config{Nodes: 4, Seed: 9, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(3))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -219,7 +218,9 @@ func TestMasterRestartMidMigrationConvergesEndToEnd(t *testing.T) {
 
 		// Master dies mid-stream. The new epoch's broadcast purges every
 		// slave; any in-flight old-epoch read is dropped when it completes.
-		h.Cluster.NameNode.RestartMaster()
+		if err := h.Cluster.NameNode.RestartMaster(); err != nil {
+			t.Fatalf("restart master: %v", err)
+		}
 		waitUntil(t, v, time.Minute, func() bool {
 			return h.Cluster.TotalPinnedBytes() == 0
 		}, "epoch purge unpins stale state")
@@ -268,7 +269,9 @@ func TestSwimTrafficUnderChaos(t *testing.T) {
 		h.Fabric.CrashAfter("dn3", 3*time.Second)
 		v.Go(func() {
 			v.Sleep(8 * time.Second)
-			h.Cluster.NameNode.RestartMaster()
+			if err := h.Cluster.NameNode.RestartMaster(); err != nil {
+				t.Errorf("restart master: %v", err)
+			}
 		})
 		v.Go(func() {
 			v.Sleep(20 * time.Second)
@@ -307,7 +310,9 @@ func TestSwimTrafficUnderChaos(t *testing.T) {
 			}
 			return false
 		}, "healed node live again")
-		h.Cluster.NameNode.RestartMaster()
+		if err := h.Cluster.NameNode.RestartMaster(); err != nil {
+			t.Fatalf("restart master: %v", err)
+		}
 		waitUntil(t, v, time.Minute, func() bool {
 			st := h.Cluster.SlaveStats()
 			return h.Cluster.TotalPinnedBytes() == 0 && st.QueuedCmds == 0 && st.DeferredCmds == 0
@@ -329,8 +334,7 @@ func chaosScenario(t *testing.T, seed int64) string {
 			return
 		}
 		defer h.Close()
-		c, err := h.Client(client.WithSeed(5),
-			client.WithNNTimeout(time.Second), client.WithNNAttempts(6))
+		c, err := h.Client()
 		if err != nil {
 			t.Errorf("client: %v", err)
 			return
@@ -422,7 +426,7 @@ func TestSeededChaosRunsAreDeterministic(t *testing.T) {
 // broadcast, which may be arbitrarily far away on an idle master.
 func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 	runChaos(t, Config{Nodes: 4, Seed: 13, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(5))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -451,7 +455,9 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 			t.Fatal("no datanode holds pinned bytes after migration")
 		}
 		h.CrashDataNode(victim)
-		h.Cluster.NameNode.RestartMaster()
+		if err := h.Cluster.NameNode.RestartMaster(); err != nil {
+			t.Fatalf("restart master: %v", err)
+		}
 		waitUntil(t, v, time.Minute, func() bool {
 			for i, dn := range h.Cluster.DataNodes {
 				if i != victim && dn.Slave().PinnedBytes() > 0 {
@@ -489,7 +495,7 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 // one resync the counters go quiet again.
 func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 	runChaos(t, Config{Nodes: 3, Seed: 7, DFSHeartbeat: 500 * time.Millisecond}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(2))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -552,7 +558,7 @@ func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 // register IS the snapshot.
 func TestReconnectAfterMissedEpochConverges(t *testing.T) {
 	runChaos(t, Config{Nodes: 3, Seed: 9, DFSHeartbeat: 500 * time.Millisecond}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(4))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}

@@ -2,15 +2,18 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
-	"repro/internal/dfs/client"
 	"repro/internal/ignem"
 	"repro/internal/simclock"
 	"repro/internal/storage"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -18,7 +21,7 @@ import (
 // evict — on a journaled cluster whose WAL backend crashes after
 // crashAfter records (crashAfter < 0 never crashes). At whatever point
 // the master's log dies, the scenario revives the backend and drives
-// RecoverMaster, then asserts the invariants the journal exists to
+// RestartMaster, then asserts the invariants the journal exists to
 // protect: every block migrates EXACTLY once (resumed work never
 // double-copies, thanks to slave-side idempotency plus the journal's
 // copied markers), no pin is lost or leaked after resume, the file's
@@ -33,7 +36,7 @@ func walScenario(t *testing.T, crashAfter int64) int64 {
 	var appended int64
 	runChaos(t, Config{Nodes: 4, Seed: 11, Mode: cluster.ModeIgnem, WALBackend: be},
 		func(v *simclock.Virtual, h *Harness) {
-			c, err := h.Client(client.WithSeed(5))
+			c, err := h.Client()
 			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
@@ -56,7 +59,7 @@ func walScenario(t *testing.T, crashAfter int64) int64 {
 					return false
 				}
 				be.Revive()
-				if err := nn.RecoverMaster(); err != nil {
+				if err := nn.RestartMaster(); err != nil {
 					t.Fatalf("recover at record %d: %v", crashAfter, err)
 				}
 				return true
@@ -147,7 +150,7 @@ func TestWALCrashAtEveryRecordExactlyOnce(t *testing.T) {
 // location, and the replication sweep restores a healthy copy.
 func TestWALChecksumCorruptionReadRecovery(t *testing.T) {
 	runChaos(t, Config{Nodes: 4, Seed: 13, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(6))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -180,7 +183,7 @@ func TestWALChecksumCorruptionReadRecovery(t *testing.T) {
 		// typed checksum error — the corrupt bytes are never served.
 		direct := lb
 		direct.Nodes = []string{badAddr}
-		if _, err := c.ReadBlock(direct, ""); !dfs.IsChecksum(err) {
+		if _, err := c.ReadBlock(direct, ""); !errors.Is(err, dfs.ErrChecksum) {
 			t.Fatalf("read from corrupt replica: err = %v, want checksum error", err)
 		}
 
@@ -212,87 +215,79 @@ func TestWALChecksumCorruptionReadRecovery(t *testing.T) {
 	})
 }
 
-// A reader that cannot check a block end to end never receives rotten
-// bytes: the datanode verifies before serving whenever the request does
-// not say the reader will. Two such readers — a client with checksums
-// off, and any client reading a file written without checksums (the
-// namenode has nothing to hold the bytes to) — aimed straight at a rotten
-// replica get the datanode's typed checksum error, the replica is
-// dropped and reported by that check, and the file still reads intact
-// from the other holder.
+// The one reader left that cannot check a block end to end is a
+// re-replication pull (dn.pullBlock): it asks without ReaderVerifies, so
+// the serving datanode verifies before it serves. A pull aimed straight
+// at a rotten source replica gets the source's typed checksum error and
+// stores nothing; the source drops and reports its replica, and the file
+// still reads intact from the healthy holder.
 func TestWALNonVerifyingReaderNeverGetsRottenBytes(t *testing.T) {
 	const blockSize = 1 << 20
-	for _, tc := range []struct {
-		name   string
-		writer []client.Option
-		reader []client.Option
-	}{
-		{"checksums_off_reader", nil, []client.Option{client.WithChecksums(false)}},
-		{"unchecksummed_file", []client.Option{client.WithChecksums(false)}, nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			runChaos(t, Config{Nodes: 4, Seed: 23, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
-				w, err := h.Client(append([]client.Option{client.WithSeed(9)}, tc.writer...)...)
-				if err != nil {
-					t.Fatalf("writer: %v", err)
-				}
-				defer w.Close()
-				r, err := h.Client(append([]client.Option{client.WithSeed(10)}, tc.reader...)...)
-				if err != nil {
-					t.Fatalf("reader: %v", err)
-				}
-				defer r.Close()
-				data := filedata(6, 2*blockSize)
-				if err := w.WriteFile("/f", data, blockSize, 2); err != nil {
-					t.Fatalf("write: %v", err)
-				}
-				lbs, err := r.Locations("/f")
-				if err != nil || len(lbs) == 0 || len(lbs[0].Nodes) < 2 {
-					t.Fatalf("locations: %v (%v)", err, lbs)
-				}
-				lb := lbs[0]
-				if unsummed := len(tc.writer) > 0; unsummed != (lb.Checksum == 0) {
-					t.Fatalf("located checksum = %#x, unchecksummed writer = %v", lb.Checksum, unsummed)
-				}
-				badAddr := lb.Nodes[0]
-				corrupted := false
-				for _, dn := range h.Cluster.DataNodes {
-					if dn.Addr() == badAddr {
-						corrupted = dn.CorruptReplica(lb.Block.ID)
-					}
-				}
-				if !corrupted {
+	runChaos(t, Config{Nodes: 4, Seed: 23, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+		c, err := h.Client()
+		if err != nil {
+			t.Fatalf("client: %v", err)
+		}
+		defer c.Close()
+		data := filedata(6, 2*blockSize)
+		if err := c.WriteFile("/f", data, blockSize, 2); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		lbs, err := c.Locations("/f")
+		if err != nil || len(lbs) == 0 || len(lbs[0].Nodes) != 2 {
+			t.Fatalf("locations: %v (%v)", err, lbs)
+		}
+		lb := lbs[0]
+		badAddr := lb.Nodes[0]
+		target := ""
+		for _, dn := range h.Cluster.DataNodes {
+			switch {
+			case dn.Addr() == badAddr:
+				if !dn.CorruptReplica(lb.Block.ID) {
 					t.Fatalf("corrupt replica %d on %s", lb.Block.ID, badAddr)
 				}
+			case target == "" && !slices.Contains(lb.Nodes, dn.Addr()):
+				target = dn.Addr()
+			}
+		}
 
-				direct := lb
-				direct.Nodes = []string{badAddr}
-				resp, err := r.ReadBlock(direct, "")
-				if !dfs.IsChecksum(err) || len(resp.Data) != 0 {
-					t.Fatalf("read from rotten replica: %d bytes, err = %v; want no bytes and a checksum error", len(resp.Data), err)
-				}
-				if got := r.ChecksumFailures(); got != 0 {
-					t.Errorf("ChecksumFailures = %d: the datanode, not this client, should have caught it", got)
-				}
-				waitUntil(t, v, time.Minute, func() bool {
-					return h.Cluster.NameNode.Stats().CorruptReports >= 1
-				}, "the datanode's own check reports the replica")
-				got, err := r.ReadFile("/f", "")
-				if err != nil || !bytes.Equal(got, data) {
-					t.Fatalf("read with failover: %v", err)
-				}
-			})
-		})
-	}
+		conn, err := transport.Dial(v, h.Fabric.Node(ClientAddr), target)
+		if err != nil {
+			t.Fatalf("dial %s: %v", target, err)
+		}
+		defer conn.Close()
+		_, err = transport.Call[dfs.PullBlockResp](conn, "dn.pullBlock", dfs.PullBlockReq{Block: lb.Block, From: badAddr})
+		if err == nil || !strings.Contains(err.Error(), dfs.ErrChecksum.Error()) {
+			t.Fatalf("pull from rotten replica: err = %v; want the source's checksum error", err)
+		}
+		// Neither the puller nor the source serves the block any more.
+		for _, addr := range []string{target, badAddr} {
+			direct := lb
+			direct.Nodes = []string{addr}
+			if _, err := c.ReadBlock(direct, ""); err == nil {
+				t.Errorf("%s serves block %d after the failed pull", addr, lb.Block.ID)
+			}
+		}
+		waitUntil(t, v, time.Minute, func() bool {
+			return h.Cluster.NameNode.Stats().CorruptReports >= 1
+		}, "the source's own check reports the replica")
+		got, err := c.ReadFile("/f", "")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read with failover: %v", err)
+		}
+		if got := c.ChecksumFailures(); got != 0 {
+			t.Errorf("ChecksumFailures = %d: the datanode, not this client, should have caught it", got)
+		}
+	})
 }
 
 // The background scrubber finds rot nobody reads: a corrupted replica
-// is scanned against its write-time CRC on the simulated clock, counted,
+// is scanned against its write-time CRC on the simulated clock,
 // dropped, reported, and re-replicated — with no client traffic at all.
 func TestWALScrubberFindsSilentCorruption(t *testing.T) {
 	runChaos(t, Config{Nodes: 4, Seed: 17, Mode: cluster.ModeIgnem, ScrubInterval: 5 * time.Second},
 		func(v *simclock.Virtual, h *Harness) {
-			c, err := h.Client(client.WithSeed(7))
+			c, err := h.Client()
 			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
@@ -318,11 +313,8 @@ func TestWALScrubberFindsSilentCorruption(t *testing.T) {
 			}
 
 			waitUntil(t, v, time.Minute, func() bool {
-				return h.Cluster.DataNodes[bad].ScrubberStats().Corrupt >= 1
-			}, "scrubber detects the corruption")
-			waitUntil(t, v, time.Minute, func() bool {
 				return h.Cluster.NameNode.Stats().CorruptReports >= 1
-			}, "scrubber report reaches the namenode")
+			}, "the scrubber's report reaches the namenode")
 			waitUntil(t, v, 2*time.Minute, func() bool {
 				lbs, err := c.Locations("/silent")
 				if err != nil {
@@ -345,7 +337,7 @@ func TestWALRetryPumpDeliversThroughOneWayPartition(t *testing.T) {
 	be := wal.NewMem()
 	runChaos(t, Config{Nodes: 4, Seed: 19, Mode: cluster.ModeIgnem, WALBackend: be},
 		func(v *simclock.Virtual, h *Harness) {
-			c, err := h.Client(client.WithSeed(8))
+			c, err := h.Client()
 			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
@@ -393,7 +385,7 @@ func TestWALRetryPumpDeliversThroughOneWayPartition(t *testing.T) {
 // migrate (plan to SSD, pin, climb SSD→RAM), read, evict — on a
 // journaled cluster whose WAL backend crashes after crashAfter records
 // (crashAfter < 0 never crashes). Reviving the backend and driving
-// RecoverMaster at whatever boundary the log died must converge to the
+// RestartMaster at whatever boundary the log died must converge to the
 // same outcome as a clean run: every block device-copied onto the
 // fast path EXACTLY once and climbed EXACTLY once, all residency on
 // the RAM rung, and the master's budget ledger conserved — SSD charges
@@ -415,7 +407,7 @@ func ladderScenario(t *testing.T, crashAfter int64) int64 {
 		TierBudgets:     ignem.TierBudgets{RAM: 64 << 20, SSD: 64 << 20},
 	}
 	runChaos(t, cfg, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client(client.WithSeed(5))
+		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -433,7 +425,7 @@ func ladderScenario(t *testing.T, crashAfter int64) int64 {
 				return false
 			}
 			be.Revive()
-			if err := nn.RecoverMaster(); err != nil {
+			if err := nn.RestartMaster(); err != nil {
 				t.Fatalf("recover at record %d: %v", crashAfter, err)
 			}
 			return true

@@ -106,9 +106,9 @@ type Config struct {
 	HotCacheBytes int64
 	// WALBackend, when set, gives the namenode's Ignem master a
 	// migration write-ahead log (see namenode.Config.WALBackend):
-	// durable planning, journal-backed batch retries, and
-	// RecoverMaster-style resume. Nil — the default — keeps the
-	// master unjournaled, so seeded figures are untouched.
+	// durable planning, journal-backed batch retries, and a
+	// RestartMaster that resumes from the journal. Nil — the default —
+	// keeps the master unjournaled, so seeded figures are untouched.
 	WALBackend wal.Backend
 	// ScrubInterval enables the datanodes' background checksum scrubber
 	// at this cadence (see datanode.Config.ScrubInterval). Zero — the
@@ -266,15 +266,6 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 // calls (only in ModeIgnem).
 func (c *Cluster) UseIgnem() bool { return c.cfg.Mode == ModeIgnem }
 
-// NodeAddrs returns the datanode/worker addresses.
-func (c *Cluster) NodeAddrs() []string {
-	out := make([]string, len(c.DataNodes))
-	for i, dn := range c.DataNodes {
-		out[i] = dn.Addr()
-	}
-	return out
-}
-
 // Client opens a new DFS client against the cluster.
 func (c *Cluster) Client(opts ...client.Option) (*client.Client, error) {
 	return client.New(c.Clock, c.Net, NameNodeAddr, opts...)
@@ -294,15 +285,6 @@ func (c *Cluster) PinnedBytesPerNode() []int64 {
 	out := make([]int64, len(c.DataNodes))
 	for i, dn := range c.DataNodes {
 		out[i] = dn.Slave().PinnedBytes()
-	}
-	return out
-}
-
-// SSDBytesPerNode returns each slave's flash-rung occupancy.
-func (c *Cluster) SSDBytesPerNode() []int64 {
-	out := make([]int64, len(c.DataNodes))
-	for i, dn := range c.DataNodes {
-		out[i] = dn.Slave().SSDBytes()
 	}
 	return out
 }

@@ -25,7 +25,7 @@ func TestStartAndCloseAllModes(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if got := len(c.NodeAddrs()); got != 3 {
+			if got := len(c.DataNodes); got != 3 {
 				t.Errorf("%s: %d nodes", mode, got)
 			}
 			if c.UseIgnem() != (mode == ModeIgnem) {
@@ -147,7 +147,7 @@ func TestDeadJobCleanupSweep(t *testing.T) {
 		for c.TotalPinnedBytes() < 3*dfs.DefaultBlockSize {
 			v.Sleep(100 * time.Millisecond)
 		}
-		jobA.Kill() // dies; no evict instruction will ever come
+		jobA.Complete() // dies; no evict instruction will ever come
 
 		// Job B needs more space than remains; its deferred commands
 		// trigger the sweep, which finds job A dead and purges it.
@@ -212,7 +212,9 @@ func TestChaosFailuresDuringWorkload(t *testing.T) {
 					return
 				}
 				if rng.Intn(2) == 0 {
-					c.NameNode.RestartMaster()
+					if err := c.NameNode.RestartMaster(); err != nil {
+						t.Errorf("restart master: %v", err)
+					}
 				} else {
 					c.DataNodes[rng.Intn(len(c.DataNodes))].RestartSlaveProcess()
 				}
@@ -251,7 +253,9 @@ func TestChaosFailuresDuringWorkload(t *testing.T) {
 		// Stale pins from pre-restart epochs are purged when any
 		// new-epoch batch arrives; the remaining ones disappear with a
 		// final master restart broadcast.
-		c.NameNode.RestartMaster()
+		if err := c.NameNode.RestartMaster(); err != nil {
+			t.Fatalf("restart master: %v", err)
+		}
 		v.Sleep(2 * time.Second)
 		if got := c.TotalPinnedBytes(); got != 0 {
 			t.Errorf("chaos leaked %d pinned bytes", got)

@@ -133,35 +133,32 @@ func TestReadFileResultIsNotAliased(t *testing.T) {
 func TestWriteFileReplicasOwnTheirBytes(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tcp bool) {
 		lc := startLive(t, tcp, 4)
-		for _, sums := range []bool{true, false} {
-			cl := lc.client(t, client.WithChecksums(sums))
-			path := fmt.Sprintf("/own/w-%t", sums)
-			in := patterned(8*(256<<10)+12345, 5)
-			want := bytes.Clone(in)
-			if err := cl.WriteFile(path, in, 256<<10, 2); err != nil {
-				t.Fatalf("WriteFile: %v", err)
+		cl := lc.client(t)
+		in := patterned(8*(256<<10)+12345, 5)
+		want := bytes.Clone(in)
+		if err := cl.WriteFile("/own/w", in, 256<<10, 2); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		for i := range in {
+			in[i] = 0xFF
+		}
+		lbs, err := cl.Locations("/own/w")
+		if err != nil || len(lbs) != 9 {
+			t.Fatalf("Locations: %d blocks, %v", len(lbs), err)
+		}
+		for _, lb := range lbs {
+			if len(lb.Nodes) != 2 {
+				t.Fatalf("block %d has replicas on %v, want 2", lb.Block.ID, lb.Nodes)
 			}
-			for i := range in {
-				in[i] = 0xFF
-			}
-			lbs, err := cl.Locations(path)
-			if err != nil || len(lbs) != 9 {
-				t.Fatalf("Locations: %d blocks, %v", len(lbs), err)
-			}
-			for _, lb := range lbs {
-				if len(lb.Nodes) != 2 {
-					t.Fatalf("block %d has replicas on %v, want 2", lb.Block.ID, lb.Nodes)
+			for _, addr := range lb.Nodes {
+				pinned := lb
+				pinned.Nodes = []string{addr}
+				got, err := readData(cl, pinned)
+				if err != nil {
+					t.Fatalf("block %d on %s: %v", lb.Block.ID, addr, err)
 				}
-				for _, addr := range lb.Nodes {
-					pinned := lb
-					pinned.Nodes = []string{addr}
-					got, err := readData(cl, pinned)
-					if err != nil {
-						t.Fatalf("checksums %t: block %d on %s: %v", sums, lb.Block.ID, addr, err)
-					}
-					if !bytes.Equal(got, want[lb.Offset:lb.Offset+lb.Block.Size]) {
-						t.Fatalf("checksums %t: block %d on %s changed with the caller's slice", sums, lb.Block.ID, addr)
-					}
+				if !bytes.Equal(got, want[lb.Offset:lb.Offset+lb.Block.Size]) {
+					t.Fatalf("block %d on %s changed with the caller's slice", lb.Block.ID, addr)
 				}
 			}
 		}
@@ -397,8 +394,8 @@ func BenchmarkReadFileTCP(b *testing.B) {
 
 // BenchmarkWriteFileTCP is the whole-file write the block benchmarks
 // miss: a 64 MiB file in 4 MiB blocks, replication 2, pipelined to four
-// RAM-served datanodes on TCP loopback, with checksums on. Each op
-// writes the file and deletes it, so the replicas do not pile up.
+// RAM-served datanodes on TCP loopback. Each op writes the file and
+// deletes it, so the replicas do not pile up.
 // `make profile` profiles it.
 func BenchmarkWriteFileTCP(b *testing.B) {
 	lc := startLive(b, true, 4)
@@ -528,9 +525,10 @@ func firstThen(id dfs.BlockID, data []byte, sum uint32, first string, others ...
 }
 
 // A reply whose payload is not the located size is a failed replica,
-// with checksums on or off: the read fails over to a holder that
-// returns the right bytes, and surfaces dfs.ErrBlockLength only when
-// every holder disagrees with the namenode.
+// whether or not the located block carries a checksum (checksums=false:
+// the namenode recorded none, so the read does not verify): the read
+// fails over to a holder that returns the right bytes, and surfaces
+// dfs.ErrBlockLength only when every holder disagrees with the namenode.
 func TestReadBlockPayloadLengthIsReplicaHealth(t *testing.T) {
 	const size = 64 << 10
 	want := patterned(size, 5)
@@ -566,7 +564,7 @@ func TestReadBlockPayloadLengthIsReplicaHealth(t *testing.T) {
 					mu.Unlock()
 					return payload(tc.second)(r)
 				})
-				cl := s.client(client.WithChecksums(sums))
+				cl := s.client()
 				var sum uint32
 				if sums {
 					sum = dfs.Checksum(want)
@@ -679,21 +677,19 @@ func TestReaderVerifiesAndAsksSecondOpinion(t *testing.T) {
 	rotten[size/3] ^= 0x01
 	for _, tc := range []struct {
 		name         string
-		checksums    bool   // client option
 		located      bool   // the namenode recorded a checksum
 		first        []byte // what the preferred replica serves
 		wantVerifies bool   // ReaderVerifies on the requests
 		wantAsked    int    // dn.verifyBlock calls per read
 		wantCRCFails int    // ChecksumFailures per read
 	}{
-		{"healthy", true, true, want, true, 0, 0},
-		{"rotten", true, true, rotten, true, 1, 1},
-		{"short", true, true, want[:size-1], true, 1, 0},
-		{"checksums_off", false, true, want, false, 0, 0},
-		{"unchecksummed_file", true, false, want, false, 0, 0},
+		{"healthy", true, want, true, 0, 0},
+		{"rotten", true, rotten, true, 1, 1},
+		{"short", true, want[:size-1], true, 1, 0},
+		{"unchecksummed_file", false, want, false, 0, 0},
 		// Nobody here can tell, which is why the datanode must: a stub
 		// does not, so the rot comes through.
-		{"checksums_off_rotten", false, true, rotten, false, 0, 0},
+		{"unchecksummed_file_rotten", false, rotten, false, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newStubReplicas(t)
@@ -714,7 +710,7 @@ func TestReaderVerifiesAndAsksSecondOpinion(t *testing.T) {
 				mu.Unlock()
 			})
 			second := s.serve(serving(want))
-			cl := s.client(client.WithChecksums(tc.checksums))
+			cl := s.client()
 			var sum uint32
 			if tc.located {
 				sum = dfs.Checksum(want)

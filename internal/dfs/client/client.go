@@ -44,42 +44,15 @@ func WithReadObserver(fn func(BlockReadEvent)) Option {
 	return func(c *Client) { c.observer = fn }
 }
 
-// WithSeed seeds the client's replica-choice randomness (and, from an
-// independent stream, its retry-backoff jitter).
-func WithSeed(seed int64) Option {
-	return func(c *Client) {
-		c.rng = rand.New(rand.NewSource(seed))
-		c.retryRNG = rand.New(rand.NewSource(seed ^ 0x7265747279)) // "retry"
-	}
-}
-
-// WithChecksums toggles end-to-end block checksums (default on). When
-// enabled, the writer computes a CRC32C per real-data block, records it
-// at the namenode during allocation, and ships it with the block; every
-// read verifies the returned bytes against the located block's
-// checksum, and a mismatch fails over to another replica after asking
-// the holder to judge its stored copy (dn.verifyBlock). Each served
-// block is verified once: by such a read, which tells the datanode so,
-// or else — checksums off, or a file written without them — by the
-// datanode against its own write-time CRC before it serves. Synthetic
-// (size-only) blocks are never checksummed, so experiment-scale
-// workloads are unaffected either way.
-func WithChecksums(on bool) Option {
-	return func(c *Client) { c.checksums = on }
-}
-
 // Client is a DFS client handle. It is safe for concurrent use.
 type Client struct {
 	clock      simclock.Clock
 	net        transport.Network
 	nnAddr     string
-	nnTimeout  time.Duration
-	nnAttempts int
 	localAddr  string
 	observer   func(BlockReadEvent)
 	cacheBytes int64
 	cache      *blockcache.Cache
-	checksums  bool
 
 	// checksumFailures counts reads whose bytes failed verification
 	// against the write-time checksum (each triggers replica failover).
@@ -113,18 +86,15 @@ func New(clock simclock.Clock, net transport.Network, nnAddr string, opts ...Opt
 		clock:         clock,
 		net:           net,
 		nnAddr:        nnAddr,
-		nnTimeout:     5 * time.Minute,
-		nnAttempts:    DefaultNNAttempts,
 		dns:           make(map[string]*transport.Client),
 		rng:           rand.New(rand.NewSource(1)),
-		retryRNG:      rand.New(rand.NewSource(1 ^ 0x7265747279)),
-		checksums:     true,
+		retryRNG:      rand.New(rand.NewSource(1 ^ 0x7265747279)), // "retry"
 		pendingNotify: make(map[dfs.JobID][]dfs.BlockID),
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	nn, err := transport.Dial(clock, net, nnAddr, transport.WithCallTimeout(c.nnTimeout))
+	nn, err := transport.Dial(clock, net, nnAddr, transport.WithCallTimeout(DefaultNNTimeout))
 	if err != nil {
 		return nil, fmt.Errorf("dfs client: %w", err)
 	}
@@ -153,8 +123,8 @@ func (c *Client) Close() {
 
 // ---- namespace operations ----
 
-// Create starts a new file and returns a Writer for its content.
-func (c *Client) Create(path string, blockSize int64, replication int) (*Writer, error) {
+// create starts a new file and returns a writer for its content.
+func (c *Client) create(path string, blockSize int64, replication int) (*writer, error) {
 	_, err := callNNOnce[dfs.CreateResp](c, "nn.create", dfs.CreateReq{
 		Path: path, BlockSize: blockSize, Replication: replication,
 	})
@@ -297,17 +267,24 @@ func (c *Client) readBlockFrom1st(lb dfs.LocatedBlock, job dfs.JobID, first stri
 	return dfs.ReadBlockResp{}, "", fmt.Errorf("dfs client: block %d unreadable from all replicas: %w", lb.Block.ID, lastErr)
 }
 
+// readBlockFrom reads one block from the replica at addr and checks it
+// end to end. The writer computes a CRC32C per real-data block, records
+// it at the namenode during allocation, and ships it with the block;
+// this read verifies the returned bytes against the located block's
+// checksum, and a mismatch fails over to another replica after asking
+// the holder to judge its stored copy (dn.verifyBlock). Each served
+// block is verified once, by the last party that can: a read that will
+// check the bytes says so in its request and the datanode skips its own
+// pass; a block without a recorded checksum is verified by the datanode
+// against its own write-time CRC before it serves. Synthetic
+// (size-only) blocks carry no bytes and no checksum.
 func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) (dfs.ReadBlockResp, error) {
 	dc, err := c.datanode(addr)
 	if err != nil {
 		return dfs.ReadBlockResp{}, err
 	}
 	local := addr == c.localAddr
-	// Every served byte is verified once, by the last party that can:
-	// when this read will hold the bytes to the namenode-recorded CRC the
-	// request says so and the datanode skips its own pass; otherwise the
-	// datanode verifies before serving.
-	verify := c.checksums && lb.Checksum != 0
+	verify := lb.Checksum != 0
 	start := c.clock.Now()
 	resp, err := transport.Call[dfs.ReadBlockResp](dc, "dn.readBlock", dfs.ReadBlockReq{
 		Block: lb.Block.ID, Job: job, Local: local, ReaderVerifies: verify,
@@ -317,9 +294,8 @@ func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) 
 	}
 	// Payload length is part of replica health: ReadFile lays each block
 	// at the offset its located size implies, so a replica that returns
-	// any other number of bytes is as wrong as one that fails its CRC,
-	// and is the only check left when checksums are off. A synthetic
-	// block (no bytes, no checksum) has nothing to measure.
+	// any other number of bytes is as wrong as one that fails its CRC. A
+	// synthetic block (no bytes, no checksum) has nothing to measure.
 	if n := int64(len(resp.Data)); n != lb.Block.Size && (n > 0 || lb.Checksum != 0) {
 		resp.Release()
 		if verify {

@@ -421,13 +421,13 @@ func TestCreateErrors(t *testing.T) {
 		if err := c.WriteSyntheticFile("/dup", 1<<20, 0, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Create("/dup", 0, 0); err == nil {
+		if err := c.WriteFile("/dup", []byte("x"), 0, 0); err == nil {
 			t.Error("duplicate create succeeded")
 		}
 		if _, err := c.ReadFile("/missing", "j"); err == nil {
 			t.Error("read of missing file succeeded")
 		}
-		if _, err := c.Create("", 0, 0); err == nil {
+		if err := c.WriteFile("", []byte("x"), 0, 0); err == nil {
 			t.Error("empty path accepted")
 		}
 	})
@@ -483,7 +483,9 @@ func TestMasterRestartPurgesSlaves(t *testing.T) {
 			return n == 2
 		}, "pin")
 
-		mc.nn.RestartMaster()
+		if err := mc.nn.RestartMaster(); err != nil {
+			t.Fatalf("restart master: %v", err)
+		}
 		// Next command batch (for a new job) carries the new epoch and
 		// purges stale reference lists on the slaves it reaches.
 		if err := c.WriteSyntheticFile("/g", dfs.DefaultBlockSize, 0, len(mc.dns)); err != nil {
@@ -699,29 +701,11 @@ func TestWriterErrors(t *testing.T) {
 		defer mc.close()
 		c := mc.client(t)
 		defer c.Close()
-		w, err := c.Create("/w", 1024, 1)
-		if err != nil {
+		if err := c.WriteSyntheticFile("/s", -1, 1024, 1); err == nil {
+			t.Error("negative synthetic size accepted")
+		}
+		if err := c.WriteFile("/w", []byte("real bytes"), 1024, 1); err != nil {
 			t.Fatal(err)
-		}
-		if _, err := w.Write([]byte("real bytes")); err != nil {
-			t.Fatal(err)
-		}
-		// Mixing real and synthetic writes is rejected.
-		if err := w.WriteSynthetic(4096); err == nil {
-			t.Error("mixed real+synthetic write accepted")
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Writes after close fail; double close is a no-op.
-		if _, err := w.Write([]byte("x")); err == nil {
-			t.Error("write after close accepted")
-		}
-		if err := w.WriteSynthetic(1); err == nil {
-			t.Error("synthetic write after close accepted")
-		}
-		if err := w.Close(); err != nil {
-			t.Errorf("double close: %v", err)
 		}
 		// The partial final block was flushed.
 		data, err := c.ReadFile("/w", "j")

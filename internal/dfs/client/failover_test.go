@@ -3,7 +3,6 @@ package client_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -32,19 +31,12 @@ func TestWriterSurvivesDeadPipelineNode(t *testing.T) {
 		const blockSize = 256 << 10
 		data := bytes.Repeat([]byte("fail over, not fall over. "), 8*blockSize/26+1)[:8*blockSize]
 
-		w, err := c.Create("/chaos/f", blockSize, 2)
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
 		// dn2 dies before any block ships. The namenode has not yet
 		// expired its heartbeat, so allocations keep targeting it and the
 		// writer must fail over block by block.
 		mc.dns[2].Close()
-		if _, err := w.Write(data); err != nil {
+		if err := c.WriteFile("/chaos/f", data, blockSize, 2); err != nil {
 			t.Fatalf("write with dead pipeline node: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatalf("close: %v", err)
 		}
 
 		lbs, err := c.Locations("/chaos/f")
@@ -87,7 +79,7 @@ func TestIdempotentNNCallRedialsRestartedNameNode(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
 		defer mc.close()
-		c := mc.client(t, client.WithSeed(5))
+		c := mc.client(t)
 		defer c.Close()
 		if _, err := c.List("/"); err != nil {
 			t.Fatalf("list before the restart: %v", err)
@@ -148,8 +140,7 @@ func TestIdempotentNNCallRetriesThroughOutage(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		fc := startFaulty(t, v, 3)
 		defer fc.close()
-		c, err := client.New(v, fc.fab.Node("client"), "nn",
-			client.WithNNTimeout(time.Second), client.WithSeed(5))
+		c, err := client.New(v, fc.fab.Node("client"), "nn")
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -172,7 +163,7 @@ func TestIdempotentNNCallRetriesThroughOutage(t *testing.T) {
 		if info.Size != 5 {
 			t.Fatalf("info = %+v", info)
 		}
-		if d := v.Now().Sub(start); d < time.Second {
+		if d := v.Now().Sub(start); d < client.DefaultNNTimeout {
 			t.Fatalf("Info returned after %v — it cannot have timed out and retried", d)
 		}
 	})
@@ -184,7 +175,7 @@ func TestNonIdempotentNNCallDoesNotRetry(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		fc := startFaulty(t, v, 3)
 		defer fc.close()
-		c, err := client.New(v, fc.fab.Node("client"), "nn", client.WithNNTimeout(time.Second))
+		c, err := client.New(v, fc.fab.Node("client"), "nn")
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -196,7 +187,7 @@ func TestNonIdempotentNNCallDoesNotRetry(t *testing.T) {
 		if !errors.Is(err, transport.ErrTimeout) {
 			t.Fatalf("migrate err = %v, want timeout", err)
 		}
-		if d := v.Now().Sub(start); d > 1500*time.Millisecond {
+		if d := v.Now().Sub(start); d > client.DefaultNNTimeout*3/2 {
 			t.Fatalf("migrate took %v — a non-idempotent call must fail after one timeout", d)
 		}
 	})
@@ -209,30 +200,23 @@ func TestAllocationRetryAfterLostReplyDoesNotDoubleAllocate(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		fc := startFaulty(t, v, 3)
 		defer fc.close()
-		c, err := client.New(v, fc.fab.Node("client"), "nn",
-			client.WithNNTimeout(time.Second), client.WithSeed(3))
+		// Replies from the namenode vanish for 2.5s from the first
+		// addBlocks call on: that attempt allocates but its reply is lost,
+		// and the retry after its timeout hits the dedup path.
+		net := &firstCallNet{Network: fc.fab.Node("client"), method: "nn.addBlocks", hook: func() {
+			fc.fab.Block("nn", "client")
+			v.Go(func() {
+				v.Sleep(2500 * time.Millisecond)
+				fc.fab.Unblock("nn", "client")
+			})
+		}}
+		c, err := client.New(v, net, "nn")
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
 		defer c.Close()
-
-		w, err := c.Create("/g", 1<<20, 2)
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		// Replies from the namenode vanish for 2.5s: the first addBlock
-		// attempt allocates but its reply is lost; at least one retry hits
-		// the dedup path before the link heals.
-		fc.fab.Block("nn", "client")
-		v.Go(func() {
-			v.Sleep(2500 * time.Millisecond)
-			fc.fab.Unblock("nn", "client")
-		})
-		if _, err := w.Write(bytes.Repeat([]byte{7}, 1<<20)); err != nil {
+		if err := c.WriteFile("/g", bytes.Repeat([]byte{7}, 1<<20), 1<<20, 2); err != nil {
 			t.Fatalf("write through lost replies: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatalf("close: %v", err)
 		}
 
 		info, err := c.Info("/g")
@@ -251,6 +235,35 @@ func TestAllocationRetryAfterLostReplyDoesNotDoubleAllocate(t *testing.T) {
 			t.Fatalf("read back failed: %d bytes, %v", len(got), err)
 		}
 	})
+}
+
+// firstCallNet runs hook when a client first sends a call to method, just
+// before the call leaves.
+type firstCallNet struct {
+	transport.Network
+	method string
+	hook   func()
+	once   sync.Once
+}
+
+func (n *firstCallNet) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &firstCallConn{Conn: c, n: n}, nil
+}
+
+type firstCallConn struct {
+	transport.Conn
+	n *firstCallNet
+}
+
+func (c *firstCallConn) Send(m transport.Message) error {
+	if m.Method == c.n.method {
+		c.n.once.Do(c.n.hook)
+	}
+	return c.Conn.Send(m)
 }
 
 // lateNet holds the first dn.writeBlock a client sends and delivers it
@@ -309,55 +322,52 @@ func (n *lateNet) take(addr string) bool {
 // A block attempt delivered after WriteFile returned must not store the
 // bytes the caller has written over its slice since. The first attempt
 // is held past the datanode call timeout, the retry succeeds on another
-// node, the caller scribbles, and then the stale attempt lands. With
-// checksums on, WriteFile sends from the caller's slice and the
-// datanode's CRC check rejects the changed bytes; with checksums off
-// nothing would, so the writer sends a staged copy and the stale replica
-// holds the original bytes.
+// node, the caller scribbles, and then the stale attempt lands.
+// WriteFile sends from the caller's slice, so the datanode's CRC check
+// is what rejects the changed bytes: the stale attempt stores nothing.
+// Every WriteFile records checksums, so checksums=true is the one case.
 func TestStaleBlockAttemptStoresNoScribbledBytes(t *testing.T) {
-	for _, sums := range []bool{true, false} {
-		t.Run(fmt.Sprintf("checksums=%t", sums), func(t *testing.T) {
-			runSim(t, func(v *simclock.Virtual) {
-				mc := startMini(t, v, miniConfig{nodes: 3})
-				defer mc.close()
-				ln := &lateNet{Network: mc.net, clock: v, hold: dfs.DefaultDataNodeTimeout + time.Minute}
-				c, err := client.New(v, ln, "nn", client.WithChecksums(sums), client.WithSeed(4))
-				if err != nil {
-					t.Fatalf("client: %v", err)
-				}
-				defer c.Close()
+	t.Run("checksums=true", func(t *testing.T) {
+		runSim(t, func(v *simclock.Virtual) {
+			mc := startMini(t, v, miniConfig{nodes: 3})
+			defer mc.close()
+			ln := &lateNet{Network: mc.net, clock: v, hold: dfs.DefaultDataNodeTimeout + time.Minute}
+			c, err := client.New(v, ln, "nn")
+			if err != nil {
+				t.Fatalf("client: %v", err)
+			}
+			defer c.Close()
 
-				in := bytes.Repeat([]byte("the caller's bytes "), 4096)
-				want := bytes.Clone(in)
-				start := v.Now()
-				if err := c.WriteFile("/late/f", in, int64(len(in)), 1); err != nil {
-					t.Fatalf("WriteFile: %v", err)
-				}
-				if ln.victim == "" || v.Now().Sub(start) >= ln.hold {
-					t.Fatalf("held attempt to %q; WriteFile took %v, want < %v", ln.victim, v.Now().Sub(start), ln.hold)
-				}
-				for i := range in {
-					in[i] = 0xFF
-				}
-				v.Sleep(ln.hold) // the stale attempt lands
+			in := bytes.Repeat([]byte("the caller's bytes "), 4096)
+			want := bytes.Clone(in)
+			start := v.Now()
+			if err := c.WriteFile("/late/f", in, int64(len(in)), 1); err != nil {
+				t.Fatalf("WriteFile: %v", err)
+			}
+			if ln.victim == "" || v.Now().Sub(start) >= ln.hold {
+				t.Fatalf("held attempt to %q; WriteFile took %v, want < %v", ln.victim, v.Now().Sub(start), ln.hold)
+			}
+			for i := range in {
+				in[i] = 0xFF
+			}
+			v.Sleep(ln.hold) // the stale attempt lands
 
-				lbs, err := c.Locations("/late/f")
-				if err != nil || len(lbs) != 1 {
-					t.Fatalf("Locations = %+v, %v; want one block", lbs, err)
+			lbs, err := c.Locations("/late/f")
+			if err != nil || len(lbs) != 1 {
+				t.Fatalf("Locations = %+v, %v; want one block", lbs, err)
+			}
+			for _, dn := range mc.dns {
+				pinned := lbs[0]
+				pinned.Nodes = []string{dn.Addr()}
+				got, err := c.ReadBlock(pinned, "")
+				held := err == nil
+				if held && !bytes.Equal(got.Data, want) {
+					t.Fatalf("%s stores the caller's scribbled bytes", dn.Addr())
 				}
-				for _, dn := range mc.dns {
-					pinned := lbs[0]
-					pinned.Nodes = []string{dn.Addr()}
-					got, err := c.ReadBlock(pinned, "")
-					held := err == nil
-					if held && !bytes.Equal(got.Data, want) {
-						t.Fatalf("%s stores the caller's scribbled bytes", dn.Addr())
-					}
-					if dn.Addr() == ln.victim && held != !sums {
-						t.Fatalf("stale attempt on %s: stored %t, want %t", dn.Addr(), held, !sums)
-					}
+				if dn.Addr() == ln.victim && held {
+					t.Fatalf("stale attempt on %s stored a replica", dn.Addr())
 				}
-			})
+			}
 		})
-	}
+	})
 }

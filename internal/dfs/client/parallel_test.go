@@ -65,7 +65,6 @@ func TestReadFileStripedMatchesSerialReplicaChoice(t *testing.T) {
 		var mu sync.Mutex
 		addrs := map[dfs.BlockID]string{}
 		c := mc.client(t,
-			client.WithSeed(42),
 			client.WithReadObserver(func(ev client.BlockReadEvent) {
 				mu.Lock()
 				addrs[ev.Block] = ev.Addr

@@ -90,7 +90,7 @@ func TestPooledBuffersUnderConcurrentTraffic(t *testing.T) {
 		}()
 	}
 
-	// Writer pipeline: fresh files written, verified, and deleted on the
+	// Write pipeline: fresh files written, verified, and deleted on the
 	// same client while the readers run.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

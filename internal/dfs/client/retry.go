@@ -9,35 +9,17 @@ import (
 
 // DefaultNNAttempts is how many times an idempotent namenode call is
 // attempted before its transport failure is surfaced (first try plus
-// retries), unless WithNNAttempts overrides it.
+// retries).
 const DefaultNNAttempts = 4
+
+// DefaultNNTimeout is the per-call timeout on the namenode connection,
+// in clock time.
+const DefaultNNTimeout = 5 * time.Minute
 
 const (
 	nnRetryBase = 50 * time.Millisecond
 	nnRetryMax  = time.Second
 )
-
-// WithNNAttempts caps attempts for idempotent namenode calls. n = 1
-// disables retries entirely.
-func WithNNAttempts(n int) Option {
-	return func(c *Client) {
-		if n < 1 {
-			n = 1
-		}
-		c.nnAttempts = n
-	}
-}
-
-// WithNNTimeout sets the per-call timeout on the namenode connection
-// (default 5 minutes of simulated time). Chaos tests shorten it so a
-// dropped RPC fails fast enough to exercise the retry path.
-func WithNNTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.nnTimeout = d
-		}
-	}
-}
 
 // callNNOnce invokes a namenode method exactly once. Non-idempotent
 // methods (create, delete, migrate, evict) go through here: after a lost
@@ -64,7 +46,7 @@ func callNN[Resp any](c *Client, method string, arg any) (Resp, error) {
 	var zero Resp
 	backoff := nnRetryBase
 	var lastErr error
-	for attempt := 0; attempt < c.nnAttempts; attempt++ {
+	for attempt := 0; attempt < DefaultNNAttempts; attempt++ {
 		if attempt > 0 {
 			c.clock.Sleep(c.retryJitter(backoff))
 			backoff *= 2
@@ -121,7 +103,7 @@ func (c *Client) redialNN(old *transport.Client) {
 		return
 	}
 	c.mu.Unlock()
-	nn, err := transport.Dial(c.clock, c.net, c.nnAddr, transport.WithCallTimeout(c.nnTimeout))
+	nn, err := transport.Dial(c.clock, c.net, c.nnAddr, transport.WithCallTimeout(DefaultNNTimeout))
 	if err != nil {
 		return // next attempt will fail fast on the old conn and retry
 	}

@@ -11,108 +11,62 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultWriteParallelism is how many blocks a Writer keeps in flight.
+// DefaultWriteParallelism is how many blocks a writer keeps in flight.
 const DefaultWriteParallelism = 4
 
-// writeMode distinguishes real-byte files from synthetic (size-only)
-// files; the two cannot be mixed in one file.
-type writeMode int
-
-const (
-	modeUnset writeMode = iota
-	modeReal
-	modeSynthetic
-)
-
-// Writer streams a file into the DFS block by block. It keeps a window
+// writer streams a file into the DFS block by block. It keeps a window
 // of up to DefaultWriteParallelism blocks in flight: each full block is
 // shipped to its datanode pipeline by a worker goroutine while the
-// caller keeps buffering, and block allocation is batched (one
+// caller dispatches the next, and block allocation is batched (one
 // nn.addBlocks round trip per window) on the caller's goroutine so
 // blocks are appended — and placement is drawn — in file order
-// regardless of worker scheduling. Errors from in-flight blocks surface
-// on the next Write, WriteSynthetic, or Close.
+// regardless of worker scheduling. The first in-flight failure stops
+// further dispatch and surfaces by close at the latest.
 //
-// A Writer is not safe for concurrent use.
-type Writer struct {
+// A writer is not safe for concurrent use.
+type writer struct {
 	c         *Client
 	path      string
 	blockSize int64
 	buf       []byte
-	closed    bool
-	mode      writeMode
 
 	// mu guards the in-flight window; cond is signalled when a worker
 	// completes. werr is sticky: the first in-flight failure fails every
-	// subsequent call.
+	// subsequent dispatch.
 	mu       sync.Mutex
 	cond     *simclock.Cond
 	inflight int
 	werr     error
 }
 
-func newWriter(c *Client, path string, blockSize int64) *Writer {
-	w := &Writer{c: c, path: path, blockSize: blockSize}
+func newWriter(c *Client, path string, blockSize int64) *writer {
+	w := &writer{c: c, path: path, blockSize: blockSize}
 	w.cond = simclock.NewCond(c.clock, &w.mu)
 	return w
 }
 
-// Write buffers p, flushing full blocks to the cluster. The returned
-// count is the number of bytes of p the writer consumed — on error after
-// some bytes were buffered or handed to a flush it reports those bytes
-// as consumed, so a caller that retries from the count does not
-// duplicate data. Write copies p, as io.Writer requires: the caller may
-// reuse p as soon as Write returns.
-func (w *Writer) Write(p []byte) (int, error) {
-	return w.write(p, true)
-}
-
-// write is Write with the copy optional. Without it (stage false, on a
-// writer that holds no bytes yet) the writer's blocks are p's own
-// memory: checksums, dispatch, failover retries and Close's tail block
-// all read p, so the caller must leave p untouched until Close returns.
-func (w *Writer) write(p []byte, stage bool) (int, error) {
-	if w.closed {
-		return 0, fmt.Errorf("dfs client: write to closed writer")
-	}
-	if w.mode == modeSynthetic {
-		return 0, fmt.Errorf("dfs client: cannot mix real and synthetic writes")
-	}
-	if err := w.asyncErr(); err != nil {
-		return 0, err
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	w.mode = modeReal
-	if stage {
-		w.buf = append(w.buf, p...)
-	} else {
-		w.buf = p
-	}
-	if err := w.flushFullBlocks(); err != nil {
-		// Everything in p is already in the writer's buffer or window.
-		return len(p), err
-	}
-	return len(p), nil
+// write sends p as the file's content, flushing its full blocks. The
+// writer's blocks are p's own memory: checksums, dispatch, failover
+// retries and close's tail block all read p, so the caller must leave p
+// untouched until close returns.
+func (w *writer) write(p []byte) error {
+	w.buf = p
+	return w.flushFullBlocks()
 }
 
 // flushFullBlocks drains every full block in the buffer: it allocates
 // a window of blocks in one nn.addBlocks call and hands each to the
 // bounded in-flight window.
-func (w *Writer) flushFullBlocks() error {
+func (w *writer) flushFullBlocks() error {
 	for int64(len(w.buf)) >= w.blockSize {
 		n := min(int(int64(len(w.buf))/w.blockSize), DefaultWriteParallelism)
 		sizes := make([]int64, n)
 		for i := range sizes {
 			sizes[i] = w.blockSize
 		}
-		var sums []uint32
-		if w.c.checksums {
-			sums = make([]uint32, n)
-			for i := range sums {
-				sums[i] = dfs.Checksum(w.buf[int64(i)*w.blockSize : int64(i+1)*w.blockSize])
-			}
+		sums := make([]uint32, n)
+		for i := range sums {
+			sums[i] = dfs.Checksum(w.buf[int64(i)*w.blockSize : int64(i+1)*w.blockSize])
 		}
 		lbs, err := w.c.addBlocks(w.path, sizes, sums)
 		if err != nil {
@@ -129,26 +83,13 @@ func (w *Writer) flushFullBlocks() error {
 	return nil
 }
 
-// WriteSynthetic appends size bytes of synthetic (unmaterialized) data,
+// writeSynthetic appends size bytes of synthetic (unmaterialized) data,
 // used by experiment-scale workloads so terabyte files don't allocate
-// terabytes. Mixing Write and WriteSynthetic on one file is not allowed.
-func (w *Writer) WriteSynthetic(size int64) error {
-	if w.closed {
-		return fmt.Errorf("dfs client: write to closed writer")
-	}
-	if w.mode == modeReal || len(w.buf) > 0 {
-		return fmt.Errorf("dfs client: cannot mix real and synthetic writes")
-	}
+// terabytes.
+func (w *writer) writeSynthetic(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("dfs client: negative synthetic size %d", size)
 	}
-	if err := w.asyncErr(); err != nil {
-		return err
-	}
-	if size == 0 {
-		return nil
-	}
-	w.mode = modeSynthetic
 	for size > 0 {
 		var sizes []int64
 		for len(sizes) < DefaultWriteParallelism && size > 0 {
@@ -172,7 +113,7 @@ func (w *Writer) WriteSynthetic(size int64) error {
 // dispatch hands one allocated block to the in-flight window, blocking
 // (on the clock) while the window is full. A sticky in-flight error
 // aborts the dispatch and is returned instead.
-func (w *Writer) dispatch(lb dfs.LocatedBlock, data []byte) error {
+func (w *writer) dispatch(lb dfs.LocatedBlock, data []byte) error {
 	w.mu.Lock()
 	for w.inflight >= DefaultWriteParallelism && w.werr == nil {
 		w.cond.Wait()
@@ -199,7 +140,7 @@ func (w *Writer) dispatch(lb dfs.LocatedBlock, data []byte) error {
 
 // drain waits for the in-flight window to empty and returns the sticky
 // error, if any.
-func (w *Writer) drain() error {
+func (w *writer) drain() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.inflight > 0 {
@@ -209,26 +150,20 @@ func (w *Writer) drain() error {
 }
 
 // asyncErr reports the sticky in-flight error without waiting.
-func (w *Writer) asyncErr() error {
+func (w *writer) asyncErr() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.werr
 }
 
-// Close flushes the remaining partial block, drains the in-flight
-// window, and seals the file. The writer is marked closed and its buffer
-// released even when a flush fails, so a retried Close is a no-op rather
-// than a second flush or nn.complete.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
+// close flushes the remaining partial block, drains the in-flight
+// window, and seals the file unless a block failed.
+func (w *writer) close() error {
 	var flushErr error
 	if len(w.buf) > 0 {
 		if flushErr = w.asyncErr(); flushErr == nil {
 			var lbs []dfs.LocatedBlock
-			lbs, flushErr = w.c.addBlocks(w.path, []int64{int64(len(w.buf))}, w.c.blockSums(w.buf))
+			lbs, flushErr = w.c.addBlocks(w.path, []int64{int64(len(w.buf))}, []uint32{dfs.Checksum(w.buf)})
 			if flushErr == nil {
 				flushErr = w.dispatch(lbs[0], w.buf)
 			}
@@ -237,7 +172,6 @@ func (w *Writer) Close() error {
 	if err := w.drain(); flushErr == nil {
 		flushErr = err
 	}
-	w.buf = nil
 	// The file's content just changed (created or appended); drop any
 	// blocks of it the shared cache still holds, error or not.
 	w.c.invalidateFile(w.path)
@@ -337,15 +271,6 @@ func (c *Client) sendBlock(lb dfs.LocatedBlock, data []byte) error {
 	return nil
 }
 
-// blockSums wraps one real-data block's CRC32C for an allocation
-// request; nil when checksums are disabled or the block is synthetic.
-func (c *Client) blockSums(data []byte) []uint32 {
-	if !c.checksums || len(data) == 0 {
-		return nil
-	}
-	return []uint32{dfs.Checksum(data)}
-}
-
 // addBlocks allocates len(sizes) blocks for path in one namenode round
 // trip, registering each block's write-time checksum (sums may be nil).
 // The request carries a fresh request ID, so the transport-level retry
@@ -367,34 +292,33 @@ func (c *Client) addBlocks(path string, sizes []int64, sums []uint32) ([]dfs.Loc
 // until it returns and never after, so the caller may reuse data then.
 //
 // The blocks are sent from data itself, with no staging copy: WriteFile
-// returns only after Close has drained every block in flight, and a
+// returns only after close has drained every block in flight, and a
 // datanode stores its own copy of any payload it did not decode from
 // the wire. One stale reader remains: a block attempt that the
 // transport or a faulty network delivers after its call timed out, and
-// so possibly after WriteFile returned. With checksums on, the
-// datanode's CRC check rejects bytes the caller changed since; with
-// checksums off nothing would, so that configuration stages a copy.
+// so possibly after WriteFile returned. The datanode's CRC check
+// rejects bytes the caller changed since.
 func (c *Client) WriteFile(path string, data []byte, blockSize int64, replication int) error {
-	w, err := c.Create(path, blockSize, replication)
+	w, err := c.create(path, blockSize, replication)
 	if err != nil {
 		return err
 	}
-	if _, err := w.write(data, !c.checksums); err != nil {
-		_ = w.Close() // drain in-flight blocks; the write already failed
+	if err := w.write(data); err != nil {
+		_ = w.close() // drain in-flight blocks; the write already failed
 		return err
 	}
-	return w.Close()
+	return w.close()
 }
 
 // WriteSyntheticFile creates path with size bytes of synthetic data.
 func (c *Client) WriteSyntheticFile(path string, size int64, blockSize int64, replication int) error {
-	w, err := c.Create(path, blockSize, replication)
+	w, err := c.create(path, blockSize, replication)
 	if err != nil {
 		return err
 	}
-	if err := w.WriteSynthetic(size); err != nil {
-		_ = w.Close()
+	if err := w.writeSynthetic(size); err != nil {
+		_ = w.close()
 		return err
 	}
-	return w.Close()
+	return w.close()
 }

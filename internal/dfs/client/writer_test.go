@@ -66,152 +66,60 @@ func TestWriteSyntheticBoundaries(t *testing.T) {
 	}
 }
 
-// TestWriterMixingErrors checks that real and synthetic writes cannot be
-// mixed on one file in either order, including when a real write landed
-// on an exact block boundary so the buffer happens to be empty. Subtests
-// are named for the write window, as in TestWriteSyntheticBoundaries.
-func TestWriterMixingErrors(t *testing.T) {
-	const blockSize = 1024
-	cases := []struct {
-		name  string
-		first func(w *client.Writer) error
-		then  func(w *client.Writer) error
-	}{
-		{
-			"real_then_synthetic",
-			func(w *client.Writer) error { _, err := w.Write([]byte("real bytes")); return err },
-			func(w *client.Writer) error { return w.WriteSynthetic(4 * blockSize) },
-		},
-		{
-			"exact_block_real_then_synthetic",
-			func(w *client.Writer) error { _, err := w.Write(make([]byte, blockSize)); return err },
-			func(w *client.Writer) error { return w.WriteSynthetic(blockSize) },
-		},
-		{
-			"synthetic_then_real",
-			func(w *client.Writer) error { return w.WriteSynthetic(blockSize) },
-			func(w *client.Writer) error { _, err := w.Write([]byte("x")); return err },
-		},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("par%d/%s", client.DefaultWriteParallelism, tc.name), func(t *testing.T) {
-			runSim(t, func(v *simclock.Virtual) {
-				mc := startMini(t, v, miniConfig{})
-				defer mc.close()
-				c := mc.client(t)
-				defer c.Close()
-				w, err := c.Create("/f", blockSize, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tc.first(w); err != nil {
-					t.Fatalf("first write: %v", err)
-				}
-				if err := tc.then(w); err == nil {
-					t.Error("mixed real+synthetic write accepted")
-				}
-				if err := w.Close(); err != nil {
-					t.Fatalf("close: %v", err)
-				}
-			})
-		})
-	}
-}
-
-// TestWriteReturnsConsumedCount pins the Write count contract: Write
-// consumes all of p into the buffer or the in-flight window, so it
-// reports len(p) even when a flush fails (a retrying caller doesn't
-// duplicate data), and a failed block ship surfaces by Close at the
-// latest.
-func TestWriteReturnsConsumedCount(t *testing.T) {
-	runSim(t, func(v *simclock.Virtual) {
-		mc := startMini(t, v, miniConfig{nodes: 1})
-		defer mc.close()
-		c := mc.client(t)
-		defer c.Close()
-		w, err := c.Create("/f", 1024, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Kill the only datanode: allocation still succeeds, shipping fails.
-		mc.dns[0].Close()
-		p := make([]byte, 3000)
-		n, werr := w.Write(p)
-		if n != len(p) {
-			t.Errorf("consumed count = %d, want %d (err %v)", n, len(p), werr)
-		}
-		if cerr := w.Close(); werr == nil && cerr == nil {
-			t.Fatal("write to dead datanode never surfaced an error")
-		}
-	})
-}
-
 // TestWriteStickyAsyncError checks that once an in-flight block of the
-// pipelined writer fails, a later Write consumes nothing and reports the
-// sticky error.
+// pipelined writer fails, the writer dispatches no further block: a
+// three-window file written to a dead datanode fails without allocating
+// its third window, and the file stays unsealed.
 func TestWriteStickyAsyncError(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
 		defer mc.close()
 		c := mc.client(t)
 		defer c.Close()
-		w, err := c.Create("/f", 1024, 1)
+		mc.dns[0].Close()
+		const blocks = 3 * client.DefaultWriteParallelism
+		if err := c.WriteFile("/f", make([]byte, blocks*1024), 1024, 1); err == nil {
+			t.Fatal("write to a dead datanode succeeded")
+		}
+		info, err := c.Info("/f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc.dns[0].Close()
-		if _, err := w.Write(make([]byte, 1024)); err != nil {
-			// Surfacing immediately is also within contract.
-			return
+		if info.Complete {
+			t.Error("file was completed despite failed blocks")
 		}
-		// Let the in-flight send fail in virtual time.
-		v.Sleep(time.Second)
-		n, err := w.Write([]byte("more"))
-		if err == nil || n != 0 {
-			t.Errorf("write after in-flight failure = (%d, %v), want (0, error)", n, err)
+		lbs, err := c.Locations("/f")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := w.Close(); err == nil {
-			t.Error("close after in-flight failure reported success")
+		if len(lbs) > 2*client.DefaultWriteParallelism {
+			t.Errorf("%d of %d blocks allocated: dispatch went on after an in-flight failure", len(lbs), blocks)
 		}
 	})
 }
 
 // TestParallelWriteErrorSurfacesLater pins the async error contract of
-// the pipelined writer: a Write that merely hands blocks to the window
-// can succeed, and the in-flight failure surfaces on a later call; Close
-// must not seal the file after a failed flush.
+// the pipelined writer: a block that fails in flight fails WriteFile,
+// which then must not seal the file.
 func TestParallelWriteErrorSurfacesLater(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
 		defer mc.close()
 		c := mc.client(t)
 		defer c.Close()
-		w, err := c.Create("/f", 1024, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		mc.dns[0].Close()
-		// One block fits the window, so this Write may return nil; the
-		// failure must then surface on Close at the latest.
-		_, werr := w.Write(make([]byte, 1024))
-		cerr := w.Close()
-		if werr == nil && cerr == nil {
+		// One block fits the window, so dispatching it succeeds; the
+		// failure surfaces when the window drains.
+		if err := c.WriteFile("/f", make([]byte, 1024), 1024, 1); err == nil {
 			t.Fatal("in-flight write failure never surfaced")
 		}
-		if err := w.Close(); err != nil {
-			t.Errorf("second close: %v", err)
-		}
-		// The failed close must not have sealed the file.
+		// The failed write must not have sealed the file.
 		info, err := c.Info("/f")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if info.Complete {
 			t.Error("file was completed despite failed flush")
-		}
-		// The writer stays closed: no retried flush can sneak in.
-		if _, err := w.Write([]byte("x")); err == nil {
-			t.Error("write after failed close accepted")
 		}
 	})
 }

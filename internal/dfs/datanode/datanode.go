@@ -940,23 +940,11 @@ func mixSeed(addr string, seed int64) int64 {
 	return int64(h.Sum64()) ^ seed
 }
 
-// BlockCount reports how many block replicas this datanode stores.
-func (dn *DataNode) BlockCount() int {
-	return dn.store.Len()
-}
-
 // CorruptReplica flips a byte in one stored replica while keeping its
 // recorded checksum — the fault-injection hook corruption-recovery
 // tests use. Returns false if the block is absent or payload-less.
 func (dn *DataNode) CorruptReplica(id dfs.BlockID) bool {
 	return dn.store.Corrupt(id)
-}
-
-// ScrubberStats snapshots the at-rest verification counters.
-func (dn *DataNode) ScrubberStats() ScrubStats {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return dn.scrub
 }
 
 // scrubLoop is the background scrubber: every ScrubInterval it re-reads

@@ -60,8 +60,8 @@ func TestWriteAndReadRealBlock(t *testing.T) {
 		if _, err := dn.handleWriteBlock(dfs.WriteBlockReq{Block: dfs.Block{ID: 1, Size: 4096}, Data: data}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		if got := dn.BlockCount(); got != 1 {
-			t.Errorf("BlockCount = %d", got)
+		if got := dn.store.Len(); got != 1 {
+			t.Errorf("%d replicas stored, want 1", got)
 		}
 		resp, err := dn.handleReadBlock(dfs.ReadBlockReq{Block: 1, Job: "j"})
 		if err != nil {
@@ -161,8 +161,8 @@ func TestDeleteBlocks(t *testing.T) {
 		if _, err := dn.handleDeleteBlocks(dfs.DeleteBlocksReq{Blocks: []dfs.BlockID{1, 3}}); err != nil {
 			t.Fatal(err)
 		}
-		if got := dn.BlockCount(); got != 1 {
-			t.Errorf("BlockCount = %d, want 1", got)
+		if got := dn.store.Len(); got != 1 {
+			t.Errorf("%d replicas stored, want 1", got)
 		}
 		if _, err := dn.handleReadBlock(dfs.ReadBlockReq{Block: 1}); err == nil {
 			t.Error("read of deleted block succeeded")

@@ -2,6 +2,7 @@ package datanode
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -9,6 +10,13 @@ import (
 	"repro/internal/dfs/namenode"
 	"repro/internal/simclock"
 )
+
+// ScrubberStats snapshots the at-rest verification counters.
+func (dn *DataNode) ScrubberStats() ScrubStats {
+	dn.mu.Lock()
+	defer dn.mu.Unlock()
+	return dn.scrub
+}
 
 // storeBlock writes one real 4 KiB block and returns its bytes.
 func storeBlock(t *testing.T, dn *DataNode, id dfs.BlockID) []byte {
@@ -48,17 +56,17 @@ func TestReadBlockVerifiesUnlessReaderDoes(t *testing.T) {
 		if len(resp.Data) != len(data) || bytes.Equal(resp.Data, data) {
 			t.Error("a verifying reader should get the stored bytes as they are, rot included")
 		}
-		if dn.BlockCount() != 1 {
+		if dn.store.Len() != 1 {
 			t.Error("replica dropped on a read the datanode was told not to verify")
 		}
 		if got := corruptReports(v, nn); got != 0 {
 			t.Errorf("CorruptReports = %d after an unverified serve, want 0", got)
 		}
 
-		if _, err := dn.handleReadBlock(dfs.ReadBlockReq{Block: 1}); !dfs.IsChecksum(err) {
+		if _, err := dn.handleReadBlock(dfs.ReadBlockReq{Block: 1}); !errors.Is(err, dfs.ErrChecksum) {
 			t.Fatalf("read by a non-verifying reader: err = %v, want dfs.ErrChecksum", err)
 		}
-		if dn.BlockCount() != 0 {
+		if dn.store.Len() != 0 {
 			t.Error("rotten replica still stored after the datanode's own check failed")
 		}
 		if got := corruptReports(v, nn); got != 1 {
@@ -87,8 +95,8 @@ func TestVerifyBlock(t *testing.T) {
 				t.Fatalf("verify block %d: %v", id, err)
 			}
 		}
-		if dn.BlockCount() != 2 {
-			t.Fatalf("BlockCount = %d after verifying a healthy and an unknown block, want 2", dn.BlockCount())
+		if n := dn.store.Len(); n != 2 {
+			t.Fatalf("%d replicas after verifying a healthy and an unknown block, want 2", n)
 		}
 		if got := corruptReports(v, nn); got != 0 {
 			t.Errorf("CorruptReports = %d, want 0", got)

@@ -359,31 +359,17 @@ func IsBusy(err error) bool {
 	return errors.Is(err, ErrBusy) || strings.Contains(err.Error(), busyMarker)
 }
 
-// checksumMarker is the substring IsChecksum looks for. Like
-// busyMarker, the typed sentinel must survive crossing the transport
-// as a *transport.RemoteError string.
-const checksumMarker = "DFS_CHECKSUM"
-
 // ErrChecksum means a block payload failed CRC32C verification: the
 // stored replica (or the bytes in flight) do not match the checksum
 // recorded at write time. The client read path treats it like a lost
 // replica and fails over to another holder; the serving datanode drops
 // the corrupt replica and reports it for re-replication.
-var ErrChecksum = errors.New("block checksum mismatch (" + checksumMarker + ")")
+var ErrChecksum = errors.New("block checksum mismatch (DFS_CHECKSUM)")
 
 // ErrBlockLength means a replica returned a payload whose length is not
 // the block's recorded size. Readers treat it like ErrChecksum: the
 // replica is bad, another holder is tried.
 var ErrBlockLength = errors.New("block payload length mismatch")
-
-// IsChecksum reports whether err is a checksum-verification failure,
-// directly or after crossing the transport as a remote error string.
-func IsChecksum(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrChecksum) || strings.Contains(err.Error(), checksumMarker)
-}
 
 // CorruptReplicaReq reports a checksum-verification failure to the
 // namenode: the datanode at Addr found its replica of Block corrupt

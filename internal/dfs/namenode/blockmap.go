@@ -226,6 +226,12 @@ func (p pinMap) dropNodes(ids []nodeID) {
 	}
 }
 
+// has reports whether node holds b pinned.
+func (p pinMap) has(b dfs.BlockID, node nodeID) bool {
+	s := p[b]
+	return s != nil && s.contains(node)
+}
+
 // view returns b's sorted pin holders, borrowed (nil when unpinned).
 func (p pinMap) view(b dfs.BlockID) []nodeID {
 	if s := p[b]; s != nil {

@@ -42,9 +42,8 @@ type Config struct {
 	// WALBackend, when set, gives the Ignem master a migration
 	// write-ahead log: planning becomes durable-before-send, transport-
 	// failed command batches are retried from the journal instead of
-	// dropped, and RecoverMaster resumes in-flight migrations after a
-	// master restart without bumping the epoch (so slave pins survive).
-	// Nil disables journaling.
+	// dropped, and RestartMaster resumes in-flight migrations without
+	// bumping the epoch (so slave pins survive). Nil disables journaling.
 	WALBackend wal.Backend
 	// WALRetryInterval paces the journal's retry pump (re-sending
 	// transport-failed batches). Default 1s.
@@ -52,9 +51,7 @@ type Config struct {
 	// MigrationPolicy selects the Ignem master's tier placement (see
 	// ignem.Master.ConfigureTiers): "paper" (or empty — the default
 	// smallest-job-first pin in RAM) or "ladder" (SSD first, then an
-	// SSD→RAM climb). Any other name makes Start fail. With the empty
-	// default and zero TierBudgets the migration plane is bit-identical
-	// to the pre-ladder master.
+	// SSD→RAM climb). Any other name makes Start fail.
 	MigrationPolicy string
 	// TierBudgets caps cluster-wide fast-tier residency. A zero SSD
 	// budget means the cluster has no flash rung.
@@ -242,30 +239,6 @@ func (nn *NameNode) attachWAL() {
 	nn.master.AttachJournal(nn.clock, nn.walLog, nn.cfg.WALRetryInterval)
 }
 
-// RecoverMaster rebuilds the Ignem master's state from the migration
-// WAL, resuming in-flight migrations after a master crash. Unlike
-// RestartMaster it does NOT bump the epoch or broadcast purges: slaves
-// keep their pins, and undelivered command batches are re-sent
-// idempotently from the journal. The replay is reconciled against the
-// namespace's pin side tables, which survive the master crash and
-// reflect pin/unpin deltas whose journal appends died with the old
-// master.
-func (nn *NameNode) RecoverMaster() error {
-	return nn.master.RecoverFromJournal(func(id dfs.BlockID, addr string) (ram, ssd bool) {
-		ramHolders, ssdHolders := nn.ns.FastTierHolders(id)
-		return containsAddr(ramHolders, addr), containsAddr(ssdHolders, addr)
-	})
-}
-
-func containsAddr(list []string, addr string) bool {
-	for _, a := range list {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
 // Start binds the RPC server and begins serving. It also starts the
 // datanode-expiry sweeper.
 func (nn *NameNode) Start() error {
@@ -353,19 +326,31 @@ func (nn *NameNode) isClosed() bool {
 // and the cluster harness).
 func (nn *NameNode) Master() *ignem.Master { return nn.master }
 
-// RestartMaster simulates an Ignem master failure and recovery: the new
-// master starts with an empty state and a new epoch, and the epoch bump
-// is broadcast to every live slave so they purge stale reference lists
+// RestartMaster simulates an Ignem master failure and recovery. With a
+// migration WAL (Config.WALBackend) the new master resumes from the
+// journal: the epoch stays, slaves keep their pins, and undelivered
+// command batches are re-sent idempotently. The replay is reconciled
+// against the namespace's pin side tables, which survive the master
+// crash and reflect pin/unpin deltas whose journal appends died with the
+// old master. Without a WAL the paper's rule holds: the new master
+// starts with an empty state and a new epoch, and the epoch bump is
+// broadcast to every live slave so they purge stale reference lists
 // immediately (the paper broadcasts the new master's address to all
 // servers; slaves reset to match the new master's empty state).
-func (nn *NameNode) RestartMaster() {
-	nn.master.Restart()
+func (nn *NameNode) RestartMaster() error {
+	if err := nn.master.Restart(nn.ns.FastTierResidency); err != nil {
+		return err
+	}
+	if nn.walLog != nil {
+		return nil
+	}
 	epoch := nn.master.Epoch()
 	for _, addr := range nn.LiveDataNodes() {
 		// Best effort: an unreachable slave purges lazily when it sees
 		// the next new-epoch command batch.
 		_ = nn.SendEvict(addr, dfs.EvictBatch{Epoch: epoch})
 	}
+	return nil
 }
 
 // handleEpoch reports the Ignem master's current epoch. Revived slaves

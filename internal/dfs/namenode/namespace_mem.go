@@ -372,16 +372,19 @@ func (ns *memNamespace) SSDDeltas(addr string, pinned, unpinned []dfs.BlockID) {
 	}
 }
 
-// FastTierHolders reports which datanodes currently hold the block
-// pinned in RAM and which on SSD, per the heartbeat-maintained side
-// tables. Master recovery reconciles the replayed journal against this
+// FastTierResidency reports whether the datanode at addr holds block
+// pinned in RAM and on SSD, per the heartbeat-maintained side tables.
+// Master recovery reconciles the replayed journal against this
 // authoritative view: pin and unpin deltas the dead master consumed
 // without journaling are still reflected here.
-func (ns *memNamespace) FastTierHolders(block dfs.BlockID) (ram, ssd []string) {
+func (ns *memNamespace) FastTierResidency(block dfs.BlockID, addr string) (ram, ssd bool) {
+	id, ok := ns.table.lookup(addr)
+	if !ok {
+		return false, false
+	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	addrs := ns.table.addrsView()
-	return idAddrs(addrs, ns.pins.view(block)), idAddrs(addrs, ns.ssd.view(block))
+	return ns.pins.has(block, id), ns.ssd.has(block, id)
 }
 
 // DropPinned drops all pinned state (both fast tiers) for the given

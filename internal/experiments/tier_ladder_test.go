@@ -80,8 +80,8 @@ func runTierPolicy(t *testing.T, policy string) *tierRun {
 					return
 				}
 				var used int64
-				for _, b := range c.SSDBytesPerNode() {
-					used += b
+				for _, dn := range c.DataNodes {
+					used += dn.Slave().SSDBytes()
 				}
 				if used > res.maxSSDUsed {
 					res.maxSSDUsed = used

@@ -203,7 +203,7 @@ func TestRecoverResumesUndeliveredBatches(t *testing.T) {
 	be.Revive()
 	link2 := newFakeLink()
 	co2 := journaledMaster(resolver, link2, be)
-	if err := co2.RecoverFromJournal(noResidency); err != nil {
+	if err := co2.Restart(noResidency); err != nil {
 		t.Fatal(err)
 	}
 	st := co2.Stats()
@@ -254,7 +254,7 @@ func TestRecoverSkipsDeliveredBatchesAndFinishesEvicts(t *testing.T) {
 	be.Revive()
 	link2 := newFakeLink()
 	co2 := journaledMaster(resolver, link2, be)
-	if err := co2.RecoverFromJournal(noResidency); err != nil {
+	if err := co2.Restart(noResidency); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(link2.migrates["dn0"]); got != 0 {
@@ -309,11 +309,11 @@ func TestJournalTruncatesWhenNothingInFlight(t *testing.T) {
 		t.Fatalf("journal holds %d bytes after the last job settled, want 0", len(data))
 	}
 	// Recovery needs a residency view to reconcile against.
-	if err := co.RecoverFromJournal(nil); err == nil || !strings.Contains(err.Error(), "residency view") {
+	if err := co.Restart(nil); err == nil || !strings.Contains(err.Error(), "residency view") {
 		t.Fatalf("recover with a nil view: err = %v, want a residency-view error", err)
 	}
 	// Recovery from the truncated log is a clean no-op.
-	if err := co.RecoverFromJournal(noResidency); err != nil {
+	if err := co.Restart(noResidency); err != nil {
 		t.Fatal(err)
 	}
 	if st := co.Stats(); st.ActiveJobs != 0 {

@@ -156,8 +156,8 @@ func NewMaster(resolver Resolver, link SlaveLink, seed int64) *Master {
 // byte budgets. "paper" (or empty) pins every planned block in RAM;
 // "ladder" plans SSD first when the flash rung exists and climbs
 // SSD→RAM for small jobs and re-read blocks. Call before serving
-// requests (and before RecoverFromJournal, so a recovered ledger has
-// its limits). A master never configured keeps the paper's pin-in-RAM
+// requests (and before Restart, so a ledger recovered from the journal
+// has its limits). A master never configured keeps the paper's pin-in-RAM
 // behavior with no budgets.
 func (m *Master) ConfigureTiers(policyName string, budgets TierBudgets) error {
 	var ladder bool
@@ -676,19 +676,6 @@ func (m *Master) AssignedReplica(job dfs.JobID, block dfs.BlockID) string {
 		}
 	}
 	return ""
-}
-
-// Restart simulates a master failure and recovery: the epoch bumps
-// exactly once and all job state drops. Slaves purge their reference
-// lists when they first see the new epoch, staying consistent with it.
-func (m *Master) Restart() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epoch++
-	m.jobs = make(map[dfs.JobID]*jobState)
-	m.retries = nil
-	// The epoch bump purges every slave, so nothing stays resident.
-	m.ledger.reset()
 }
 
 // Epoch returns the current master epoch.

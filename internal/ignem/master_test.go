@@ -220,7 +220,9 @@ func TestMasterRestartBumpsEpochAndClearsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Epoch()
-	m.Restart()
+	if err := m.Restart(nil); err != nil {
+		t.Fatal(err)
+	}
 	if m.Epoch() != before+1 {
 		t.Errorf("epoch = %d, want %d", m.Epoch(), before+1)
 	}
@@ -527,7 +529,9 @@ func TestMasterRestartMidMigrationDropsStaleAndReissues(t *testing.T) {
 		// Halfway through the first device read, the master dies and
 		// comes back with empty state and a new epoch.
 		v.Sleep(500 * time.Millisecond)
-		m.Restart()
+		if err := m.Restart(nil); err != nil {
+			t.Errorf("restart: %v", err)
+		}
 		// The job resubmits against the new master, which re-issues the
 		// full migration under the new epoch. The batch reaches the slave
 		// while the old-epoch read is still in flight.
@@ -637,7 +641,9 @@ func TestRestartBumpsEpochOnceAndResetsLedger(t *testing.T) {
 	if got := m.Stats().Tiers.RAMUsedBytes; got != 24 {
 		t.Fatalf("RAM occupancy before restart = %d, want 24", got)
 	}
-	m.Restart()
+	if err := m.Restart(nil); err != nil {
+		t.Fatal(err)
+	}
 	if m.Epoch() != 2 {
 		t.Fatalf("Epoch after one Restart = %d, want 2", m.Epoch())
 	}

@@ -12,9 +12,9 @@ import (
 // AttachJournal gives the master a migration WAL and starts the retry
 // pump: a clock-driven loop that re-sends transport-failed batches
 // every interval until they deliver or go stale, and truncates the
-// journal whenever nothing is in flight. Call before serving requests;
-// use RecoverFromJournal to resume state a previous incarnation
-// journaled onto the same backend. StopJournal stops the pump.
+// journal whenever nothing is in flight. Call before serving requests.
+// From then on Restart resumes from the journal instead of purging.
+// StopJournal stops the pump.
 func (m *Master) AttachJournal(clock simclock.Clock, log *wal.Log, retryInterval time.Duration) {
 	if retryInterval <= 0 {
 		retryInterval = time.Second
@@ -60,11 +60,32 @@ func (m *Master) maybeTruncate() {
 // against this view to close both gaps.
 type ResidencyView func(id dfs.BlockID, addr string) (ram, ssd bool)
 
-// RecoverFromJournal rebuilds the master's state from the journal,
-// modelling a master restart that resumes in-flight migrations instead
-// of purging them. The journaled epoch is restored WITHOUT bumping —
-// slaves keep their pins, and every re-send below is idempotent against
-// them:
+// Restart simulates a master failure and recovery. Without a journal
+// it follows the paper: the epoch bumps exactly once and all job state
+// drops; slaves purge their reference lists when they first see the new
+// epoch, staying consistent with it. With a journal attached the master
+// resumes from it instead (see recoverFromJournal), reconciled against
+// view, and the epoch does not change.
+func (m *Master) Restart(view ResidencyView) error {
+	m.mu.Lock()
+	j := m.journal
+	if j == nil {
+		m.epoch++
+		m.jobs = make(map[dfs.JobID]*jobState)
+		m.retries = nil
+		// The epoch bump purges every slave, so nothing stays resident.
+		m.ledger.reset()
+		m.mu.Unlock()
+		return nil
+	}
+	m.mu.Unlock()
+	return m.recoverFromJournal(j, view)
+}
+
+// recoverFromJournal rebuilds the master's state from the journal,
+// resuming in-flight migrations instead of purging them. The journaled
+// epoch is restored WITHOUT bumping — slaves keep their pins, and every
+// re-send below is idempotent against them:
 //
 //   - live jobs (no evict intent) re-register their block→replica
 //     assignments; entries never journaled as delivered re-park their
@@ -82,15 +103,9 @@ type ResidencyView func(id dfs.BlockID, addr string) (ram, ssd bool)
 //
 // After rebuilding, parked batches are flushed once so recovery
 // converges without waiting for the pump.
-func (m *Master) RecoverFromJournal(view ResidencyView) error {
+func (m *Master) recoverFromJournal(j *Journal, view ResidencyView) error {
 	if view == nil {
 		return fmt.Errorf("ignem: recover without a residency view")
-	}
-	m.mu.Lock()
-	j := m.journal
-	m.mu.Unlock()
-	if j == nil {
-		return fmt.Errorf("ignem: recover without a journal attached")
 	}
 	rec, err := j.Replay()
 	if err != nil {

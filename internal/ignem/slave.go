@@ -360,13 +360,6 @@ func (s *Slave) OnBlockRead(id dfs.BlockID, job dfs.JobID) (tier dfs.Tier, resid
 	return tier, resident
 }
 
-// IsPinned reports whether a block is currently in pinned memory.
-func (s *Slave) IsPinned(id dfs.BlockID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pinned[id] != nil
-}
-
 // PinnedBytes returns the current pinned-memory occupancy.
 func (s *Slave) PinnedBytes() int64 {
 	s.mu.Lock()

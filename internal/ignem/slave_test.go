@@ -12,6 +12,13 @@ import (
 	"repro/internal/simclock"
 )
 
+// IsPinned reports whether a block is currently in pinned memory.
+func (s *Slave) IsPinned(id dfs.BlockID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pinned[id] != nil
+}
+
 var epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // fakeMedia simulates the datanode's disk with a fixed per-block read

@@ -113,18 +113,6 @@ type Result struct {
 	MigratedBlocks int
 }
 
-// MeanMapDuration returns the mean map-task runtime.
-func (r Result) MeanMapDuration() time.Duration {
-	if len(r.MapResults) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, t := range r.MapResults {
-		sum += t.RunTime
-	}
-	return sum / time.Duration(len(r.MapResults))
-}
-
 // shuffleMBps is the network bandwidth a reducer's shuffle fetch is
 // charged at: the cluster fabric's 1250 MB/s (10 GbE).
 const shuffleMBps = 1250

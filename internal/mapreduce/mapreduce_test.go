@@ -449,10 +449,3 @@ func TestRealJobIdentityReduce(t *testing.T) {
 		}
 	})
 }
-
-func TestMeanMapDuration(t *testing.T) {
-	var r mapreduce.Result
-	if r.MeanMapDuration() != 0 {
-		t.Error("empty result mean not zero")
-	}
-}

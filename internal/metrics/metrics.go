@@ -51,17 +51,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.vals))
 }
 
-// Sum returns the total of all samples.
-func (s *Series) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using
 // nearest-rank interpolation, or 0 for an empty series.
 func (s *Series) Percentile(p float64) float64 {
@@ -90,17 +79,6 @@ func (s *Series) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Series) Median() float64 { return s.Percentile(50) }
 
-// Min returns the smallest sample, or 0 for an empty series.
-func (s *Series) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.sortLocked()
-	return s.vals[0]
-}
-
 // Max returns the largest sample, or 0 for an empty series.
 func (s *Series) Max() float64 {
 	s.mu.Lock()
@@ -110,22 +88,6 @@ func (s *Series) Max() float64 {
 	}
 	s.sortLocked()
 	return s.vals[len(s.vals)-1]
-}
-
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() float64 {
-	mean := s.Mean()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
 }
 
 // Values returns a copy of the samples in insertion-independent (sorted)
@@ -144,37 +106,4 @@ func (s *Series) sortLocked() {
 		sort.Float64s(s.vals)
 		s.sorted = true
 	}
-}
-
-// CDF computes the empirical cumulative distribution of the series at the
-// given number of evenly spaced quantiles (plus min and max).
-func (s *Series) CDF(points int) []CDFPoint {
-	vals := s.Values()
-	if len(vals) == 0 || points < 2 {
-		return nil
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		frac := float64(i) / float64(points-1)
-		idx := int(frac * float64(len(vals)-1))
-		out = append(out, CDFPoint{Value: vals[idx], Fraction: frac})
-	}
-	return out
-}
-
-// CDFPoint is one point of an empirical CDF: Fraction of samples are
-// less than or equal to Value.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// FractionBelow reports the fraction of samples strictly below limit.
-func (s *Series) FractionBelow(limit float64) float64 {
-	vals := s.Values()
-	if len(vals) == 0 {
-		return 0
-	}
-	n := sort.SearchFloat64s(vals, limit)
-	return float64(n) / float64(len(vals))
 }

@@ -26,30 +26,21 @@ func TestSeriesBasics(t *testing.T) {
 	if got := s.Mean(); got != 3 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := s.Sum(); got != 15 {
-		t.Errorf("Sum = %v", got)
-	}
 	if got := s.Median(); got != 3 {
 		t.Errorf("Median = %v", got)
 	}
-	if got := s.Min(); got != 1 {
-		t.Errorf("Min = %v", got)
+	if got := s.Percentile(0); got != 1 {
+		t.Errorf("Percentile(0) = %v", got)
 	}
 	if got := s.Max(); got != 5 {
 		t.Errorf("Max = %v", got)
-	}
-	if got := s.Stddev(); math.Abs(got-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("Stddev = %v", got)
 	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Median() != 0 || s.Min() != 0 || s.Max() != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Median() != 0 || s.Percentile(0) != 0 || s.Max() != 0 {
 		t.Error("empty series should report zeros")
-	}
-	if s.CDF(10) != nil {
-		t.Error("empty CDF should be nil")
 	}
 }
 
@@ -70,49 +61,6 @@ func TestAddDuration(t *testing.T) {
 	s.AddDuration(1500 * time.Millisecond)
 	if got := s.Mean(); got != 1.5 {
 		t.Errorf("AddDuration mean = %v", got)
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	s := seriesOf(1, 2, 3, 4, 5)
-	if got := s.FractionBelow(3); got != 0.4 {
-		t.Errorf("FractionBelow(3) = %v, want 0.4", got)
-	}
-	if got := s.FractionBelow(100); got != 1 {
-		t.Errorf("FractionBelow(100) = %v", got)
-	}
-	if got := s.FractionBelow(0); got != 0 {
-		t.Errorf("FractionBelow(0) = %v", got)
-	}
-}
-
-// Property: the CDF is monotonically non-decreasing in both value and
-// fraction, and spans min..max.
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var s Series
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			s.Add(v)
-		}
-		if s.Len() < 2 {
-			return true
-		}
-		cdf := s.CDF(20)
-		for i := 1; i < len(cdf); i++ {
-			if cdf[i].Value < cdf[i-1].Value || cdf[i].Fraction < cdf[i-1].Fraction {
-				return false
-			}
-		}
-		return cdf[0].Value == s.Min() && cdf[len(cdf)-1].Value == s.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -139,7 +87,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		prev := math.Inf(-1)
 		for _, p := range clean {
 			v := s.Percentile(p)
-			if v < prev || v < s.Min() || v > s.Max() {
+			if v < prev || v < s.Percentile(0) || v > s.Max() {
 				return false
 			}
 			prev = v
@@ -243,7 +191,7 @@ func TestSeriesValuesIsCopy(t *testing.T) {
 	s := seriesOf(3, 1, 2)
 	vals := s.Values()
 	vals[0] = 99
-	if s.Min() == 99 {
+	if s.Percentile(0) == 99 {
 		t.Error("Values returned internal storage")
 	}
 }

@@ -305,12 +305,6 @@ type Job struct {
 	done     *simclock.Cond
 }
 
-// ID returns the job's ID.
-func (j *Job) ID() dfs.JobID { return j.id }
-
-// SubmitTime returns when the job was submitted.
-func (j *Job) SubmitTime() time.Time { return j.submitted }
-
 // RunTasks enqueues tasks and blocks until all of them complete. It may
 // be called multiple times (once per stage).
 func (j *Job) RunTasks(tasks []TaskSpec) []TaskResult {
@@ -345,19 +339,4 @@ func (j *Job) Complete() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.finished = true
-}
-
-// Kill simulates a job dying without completing its lifecycle (no evict
-// call): it is removed from the active set, which the Ignem cleanup
-// sweep will eventually observe.
-func (j *Job) Kill() { j.Complete() }
-
-// Results returns all task results so far.
-func (j *Job) Results() []TaskResult {
-	s := j.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TaskResult, len(j.results))
-	copy(out, j.results)
-	return out
 }

@@ -380,17 +380,18 @@ func TestRunTasksEmpty(t *testing.T) {
 	})
 }
 
+// TestResultsAccessor checks that each RunTasks call returns the results
+// of its own stage only.
 func TestResultsAccessor(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		s := newRunning(v, []string{"n1"}, 2, time.Second)
 		defer s.Close()
 		j, _ := s.SubmitJob("j")
-		j.RunTasks([]TaskSpec{{Run: func(string) {}}, {Run: func(string) {}}})
-		if got := len(j.Results()); got != 2 {
-			t.Errorf("Results = %d", got)
+		if got := len(j.RunTasks([]TaskSpec{{Run: func(string) {}}, {Run: func(string) {}}})); got != 2 {
+			t.Errorf("first stage returned %d results, want 2", got)
 		}
-		if j.ID() != "j" || j.SubmitTime().IsZero() {
-			t.Error("job accessors broken")
+		if got := len(j.RunTasks([]TaskSpec{{Run: func(string) {}}})); got != 1 {
+			t.Errorf("second stage returned %d results, want 1", got)
 		}
 	})
 }

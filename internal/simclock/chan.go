@@ -336,16 +336,6 @@ func (c *Chan[T]) Close() {
 	}
 }
 
-// TryRecv removes and returns the next value without blocking.
-func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.buf) == 0 {
-		return v, false
-	}
-	return c.takeLocked(), true
-}
-
 // Len reports the number of buffered values.
 func (c *Chan[T]) Len() int {
 	c.mu.Lock()

@@ -136,6 +136,16 @@ func TestChanRecvTimeoutValueWins(t *testing.T) {
 	})
 }
 
+// TryRecv removes and returns the next value without blocking.
+func (c *Chan[T]) TryRecv() (v T, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.buf) == 0 {
+		return v, false
+	}
+	return c.takeLocked(), true
+}
+
 func TestChanTryRecv(t *testing.T) {
 	v := NewVirtual(epoch)
 	ch := NewChan[int](v)

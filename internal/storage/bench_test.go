@@ -12,7 +12,7 @@ import (
 func BenchmarkDeviceConcurrentReads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v := simclock.NewVirtual(time.Unix(0, 0))
-		dev := MustNewDevice(v, HDDSpec())
+		dev := mustNewDevice(v, HDDSpec())
 		wg := simclock.NewWaitGroup(v)
 		for r := 0; r < 10; r++ {
 			wg.Go(func() { _ = dev.Read(64 << 20) })
@@ -29,7 +29,7 @@ func BenchmarkDeviceConcurrentReads(b *testing.B) {
 // bench-alloc`.
 func TestDeviceReadAllocs(t *testing.T) {
 	v := simclock.NewVirtual(time.Unix(0, 0))
-	dev := MustNewDevice(v, HDDSpec())
+	dev := mustNewDevice(v, HDDSpec())
 	defer dev.Close()
 	var allocs float64
 	v.Run(func() {

@@ -223,15 +223,6 @@ func NewDevice(clock simclock.Clock, spec Spec) (*Device, error) {
 	return d, nil
 }
 
-// MustNewDevice is NewDevice for known-good specs.
-func MustNewDevice(clock simclock.Clock, spec Spec) *Device {
-	d, err := NewDevice(clock, spec)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // drawSlowLocked draws a read-cost multiplier from the variability
 // stream: 1 for a fast read, log-uniform in [TailMinX, TailMaxX] for a
 // tail read. Caller holds d.mu, so concurrent submitters consume the
@@ -400,22 +391,6 @@ func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return Stats{Busy: d.busy, BytesServed: d.served, QueueLen: len(d.queue), SlowReads: d.slowAcc, Since: d.started}
-}
-
-// Utilization reports the fraction of time the device has been busy since
-// it started, in [0, 1].
-func (d *Device) Utilization() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	elapsed := d.clock.Now().Sub(d.started)
-	if elapsed <= 0 {
-		return 0
-	}
-	u := float64(d.busy) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // Close fails all pending and future requests with ErrClosed and stops the

@@ -18,7 +18,7 @@ const blockSize = 64 << 20 // the paper's 64 MB HDFS block
 func readConcurrently(t *testing.T, spec Spec, streams int, bytes int64) time.Duration {
 	t.Helper()
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, spec)
+	dev := mustNewDevice(v, spec)
 	var mu sync.Mutex
 	var total time.Duration
 	v.Run(func() {
@@ -94,7 +94,7 @@ func TestSerializedBeatsConcurrent(t *testing.T) {
 	const blocks = 8
 	// Concurrent: 8 readers at once.
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, HDDSpec())
+	dev := mustNewDevice(v, HDDSpec())
 	wg := simclock.NewWaitGroup(v)
 	var concurrent time.Duration
 	v.Run(func() {
@@ -108,7 +108,7 @@ func TestSerializedBeatsConcurrent(t *testing.T) {
 
 	// Serialized: same blocks, one at a time (what the Ignem slave does).
 	v2 := simclock.NewVirtual(epoch)
-	dev2 := MustNewDevice(v2, HDDSpec())
+	dev2 := mustNewDevice(v2, HDDSpec())
 	var serialized time.Duration
 	v2.Run(func() {
 		start := v2.Now()
@@ -131,7 +131,7 @@ func TestSerializedBeatsConcurrent(t *testing.T) {
 // served.
 func TestDeviceRealClockConcurrentReads(t *testing.T) {
 	spec := Spec{Name: "fast", SeqReadMBps: 1e6, SeqWriteMBps: 1e6, Granule: 1 << 10}
-	dev := MustNewDevice(simclock.NewReal(), spec)
+	dev := mustNewDevice(simclock.NewReal(), spec)
 	defer dev.Close()
 	const readers, reads, size = 8, 50, 4 << 10
 	var wg sync.WaitGroup
@@ -156,7 +156,7 @@ func TestDeviceRealClockConcurrentReads(t *testing.T) {
 func TestWriteUsesWriteBandwidth(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
 	spec := Spec{Name: "asym", SeqReadMBps: 1000, SeqWriteMBps: 10, Seek: 0, Granule: 1 << 20}
-	dev := MustNewDevice(v, spec)
+	dev := mustNewDevice(v, spec)
 	var read, write time.Duration
 	v.Run(func() {
 		s := v.Now()
@@ -173,7 +173,7 @@ func TestWriteUsesWriteBandwidth(t *testing.T) {
 
 func TestZeroByteRequestsReturnImmediately(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, HDDSpec())
+	dev := mustNewDevice(v, HDDSpec())
 	v.Run(func() {
 		if err := dev.Read(0); err != nil {
 			t.Errorf("Read(0): %v", err)
@@ -189,7 +189,7 @@ func TestZeroByteRequestsReturnImmediately(t *testing.T) {
 
 func TestCloseFailsPendingRequests(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, HDDSpec())
+	dev := mustNewDevice(v, HDDSpec())
 	var errs []error
 	var mu sync.Mutex
 	v.Run(func() {
@@ -222,9 +222,18 @@ func TestCloseFailsPendingRequests(t *testing.T) {
 	})
 }
 
+// mustNewDevice is NewDevice for known-good specs.
+func mustNewDevice(clock simclock.Clock, spec Spec) *Device {
+	d, err := NewDevice(clock, spec)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func TestStatsAndUtilization(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, HDDSpec())
+	dev := mustNewDevice(v, HDDSpec())
 	v.Run(func() {
 		_ = dev.Read(blockSize)
 		st := dev.Stats()
@@ -234,13 +243,19 @@ func TestStatsAndUtilization(t *testing.T) {
 		if st.Busy <= 0 {
 			t.Error("Busy not accumulated")
 		}
+		// Utilization is the busy fraction of the time since the device
+		// started.
+		utilization := func() float64 {
+			st := dev.Stats()
+			return float64(st.Busy) / float64(v.Now().Sub(st.Since))
+		}
 		// The device was the only activity, so it was ~100% busy.
-		if u := dev.Utilization(); u < 0.95 || u > 1 {
+		if u := utilization(); u < 0.95 || u > 1 {
 			t.Errorf("Utilization = %.2f, want ~1", u)
 		}
 		// Idle for a while: utilization halves.
 		v.Sleep(v.Now().Sub(epoch))
-		if u := dev.Utilization(); u < 0.4 || u > 0.6 {
+		if u := utilization(); u < 0.4 || u > 0.6 {
 			t.Errorf("Utilization after idle = %.2f, want ~0.5", u)
 		}
 	})
@@ -269,7 +284,7 @@ func TestConservationOfBytes(t *testing.T) {
 			sizes = sizes[:24]
 		}
 		v := simclock.NewVirtual(epoch)
-		dev := MustNewDevice(v, SSDSpec())
+		dev := mustNewDevice(v, SSDSpec())
 		var want int64
 		v.Run(func() {
 			for _, s := range sizes {
@@ -290,7 +305,7 @@ func TestConservationOfBytes(t *testing.T) {
 func TestRoundRobinFairness(t *testing.T) {
 	const streams = 6
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, HDDSpec())
+	dev := mustNewDevice(v, HDDSpec())
 	var mu sync.Mutex
 	var times []time.Duration
 	v.Run(func() {

@@ -16,7 +16,7 @@ import (
 func readCosts(t *testing.T, spec Spec, n int) []time.Duration {
 	t.Helper()
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, spec)
+	dev := mustNewDevice(v, spec)
 	out := make([]time.Duration, 0, n)
 	v.Go(func() {
 		for i := 0; i < n; i++ {
@@ -107,7 +107,7 @@ func TestReadVarTailShape(t *testing.T) {
 // draw may escape the configured bounds.
 func TestReadVarDrawBounds(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
-	dev := MustNewDevice(v, SSDVarSpec(99))
+	dev := mustNewDevice(v, SSDVarSpec(99))
 	defer dev.Close()
 	rv := dev.spec.ReadVar
 	for i := 0; i < 10000; i++ {

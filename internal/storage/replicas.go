@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -78,25 +77,6 @@ func (s *ReplicaStore) IDs() []dfs.BlockID {
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Verify recomputes the CRC32C of id's stored payload against the
-// checksum recorded at store time. Replicas without a payload or
-// without a checksum verify trivially (there is nothing to check); a
-// mismatch returns an error satisfying dfs.IsChecksum. A missing
-// replica verifies trivially too — Delete racing a scrub is not
-// corruption.
-func (s *ReplicaStore) Verify(id dfs.BlockID) error {
-	s.mu.Lock()
-	r, ok := s.m[id]
-	s.mu.Unlock()
-	if !ok || r.Checksum == 0 || len(r.Data) == 0 {
-		return nil
-	}
-	if dfs.Checksum(r.Data) != r.Checksum {
-		return fmt.Errorf("storage: replica %d: %w", id, dfs.ErrChecksum)
-	}
-	return nil
 }
 
 // Corrupt flips one payload byte of id's replica while keeping its

@@ -59,7 +59,6 @@ type Log struct {
 	mu      sync.Mutex
 	be      Backend
 	scratch []byte
-	records int64 // appended through this Log since open
 }
 
 // New wraps a backend in a record-framing log.
@@ -82,7 +81,6 @@ func (l *Log) Append(payload []byte) error {
 	if err := l.be.Append(buf); err != nil {
 		return err
 	}
-	l.records++
 	return nil
 }
 
@@ -116,7 +114,6 @@ func (l *Log) Replay(fn func(payload []byte) error) (int, error) {
 		n++
 		data = data[headerSize+int(size):]
 	}
-	l.records = int64(n)
 	return n, nil
 }
 
@@ -128,16 +125,7 @@ func (l *Log) Truncate() error {
 	if err := l.be.Truncate(); err != nil {
 		return err
 	}
-	l.records = 0
 	return nil
-}
-
-// Records reports how many records this Log has appended or replayed
-// since it was opened.
-func (l *Log) Records() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
 }
 
 // Close closes the underlying backend.

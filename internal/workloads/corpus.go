@@ -37,20 +37,3 @@ func GenerateText(seed int64, n int) []byte {
 	}
 	return []byte(b.String()[:n])
 }
-
-// GenerateRandomLines produces approximately n bytes of random
-// fixed-width record lines, the stand-in for the paper's 40 GB random
-// text sort dataset.
-func GenerateRandomLines(seed int64, n int) []byte {
-	const width = 32
-	rng := rand.New(rand.NewSource(seed))
-	letters := []byte("abcdefghijklmnopqrstuvwxyz0123456789")
-	out := make([]byte, 0, n+width+1)
-	for len(out) < n {
-		for i := 0; i < width; i++ {
-			out = append(out, letters[rng.Intn(len(letters))])
-		}
-		out = append(out, '\n')
-	}
-	return out[:n]
-}

@@ -134,17 +134,3 @@ func TestGenerateText(t *testing.T) {
 		t.Error("vocabulary skew missing")
 	}
 }
-
-func TestGenerateRandomLines(t *testing.T) {
-	data := GenerateRandomLines(3, 5000)
-	if len(data) != 5000 {
-		t.Fatalf("len = %d", len(data))
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	if len(lines) < 100 {
-		t.Errorf("only %d lines", len(lines))
-	}
-	if bytes.Equal(GenerateRandomLines(3, 5000), GenerateRandomLines(4, 5000)) {
-		t.Error("seeds do not differentiate output")
-	}
-}
