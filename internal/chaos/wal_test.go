@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -257,7 +256,7 @@ func TestWALNonVerifyingReaderNeverGetsRottenBytes(t *testing.T) {
 		}
 		defer conn.Close()
 		_, err = transport.Call[dfs.PullBlockResp](conn, "dn.pullBlock", dfs.PullBlockReq{Block: lb.Block, From: badAddr})
-		if err == nil || !strings.Contains(err.Error(), dfs.ErrChecksum.Error()) {
+		if !errors.Is(err, dfs.ErrChecksum) {
 			t.Fatalf("pull from rotten replica: err = %v; want the source's checksum error", err)
 		}
 		// Neither the puller nor the source serves the block any more.

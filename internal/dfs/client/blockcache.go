@@ -40,15 +40,16 @@ func (c *Client) CacheStats() blockcache.Stats {
 // choice and failover and installs the payload for later readers.
 // path may be "" when the caller does not know the owning file (bare
 // ReadBlock); such entries still serve hits and honour the byte budget
-// but cannot be invalidated per-file.
-func (c *Client) readBlockVia(path string, lb dfs.LocatedBlock, job dfs.JobID, first string) (dfs.ReadBlockResp, error) {
+// but cannot be invalidated per-file. dst is the fetch's destination
+// (see readBlockFrom); a hit is served from the cache's own copy.
+func (c *Client) readBlockVia(path string, lb dfs.LocatedBlock, job dfs.JobID, first string, dst []byte) (dfs.ReadBlockResp, error) {
 	if c.cache == nil {
-		resp, _, err := c.readBlockFrom1st(lb, job, first)
+		resp, _, err := c.readBlockFrom1st(lb, job, first, dst)
 		return resp, err
 	}
 	var fetched dfs.ReadBlockResp
 	data, hit, err := c.cache.GetOrFetch(path, uint64(lb.Block.ID), func() ([]byte, string, error) {
-		resp, addr, err := c.readBlockFrom1st(lb, job, first)
+		resp, addr, err := c.readBlockFrom1st(lb, job, first, dst)
 		if err != nil {
 			return nil, "", err
 		}

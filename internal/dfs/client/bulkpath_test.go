@@ -18,9 +18,9 @@ import (
 )
 
 // Tests of the bulk data path on the real clock: a block's bytes reach
-// ReadFile's result through pooled buffers that are filled by the socket
-// and given up as soon as they are copied to their slot, so what is
-// checked here is who owns which bytes when, and what a read allocates.
+// ReadFile's result straight from the socket over TCP, and through a
+// copy that gives its buffer up at once otherwise, so what is checked
+// here is who owns which bytes when, and what a read allocates.
 
 // liveCluster is a namenode plus RAM-served datanodes on the scaled real
 // clock, over TCP loopback or the in-memory network.

@@ -228,7 +228,7 @@ func (c *Client) Evict(job dfs.JobID, paths []string) (int, error) {
 // replica. A failed replica is forgotten and the read transparently
 // fails over to the remaining holders.
 func (c *Client) ReadBlock(lb dfs.LocatedBlock, job dfs.JobID) (dfs.ReadBlockResp, error) {
-	return c.readBlockVia("", lb, job, c.chooseReplica(lb))
+	return c.readBlockVia("", lb, job, c.chooseReplica(lb), nil)
 }
 
 // readBlockFrom1st is the uncached block read with the first replica
@@ -237,15 +237,17 @@ func (c *Client) ReadBlock(lb dfs.LocatedBlock, job dfs.JobID) (dfs.ReadBlockRes
 // keeping simulations deterministic regardless of how the worker
 // goroutines are scheduled.
 // It also reports which datanode served the block, so the block cache
-// can invalidate by address when a node fails.
-func (c *Client) readBlockFrom1st(lb dfs.LocatedBlock, job dfs.JobID, first string) (dfs.ReadBlockResp, string, error) {
+// can invalidate by address when a node fails. dst is the read's
+// destination (see readBlockFrom); every replica tried gets the same
+// one, so a failover simply overwrites what a failed replica left.
+func (c *Client) readBlockFrom1st(lb dfs.LocatedBlock, job dfs.JobID, first string, dst []byte) (dfs.ReadBlockResp, string, error) {
 	if first == "" {
 		return dfs.ReadBlockResp{}, "", fmt.Errorf("dfs client: block %d has no live replica", lb.Block.ID)
 	}
 	// Happy path first, without building a candidate list: block reads
 	// almost always succeed on the chosen replica, and the list showed up
 	// as a per-read allocation in read-path profiles.
-	resp, err := c.readBlockFrom(first, lb, job)
+	resp, err := c.readBlockFrom(first, lb, job, dst)
 	if err == nil {
 		return resp, first, nil
 	}
@@ -257,7 +259,7 @@ func (c *Client) readBlockFrom1st(lb dfs.LocatedBlock, job dfs.JobID, first stri
 		if addr == first {
 			continue
 		}
-		resp, err := c.readBlockFrom(addr, lb, job)
+		resp, err := c.readBlockFrom(addr, lb, job, dst)
 		if err == nil {
 			return resp, addr, nil
 		}
@@ -278,7 +280,12 @@ func (c *Client) readBlockFrom1st(lb dfs.LocatedBlock, job dfs.JobID, first stri
 // pass; a block without a recorded checksum is verified by the datanode
 // against its own write-time CRC before it serves. Synthetic
 // (size-only) blocks carry no bytes and no checksum.
-func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) (dfs.ReadBlockResp, error) {
+//
+// dst, when not nil, is where the caller wants the bytes: over TCP a
+// reply of exactly len(dst) bytes is received straight into it, and the
+// response borrows it (Pooled is false); any other reply arrives as
+// under a nil dst, and the caller copies.
+func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID, dst []byte) (dfs.ReadBlockResp, error) {
 	dc, err := c.datanode(addr)
 	if err != nil {
 		return dfs.ReadBlockResp{}, err
@@ -286,9 +293,9 @@ func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID) 
 	local := addr == c.localAddr
 	verify := lb.Checksum != 0
 	start := c.clock.Now()
-	resp, err := transport.Call[dfs.ReadBlockResp](dc, "dn.readBlock", dfs.ReadBlockReq{
+	resp, err := transport.CallInto[dfs.ReadBlockResp](dc, "dn.readBlock", dfs.ReadBlockReq{
 		Block: lb.Block.ID, Job: job, Local: local, ReaderVerifies: verify,
-	})
+	}, dst)
 	if err != nil {
 		return dfs.ReadBlockResp{}, fmt.Errorf("dfs client: read block %d from %s: %w", lb.Block.ID, addr, err)
 	}
@@ -411,9 +418,14 @@ const DefaultReadParallelism = 4
 // and per-block failover.
 //
 // The result is assembled in place: every block's offset is known from
-// its located size before the first byte arrives, so each fetch copies
-// its payload to its slot and gives the buffer up at once. Nothing is
-// held until the last block lands and nothing is grown.
+// its located size before the first byte arrives. A file with real
+// bytes (any block carries a recorded checksum) allocates the result up
+// front and gives each fetch its slot as the destination, so over TCP
+// the socket fills the result directly and no user-space copy is made
+// besides the checksum. A payload that arrived anywhere else (the
+// in-memory transport, a cache hit, a reply of the wrong length) is
+// copied to its slot and its buffer given up at once. Nothing is held
+// until the last block lands and nothing is grown.
 func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
 	blocks, err := c.Locations(path)
 	if err != nil {
@@ -436,7 +448,7 @@ func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
 			if i >= len(blocks) || failed.Load() {
 				return
 			}
-			resp, err := c.readBlockVia(path, blocks[i], job, firsts[i])
+			resp, err := c.readBlockVia(path, blocks[i], job, firsts[i], asm.slot(i))
 			if err != nil {
 				errs[i] = err
 				failed.Store(true) // stop issuing new fetches
@@ -465,36 +477,57 @@ func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
 	return asm.result()
 }
 
-// assembly lays fetched blocks into one result slice. The slice is
-// allocated on the first real payload, at the size the located blocks
-// add up to: a synthetic (size-only) file never allocates and reads as
-// nil, however large it claims to be.
+// assembly lays fetched blocks into one result slice, at the size the
+// located blocks add up to. A file with a recorded checksum has real
+// bytes and allocates it up front; one without allocates it on the
+// first real payload, so a synthetic (size-only) file never allocates
+// and reads as nil, however large it claims to be.
 type assembly struct {
-	offs  []int64 // block i fills out[offs[i]:offs[i+1]]
-	once  sync.Once
-	out   []byte
-	empty atomic.Int64 // blocks that came back without bytes
+	offs    []int64 // block i fills out[offs[i]:offs[i+1]]
+	once    sync.Once
+	out     []byte
+	upfront bool         // out was allocated before any fetch: slots are destinations
+	empty   atomic.Int64 // blocks that came back without bytes
 }
 
 func newAssembly(blocks []dfs.LocatedBlock) *assembly {
 	a := &assembly{offs: make([]int64, len(blocks)+1)}
 	for i, lb := range blocks {
 		a.offs[i+1] = a.offs[i] + lb.Block.Size
+		a.upfront = a.upfront || lb.Checksum != 0
+	}
+	if a.upfront {
+		a.alloc()
 	}
 	return a
 }
 
-// place copies block i's payload to its slot and releases the response:
-// a pooled TCP buffer goes back to the pool here, not when the whole
-// read ends. readBlockFrom has already held the payload to the located
-// size. Safe for concurrent use on distinct blocks.
+func (a *assembly) alloc() { a.once.Do(func() { a.out = make([]byte, a.offs[len(a.offs)-1]) }) }
+
+// slot is block i's destination: its part of the result, capped so
+// nothing can grow past it, when the result was allocated up front, and
+// nil otherwise.
+func (a *assembly) slot(i int) []byte {
+	if !a.upfront {
+		return nil
+	}
+	return a.out[a.offs[i]:a.offs[i+1]:a.offs[i+1]]
+}
+
+// place lays block i's payload in its slot and releases the response: a
+// payload received into the slot is already there, and any other is
+// copied, a pooled TCP buffer going back to the pool here rather than
+// when the whole read ends. readBlockFrom has already held the payload
+// to the located size. Safe for concurrent use on distinct blocks.
 func (a *assembly) place(i int, resp *dfs.ReadBlockResp) {
 	if len(resp.Data) == 0 {
 		a.empty.Add(1)
 		return
 	}
-	a.once.Do(func() { a.out = make([]byte, a.offs[len(a.offs)-1]) })
-	copy(a.out[a.offs[i]:a.offs[i+1]], resp.Data)
+	a.alloc()
+	if slot := a.out[a.offs[i]:a.offs[i+1]]; len(slot) == 0 || &slot[0] != &resp.Data[0] {
+		copy(slot, resp.Data)
+	}
 	resp.Release()
 }
 

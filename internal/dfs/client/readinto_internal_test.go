@@ -1,0 +1,101 @@
+package client
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/bufpool"
+	"repro/internal/dfs"
+	"repro/internal/dfs/datanode"
+	"repro/internal/dfs/namenode"
+	"repro/internal/simclock"
+	"repro/internal/storage"
+	"repro/internal/transport"
+)
+
+// Over TCP every block of a ReadFile is received straight into its slot
+// of the result: the response's bytes are the slot itself, the response
+// does not claim them for the pool, and releasing it leaves them where
+// they are. The blocks go through the calls ReadFile makes, one at a
+// time, so each response can be looked at. (In memory the result is a
+// copy: TestReadFileResultIsNotAliased.)
+func TestReadFileBlocksArriveInTheirSlots(t *testing.T) {
+	dfs.RegisterWire()
+	clock := simclock.NewScaledReal(4)
+	tnet := transport.NewTCPNetwork()
+	freeAddr := func() string {
+		l, err := tnet.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		defer l.Close()
+		return l.Addr()
+	}
+	nnAddr := freeAddr()
+	nn := namenode.New(clock, tnet, namenode.Config{Addr: nnAddr, Seed: 11})
+	if err := nn.Start(); err != nil {
+		t.Fatalf("namenode start: %v", err)
+	}
+	t.Cleanup(nn.Close)
+	for i := 0; i < 3; i++ {
+		dn, err := datanode.New(clock, tnet, datanode.Config{
+			Addr: freeAddr(), NameNodeAddr: nnAddr, Media: storage.RAMSpec(), ServeAllFromRAM: true,
+		})
+		if err != nil {
+			t.Fatalf("datanode new: %v", err)
+		}
+		if err := dn.Start(); err != nil {
+			t.Fatalf("datanode start: %v", err)
+		}
+		t.Cleanup(dn.Close)
+	}
+	c, err := New(clock, tnet, nnAddr)
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	t.Cleanup(c.Close)
+
+	// 64 KiB blocks: each slot has exactly a pool class's capacity, so
+	// a slot wrongly given to the pool would be handed out again below.
+	const blockSize = 64 << 10
+	in := make([]byte, 4*blockSize)
+	for i := range in {
+		in[i] = byte(i*13 + 1)
+	}
+	if err := c.WriteFile("/slots/f", in, blockSize, 2); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	blocks, err := c.Locations("/slots/f")
+	if err != nil {
+		t.Fatalf("Locations: %v", err)
+	}
+	asm := newAssembly(blocks)
+	for i, lb := range blocks {
+		slot := asm.slot(i)
+		if len(slot) != blockSize {
+			t.Fatalf("block %d: slot of %d bytes, want %d", i, len(slot), blockSize)
+		}
+		resp, err := c.readBlockVia("/slots/f", lb, "", c.chooseReplica(lb), slot)
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if len(resp.Data) != blockSize || &resp.Data[0] != &slot[0] {
+			t.Fatalf("block %d was not received into its slot", i)
+		}
+		if resp.Pooled() {
+			t.Fatalf("block %d: a response borrowing its slot claims it for the pool", i)
+		}
+		resp.Release()
+		if len(resp.Data) != blockSize || &resp.Data[0] != &slot[0] {
+			t.Fatalf("block %d: Release dropped the slot", i)
+		}
+		if b := bufpool.Get(blockSize); &b[0] == &slot[0] {
+			t.Fatalf("block %d: Release gave the slot to the pool", i)
+		}
+		asm.place(i, &resp)
+	}
+	got, err := asm.result()
+	if err != nil || !bytes.Equal(got, in) {
+		t.Fatalf("assembled %d bytes, err %v; want the file", len(got), err)
+	}
+}

@@ -233,7 +233,7 @@ func (dn *DataNode) Start() error {
 	dn.mu.Unlock()
 	// A busy namenode is not a failure: the loop registers after the
 	// backoff.
-	if err := dn.register(c); err != nil && !dfs.IsBusy(err) {
+	if err := dn.register(c); err != nil && !errors.Is(err, dfs.ErrBusy) {
 		s.Close()
 		c.Close()
 		return fmt.Errorf("datanode: register: %w", err)
@@ -343,7 +343,7 @@ func (dn *DataNode) Reconnect() error {
 		l.Close()
 		return fmt.Errorf("datanode: redial namenode: %w", err)
 	}
-	if err := dn.register(c); err != nil && !dfs.IsBusy(err) {
+	if err := dn.register(c); err != nil && !errors.Is(err, dfs.ErrBusy) {
 		l.Close()
 		c.Close()
 		return fmt.Errorf("datanode: re-register: %w", err)
@@ -925,7 +925,7 @@ func (dn *DataNode) register(c *transport.Client) error {
 		dn.epoch = req.Epoch
 		dn.needFull = false
 		dn.busyStreak = 0
-	case dfs.IsBusy(err):
+	case errors.Is(err, dfs.ErrBusy):
 		dn.backoffLocked()
 	}
 	return err

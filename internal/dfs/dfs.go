@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
-	"strings"
 	"sync"
 	"time"
 
@@ -339,37 +338,29 @@ type HeartbeatResp struct {
 	NeedFullReport bool
 }
 
-// busyMarker is the substring IsBusy looks for. Application errors cross
-// the transport as strings (*transport.RemoteError), so the typed
-// sentinel must survive a round trip through its message text.
-const busyMarker = "DFS_BUSY"
+// The three sentinels below are registered with the transport where
+// they are declared, so one returned by a remote handler still matches
+// errors.Is on the caller's side of either transport (see
+// transport.RegisterError): in-memory deployments never call
+// RegisterWire.
 
 // ErrBusy is the namenode's admission-control pushback: the report
 // intake queue is full, so the full reconcile was rejected before
 // touching any namespace lock. Callers back off (with jitter) and
 // retry; deltas and namespace RPCs are never rejected with it.
-var ErrBusy = errors.New("namenode busy, retry report later (" + busyMarker + ")")
-
-// IsBusy reports whether err is the namenode's ErrBusy pushback,
-// directly or after crossing the transport as a remote error string.
-func IsBusy(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrBusy) || strings.Contains(err.Error(), busyMarker)
-}
+var ErrBusy = transport.RegisterError(errors.New("namenode busy, retry report later"))
 
 // ErrChecksum means a block payload failed CRC32C verification: the
 // stored replica (or the bytes in flight) do not match the checksum
 // recorded at write time. The client read path treats it like a lost
 // replica and fails over to another holder; the serving datanode drops
 // the corrupt replica and reports it for re-replication.
-var ErrChecksum = errors.New("block checksum mismatch (DFS_CHECKSUM)")
+var ErrChecksum = transport.RegisterError(errors.New("block checksum mismatch (DFS_CHECKSUM)"))
 
 // ErrBlockLength means a replica returned a payload whose length is not
 // the block's recorded size. Readers treat it like ErrChecksum: the
 // replica is bad, another holder is tried.
-var ErrBlockLength = errors.New("block payload length mismatch")
+var ErrBlockLength = transport.RegisterError(errors.New("block payload length mismatch"))
 
 // CorruptReplicaReq reports a checksum-verification failure to the
 // namenode: the datanode at Addr found its replica of Block corrupt

@@ -23,19 +23,23 @@ import (
 // TCP they travel as bulk units (transport.BulkFramer): a hand-framed
 // head with every field but Data, then Data itself, which the sending
 // conn writes straight from this struct's slice and the receiving conn
-// reads straight into a bufpool buffer. The datanode pipeline forward
-// reuses WriteBlockReq (the receiving node re-sends the request with a
-// shortened Pipeline), so it rides the same path.
+// reads straight into a bufpool buffer, or into the caller's
+// destination for a ReadBlockResp asked for with transport.CallInto.
+// The datanode pipeline forward reuses WriteBlockReq (the receiving
+// node re-sends the request with a shortened Pipeline), so it rides the
+// same path.
 //
 // Ownership: a decoded struct whose Data is non-empty owns a pooled
-// buffer and says so through Pooled. DecodeHead adopts the buffer the
-// transport filled; the whole-frame DecodeFrame copies Data out of its
-// argument, which stays the caller's to reuse. The eventual sole owner
-// calls Release to return the buffer; forgetting to Release is safe
-// (the buffer is garbage collected), releasing twice or while aliases
-// remain is not. The in-memory transport passes bodies by reference and
-// never sets pooled, so inmem payloads — which alias datanode stores
-// and the memory writers send from — are never returned to the pool.
+// buffer and says so through Pooled, unless Data is a caller's
+// destination, which it only borrows (Pooled is false). DecodeHead
+// adopts what the transport filled, as the transport says it is owned;
+// the whole-frame DecodeFrame copies Data out of its argument, which
+// stays the caller's to reuse. The eventual sole owner calls Release to
+// return a pooled buffer; forgetting to Release is safe (the buffer is
+// garbage collected), releasing twice or while aliases remain is not.
+// The in-memory transport passes bodies by reference and never sets
+// pooled, so inmem payloads — which alias datanode stores and the
+// memory writers send from — are never returned to the pool.
 
 var errShortFrame = errors.New("dfs: malformed frame")
 
@@ -330,17 +334,17 @@ func (r *WriteBlockReq) readHead(fr *frameReader) {
 	r.Pipeline = fr.addrs()
 }
 
-// DecodeHead implements transport.BulkFramer. bulk, when non-nil, is a
-// pooled buffer this struct now owns; the sole owner must eventually
-// call Release (or keep the buffer forever, as the datanode block store
-// does).
-func (r *WriteBlockReq) DecodeHead(head, bulk []byte) error {
+// DecodeHead implements transport.BulkFramer. A pooled bulk is a
+// buffer this struct now owns; the sole owner must eventually call
+// Release (or keep the buffer forever, as the datanode block store
+// does). Any other bulk is only borrowed, as in ReadBlockResp.
+func (r *WriteBlockReq) DecodeHead(head, bulk []byte, pooled bool) error {
 	fr := frameReader{b: head}
 	r.readHead(&fr)
 	if err := fr.done(); err != nil {
 		return err
 	}
-	r.Data, r.pooled = bulk, bulk != nil
+	r.Data, r.pooled = bulk, pooled && bulk != nil
 	return nil
 }
 
@@ -441,16 +445,18 @@ func (r *ReadBlockResp) readHead(fr *frameReader) {
 	r.Local = flags&rbFlagLocal != 0
 }
 
-// DecodeHead implements transport.BulkFramer. bulk, when non-nil, is a
-// pooled buffer this struct now owns; the sole owner must eventually
-// call Release.
-func (r *ReadBlockResp) DecodeHead(head, bulk []byte) error {
+// DecodeHead implements transport.BulkFramer. A pooled bulk is a
+// buffer this struct now owns; the sole owner must eventually call
+// Release. A bulk that is not pooled is the destination the caller
+// passed to transport.CallInto: Data borrows it, Pooled reports false
+// and Release leaves it alone.
+func (r *ReadBlockResp) DecodeHead(head, bulk []byte, pooled bool) error {
 	fr := frameReader{b: head}
 	r.readHead(&fr)
 	if err := fr.done(); err != nil {
 		return err
 	}
-	r.Data, r.pooled = bulk, bulk != nil
+	r.Data, r.pooled = bulk, pooled && bulk != nil
 	return nil
 }
 

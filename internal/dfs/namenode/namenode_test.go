@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -594,11 +595,11 @@ func TestReadersRaceRegistryTraffic(t *testing.T) {
 		}
 
 		// retryBusy repeats a full-report call while the intake gate
-		// rejects it with DFS_BUSY, backing off as a datanode does. The
+		// rejects it with dfs.ErrBusy, backing off as a datanode does. The
 		// test checks the registry lock split, not the gate.
 		retryBusy := func(call func() error) error {
 			for {
-				if err := call(); !dfs.IsBusy(err) {
+				if err := call(); !errors.Is(err, dfs.ErrBusy) {
 					return err
 				}
 				v.Sleep(time.Millisecond)

@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -221,10 +222,10 @@ func TestReportIntakeBusy(t *testing.T) {
 		for i := 0; i < cap(h.nn.intake); i++ {
 			h.nn.intake <- struct{}{}
 		}
-		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "z", Seq: 1, Epoch: 1}); !dfs.IsBusy(err) {
+		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "z", Seq: 1, Epoch: 1}); !errors.Is(err, dfs.ErrBusy) {
 			t.Fatalf("register under saturated intake: err = %v, want busy", err)
 		}
-		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "a", Seq: 1, Epoch: 1}); !dfs.IsBusy(err) {
+		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "a", Seq: 1, Epoch: 1}); !errors.Is(err, dfs.ErrBusy) {
 			t.Fatalf("re-register under saturated intake: err = %v, want busy", err)
 		}
 		// Delta heartbeats are never gated: freshness must survive a

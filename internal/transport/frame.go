@@ -41,16 +41,18 @@ type Framer interface {
 //
 // DecodeHead parses a head produced by AppendHead, with nothing left
 // over, and adopts bulk as the body's payload. bulk is nil for an empty
-// payload and otherwise a bufpool buffer that Recv filled from the
-// socket. On a nil return the body owns it: its eventual sole holder
-// returns it to the pool or keeps it forever. On an error the transport
-// still owns it and returns it. head is receive scratch, as in
-// DecodeFrame.
+// payload; otherwise Recv filled it from the socket, and pooled says
+// whose memory it is. A pooled bulk is a bufpool buffer: on a nil
+// return the body owns it, and its eventual sole holder returns it to
+// the pool or keeps it forever; on an error the transport still owns it
+// and returns it. A bulk that is not pooled is the destination a caller
+// passed to CallInto: the body only borrows it and must never return it
+// to the pool. head is receive scratch, as in DecodeFrame.
 type BulkFramer interface {
 	Framer
 	AppendHead(buf []byte) []byte
 	Bulk() []byte
-	DecodeHead(head, bulk []byte) error
+	DecodeHead(head, bulk []byte, pooled bool) error
 }
 
 // framerInfo is one registered body type. The head functions
@@ -60,7 +62,7 @@ type framerInfo struct {
 	encode     func(body any, buf []byte) []byte
 	decode     func(payload []byte) (any, error)
 	encodeHead func(body any, buf []byte) (head, bulk []byte)
-	decodeHead func(head, bulk []byte) (any, error)
+	decodeHead func(head, bulk []byte, pooled bool) (any, error)
 }
 
 // nilBody is the codec of a message without a body (an error reply): an
@@ -133,9 +135,9 @@ func RegisterFramer[T any, PT interface {
 			giveBack(p)
 			return buf, bulk
 		}
-		info.decodeHead = func(head, bulk []byte) (any, error) {
+		info.decodeHead = func(head, bulk []byte, pooled bool) (any, error) {
 			var v T
-			if err := any(PT(&v)).(BulkFramer).DecodeHead(head, bulk); err != nil {
+			if err := any(PT(&v)).(BulkFramer).DecodeHead(head, bulk, pooled); err != nil {
 				return nil, err
 			}
 			return v, nil
@@ -335,10 +337,23 @@ func decodeFastUnitPayload(payload []byte) (Message, error) {
 	return m, nil
 }
 
+// replyID reads the message ID off the front of a bulk unit's head when
+// its flags mark a reply: the part of decodeEnvelope the receive path
+// needs before it chooses where the bulk bytes go. The whole head is
+// decoded, and checked, only after the bulk is read.
+func replyID(head []byte) (uint64, bool) {
+	id, rest, err := uvarint(head)
+	if err != nil || len(rest) == 0 || rest[0]&fastFlagReply == 0 {
+		return 0, false
+	}
+	return id, true
+}
+
 // decodeBulkUnit parses a bulk unit: head is receive scratch as above,
-// bulk is the pooled buffer (nil when empty) the decoded body adopts.
-// On an error the caller still owns bulk.
-func decodeBulkUnit(head, bulk []byte) (Message, error) {
+// bulk (nil when empty) is the payload the decoded body adopts, a
+// bufpool buffer when pooled and a caller's destination otherwise. On
+// an error the caller still owns bulk.
+func decodeBulkUnit(head, bulk []byte, pooled bool) (Message, error) {
 	m, fi, rest, err := decodeEnvelope(head)
 	if err != nil {
 		return Message{}, err
@@ -346,7 +361,7 @@ func decodeBulkUnit(head, bulk []byte) (Message, error) {
 	if fi.decodeHead == nil {
 		return Message{}, fmt.Errorf("transport: bulk unit for non-bulk type %q", fi.name)
 	}
-	if m.Body, err = fi.decodeHead(rest, bulk); err != nil {
+	if m.Body, err = fi.decodeHead(rest, bulk, pooled); err != nil {
 		return Message{}, err
 	}
 	return m, nil

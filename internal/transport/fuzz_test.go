@@ -74,7 +74,7 @@ func (b *fuzzBulk) AppendFrame(buf []byte) []byte {
 	return append(buf, b.Data...)
 }
 
-func (b *fuzzBulk) DecodeHead(head, bulk []byte) error {
+func (b *fuzzBulk) DecodeHead(head, bulk []byte, pooled bool) error {
 	tag, rest, err := uvarintBytes(head)
 	if err != nil {
 		return err
@@ -82,7 +82,7 @@ func (b *fuzzBulk) DecodeHead(head, bulk []byte) error {
 	if len(rest) != 0 {
 		return errFrame
 	}
-	b.Tag, b.Data, b.pooled = string(tag), bulk, bulk != nil
+	b.Tag, b.Data, b.pooled = string(tag), bulk, pooled && bulk != nil
 	return nil
 }
 
@@ -176,7 +176,7 @@ func fuzzBulkHead(t *testing.T, data []byte) {
 		bulk[i] = byte(i)
 	}
 	defer bufpool.Put(bulk) // still ours either way: nothing below releases it
-	m, err := decodeBulkUnit(data, bulk)
+	m, err := decodeBulkUnit(data, bulk, true)
 	if err != nil {
 		return
 	}
@@ -192,7 +192,7 @@ func fuzzBulkHead(t *testing.T, data []byte) {
 	if &reBulk[0] != &bulk[0] {
 		t.Fatal("Bulk() is not the body's own slice")
 	}
-	m2, err := decodeBulkUnit(head, reBulk)
+	m2, err := decodeBulkUnit(head, reBulk, true)
 	if err != nil {
 		t.Fatalf("re-decode of re-encoded head failed: %v", err)
 	}

@@ -140,8 +140,15 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]*simclock.Chan[Message]
+	pending map[uint64]pendingCall
 	closed  bool
+	// receiving is the ID of the call whose destination the receive
+	// loop is reading into (0: none; IDs start at 1). claimDst sets it
+	// under mu, atomically with the call still being pending, and
+	// recvLoop clears it once Recv returns; letGo (on mu) wakes a call
+	// that timed out meanwhile and waits to get its memory back.
+	receiving uint64
+	letGo     sync.Cond
 
 	// mailboxes recycles per-call reply mailboxes. A mailbox is recycled
 	// only after its reply was received on the clean path — the one case
@@ -150,6 +157,13 @@ type Client struct {
 	// timer) with it, which profiling showed dominated per-call
 	// allocations on the TCP data plane.
 	mailboxes sync.Pool
+}
+
+// pendingCall is a call awaiting its reply: the mailbox the reply is
+// delivered to, and the destination CallInto was given (nil for Call).
+type pendingCall struct {
+	ch  *simclock.Chan[Message]
+	dst []byte
 }
 
 // ClientOption configures a Client.
@@ -167,10 +181,14 @@ func NewClient(clock simclock.Clock, conn Conn, opts ...ClientOption) *Client {
 		clock:   clock,
 		conn:    conn,
 		timeout: 30 * time.Second,
-		pending: make(map[uint64]*simclock.Chan[Message]),
+		pending: make(map[uint64]pendingCall),
 	}
+	c.letGo.L = &c.mu
 	for _, o := range opts {
 		o(c)
+	}
+	if tc, ok := conn.(*tcpConn); ok {
+		tc.dst = c.claimDst
 	}
 	clock.Go(c.recvLoop)
 	return c
@@ -191,31 +209,53 @@ func Dial(clock simclock.Clock, net Network, addr string, opts ...ClientOption) 
 func (c *Client) recvLoop() {
 	for {
 		m, err := c.conn.Recv()
+		c.mu.Lock()
+		if c.receiving != 0 {
+			// Recv has returned, so nothing writes into the claimed
+			// destination any more.
+			c.receiving = 0
+			c.letGo.Broadcast()
+		}
+		var p pendingCall
+		var ok bool
+		if err == nil && m.Reply {
+			p, ok = c.pending[m.ID]
+			delete(c.pending, m.ID)
+		}
+		c.mu.Unlock()
 		if err != nil {
 			c.failAll()
 			return
 		}
-		if !m.Reply {
-			continue
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[m.ID]
-		delete(c.pending, m.ID)
-		c.mu.Unlock()
 		if ok {
-			ch.Send(m)
+			p.ch.Send(m)
 		}
 	}
+}
+
+// claimDst is the TCP conn's destination lookup (tcpConn.dst): the
+// destination of call id when that call is still pending and passed one
+// of exactly n bytes. From the claim until Recv returns, the call's
+// abandon waits before giving the memory back to its caller.
+func (c *Client) claimDst(id uint64, n int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.pending[id]
+	if !ok || len(p.dst) != n {
+		return nil
+	}
+	c.receiving = id
+	return p.dst
 }
 
 func (c *Client) failAll() {
 	c.mu.Lock()
 	pending := c.pending
-	c.pending = make(map[uint64]*simclock.Chan[Message])
+	c.pending = make(map[uint64]pendingCall)
 	c.closed = true
 	c.mu.Unlock()
-	for _, ch := range pending {
-		ch.Close()
+	for _, p := range pending {
+		p.ch.Close()
 	}
 }
 
@@ -225,6 +265,21 @@ func (c *Client) failAll() {
 // wrapping ErrTimeout/ErrClosed, so callers can both identify the failed
 // endpoint with errors.As and classify the failure with errors.Is.
 func (c *Client) Call(method string, arg any) (any, error) {
+	return c.CallInto(method, arg, nil)
+}
+
+// CallInto is Call with a destination for the reply's bulk bytes. Over
+// TCP, a reply that is a bulk unit of exactly len(dst) bulk bytes is read
+// from the socket straight into dst, and its body borrows dst instead of
+// owning a pooled buffer; any other reply is received as under Call. The
+// in-memory transport passes bodies by reference and ignores dst.
+//
+// dst is the caller's again when CallInto returns, whatever it returns:
+// nothing writes into it afterwards. A call that times out while its
+// reply is streaming into dst closes the connection, which ends the
+// read and fails the client's other calls, waits for the receive loop
+// to let go of dst, and only then returns its timeout.
+func (c *Client) CallInto(method string, arg any, dst []byte) (any, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -236,16 +291,16 @@ func (c *Client) Call(method string, arg any) (any, error) {
 	if ch == nil {
 		ch = simclock.NewChan[Message](c.clock)
 	}
-	c.pending[id] = ch
+	c.pending[id] = pendingCall{ch: ch, dst: dst}
 	c.mu.Unlock()
 
 	if err := c.conn.Send(Message{ID: id, Method: method, Body: arg}); err != nil {
-		c.drop(id)
+		c.abandon(id)
 		return nil, &CallError{Method: method, Addr: c.addr, Err: err}
 	}
 	m, ok, timedOut := ch.RecvTimeout(c.timeout)
 	if timedOut {
-		c.drop(id)
+		c.abandon(id)
 		return nil, &CallError{Method: method, Addr: c.addr,
 			Err: fmt.Errorf("%w after %v", ErrTimeout, c.timeout)}
 	}
@@ -263,17 +318,29 @@ func (c *Client) Call(method string, arg any) (any, error) {
 	return m.Body, nil
 }
 
-// drop abandons a pending call after a timeout or send failure. The
+// abandon gives up a pending call after a timeout or send failure. The
 // call's mailbox is closed so a reply that arrives later (recvLoop may
 // already hold a reference to it) is dropped by Chan.Send instead of
-// being buffered in a mailbox nobody will ever receive from.
-func (c *Client) drop(id uint64) {
+// being buffered in a mailbox nobody will ever receive from. Removing
+// the call under mu means no later reply can claim its destination; if
+// one already has, the read is ended by closing the conn and abandon
+// waits for the receive loop to let go, so the caller never gets back
+// memory that is still being written.
+func (c *Client) abandon(id uint64) {
 	c.mu.Lock()
-	ch, ok := c.pending[id]
+	if c.receiving == id {
+		c.mu.Unlock()
+		c.conn.Close()
+		c.mu.Lock()
+		for c.receiving == id {
+			c.letGo.Wait()
+		}
+	}
+	p, ok := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
 	if ok {
-		ch.Close()
+		p.ch.Close()
 	}
 }
 
@@ -282,8 +349,19 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // Call is the typed convenience wrapper around Client.Call.
 func Call[Resp any](c *Client, method string, arg any) (Resp, error) {
-	var zero Resp
 	body, err := c.Call(method, arg)
+	return typed[Resp](method, body, err)
+}
+
+// CallInto is the typed convenience wrapper around Client.CallInto.
+func CallInto[Resp any](c *Client, method string, arg any, dst []byte) (Resp, error) {
+	body, err := c.CallInto(method, arg, dst)
+	return typed[Resp](method, body, err)
+}
+
+// typed asserts a reply body to the type the caller expects.
+func typed[Resp any](method string, body any, err error) (Resp, error) {
+	var zero Resp
 	if err != nil {
 		return zero, err
 	}

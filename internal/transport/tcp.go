@@ -24,7 +24,8 @@ import (
 // (see frame.go). unitBulk carries a BulkFramer body in two parts: a
 // small head that passes through conn scratch like a fast unit, and the
 // bulk bytes, which Send writes straight from the body's slice and Recv
-// reads straight into the pooled buffer the decoded body owns. Any other
+// reads straight into the memory the decoded body keeps: the caller's
+// destination for a reply to CallInto, else a pooled buffer. Any other
 // kind, 0x00 included (the retired gob unit), is a protocol error.
 const (
 	unitFast = 0x01
@@ -111,6 +112,11 @@ type tcpConn struct {
 	// implementations copy what they keep of it.
 	br   *bufio.Reader
 	rbuf []byte
+	// dst, set by the Client that owns the conn before its receive loop
+	// starts, claims the caller's destination for a reply's bulk bytes:
+	// given the reply's message ID and bulk length it returns the slice
+	// to read straight into, or nil for a pooled buffer.
+	dst func(id uint64, n int) []byte
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -203,20 +209,33 @@ func (t *tcpConn) Recv() (Message, error) {
 		if err != nil {
 			return Message{}, err
 		}
-		// A read this large bypasses br's buffer, so the socket fills
-		// the pooled buffer directly. From here every failure returns
-		// the buffer: the decoded body owns it only on success.
+		// The bulk goes to the caller's destination when the head's
+		// leading ID names a call that passed one of exactly this
+		// length, else to a pooled buffer. A read this large bypasses
+		// br's buffer, so the socket fills either directly. From here
+		// every failure returns a pooled buffer: the decoded body owns
+		// it only on success.
 		var bulk []byte
+		pooled := false
 		if bn > 0 {
-			bulk = bufpool.Get(int(bn))
+			if id, ok := replyID(head); ok && t.dst != nil {
+				bulk = t.dst(id, int(bn))
+			}
+			if bulk == nil {
+				bulk, pooled = bufpool.Get(int(bn)), true
+			}
 			if _, err := io.ReadFull(t.br, bulk); err != nil {
-				bufpool.Put(bulk)
+				if pooled {
+					bufpool.Put(bulk)
+				}
 				return Message{}, err
 			}
 		}
-		m, err := decodeBulkUnit(head, bulk)
+		m, err := decodeBulkUnit(head, bulk, pooled)
 		if err != nil {
-			bufpool.Put(bulk)
+			if pooled {
+				bufpool.Put(bulk)
+			}
 			return Message{}, err
 		}
 		return m, nil

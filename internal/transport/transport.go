@@ -20,6 +20,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 )
 
 // Errors returned by the RPC layer.
@@ -31,7 +34,10 @@ var (
 )
 
 // RemoteError is a failure reported by the remote handler rather than by
-// the transport itself.
+// the transport itself. The handler's error crosses either transport as
+// its text alone; when that text ends with a sentinel registered with
+// RegisterError, Unwrap returns the sentinel, so errors.Is sees it on
+// the calling side too.
 type RemoteError struct {
 	Method string
 	Msg    string
@@ -39,6 +45,39 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Method, e.Msg)
+}
+
+// Unwrap returns the registered sentinel whose text ends Msg, either as
+// all of it or after the ": " that fmt.Errorf's "...: %w" leaves, and
+// nil when none does.
+func (e *RemoteError) Unwrap() error {
+	sentinelMu.RLock()
+	defer sentinelMu.RUnlock()
+	for _, s := range sentinels {
+		if rest, ok := strings.CutSuffix(e.Msg, s.Error()); ok && (rest == "" || strings.HasSuffix(rest, ": ")) {
+			return s
+		}
+	}
+	return nil
+}
+
+var (
+	sentinelMu sync.RWMutex
+	sentinels  []error
+)
+
+// RegisterError registers a sentinel error that handlers return, bare
+// or wrapped as the last "%w" of their message, so that it survives the
+// trip to the caller inside a RemoteError. It returns err, so a package
+// can register a sentinel where it declares it. Registering the same
+// error twice is safe.
+func RegisterError(err error) error {
+	sentinelMu.Lock()
+	defer sentinelMu.Unlock()
+	if !slices.Contains(sentinels, err) {
+		sentinels = append(sentinels, err)
+	}
+	return err
 }
 
 // CallError is a transport-level call failure: the call never completed
