@@ -179,8 +179,12 @@ cover-check: cover
 # of the root module and bench/ without inlining, lists their text
 # symbols with `go tool nm`, and fails on any non-test function none of
 # them links, unless tools/reachcheck/allow.txt names it with a reason
-# (fault-injection code and test harnesses). An allow entry that names
-# nothing unlinked fails too, so the list only shrinks.
+# (fault-injection code and test harnesses). A field pass type-checks the
+# same code and fails on any exported field of a component config struct
+# (cluster, datanode, namenode, slave, scheduler, mapreduce job) that no
+# non-test file outside its declaring file names: an option only tests
+# set. An allow entry that matches nothing fails too, so the list only
+# shrinks.
 reach-check:
 	$(GO) run ./tools/reachcheck
 

@@ -65,10 +65,6 @@ type Config struct {
 	Media storage.Spec
 	// Mode selects the file-system configuration.
 	Mode Mode
-	// SlotsPerNode bounds concurrent tasks per node. Default 10.
-	SlotsPerNode int
-	// SchedulerHeartbeat gates task assignment. Default 3s.
-	SchedulerHeartbeat time.Duration
 	// MaxAssignPerHeartbeat caps tasks handed to one node per heartbeat
 	// (scheduler default 3 when zero).
 	MaxAssignPerHeartbeat int
@@ -98,12 +94,6 @@ type Config struct {
 	TierBudgets ignem.TierBudgets
 	// Seed drives all randomness (placement, replica choice).
 	Seed int64
-	// Racks spreads the datanodes round-robin over this many racks and
-	// enables rack-aware placement. Zero keeps flat placement.
-	Racks int
-	// HotCacheBytes sizes the per-node hot cache in ModeHotCache.
-	// Default 32 GB.
-	HotCacheBytes int64
 	// WALBackend, when set, gives the namenode's Ignem master a
 	// migration write-ahead log (see namenode.Config.WALBackend):
 	// durable planning, journal-backed batch retries, and a
@@ -130,17 +120,8 @@ func (c *Config) setDefaults() {
 	if c.Media.Name == "" {
 		c.Media = storage.HDDSpec()
 	}
-	if c.SlotsPerNode <= 0 {
-		c.SlotsPerNode = 10
-	}
-	if c.SchedulerHeartbeat <= 0 {
-		c.SchedulerHeartbeat = 3 * time.Second
-	}
 	if c.DFSHeartbeat <= 0 {
 		c.DFSHeartbeat = time.Second
-	}
-	if c.HotCacheBytes <= 0 {
-		c.HotCacheBytes = 32 << 30
 	}
 }
 
@@ -155,6 +136,17 @@ type Cluster struct {
 
 	cfg Config
 }
+
+const (
+	// slotsPerNode bounds concurrent tasks per node: the paper's
+	// Google-trace average.
+	slotsPerNode = 10
+	// schedulerHeartbeat is the scheduler's node heartbeat, which gates
+	// task assignment: Hadoop's default 3s.
+	schedulerHeartbeat = 3 * time.Second
+	// hotCacheBytes sizes the per-node hot cache in ModeHotCache.
+	hotCacheBytes = 32 << 30
+)
 
 // NameNodeAddr is the in-memory address of the namenode.
 const NameNodeAddr = "namenode"
@@ -178,21 +170,9 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 		return net
 	}
 
-	addrsForRacks := make([]string, cfg.Nodes)
-	for i := range addrsForRacks {
-		addrsForRacks[i] = fmt.Sprintf("dn%d", i)
-	}
-	var racks map[string]string
-	if cfg.Racks > 0 {
-		racks = make(map[string]string, cfg.Nodes)
-		for i, addr := range addrsForRacks {
-			racks[addr] = fmt.Sprintf("rack%d", i%cfg.Racks)
-		}
-	}
 	nn := namenode.New(clock, wrap(NameNodeAddr), namenode.Config{
 		Addr:       NameNodeAddr,
 		Seed:       cfg.Seed,
-		Racks:      racks,
 		WALBackend: cfg.WALBackend,
 
 		MigrationPolicy: cfg.MigrationPolicy,
@@ -208,8 +188,8 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 	}
 	sched := scheduler.New(clock, scheduler.Config{
 		Nodes:                 addrs,
-		SlotsPerNode:          cfg.SlotsPerNode,
-		HeartbeatInterval:     cfg.SchedulerHeartbeat,
+		SlotsPerNode:          slotsPerNode,
+		HeartbeatInterval:     schedulerHeartbeat,
 		MaxAssignPerHeartbeat: cfg.MaxAssignPerHeartbeat,
 	})
 
@@ -244,7 +224,7 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 			}
 		}
 		if cfg.Mode == ModeHotCache {
-			dncfg.HotCacheBytes = cfg.HotCacheBytes
+			dncfg.HotCacheBytes = hotCacheBytes
 		}
 		dn, err := datanode.New(clock, wrap(addr), dncfg)
 		if err != nil {

@@ -119,7 +119,6 @@ func TestDeadJobCleanupSweep(t *testing.T) {
 			Seed:  4,
 			Slave: ignem.SlaveConfig{
 				Capacity:           192 << 20, // exactly three 64MB blocks
-				CleanupThreshold:   0.3,
 				CleanupMinInterval: time.Second,
 			},
 		})
@@ -335,53 +334,5 @@ func TestMapTasksLocateOneBlock(t *testing.T) {
 	}
 	if got, want := located.Load(), int64(2*blocks); got != want {
 		t.Errorf("getLocations replies carried %d located blocks, want %d (submit %d + one per map task)", got, want, blocks)
-	}
-}
-
-// TestRackAwareClusterEndToEnd brings up a racked cluster and checks
-// that placement honours the HDFS rack policy while Ignem still works.
-func TestRackAwareClusterEndToEnd(t *testing.T) {
-	err := RunVirtual(2*time.Minute, func(v *simclock.Virtual) {
-		c, err := Start(v, Config{Nodes: 6, Racks: 2, Mode: ModeIgnem, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		cl, err := c.Client()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		if err := cl.WriteSyntheticFile("/f", 4*dfs.DefaultBlockSize, 0, 3); err != nil {
-			t.Fatal(err)
-		}
-		rackOf := func(addr string) string {
-			var i int
-			fmt.Sscanf(addr, "dn%d", &i)
-			return fmt.Sprint(i % 2)
-		}
-		lbs, _ := cl.Locations("/f")
-		for _, lb := range lbs {
-			if len(lb.Nodes) != 3 {
-				t.Fatalf("replicas = %v", lb.Nodes)
-			}
-			racks := map[string]int{}
-			for _, n := range lb.Nodes {
-				racks[rackOf(n)]++
-			}
-			if len(racks) != 2 {
-				t.Errorf("block %d not spread across racks: %v", lb.Block.ID, lb.Nodes)
-			}
-		}
-		// Migration still works on the racked cluster.
-		if _, err := cl.Migrate("j", []string{"/f"}, false); err != nil {
-			t.Fatal(err)
-		}
-		for c.TotalPinnedBytes() < 4*dfs.DefaultBlockSize {
-			v.Sleep(100 * time.Millisecond)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -372,13 +372,31 @@ func (dn *DataNode) RestartSlaveProcess() { dn.slave.Restart() }
 
 // ---- ignem.MediaReader ----
 
-// ReadForMigration performs the timed cold-device read that brings a
-// block into memory; it is the slave's one-at-a-time migration read.
+// CopyForMigration implements ignem.MediaReader: the timed copy that
+// moves a block up a tier. SSD→RAM reads the flash copy instead of the
+// contended disk, the whole point of climbing through the middle tier.
+// HDD→SSD costs the cold-device read plus the flash write. Every other
+// copy, and every copy on a datanode without a flash device, is the
+// paper's migration read of the cold device.
+func (dn *DataNode) CopyForMigration(b dfs.Block, checksum uint32, from, to dfs.Tier) error {
+	if dn.ssd != nil && from == dfs.TierSSD && to == dfs.TierRAM {
+		return dn.ssd.Read(b.Size)
+	}
+	if err := dn.readForMigration(b, checksum); err != nil {
+		return err
+	}
+	if dn.ssd != nil && from == dfs.TierHDD && to == dfs.TierSSD {
+		return dn.ssd.Write(b.Size)
+	}
+	return nil
+}
+
+// readForMigration performs the timed cold-device read of a migration.
 // The stored replica is verified against checksum (falling back to the
 // checksum recorded at write time) during the copy, so a rotten replica
 // is never pinned: on a mismatch the replica is dropped, reported to
 // the namenode, and the migration fails with dfs.ErrChecksum.
-func (dn *DataNode) ReadForMigration(b dfs.Block, checksum uint32) error {
+func (dn *DataNode) readForMigration(b dfs.Block, checksum uint32) error {
 	if err := dn.media.Read(b.Size); err != nil {
 		return err
 	}
@@ -395,30 +413,6 @@ func (dn *DataNode) ReadForMigration(b dfs.Block, checksum uint32) error {
 		return fmt.Errorf("datanode: migrate block %d: %w", b.ID, dfs.ErrChecksum)
 	}
 	return nil
-}
-
-// CopyForMigration is the ignem.TierCopier hook: a timed copy between
-// storage tiers. HDD→SSD charges the cold-device read (with the same
-// checksum verification as a RAM migration) plus the flash write;
-// SSD→RAM reads the flash copy instead of the contended disk — the
-// whole point of climbing through the middle tier. Any other pair, or
-// a datanode without a flash device, costs a ReadForMigration, as an
-// HDD→RAM migration does.
-func (dn *DataNode) CopyForMigration(b dfs.Block, checksum uint32, from, to dfs.Tier) error {
-	if dn.ssd == nil {
-		return dn.ReadForMigration(b, checksum)
-	}
-	switch {
-	case from == dfs.TierHDD && to == dfs.TierSSD:
-		if err := dn.ReadForMigration(b, checksum); err != nil {
-			return err
-		}
-		return dn.ssd.Write(b.Size)
-	case from == dfs.TierSSD && to == dfs.TierRAM:
-		return dn.ssd.Read(b.Size)
-	default:
-		return dn.ReadForMigration(b, checksum)
-	}
 }
 
 // dropCorrupt removes a replica whose payload failed verification and
@@ -774,11 +768,9 @@ type reportUndo struct {
 // per ID on the wire) and the next sequence number.
 func (dn *DataNode) buildHeartbeatLocked() (dfs.HeartbeatReq, reportUndo) {
 	req := dfs.HeartbeatReq{
-		Addr:        dn.cfg.Addr,
-		PinnedBytes: dn.slave.PinnedBytes(),
-		SSDBytes:    dn.slave.SSDBytes(),
-		Seq:         dn.nextSeqLocked(),
-		Epoch:       dn.epoch,
+		Addr:  dn.cfg.Addr,
+		Seq:   dn.nextSeqLocked(),
+		Epoch: dn.epoch,
 	}
 	for id, pinned := range dn.pinPending {
 		if pinned {

@@ -202,7 +202,7 @@ func TestMigrationReadUsesMediaDevice(t *testing.T) {
 		defer nn.Close()
 		defer dn.Close()
 		before := dn.MediaDevice().Stats().BytesServed
-		if err := dn.ReadForMigration(dfs.Block{ID: 1, Size: 16 << 20}, 0); err != nil {
+		if err := dn.CopyForMigration(dfs.Block{ID: 1, Size: 16 << 20}, 0, dfs.TierHDD, dfs.TierRAM); err != nil {
 			t.Fatal(err)
 		}
 		if got := dn.MediaDevice().Stats().BytesServed - before; got != 16<<20 {

@@ -313,21 +313,18 @@ type RegisterResp struct{ ack }
 // recognizably stale. Seq starts at 1: the namenode rejects a register
 // or heartbeat with Seq 0 and changes no state for it.
 type HeartbeatReq struct {
-	Addr        string
-	PinnedBytes int64
-	Pinned      []BlockID
-	Unpinned    []BlockID
-	Seq         uint64
-	Epoch       uint64
-	Added       []BlockID
-	Removed     []BlockID
+	Addr     string
+	Pinned   []BlockID
+	Unpinned []BlockID
+	Seq      uint64
+	Epoch    uint64
+	Added    []BlockID
+	Removed  []BlockID
 	// SSDPinned and SSDUnpinned carry the blocks whose SSD-tier
 	// residency changed since the last heartbeat, exactly as
 	// Pinned/Unpinned do for the RAM tier.
 	SSDPinned   []BlockID
 	SSDUnpinned []BlockID
-	// SSDBytes is the slave's current SSD-tier occupancy.
-	SSDBytes int64
 }
 
 // HeartbeatResp acknowledges a heartbeat. NeedFullReport asks the

@@ -46,8 +46,8 @@ func wireSamples() []any {
 		BlockReadResp{},
 		RegisterReq{Addr: "dn", Blocks: []BlockID{1, 5}, Seq: 1, Epoch: 2},
 		RegisterResp{},
-		HeartbeatReq{Addr: "dn", PinnedBytes: 5, Pinned: []BlockID{1}, Unpinned: []BlockID{2}, Seq: 3, Epoch: 4,
-			Added: []BlockID{5}, Removed: []BlockID{6}, SSDPinned: []BlockID{7}, SSDUnpinned: []BlockID{8}, SSDBytes: 9},
+		HeartbeatReq{Addr: "dn", Pinned: []BlockID{1}, Unpinned: []BlockID{2}, Seq: 3, Epoch: 4,
+			Added: []BlockID{5}, Removed: []BlockID{6}, SSDPinned: []BlockID{7}, SSDUnpinned: []BlockID{8}},
 		HeartbeatResp{NeedFullReport: true},
 		CorruptReplicaReq{Addr: "dn", Block: 9},
 		CorruptReplicaResp{},

@@ -509,16 +509,16 @@ func appendIDList(buf []byte, ids []BlockID) []byte {
 // AppendFrame implements transport.Framer. At 1000 datanodes the
 // heartbeat is the highest-rate control-plane message.
 func (r *HeartbeatReq) AppendFrame(buf []byte) []byte {
-	return frameWriter(buf).str(r.Addr).uvarint(uint64(r.PinnedBytes)).uvarint(r.Seq).uvarint(r.Epoch).
+	return frameWriter(buf).str(r.Addr).uvarint(r.Seq).uvarint(r.Epoch).
 		ids(r.Pinned).ids(r.Unpinned).ids(r.Added).ids(r.Removed).
-		uvarint(uint64(r.SSDBytes)).ids(r.SSDPinned).ids(r.SSDUnpinned)
+		ids(r.SSDPinned).ids(r.SSDUnpinned)
 }
 
 // DecodeFrame implements transport.Framer.
 func (r *HeartbeatReq) DecodeFrame(payload []byte) error {
 	fr := frameReader{b: payload}
-	r.Addr, r.PinnedBytes, r.Seq, r.Epoch = fr.intern(), int64(fr.uvarint()), fr.uvarint(), fr.uvarint()
+	r.Addr, r.Seq, r.Epoch = fr.intern(), fr.uvarint(), fr.uvarint()
 	r.Pinned, r.Unpinned, r.Added, r.Removed = fr.ids(), fr.ids(), fr.ids(), fr.ids()
-	r.SSDBytes, r.SSDPinned, r.SSDUnpinned = int64(fr.uvarint()), fr.ids(), fr.ids()
+	r.SSDPinned, r.SSDUnpinned = fr.ids(), fr.ids()
 	return fr.done()
 }

@@ -31,14 +31,8 @@ type Config struct {
 	// choice.
 	Seed int64
 	// ReplicationSweepInterval is how often under-replicated blocks are
-	// repaired after node failures. Zero disables re-replication.
-	// Default 5s.
+	// repaired after node failures. Default (zero or negative) 5s.
 	ReplicationSweepInterval time.Duration
-	// Racks maps datanode address to rack name. When non-empty,
-	// placement follows HDFS's default rack-aware policy: the second
-	// replica goes to a different rack than the first, and the third to
-	// the second replica's rack. An empty map means flat placement.
-	Racks map[string]string
 	// WALBackend, when set, gives the Ignem master a migration
 	// write-ahead log: planning becomes durable-before-send, transport-
 	// failed command batches are retried from the journal instead of
@@ -73,7 +67,7 @@ func (c *Config) setDefaults() {
 	if c.ExpirySweepInterval <= 0 {
 		c.ExpirySweepInterval = time.Second
 	}
-	if c.ReplicationSweepInterval == 0 {
+	if c.ReplicationSweepInterval <= 0 {
 		c.ReplicationSweepInterval = 5 * time.Second
 	}
 }
@@ -91,9 +85,6 @@ type dnInfo struct {
 	// epoch identifies the full-inventory snapshot the datanode's deltas
 	// extend; bumped by every register.
 	epoch uint64
-	// ssdBytes is the flash occupancy this datanode last reported; kept
-	// so the cluster-wide occupancy gauge can be maintained by delta.
-	ssdBytes int64
 }
 
 // NameNode is the file-system master process. Start it with Start, stop
@@ -150,10 +141,7 @@ type nnMetrics struct {
 	reportBytes    metrics.Counter // estimated wire bytes of report intake
 	resyncRequests metrics.Counter // NeedFullReport responses issued
 	busyRejects    metrics.Counter // reports rejected with dfs.ErrBusy
-	sweeps         metrics.Counter // expiry sweeps run
-	sweepLastNs    metrics.Gauge   // duration of the latest expiry sweep
 	corruptReports metrics.Counter // corrupt-replica reports from datanodes
-	ssdOccupancy   metrics.Gauge   // cluster flash occupancy per slave heartbeats
 }
 
 // Stats is a point-in-time snapshot of the NameNode's control-plane
@@ -166,15 +154,10 @@ type Stats struct {
 	ReportBytes        int64
 	ResyncRequests     int64
 	BusyRejects        int64
-	ExpirySweeps       int64
-	LastSweepNanos     int64
 	// CorruptReports counts corrupt-replica reports received from
 	// datanode read paths and scrubbers; each drops the bad replica from
 	// the location map so the replication sweep restores a healthy copy.
 	CorruptReports int64
-	// SSDOccupancyBytes is the cluster-wide flash occupancy as last
-	// reported by slave heartbeats (0 when the tier is disabled).
-	SSDOccupancyBytes int64
 	// Tiers is the Ignem master's tier-ladder accounting: per-tier
 	// reserved bytes, promotions by destination, climbs, and budget
 	// rejections. Zero-valued for a default (pin-in-RAM) master.
@@ -191,10 +174,7 @@ func (nn *NameNode) Stats() Stats {
 		ReportBytes:        nn.metrics.reportBytes.Load(),
 		ResyncRequests:     nn.metrics.resyncRequests.Load(),
 		BusyRejects:        nn.metrics.busyRejects.Load(),
-		ExpirySweeps:       nn.metrics.sweeps.Load(),
-		LastSweepNanos:     nn.metrics.sweepLastNs.Load(),
 		CorruptReports:     nn.metrics.corruptReports.Load(),
-		SSDOccupancyBytes:  nn.metrics.ssdOccupancy.Load(),
 		Tiers:              nn.master.Stats().Tiers,
 	}
 }
@@ -270,9 +250,7 @@ func (nn *NameNode) Start() error {
 	nn.listener = l
 	nn.attachWAL()
 	nn.clock.Go(nn.expiryLoop)
-	if nn.cfg.ReplicationSweepInterval > 0 {
-		nn.clock.Go(nn.replicationLoop)
-	}
+	nn.clock.Go(nn.replicationLoop)
 	return nil
 }
 
@@ -547,52 +525,7 @@ func (nn *NameNode) placeTargets(rng *rand.Rand, rep int, exclude []string) []st
 	if rep > len(live) {
 		rep = len(live)
 	}
-	if len(nn.cfg.Racks) == 0 || rep < 2 {
-		return live[:rep]
-	}
-	return nn.rackAwareTargets(live, rep)
-}
-
-// rackAwareTargets applies the HDFS default placement: first replica
-// anywhere, second on a different rack, third on the second's rack,
-// the rest wherever distinct nodes remain.
-func (nn *NameNode) rackAwareTargets(shuffled []string, rep int) []string {
-	rackOf := func(addr string) string { return nn.cfg.Racks[addr] }
-	targets := []string{shuffled[0]}
-	used := map[string]bool{shuffled[0]: true}
-
-	pick := func(want func(addr string) bool) bool {
-		for _, a := range shuffled {
-			if !used[a] && want(a) {
-				targets = append(targets, a)
-				used[a] = true
-				return true
-			}
-		}
-		return false
-	}
-
-	// Second replica: off the first rack if possible.
-	firstRack := rackOf(targets[0])
-	if len(targets) < rep {
-		if !pick(func(a string) bool { return rackOf(a) != firstRack }) {
-			pick(func(string) bool { return true })
-		}
-	}
-	// Third replica: on the second replica's rack if possible.
-	if len(targets) < rep && len(targets) >= 2 {
-		secondRack := rackOf(targets[1])
-		if !pick(func(a string) bool { return rackOf(a) == secondRack }) {
-			pick(func(string) bool { return true })
-		}
-	}
-	// Remaining replicas: any distinct node.
-	for len(targets) < rep {
-		if !pick(func(string) bool { return true }) {
-			break
-		}
-	}
-	return targets
+	return live[:rep]
 }
 
 // ---- datanode registry ----
@@ -674,10 +607,6 @@ func (nn *NameNode) handleHeartbeat(req dfs.HeartbeatReq) (dfs.HeartbeatResp, er
 	dn.alive = true
 	dn.lastSeen = nn.clock.Now()
 	var needFull, staleEpoch bool
-	if req.SSDBytes != dn.ssdBytes {
-		nn.metrics.ssdOccupancy.Add(req.SSDBytes - dn.ssdBytes)
-		dn.ssdBytes = req.SSDBytes
-	}
 	if req.Seq != dn.nextSeq {
 		// A delta went missing (lost heartbeat, reordered retry): the
 		// incremental view may have diverged, so ask for a full snapshot.
@@ -745,9 +674,6 @@ func (nn *NameNode) expiryLoop() {
 		if nn.isClosed() {
 			return
 		}
-		// Sweep duration is measured in wall time: it meters real scan
-		// cost, and on the virtual clock the whole sweep is instantaneous.
-		start := time.Now()
 		now := nn.clock.Now()
 		var suspects []*dnInfo
 		nn.dnmu.RLock()
@@ -766,11 +692,6 @@ func (nn *NameNode) expiryLoop() {
 				if dn.alive && now.Sub(dn.lastSeen) > nn.cfg.HeartbeatExpiry {
 					dn.alive = false
 					died = append(died, dn.addr)
-					// The dead node's flash residency is gone with it.
-					if dn.ssdBytes != 0 {
-						nn.metrics.ssdOccupancy.Add(-dn.ssdBytes)
-						dn.ssdBytes = 0
-					}
 				}
 			}
 			if len(died) > 0 {
@@ -778,8 +699,6 @@ func (nn *NameNode) expiryLoop() {
 			}
 			nn.dnmu.Unlock()
 		}
-		nn.metrics.sweeps.Inc()
-		nn.metrics.sweepLastNs.Set(time.Since(start).Nanoseconds())
 		if len(died) == 0 {
 			continue
 		}

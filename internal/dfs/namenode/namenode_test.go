@@ -441,84 +441,39 @@ func TestPlacementProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
 	}
-}
 
-func TestRackAwarePlacement(t *testing.T) {
+	// Replicas land on live nodes only: with "c" silent past the expiry,
+	// replication 3 puts each block on the two nodes still heartbeating.
 	run(t, func(v *simclock.Virtual) {
-		net := transport.NewInmemNetwork(v)
-		racks := map[string]string{
-			"a": "r1", "b": "r1", "c": "r1",
-			"d": "r2", "e": "r2", "f": "r2",
-		}
-		nn := New(v, net, Config{Addr: "nn", Seed: 3, Racks: racks})
-		if err := nn.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer nn.Close()
-		for addr := range racks {
-			if _, err := nn.register(dfs.RegisterReq{Addr: addr}); err != nil {
-				t.Fatal(err)
+		h := newHarness(t, v, 3)
+		defer h.nn.Close()
+		stop := simclock.NewChan[struct{}](v)
+		v.Go(func() {
+			for {
+				if _, _, timedOut := stop.RecvTimeout(time.Second); !timedOut {
+					return
+				}
+				for _, addr := range []string{"a", "b"} {
+					if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: addr}); err != nil {
+						return
+					}
+				}
 			}
-		}
-		if _, err := nn.handleCreate(dfs.CreateReq{Path: "/f", Replication: 3}); err != nil {
+		})
+		v.Sleep(8 * time.Second)
+		if _, err := h.nn.handleCreate(dfs.CreateReq{Path: "/live", Replication: 3}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 12; i++ {
-			lb, err := addBlock(nn, "/f", 1<<20)
+		for i := 0; i < 4; i++ {
+			lb, err := addBlock(h.nn, "/live", 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes := lb.Nodes
-			if len(nodes) != 3 {
-				t.Fatalf("replicas = %v", nodes)
-			}
-			// HDFS policy: replica 2 off replica 1's rack; replica 3 on
-			// replica 2's rack.
-			if racks[nodes[0]] == racks[nodes[1]] {
-				t.Errorf("block %d: first two replicas share rack: %v", i, nodes)
-			}
-			if racks[nodes[1]] != racks[nodes[2]] {
-				t.Errorf("block %d: third replica not with second: %v", i, nodes)
-			}
-			if nodes[1] == nodes[2] {
-				t.Errorf("block %d: duplicate node: %v", i, nodes)
+			if len(lb.Nodes) != 2 || lb.Nodes[0] == lb.Nodes[1] || slices.Contains(lb.Nodes, "c") {
+				t.Errorf("block %d placed on %v, want a and b", lb.Block.ID, lb.Nodes)
 			}
 		}
-	})
-}
-
-func TestRackAwareDegradesGracefully(t *testing.T) {
-	run(t, func(v *simclock.Virtual) {
-		net := transport.NewInmemNetwork(v)
-		// Only one rack: the policy falls back to distinct nodes.
-		racks := map[string]string{"a": "r1", "b": "r1", "c": "r1"}
-		nn := New(v, net, Config{Addr: "nn2", Seed: 3, Racks: racks})
-		if err := nn.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer nn.Close()
-		for addr := range racks {
-			if _, err := nn.register(dfs.RegisterReq{Addr: addr}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := nn.handleCreate(dfs.CreateReq{Path: "/f", Replication: 3}); err != nil {
-			t.Fatal(err)
-		}
-		lb, err := addBlock(nn, "/f", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(lb.Nodes) != 3 {
-			t.Errorf("replicas = %v", lb.Nodes)
-		}
-		seen := map[string]bool{}
-		for _, n := range lb.Nodes {
-			if seen[n] {
-				t.Errorf("duplicate node: %v", lb.Nodes)
-			}
-			seen[n] = true
-		}
+		stop.Send(struct{}{})
 	})
 }
 

@@ -275,8 +275,8 @@ func TestFullReportRefreshesLiveness(t *testing.T) {
 // TestUnsequencedReportsRejected: datanodes number every report from 1,
 // so a register from a new or known datanode, or a heartbeat, with Seq 0
 // is answered with an error and changes nothing — not the registry (membership,
-// liveness, sequence, epoch, SSD occupancy), not the block and pin
-// state, not a counter.
+// liveness, sequence, epoch), not the block and pin state, not a
+// counter.
 func TestUnsequencedReportsRejected(t *testing.T) {
 	run(t, func(v *simclock.Virtual) {
 		h := newHarness(t, v, 3)
@@ -310,14 +310,13 @@ func TestUnsequencedReportsRejected(t *testing.T) {
 			return s
 		}
 		before := take()
-		// An accepted report would move lastSeen. (Short of the first
-		// expiry sweep, which would move the sweep counters.)
+		// An accepted report would move lastSeen.
 		v.Sleep(100 * time.Millisecond)
 		if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: "z", Blocks: []dfs.BlockID{id}, Epoch: 1}); err == nil {
 			t.Error("unsequenced register accepted")
 		}
 		if _, err := h.nn.handleHeartbeat(dfs.HeartbeatReq{
-			Addr: outsider, Epoch: 1, Added: []dfs.BlockID{id}, Pinned: []dfs.BlockID{id}, SSDBytes: 1 << 20,
+			Addr: outsider, Epoch: 1, Added: []dfs.BlockID{id}, Pinned: []dfs.BlockID{id}, SSDPinned: []dfs.BlockID{id},
 		}); err == nil {
 			t.Error("unsequenced heartbeat accepted")
 		}

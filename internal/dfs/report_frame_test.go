@@ -23,10 +23,9 @@ func idsEqual(a, b []BlockID) bool {
 func TestHeartbeatReqFrameRoundTrip(t *testing.T) {
 	cases := []HeartbeatReq{
 		{},
-		{Addr: "dn1:9000", PinnedBytes: 1 << 30, Seq: 17, Epoch: 3},
+		{Addr: "dn1:9000", Seq: 17, Epoch: 3},
 		{
 			Addr:        "dn-042",
-			PinnedBytes: 123456789,
 			Seq:         ^uint64(0),
 			Epoch:       42,
 			Pinned:      []BlockID{1, 2, 3},
@@ -35,7 +34,6 @@ func TestHeartbeatReqFrameRoundTrip(t *testing.T) {
 			Removed:     []BlockID{7},
 			SSDPinned:   []BlockID{11, 12},
 			SSDUnpinned: []BlockID{13},
-			SSDBytes:    64 << 20,
 		},
 		// Unsorted lists must still round-trip (delta wraps).
 		{Addr: "x", Added: []BlockID{50, 10, 90, 10}},
@@ -46,11 +44,10 @@ func TestHeartbeatReqFrameRoundTrip(t *testing.T) {
 		if err := out.DecodeFrame(enc); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if out.Addr != in.Addr || out.PinnedBytes != in.PinnedBytes ||
+		if out.Addr != in.Addr ||
 			out.Seq != in.Seq || out.Epoch != in.Epoch ||
 			!idsEqual(out.Pinned, in.Pinned) || !idsEqual(out.Unpinned, in.Unpinned) ||
 			!idsEqual(out.Added, in.Added) || !idsEqual(out.Removed, in.Removed) ||
-			out.SSDBytes != in.SSDBytes ||
 			!idsEqual(out.SSDPinned, in.SSDPinned) || !idsEqual(out.SSDUnpinned, in.SSDUnpinned) {
 			t.Fatalf("case %d: round trip changed request:\n in  %+v\n out %+v", i, in, out)
 		}
@@ -108,10 +105,10 @@ func FuzzHeartbeatReqFrame(f *testing.F) {
 	empty := HeartbeatReq{}
 	f.Add(empty.AppendFrame(nil))
 	full := HeartbeatReq{
-		Addr: "dn1:9000", PinnedBytes: 1 << 20, Seq: 7, Epoch: 2,
+		Addr: "dn1:9000", Seq: 7, Epoch: 2,
 		Pinned: []BlockID{1}, Unpinned: []BlockID{2},
 		Added: []BlockID{3, 4}, Removed: []BlockID{5},
-		SSDPinned: []BlockID{6}, SSDUnpinned: []BlockID{7}, SSDBytes: 1 << 10,
+		SSDPinned: []BlockID{6}, SSDUnpinned: []BlockID{7},
 	}
 	enc := full.AppendFrame(nil)
 	f.Add(enc)
@@ -126,11 +123,10 @@ func FuzzHeartbeatReqFrame(f *testing.F) {
 		if err := r2.DecodeFrame(re); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if r2.Addr != r.Addr || r2.PinnedBytes != r.PinnedBytes ||
+		if r2.Addr != r.Addr ||
 			r2.Seq != r.Seq || r2.Epoch != r.Epoch ||
 			!idsEqual(r2.Pinned, r.Pinned) || !idsEqual(r2.Unpinned, r.Unpinned) ||
 			!idsEqual(r2.Added, r.Added) || !idsEqual(r2.Removed, r.Removed) ||
-			r2.SSDBytes != r.SSDBytes ||
 			!idsEqual(r2.SSDPinned, r.SSDPinned) || !idsEqual(r2.SSDUnpinned, r.SSDUnpinned) {
 			t.Fatalf("round trip changed request")
 		}

@@ -290,29 +290,6 @@ func TestEveryExperimentHasAGolden(t *testing.T) {
 	}
 }
 
-func TestSortThrottleAblation(t *testing.T) {
-	plain, err := RunSort(SortConfig{InputBytes: 2 << 30, Nodes: 4, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	throttled, err := RunSort(SortConfig{InputBytes: 2 << 30, Nodes: 4, Seed: 4, Throttle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The throttle must not break correctness; both orderings hold.
-	for _, r := range []*SortResult{plain, throttled} {
-		if r.Durations[cluster.ModeInputsInRAM] >= r.Durations[cluster.ModeHDFS] {
-			t.Error("RAM bound violated")
-		}
-	}
-	// Throttled migration defers to foreground reads, so the Ignem run
-	// migrates less and cannot be meaningfully faster than unthrottled.
-	if throttled.Durations[cluster.ModeIgnem] < plain.Durations[cluster.ModeIgnem]-2*time.Second {
-		t.Errorf("throttled %v unexpectedly beats work-conserving %v",
-			throttled.Durations[cluster.ModeIgnem], plain.Durations[cluster.ModeIgnem])
-	}
-}
-
 func TestMediaSensitivityShape(t *testing.T) {
 	r, err := RunMediaSensitivity(MediaSensitivityConfig{InputBytes: 2 << 30, Nodes: 4, Seed: 7})
 	if err != nil {

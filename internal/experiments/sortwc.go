@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
-	"repro/internal/ignem"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
@@ -19,10 +18,6 @@ type SortConfig struct {
 	InputBytes int64
 	Nodes      int
 	Seed       int64
-	// Throttle enables the Aqueduct-style adaptive migration throttle
-	// on the Ignem slaves (an extension ablation; the paper's Ignem is
-	// work-conserving).
-	Throttle bool
 }
 
 func (c *SortConfig) setDefaults() {
@@ -46,10 +41,7 @@ func RunSort(cfg SortConfig) (*SortResult, error) {
 	cfg.setDefaults()
 	res := &SortResult{Config: cfg, Durations: make(map[cluster.Mode]time.Duration)}
 	for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
-		ccfg := cluster.Config{
-			Nodes: cfg.Nodes, Mode: mode, Seed: cfg.Seed,
-			Slave: ignem.SlaveConfig{AdaptiveThrottle: cfg.Throttle},
-		}
+		ccfg := cluster.Config{Nodes: cfg.Nodes, Mode: mode, Seed: cfg.Seed}
 		err := runOnCluster(ccfg, func(v *simclock.Virtual, c *cluster.Cluster) error {
 			cl, err := c.Client()
 			if err != nil {

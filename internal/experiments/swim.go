@@ -32,9 +32,10 @@ type SwimConfig struct {
 	// FIFO replaces smallest-job-first with FIFO in the Ignem slaves
 	// (the ablation).
 	FIFO bool
-	// MemorySampleEvery sets the Fig 7 sampling period. Default 1s.
-	MemorySampleEvery time.Duration
 }
+
+// memorySampleEvery is the Fig 7 sampling period.
+const memorySampleEvery = time.Second
 
 func (c *SwimConfig) setDefaults() {
 	if c.Jobs <= 0 {
@@ -48,9 +49,6 @@ func (c *SwimConfig) setDefaults() {
 	}
 	if c.MeanInterarrival <= 0 {
 		c.MeanInterarrival = 8 * time.Second
-	}
-	if c.MemorySampleEvery <= 0 {
-		c.MemorySampleEvery = time.Second
 	}
 }
 
@@ -161,7 +159,7 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 		v.Go(func() {
 			defer samplerDone.Send(struct{}{})
 			for {
-				_, _, timedOut := stopSampler.RecvTimeout(cfg.MemorySampleEvery)
+				_, _, timedOut := stopSampler.RecvTimeout(memorySampleEvery)
 				if !timedOut {
 					return
 				}
@@ -262,7 +260,7 @@ func hypotheticalMemory(cfg SwimConfig, ignemRun *SwimModeResult, jobs []workloa
 	var held int64
 	idx := 0
 	end := events[len(events)-1].at
-	for t := time.Duration(0); t <= end; t += cfg.MemorySampleEvery {
+	for t := time.Duration(0); t <= end; t += memorySampleEvery {
 		for idx < len(events) && events[idx].at <= t {
 			held += events[idx].delta
 			idx++

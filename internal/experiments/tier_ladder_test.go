@@ -81,7 +81,7 @@ func runTierPolicy(t *testing.T, policy string) *tierRun {
 				}
 				var used int64
 				for _, dn := range c.DataNodes {
-					used += dn.Slave().SSDBytes()
+					used += dn.Slave().Stats().SSDPinnedBytes
 				}
 				if used > res.maxSSDUsed {
 					res.maxSSDUsed = used

@@ -37,7 +37,6 @@ type MasterStats struct {
 	// slaves (blocks, not batches).
 	ReadNotifies   int64
 	BlocksAssigned int64
-	BytesAssigned  int64
 	SendErrors     int64
 	// SendFailures counts command batches that failed transport and were
 	// parked on the journal-backed retry queue instead of dropped (only
@@ -270,7 +269,6 @@ func (m *Master) Migrate(req dfs.MigrateReq) (dfs.MigrateResp, error) {
 		js.blocks[e.ID] = &assignment{addr: e.Addr, size: e.Size, checksum: e.Checksum, tier: e.Tier}
 	}
 	m.stats.BlocksAssigned += int64(blocks)
-	m.stats.BytesAssigned += bytes
 	m.mu.Unlock()
 
 	m.sendMigrateBatches(epoch, job, batches)

@@ -21,20 +21,12 @@ import (
 	"repro/internal/simclock"
 )
 
-// MediaReader performs the timed device read that brings a block from
-// disk into memory. The datanode backs this with its media device, and
-// verifies the stored replica against checksum (0 = unchecksummed)
-// during the copy, so a rotten replica is never pinned.
+// MediaReader performs the timed copy that moves a block up a tier:
+// HDD→RAM (the paper's migration read), HDD→SSD (the ladder's first
+// rung) or SSD→RAM (its climb). The datanode backs it with its devices,
+// and verifies the stored replica against checksum (0 = unchecksummed)
+// whenever the copy reads the disk, so a rotten replica is never pinned.
 type MediaReader interface {
-	ReadForMigration(b dfs.Block, checksum uint32) error
-}
-
-// TierCopier is an optional MediaReader extension for the migration
-// ladder: a timed copy between storage tiers (HDD→SSD lands a flash
-// copy, SSD→RAM climbs the second rung reading from flash instead of
-// the contended disk). Media that doesn't implement it falls back to
-// ReadForMigration, i.e. every copy is charged as a disk read.
-type TierCopier interface {
 	CopyForMigration(b dfs.Block, checksum uint32, from, to dfs.Tier) error
 }
 
@@ -61,39 +53,24 @@ type SlaveConfig struct {
 	// Capacity is the pinned-memory budget in bytes (the paper's
 	// configurable migration buffer threshold).
 	Capacity int64
-	// CleanupThreshold is the occupancy fraction above which the slave
-	// sweeps reference lists for dead jobs. Default 0.75.
-	CleanupThreshold float64
 	// CleanupMinInterval rate-limits liveness sweeps. Default 10s.
 	CleanupMinInterval time.Duration
 	// FIFO disables smallest-job-first prioritization (the paper's
 	// §IV-C5 ablation runs the queue in FIFO order instead).
 	FIFO bool
-	// AdaptiveThrottle enables Aqueduct-style feedback pacing (Lu et
-	// al., FAST'02 — cited by the paper as complementary): when a
-	// migration read observes a contended device (throughput below
-	// ContendedThresholdMBps), the worker pauses for the duration of
-	// that read before serving the next command, bounding migration's
-	// impact on foreground I/O. Off by default: the paper's Ignem is
-	// work-conserving.
-	AdaptiveThrottle bool
-	// ContendedThresholdMBps is the observed-throughput level below
-	// which the device is considered contended. Default 60.
-	ContendedThresholdMBps float64
 }
+
+// cleanupThreshold is the pinned-memory occupancy fraction above which
+// a deferred command makes the slave sweep reference lists for dead
+// jobs.
+const cleanupThreshold = 0.75
 
 func (c *SlaveConfig) setDefaults() {
 	if c.Capacity <= 0 {
 		c.Capacity = 32 << 30
 	}
-	if c.CleanupThreshold <= 0 {
-		c.CleanupThreshold = 0.75
-	}
 	if c.CleanupMinInterval <= 0 {
 		c.CleanupMinInterval = 10 * time.Second
-	}
-	if c.ContendedThresholdMBps <= 0 {
-		c.ContendedThresholdMBps = 60
 	}
 }
 
@@ -118,12 +95,6 @@ type SlaveStats struct {
 	MemoryHits int64
 	// MemoryMisses counts block reads served from the media device.
 	MemoryMisses int64
-	// ThrottlePauses counts AdaptiveThrottle back-offs.
-	ThrottlePauses int64
-	// ReadFailures counts migration reads the media rejected — device
-	// errors and checksum mismatches. The block stays unpinned; readers
-	// fall back to disk (or another replica).
-	ReadFailures int64
 	// SSDPinnedBytes / SSDPinnedBlocks are the flash rung's occupancy.
 	SSDPinnedBytes  int64
 	SSDPinnedBlocks int
@@ -367,13 +338,6 @@ func (s *Slave) PinnedBytes() int64 {
 	return s.pinnedBytes
 }
 
-// SSDBytes returns the current flash-tier occupancy.
-func (s *Slave) SSDBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ssdBytes
-}
-
 // Stats returns a snapshot of slave activity.
 func (s *Slave) Stats() SlaveStats {
 	s.mu.Lock()
@@ -612,17 +576,9 @@ func (s *Slave) worker() {
 		}
 		epoch := s.epoch
 		s.mu.Unlock()
-		readStart := s.clock.Now()
-		err := s.copyForMigration(e.cmd.Block, e.cmd.Checksum, dfs.TierHDD, target)
-		readDur := s.clock.Now().Sub(readStart)
-		if err == nil && s.cfg.AdaptiveThrottle && contended(e.cmd.Block.Size, readDur, s.cfg.ContendedThresholdMBps) {
-			// Feedback pacing: the device is busy with foreground work;
-			// back off for as long as the read took before migrating more.
-			s.mu.Lock()
-			s.stats.ThrottlePauses++
-			s.mu.Unlock()
-			s.clock.Sleep(readDur)
-		}
+		// A failed copy (a device error or a checksum mismatch) leaves the
+		// block unpinned; readers fall back to disk or another replica.
+		err := s.media.CopyForMigration(e.cmd.Block, e.cmd.Checksum, dfs.TierHDD, target)
 		s.mu.Lock()
 
 		if target == dfs.TierRAM {
@@ -631,11 +587,7 @@ func (s *Slave) worker() {
 		if s.closed {
 			return
 		}
-		if err != nil {
-			s.stats.ReadFailures++
-			continue
-		}
-		if epoch != s.epoch {
+		if err != nil || epoch != s.epoch {
 			continue
 		}
 		_, read := s.alreadyRead[key]
@@ -682,17 +634,13 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 	s.reserved += e.cmd.Block.Size
 	epoch := s.epoch
 	s.mu.Unlock()
-	err := s.copyForMigration(e.cmd.Block, e.cmd.Checksum, dfs.TierSSD, dfs.TierRAM)
+	err := s.media.CopyForMigration(e.cmd.Block, e.cmd.Checksum, dfs.TierSSD, dfs.TierRAM)
 	s.mu.Lock()
 	s.reserved -= e.cmd.Block.Size
 	if s.closed {
 		return true
 	}
-	if err != nil {
-		s.stats.ReadFailures++
-		return false
-	}
-	if epoch != s.epoch {
+	if err != nil || epoch != s.epoch {
 		return false
 	}
 	if cur := s.pinned[id]; cur != pb || cur.tier != dfs.TierSSD {
@@ -712,20 +660,6 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 	return false
 }
 
-// copyForMigration moves a block's bytes between tiers. The paper's
-// HDD→RAM path goes through ReadForMigration (its cost model
-// is part of the paper reproduction); other tier pairs use the media's
-// TierCopier when it offers one, falling back to a plain device read.
-func (s *Slave) copyForMigration(b dfs.Block, checksum uint32, from, to dfs.Tier) error {
-	if from == dfs.TierHDD && to == dfs.TierRAM {
-		return s.media.ReadForMigration(b, checksum)
-	}
-	if tc, ok := s.media.(TierCopier); ok {
-		return tc.CopyForMigration(b, checksum, from, to)
-	}
-	return s.media.ReadForMigration(b, checksum)
-}
-
 // maybeSweepLocked purges reference lists of dead jobs when occupancy is
 // above the cleanup threshold. It temporarily drops the lock to query the
 // scheduler.
@@ -733,7 +667,7 @@ func (s *Slave) maybeSweepLocked() {
 	if s.liveness == nil {
 		return
 	}
-	if float64(s.pinnedBytes) < s.cfg.CleanupThreshold*float64(s.cfg.Capacity) {
+	if float64(s.pinnedBytes) < cleanupThreshold*float64(s.cfg.Capacity) {
 		return
 	}
 	now := s.clock.Now()
@@ -780,16 +714,6 @@ func (s *Slave) maybeSweepLocked() {
 		s.notifyUnpinned(unpinned)
 		s.mu.Lock()
 	}
-}
-
-// contended reports whether a read of size bytes over dur indicates a
-// device throughput below thresholdMBps.
-func contended(size int64, dur time.Duration, thresholdMBps float64) bool {
-	if dur <= 0 {
-		return false
-	}
-	mbps := float64(size) / dur.Seconds() / 1e6
-	return mbps < thresholdMBps
 }
 
 // migEntry is one queued migration command.

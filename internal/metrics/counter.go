@@ -23,9 +23,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 

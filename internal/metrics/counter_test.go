@@ -27,10 +27,6 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	if got := g.Load(); got != 8000 {
 		t.Errorf("gauge = %d, want 8000", got)
 	}
-	g.Set(7)
-	if got := g.Load(); got != 7 {
-		t.Errorf("gauge after Set = %d, want 7", got)
-	}
 	c.Add(5)
 	if got := c.Load(); got != 8005 {
 		t.Errorf("counter after Add = %d, want 8005", got)

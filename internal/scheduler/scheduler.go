@@ -58,11 +58,6 @@ type Config struct {
 	// HeartbeatInterval is the node heartbeat period that gates task
 	// assignment. Default 3s (Hadoop's default).
 	HeartbeatInterval time.Duration
-	// LocalityDelay is how long a task with locality preferences waits
-	// in the queue before a non-preferred node may take it (delay
-	// scheduling). Default: two heartbeat intervals, so every preferred
-	// node gets at least one full heartbeat's chance first.
-	LocalityDelay time.Duration
 	// MaxAssignPerHeartbeat caps how many tasks one node may be handed
 	// per heartbeat, spreading a burst of tasks across nodes instead of
 	// flooding the first node that reports in. Default 3.
@@ -75,9 +70,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 3 * time.Second
-	}
-	if c.LocalityDelay <= 0 {
-		c.LocalityDelay = 2 * c.HeartbeatInterval
 	}
 	if c.MaxAssignPerHeartbeat <= 0 {
 		c.MaxAssignPerHeartbeat = 3
@@ -205,20 +197,23 @@ func (s *Scheduler) heartbeatLoop(n *node) {
 // half the locality delay, then anyone after the full delay); within a
 // tier, fair sharing picks the candidate whose job has the fewest
 // running tasks (FIFO as tie-break), so a one-task job is not starved
-// behind a 400-task job's burst.
+// behind a 400-task job's burst. The locality delay (delay scheduling)
+// is two heartbeat intervals, so every preferred node gets at least one
+// full heartbeat's chance first.
 func (s *Scheduler) takeTaskLocked(addr string, now time.Time) *task {
+	localityDelay := 2 * s.cfg.HeartbeatInterval
 	pick := s.pickFairLocked(func(t *task) bool {
 		return contains(t.spec.PreferredNodes, addr)
 	})
 	if pick < 0 {
 		pick = s.pickFairLocked(func(t *task) bool {
-			return contains(t.spec.SecondaryNodes, addr) && now.Sub(t.submitted) >= s.cfg.LocalityDelay/2
+			return contains(t.spec.SecondaryNodes, addr) && now.Sub(t.submitted) >= localityDelay/2
 		})
 	}
 	if pick < 0 {
 		pick = s.pickFairLocked(func(t *task) bool {
 			return (len(t.spec.PreferredNodes) == 0 && len(t.spec.SecondaryNodes) == 0) ||
-				now.Sub(t.submitted) >= s.cfg.LocalityDelay
+				now.Sub(t.submitted) >= localityDelay
 		})
 	}
 	if pick < 0 {

@@ -323,22 +323,25 @@ func TestSecondaryTierUsedAfterHalfDelay(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		s := New(v, Config{
 			Nodes: []string{"n1", "n2"}, SlotsPerNode: 1,
-			HeartbeatInterval: time.Second, LocalityDelay: 4 * time.Second,
+			HeartbeatInterval: time.Second,
 		})
 		s.Start()
 		defer s.Close()
 		j, _ := s.SubmitJob("j")
 		// n1 is tied up by a long task; the second task prefers n1 with
-		// n2 secondary, so it should land on n2 after ~2s, not wait 4s+.
+		// n2 secondary, so it should land on n2 after half the locality
+		// delay (1s of the 2s that two heartbeats make), not the full 2s.
 		var secondNode string
 		results := j.RunTasks([]TaskSpec{
 			{PreferredNodes: []string{"n1"}, Run: func(string) { v.Sleep(30 * time.Second) }},
 			{PreferredNodes: []string{"n1"}, SecondaryNodes: []string{"n2"},
 				Run: func(node string) { secondNode = node }},
 		})
-		_ = results
 		if secondNode != "n2" {
 			t.Errorf("secondary task ran on %q", secondNode)
+		}
+		if q := results[1].QueueTime; q >= 2*time.Second {
+			t.Errorf("secondary task queued %v, want less than the full 2s delay", q)
 		}
 	})
 }

@@ -378,8 +378,6 @@ type Stats struct {
 	Busy time.Duration
 	// BytesServed is the cumulative payload served.
 	BytesServed int64
-	// QueueLen is the number of requests currently outstanding.
-	QueueLen int
 	// SlowReads counts reads that drew a tail slowdown (ReadVar only).
 	SlowReads int64
 	// Since is when the device started serving.
@@ -390,7 +388,7 @@ type Stats struct {
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return Stats{Busy: d.busy, BytesServed: d.served, QueueLen: len(d.queue), SlowReads: d.slowAcc, Since: d.started}
+	return Stats{Busy: d.busy, BytesServed: d.served, SlowReads: d.slowAcc, Since: d.started}
 }
 
 // Close fails all pending and future requests with ErrClosed and stops the

@@ -5,10 +5,16 @@
 // linker keeps has a text symbol of its own; `go tool nm` lists them, and
 // every non-test FuncDecl that no binary holds is reported.
 //
-// allow.txt, beside this file, names what may stay unlinked: a package
-// (every function in it) or one function, each with a reason. An entry
-// that names nothing unlinked is stale and fails the check too, so the
-// list can only shrink.
+// A second pass covers what the linker keeps regardless: the exported
+// fields of the component config structs (configStructs in fields.go).
+// It fails on a field that no non-test file of the root module or of
+// bench/ names, other than the file that declares the struct: an
+// option only tests set.
+//
+// allow.txt, beside this file, names what may stay unlinked or unnamed:
+// a package (every function in it), one function or one config field,
+// each with a reason. An entry that matches nothing is stale and fails
+// the check too, so the list can only shrink.
 //
 // Run from the repository root:
 //
@@ -64,14 +70,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	unnamed, err := unnamedFields(module)
+	if err != nil {
+		return err
+	}
 	allow, err := readAllow(allowFile, module)
 	if err != nil {
 		return err
 	}
 
 	var bad []string
-	unlinkedPkgs := map[string]bool{}
-	allowedFns := map[string]bool{}
+	matched := map[string]bool{} // allow entries that excuse something
 	total, unlinked, unlinkedLines := 0, 0, 0
 	for _, d := range decls {
 		total++
@@ -83,26 +92,33 @@ func run() error {
 		pkg := pkgOf(d.key)
 		switch {
 		case allow[pkg]:
-			unlinkedPkgs[pkg] = true
+			matched[pkg] = true
 		case allow[d.key]:
-			allowedFns[d.key] = true
+			matched[d.key] = true
 		default:
 			bad = append(bad, fmt.Sprintf("unlinked: %s (%s)", strings.TrimPrefix(d.key, module+"/"), d.pos))
 		}
 	}
+	for _, f := range unnamed {
+		if allow[f.key] {
+			matched[f.key] = true
+		} else {
+			bad = append(bad, fmt.Sprintf("config field named only by tests or nowhere: %s (%s)", strings.TrimPrefix(f.key, module+"/"), f.pos))
+		}
+	}
 	for entry := range allow {
-		if !unlinkedPkgs[entry] && !allowedFns[entry] {
-			bad = append(bad, fmt.Sprintf("stale allow entry: %s (names no unlinked function)", strings.TrimPrefix(entry, module+"/")))
+		if !matched[entry] {
+			bad = append(bad, fmt.Sprintf("stale allow entry: %s (names no unlinked function or unnamed field)", strings.TrimPrefix(entry, module+"/")))
 		}
 	}
 	sort.Strings(bad)
-	fmt.Printf("reach-check: %d functions, %d unlinked (%d body lines), all but %d on the allow list\n",
-		total, unlinked, unlinkedLines, len(bad))
+	fmt.Printf("reach-check: %d functions, %d unlinked (%d body lines); %d config fields unnamed; all but %d on the allow list\n",
+		total, unlinked, unlinkedLines, len(unnamed), len(bad))
 	for _, b := range bad {
 		fmt.Println(b)
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("%d problems: link each function into a binary or delete it", len(bad))
+		return fmt.Errorf("%d problems: link each function into a binary, name each field outside tests, or delete it", len(bad))
 	}
 	return nil
 }
