@@ -104,7 +104,9 @@ chaos-wal:
 # - datanode: zero allocations per idle heartbeat build-and-succeed
 #   cycle, one (its ID list) with a pin delta;
 # - transport: ≤3 allocations per virtual-clock echo RPC over the
-#   in-memory transport;
+#   in-memory transport; ≤8 allocations and ≤1/64 of the payload in
+#   bytes for an in-memory 1 MiB CallInto whose bulk reply lands in dst
+#   (a copy per call into a fresh or pooled buffer would be the payload);
 # - dfs: two control RPCs over TCP loopback, both ends counted: ≤14 for
 #   a getLocations-shaped call, ≤7 for a two-command MigrateBatch.
 bench-alloc:
@@ -115,7 +117,7 @@ bench-alloc:
 	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs|TestVirtualRecvTimeoutAllocs|TestVirtualCondAllocs|TestRealSleepAllocs' -count=1 -v
 	$(GO) test ./internal/storage -run 'TestDeviceReadAllocs' -count=1 -v
 	$(GO) test ./internal/dfs/datanode -run 'TestHeartbeatCycleAllocs' -count=1 -v
-	$(GO) test ./internal/transport -run 'TestInmemEchoAllocs' -count=1 -v
+	$(GO) test ./internal/transport -run 'TestInmemEchoAllocs|TestInmemBulkCallIntoAllocs' -count=1 -v
 	$(GO) test ./internal/dfs -run 'TestControlCallAllocCeiling' -count=1 -v
 
 # Short deterministic-budget fuzz of every fuzzer: the frame codecs and

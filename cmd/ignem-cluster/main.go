@@ -14,7 +14,6 @@ import (
 	"os/signal"
 	"time"
 
-	"repro/internal/dfs"
 	"repro/internal/dfs/client"
 	"repro/internal/dfs/datanode"
 	"repro/internal/dfs/namenode"
@@ -31,7 +30,6 @@ func main() {
 	serve := flag.Bool("serve", false, "after the demo, keep the cluster up for ignem-dfs until interrupted")
 	flag.Parse()
 
-	dfs.RegisterWire()
 	clock := simclock.NewScaledReal(*scale)
 	net := transport.NewTCPNetwork()
 

@@ -36,7 +36,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	dfs.RegisterWire()
 	cl, err := client.New(simclock.NewReal(), transport.NewTCPNetwork(), *nn)
 	if err != nil {
 		log.Fatalf("connect: %v", err)

@@ -171,9 +171,8 @@ func (c *Cache) installLocked(sh *shard, e *entry, gen uint64) {
 		return
 	}
 	// The cache owns a private copy of the payload: fetched slices may
-	// be pooled transport buffers (recycled by the fetcher once its
-	// caller copies out) or, on the in-memory transport, aliases of a
-	// datanode's store. Hits hand out this copy; it is never returned
+	// be pooled transport buffers, recycled by the fetcher once its
+	// caller copies out. Hits hand out this copy; it is never returned
 	// to any pool.
 	cp := make([]byte, len(e.data))
 	copy(cp, e.data)

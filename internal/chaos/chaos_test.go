@@ -45,8 +45,58 @@ func waitUntil(t *testing.T, v *simclock.Virtual, timeout time.Duration, cond fu
 	}
 }
 
+// filedata is file i's n bytes. No two blocks of a file at
+// power-of-two offsets hold the same bytes (251 divides no power of
+// two), so a replica that ends up with another block's bytes is caught.
 func filedata(i, n int) []byte {
-	return bytes.Repeat([]byte{byte('a' + i)}, n)
+	b := make([]byte, n)
+	for k := range b {
+		b[k] = byte('a' + i + k%251)
+	}
+	return b
+}
+
+// checkInvariantReplicaBytes requires every replica of path to hold the
+// file's bytes: each located block is read from each of its holders,
+// pinned to that node, so a failover to a healthy replica cannot hide a
+// bad one. It reads everything twice and holds every response to the
+// end, so each read takes a buffer of its own from the pool: a stored
+// replica's buffer that was wrongly given back to the pool is handed to
+// one of them, and the second pass finds that replica holding another
+// block's bytes. The reads go through a fresh client, which holds no
+// connection a fault closed. Scenarios that write real bytes and inject
+// no corruption end with it.
+func checkInvariantReplicaBytes(t *testing.T, h *Harness, path string, want []byte) {
+	t.Helper()
+	c, err := h.Client()
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	defer c.Close()
+	lbs, err := c.Locations(path)
+	if err != nil {
+		t.Fatalf("locations of %s: %v", path, err)
+	}
+	var held []dfs.ReadBlockResp
+	for pass := 0; pass < 2; pass++ {
+		for _, lb := range lbs {
+			for _, addr := range lb.Nodes {
+				pinned := lb
+				pinned.Nodes = []string{addr}
+				resp, err := c.ReadBlock(pinned, "")
+				if err != nil {
+					t.Fatalf("%s block %d on %s: %v", path, lb.Block.ID, addr, err)
+				}
+				if !bytes.Equal(resp.Data, want[lb.Offset:lb.Offset+lb.Block.Size]) {
+					t.Fatalf("%s block %d on %s does not hold the file's bytes", path, lb.Block.ID, addr)
+				}
+				held = append(held, resp)
+			}
+		}
+	}
+	for i := range held {
+		held[i].Release()
+	}
 }
 
 // A datanode that dies mid-traffic must not lose acked data: every write
@@ -120,6 +170,9 @@ func TestDataNodeCrashMidTrafficNoAckedDataLost(t *testing.T) {
 			}
 			return false
 		}, "revived node live at namenode")
+		for i := 0; i < nfiles; i++ {
+			checkInvariantReplicaBytes(t, h, fmt.Sprintf("/chaos/f%d", i), filedata(i, 4*blockSize))
+		}
 	})
 }
 
@@ -191,6 +244,7 @@ func TestPartitionedSlaveConvergesAfterHeal(t *testing.T) {
 		waitUntil(t, v, time.Minute, func() bool {
 			return h.Cluster.TotalPinnedBytes() == 0
 		}, "implicit eviction drains pins")
+		checkInvariantReplicaBytes(t, h, "/in", data)
 	})
 }
 
@@ -242,6 +296,7 @@ func TestMasterRestartMidMigrationConvergesEndToEnd(t *testing.T) {
 		waitUntil(t, v, time.Minute, func() bool {
 			return h.Cluster.TotalPinnedBytes() == 0
 		}, "eviction drains the new epoch's pins")
+		checkInvariantReplicaBytes(t, h, "/in", data)
 	})
 }
 
@@ -398,6 +453,9 @@ func chaosScenario(t *testing.T, seed int64) string {
 		}
 		fmt.Fprintf(&b, "clock: %v\n", v.Now().Sub(cluster.SimStart))
 		fmt.Fprintf(&b, "fabric events:\n%s\n", strings.Join(h.Fabric.Events(), "\n"))
+		for i := 0; i < 3; i++ {
+			checkInvariantReplicaBytes(t, h, fmt.Sprintf("/det/f%d", i), filedata(i, 2*blockSize))
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +490,8 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 		}
 		defer c.Close()
 		const blockSize = 1 << 20
-		if err := c.WriteFile("/in", filedata(0, 4*blockSize), blockSize, 1); err != nil {
+		data := filedata(0, 4*blockSize)
+		if err := c.WriteFile("/in", data, blockSize, 1); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if _, err := c.Migrate("job1", []string{"/in"}, false); err != nil {
@@ -485,6 +544,7 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 		waitUntil(t, v, time.Minute, func() bool {
 			return h.Cluster.SlaveStats().PinnedBlocks == 4
 		}, "post-revive migration pins under the new epoch")
+		checkInvariantReplicaBytes(t, h, "/in", data)
 	})
 }
 
@@ -501,7 +561,8 @@ func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 		}
 		defer c.Close()
 		const blockSize = 256 << 10
-		if err := c.WriteFile("/resync/f0", filedata(0, 4*blockSize), blockSize, 2); err != nil {
+		data := filedata(0, 4*blockSize)
+		if err := c.WriteFile("/resync/f0", data, blockSize, 2); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		before := h.Cluster.NameNode.Stats()
@@ -546,6 +607,7 @@ func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 				t.Fatalf("block %d under-replicated after resync: %v", lb.Block.ID, lb.Nodes)
 			}
 		}
+		checkInvariantReplicaBytes(t, h, "/resync/f0", data)
 	})
 }
 
@@ -606,5 +668,6 @@ func TestReconnectAfterMissedEpochConverges(t *testing.T) {
 		if got := h.Cluster.NameNode.Stats().ResyncRequests; got != 0 {
 			t.Fatalf("reconnect path needed %d resync round-trips; the register snapshot should anchor directly", got)
 		}
+		checkInvariantReplicaBytes(t, h, "/epoch/keep", filedata(0, 3*blockSize))
 	})
 }

@@ -121,6 +121,7 @@ func walScenario(t *testing.T, crashAfter int64) int64 {
 			if st := nn.Master().Stats(); st.ActiveJobs != 0 {
 				t.Fatalf("crash at record %d: %d jobs still active after eviction", crashAfter, st.ActiveJobs)
 			}
+			checkInvariantReplicaBytes(t, h, "/in", data)
 			appended = be.Appends()
 		})
 	return appended
@@ -377,6 +378,7 @@ func TestWALRetryPumpDeliversThroughOneWayPartition(t *testing.T) {
 			waitUntil(t, v, time.Minute, func() bool {
 				return h.Cluster.TotalPinnedBytes() == 0
 			}, "eviction drains pins")
+			checkInvariantReplicaBytes(t, h, "/in", data)
 		})
 }
 
@@ -512,6 +514,7 @@ func ladderScenario(t *testing.T, crashAfter int64) int64 {
 			t.Fatalf("crash at record %d: ledger leaks charges after eviction (ram %d, ssd %d)",
 				crashAfter, tiers.RAMUsedBytes, tiers.SSDUsedBytes)
 		}
+		checkInvariantReplicaBytes(t, h, "/in", data)
 		appended = be.Appends()
 	})
 	return appended

@@ -137,16 +137,8 @@ type Cluster struct {
 	cfg Config
 }
 
-const (
-	// slotsPerNode bounds concurrent tasks per node: the paper's
-	// Google-trace average.
-	slotsPerNode = 10
-	// schedulerHeartbeat is the scheduler's node heartbeat, which gates
-	// task assignment: Hadoop's default 3s.
-	schedulerHeartbeat = 3 * time.Second
-	// hotCacheBytes sizes the per-node hot cache in ModeHotCache.
-	hotCacheBytes = 32 << 30
-)
+// hotCacheBytes sizes the per-node hot cache in ModeHotCache.
+const hotCacheBytes = 32 << 30
 
 // NameNodeAddr is the in-memory address of the namenode.
 const NameNodeAddr = "namenode"
@@ -188,8 +180,6 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 	}
 	sched := scheduler.New(clock, scheduler.Config{
 		Nodes:                 addrs,
-		SlotsPerNode:          slotsPerNode,
-		HeartbeatInterval:     schedulerHeartbeat,
 		MaxAssignPerHeartbeat: cfg.MaxAssignPerHeartbeat,
 	})
 

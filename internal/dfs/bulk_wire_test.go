@@ -18,7 +18,6 @@ import (
 // one byte, either side of the smallest pool class, the largest head,
 // a whole block, and one byte more. Both travel as bulk units.
 func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
-	RegisterWire()
 	clock := simclock.NewReal()
 	sizes := []int{0, 1, 511, 512, 64 << 10, 4 << 20, 4<<20 + 1}
 
@@ -61,9 +60,9 @@ func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
 				if got.Block != sent.Block || got.Checksum != sent.Checksum || !reflect.DeepEqual(got.Pipeline, sent.Pipeline) {
 					t.Errorf("head changed: %+v -> %+v", sent.Block, got.Block)
 				}
-				checkBulk(t, got.Data, data, got.Pooled(), wantPooled)
+				checkBulk(t, got.Data, data)
 				got.Release()
-				if got.Pooled() || (wantPooled && got.Data != nil) {
+				if got.Data != nil {
 					t.Error("Release did not give the buffer up")
 				}
 			})
@@ -76,23 +75,23 @@ func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
 				if got.Size != sent.Size || got.FromMemory != sent.FromMemory || got.Local != sent.Local {
 					t.Errorf("head changed: %+v -> %+v", sent.Size, got.Size)
 				}
-				checkBulk(t, got.Data, data, got.Pooled(), wantPooled)
+				checkBulk(t, got.Data, data)
+				if got.Pooled() != wantPooled {
+					t.Errorf("Pooled() = %v, want %v", got.Pooled(), wantPooled)
+				}
 				got.Release()
 			})
 		}
 	})
 }
 
-func checkBulk(t *testing.T, got, want []byte, pooled, wantPooled bool) {
+func checkBulk(t *testing.T, got, want []byte) {
 	t.Helper()
 	if !bytes.Equal(got, want) {
 		t.Errorf("payload changed: sent %d bytes, got %d", len(want), len(got))
 	}
 	if len(want) == 0 && got != nil {
 		t.Errorf("an empty payload decoded to a non-nil slice of cap %d", cap(got))
-	}
-	if pooled != wantPooled {
-		t.Errorf("Pooled() = %v, want %v", pooled, wantPooled)
 	}
 }
 

@@ -35,7 +35,6 @@ func startLive(tb testing.TB, tcp bool, nodes int) *liveCluster {
 	lc := &liveCluster{clock: simclock.NewScaledReal(4), nnAddr: "nn"}
 	addr := func(i int) string { return fmt.Sprintf("dn%d", i) }
 	if tcp {
-		dfs.RegisterWire()
 		tnet := transport.NewTCPNetwork()
 		lc.net = tnet
 		addr = func(int) string { return ephemeralAddr(tb, tnet) }
@@ -92,15 +91,11 @@ func patterned(n, salt int) []byte {
 	return b
 }
 
-func eachTransport(t *testing.T, fn func(t *testing.T, tcp bool)) {
-	t.Run("tcp", func(t *testing.T) { fn(t, true) })
-	t.Run("inmem", func(t *testing.T) { fn(t, false) })
-}
+var eachTransport = client.EachTransport
 
 // The slice ReadFile returns is the caller's alone: scribbling over it
-// must reach neither a pooled buffer a later read is handed (TCP) nor
-// the datanode's stored replica (the in-memory transport passes bodies
-// by reference).
+// must reach neither a pooled buffer a later read is handed nor the
+// datanode's stored replica.
 func TestReadFileResultIsNotAliased(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tcp bool) {
 		lc := startLive(t, tcp, 4)
@@ -127,9 +122,9 @@ func TestReadFileResultIsNotAliased(t *testing.T) {
 // The slice WriteFile was given is the caller's again once it returns:
 // scribbling over it must reach no replica. Every replica is read back
 // from its own holder. The blocks are sent from the caller's slice, so
-// this holds only because each datanode owns what it stores: a pooled
-// buffer decoded from the wire (TCP), or its own copy of the sender's
-// memory (in memory, where bodies pass by reference).
+// this holds only because each datanode owns what it stores: the
+// pooled buffer its transport received the block into, from the socket
+// or by the copy at the in-memory Send.
 func TestWriteFileReplicasOwnTheirBytes(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tcp bool) {
 		lc := startLive(t, tcp, 4)
@@ -270,9 +265,9 @@ func TestReadFileAllocBytesCeiling(t *testing.T) {
 
 // TestWriteFileAllocBytesCeiling pins what a whole-file write may
 // allocate at replication 2: the two stored replicas, and no staging
-// copy of the file in the writer. Over TCP each datanode adopts the
-// pooled buffer the socket filled; in memory each hop copies the
-// sender's bytes. A staged write costs about 3x the file over TCP.
+// copy of the file in the writer. Each datanode adopts the pooled
+// buffer its transport filled, from the socket or by the copy at the
+// in-memory Send. A staged write costs about 3x the file over TCP.
 func TestWriteFileAllocBytesCeiling(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tcp bool) {
 		lc := startLive(t, tcp, 4)
@@ -438,7 +433,6 @@ type stubReplicas struct {
 }
 
 func newStubReplicas(t *testing.T) *stubReplicas {
-	dfs.RegisterWire()
 	return &stubReplicas{t: t, clock: simclock.NewReal(), tnet: transport.NewTCPNetwork()}
 }
 

@@ -281,10 +281,10 @@ func (c *Client) readBlockFrom1st(lb dfs.LocatedBlock, job dfs.JobID, first stri
 // against its own write-time CRC before it serves. Synthetic
 // (size-only) blocks carry no bytes and no checksum.
 //
-// dst, when not nil, is where the caller wants the bytes: over TCP a
-// reply of exactly len(dst) bytes is received straight into it, and the
-// response borrows it (Pooled is false); any other reply arrives as
-// under a nil dst, and the caller copies.
+// dst, when not nil, is where the caller wants the bytes: a reply of
+// exactly len(dst) bytes is received straight into it, and the response
+// borrows it (Pooled is false); any other reply arrives as under a nil
+// dst, and the caller copies.
 func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID, dst []byte) (dfs.ReadBlockResp, error) {
 	dc, err := c.datanode(addr)
 	if err != nil {
@@ -420,11 +420,11 @@ const DefaultReadParallelism = 4
 // The result is assembled in place: every block's offset is known from
 // its located size before the first byte arrives. A file with real
 // bytes (any block carries a recorded checksum) allocates the result up
-// front and gives each fetch its slot as the destination, so over TCP
-// the socket fills the result directly and no user-space copy is made
-// besides the checksum. A payload that arrived anywhere else (the
-// in-memory transport, a cache hit, a reply of the wrong length) is
-// copied to its slot and its buffer given up at once. Nothing is held
+// front and gives each fetch its slot as the destination, so the
+// transport fills the result directly and no other user-space copy is
+// made besides the checksum. A payload that arrived anywhere else (a
+// cache hit, a conn that does not forward destinations, a reply of the
+// wrong length) is copied to its slot and its buffer given up at once. Nothing is held
 // until the last block lands and nothing is grown.
 func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
 	blocks, err := c.Locations(path)
@@ -516,7 +516,7 @@ func (a *assembly) slot(i int) []byte {
 
 // place lays block i's payload in its slot and releases the response: a
 // payload received into the slot is already there, and any other is
-// copied, a pooled TCP buffer going back to the pool here rather than
+// copied, a pooled buffer going back to the pool here rather than
 // when the whole read ends. readBlockFrom has already held the payload
 // to the located size. Safe for concurrent use on distinct blocks.
 func (a *assembly) place(i int, resp *dfs.ReadBlockResp) {

@@ -10,7 +10,8 @@ import (
 )
 
 // TestPooledBuffersUnderConcurrentTraffic hammers the pooled-buffer
-// ownership rules on a real TCP cluster: striped whole-file reads,
+// ownership rules on a real-clock cluster, over TCP and in memory:
+// striped whole-file reads,
 // single-block reads (each response hands its buffer to the caller),
 // cache-filling reads (installs copy out of pooled buffers), and a
 // write/verify/delete pipeline all run concurrently on one client. Every read is checked byte-for-byte, so a pooled buffer
@@ -18,6 +19,10 @@ import (
 // or a cache retaining transport scratch — shows up as corruption here
 // or as a data race under -race.
 func TestPooledBuffersUnderConcurrentTraffic(t *testing.T) {
+	eachTransport(t, pooledBuffersUnderConcurrentTraffic)
+}
+
+func pooledBuffersUnderConcurrentTraffic(t *testing.T, tcp bool) {
 	const (
 		raceNodes     = 4
 		raceBlockSize = 64 << 10
@@ -25,7 +30,7 @@ func TestPooledBuffersUnderConcurrentTraffic(t *testing.T) {
 		workers       = 3 // per traffic shape
 		iters         = 12
 	)
-	lc := startLive(t, true, raceNodes)
+	lc := startLive(t, tcp, raceNodes)
 
 	in := make([]byte, raceBlocks*raceBlockSize)
 	for i := range in {

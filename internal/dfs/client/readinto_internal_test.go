@@ -2,10 +2,10 @@ package client
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/bufpool"
-	"repro/internal/dfs"
 	"repro/internal/dfs/datanode"
 	"repro/internal/dfs/namenode"
 	"repro/internal/simclock"
@@ -13,32 +13,52 @@ import (
 	"repro/internal/transport"
 )
 
-// Over TCP every block of a ReadFile is received straight into its slot
-// of the result: the response's bytes are the slot itself, the response
-// does not claim them for the pool, and releasing it leaves them where
-// they are. The blocks go through the calls ReadFile makes, one at a
-// time, so each response can be looked at. (In memory the result is a
-// copy: TestReadFileResultIsNotAliased.)
+// eachTransport runs fn over TCP loopback and over the in-memory network.
+func eachTransport(t *testing.T, fn func(t *testing.T, tcp bool)) {
+	t.Run("tcp", func(t *testing.T) { fn(t, true) })
+	t.Run("inmem", func(t *testing.T) { fn(t, false) })
+}
+
+// EachTransport is eachTransport for this package's external tests.
+var EachTransport = eachTransport
+
+// On either transport every block of a ReadFile lands straight in its
+// slot of the result: the response's bytes are the slot itself, the
+// response does not claim them for the pool, and releasing it leaves
+// them where they are. The blocks go through the calls ReadFile makes,
+// one at a time, so each response can be looked at.
 func TestReadFileBlocksArriveInTheirSlots(t *testing.T) {
-	dfs.RegisterWire()
+	eachTransport(t, readBlocksIntoSlots)
+}
+
+func readBlocksIntoSlots(t *testing.T, tcp bool) {
 	clock := simclock.NewScaledReal(4)
-	tnet := transport.NewTCPNetwork()
+	var net transport.Network = transport.NewInmemNetwork(clock)
+	n := 0
 	freeAddr := func() string {
-		l, err := tnet.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("Listen: %v", err)
+		n++
+		return fmt.Sprintf("n%d", n)
+	}
+	if tcp {
+		tnet := transport.NewTCPNetwork()
+		net = tnet
+		freeAddr = func() string {
+			l, err := tnet.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			defer l.Close()
+			return l.Addr()
 		}
-		defer l.Close()
-		return l.Addr()
 	}
 	nnAddr := freeAddr()
-	nn := namenode.New(clock, tnet, namenode.Config{Addr: nnAddr, Seed: 11})
+	nn := namenode.New(clock, net, namenode.Config{Addr: nnAddr, Seed: 11})
 	if err := nn.Start(); err != nil {
 		t.Fatalf("namenode start: %v", err)
 	}
 	t.Cleanup(nn.Close)
 	for i := 0; i < 3; i++ {
-		dn, err := datanode.New(clock, tnet, datanode.Config{
+		dn, err := datanode.New(clock, net, datanode.Config{
 			Addr: freeAddr(), NameNodeAddr: nnAddr, Media: storage.RAMSpec(), ServeAllFromRAM: true,
 		})
 		if err != nil {
@@ -49,7 +69,7 @@ func TestReadFileBlocksArriveInTheirSlots(t *testing.T) {
 		}
 		t.Cleanup(dn.Close)
 	}
-	c, err := New(clock, tnet, nnAddr)
+	c, err := New(clock, net, nnAddr)
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}

@@ -292,12 +292,12 @@ func (c *Client) addBlocks(path string, sizes []int64, sums []uint32) ([]dfs.Loc
 // until it returns and never after, so the caller may reuse data then.
 //
 // The blocks are sent from data itself, with no staging copy: WriteFile
-// returns only after close has drained every block in flight, and a
-// datanode stores its own copy of any payload it did not decode from
-// the wire. One stale reader remains: a block attempt that the
-// transport or a faulty network delivers after its call timed out, and
-// so possibly after WriteFile returned. The datanode's CRC check
-// rejects bytes the caller changed since.
+// returns only after close has drained every block in flight, and
+// either transport gives a datanode its own copy of each payload. One
+// stale reader remains: a conn wrapper that holds a block attempt and
+// sends it after its call timed out, and so possibly after WriteFile
+// returned. The datanode's CRC check rejects bytes the caller changed
+// since.
 func (c *Client) WriteFile(path string, data []byte, blockSize int64, replication int) error {
 	w, err := c.create(path, blockSize, replication)
 	if err != nil {

@@ -4,7 +4,6 @@
 package datanode
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -464,15 +463,6 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 	if size <= 0 {
 		return dfs.WriteBlockResp{}, fmt.Errorf("datanode: empty block %d", req.Block.ID)
 	}
-	// A replica is memory no one else writes. A payload the TCP decoder
-	// filled is a pooled buffer this request owns, and the store adopts
-	// it below. Any other payload is the sender's memory: the in-memory
-	// transport passes bodies by reference, and WriteFile sends from its
-	// caller's slice. It is copied first, and the copy is what is
-	// verified, forwarded and stored.
-	if len(req.Data) > 0 && !req.Pooled() {
-		req.Data = bytes.Clone(req.Data)
-	}
 	// Verify the payload against the client's checksum before storing or
 	// forwarding: a block mangled in transit fails the write, and the
 	// client retries against fresh targets. When the writer sent no
@@ -497,37 +487,34 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 		wg.Go(func() { fwdErr = dn.forward(req) })
 	}
 
-	// Writes land in the buffer cache (the paper: "the buffer cache can
-	// absorb writes"), so they are charged at RAM speed, not disk speed.
-	if err := dn.ram.Write(size); err != nil {
-		if wg != nil {
-			wg.Wait()
-		}
-		return dfs.WriteBlockResp{}, fmt.Errorf("datanode: write block %d: %w", req.Block.ID, err)
-	}
-	dn.mu.Lock()
-	if dn.closed {
-		dn.mu.Unlock()
-		if wg != nil {
-			wg.Wait()
-		}
-		return dfs.WriteBlockResp{}, fmt.Errorf("datanode: closed")
-	}
-	// The store takes ownership of req.Data: a pooled buffer from the
-	// TCP decoder, adopted instead of copied and released, so the
-	// receive path is zero-copy, or this handler's own copy. Stored
-	// payloads are retained indefinitely and are therefore never
-	// returned to the pool — deletion simply lets the GC have them. The
-	// pipeline forward above shares the same buffer read-only; the store
-	// never mutates payloads, so that alias is safe.
-	dn.store.Put(req.Block.ID, size, req.Data, sum)
-	dn.blkPending[req.Block.ID] = true
-	dn.mu.Unlock()
-
+	// The pipeline forward shares req.Data read-only while the store
+	// adopts it; the store never mutates payloads, so that alias is safe.
+	err := dn.land(req.Block.ID, size, req.Data, sum)
 	if wg != nil {
 		wg.Wait()
 	}
+	if err != nil {
+		return dfs.WriteBlockResp{}, fmt.Errorf("datanode: write block %d: %w", req.Block.ID, err)
+	}
 	return dfs.WriteBlockResp{}, fwdErr
+}
+
+// land stores a received replica, charged at RAM speed: writes land in
+// the buffer cache (the paper: "the buffer cache can absorb writes").
+// The store adopts data, the pooled buffer the transport received it
+// into, and never returns it to the pool: deletion lets the GC have it.
+func (dn *DataNode) land(id dfs.BlockID, size int64, data []byte, sum uint32) error {
+	if err := dn.ram.Write(size); err != nil {
+		return err
+	}
+	dn.mu.Lock()
+	defer dn.mu.Unlock()
+	if dn.closed {
+		return fmt.Errorf("datanode: closed")
+	}
+	dn.store.Put(id, size, data, sum)
+	dn.blkPending[id] = true
+	return nil
 }
 
 // forward sends req to the next hop of its write pipeline and waits for
@@ -629,23 +616,11 @@ func (dn *DataNode) handlePullBlock(req dfs.PullBlockReq) (dfs.PullBlockResp, er
 	if len(resp.Data) > 0 {
 		size = int64(len(resp.Data))
 	}
-	// Land the incoming replica through the buffer cache like any write.
-	if err := dn.ram.Write(size); err != nil {
+	// The checksum is recomputed from the received bytes: the peer
+	// verified them before serving, so a later mismatch is our own rot.
+	if err := dn.land(req.Block.ID, size, resp.Data, dfs.Checksum(resp.Data)); err != nil {
 		return dfs.PullBlockResp{}, err
 	}
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	if dn.closed {
-		return dfs.PullBlockResp{}, fmt.Errorf("datanode: closed")
-	}
-	// As in handleWriteBlock, the store takes ownership of the pulled
-	// payload (a pooled buffer when the peer read came over TCP). The
-	// checksum is recomputed locally from the received bytes — the peer's
-	// read path already verified them against the write-time CRC, so a
-	// mismatch here could only be our own, which is what we must detect
-	// later.
-	dn.store.Put(req.Block.ID, size, resp.Data, dfs.Checksum(resp.Data))
-	dn.blkPending[req.Block.ID] = true
 	return dfs.PullBlockResp{}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dfs"
 	"repro/internal/dfs/namenode"
@@ -247,6 +248,59 @@ func TestWritePipelineForwards(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A pulled replica is the puller's own memory: re-replication over the
+// in-memory network stores a copy of the source's bytes, never the
+// source's slice, so no replica aliases a peer's.
+func TestPulledReplicaSharesNoMemoryWithSource(t *testing.T) {
+	run(t, func(v *simclock.Virtual) {
+		net := transport.NewInmemNetwork(v)
+		nn := namenode.New(v, net, namenode.Config{Addr: "nn", Seed: 1})
+		if err := nn.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer nn.Close()
+		var dns []*DataNode
+		for _, addr := range []string{"src", "dst"} {
+			dn, err := New(v, net, Config{Addr: addr, NameNodeAddr: "nn"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dn.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer dn.Close()
+			dns = append(dns, dn)
+		}
+		src, dst := dns[0], dns[1]
+		data := bytes.Repeat([]byte("pull"), 1024)
+		want := bytes.Clone(data)
+		block := dfs.Block{ID: 1, Size: int64(len(data))}
+		if _, err := src.handleWriteBlock(dfs.WriteBlockReq{Block: block, Data: data}); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if _, err := dst.handlePullBlock(dfs.PullBlockReq{Block: block, From: "src"}); err != nil {
+			t.Fatalf("pull: %v", err)
+		}
+		from, _ := src.store.Get(1)
+		got, ok := dst.store.Get(1)
+		if !ok || !bytes.Equal(got.Data, want) {
+			t.Fatal("pulled replica missing or corrupt")
+		}
+		if sharesMemory(got.Data, from.Data) {
+			t.Fatal("the pulled replica is the source's replica: the puller stored a peer's memory")
+		}
+	})
+}
+
+// sharesMemory reports whether two slices overlap in memory.
+func sharesMemory(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return a0 < b0+uintptr(len(b)) && b0 < a0+uintptr(len(a))
 }
 
 func TestWritePipelineBrokenChainFails(t *testing.T) {

@@ -338,8 +338,7 @@ type HeartbeatResp struct {
 // The three sentinels below are registered with the transport where
 // they are declared, so one returned by a remote handler still matches
 // errors.Is on the caller's side of either transport (see
-// transport.RegisterError): in-memory deployments never call
-// RegisterWire.
+// transport.RegisterError).
 
 // ErrBusy is the namenode's admission-control pushback: the report
 // intake queue is full, so the full reconcile was rejected before
@@ -399,11 +398,6 @@ type WriteBlockReq struct {
 	// payload against it before storing, so a corruption anywhere on
 	// the write path fails the write instead of persisting silently.
 	Checksum uint32
-
-	// pooled marks Data as a bufpool buffer owned by the holder; set
-	// only by the frame decoders (see frame.go). Unexported so it
-	// never crosses the wire.
-	pooled bool
 }
 
 // WireSize charges the network for the payload.
@@ -548,9 +542,12 @@ type ReadNotifyBatch struct {
 // ReadNotifyBatchResp acknowledges a read-notify batch.
 type ReadNotifyBatchResp struct{ ack }
 
-// RegisterWire registers every wire type with the TCP transport's frame
-// codec (see frame.go and ctlframe.go). It is safe to call more than
-// once.
+// The wire types are registered at initialisation, like the sentinel
+// errors: the in-memory transport needs the block messages' codec too.
+func init() { registerWire() }
+
+// RegisterWire registers every wire type with the transport's frame
+// codec (see frame.go and ctlframe.go); init already has, so it is safe.
 func RegisterWire() { registerWire() }
 
 // wireTypes lists the registered types in registration order, so the

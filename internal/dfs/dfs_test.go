@@ -149,7 +149,6 @@ func TestWireSamplesSetEveryField(t *testing.T) {
 // through a TCP echo server, so each crosses the frame codec as a
 // request and as a reply, and checks every field survives.
 func TestWireRoundTrip(t *testing.T) {
-	RegisterWire()
 	samples := map[reflect.Type]any{}
 	for _, s := range wireSamples() {
 		samples[reflect.TypeOf(s)] = s
@@ -179,7 +178,6 @@ func TestWireRoundTrip(t *testing.T) {
 // over TCP loopback and returns a client for it.
 func dialEcho(t testing.TB) *transport.Client {
 	t.Helper()
-	RegisterWire()
 	clock := simclock.NewReal()
 	tnet := transport.NewTCPNetwork()
 	l, err := tnet.Listen("127.0.0.1:0")

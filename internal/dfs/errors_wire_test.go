@@ -16,7 +16,6 @@ import (
 // failure of a pull, say). A message that merely mentions a sentinel
 // before going on does not match it.
 func TestSentinelErrorsCrossTheWire(t *testing.T) {
-	RegisterWire()
 	sentinels := []error{ErrBusy, ErrChecksum, ErrBlockLength}
 	wraps := map[string]func(error) error{
 		"bare":    func(s error) error { return s },

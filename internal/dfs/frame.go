@@ -19,27 +19,17 @@ import (
 // This file holds the cursor and the block and report frames; ctlframe.go
 // holds the control-plane frames.
 //
-// WriteBlockReq and ReadBlockResp carry multi-megabyte payloads; over
-// TCP they travel as bulk units (transport.BulkFramer): a hand-framed
-// head with every field but Data, then Data itself, which the sending
-// conn writes straight from this struct's slice and the receiving conn
-// reads straight into a bufpool buffer, or into the caller's
-// destination for a ReadBlockResp asked for with transport.CallInto.
-// The datanode pipeline forward reuses WriteBlockReq (the receiving
-// node re-sends the request with a shortened Pipeline), so it rides the
-// same path.
-//
-// Ownership: a decoded struct whose Data is non-empty owns a pooled
-// buffer and says so through Pooled, unless Data is a caller's
-// destination, which it only borrows (Pooled is false). DecodeHead
-// adopts what the transport filled, as the transport says it is owned;
-// the whole-frame DecodeFrame copies Data out of its argument, which
-// stays the caller's to reuse. The eventual sole owner calls Release to
-// return a pooled buffer; forgetting to Release is safe (the buffer is
-// garbage collected), releasing twice or while aliases remain is not.
-// The in-memory transport passes bodies by reference and never sets
-// pooled, so inmem payloads — which alias datanode stores and the
-// memory writers send from — are never returned to the pool.
+// WriteBlockReq and ReadBlockResp carry multi-megabyte payloads and
+// travel as bulk units (transport.BulkFramer): a head with every field
+// but Data, then Data, which the receiving transport lands in a bufpool
+// buffer, or in the caller's CallInto destination for a ReadBlockResp.
+// The datanode pipeline forward re-sends a WriteBlockReq with a
+// shortened Pipeline, so it rides the same path. A decoded struct owns
+// its pooled Data (only a ReadBlockResp may borrow a destination
+// instead, and Pooled says which); its sole owner calls Release once, or
+// keeps the buffer forever (the datanode store does). Forgetting to
+// Release is safe; releasing twice or while aliases remain is not.
+// DecodeFrame copies Data out of its argument.
 
 var errShortFrame = errors.New("dfs: malformed frame")
 
@@ -334,17 +324,16 @@ func (r *WriteBlockReq) readHead(fr *frameReader) {
 	r.Pipeline = fr.addrs()
 }
 
-// DecodeHead implements transport.BulkFramer. A pooled bulk is a
-// buffer this struct now owns; the sole owner must eventually call
-// Release (or keep the buffer forever, as the datanode block store
-// does). Any other bulk is only borrowed, as in ReadBlockResp.
-func (r *WriteBlockReq) DecodeHead(head, bulk []byte, pooled bool) error {
+// DecodeHead implements transport.BulkFramer. A write request is a
+// call, so its bulk is a pooled buffer, which this struct now owns: the
+// datanode's store adopts it.
+func (r *WriteBlockReq) DecodeHead(head, bulk []byte, _ bool) error {
 	fr := frameReader{b: head}
 	r.readHead(&fr)
 	if err := fr.done(); err != nil {
 		return err
 	}
-	r.Data, r.pooled = bulk, pooled && bulk != nil
+	r.Data = bulk
 	return nil
 }
 
@@ -358,23 +347,14 @@ func (r *WriteBlockReq) DecodeFrame(frame []byte) error {
 		return err
 	}
 	r.Data = pooledCopy(raw)
-	r.pooled = r.Data != nil
 	return nil
 }
 
-// Pooled reports whether Data is a bufpool buffer owned by the holder
-// (set only by the TCP fast-path decode).
-func (r *WriteBlockReq) Pooled() bool { return r.pooled }
-
-// Release returns a pooled Data buffer to the pool and clears the
-// struct's claim on it. Only the sole owner may call it, and only once;
-// it is a no-op for non-pooled payloads.
+// Release returns a decoded request's pooled Data buffer to the pool.
+// Only the sole owner may call it, and only once.
 func (r *WriteBlockReq) Release() {
-	if r.pooled {
-		bufpool.Put(r.Data)
-		r.Data = nil
-		r.pooled = false
-	}
+	bufpool.Put(r.Data)
+	r.Data = nil
 }
 
 // ---- ReadBlockReq ----

@@ -133,7 +133,6 @@ func asFramer(v any) transport.Framer {
 // panic, and whatever it accepts must re-encode to a frame that decodes
 // to an equal value.
 func FuzzControlFrame(f *testing.F) {
-	RegisterWire()
 	var types []reflect.Type
 	for _, typ := range wireTypes {
 		if _, bulk := reflect.New(typ).Interface().(transport.BulkFramer); !bulk {

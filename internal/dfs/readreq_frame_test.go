@@ -13,7 +13,6 @@ import (
 // serving it, so the bit must survive the wire, set or clear, beside
 // Local or not.
 func TestReadBlockReqCarriesReaderVerifies(t *testing.T) {
-	RegisterWire()
 	clock := simclock.NewReal()
 	tnet := transport.NewTCPNetwork()
 	l, err := tnet.Listen("127.0.0.1:0")

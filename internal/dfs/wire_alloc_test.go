@@ -16,7 +16,6 @@ import (
 // 11 and 5 (2 cores, go1.24.0); the ceilings leave about 25 % headroom.
 // Through gob they took 34 and 21.
 func TestControlCallAllocCeiling(t *testing.T) {
-	RegisterWire()
 	now := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	locations := GetLocationsResp{Blocks: []LocatedBlock{{
 		Block: Block{ID: 42, Size: 64 << 10}, Nodes: []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},

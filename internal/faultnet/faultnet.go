@@ -443,7 +443,14 @@ type faultConn struct {
 	closeOnce sync.Once
 }
 
-var _ transport.Conn = (*faultConn)(nil)
+var _ transport.DstConn = (*faultConn)(nil)
+
+// SetDsts forwards to the inner conn, so replies still reach their dsts.
+func (c *faultConn) SetDsts(cl *transport.Client) {
+	if dc, ok := c.inner.(transport.DstConn); ok {
+		dc.SetDsts(cl)
+	}
+}
 
 func (c *faultConn) Send(m transport.Message) error {
 	if !c.ruled {

@@ -52,24 +52,23 @@ type Config struct {
 	// Nodes lists the worker node addresses (the datanode addresses, so
 	// locality preferences line up).
 	Nodes []string
-	// SlotsPerNode is the number of concurrent tasks per node.
-	// Default 10 (the paper's Google-trace average).
-	SlotsPerNode int
-	// HeartbeatInterval is the node heartbeat period that gates task
-	// assignment. Default 3s (Hadoop's default).
-	HeartbeatInterval time.Duration
 	// MaxAssignPerHeartbeat caps how many tasks one node may be handed
 	// per heartbeat, spreading a burst of tasks across nodes instead of
 	// flooding the first node that reports in. Default 3.
 	MaxAssignPerHeartbeat int
+	// slots (concurrent tasks per node) and heartbeat (the node
+	// heartbeat that gates assignment) differ from the defaults only in
+	// the scheduler's tests.
+	slots     int
+	heartbeat time.Duration
 }
 
 func (c *Config) setDefaults() {
-	if c.SlotsPerNode <= 0 {
-		c.SlotsPerNode = 10
+	if c.slots <= 0 {
+		c.slots = 10 // the paper's Google-trace average
 	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 3 * time.Second
+	if c.heartbeat <= 0 {
+		c.heartbeat = 3 * time.Second // Hadoop's default
 	}
 	if c.MaxAssignPerHeartbeat <= 0 {
 		c.MaxAssignPerHeartbeat = 3
@@ -110,7 +109,7 @@ func New(clock simclock.Clock, cfg Config) *Scheduler {
 		jobs:  make(map[dfs.JobID]*Job),
 	}
 	for _, addr := range cfg.Nodes {
-		s.nodes = append(s.nodes, &node{addr: addr, freeSlots: cfg.SlotsPerNode})
+		s.nodes = append(s.nodes, &node{addr: addr, freeSlots: cfg.slots})
 	}
 	return s
 }
@@ -120,7 +119,7 @@ func New(clock simclock.Clock, cfg Config) *Scheduler {
 func (s *Scheduler) Start() {
 	for i, n := range s.nodes {
 		n := n
-		offset := time.Duration(i) * s.cfg.HeartbeatInterval / time.Duration(len(s.nodes))
+		offset := time.Duration(i) * s.cfg.heartbeat / time.Duration(len(s.nodes))
 		s.clock.Go(func() {
 			s.clock.Sleep(offset)
 			s.heartbeatLoop(n)
@@ -168,7 +167,7 @@ func (s *Scheduler) IsActive(job dfs.JobID) bool {
 // heartbeatLoop assigns queued tasks to n's free slots once per interval.
 func (s *Scheduler) heartbeatLoop(n *node) {
 	for {
-		s.clock.Sleep(s.cfg.HeartbeatInterval)
+		s.clock.Sleep(s.cfg.heartbeat)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -201,7 +200,7 @@ func (s *Scheduler) heartbeatLoop(n *node) {
 // is two heartbeat intervals, so every preferred node gets at least one
 // full heartbeat's chance first.
 func (s *Scheduler) takeTaskLocked(addr string, now time.Time) *task {
-	localityDelay := 2 * s.cfg.HeartbeatInterval
+	localityDelay := 2 * s.cfg.heartbeat
 	pick := s.pickFairLocked(func(t *task) bool {
 		return contains(t.spec.PreferredNodes, addr)
 	})

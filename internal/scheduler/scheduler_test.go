@@ -28,7 +28,7 @@ func runSim(t *testing.T, fn func(v *simclock.Virtual)) {
 }
 
 func newRunning(v *simclock.Virtual, nodes []string, slots int, hb time.Duration) *Scheduler {
-	s := New(v, Config{Nodes: nodes, SlotsPerNode: slots, HeartbeatInterval: hb})
+	s := New(v, Config{Nodes: nodes, slots: slots, heartbeat: hb})
 	s.Start()
 	return s
 }
@@ -322,8 +322,8 @@ func TestContainerReuseAvoidsHeartbeatStalls(t *testing.T) {
 func TestSecondaryTierUsedAfterHalfDelay(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		s := New(v, Config{
-			Nodes: []string{"n1", "n2"}, SlotsPerNode: 1,
-			HeartbeatInterval: time.Second,
+			Nodes: []string{"n1", "n2"}, slots: 1,
+			heartbeat: time.Second,
 		})
 		s.Start()
 		defer s.Close()
@@ -349,8 +349,8 @@ func TestSecondaryTierUsedAfterHalfDelay(t *testing.T) {
 func TestMaxAssignPerHeartbeatSpreadsBurst(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		s := New(v, Config{
-			Nodes: []string{"n1", "n2"}, SlotsPerNode: 10,
-			HeartbeatInterval: time.Second, MaxAssignPerHeartbeat: 2,
+			Nodes: []string{"n1", "n2"}, slots: 10,
+			heartbeat: time.Second, MaxAssignPerHeartbeat: 2,
 		})
 		s.Start()
 		defer s.Close()

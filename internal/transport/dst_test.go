@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,10 +12,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// Tests of CallInto's destination over TCP: a bulk reply of exactly
-// len(dst) bytes is received into dst, any other reply is not, and no
-// byte reaches dst once its call has returned. None of them measures
-// time: the timeouts only make calls give up.
+// Tests of CallInto's destination: a bulk reply of exactly len(dst)
+// bytes is received into dst, any other reply is not, and no byte
+// reaches dst once its call has returned, over TCP and in memory. None
+// of them measures time: the timeouts only make calls give up.
 
 // replyLog is a Listener whose conns report the ID of every reply they
 // have finished writing, so a test knows what is already on the wire.
@@ -110,6 +111,114 @@ func TestTCPLateBulkReplyMissesDst(t *testing.T) {
 	}
 	if !bytes.Equal(dst, filled(size, 0x5E)) {
 		t.Error("the late reply reached the destination of the call that timed out")
+	}
+}
+
+// In memory too, a reply that comes after its call timed out finds no
+// destination: its handler sleeps on the virtual clock past the call
+// timeout, and its bytes, copied at Send, land in a pooled buffer.
+func TestInmemLateBulkReplyMissesDst(t *testing.T) {
+	const size = 4096
+	registerFuzzBlob()
+	v := simclock.NewVirtual(epoch)
+	net := NewInmemNetwork(v)
+	srv := NewServer(v)
+	srv.Handle("slow", func(any) (any, error) {
+		v.Sleep(2 * time.Second)
+		return fuzzBulk{Tag: "late", Data: filled(size, 0xAA)}, nil
+	})
+	srv.Handle("fast", func(any) (any, error) { return fuzzBulk{Tag: "fast", Data: filled(size, 0xBB)}, nil })
+	l, err := net.Listen("dn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeBackground(l)
+	defer srv.Close()
+	v.Run(func() {
+		c, err := Dial(v, net, "dn", WithCallTimeout(time.Second))
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		defer c.Close()
+		dst := filled(size, 0x5E)
+		if _, err := c.CallInto("slow", fuzzBlob{Tag: "a"}, dst); !errors.Is(err, ErrTimeout) {
+			t.Errorf("slow call: err = %v, want ErrTimeout", err)
+			return
+		}
+		v.Sleep(2 * time.Second) // the late reply is sent and delivered
+		dst2 := make([]byte, size)
+		body, err := CallInto[fuzzBulk](c, "fast", fuzzBlob{Tag: "b"}, dst2)
+		if err != nil {
+			t.Errorf("call after the late reply: %v", err)
+			return
+		}
+		if body.pooled || &body.Data[0] != &dst2[0] || !bytes.Equal(dst2, filled(size, 0xBB)) {
+			t.Errorf("second reply: pooled=%v, in dst=%v, want it received into its dst", body.pooled, &body.Data[0] == &dst2[0])
+		}
+		if !bytes.Equal(dst, filled(size, 0x5E)) {
+			t.Error("the late reply reached the destination of the call that timed out")
+		}
+	})
+}
+
+// An in-memory CallInto whose bulk reply matches dst copies the bytes
+// into dst at Send and allocates no payload-sized buffer: a fresh or
+// pooled copy per call would cost about the payload in bytes.
+func TestInmemBulkCallIntoAllocs(t *testing.T) {
+	const (
+		size         = 1 << 20
+		calls        = 200
+		byteCeiling  = size / 64
+		allocCeiling = 8
+	)
+	registerFuzzBlob()
+	v := simclock.NewVirtual(epoch)
+	net := NewInmemNetwork(v)
+	srv := NewServer(v)
+	payload := filled(size, 0x3C)
+	srv.Handle("block", func(any) (any, error) { return fuzzBulk{Tag: "b", Data: payload}, nil })
+	l, err := net.Listen("dn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeBackground(l)
+	defer srv.Close()
+	var allocs, bytesPer float64
+	v.Run(func() {
+		c, err := Dial(v, net, "dn")
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		defer c.Close()
+		dst := make([]byte, size)
+		call := func() {
+			body, err := CallInto[fuzzBulk](c, "block", 1, dst)
+			if err != nil || body.pooled || &body.Data[0] != &dst[0] {
+				t.Fatalf("call: err %v; the reply did not land in dst", err)
+			}
+		}
+		for i := 0; i < 20; i++ { // warm the pools and worker stacks
+			call()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = float64(after.Mallocs-before.Mallocs) / calls
+		bytesPer = float64(after.TotalAlloc-before.TotalAlloc) / calls
+	})
+	t.Logf("%.2f allocations, %.0f bytes per in-memory %d-byte CallInto (ceilings %d, %d)",
+		allocs, bytesPer, size, allocCeiling, byteCeiling)
+	if !bytes.Equal(payload, filled(size, 0x3C)) {
+		t.Error("the call changed the sender's payload")
+	}
+	if allocs > allocCeiling || bytesPer > byteCeiling {
+		t.Errorf("in-memory bulk CallInto allocates %.2f times, %.0f bytes; want ≤ %d and ≤ %d",
+			allocs, bytesPer, allocCeiling, byteCeiling)
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
+
+	"repro/internal/bufpool"
 )
 
 // Framer is the TCP transport's codec for a message body: hand-written
@@ -28,11 +31,11 @@ type Framer interface {
 }
 
 // BulkFramer is a Framer whose frame ends in one bulk byte string — a
-// block payload. Over TCP such a body travels as a bulk unit (see
-// tcp.go): the head and the bulk bytes are framed separately, so Send
-// writes the bulk straight from the body's slice and Recv reads it
-// straight into the buffer the decoded body will own. Bulk bytes are
-// never staged in conn scratch.
+// block payload. Such a body travels as a bulk unit: the head and the
+// bulk bytes are framed separately, and recvBulk lands the bulk bytes
+// in the buffer the decoded body will own or borrow, read from the
+// socket (tcp.go) or copied at the in-memory Send (inmem.go). Bulk
+// bytes are never staged in conn scratch.
 //
 // AppendHead appends every field except the bulk bytes, and Bulk returns
 // those bytes; the transport only reads them, and only until Send
@@ -41,11 +44,11 @@ type Framer interface {
 //
 // DecodeHead parses a head produced by AppendHead, with nothing left
 // over, and adopts bulk as the body's payload. bulk is nil for an empty
-// payload; otherwise Recv filled it from the socket, and pooled says
-// whose memory it is. A pooled bulk is a bufpool buffer: on a nil
-// return the body owns it, and its eventual sole holder returns it to
-// the pool or keeps it forever; on an error the transport still owns it
-// and returns it. A bulk that is not pooled is the destination a caller
+// payload; otherwise the transport filled it, and pooled says whose
+// memory it is. A pooled bulk is a bufpool buffer: on a nil return the
+// body owns it, and its eventual sole holder returns it to the pool or
+// keeps it forever; on an error the transport still owns it and
+// returns it. A bulk that is not pooled is the destination a caller
 // passed to CallInto: the body only borrows it and must never return it
 // to the pool. head is receive scratch, as in DecodeFrame.
 type BulkFramer interface {
@@ -55,12 +58,13 @@ type BulkFramer interface {
 	DecodeHead(head, bulk []byte, pooled bool) error
 }
 
-// framerInfo is one registered body type. The head functions
+// framerInfo is one registered body type. The bulk and head functions
 // are set only for a BulkFramer.
 type framerInfo struct {
 	name       string
 	encode     func(body any, buf []byte) []byte
 	decode     func(payload []byte) (any, error)
+	bulk       func(body any) []byte
 	encodeHead func(body any, buf []byte) (head, bulk []byte)
 	decodeHead func(head, bulk []byte, pooled bool) (any, error)
 }
@@ -127,6 +131,12 @@ func RegisterFramer[T any, PT interface {
 		},
 	}
 	if _, ok := any(PT(nil)).(BulkFramer); ok {
+		info.bulk = func(body any) []byte {
+			p := borrow(body)
+			bulk := any(PT(p)).(BulkFramer).Bulk()
+			giveBack(p)
+			return bulk
+		}
 		info.encodeHead = func(body any, buf []byte) ([]byte, []byte) {
 			p := borrow(body)
 			bf := any(PT(p)).(BulkFramer)
@@ -347,6 +357,37 @@ func replyID(head []byte) (uint64, bool) {
 		return 0, false
 	}
 	return id, true
+}
+
+// recvBulk is the one receive path of a bulk unit, on both transports:
+// it reads the unit's n bulk bytes from src into a buffer, then decodes
+// the head around it. The buffer is the destination of the call the
+// head answers when dsts (the receiving Client; nil on a server conn)
+// has it pending with a destination of exactly n bytes, claimed until
+// the read ends, and a pooled buffer otherwise, which goes back to the
+// pool on any failure.
+func recvBulk(dsts *Client, head []byte, n int, src io.Reader) (m Message, err error) {
+	var bulk []byte
+	pooled := false
+	if n > 0 {
+		if id, ok := replyID(head); ok && dsts != nil {
+			bulk = dsts.claimDst(id, n)
+		}
+		if bulk == nil {
+			bulk, pooled = bufpool.Get(n), true
+		}
+		_, err = io.ReadFull(src, bulk)
+		if !pooled {
+			dsts.releaseDst()
+		}
+	}
+	if err == nil {
+		m, err = decodeBulkUnit(head, bulk, pooled)
+	}
+	if err != nil && pooled {
+		bufpool.Put(bulk)
+	}
+	return m, err
 }
 
 // decodeBulkUnit parses a bulk unit: head is receive scratch as above,

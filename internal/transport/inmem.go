@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -99,14 +100,20 @@ type link struct {
 	out *simclock.Chan[Message]
 
 	mu   sync.Mutex
-	busy time.Time // when the last queued message is delivered
+	busy time.Time    // when the last queued message is delivered
+	head []byte       // scratch for bulk-unit heads
+	src  bytes.Reader // the bulk bytes being sent, for recvBulk
+	dsts *Client      // the receiving end's Client (see SetDsts), if any
 }
 
-// send queues m for delivery; it reports false once the link is closed.
-func (l *link) send(m Message) bool {
+// send queues m for delivery.
+func (l *link) send(m Message) error {
 	cost := l.net.latency + time.Duration(float64(wireSize(m.Body))/(l.net.mbps*1e6)*float64(time.Second))
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.copyBulk(&m); err != nil {
+		return err
+	}
 	now := l.net.clock.Now()
 	deliver := now
 	if l.busy.After(now) {
@@ -114,10 +121,34 @@ func (l *link) send(m Message) bool {
 	}
 	deliver = deliver.Add(cost)
 	if !l.out.SendAfter(deliver.Sub(now), m) {
-		return false
+		return ErrClosed
 	}
 	l.busy = deliver
-	return true
+	return nil
+}
+
+// copyBulk replaces a BulkFramer body that carries bytes with what
+// recvBulk decodes around a copy of them, so a delivery, however late,
+// never reads the sender's memory. Any other body, a synthetic block's
+// included, passes by reference: no encode, no allocation.
+func (l *link) copyBulk(m *Message) error {
+	fi, ok := lookupFramer(m.Body)
+	if !ok || fi.bulk == nil {
+		return nil
+	}
+	bulk := fi.bulk(m.Body)
+	if len(bulk) == 0 {
+		return nil
+	}
+	l.head, _ = appendBulkUnitHead(l.head[:0], m, fi)
+	l.src.Reset(bulk)
+	got, err := recvBulk(l.dsts, l.head, len(bulk), &l.src)
+	l.src.Reset(nil)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUnencodable, err)
+	}
+	*m = got
+	return nil
 }
 
 type inmemConn struct {
@@ -125,13 +156,15 @@ type inmemConn struct {
 	recv *link
 }
 
-var _ Conn = (*inmemConn)(nil)
+var _ DstConn = (*inmemConn)(nil)
 
-func (c *inmemConn) Send(m Message) error {
-	if !c.send.send(m) {
-		return ErrClosed
-	}
-	return nil
+func (c *inmemConn) Send(m Message) error { return c.send.send(m) }
+
+// SetDsts implements DstConn: the peer's sends claim cl's destinations.
+func (c *inmemConn) SetDsts(cl *Client) {
+	c.recv.mu.Lock()
+	c.recv.dsts = cl
+	c.recv.mu.Unlock()
 }
 
 func (c *inmemConn) Recv() (Message, error) {

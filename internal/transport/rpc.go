@@ -142,11 +142,11 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]pendingCall
 	closed  bool
-	// receiving is the ID of the call whose destination the receive
-	// loop is reading into (0: none; IDs start at 1). claimDst sets it
-	// under mu, atomically with the call still being pending, and
-	// recvLoop clears it once Recv returns; letGo (on mu) wakes a call
-	// that timed out meanwhile and waits to get its memory back.
+	// receiving is the ID of the call whose destination a conn is
+	// filling (0: none; IDs start at 1). claimDst sets it under mu,
+	// atomically with the call still being pending, and releaseDst
+	// clears it; letGo (on mu) wakes a call that timed out meanwhile and
+	// waits to get its memory back.
 	receiving uint64
 	letGo     sync.Cond
 
@@ -187,8 +187,8 @@ func NewClient(clock simclock.Clock, conn Conn, opts ...ClientOption) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	if tc, ok := conn.(*tcpConn); ok {
-		tc.dst = c.claimDst
+	if dc, ok := conn.(DstConn); ok {
+		dc.SetDsts(c)
 	}
 	clock.Go(c.recvLoop)
 	return c
@@ -210,12 +210,6 @@ func (c *Client) recvLoop() {
 	for {
 		m, err := c.conn.Recv()
 		c.mu.Lock()
-		if c.receiving != 0 {
-			// Recv has returned, so nothing writes into the claimed
-			// destination any more.
-			c.receiving = 0
-			c.letGo.Broadcast()
-		}
 		var p pendingCall
 		var ok bool
 		if err == nil && m.Reply {
@@ -233,10 +227,10 @@ func (c *Client) recvLoop() {
 	}
 }
 
-// claimDst is the TCP conn's destination lookup (tcpConn.dst): the
-// destination of call id when that call is still pending and passed one
-// of exactly n bytes. From the claim until Recv returns, the call's
-// abandon waits before giving the memory back to its caller.
+// claimDst is recvBulk's destination lookup: the destination of call id
+// when that call is still pending and passed one of exactly n bytes.
+// From the claim until releaseDst, the call's abandon waits before
+// giving the memory back to its caller.
 func (c *Client) claimDst(id uint64, n int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -246,6 +240,14 @@ func (c *Client) claimDst(id uint64, n int) []byte {
 	}
 	c.receiving = id
 	return p.dst
+}
+
+// releaseDst ends a claim: nothing writes into the destination any more.
+func (c *Client) releaseDst() {
+	c.mu.Lock()
+	c.receiving = 0
+	c.letGo.Broadcast()
+	c.mu.Unlock()
 }
 
 func (c *Client) failAll() {
@@ -268,17 +270,18 @@ func (c *Client) Call(method string, arg any) (any, error) {
 	return c.CallInto(method, arg, nil)
 }
 
-// CallInto is Call with a destination for the reply's bulk bytes. Over
-// TCP, a reply that is a bulk unit of exactly len(dst) bulk bytes is read
-// from the socket straight into dst, and its body borrows dst instead of
-// owning a pooled buffer; any other reply is received as under Call. The
-// in-memory transport passes bodies by reference and ignores dst.
+// CallInto is Call with a destination for the reply's bulk bytes. A
+// reply that is a bulk unit of exactly len(dst) bulk bytes lands straight
+// in dst, read from the socket or copied at the in-memory Send, and its
+// body borrows dst instead of owning a pooled buffer; any other reply is
+// received as under Call. Only a conn that is a DstConn, or forwards to
+// one, lands replies in dst.
 //
 // dst is the caller's again when CallInto returns, whatever it returns:
 // nothing writes into it afterwards. A call that times out while its
-// reply is streaming into dst closes the connection, which ends the
-// read and fails the client's other calls, waits for the receive loop
-// to let go of dst, and only then returns its timeout.
+// reply is being written into dst closes the connection, which ends the
+// read and fails the client's other calls, waits for the conn to let go
+// of dst, and only then returns its timeout.
 func (c *Client) CallInto(method string, arg any, dst []byte) (any, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -323,8 +326,8 @@ func (c *Client) CallInto(method string, arg any, dst []byte) (any, error) {
 // already hold a reference to it) is dropped by Chan.Send instead of
 // being buffered in a mailbox nobody will ever receive from. Removing
 // the call under mu means no later reply can claim its destination; if
-// one already has, the read is ended by closing the conn and abandon
-// waits for the receive loop to let go, so the caller never gets back
+// one already has, the fill is ended by closing the conn and abandon
+// waits for the conn to let go, so the caller never gets back
 // memory that is still being written.
 func (c *Client) abandon(id uint64) {
 	c.mu.Lock()

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"repro/internal/bufpool"
 )
 
 // Wire protocol: the TCP stream is a sequence of self-delimiting units,
@@ -24,9 +22,8 @@ import (
 // (see frame.go). unitBulk carries a BulkFramer body in two parts: a
 // small head that passes through conn scratch like a fast unit, and the
 // bulk bytes, which Send writes straight from the body's slice and Recv
-// reads straight into the memory the decoded body keeps: the caller's
-// destination for a reply to CallInto, else a pooled buffer. Any other
-// kind, 0x00 included (the retired gob unit), is a protocol error.
+// reads straight into the buffer recvBulk chooses. Any other kind, 0x00
+// included (the retired gob unit), is a protocol error.
 const (
 	unitFast = 0x01
 	unitBulk = 0x02
@@ -112,14 +109,10 @@ type tcpConn struct {
 	// implementations copy what they keep of it.
 	br   *bufio.Reader
 	rbuf []byte
-	// dst, set by the Client that owns the conn before its receive loop
-	// starts, claims the caller's destination for a reply's bulk bytes:
-	// given the reply's message ID and bulk length it returns the slice
-	// to read straight into, or nil for a pooled buffer.
-	dst func(id uint64, n int) []byte
+	dsts *Client // the owning Client (see SetDsts); nil on a server conn
 }
 
-var _ Conn = (*tcpConn)(nil)
+var _ DstConn = (*tcpConn)(nil)
 
 func newTCPConn(c net.Conn) *tcpConn {
 	return &tcpConn{c: c, bw: bufio.NewWriterSize(c, 64<<10), br: bufio.NewReaderSize(c, 64<<10)}
@@ -209,36 +202,9 @@ func (t *tcpConn) Recv() (Message, error) {
 		if err != nil {
 			return Message{}, err
 		}
-		// The bulk goes to the caller's destination when the head's
-		// leading ID names a call that passed one of exactly this
-		// length, else to a pooled buffer. A read this large bypasses
-		// br's buffer, so the socket fills either directly. From here
-		// every failure returns a pooled buffer: the decoded body owns
-		// it only on success.
-		var bulk []byte
-		pooled := false
-		if bn > 0 {
-			if id, ok := replyID(head); ok && t.dst != nil {
-				bulk = t.dst(id, int(bn))
-			}
-			if bulk == nil {
-				bulk, pooled = bufpool.Get(int(bn)), true
-			}
-			if _, err := io.ReadFull(t.br, bulk); err != nil {
-				if pooled {
-					bufpool.Put(bulk)
-				}
-				return Message{}, err
-			}
-		}
-		m, err := decodeBulkUnit(head, bulk, pooled)
-		if err != nil {
-			if pooled {
-				bufpool.Put(bulk)
-			}
-			return Message{}, err
-		}
-		return m, nil
+		// A read this large bypasses br's buffer: the socket fills the
+		// chosen buffer directly.
+		return recvBulk(t.dsts, head, int(bn), t.br)
 	default:
 		return Message{}, fmt.Errorf("transport: unknown unit kind 0x%02x", kind)
 	}
@@ -254,5 +220,8 @@ func (t *tcpConn) readScratch(n uint64) ([]byte, error) {
 	_, err := io.ReadFull(t.br, buf)
 	return buf, err
 }
+
+// SetDsts implements DstConn.
+func (t *tcpConn) SetDsts(c *Client) { t.dsts = c }
 
 func (t *tcpConn) Close() error { return t.c.Close() }

@@ -7,7 +7,8 @@
 //     whole-cluster experiments run under virtual time. Each direction
 //     of a connection is a FIFO link: a message becomes receivable at
 //     max(sent, previous delivery) + latency + transmit time, delivered
-//     by a clock timer rather than a goroutine.
+//     by a clock timer rather than a goroutine. A bulk body's bytes are
+//     copied at Send (see inmem.go).
 //   - The TCP transport runs the same RPC protocol over real sockets,
 //     for live multi-process deployments. Every message is a binary
 //     frame: a small envelope, then the body's hand-written Framer
@@ -114,6 +115,14 @@ type Conn interface {
 	Recv() (Message, error)
 	// Close tears down both directions.
 	Close() error
+}
+
+// DstConn is a Conn that can land a reply's bulk bytes in the
+// destination its call passed to CallInto. NewClient calls SetDsts once,
+// before its receive loop starts; a wrapping conn forwards it.
+type DstConn interface {
+	Conn
+	SetDsts(c *Client)
 }
 
 // Listener accepts inbound connections.
