@@ -63,10 +63,14 @@ golden:
 # tests and the end-to-end chaos scenarios (datanode crash mid-write,
 # namenode partition, master restart mid-migration, seeded replay),
 # twice each and under the race detector — chaos that only passes once
-# is not deterministic.
+# is not deterministic — plus the replica-memory hammer (readers racing
+# deletes and overwrites that recycle replica slots, over TCP, in memory
+# and with reordered replies), whose race build poisons freed slots.
 chaos:
 	$(GO) test -count=2 ./internal/faultnet ./internal/chaos
 	$(GO) test -race -count=1 ./internal/faultnet ./internal/chaos
+	$(GO) test -count=2 -run '^TestReplicaSlotsUnderDeleteAndOverwrite$$' ./internal/dfs/client
+	$(GO) test -race -count=1 -run '^TestReplicaSlotsUnderDeleteAndOverwrite$$' ./internal/dfs/client
 
 # The durability suite on its own (it also runs as part of `make
 # chaos`): the WAL crash-at-every-record sweep, checksum corruption
@@ -87,8 +91,10 @@ chaos-wal:
 # - client: the cached-read allocs/op ceiling; ≤20 allocations and
 #   ≤256 KiB for an uncached 4 MiB TCP block read (a fresh payload per
 #   read would be 4 MiB); ≤1.5x the file allocated by a whole-file read,
-#   over TCP and in memory; ≤2.5x the file allocated by a whole-file
-#   write at replication 2 (the two replicas; a staged copy makes 3x);
+#   over TCP and in memory; ≤1/32 of the file allocated on the heap by
+#   a whole-file write at replication 2 (replicas live in arena slots
+#   outside the heap; heap replicas made 2x, a staged copy 3x); no arena
+#   chunk mapped by a thousand write/delete cycles after warm-up;
 # - namenode: ≥4x less heap per block for the compact block map than
 #   for two maps per block; zero allocations for a replication sweep over
 #   a healthy namespace, full or queued, and no block visited by a queued
@@ -110,7 +116,7 @@ chaos-wal:
 # - dfs: two control RPCs over TCP loopback, both ends counted: ≤14 for
 #   a getLocations-shaped call, ≤7 for a two-command MigrateBatch.
 bench-alloc:
-	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling|TestWriteFileAllocBytesCeiling' -count=1 -v
+	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling|TestWriteFileAllocBytesCeiling|TestReplicaArenaReusesSlots' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs|TestRangedLocationsAllocs' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 	$(GO) test ./internal/ignem -run 'TestTombstonePruneBounded' -count=1 -v

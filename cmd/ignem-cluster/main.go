@@ -114,6 +114,16 @@ func main() {
 	}
 	waitForPins(dns, 0, 10*time.Second)
 	fmt.Println("evicted; pinned memory back to zero")
+	var mem storage.Memory
+	for _, dn := range dns {
+		m := dn.ReplicaMemory()
+		mem.Replicas += m.Replicas
+		mem.Slots += m.Slots
+		mem.Chunks += m.Chunks
+	}
+	// A synthetic file has no bytes, so it takes no replica memory.
+	fmt.Printf("replica memory: %d replicas with bytes in %d arena slots, %d chunks mapped\n",
+		mem.Replicas, mem.Slots, mem.Chunks)
 
 	if *serve {
 		fmt.Printf("\ncluster serving; try:\n  go run ./cmd/ignem-dfs -nn %s ls /\nCtrl-C to stop\n", nnAddr)

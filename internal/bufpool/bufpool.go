@@ -1,5 +1,5 @@
 // Package bufpool provides size-classed []byte reuse for the block
-// data path.
+// data path, and the slot arena that stored replicas live in.
 //
 // Buffers are grouped into power-of-two size classes backed by
 // sync.Pool. Get(n) returns a slice with len == n taken from the
@@ -9,10 +9,15 @@
 // Ownership contract (see DESIGN.md "Wire format & buffer ownership"):
 // a buffer obtained from Get has exactly one owner at a time. Only the
 // sole owner may Put it, and only when no alias to the buffer can
-// still be read. Forgetting to Put is always safe — the buffer is
+// still be read. Forgetting to Put a pooled buffer is safe — it is
 // simply garbage collected. Putting a buffer that is still referenced
 // elsewhere is the one fatal misuse: a later Get may hand the same
 // backing array to an unrelated writer.
+//
+// Arena slots (arena.go) are the opposite case on the first point: their
+// memory is outside the Go heap and the collector never frees it, so
+// every reference to a slot must be released, and a slot's bytes are
+// never Put.
 package bufpool
 
 import "sync"

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/simclock"
+	"repro/internal/storage"
 )
 
 // wallTimeout bounds each scenario's real (not simulated) runtime.
@@ -99,6 +100,39 @@ func checkInvariantReplicaBytes(t *testing.T, h *Harness, path string, want []by
 	}
 }
 
+// checkInvariantReplicaMemory is the arena accounting invariant, the
+// part of "no two replicas share memory" reads cannot see: a replica
+// freed early whose slot a later write takes back reads correctly from
+// both holders. Once traffic has settled, each datanode holds exactly
+// one arena slot per stored replica with bytes, and no two replicas
+// name the same slot; once the datanodes are closed, no slot is held
+// and no chunk is mapped. It closes the datanodes, so a scenario calls
+// it last, after checkInvariantReplicaBytes.
+func checkInvariantReplicaMemory(t *testing.T, v *simclock.Virtual, h *Harness) {
+	t.Helper()
+	settle := func(want string, ok func(storage.Memory) bool) {
+		t.Helper()
+		deadline := v.Now().Add(10 * time.Second)
+		for _, dn := range h.Cluster.DataNodes {
+			for m := dn.ReplicaMemory(); !ok(m); m = dn.ReplicaMemory() {
+				if v.Now().After(deadline) {
+					t.Fatalf("%s replica memory %+v, want %s", dn.Addr(), m, want)
+				}
+				v.Sleep(50 * time.Millisecond)
+			}
+		}
+	}
+	settle("one unshared slot per stored replica", func(m storage.Memory) bool {
+		return m.Shared == 0 && m.Slots == m.Replicas
+	})
+	for _, dn := range h.Cluster.DataNodes {
+		dn.Close()
+	}
+	settle("no slot held and no chunk mapped after Close", func(m storage.Memory) bool {
+		return m.Slots == 0 && m.Chunks == 0
+	})
+}
+
 // A datanode that dies mid-traffic must not lose acked data: every write
 // that succeeded reads back intact, the replication loop restores the
 // target replica count on the survivors, and the revived node rejoins
@@ -173,6 +207,7 @@ func TestDataNodeCrashMidTrafficNoAckedDataLost(t *testing.T) {
 		for i := 0; i < nfiles; i++ {
 			checkInvariantReplicaBytes(t, h, fmt.Sprintf("/chaos/f%d", i), filedata(i, 4*blockSize))
 		}
+		checkInvariantReplicaMemory(t, v, h)
 	})
 }
 
@@ -245,6 +280,7 @@ func TestPartitionedSlaveConvergesAfterHeal(t *testing.T) {
 			return h.Cluster.TotalPinnedBytes() == 0
 		}, "implicit eviction drains pins")
 		checkInvariantReplicaBytes(t, h, "/in", data)
+		checkInvariantReplicaMemory(t, v, h)
 	})
 }
 
@@ -297,6 +333,7 @@ func TestMasterRestartMidMigrationConvergesEndToEnd(t *testing.T) {
 			return h.Cluster.TotalPinnedBytes() == 0
 		}, "eviction drains the new epoch's pins")
 		checkInvariantReplicaBytes(t, h, "/in", data)
+		checkInvariantReplicaMemory(t, v, h)
 	})
 }
 
@@ -456,6 +493,7 @@ func chaosScenario(t *testing.T, seed int64) string {
 		for i := 0; i < 3; i++ {
 			checkInvariantReplicaBytes(t, h, fmt.Sprintf("/det/f%d", i), filedata(i, 2*blockSize))
 		}
+		checkInvariantReplicaMemory(t, v, h)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -545,6 +583,7 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 			return h.Cluster.SlaveStats().PinnedBlocks == 4
 		}, "post-revive migration pins under the new epoch")
 		checkInvariantReplicaBytes(t, h, "/in", data)
+		checkInvariantReplicaMemory(t, v, h)
 	})
 }
 
@@ -608,6 +647,7 @@ func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 			}
 		}
 		checkInvariantReplicaBytes(t, h, "/resync/f0", data)
+		checkInvariantReplicaMemory(t, v, h)
 	})
 }
 
@@ -669,5 +709,6 @@ func TestReconnectAfterMissedEpochConverges(t *testing.T) {
 			t.Fatalf("reconnect path needed %d resync round-trips; the register snapshot should anchor directly", got)
 		}
 		checkInvariantReplicaBytes(t, h, "/epoch/keep", filedata(0, 3*blockSize))
+		checkInvariantReplicaMemory(t, v, h)
 	})
 }

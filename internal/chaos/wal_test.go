@@ -122,6 +122,7 @@ func walScenario(t *testing.T, crashAfter int64) int64 {
 				t.Fatalf("crash at record %d: %d jobs still active after eviction", crashAfter, st.ActiveJobs)
 			}
 			checkInvariantReplicaBytes(t, h, "/in", data)
+			checkInvariantReplicaMemory(t, v, h)
 			appended = be.Appends()
 		})
 	return appended
@@ -379,6 +380,7 @@ func TestWALRetryPumpDeliversThroughOneWayPartition(t *testing.T) {
 				return h.Cluster.TotalPinnedBytes() == 0
 			}, "eviction drains pins")
 			checkInvariantReplicaBytes(t, h, "/in", data)
+			checkInvariantReplicaMemory(t, v, h)
 		})
 }
 
@@ -515,6 +517,7 @@ func ladderScenario(t *testing.T, crashAfter int64) int64 {
 				crashAfter, tiers.RAMUsedBytes, tiers.SSDUsedBytes)
 		}
 		checkInvariantReplicaBytes(t, h, "/in", data)
+		checkInvariantReplicaMemory(t, v, h)
 		appended = be.Appends()
 	})
 	return appended

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/dfs"
 	"repro/internal/ignem"
 	"repro/internal/simclock"
@@ -109,10 +110,10 @@ type DataNode struct {
 
 	hot *hotCache
 
-	// store holds the replica payloads with their write-time checksums;
-	// it has its own lock and never calls back into the datanode, so it
-	// is safe to use both under dn.mu (keeping store and blkPending
-	// updates atomic) and without it.
+	// store holds the replica payloads with their write-time checksums,
+	// in slots of its arena; it has its own lock and never calls back
+	// into the datanode, so it is safe to use both under dn.mu (keeping
+	// store and blkPending updates atomic) and without it.
 	store *storage.ReplicaStore
 
 	mu sync.Mutex
@@ -210,7 +211,9 @@ func (dn *DataNode) Start() error {
 		return fmt.Errorf("datanode: %w", err)
 	}
 	s := transport.NewServer(dn.clock)
-	s.Handle("dn.writeBlock", wrap(dn.handleWriteBlock))
+	// A write's payload is received straight into the slot it is
+	// stored in.
+	s.HandleInto("dn.writeBlock", wrap(dn.handleWriteBlock), dn.store.Alloc)
 	s.Handle("dn.readBlock", wrap(dn.handleReadBlock))
 	s.Handle("dn.deleteBlocks", wrap(dn.handleDeleteBlocks))
 	s.Handle("dn.pullBlock", wrap(dn.handlePullBlock))
@@ -269,7 +272,9 @@ func (dn *DataNode) SSDDevice() *storage.Device { return dn.ssd }
 func (dn *DataNode) Addr() string { return dn.cfg.Addr }
 
 // Close simulates killing the whole datanode process: the server stops,
-// devices fail pending requests, and pinned memory disappears.
+// devices fail pending requests, and pinned memory disappears. The
+// replica memory is unmapped once the last in-flight reader of it is
+// done.
 func (dn *DataNode) Close() {
 	dn.mu.Lock()
 	if dn.closed {
@@ -302,7 +307,13 @@ func (dn *DataNode) Close() {
 	if dn.ssd != nil {
 		dn.ssd.Close()
 	}
+	dn.store.Close()
 }
+
+// ReplicaMemory accounts for the datanode's replica memory: the stored
+// replicas with bytes, the arena slots held and the chunks mapped (see
+// storage.Memory).
+func (dn *DataNode) ReplicaMemory() storage.Memory { return dn.store.Memory() }
 
 // Reconnect re-attaches a datanode whose network died out from under it
 // (listener and connections severed — a faultnet crash) without
@@ -399,10 +410,11 @@ func (dn *DataNode) readForMigration(b dfs.Block, checksum uint32) error {
 	if err := dn.media.Read(b.Size); err != nil {
 		return err
 	}
-	rep, ok := dn.store.Get(b.ID)
+	rep, ok := dn.store.Acquire(b.ID)
 	if !ok {
 		return nil // deleted under us; the epoch/tombstone checks handle it
 	}
+	defer rep.Release()
 	want := checksum
 	if want == 0 {
 		want = rep.Checksum
@@ -456,6 +468,9 @@ func (dn *DataNode) onPinChange(id dfs.BlockID, tier dfs.Tier, pinned bool) {
 // ---- handlers ----
 
 func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp, error) {
+	if s := req.Slot(); s != nil {
+		defer s.Release()
+	}
 	size := req.Block.Size
 	if len(req.Data) > 0 {
 		size = int64(len(req.Data))
@@ -487,9 +502,11 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 		wg.Go(func() { fwdErr = dn.forward(req) })
 	}
 
-	// The pipeline forward shares req.Data read-only while the store
-	// adopts it; the store never mutates payloads, so that alias is safe.
-	err := dn.land(req.Block.ID, size, req.Data, sum)
+	// The forward reads the payload while the store takes it; neither
+	// writes it. The request's own slot reference, released only after
+	// the forward's Call returned, keeps the bytes for the forward even
+	// if a delete drops the stored replica meanwhile.
+	err := dn.land(req.Block.ID, size, req.Data, req.Slot(), sum)
 	if wg != nil {
 		wg.Wait()
 	}
@@ -501,18 +518,28 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 
 // land stores a received replica, charged at RAM speed: writes land in
 // the buffer cache (the paper: "the buffer cache can absorb writes").
-// The store adopts data, the pooled buffer the transport received it
-// into, and never returns it to the pool: deletion lets the GC have it.
-func (dn *DataNode) land(id dfs.BlockID, size int64, data []byte, sum uint32) error {
+// slot is the slot the transport received data into, when it could
+// choose one; the store takes its own reference to it and the caller
+// keeps and releases its own. Bytes that arrived anywhere else (through
+// a conn wrapper that does not forward SetDsts, or in a direct call)
+// are copied into a fresh slot. A synthetic block (no data) takes none.
+func (dn *DataNode) land(id dfs.BlockID, size int64, data []byte, slot *bufpool.Slot, sum uint32) error {
 	if err := dn.ram.Write(size); err != nil {
 		return err
+	}
+	if slot == nil && len(data) > 0 {
+		if slot = dn.store.Alloc(len(data)); slot == nil {
+			return fmt.Errorf("datanode: closed")
+		}
+		defer slot.Release()
+		copy(slot.Bytes(), data)
 	}
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
 	if dn.closed {
 		return fmt.Errorf("datanode: closed")
 	}
-	dn.store.Put(id, size, data, sum)
+	dn.store.Put(id, size, slot, sum)
 	dn.blkPending[id] = true
 	return nil
 }
@@ -537,11 +564,23 @@ func (dn *DataNode) forward(req dfs.WriteBlockReq) error {
 	return nil
 }
 
+// handleReadBlock serves a stored replica straight from its slot. The
+// response holds a reference to the slot, which the transport server
+// releases once the reply is sent; every failure releases it here.
 func (dn *DataNode) handleReadBlock(req dfs.ReadBlockReq) (dfs.ReadBlockResp, error) {
-	sb, ok := dn.store.Get(req.Block)
+	sb, ok := dn.store.Acquire(req.Block)
 	if !ok {
 		return dfs.ReadBlockResp{}, fmt.Errorf("datanode: no block %d on %s", req.Block, dn.cfg.Addr)
 	}
+	resp, err := dn.serve(req, sb)
+	if err != nil {
+		sb.Release()
+	}
+	return resp, err
+}
+
+// serve is handleReadBlock once the replica is acquired.
+func (dn *DataNode) serve(req dfs.ReadBlockReq, sb storage.Replica) (dfs.ReadBlockResp, error) {
 	// Every served byte is verified once, by the last party that can. A
 	// reader that checks the bytes end to end (ReaderVerifies) is that
 	// party, and asks for dn.verifyBlock if they fail. For any other
@@ -585,7 +624,9 @@ func (dn *DataNode) handleReadBlock(req dfs.ReadBlockReq) (dfs.ReadBlockResp, er
 	dn.mu.Lock()
 	dn.readsByMe++
 	dn.mu.Unlock()
-	return dfs.ReadBlockResp{Data: sb.Data, Size: sb.Size, FromMemory: fromMemory, Local: req.Local}, nil
+	resp := dfs.ReadBlockResp{Data: sb.Data, Size: sb.Size, FromMemory: fromMemory, Local: req.Local}
+	resp.HoldSlot(sb.Slot)
+	return resp, nil
 }
 
 // handleVerifyBlock is the holder's second opinion on one replica, asked
@@ -598,9 +639,11 @@ func (dn *DataNode) handleVerifyBlock(req dfs.VerifyBlockReq) (dfs.VerifyBlockRe
 }
 
 // handlePullBlock fetches a replica from a peer datanode and stores it
-// locally — the receiving end of namenode-driven re-replication.
+// locally — the receiving end of namenode-driven re-replication. The
+// reply's payload is received straight into a slot of this datanode's
+// store; a synthetic block's reply has none and takes no slot.
 func (dn *DataNode) handlePullBlock(req dfs.PullBlockReq) (dfs.PullBlockResp, error) {
-	if _, have := dn.store.Get(req.Block.ID); have {
+	if dn.store.Has(req.Block.ID) {
 		return dfs.PullBlockResp{}, nil // already hold a replica
 	}
 
@@ -608,17 +651,19 @@ func (dn *DataNode) handlePullBlock(req dfs.PullBlockReq) (dfs.PullBlockResp, er
 	if err != nil {
 		return dfs.PullBlockResp{}, err
 	}
-	resp, err := transport.Call[dfs.ReadBlockResp](peer, "dn.readBlock", dfs.ReadBlockReq{Block: req.Block.ID})
+	resp, err := transport.CallIntoSlot[dfs.ReadBlockResp](peer, "dn.readBlock",
+		dfs.ReadBlockReq{Block: req.Block.ID}, dn.store.Alloc)
 	if err != nil {
 		return dfs.PullBlockResp{}, fmt.Errorf("datanode: pull block %d from %s: %w", req.Block.ID, req.From, err)
 	}
+	defer resp.Release()
 	size := resp.Size
 	if len(resp.Data) > 0 {
 		size = int64(len(resp.Data))
 	}
 	// The checksum is recomputed from the received bytes: the peer
 	// verified them before serving, so a later mismatch is our own rot.
-	if err := dn.land(req.Block.ID, size, resp.Data, dfs.Checksum(resp.Data)); err != nil {
+	if err := dn.land(req.Block.ID, size, resp.Data, resp.Slot(), dfs.Checksum(resp.Data)); err != nil {
 		return dfs.PullBlockResp{}, err
 	}
 	return dfs.PullBlockResp{}, nil
@@ -948,8 +993,12 @@ func (dn *DataNode) scrubOnce() {
 // (synthetic) and unchecksummed replicas have nothing to verify and are
 // skipped without charging the device. The error is the device's.
 func (dn *DataNode) verifyReplica(id dfs.BlockID) error {
-	rep, ok := dn.store.Get(id)
-	if !ok || len(rep.Data) == 0 || rep.Checksum == 0 {
+	rep, ok := dn.store.Acquire(id)
+	if !ok {
+		return nil
+	}
+	defer rep.Release()
+	if len(rep.Data) == 0 || rep.Checksum == 0 {
 		return nil
 	}
 	if err := dn.media.Read(rep.Size); err != nil {

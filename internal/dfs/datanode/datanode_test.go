@@ -283,11 +283,13 @@ func TestPulledReplicaSharesNoMemoryWithSource(t *testing.T) {
 		if _, err := dst.handlePullBlock(dfs.PullBlockReq{Block: block, From: "src"}); err != nil {
 			t.Fatalf("pull: %v", err)
 		}
-		from, _ := src.store.Get(1)
-		got, ok := dst.store.Get(1)
+		from, _ := src.store.Acquire(1)
+		defer from.Release()
+		got, ok := dst.store.Acquire(1)
 		if !ok || !bytes.Equal(got.Data, want) {
 			t.Fatal("pulled replica missing or corrupt")
 		}
+		defer got.Release()
 		if sharesMemory(got.Data, from.Data) {
 			t.Fatal("the pulled replica is the source's replica: the puller stored a peer's memory")
 		}

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/transport"
 )
 
@@ -398,7 +399,16 @@ type WriteBlockReq struct {
 	// payload against it before storing, so a corruption anywhere on
 	// the write path fails the write instead of persisting silently.
 	Checksum uint32
+
+	// slot is the replica slot Data lies in when the request holds a
+	// reference to one: a datanode receives a write straight into the
+	// slot its store keeps. Set only by the frame decoder.
+	slot *bufpool.Slot
 }
+
+// Slot implements transport.SlotHolder: the slot Data lies in when the
+// request holds a reference to one, and nil otherwise.
+func (r WriteBlockReq) Slot() *bufpool.Slot { return r.slot }
 
 // WireSize charges the network for the payload.
 func (r WriteBlockReq) WireSize() int64 {
@@ -435,10 +445,24 @@ type ReadBlockResp struct {
 	FromMemory bool
 	Local      bool
 
+	// slot is the replica slot Data lies in when the response holds a
+	// reference to one: a datanode serves its stored slot (HoldSlot),
+	// and the transport server releases the reference once the reply is
+	// sent; a pull receives into a slot of its own (the frame decoder).
+	slot *bufpool.Slot
+
 	// pooled marks Data as a bufpool buffer owned by the holder; set
 	// only by the frame decoders (see frame.go).
 	pooled bool
 }
+
+// HoldSlot records that Data lies in s and hands the response the
+// caller's reference to it.
+func (r *ReadBlockResp) HoldSlot(s *bufpool.Slot) { r.slot = s }
+
+// Slot implements transport.SlotHolder: the slot Data lies in when the
+// response holds a reference to one, and nil otherwise.
+func (r ReadBlockResp) Slot() *bufpool.Slot { return r.slot }
 
 // WireSize charges the network for remote bulk reads only.
 func (r ReadBlockResp) WireSize() int64 {

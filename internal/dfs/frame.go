@@ -22,13 +22,14 @@ import (
 // WriteBlockReq and ReadBlockResp carry multi-megabyte payloads and
 // travel as bulk units (transport.BulkFramer): a head with every field
 // but Data, then Data, which the receiving transport lands in a bufpool
-// buffer, or in the caller's CallInto destination for a ReadBlockResp.
-// The datanode pipeline forward re-sends a WriteBlockReq with a
-// shortened Pipeline, so it rides the same path. A decoded struct owns
-// its pooled Data (only a ReadBlockResp may borrow a destination
-// instead, and Pooled says which); its sole owner calls Release once, or
-// keeps the buffer forever (the datanode store does). Forgetting to
-// Release is safe; releasing twice or while aliases remain is not.
+// buffer, in a datanode's replica slot (a write or a pull), or in
+// the caller's CallInto destination for a ReadBlockResp. The datanode
+// pipeline forward re-sends a WriteBlockReq with a shortened Pipeline,
+// so it rides the same path. A decoded struct owns its pooled Data or
+// holds one reference to its slot (a ReadBlockResp may borrow a
+// destination instead, and Pooled says which); its sole holder calls
+// Release once. Forgetting to Release pooled Data is safe, a slot
+// reference is not; releasing twice or while aliases remain never is.
 // DecodeFrame copies Data out of its argument.
 
 var errShortFrame = errors.New("dfs: malformed frame")
@@ -325,15 +326,16 @@ func (r *WriteBlockReq) readHead(fr *frameReader) {
 }
 
 // DecodeHead implements transport.BulkFramer. A write request is a
-// call, so its bulk is a pooled buffer, which this struct now owns: the
-// datanode's store adopts it.
-func (r *WriteBlockReq) DecodeHead(head, bulk []byte, _ bool) error {
+// call, so its bulk is a slot the datanode's server chose, of which
+// this struct now holds a reference, or else a pooled buffer, which it
+// owns.
+func (r *WriteBlockReq) DecodeHead(head []byte, bulk transport.Bulk) error {
 	fr := frameReader{b: head}
 	r.readHead(&fr)
 	if err := fr.done(); err != nil {
 		return err
 	}
-	r.Data = bulk
+	r.Data, r.slot = bulk.Data, bulk.Slot
 	return nil
 }
 
@@ -350,11 +352,16 @@ func (r *WriteBlockReq) DecodeFrame(frame []byte) error {
 	return nil
 }
 
-// Release returns a decoded request's pooled Data buffer to the pool.
-// Only the sole owner may call it, and only once.
+// Release gives a decoded request's payload back: its slot reference,
+// or its pooled Data buffer. Only the sole holder may call it, and only
+// once.
 func (r *WriteBlockReq) Release() {
-	bufpool.Put(r.Data)
-	r.Data = nil
+	if r.slot != nil {
+		r.slot.Release()
+	} else {
+		bufpool.Put(r.Data)
+	}
+	r.Data, r.slot = nil, nil
 }
 
 // ---- ReadBlockReq ----
@@ -426,17 +433,18 @@ func (r *ReadBlockResp) readHead(fr *frameReader) {
 }
 
 // DecodeHead implements transport.BulkFramer. A pooled bulk is a
-// buffer this struct now owns; the sole owner must eventually call
-// Release. A bulk that is not pooled is the destination the caller
-// passed to transport.CallInto: Data borrows it, Pooled reports false
-// and Release leaves it alone.
-func (r *ReadBlockResp) DecodeHead(head, bulk []byte, pooled bool) error {
+// buffer this struct now owns, and a slot one it holds a reference to
+// (transport.CallIntoSlot); the sole holder must eventually call
+// Release. A bulk in neither is the destination the caller passed to
+// transport.CallInto: Data borrows it, Pooled reports false and Release
+// leaves it alone.
+func (r *ReadBlockResp) DecodeHead(head []byte, bulk transport.Bulk) error {
 	fr := frameReader{b: head}
 	r.readHead(&fr)
 	if err := fr.done(); err != nil {
 		return err
 	}
-	r.Data, r.pooled = bulk, pooled && bulk != nil
+	r.Data, r.slot, r.pooled = bulk.Data, bulk.Slot, bulk.Pooled && bulk.Data != nil
 	return nil
 }
 
@@ -458,15 +466,20 @@ func (r *ReadBlockResp) DecodeFrame(frame []byte) error {
 // (set only by the TCP fast-path decode).
 func (r *ReadBlockResp) Pooled() bool { return r.pooled }
 
-// Release returns a pooled Data buffer to the pool and clears the
-// struct's claim on it. Only the sole owner may call it, and only once;
-// it is a no-op for non-pooled payloads.
+// Release gives back what the struct holds of its payload: the slot
+// reference, or the pooled Data buffer, and clears its claim on it.
+// Only the sole holder may call it, and only once; it is a no-op for a
+// borrowed payload.
 func (r *ReadBlockResp) Release() {
-	if r.pooled {
+	switch {
+	case r.slot != nil:
+		r.slot.Release()
+	case r.pooled:
 		bufpool.Put(r.Data)
-		r.Data = nil
-		r.pooled = false
+	default:
+		return
 	}
+	r.Data, r.slot, r.pooled = nil, nil, false
 }
 
 // ---- control-plane report frames ----

@@ -3,8 +3,8 @@
 // and hands out per-node views via Node; every connection made through a
 // view is subject to the fabric's link rules and crash schedule:
 //
-//   - per-link (directed) message drop probability, fixed delay, and
-//     hard blocks (asymmetric partitions),
+//   - per-link (directed) message drop probability, fixed delay,
+//     reordering, and hard blocks (asymmetric partitions),
 //   - one-shot and clock-scheduled node crashes that close the node's
 //     listeners and every connection touching it,
 //   - Revive + Heal to bring nodes and links back.
@@ -23,7 +23,11 @@
 // Dial applies rule(from→to) to outgoing messages and rule(to→from) to
 // incoming ones, so both directions of an asymmetric partition work
 // without the server knowing who dialed. Connections handed out by a
-// wrapped listener pass messages through untouched; they are only
+// wrapped listener pass messages through untouched, with one exception:
+// they reorder the replies they send by rule(listener→dialer), which
+// the dialing side cannot do, since a reply reaches it already sent.
+// They learn the dialing node from the order of dials (every dial of a
+// fabric-served address must go through the fabric for that), and are
 // tracked so a crash of the listening node kills them.
 //
 // Deviation from the transport.Conn contract: Send on a delayed link
@@ -37,6 +41,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sync"
 	"time"
 
@@ -60,6 +65,13 @@ type Fabric struct {
 	conns     map[string]map[*faultConn]struct{}     // node -> conns touching it
 	dialSeq   map[linkKey]uint64
 	events    []string
+
+	// dialing queues, per dialed address, the nodes whose dials its
+	// listener has not yet accepted, in dial order: an accepted conn's
+	// peer is the head. dialMu is held across each base Dial, so the
+	// base network accepts in the same order.
+	dialMu  sync.Mutex
+	dialing map[string][]string
 }
 
 type linkKey struct{ from, to string }
@@ -87,6 +99,7 @@ func New(clock simclock.Clock, base transport.Network, seed int64) *Fabric {
 		listeners: make(map[string]map[*faultListener]struct{}),
 		conns:     make(map[string]map[*faultConn]struct{}),
 		dialSeq:   make(map[linkKey]uint64),
+		dialing:   make(map[string][]string),
 	}
 }
 
@@ -129,8 +142,10 @@ func (f *Fabric) SetDelay(from, to string, d time.Duration) {
 // connection's seeded send rng, so keep reordered links single-sender
 // — plus a per-message nanosecond skew that keeps release deadlines
 // unique, making the delivery order a pure function of the seed.
-// Reordering applies to the dialing side's outgoing messages only
-// (requests on client→server links); replies ride back untouched.
+// Reordering applies to the dialing side's outgoing messages (requests
+// on client→server links) and to the replies a listening side sends
+// (server→client links). A held message carries a copy of its bulk
+// bytes, as a wire would.
 func (f *Fabric) SetReorder(from, to string, window int) {
 	if window < 0 {
 		window = 0
@@ -375,7 +390,14 @@ func (n *nodeNet) Dial(addr string) (transport.Conn, error) {
 	f.dialSeq[key] = seq + 1
 	f.mu.Unlock()
 
+	f.dialMu.Lock()
+	f.dialing[addr] = append(f.dialing[addr], n.node)
 	inner, err := f.base.Dial(addr)
+	if err != nil {
+		q := f.dialing[addr]
+		f.dialing[addr] = q[:len(q)-1]
+	}
+	f.dialMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -403,16 +425,38 @@ type faultListener struct {
 	closeOnce sync.Once
 }
 
-var _ transport.Listener = (*faultListener)(nil)
+var _ transport.DstListener = (*faultListener)(nil)
+
+// SetDsts forwards to the inner listener, so a server's conns still
+// land bulk bytes where it chooses.
+func (l *faultListener) SetDsts(d transport.Dsts) {
+	if dl, ok := l.inner.(transport.DstListener); ok {
+		dl.SetDsts(d)
+	}
+}
 
 func (l *faultListener) Accept() (transport.Conn, error) {
 	inner, err := l.inner.Accept()
 	if err != nil {
 		return nil, err
 	}
-	c := &faultConn{f: l.f, from: l.node, inner: inner}
+	c := &faultConn{f: l.f, from: l.node, inner: inner, peer: l.f.acceptedFrom(l.inner.Addr())}
+	c.sendRNG = l.f.linkRNG(c.from, c.peer, 0, "reply")
 	l.f.register(c)
 	return c, nil
+}
+
+// acceptedFrom pops the node whose dial of addr was accepted next; ""
+// when no dial through the fabric is waiting.
+func (f *Fabric) acceptedFrom(addr string) string {
+	f.dialMu.Lock()
+	defer f.dialMu.Unlock()
+	q := f.dialing[addr]
+	if len(q) == 0 {
+		return ""
+	}
+	f.dialing[addr] = q[1:]
+	return q[0]
 }
 
 func (l *faultListener) Close() error {
@@ -420,17 +464,46 @@ func (l *faultListener) Close() error {
 		l.f.mu.Lock()
 		delete(l.f.listeners[l.node], l)
 		l.f.mu.Unlock()
+		// Dials it never accepted must not name the peers of a later
+		// listener at the same address.
+		l.f.dialMu.Lock()
+		delete(l.f.dialing, l.inner.Addr())
+		l.f.dialMu.Unlock()
 	})
 	return l.inner.Close()
 }
 
 func (l *faultListener) Addr() string { return l.inner.Addr() }
 
+// detach gives a message whose body carries bulk bytes (a block payload,
+// transport.BulkFramer) a copy of them, by a round trip through the
+// body's frame codec, whose decoder copies the payload out of the frame.
+// Other messages are left as they are.
+func detach(m *transport.Message) error {
+	if m.Body == nil {
+		return nil
+	}
+	t := reflect.TypeOf(m.Body)
+	v := reflect.New(t)
+	v.Elem().Set(reflect.ValueOf(m.Body))
+	bf, ok := v.Interface().(transport.BulkFramer)
+	if !ok || len(bf.Bulk()) == 0 {
+		return nil
+	}
+	cp := reflect.New(t)
+	if err := cp.Interface().(transport.Framer).DecodeFrame(bf.AppendFrame(nil)); err != nil {
+		return fmt.Errorf("faultnet: copy %T: %w", m.Body, err)
+	}
+	m.Body = cp.Elem().Interface()
+	return nil
+}
+
 // faultConn applies the fabric's link rules around an inner connection.
 type faultConn struct {
 	f     *Fabric
 	from  string
-	to    string // empty on accepted conns (peer unknown)
+	to    string // empty on accepted conns
+	peer  string // on an accepted conn: the dialing node, if known
 	inner transport.Conn
 	ruled bool
 
@@ -445,15 +518,21 @@ type faultConn struct {
 
 var _ transport.DstConn = (*faultConn)(nil)
 
-// SetDsts forwards to the inner conn, so replies still reach their dsts.
-func (c *faultConn) SetDsts(cl *transport.Client) {
+// SetDsts forwards to the inner conn, so bulk bytes still land where
+// the receiving end chooses.
+func (c *faultConn) SetDsts(d transport.Dsts) {
 	if dc, ok := c.inner.(transport.DstConn); ok {
-		dc.SetDsts(cl)
+		dc.SetDsts(d)
 	}
 }
 
 func (c *faultConn) Send(m transport.Message) error {
 	if !c.ruled {
+		if c.peer != "" {
+			if r := c.f.ruleFor(c.from, c.peer); r.reorder > 1 {
+				return c.hold(m, r, c.peer)
+			}
+		}
 		return c.inner.Send(m)
 	}
 	r := c.f.ruleFor(c.from, c.to)
@@ -471,29 +550,41 @@ func (c *faultConn) Send(m transport.Message) error {
 		}
 	}
 	if r.reorder > 1 {
-		c.sendMu.Lock()
-		seq := c.sendSeq
-		c.sendSeq++
-		slot := c.sendRNG.Intn(r.reorder)
-		c.sendMu.Unlock()
-		// Distinct deadlines (the nanosecond skew never crosses a
-		// millisecond slot boundary) make the virtual clock's wake order
-		// — and thus the delivery order — a pure function of the seed.
-		hold := r.delay + time.Duration(slot)*time.Millisecond +
-			time.Duration(seq%1000)*time.Nanosecond
-		c.f.logf("reorder %s->%s method=%q id=%d slot=%d", c.from, c.to, m.Method, m.ID, slot)
-		c.f.clock.Go(func() {
-			c.f.clock.Sleep(hold)
-			// A release racing the connection's death is a lost message,
-			// exactly like a send into a crash.
-			_ = c.inner.Send(m)
-		})
-		return nil
+		return c.hold(m, r, c.to)
 	}
 	if r.delay > 0 {
 		c.f.clock.Sleep(r.delay)
 	}
 	return c.inner.Send(m)
+}
+
+// hold sends m to the inner conn later, after a seeded slot of the
+// reorder window r.
+func (c *faultConn) hold(m transport.Message, r linkRule, to string) error {
+	c.sendMu.Lock()
+	seq := c.sendSeq
+	c.sendSeq++
+	slot := c.sendRNG.Intn(r.reorder)
+	c.sendMu.Unlock()
+	// Distinct deadlines (the nanosecond skew never crosses a
+	// millisecond slot boundary) make the virtual clock's wake order
+	// — and thus the delivery order — a pure function of the seed.
+	hold := r.delay + time.Duration(slot)*time.Millisecond +
+		time.Duration(seq%1000)*time.Nanosecond
+	c.f.logf("reorder %s->%s method=%q id=%d slot=%d", c.from, to, m.Method, m.ID, slot)
+	// The message is sent after this Send returned, when the sender may
+	// have reused its memory (a datanode recycles a replica's slot), so
+	// the held message carries a copy of its bytes.
+	if err := detach(&m); err != nil {
+		return err
+	}
+	c.f.clock.Go(func() {
+		c.f.clock.Sleep(hold)
+		// A release racing the connection's death is a lost message,
+		// exactly like a send into a crash.
+		_ = c.inner.Send(m)
+	})
+	return nil
 }
 
 func (c *faultConn) Recv() (transport.Message, error) {

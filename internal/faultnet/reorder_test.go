@@ -1,11 +1,13 @@
 package faultnet
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dfs"
 	"repro/internal/simclock"
 	"repro/internal/transport"
 )
@@ -146,5 +148,68 @@ func TestSetReorderDisabled(t *testing.T) {
 				t.Fatalf("window %d reordered: %v", window, got)
 			}
 		}
+	}
+}
+
+// A listening side reorders the replies it sends by rule(listener →
+// dialer). A held reply carries a copy of its bulk bytes taken at Send:
+// the sender here refills one buffer for every reply, as a datanode
+// reuses a replica's slot once the serve's Send returned, and every
+// reply must still arrive with the bytes it was sent with.
+func TestSetReorderHoldsRepliesWithTheirOwnBytes(t *testing.T) {
+	const n, window, size = 16, 8, 1024
+	v := simclock.NewVirtual(epoch)
+	fab := New(v, transport.NewInmemNetwork(v), 42)
+	var got []transport.Message
+	v.Run(func() {
+		l, err := fab.Node("srv").Listen("srv")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		fab.SetReorder("srv", "cli", window)
+		c, err := fab.Node("cli").Dial("srv")
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		sc, err := l.Accept()
+		if err != nil {
+			t.Fatalf("Accept: %v", err)
+		}
+		buf := make([]byte, size)
+		for i := 0; i < n; i++ {
+			for k := range buf {
+				buf[k] = byte(i)
+			}
+			if err := sc.Send(transport.Message{ID: uint64(i + 1), Reply: true,
+				Body: dfs.ReadBlockResp{Data: buf, Size: size}}); err != nil {
+				t.Fatalf("Send %d: %v", i, err)
+			}
+			v.Sleep(time.Millisecond)
+		}
+		for k := range buf {
+			buf[k] = 0xFF
+		}
+		for i := 0; i < n; i++ {
+			m, err := c.Recv()
+			if err != nil {
+				t.Fatalf("Recv %d: %v", i, err)
+			}
+			got = append(got, m)
+		}
+		c.Close()
+		l.Close()
+	})
+	permuted := false
+	for i, m := range got {
+		if m.ID != uint64(i+1) {
+			permuted = true
+		}
+		want := bytes.Repeat([]byte{byte(m.ID - 1)}, size)
+		if data := m.Body.(dfs.ReadBlockResp).Data; !bytes.Equal(data, want) {
+			t.Fatalf("reply %d arrived with another reply's bytes", m.ID)
+		}
+	}
+	if !permuted {
+		t.Fatalf("window %d left the replies in order", window)
 	}
 }

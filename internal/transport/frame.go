@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bufpool"
 )
@@ -33,9 +35,9 @@ type Framer interface {
 // BulkFramer is a Framer whose frame ends in one bulk byte string — a
 // block payload. Such a body travels as a bulk unit: the head and the
 // bulk bytes are framed separately, and recvBulk lands the bulk bytes
-// in the buffer the decoded body will own or borrow, read from the
-// socket (tcp.go) or copied at the in-memory Send (inmem.go). Bulk
-// bytes are never staged in conn scratch.
+// in the memory the decoded body will own, hold a slot reference to, or
+// borrow, read from the socket (tcp.go) or copied at the in-memory Send
+// (inmem.go). Bulk bytes are never staged in conn scratch.
 //
 // AppendHead appends every field except the bulk bytes, and Bulk returns
 // those bytes; the transport only reads them, and only until Send
@@ -43,19 +45,53 @@ type Framer interface {
 // a uvarint-length-prefixed byte string, so there is one field layout.
 //
 // DecodeHead parses a head produced by AppendHead, with nothing left
-// over, and adopts bulk as the body's payload. bulk is nil for an empty
-// payload; otherwise the transport filled it, and pooled says whose
-// memory it is. A pooled bulk is a bufpool buffer: on a nil return the
-// body owns it, and its eventual sole holder returns it to the pool or
-// keeps it forever; on an error the transport still owns it and
-// returns it. A bulk that is not pooled is the destination a caller
-// passed to CallInto: the body only borrows it and must never return it
-// to the pool. head is receive scratch, as in DecodeFrame.
+// over, and adopts bulk as the body's payload: on a nil return the body
+// holds what bulk says (see Bulk); on an error the transport still does
+// and gives it back. bulk.Data is nil for an empty payload. head is
+// receive scratch, as in DecodeFrame.
 type BulkFramer interface {
 	Framer
 	AppendHead(buf []byte) []byte
 	Bulk() []byte
-	DecodeHead(head, bulk []byte, pooled bool) error
+	DecodeHead(head []byte, bulk Bulk) error
+}
+
+// Bulk is a received bulk unit's payload and who holds its memory. Data
+// in neither a slot nor the pool is borrowed: the destination a caller
+// passed to CallInto, which the body must never give away.
+type Bulk struct {
+	Data []byte
+	// Slot is the arena slot Data lies in, of which the body holds one
+	// reference (see SlotHolder).
+	Slot *bufpool.Slot
+	// Pooled marks Data as a bufpool buffer the body owns: its eventual
+	// sole holder puts it back, or forgets it for the collector.
+	Pooled bool
+}
+
+// SlotHolder is a body that may hold a reference to the arena slot its
+// bulk bytes lie in. Its holder releases the reference; a Server does
+// so for a reply once the reply's Send returned, and a Client for a
+// reply that no call takes.
+type SlotHolder interface {
+	Slot() *bufpool.Slot
+}
+
+// inSlot lands bulk bytes in slot; a nil slot leaves them pooled.
+func inSlot(slot *bufpool.Slot) Bulk {
+	if slot == nil {
+		return Bulk{}
+	}
+	return Bulk{Data: slot.Bytes(), Slot: slot}
+}
+
+// drop gives back what a body that was never decoded would have held.
+func (b Bulk) drop() {
+	if b.Slot != nil {
+		b.Slot.Release()
+	} else if b.Pooled {
+		bufpool.Put(b.Data)
+	}
 }
 
 // framerInfo is one registered body type. The bulk and head functions
@@ -66,7 +102,7 @@ type framerInfo struct {
 	decode     func(payload []byte) (any, error)
 	bulk       func(body any) []byte
 	encodeHead func(body any, buf []byte) (head, bulk []byte)
-	decodeHead func(head, bulk []byte, pooled bool) (any, error)
+	decodeHead func(head []byte, bulk Bulk) (any, error)
 }
 
 // nilBody is the codec of a message without a body (an error reply): an
@@ -81,11 +117,26 @@ var nilBody = &framerInfo{
 	},
 }
 
+// framerTables are the registered codecs by Go type and by wire name.
+// A published table is never written again: registration copies it,
+// adds the type and publishes the copy, so a lookup (on every Send and
+// every TCP receive) takes no lock.
+type framerTables struct {
+	byType map[reflect.Type]*framerInfo
+	byName map[string]*framerInfo
+}
+
 var (
-	framerMu     sync.RWMutex
-	framerByType = map[reflect.Type]*framerInfo{}
-	framerByName = map[string]*framerInfo{"": nilBody}
+	framerMu sync.Mutex // serialises registrations
+	framers  atomic.Pointer[framerTables]
 )
+
+func init() {
+	framers.Store(&framerTables{
+		byType: map[reflect.Type]*framerInfo{},
+		byName: map[string]*framerInfo{"": nilBody},
+	})
+}
 
 // RegisterFramer registers T as a body type for the TCP transport. *T
 // must implement Framer; message bodies carry T by value. Call it once
@@ -145,9 +196,9 @@ func RegisterFramer[T any, PT interface {
 			giveBack(p)
 			return buf, bulk
 		}
-		info.decodeHead = func(head, bulk []byte, pooled bool) (any, error) {
+		info.decodeHead = func(head []byte, bulk Bulk) (any, error) {
 			var v T
-			if err := any(PT(&v)).(BulkFramer).DecodeHead(head, bulk, pooled); err != nil {
+			if err := any(PT(&v)).(BulkFramer).DecodeHead(head, bulk); err != nil {
 				return nil, err
 			}
 			return v, nil
@@ -155,16 +206,19 @@ func RegisterFramer[T any, PT interface {
 	}
 	framerMu.Lock()
 	defer framerMu.Unlock()
-	if _, ok := framerByType[t]; ok {
+	old := framers.Load()
+	if _, ok := old.byType[t]; ok {
 		// Same type re-registered: keep the existing entry so name
 		// lookups stay stable.
 		return
 	}
-	if _, ok := framerByName[info.name]; ok {
+	if _, ok := old.byName[info.name]; ok {
 		panic(fmt.Sprintf("transport: duplicate framer name %q", info.name))
 	}
-	framerByType[t] = info
-	framerByName[info.name] = info
+	next := &framerTables{byType: maps.Clone(old.byType), byName: maps.Clone(old.byName)}
+	next.byType[t] = info
+	next.byName[info.name] = info
+	framers.Store(next)
 }
 
 // lookupFramer returns the codec for a message body, if one is
@@ -173,9 +227,7 @@ func lookupFramer(body any) (*framerInfo, bool) {
 	if body == nil {
 		return nilBody, true
 	}
-	framerMu.RLock()
-	fi, ok := framerByType[reflect.TypeOf(body)]
-	framerMu.RUnlock()
+	fi, ok := framers.Load().byType[reflect.TypeOf(body)]
 	return fi, ok
 }
 
@@ -183,9 +235,7 @@ func lookupFramer(body any) (*framerInfo, bool) {
 // raw frame bytes so the map index's string conversion stays on the
 // stack (a string(name) argument would heap-allocate per message).
 func lookupFramerByName(name []byte) (*framerInfo, bool) {
-	framerMu.RLock()
-	fi, ok := framerByName[string(name)]
-	framerMu.RUnlock()
+	fi, ok := framers.Load().byName[string(name)]
 	return fi, ok
 }
 
@@ -347,54 +397,71 @@ func decodeFastUnitPayload(payload []byte) (Message, error) {
 	return m, nil
 }
 
-// replyID reads the message ID off the front of a bulk unit's head when
-// its flags mark a reply: the part of decodeEnvelope the receive path
-// needs before it chooses where the bulk bytes go. The whole head is
-// decoded, and checked, only after the bulk is read.
-func replyID(head []byte) (uint64, bool) {
+// peekHead reads the message ID, the reply flag and the method off the
+// front of a bulk unit's head: the part of decodeEnvelope the receive
+// path needs before it chooses where the bulk bytes go. The whole head
+// is decoded, and checked, only after the bulk is read.
+func peekHead(head []byte) (id uint64, reply bool, method []byte, ok bool) {
 	id, rest, err := uvarint(head)
-	if err != nil || len(rest) == 0 || rest[0]&fastFlagReply == 0 {
-		return 0, false
+	if err != nil || len(rest) == 0 {
+		return 0, false, nil, false
 	}
-	return id, true
+	reply = rest[0]&fastFlagReply != 0
+	if method, _, err = uvarintBytes(rest[1:]); err != nil {
+		return 0, false, nil, false
+	}
+	return id, reply, method, true
+}
+
+// Dsts chooses where a receiving conn lands the bulk bytes of a message:
+// a Client lands a reply in the destination its call passed to CallInto
+// or in a slot CallIntoSlot allocates, and a Server lands a call to a
+// HandleInto method in a fresh slot. A Client hands itself to its conn
+// (DstConn), a Server to its listener (DstListener).
+type Dsts interface {
+	// claimDst returns where the n bulk bytes of the unit whose head
+	// starts with id, reply and method land, or a Bulk without Data for
+	// a pooled buffer. A borrowed destination (a Client's; not a slot)
+	// stays claimed until the Client's releaseDst.
+	claimDst(id uint64, reply bool, method []byte, n int) Bulk
 }
 
 // recvBulk is the one receive path of a bulk unit, on both transports:
-// it reads the unit's n bulk bytes from src into a buffer, then decodes
-// the head around it. The buffer is the destination of the call the
-// head answers when dsts (the receiving Client; nil on a server conn)
-// has it pending with a destination of exactly n bytes, claimed until
-// the read ends, and a pooled buffer otherwise, which goes back to the
-// pool on any failure.
-func recvBulk(dsts *Client, head []byte, n int, src io.Reader) (m Message, err error) {
-	var bulk []byte
-	pooled := false
+// it reads the unit's n bulk bytes from src into memory, then decodes
+// the head around it. The memory is what dsts (nil: none) claims for the
+// unit, held until the read ends, and a pooled buffer otherwise. On any
+// failure a pooled buffer goes back to the pool and a slot's reference
+// is released.
+func recvBulk(dsts Dsts, head []byte, n int, src io.Reader) (m Message, err error) {
+	var bulk Bulk
 	if n > 0 {
-		if id, ok := replyID(head); ok && dsts != nil {
-			bulk = dsts.claimDst(id, n)
+		if dsts != nil {
+			if id, reply, method, ok := peekHead(head); ok {
+				bulk = dsts.claimDst(id, reply, method, n)
+			}
 		}
-		if bulk == nil {
-			bulk, pooled = bufpool.Get(n), true
+		claimed := bulk.Data != nil
+		if !claimed {
+			bulk = Bulk{Data: bufpool.Get(n), Pooled: true}
 		}
-		_, err = io.ReadFull(src, bulk)
-		if !pooled {
-			dsts.releaseDst()
+		_, err = io.ReadFull(src, bulk.Data)
+		if claimed && bulk.Slot == nil {
+			dsts.(*Client).releaseDst()
 		}
 	}
 	if err == nil {
-		m, err = decodeBulkUnit(head, bulk, pooled)
+		m, err = decodeBulkUnit(head, bulk)
 	}
-	if err != nil && pooled {
-		bufpool.Put(bulk)
+	if err != nil {
+		bulk.drop()
 	}
 	return m, err
 }
 
 // decodeBulkUnit parses a bulk unit: head is receive scratch as above,
-// bulk (nil when empty) is the payload the decoded body adopts, a
-// bufpool buffer when pooled and a caller's destination otherwise. On
-// an error the caller still owns bulk.
-func decodeBulkUnit(head, bulk []byte, pooled bool) (Message, error) {
+// bulk (Data nil when empty) is the payload the decoded body adopts. On
+// an error the caller still holds bulk.
+func decodeBulkUnit(head []byte, bulk Bulk) (Message, error) {
 	m, fi, rest, err := decodeEnvelope(head)
 	if err != nil {
 		return Message{}, err
@@ -402,8 +469,18 @@ func decodeBulkUnit(head, bulk []byte, pooled bool) (Message, error) {
 	if fi.decodeHead == nil {
 		return Message{}, fmt.Errorf("transport: bulk unit for non-bulk type %q", fi.name)
 	}
-	if m.Body, err = fi.decodeHead(rest, bulk, pooled); err != nil {
+	if m.Body, err = fi.decodeHead(rest, bulk); err != nil {
 		return Message{}, err
 	}
 	return m, nil
+}
+
+// releaseReply releases the slot reference a reply body holds, once
+// nothing reads its bytes any more.
+func releaseReply(body any) {
+	if h, ok := body.(SlotHolder); ok {
+		if s := h.Slot(); s != nil {
+			s.Release()
+		}
+	}
 }

@@ -54,12 +54,13 @@ func appendUvarintLen(buf []byte, n int) []byte {
 }
 
 // fuzzBulk is the test-only bulk body: the tag is its head, Data its
-// bulk. Like the dfs block messages it adopts the pooled buffer a bulk
-// unit hands it and copies out of a whole frame.
+// bulk. Like the dfs block messages it adopts the pooled buffer or the
+// slot a bulk unit hands it and copies out of a whole frame.
 type fuzzBulk struct {
 	Tag    string
 	Data   []byte
 	pooled bool
+	slot   *bufpool.Slot
 }
 
 func (b *fuzzBulk) AppendHead(buf []byte) []byte {
@@ -69,12 +70,14 @@ func (b *fuzzBulk) AppendHead(buf []byte) []byte {
 
 func (b *fuzzBulk) Bulk() []byte { return b.Data }
 
+func (b fuzzBulk) Slot() *bufpool.Slot { return b.slot }
+
 func (b *fuzzBulk) AppendFrame(buf []byte) []byte {
 	buf = appendUvarintLen(b.AppendHead(buf), len(b.Data))
 	return append(buf, b.Data...)
 }
 
-func (b *fuzzBulk) DecodeHead(head, bulk []byte, pooled bool) error {
+func (b *fuzzBulk) DecodeHead(head []byte, bulk Bulk) error {
 	tag, rest, err := uvarintBytes(head)
 	if err != nil {
 		return err
@@ -82,7 +85,7 @@ func (b *fuzzBulk) DecodeHead(head, bulk []byte, pooled bool) error {
 	if len(rest) != 0 {
 		return errFrame
 	}
-	b.Tag, b.Data, b.pooled = string(tag), bulk, pooled && bulk != nil
+	b.Tag, b.Data, b.slot, b.pooled = string(tag), bulk.Data, bulk.Slot, bulk.Pooled && bulk.Data != nil
 	return nil
 }
 
@@ -176,7 +179,7 @@ func fuzzBulkHead(t *testing.T, data []byte) {
 		bulk[i] = byte(i)
 	}
 	defer bufpool.Put(bulk) // still ours either way: nothing below releases it
-	m, err := decodeBulkUnit(data, bulk, true)
+	m, err := decodeBulkUnit(data, Bulk{Data: bulk, Pooled: true})
 	if err != nil {
 		return
 	}
@@ -192,7 +195,7 @@ func fuzzBulkHead(t *testing.T, data []byte) {
 	if &reBulk[0] != &bulk[0] {
 		t.Fatal("Bulk() is not the body's own slice")
 	}
-	m2, err := decodeBulkUnit(head, reBulk, true)
+	m2, err := decodeBulkUnit(head, Bulk{Data: reBulk, Pooled: true})
 	if err != nil {
 		t.Fatalf("re-decode of re-encoded head failed: %v", err)
 	}

@@ -74,6 +74,9 @@ func (n *InmemNetwork) Dial(addr string) (Conn, error) {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
 	client, server := n.newConnPair()
+	l.mu.Lock()
+	server.recv.dsts = l.dsts
+	l.mu.Unlock()
 	if !l.accept.Send(server) {
 		client.Close()
 		return nil, ErrClosed
@@ -103,7 +106,7 @@ type link struct {
 	busy time.Time    // when the last queued message is delivered
 	head []byte       // scratch for bulk-unit heads
 	src  bytes.Reader // the bulk bytes being sent, for recvBulk
-	dsts *Client      // the receiving end's Client (see SetDsts), if any
+	dsts Dsts         // the receiving end's Client or Server (see SetDsts), if any
 }
 
 // send queues m for delivery.
@@ -128,9 +131,10 @@ func (l *link) send(m Message) error {
 }
 
 // copyBulk replaces a BulkFramer body that carries bytes with what
-// recvBulk decodes around a copy of them, so a delivery, however late,
-// never reads the sender's memory. Any other body, a synthetic block's
-// included, passes by reference: no encode, no allocation.
+// recvBulk decodes around a copy of them, landed where the receiving end
+// chooses, so a delivery, however late, never reads the sender's memory.
+// Any other body, a synthetic block's included, passes by reference: no
+// encode, no allocation.
 func (l *link) copyBulk(m *Message) error {
 	fi, ok := lookupFramer(m.Body)
 	if !ok || fi.bulk == nil {
@@ -160,10 +164,10 @@ var _ DstConn = (*inmemConn)(nil)
 
 func (c *inmemConn) Send(m Message) error { return c.send.send(m) }
 
-// SetDsts implements DstConn: the peer's sends claim cl's destinations.
-func (c *inmemConn) SetDsts(cl *Client) {
+// SetDsts implements DstConn: the peer's sends land where d says.
+func (c *inmemConn) SetDsts(d Dsts) {
 	c.recv.mu.Lock()
-	c.recv.dsts = cl
+	c.recv.dsts = d
 	c.recv.mu.Unlock()
 }
 
@@ -187,9 +191,20 @@ type inmemListener struct {
 	net    *InmemNetwork
 	addr   string
 	accept *simclock.Chan[*inmemConn]
+
+	mu   sync.Mutex
+	dsts Dsts // see SetDsts
 }
 
-var _ Listener = (*inmemListener)(nil)
+var _ DstListener = (*inmemListener)(nil)
+
+// SetDsts implements DstListener: a conn dialed from now on lands its
+// peer's messages where d says, the first one included.
+func (l *inmemListener) SetDsts(d Dsts) {
+	l.mu.Lock()
+	l.dsts = d
+	l.mu.Unlock()
+}
 
 func (l *inmemListener) Accept() (Conn, error) {
 	c, ok := l.accept.Recv()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/simclock"
 )
 
@@ -19,9 +20,16 @@ type Server struct {
 	clock simclock.Clock
 
 	mu       sync.Mutex
-	handlers map[string]HandlerFunc
+	handlers map[string]handler
 	conns    map[Conn]struct{}
 	closed   bool
+}
+
+// handler is a registered method: its function, and for a HandleInto
+// method the allocator of the slots its calls' bulk bytes land in.
+type handler struct {
+	fn    HandlerFunc
+	alloc func(n int) *bufpool.Slot
 }
 
 // NewServer creates a server; register handlers with Handle, then call
@@ -29,7 +37,7 @@ type Server struct {
 func NewServer(clock simclock.Clock) *Server {
 	return &Server{
 		clock:    clock,
-		handlers: make(map[string]HandlerFunc),
+		handlers: make(map[string]handler),
 		conns:    make(map[Conn]struct{}),
 	}
 }
@@ -37,14 +45,39 @@ func NewServer(clock simclock.Clock) *Server {
 // Handle registers fn for method. Registering after Serve has started is
 // allowed; re-registering a method replaces it.
 func (s *Server) Handle(method string, fn HandlerFunc) {
+	s.HandleInto(method, fn, nil)
+}
+
+// HandleInto is Handle for a method whose calls carry bulk bytes that
+// should land in a slot from alloc rather than in a pooled buffer: the
+// receiving conn reads them straight into it, and the decoded call body
+// holds the slot's one reference, which fn's side must release. A nil
+// slot from alloc (its arena closed) leaves the bytes pooled.
+func (s *Server) HandleInto(method string, fn HandlerFunc, alloc func(n int) *bufpool.Slot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[method] = fn
+	s.handlers[method] = handler{fn: fn, alloc: alloc}
+}
+
+// claimDst implements Dsts: a call to a HandleInto method lands in a
+// fresh slot.
+func (s *Server) claimDst(_ uint64, reply bool, method []byte, n int) Bulk {
+	if reply {
+		return Bulk{}
+	}
+	s.mu.Lock()
+	alloc := s.handlers[string(method)].alloc
+	s.mu.Unlock()
+	if alloc == nil {
+		return Bulk{}
+	}
+	return inSlot(alloc(n))
 }
 
 // Serve accepts connections from l until l closes. It returns once the
 // accept loop exits; per-connection service continues on goroutines.
 func (s *Server) Serve(l Listener) {
+	s.landOn(l)
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -62,9 +95,18 @@ func (s *Server) Serve(l Listener) {
 	}
 }
 
-// ServeBackground runs Serve on its own goroutine.
+// ServeBackground runs Serve on its own goroutine. A conn l hands out
+// lands HandleInto calls in slots from its first message on.
 func (s *Server) ServeBackground(l Listener) {
+	s.landOn(l)
 	s.clock.Go(func() { s.Serve(l) })
+}
+
+// landOn makes the conns l hands out land bulk bytes where s chooses.
+func (s *Server) landOn(l Listener) {
+	if dl, ok := l.(DstListener); ok {
+		dl.SetDsts(s)
+	}
 }
 
 func (s *Server) serveConn(conn Conn) {
@@ -83,13 +125,13 @@ func (s *Server) serveConn(conn Conn) {
 			continue // stray reply; ignore
 		}
 		s.mu.Lock()
-		fn, ok := s.handlers[m.Method]
+		h, ok := s.handlers[m.Method]
 		s.mu.Unlock()
 		s.clock.Go(func() {
 			reply := Message{ID: m.ID, Reply: true}
 			if !ok {
 				reply.Err = fmt.Sprintf("unknown method %q", m.Method)
-			} else if body, err := safeCall(fn, m.Method, m.Body); err != nil {
+			} else if body, err := safeCall(h.fn, m.Method, m.Body); err != nil {
 				reply.Err = err.Error()
 			} else {
 				reply.Body = body
@@ -101,6 +143,9 @@ func (s *Server) serveConn(conn Conn) {
 			if err := conn.Send(reply); errors.Is(err, errUnencodable) {
 				_ = conn.Send(Message{ID: m.ID, Reply: true, Err: err.Error()})
 			}
+			// Neither conn reads a body's bytes after its Send returned,
+			// so a slot the reply holds can go back now.
+			releaseReply(reply.Body)
 		})
 	}
 }
@@ -160,10 +205,12 @@ type Client struct {
 }
 
 // pendingCall is a call awaiting its reply: the mailbox the reply is
-// delivered to, and the destination CallInto was given (nil for Call).
+// delivered to, and where its bulk bytes land: the destination CallInto
+// was given, or a slot from CallIntoSlot's alloc (neither for Call).
 type pendingCall struct {
-	ch  *simclock.Chan[Message]
-	dst []byte
+	ch    *simclock.Chan[Message]
+	dst   []byte
+	alloc func(n int) *bufpool.Slot
 }
 
 // ClientOption configures a Client.
@@ -221,25 +268,37 @@ func (c *Client) recvLoop() {
 			c.failAll()
 			return
 		}
-		if ok {
-			p.ch.Send(m)
+		if !ok || !p.ch.Send(m) {
+			// Nobody takes the reply (its call gave up): a slot it
+			// landed in goes back.
+			releaseReply(m.Body)
 		}
 	}
 }
 
-// claimDst is recvBulk's destination lookup: the destination of call id
-// when that call is still pending and passed one of exactly n bytes.
-// From the claim until releaseDst, the call's abandon waits before
-// giving the memory back to its caller.
-func (c *Client) claimDst(id uint64, n int) []byte {
+// claimDst implements Dsts: a reply to call id lands in a fresh slot
+// when the call is still pending and passed an alloc, or in its
+// destination when it passed one of exactly n bytes. From the claim of
+// a destination until releaseDst, the call's abandon waits before
+// giving the memory back to its caller. A slot needs no such wait: it
+// is the reply body's, and a reply nobody takes releases it.
+func (c *Client) claimDst(id uint64, reply bool, _ []byte, n int) Bulk {
+	if !reply {
+		return Bulk{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.pending[id]
-	if !ok || len(p.dst) != n {
-		return nil
+	switch {
+	case !ok:
+		return Bulk{}
+	case p.alloc != nil:
+		return inSlot(p.alloc(n))
+	case len(p.dst) != n:
+		return Bulk{}
 	}
 	c.receiving = id
-	return p.dst
+	return Bulk{Data: p.dst}
 }
 
 // releaseDst ends a claim: nothing writes into the destination any more.
@@ -283,6 +342,22 @@ func (c *Client) Call(method string, arg any) (any, error) {
 // read and fails the client's other calls, waits for the conn to let go
 // of dst, and only then returns its timeout.
 func (c *Client) CallInto(method string, arg any, dst []byte) (any, error) {
+	return c.call(method, arg, pendingCall{dst: dst})
+}
+
+// CallIntoSlot is Call for a reply whose bulk bytes should land in a
+// slot: a reply that is a bulk unit with n > 0 bulk bytes is read
+// straight into alloc(n), and its body holds that slot's one reference,
+// which the caller must release. A reply without bulk bytes takes no
+// slot. Only a conn that is a DstConn, or forwards to one, lands
+// replies in slots; any other leaves them pooled.
+func (c *Client) CallIntoSlot(method string, arg any, alloc func(n int) *bufpool.Slot) (any, error) {
+	return c.call(method, arg, pendingCall{alloc: alloc})
+}
+
+// call sends one call and waits for its reply; p says where the reply's
+// bulk bytes land.
+func (c *Client) call(method string, arg any, p pendingCall) (any, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -294,7 +369,8 @@ func (c *Client) CallInto(method string, arg any, dst []byte) (any, error) {
 	if ch == nil {
 		ch = simclock.NewChan[Message](c.clock)
 	}
-	c.pending[id] = pendingCall{ch: ch, dst: dst}
+	p.ch = ch
+	c.pending[id] = p
 	c.mu.Unlock()
 
 	if err := c.conn.Send(Message{ID: id, Method: method, Body: arg}); err != nil {
@@ -304,6 +380,12 @@ func (c *Client) CallInto(method string, arg any, dst []byte) (any, error) {
 	m, ok, timedOut := ch.RecvTimeout(c.timeout)
 	if timedOut {
 		c.abandon(id)
+		// A reply that raced the timeout into the mailbox is nobody's:
+		// a slot it landed in goes back.
+		ch.Close()
+		for m, ok := ch.Recv(); ok; m, ok = ch.Recv() {
+			releaseReply(m.Body)
+		}
 		return nil, &CallError{Method: method, Addr: c.addr,
 			Err: fmt.Errorf("%w after %v", ErrTimeout, c.timeout)}
 	}
@@ -359,6 +441,13 @@ func Call[Resp any](c *Client, method string, arg any) (Resp, error) {
 // CallInto is the typed convenience wrapper around Client.CallInto.
 func CallInto[Resp any](c *Client, method string, arg any, dst []byte) (Resp, error) {
 	body, err := c.CallInto(method, arg, dst)
+	return typed[Resp](method, body, err)
+}
+
+// CallIntoSlot is the typed convenience wrapper around
+// Client.CallIntoSlot.
+func CallIntoSlot[Resp any](c *Client, method string, arg any, alloc func(n int) *bufpool.Slot) (Resp, error) {
+	body, err := c.CallIntoSlot(method, arg, alloc)
 	return typed[Resp](method, body, err)
 }
 

@@ -73,16 +73,32 @@ func (n TCPNetwork) Dial(addr string) (Conn, error) {
 	return newTCPConn(c), nil
 }
 
-type tcpListener struct{ l net.Listener }
+type tcpListener struct {
+	l net.Listener
 
-var _ Listener = (*tcpListener)(nil)
+	mu   sync.Mutex
+	dsts Dsts // see SetDsts
+}
+
+var _ DstListener = (*tcpListener)(nil)
 
 func (t *tcpListener) Accept() (Conn, error) {
 	c, err := t.l.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c), nil
+	tc := newTCPConn(c)
+	t.mu.Lock()
+	tc.dsts = t.dsts
+	t.mu.Unlock()
+	return tc, nil
+}
+
+// SetDsts implements DstListener.
+func (t *tcpListener) SetDsts(d Dsts) {
+	t.mu.Lock()
+	t.dsts = d
+	t.mu.Unlock()
 }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
@@ -109,7 +125,7 @@ type tcpConn struct {
 	// implementations copy what they keep of it.
 	br   *bufio.Reader
 	rbuf []byte
-	dsts *Client // the owning Client (see SetDsts); nil on a server conn
+	dsts Dsts // the owning Client or Server (see SetDsts)
 }
 
 var _ DstConn = (*tcpConn)(nil)
@@ -222,6 +238,6 @@ func (t *tcpConn) readScratch(n uint64) ([]byte, error) {
 }
 
 // SetDsts implements DstConn.
-func (t *tcpConn) SetDsts(c *Client) { t.dsts = c }
+func (t *tcpConn) SetDsts(d Dsts) { t.dsts = d }
 
 func (t *tcpConn) Close() error { return t.c.Close() }

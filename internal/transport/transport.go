@@ -117,12 +117,12 @@ type Conn interface {
 	Close() error
 }
 
-// DstConn is a Conn that can land a reply's bulk bytes in the
-// destination its call passed to CallInto. NewClient calls SetDsts once,
-// before its receive loop starts; a wrapping conn forwards it.
+// DstConn is a Conn that can land a message's bulk bytes where its
+// receiving end chooses (see Dsts). NewClient calls SetDsts once, before
+// its receive loop starts; a wrapping conn forwards it.
 type DstConn interface {
 	Conn
-	SetDsts(c *Client)
+	SetDsts(d Dsts)
 }
 
 // Listener accepts inbound connections.
@@ -130,6 +130,17 @@ type Listener interface {
 	Accept() (Conn, error)
 	Close() error
 	Addr() string
+}
+
+// DstListener is a Listener whose conns can land bulk bytes where the
+// serving end chooses, from their first message on: a Server calls
+// SetDsts before it accepts, and every conn the listener hands out
+// afterwards lands where d says. (An in-memory conn copies a message at
+// its sender's Send, which can come before the conn is accepted.) A
+// wrapping listener forwards it.
+type DstListener interface {
+	Listener
+	SetDsts(d Dsts)
 }
 
 // Network abstracts connection establishment so the cluster wiring is

@@ -586,3 +586,74 @@ func TestTCPRecvRejectsUnknownUnitKinds(t *testing.T) {
 		}
 	}
 }
+
+// regProbe is a family of distinct body types for registration tests.
+type regProbe[N any] struct{ n N }
+
+func (p *regProbe[N]) AppendFrame(buf []byte) []byte { return buf }
+func (p *regProbe[N]) DecodeFrame(payload []byte) error {
+	if len(payload) != 0 {
+		return errFrame
+	}
+	return nil
+}
+
+// Codec lookups take no lock: registration publishes a new table. Under
+// the race detector, lookups that run while types are registered must
+// see every type registered before they started and never a torn table,
+// and every type must be found once registration is done.
+func TestFramerLookupsDuringRegistration(t *testing.T) {
+	registerFuzzBlob()
+	regs := []func(){
+		RegisterFramer[regProbe[[1]byte]], RegisterFramer[regProbe[[2]byte]],
+		RegisterFramer[regProbe[[3]byte]], RegisterFramer[regProbe[[4]byte]],
+		RegisterFramer[regProbe[[5]byte]], RegisterFramer[regProbe[[6]byte]],
+		RegisterFramer[regProbe[[7]byte]], RegisterFramer[regProbe[[8]byte]],
+	}
+	stop := make(chan struct{})
+	var lookups sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		lookups.Add(1)
+		go func() {
+			defer lookups.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if fi, ok := lookupFramer(fuzzBlob{}); !ok || fi.name != "transport.fuzzBlob" {
+					t.Error("lookup by type lost a type registered before it started")
+					return
+				}
+				if _, ok := lookupFramerByName([]byte("transport.fuzzBlob")); !ok {
+					t.Error("lookup by name lost a type registered before it started")
+					return
+				}
+			}
+		}()
+	}
+	var registering sync.WaitGroup
+	for _, register := range regs {
+		registering.Add(1)
+		go func() {
+			defer registering.Done()
+			register()
+		}()
+	}
+	registering.Wait()
+	close(stop)
+	lookups.Wait()
+	for _, body := range []any{
+		regProbe[[1]byte]{}, regProbe[[2]byte]{}, regProbe[[3]byte]{}, regProbe[[4]byte]{},
+		regProbe[[5]byte]{}, regProbe[[6]byte]{}, regProbe[[7]byte]{}, regProbe[[8]byte]{},
+	} {
+		fi, ok := lookupFramer(body)
+		if !ok {
+			t.Fatalf("%T not found after its registration", body)
+		}
+		if byName, ok := lookupFramerByName([]byte(fi.name)); !ok || byName != fi {
+			t.Fatalf("%T not found by its name %q", body, fi.name)
+		}
+	}
+}
