@@ -65,12 +65,16 @@ golden:
 # twice each and under the race detector — chaos that only passes once
 # is not deterministic — plus the replica-memory hammer (readers racing
 # deletes and overwrites that recycle replica slots, over TCP, in memory
-# and with reordered replies), whose race build poisons freed slots.
+# and with reordered replies), whose race build poisons freed slots, and
+# the unwritten-byte check (ReadFile's unzeroed result holds exactly the
+# written bytes through cache hits and a mid-file checksum failover, and
+# a wrong-length replica fails the read with no result), whose race
+# build poisons memory allocated without zero-fill.
 chaos:
 	$(GO) test -count=2 ./internal/faultnet ./internal/chaos
 	$(GO) test -race -count=1 ./internal/faultnet ./internal/chaos
-	$(GO) test -count=2 -run '^TestReplicaSlotsUnderDeleteAndOverwrite$$' ./internal/dfs/client
-	$(GO) test -race -count=1 -run '^TestReplicaSlotsUnderDeleteAndOverwrite$$' ./internal/dfs/client
+	$(GO) test -count=2 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
+	$(GO) test -race -count=1 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
 
 # The durability suite on its own (it also runs as part of `make
 # chaos`): the WAL crash-at-every-record sweep, checksum corruption

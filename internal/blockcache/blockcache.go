@@ -19,6 +19,8 @@
 package blockcache
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -173,10 +175,11 @@ func (c *Cache) installLocked(sh *shard, e *entry, gen uint64) {
 	// The cache owns a private copy of the payload: fetched slices may
 	// be pooled transport buffers, recycled by the fetcher once its
 	// caller copies out. Hits hand out this copy; it is never returned
-	// to any pool.
-	cp := make([]byte, len(e.data))
-	copy(cp, e.data)
-	e.data = cp
+	// to any pool. bytes.Clone writes each byte once (the runtime does
+	// not zero memory that append copies over), and the clip keeps a
+	// hit's capacity at its length, so no holder can append into memory
+	// other holders share.
+	e.data = slices.Clip(bytes.Clone(e.data))
 	if old, ok := sh.entries[e.id]; ok {
 		c.removeLocked(sh, old)
 	}

@@ -1,10 +1,13 @@
 package bufpool
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"unsafe"
 )
 
 // chunkBytes is how much memory the arena maps at a time for a slot
@@ -12,7 +15,8 @@ import (
 // of its own size, one slot.
 const chunkBytes = 1 << maxClassBits
 
-// poisonByte fills a freed slot in race builds (see poisonFreedSlots).
+// poisonByte fills freed slots and MakeNoZero memory in race builds
+// (see poison).
 const poisonByte = 0xDB
 
 // Arena is memory outside the Go heap for data that lives long and
@@ -101,6 +105,7 @@ func (a *Arena) carveLocked(b uint8) *Slot {
 			panic("bufpool: arena mmap: " + err.Error())
 		}
 		a.chunks = append(a.chunks, chunk)
+		publishMapped(chunk, nil)
 		*c = carving{chunk: chunk}
 	}
 	s := &Slot{a: a, buf: c.chunk[c.next : c.next+size : c.next+size], bits: b}
@@ -130,7 +135,7 @@ func (s *Slot) Release() {
 }
 
 func (a *Arena) recycle(s *Slot) {
-	if poisonFreedSlots {
+	if poison {
 		for i := range s.buf[:s.n] {
 			s.buf[i] = poisonByte
 		}
@@ -155,6 +160,7 @@ func (a *Arena) unmapIfDoneLocked() {
 	if !a.closed || a.used > 0 || a.chunks == nil {
 		return
 	}
+	publishMapped(nil, a.chunks)
 	for _, c := range a.chunks {
 		if err := syscall.Munmap(c); err != nil {
 			panic("bufpool: arena munmap: " + err.Error())
@@ -171,4 +177,57 @@ func (a *Arena) Usage() (slots, chunks int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.used, len(a.chunks)
+}
+
+// mapped is the address ranges of every arena chunk mapped in the
+// process, sorted, so that Put can refuse slot memory. It is replaced
+// under mappedMu and never changed in place, so Put reads it without a
+// lock.
+var (
+	mappedMu sync.Mutex
+	mapped   atomic.Pointer[[]addrRange]
+)
+
+// addrRange is the half-open address range [lo, hi) of one chunk.
+type addrRange struct{ lo, hi uintptr }
+
+func rangeOf(b []byte) addrRange {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return addrRange{lo, lo + uintptr(cap(b))}
+}
+
+// publishMapped publishes the chunk list with add (when not nil) mapped
+// and every chunk of drop unmapped.
+func publishMapped(add []byte, drop [][]byte) {
+	mappedMu.Lock()
+	defer mappedMu.Unlock()
+	var next []addrRange
+	if old := mapped.Load(); old != nil {
+		next = slices.DeleteFunc(slices.Clone(*old), func(r addrRange) bool {
+			return slices.ContainsFunc(drop, func(d []byte) bool { return rangeOf(d) == r })
+		})
+	}
+	if add != nil {
+		next = append(next, rangeOf(add))
+		slices.SortFunc(next, func(x, y addrRange) int { return cmp.Compare(x.lo, y.lo) })
+	}
+	mapped.Store(&next)
+}
+
+// inArena reports whether b's backing array lies in a mapped arena chunk.
+func inArena(b []byte) bool {
+	rs := mapped.Load()
+	if rs == nil {
+		return false
+	}
+	_, found := slices.BinarySearchFunc(*rs, rangeOf(b).lo, func(r addrRange, p uintptr) int {
+		switch {
+		case r.hi <= p:
+			return -1
+		case r.lo > p:
+			return 1
+		}
+		return 0
+	})
+	return found
 }

@@ -1,6 +1,9 @@
 package bufpool
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestArenaSlotClasses(t *testing.T) {
 	a := NewArena()
@@ -92,4 +95,76 @@ func TestArenaMisuseFailsLoudly(t *testing.T) {
 		}()
 		s.refs.Store(0) // undo what the misuse did to the count
 	}
+}
+
+// Put refuses a slot's bytes even when their length is a pool class
+// (cap == len == class), so no later Get hands out replica memory.
+func TestPutDropsArenaMemory(t *testing.T) {
+	a := NewArena()
+	defer a.Close()
+	s := a.Alloc(4096)
+	defer s.Release()
+	slot := s.Bytes()
+	if cap(slot) != 4096 {
+		t.Fatalf("slot cap %d, want a class size", cap(slot))
+	}
+	if !inArena(slot) || !inArena(slot[4095:]) {
+		t.Fatal("a slot's bytes are not recognised as arena memory")
+	}
+	if inArena(make([]byte, 4096)) {
+		t.Fatal("heap memory is taken for arena memory")
+	}
+	Put(slot)
+	for i := 0; i < 64; i++ {
+		if b := Get(4096); &b[0] == &slot[0] {
+			t.Fatalf("Get %d handed out the slot's memory after it was Put", i)
+		}
+	}
+}
+
+// Once an arena unmaps its chunks they are no longer arena memory, and
+// another arena's chunks still are.
+func TestArenaRangesFollowMapAndUnmap(t *testing.T) {
+	a, b := NewArena(), NewArena()
+	defer b.Close()
+	sa, sb := a.Alloc(512), b.Alloc(512)
+	defer sb.Release()
+	ra := rangeOf(sa.Bytes())
+	sa.Release()
+	a.Close()
+	for _, r := range *mapped.Load() {
+		if r.lo <= ra.lo && ra.lo < r.hi {
+			t.Fatal("an unmapped chunk is still listed as arena memory")
+		}
+	}
+	if !inArena(sb.Bytes()) {
+		t.Fatal("closing one arena dropped another's chunks")
+	}
+}
+
+// Put reads the published chunk list while arenas map and unmap chunks:
+// run under -race, the list is only ever replaced, never changed in
+// place.
+func TestPutWhileArenasMapAndUnmap(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				a := NewArena()
+				s := a.Alloc(4096)
+				Put(s.Bytes())
+				s.Release()
+				a.Close()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				Put(Get(4096))
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,10 +1,16 @@
 // Package bufpool provides size-classed []byte reuse for the block
-// data path, and the slot arena that stored replicas live in.
+// data path, the slot arena that stored replicas live in, and
+// MakeNoZero, the heap allocation without zero-fill behind both the
+// pool's refills and ReadFile's result.
 //
 // Buffers are grouped into power-of-two size classes backed by
 // sync.Pool. Get(n) returns a slice with len == n taken from the
 // smallest class that fits; Put returns a slice to the class matching
-// its capacity. The pool is safe for concurrent use.
+// its capacity. The pool is safe for concurrent use. A buffer's
+// contents are unspecified, and a fresh one is not zeroed either: a
+// class refills, and a size above the largest class is allocated, with
+// MakeNoZero, so every caller writes a buffer before reading it, and in
+// race builds a read of a byte nobody wrote sees the poison.
 //
 // Ownership contract (see DESIGN.md "Wire format & buffer ownership"):
 // a buffer obtained from Get has exactly one owner at a time. Only the
@@ -17,7 +23,9 @@
 // Arena slots (arena.go) are the opposite case on the first point: their
 // memory is outside the Go heap and the collector never frees it, so
 // every reference to a slot must be released, and a slot's bytes are
-// never Put.
+// never Put. Put checks this itself: it drops any slice whose backing
+// array lies in a mapped arena chunk, so a slot's bytes put by mistake
+// never reach a later Get.
 package bufpool
 
 import "sync"
@@ -44,7 +52,7 @@ func init() {
 	for i := range classes {
 		size := 1 << (minClassBits + i)
 		classes[i].New = func() any {
-			b := make([]byte, size)
+			b := MakeNoZero(size)
 			return &b
 		}
 	}
@@ -69,7 +77,7 @@ func Get(n int) []byte {
 	}
 	ci := classFor(n)
 	if ci < 0 {
-		return make([]byte, n)
+		return MakeNoZero(n)
 	}
 	bp := classes[ci].Get().(*[]byte)
 	b := (*bp)[:n]
@@ -82,14 +90,16 @@ func Get(n int) []byte {
 // exactly match a class (e.g. subsliced or app-allocated buffers) and
 // buffers larger than the biggest class are dropped for the garbage
 // collector, never pooled — pooling them would shrink the class over
-// time.
+// time. So are an arena slot's bytes, whatever their size: a slot goes
+// back through its Release, and pooling its memory would hand a stored
+// replica to the next Get.
 func Put(b []byte) {
 	c := cap(b)
 	if c == 0 {
 		return
 	}
 	ci := classFor(c)
-	if ci < 0 || c != 1<<(minClassBits+ci) {
+	if ci < 0 || c != 1<<(minClassBits+ci) || inArena(b) {
 		return
 	}
 	bp := boxes.Get().(*[]byte)

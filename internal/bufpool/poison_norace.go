@@ -2,4 +2,4 @@
 
 package bufpool
 
-const poisonFreedSlots = false
+const poison = false

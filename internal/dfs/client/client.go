@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/blockcache"
+	"repro/internal/bufpool"
 	"repro/internal/dfs"
 	"repro/internal/simclock"
 	"repro/internal/transport"
@@ -424,8 +425,17 @@ const DefaultReadParallelism = 4
 // transport fills the result directly and no other user-space copy is
 // made besides the checksum. A payload that arrived anywhere else (a
 // cache hit, a conn that does not forward destinations, a reply of the
-// wrong length) is copied to its slot and its buffer given up at once. Nothing is held
-// until the last block lands and nothing is grown.
+// wrong length) is copied to its slot and its buffer given up at once.
+// Nothing is held until the last block lands and nothing is grown.
+//
+// The result is allocated without zero-fill (bufpool.MakeNoZero): each
+// byte is written once, by the socket or the copy. A result is returned
+// only when every slot was written: a block that failed on every
+// replica fails the read, a payload reaches its slot only at exactly
+// its located size (and, when checksummed, matching its CRC), and a
+// block that came back without bytes in a file with real data is
+// dfs.ErrBlockLength. A failed read returns a nil result, never the
+// partly written one.
 func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
 	blocks, err := c.Locations(path)
 	if err != nil {
@@ -481,7 +491,9 @@ func (c *Client) ReadFile(path string, job dfs.JobID) ([]byte, error) {
 // located blocks add up to. A file with a recorded checksum has real
 // bytes and allocates it up front; one without allocates it on the
 // first real payload, so a synthetic (size-only) file never allocates
-// and reads as nil, however large it claims to be.
+// and reads as nil, however large it claims to be. The result is not
+// zeroed: its contents are unspecified until every block is placed,
+// and result hands it out only then (see ReadFile).
 type assembly struct {
 	offs    []int64 // block i fills out[offs[i]:offs[i+1]]
 	once    sync.Once
@@ -502,7 +514,9 @@ func newAssembly(blocks []dfs.LocatedBlock) *assembly {
 	return a
 }
 
-func (a *assembly) alloc() { a.once.Do(func() { a.out = make([]byte, a.offs[len(a.offs)-1]) }) }
+func (a *assembly) alloc() {
+	a.once.Do(func() { a.out = bufpool.MakeNoZero(int(a.offs[len(a.offs)-1])) })
+}
 
 // slot is block i's destination: its part of the result, capped so
 // nothing can grow past it, when the result was allocated up front, and

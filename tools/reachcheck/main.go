@@ -150,7 +150,9 @@ func listPackages() ([]pkgInfo, error) {
 }
 
 // parseDecls returns every FuncDecl in the packages' non-test files,
-// except init and main, which the runtime calls.
+// except init and main, which the runtime calls, and declarations
+// without a body (a //go:linkname pull of another package's function,
+// or one written in assembly), which have no code of their own to link.
 func parseDecls(pkgs []pkgInfo) ([]fn, error) {
 	root, err := os.Getwd()
 	if err != nil {
@@ -167,7 +169,7 @@ func parseDecls(pkgs []pkgInfo) ([]fn, error) {
 			}
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Name.Name == "init" || (p.name == "main" && fd.Name.Name == "main" && fd.Recv == nil) {
+				if !ok || fd.Body == nil || fd.Name.Name == "init" || (p.name == "main" && fd.Name.Name == "main" && fd.Recv == nil) {
 					continue
 				}
 				key := p.path + "."
