@@ -40,8 +40,9 @@ tidy-check:
 # `ignem-bench <id>` with the wall-time footer line filtered. The IDs
 # come from `ignem-bench -list`, so a registry entry cannot go unpinned.
 # Tier-1 (TestExperimentsMatchGoldens) diffs every experiment against
-# its golden; the virtual clock makes every run repeat byte for byte, so
-# any difference is a figure the change moved.
+# its golden, on the same run that checks its claims; the virtual clock
+# makes every run repeat byte for byte, so any difference is a figure the
+# change moved.
 GOLDEN_DIR = internal/experiments/testdata
 # Builds ignem-bench once into a temporary directory $$dir (removed on
 # exit) and sets $$bin to it and $$ids to the registry's IDs, for the
@@ -193,8 +194,9 @@ cover-check: cover
 # them links, unless tools/reachcheck/allow.txt names it with a reason
 # (fault-injection code and test harnesses). A field pass type-checks the
 # same code and fails on any exported field of a component config struct
-# (cluster, datanode, namenode, slave, scheduler, mapreduce job) that no
-# non-test file outside its declaring file names: an option only tests
+# (cluster, datanode, namenode, slave, scheduler, mapreduce job and
+# real-data job, the SWIM experiment) that no non-test file outside its
+# declaring file names: an option only tests
 # set. An allow entry that matches nothing fails too, so the list only
 # shrinks.
 reach-check:

@@ -2,10 +2,12 @@
 //
 // Usage:
 //
-//	ignem-bench [-seed N] [-out DIR] [experiment ...]
+//	ignem-bench [-seed N] [-out DIR] [-claims] [experiment ...]
 //	ignem-bench -list
 //
-// With no experiment arguments, every experiment runs in order.
+// With no experiment arguments, every experiment runs in order. With
+// -claims, each run prints its Paper / Measured / Verdict table (the
+// ones EXPERIMENTS.md carries) instead of its figures.
 //
 // Profiling: -cpuprofile, -memprofile, and -mutexprofile write pprof
 // profiles covering the experiments the invocation runs. Inspect them
@@ -18,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"repro/internal/experiments"
@@ -76,12 +79,14 @@ func run() int {
 	seed := flag.Int64("seed", 1, "random seed for workload generation and placement")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	out := flag.String("out", "", "directory to write raw CSV data for plotting")
+	claims := flag.Bool("claims", false, "print each experiment's claims table instead of its figures")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProf := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	mutexProf := flag.String("mutexprofile", "", "write an end-of-run mutex-contention profile to this file")
+	all := experiments.All()
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [-seed N] [experiment ...]\n\nExperiments:\n", os.Args[0])
-		for _, s := range experiments.All() {
+		for _, s := range all {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", s.ID, s.Title)
 		}
 	}
@@ -97,7 +102,7 @@ func run() int {
 	}
 
 	if *list {
-		for _, s := range experiments.All() {
+		for _, s := range all {
 			fmt.Printf("%-8s %s\n", s.ID, s.Title)
 		}
 		return 0
@@ -105,27 +110,32 @@ func run() int {
 
 	ids := flag.Args()
 	if len(ids) == 0 {
-		for _, s := range experiments.All() {
+		for _, s := range all {
 			ids = append(ids, s.ID)
 		}
 	}
 	exit := 0
 	for _, id := range ids {
-		spec, ok := experiments.Find(id)
-		if !ok {
+		i := slices.IndexFunc(all, func(s experiments.Spec) bool { return s.ID == id })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "ignem-bench: unknown experiment %q (try -list)\n", id)
 			exit = 2
 			continue
 		}
+		spec := all[i]
 		start := time.Now()
-		rendered, data, err := spec.Run(*seed)
+		res, err := spec.Run(*seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ignem-bench: %s: %v\n", id, err)
 			exit = 1
 			continue
 		}
-		fmt.Println(rendered)
-		if *out != "" && data != nil {
+		if *claims {
+			fmt.Printf("%s — %s\n\n%s\n", id, spec.Title, experiments.ClaimsTable(spec.Claims, res))
+			continue
+		}
+		fmt.Println(res.Render())
+		if data, ok := res.(experiments.DataWriter); ok && *out != "" {
 			paths, err := data.WriteData(*out)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ignem-bench: %s: write data: %v\n", id, err)

@@ -85,16 +85,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// ScrubStats counts at-rest verifications: the background scrubber's
-// sweeps and the single-replica checks readers ask for (dn.verifyBlock).
-type ScrubStats struct {
-	// Scanned is the number of replica payloads re-read and verified.
-	Scanned int64
-	// Corrupt is the number of replicas whose payload no longer matched
-	// its checksum; each was dropped and reported to the namenode.
-	Corrupt int64
-}
-
 // DataNode is the file-system worker process. Start it with Start, stop
 // it with Close.
 type DataNode struct {
@@ -158,7 +148,6 @@ type DataNode struct {
 	peers      map[string]*transport.Client
 	closed     bool
 	readsByMe  int64
-	scrub      ScrubStats
 }
 
 // New creates a DataNode (not yet serving).
@@ -1004,14 +993,7 @@ func (dn *DataNode) verifyReplica(id dfs.BlockID) error {
 	if err := dn.media.Read(rep.Size); err != nil {
 		return err
 	}
-	corrupt := dfs.Checksum(rep.Data) != rep.Checksum
-	dn.mu.Lock()
-	dn.scrub.Scanned++
-	if corrupt {
-		dn.scrub.Corrupt++
-	}
-	dn.mu.Unlock()
-	if corrupt {
+	if dfs.Checksum(rep.Data) != rep.Checksum {
 		dn.dropCorrupt(id)
 	}
 	return nil

@@ -11,13 +11,6 @@ import (
 	"repro/internal/simclock"
 )
 
-// ScrubberStats snapshots the at-rest verification counters.
-func (dn *DataNode) ScrubberStats() ScrubStats {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return dn.scrub
-}
-
 // storeBlock writes one real 4 KiB block and returns its bytes.
 func storeBlock(t *testing.T, dn *DataNode, id dfs.BlockID) []byte {
 	t.Helper()
@@ -101,9 +94,6 @@ func TestVerifyBlock(t *testing.T) {
 		if got := corruptReports(v, nn); got != 0 {
 			t.Errorf("CorruptReports = %d, want 0", got)
 		}
-		if st := dn.ScrubberStats(); st.Scanned != 1 || st.Corrupt != 0 {
-			t.Errorf("ScrubberStats = %+v, want the one healthy replica scanned", st)
-		}
 
 		// Asked twice, as two readers that hit the same rot would: the
 		// second finds nothing to judge.
@@ -117,9 +107,6 @@ func TestVerifyBlock(t *testing.T) {
 		}
 		if got := corruptReports(v, nn); got != 1 {
 			t.Errorf("CorruptReports = %d, want 1", got)
-		}
-		if st := dn.ScrubberStats(); st.Scanned != 2 || st.Corrupt != 1 {
-			t.Errorf("ScrubberStats = %+v, want 2 scanned, 1 corrupt", st)
 		}
 		resp, err := dn.handleReadBlock(dfs.ReadBlockReq{Block: 2})
 		if err != nil || !bytes.Equal(resp.Data, healthy) {

@@ -12,45 +12,21 @@ import (
 	"repro/internal/simclock"
 )
 
-// BaselineConfig controls the hot-cache baseline comparison (the paper's
-// §I and §V argument): reactive hot-data caching (PACMan / Triple-H
-// class) accelerates repeatedly read data but can never help cold,
-// singly-read inputs — only proactive migration can.
-type BaselineConfig struct {
-	Nodes int
-	Seed  int64
-	// SinglyReadJobs each read their own cold input exactly once.
-	SinglyReadJobs int
-	// JobInputBytes sizes each singly-read input. Default 512 MB.
-	JobInputBytes int64
-	// Iterations is the iterative job's pass count over one shared
-	// input (the paper's Spark/ML scenario). Default 5.
-	Iterations int
-	// IterInputBytes sizes the iterative input. Default 4 GB.
-	IterInputBytes int64
-}
-
-func (c *BaselineConfig) setDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	if c.SinglyReadJobs <= 0 {
-		c.SinglyReadJobs = 10
-	}
-	if c.JobInputBytes <= 0 {
-		c.JobInputBytes = 512 << 20
-	}
-	if c.Iterations <= 0 {
-		c.Iterations = 5
-	}
-	if c.IterInputBytes <= 0 {
-		c.IterInputBytes = 4 << 30
-	}
-}
+// The hot-cache baseline comparison (the paper's §I and §V argument):
+// reactive hot-data caching (PACMan / Triple-H class) accelerates
+// repeatedly read data but can never help cold, singly-read inputs —
+// only proactive migration can. Its geometry: ten singly-read jobs of
+// 512 MB each, and an iterative job (the paper's Spark/ML scenario)
+// making five passes over one 4 GB input.
+const (
+	baselineJobs      = 10
+	baselineJobBytes  = 512 << 20
+	baselinePasses    = 5
+	baselinePassBytes = 4 << 30
+)
 
 // BaselineResult holds both workloads' durations per configuration.
 type BaselineResult struct {
-	Config BaselineConfig
 	// SinglyRead is the mean job duration of the singly-read workload.
 	SinglyRead map[cluster.Mode]time.Duration
 	// IterFirst and IterLater are the first-iteration and mean
@@ -63,17 +39,15 @@ var baselineModes = []cluster.Mode{cluster.ModeHDFS, cluster.ModeHotCache, clust
 
 // RunBaseline runs both workloads under HDFS, the hot-cache baseline,
 // and Ignem.
-func RunBaseline(cfg BaselineConfig) (*BaselineResult, error) {
-	cfg.setDefaults()
+func RunBaseline(seed int64) (*BaselineResult, error) {
 	res := &BaselineResult{
-		Config:     cfg,
 		SinglyRead: make(map[cluster.Mode]time.Duration),
 		IterFirst:  make(map[cluster.Mode]time.Duration),
 		IterLater:  make(map[cluster.Mode]time.Duration),
 	}
 	for _, mode := range baselineModes {
 		mode := mode
-		ccfg := cluster.Config{Nodes: cfg.Nodes, Mode: mode, Seed: cfg.Seed}
+		ccfg := cluster.Config{Nodes: paperNodes, Mode: mode, Seed: seed}
 		err := runOnCluster(ccfg, func(v *simclock.Virtual, c *cluster.Cluster) error {
 			cl, err := c.Client()
 			if err != nil {
@@ -83,9 +57,9 @@ func RunBaseline(cfg BaselineConfig) (*BaselineResult, error) {
 
 			// Workload 1: cold, singly-read inputs (fresh logs).
 			var durs metrics.Series
-			for i := 0; i < cfg.SinglyReadJobs; i++ {
+			for i := 0; i < baselineJobs; i++ {
 				path := fmt.Sprintf("/once/%d", i)
-				if err := cl.WriteSyntheticFile(path, cfg.JobInputBytes, 0, dfs.DefaultReplication); err != nil {
+				if err := cl.WriteSyntheticFile(path, baselineJobBytes, 0, dfs.DefaultReplication); err != nil {
 					return err
 				}
 				r, err := c.Engine.Run(mapreduce.Config{
@@ -104,11 +78,11 @@ func RunBaseline(cfg BaselineConfig) (*BaselineResult, error) {
 
 			// Workload 2: the iterative (ML-style) job re-reading one
 			// input each pass.
-			if err := cl.WriteSyntheticFile("/iter/input", cfg.IterInputBytes, 0, dfs.DefaultReplication); err != nil {
+			if err := cl.WriteSyntheticFile("/iter/input", baselinePassBytes, 0, dfs.DefaultReplication); err != nil {
 				return err
 			}
 			var later metrics.Series
-			for it := 0; it < cfg.Iterations; it++ {
+			for it := 0; it < baselinePasses; it++ {
 				jcfg := mapreduce.Config{
 					ID:          dfs.JobID(fmt.Sprintf("iter-%d", it)),
 					InputPaths:  []string{"/iter/input"},
@@ -136,7 +110,7 @@ func RunBaseline(cfg BaselineConfig) (*BaselineResult, error) {
 			res.IterLater[mode] = time.Duration(later.Mean() * float64(time.Second))
 			// The application's final act: release all iterations' pins.
 			if c.UseIgnem() {
-				for it := 0; it < cfg.Iterations; it++ {
+				for it := 0; it < baselinePasses; it++ {
 					if _, err := cl.Evict(dfs.JobID(fmt.Sprintf("iter-%d", it)), []string{"/iter/input"}); err != nil {
 						return err
 					}
@@ -163,7 +137,7 @@ func (r *BaselineResult) Render() string {
 	b.WriteString(header("Baseline — reactive hot caching vs proactive migration (§I, §V)"))
 	t1 := metrics.Table{
 		Caption: fmt.Sprintf("(a) %d singly-read jobs of %s each (mean duration)",
-			r.Config.SinglyReadJobs, gb(r.Config.JobInputBytes)),
+			baselineJobs, gb(baselineJobBytes)),
 		Header: []string{"config", "mean job (s)", "speedup vs HDFS"},
 	}
 	base := r.SinglyRead[cluster.ModeHDFS].Seconds()
@@ -175,7 +149,7 @@ func (r *BaselineResult) Render() string {
 
 	t2 := metrics.Table{
 		Caption: fmt.Sprintf("(b) iterative job, %s input x %d passes",
-			gb(r.Config.IterInputBytes), r.Config.Iterations),
+			gb(baselinePassBytes), baselinePasses),
 		Header: []string{"config", "1st pass (s)", "later passes (s)", "1st/later"},
 	}
 	for _, mode := range baselineModes {

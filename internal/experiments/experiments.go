@@ -12,8 +12,16 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
+
+// paperNodes is the paper's testbed: eight worker nodes.
+const paperNodes = 8
+
+// paperModes are the paper's three file-system configurations, in the
+// order its tables list them.
+var paperModes = []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM}
 
 // WallTimeout bounds each experiment's real (wall-clock) runtime; a
 // stalled virtual-time simulation fails instead of hanging.
@@ -38,16 +46,29 @@ func runOnCluster(cfg cluster.Config, fn func(v *simclock.Virtual, c *cluster.Cl
 	return inner
 }
 
+// gain is the percentage by which other is below base.
+func gain(base, other float64) float64 { return (1 - other/base) * 100 }
+
 // speedup formats the paper's "Speedup w.r.t HDFS" column. A slowdown
 // too small to show rounds to "0%", not to a signed "-0%".
 func speedup(base, other float64) string {
 	if base <= 0 {
 		return ""
 	}
-	if s := fmt.Sprintf("%.0f%%", (1-other/base)*100); s != "-0%" {
+	if s := fmt.Sprintf("%.0f%%", gain(base, other)); s != "-0%" {
 		return s
 	}
 	return "0%"
+}
+
+// modeTable renders the paper's per-configuration table: each mode's
+// value and its speedup w.r.t. HDFS.
+func modeTable(caption, column, format string, value func(cluster.Mode) float64) string {
+	t := metrics.Table{Caption: caption, Header: []string{"config", column, "speedup w.r.t HDFS"}}
+	for _, mode := range paperModes {
+		t.AddRow(mode.String(), fmt.Sprintf(format, value(mode)), speedup(value(cluster.ModeHDFS), value(mode)))
+	}
+	return t.String()
 }
 
 // gb renders a byte count in GB with one decimal.

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/hive"
 	"repro/internal/metrics"
 )
 
@@ -19,30 +20,27 @@ type DataWriter interface {
 	WriteData(dir string) ([]string, error)
 }
 
-var (
-	_ DataWriter = (*MediaResult)(nil)
-	_ DataWriter = (*TraceResult)(nil)
-	_ DataWriter = (*SwimResult)(nil)
-	_ DataWriter = (*SortResult)(nil)
-	_ DataWriter = (*WordcountResult)(nil)
-	_ DataWriter = (*HiveResult)(nil)
-)
-
-// writeCSV writes rows (first row = header) to dir/name.
-func writeCSV(dir, name string, rows [][]string) (string, error) {
+// writeCSVs writes each named table (first row = header) into dir and
+// returns the paths written, sorted.
+func writeCSVs(dir string, files map[string][][]string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+		return nil, err
 	}
-	var b strings.Builder
-	for _, row := range rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
+	var paths []string
+	for name, rows := range files {
+		var b strings.Builder
+		for _, row := range rows {
+			b.WriteString(strings.Join(row, ","))
+			b.WriteByte('\n')
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			return nil, err
+		}
+		paths = append(paths, path)
 	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
+	sort.Strings(paths)
+	return paths, nil
 }
 
 // seriesRows renders a per-sample series as (label, value) rows.
@@ -63,30 +61,14 @@ func seriesRows(header string, labelled map[string]*metrics.Series) [][]string {
 
 // WriteData exports Fig 1 block reads and Fig 2 task runtimes.
 func (r *MediaResult) WriteData(dir string) ([]string, error) {
-	p1, err := writeCSV(dir, "fig1_block_reads.csv", seriesRows("read_seconds",
-		map[string]*metrics.Series{
-			"hdd": r.BlockReads["hdd"], "ssd": r.BlockReads["ssd"], "ram": r.BlockReads["ram"],
-		}))
-	if err != nil {
-		return nil, err
-	}
-	p2, err := writeCSV(dir, "fig2_task_runtimes.csv", seriesRows("task_seconds",
-		map[string]*metrics.Series{
-			"hdd": r.TaskDurations["hdd"], "ssd": r.TaskDurations["ssd"], "ram": r.TaskDurations["ram"],
-		}))
-	if err != nil {
-		return nil, err
-	}
-	return []string{p1, p2}, nil
+	return writeCSVs(dir, map[string][][]string{
+		"fig1_block_reads.csv":   seriesRows("read_seconds", r.BlockReads),
+		"fig2_task_runtimes.csv": seriesRows("task_seconds", r.TaskDurations),
+	})
 }
 
 // WriteData exports the Fig 3 ratio samples and Fig 4 utilization grid.
 func (r *TraceResult) WriteData(dir string) ([]string, error) {
-	p1, err := writeCSV(dir, "fig3_read_over_lead.csv",
-		seriesRows("ratio", map[string]*metrics.Series{"ratio": r.Ratios}))
-	if err != nil {
-		return nil, err
-	}
 	rows := [][]string{{"server", "window", "utilization"}}
 	for s, series := range r.ServerUtil {
 		for w, u := range series {
@@ -95,18 +77,16 @@ func (r *TraceResult) WriteData(dir string) ([]string, error) {
 			})
 		}
 	}
-	p2, err := writeCSV(dir, "fig4_server_utilization.csv", rows)
-	if err != nil {
-		return nil, err
-	}
-	return []string{p1, p2}, nil
+	return writeCSVs(dir, map[string][][]string{
+		"fig3_read_over_lead.csv":     seriesRows("ratio", map[string]*metrics.Series{"ratio": r.Ratios}),
+		"fig4_server_utilization.csv": rows,
+	})
 }
 
 // WriteData exports the SWIM job/task/block series and the Fig 7 memory
 // samples.
 func (r *SwimResult) WriteData(dir string) ([]string, error) {
-	var paths []string
-	jobs := map[string]*metrics.Series{}
+	jobs := map[string]*metrics.Series{"Ignem-FIFO": r.FIFOJobDurations}
 	tasks := map[string]*metrics.Series{}
 	reads := map[string]*metrics.Series{}
 	for mode, mr := range r.Modes {
@@ -114,9 +94,7 @@ func (r *SwimResult) WriteData(dir string) ([]string, error) {
 		tasks[mode.String()] = mr.TaskDurations
 		reads[mode.String()] = mr.BlockReads
 	}
-	if r.FIFOJobDurations != nil {
-		jobs["Ignem-FIFO"] = r.FIFOJobDurations
-	}
+	files := map[string][][]string{}
 	for name, data := range map[string]map[string]*metrics.Series{
 		"table1_job_durations.csv":  jobs,
 		"table2_task_durations.csv": tasks,
@@ -126,62 +104,45 @@ func (r *SwimResult) WriteData(dir string) ([]string, error) {
 			"hypothetical": r.HypotheticalMemory,
 		},
 	} {
-		p, err := writeCSV(dir, name, seriesRows("seconds_or_bytes", data))
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
+		files[name] = seriesRows("seconds_or_bytes", data)
 	}
-	sort.Strings(paths)
-	return paths, nil
+	return writeCSVs(dir, files)
 }
 
 // WriteData exports the sort durations.
 func (r *SortResult) WriteData(dir string) ([]string, error) {
 	rows := [][]string{{"config", "seconds"}}
-	for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
+	for _, mode := range paperModes {
 		rows = append(rows, []string{mode.String(), fmt.Sprintf("%g", r.Durations[mode].Seconds())})
 	}
-	p, err := writeCSV(dir, "table3_sort.csv", rows)
-	if err != nil {
-		return nil, err
-	}
-	return []string{p}, nil
+	return writeCSVs(dir, map[string][][]string{"table3_sort.csv": rows})
 }
 
 // WriteData exports the Fig 8 sweep matrix.
 func (r *WordcountResult) WriteData(dir string) ([]string, error) {
 	rows := [][]string{{"config", "input_gb", "seconds"}}
 	for _, label := range WordcountLabels {
-		for _, sz := range r.Config.SizesGB {
+		for _, sz := range wordcountSizesGB {
 			rows = append(rows, []string{
-				label, fmt.Sprint(sz), fmt.Sprintf("%g", r.Durations[label][sz].Seconds()),
+				label, fmt.Sprint(sz), fmt.Sprintf("%g", r.seconds(label, sz)),
 			})
 		}
 	}
-	p, err := writeCSV(dir, "fig8_wordcount.csv", rows)
-	if err != nil {
-		return nil, err
-	}
-	return []string{p}, nil
+	return writeCSVs(dir, map[string][][]string{"fig8_wordcount.csv": rows})
 }
 
 // WriteData exports the Fig 9 query durations and input sizes.
 func (r *HiveResult) WriteData(dir string) ([]string, error) {
 	rows := [][]string{{"query", "input_gb", "config", "seconds"}}
-	for _, q := range r.Config.Queries {
-		for mode, durs := range r.Durations {
+	for _, q := range hive.Catalog() {
+		for _, mode := range paperModes {
 			rows = append(rows, []string{
 				q.Name,
 				fmt.Sprintf("%g", float64(q.InputBytes)/float64(1<<30)),
 				mode.String(),
-				fmt.Sprintf("%g", durs[q.Name].Seconds()),
+				fmt.Sprintf("%g", r.Durations[mode][q.Name].Seconds()),
 			})
 		}
 	}
-	p, err := writeCSV(dir, "fig9_hive.csv", rows)
-	if err != nil {
-		return nil, err
-	}
-	return []string{p}, nil
+	return writeCSVs(dir, map[string][][]string{"fig9_hive.csv": rows})
 }

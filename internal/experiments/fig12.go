@@ -12,28 +12,13 @@ import (
 	"repro/internal/storage"
 )
 
-// MediaConfig controls the Fig 1/Fig 2 microbenchmarks: SWIM-style
-// concurrent mapper reads with HDFS files stored on HDD, SSD, or RAM.
-type MediaConfig struct {
-	// Nodes and BlocksPerNode size the run. Defaults 8 and 10 (10
-	// concurrent readers per device, the SWIM-like concurrency).
-	Nodes         int
-	BlocksPerNode int
-	Seed          int64
-}
-
-func (c *MediaConfig) setDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	if c.BlocksPerNode <= 0 {
-		c.BlocksPerNode = 10
-	}
-}
+// mediaBlocksPerNode sizes the Fig 1/Fig 2 microbenchmarks (SWIM-style
+// concurrent mapper reads with HDFS files stored on HDD, SSD, or RAM):
+// ten concurrent readers per device, the SWIM-like concurrency.
+const mediaBlocksPerNode = 10
 
 // MediaResult holds per-medium block-read and mapper-task latencies.
 type MediaResult struct {
-	Config MediaConfig
 	// BlockReads and TaskDurations are keyed by medium name
 	// ("hdd", "ssd", "ram"), in seconds.
 	BlockReads    map[string]*metrics.Series
@@ -42,10 +27,8 @@ type MediaResult struct {
 
 // RunMedia reproduces Figs 1 and 2: the same concurrent mapper workload
 // against the three storage media.
-func RunMedia(cfg MediaConfig) (*MediaResult, error) {
-	cfg.setDefaults()
+func RunMedia(seed int64) (*MediaResult, error) {
 	res := &MediaResult{
-		Config:        cfg,
 		BlockReads:    make(map[string]*metrics.Series),
 		TaskDurations: make(map[string]*metrics.Series),
 	}
@@ -65,7 +48,7 @@ func RunMedia(cfg MediaConfig) (*MediaResult, error) {
 		// where ~10 readers contend per device; let one heartbeat fill
 		// all slots so the microbench reaches that concurrency.
 		ccfg := cluster.Config{
-			Nodes: cfg.Nodes, Media: m.media, Mode: m.mode, Seed: cfg.Seed,
+			Nodes: paperNodes, Media: m.media, Mode: m.mode, Seed: seed,
 			MaxAssignPerHeartbeat: 10,
 		}
 		err := runOnCluster(ccfg, func(v *simclock.Virtual, c *cluster.Cluster) error {
@@ -74,7 +57,7 @@ func RunMedia(cfg MediaConfig) (*MediaResult, error) {
 				return err
 			}
 			defer cl.Close()
-			total := int64(cfg.Nodes*cfg.BlocksPerNode) * dfs.DefaultBlockSize
+			total := int64(paperNodes*mediaBlocksPerNode) * dfs.DefaultBlockSize
 			if err := cl.WriteSyntheticFile("/bench/input", total, 0, dfs.DefaultReplication); err != nil {
 				return err
 			}
@@ -103,39 +86,22 @@ func RunMedia(cfg MediaConfig) (*MediaResult, error) {
 	return res, nil
 }
 
-// RenderFig1 prints the block-read histograms and the headline ratios
-// (paper: RAM 160x faster than HDD, 7x faster than SSD).
-func (r *MediaResult) RenderFig1() string {
+// Render prints Fig 1, the block-read histograms and the headline ratios
+// (paper: RAM 160x faster than HDD, 7x faster than SSD), and Fig 2, the
+// mapper-task CDFs (paper: RAM mean 23x below HDD).
+func (r *MediaResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("Fig 1 — HDFS block read time by medium"))
 	for _, m := range []string{"hdd", "ssd", "ram"} {
 		b.WriteString(metrics.Histogram(fmt.Sprintf("(%s) block read time (s)", m), r.BlockReads[m], 8))
 	}
 	hdd, ssd, ram := r.BlockReads["hdd"].Mean(), r.BlockReads["ssd"].Mean(), r.BlockReads["ram"].Mean()
-	if ram > 0 {
-		fmt.Fprintf(&b, "mean: hdd %.2fs ssd %.3fs ram %.4fs — RAM %.0fx faster than HDD (paper 160x), %.1fx faster than SSD (paper 7x)\n",
-			hdd, ssd, ram, hdd/ram, ssd/ram)
-	}
-	return b.String()
-}
+	fmt.Fprintf(&b, "mean: hdd %.2fs ssd %.3fs ram %.4fs — RAM %.0fx faster than HDD (paper 160x), %.1fx faster than SSD (paper 7x)\n",
+		hdd, ssd, ram, hdd/ram, ssd/ram)
 
-// RenderFig2 prints the mapper-task CDFs (paper: RAM mean 23x below HDD).
-func (r *MediaResult) RenderFig2() string {
-	var b strings.Builder
-	b.WriteString(header("Fig 2 — mapper task runtime by medium"))
-	labelled := map[string]*metrics.Series{}
-	for name, s := range r.TaskDurations {
-		labelled[name] = s
-	}
-	b.WriteString(metrics.RenderCDF("CDF of mapper task runtime (s)", 11, labelled))
-	hdd, ram := r.TaskDurations["hdd"].Mean(), r.TaskDurations["ram"].Mean()
-	if ram > 0 {
-		fmt.Fprintf(&b, "mean task runtime: hdd %.2fs ram %.2fs — %.0fx (paper 23x)\n", hdd, ram, hdd/ram)
-	}
+	b.WriteString("\n" + header("Fig 2 — mapper task runtime by medium"))
+	b.WriteString(metrics.RenderCDF("CDF of mapper task runtime (s)", 11, r.TaskDurations))
+	hdd, ram = r.TaskDurations["hdd"].Mean(), r.TaskDurations["ram"].Mean()
+	fmt.Fprintf(&b, "mean task runtime: hdd %.2fs ram %.2fs — %.0fx (paper 23x)\n", hdd, ram, hdd/ram)
 	return b.String()
-}
-
-// Render prints both figures.
-func (r *MediaResult) Render() string {
-	return r.RenderFig1() + "\n" + r.RenderFig2()
 }

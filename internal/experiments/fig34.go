@@ -12,7 +12,6 @@ import (
 // TraceResult holds the §II motivation analysis on the synthesized
 // Google-style trace (Figs 3 and 4).
 type TraceResult struct {
-	Trace *gtrace.Trace
 	// Ratios is read-time/lead-time per job.
 	Ratios *metrics.Series
 	// FracSufficient is the fraction of jobs whose lead-time covers
@@ -29,26 +28,28 @@ type TraceResult struct {
 }
 
 // RunTraceAnalysis synthesizes the trace and reproduces Figs 3 and 4.
-func RunTraceAnalysis(cfg gtrace.Config) *TraceResult {
-	tr := gtrace.Generate(cfg)
+func RunTraceAnalysis(seed int64) *TraceResult {
+	tr := gtrace.Generate(seed)
 	ratios, frac := tr.LeadTimeSufficiency()
 	mean, median := tr.LeadTimeStats()
-	day := tr.MeanUtilization(5 * time.Minute)
-	_, month := gtrace.MonthProfile(cfg.Seed+1, day)
+	util := tr.ServerUtilization(5 * time.Minute)
+	day := gtrace.MeanUtilization(util)
+	_, month := gtrace.MonthProfile(seed+1, day)
 	return &TraceResult{
-		Trace:          tr,
 		Ratios:         ratios,
 		FracSufficient: frac,
 		LeadMean:       mean,
 		LeadMedian:     median,
 		DayMeanUtil:    day,
 		MonthMeanUtil:  month,
-		ServerUtil:     tr.ServerUtilization(5 * time.Minute),
+		ServerUtil:     util,
 	}
 }
 
-// RenderFig3 prints the lead-time sufficiency CDF (paper: 81% of jobs).
-func (r *TraceResult) RenderFig3() string {
+// Render prints Fig 3, the lead-time sufficiency CDF (paper: 81% of
+// jobs), and Fig 4, the disk-utilization view (paper: 40-server mean
+// <=5% at all times; day mean 3.1%; month mean 1.3%).
+func (r *TraceResult) Render() string {
 	var b strings.Builder
 	b.WriteString(header("Fig 3 — is lead-time sufficient for migration?"))
 	fmt.Fprintf(&b, "job lead-time: mean %.1fs (paper 8.8s), median %.1fs (paper 1.8s)\n",
@@ -56,35 +57,12 @@ func (r *TraceResult) RenderFig3() string {
 	b.WriteString(metrics.RenderCDF("CDF of read-time / lead-time", 11,
 		map[string]*metrics.Series{"ratio": r.Ratios}))
 	fmt.Fprintf(&b, "lead-time >= read-time for %.0f%% of jobs (paper: 81%%)\n", r.FracSufficient*100)
-	return b.String()
-}
 
-// RenderFig4 prints the disk-utilization view (paper: 40-server mean
-// <=5% at all times; day mean 3.1%; month mean 1.3%).
-func (r *TraceResult) RenderFig4() string {
-	var b strings.Builder
-	b.WriteString(header("Fig 4 — disk bandwidth utilization"))
-	// Mean across servers per window (the paper's 40-server mean line).
-	nWin := len(r.ServerUtil[0])
-	peak := 0.0
-	var meanLine []float64
-	for w := 0; w < nWin; w++ {
-		sum := 0.0
-		for s := range r.ServerUtil {
-			sum += r.ServerUtil[s][w]
-		}
-		m := sum / float64(len(r.ServerUtil))
-		meanLine = append(meanLine, m)
-		if m > peak {
-			peak = m
-		}
-	}
+	b.WriteString("\n" + header("Fig 4 — disk bandwidth utilization"))
+	meanLine, peak := r.meanLine()
 	// Print a coarse timeline (every ~2 hours).
-	step := nWin / 12
-	if step < 1 {
-		step = 1
-	}
-	for w := 0; w < nWin; w += step {
+	step := len(meanLine) / 12
+	for w := 0; w < len(meanLine); w += step {
 		bar := strings.Repeat("#", int(meanLine[w]*400))
 		fmt.Fprintf(&b, "t=%5.1fh mean util %5.2f%% %s\n",
 			float64(w)*5/60, meanLine[w]*100, bar)
@@ -95,7 +73,17 @@ func (r *TraceResult) RenderFig4() string {
 	return b.String()
 }
 
-// Render prints both figures.
-func (r *TraceResult) Render() string {
-	return r.RenderFig3() + "\n" + r.RenderFig4()
+// meanLine is the mean across servers per window (the paper's 40-server
+// mean line) and its peak.
+func (r *TraceResult) meanLine() (line []float64, peak float64) {
+	for w := range r.ServerUtil[0] {
+		sum := 0.0
+		for s := range r.ServerUtil {
+			sum += r.ServerUtil[s][w]
+		}
+		m := sum / float64(len(r.ServerUtil))
+		line = append(line, m)
+		peak = max(peak, m)
+	}
+	return line, peak
 }

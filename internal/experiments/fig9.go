@@ -11,44 +11,24 @@ import (
 	"repro/internal/simclock"
 )
 
-// HiveConfig controls the Fig 9 TPC-DS query experiment.
-type HiveConfig struct {
-	// Queries defaults to the full catalog; benchmarks may subset.
-	Queries []hive.Query
-	Nodes   int
-	Seed    int64
-	// Trials averages each query's duration over several runs
-	// (default 3) to damp heartbeat-phase noise.
-	Trials int
-}
-
-func (c *HiveConfig) setDefaults() {
-	if len(c.Queries) == 0 {
-		c.Queries = hive.Catalog()
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	if c.Trials <= 0 {
-		c.Trials = 3
-	}
-}
+// hiveTrials averages each Fig 9 query's duration over several runs to
+// damp heartbeat-phase noise.
+const hiveTrials = 3
 
 // HiveResult maps configuration -> query name -> duration.
 type HiveResult struct {
-	Config    HiveConfig
 	Durations map[cluster.Mode]map[string]time.Duration
 }
 
 // RunHive reproduces Fig 9: the TPC-DS query catalog under HDFS, Ignem
 // and inputs-in-RAM. Each configuration gets a fresh cluster with all
 // warehouse tables loaded.
-func RunHive(cfg HiveConfig) (*HiveResult, error) {
-	cfg.setDefaults()
-	res := &HiveResult{Config: cfg, Durations: make(map[cluster.Mode]map[string]time.Duration)}
-	for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
+func RunHive(seed int64) (*HiveResult, error) {
+	queries := hive.Catalog()
+	res := &HiveResult{Durations: make(map[cluster.Mode]map[string]time.Duration)}
+	for _, mode := range paperModes {
 		res.Durations[mode] = make(map[string]time.Duration)
-		ccfg := cluster.Config{Nodes: cfg.Nodes, Mode: mode, Seed: cfg.Seed}
+		ccfg := cluster.Config{Nodes: paperNodes, Mode: mode, Seed: seed}
 		mode := mode
 		err := runOnCluster(ccfg, func(v *simclock.Virtual, c *cluster.Cluster) error {
 			h := hive.New(c.Engine, c.UseIgnem())
@@ -57,11 +37,11 @@ func RunHive(cfg HiveConfig) (*HiveResult, error) {
 				return err
 			}
 			defer cl.Close()
-			if err := h.SetupTables(cl, cfg.Queries); err != nil {
+			if err := h.SetupTables(cl, queries); err != nil {
 				return err
 			}
-			for trial := 0; trial < cfg.Trials; trial++ {
-				for qi, q := range cfg.Queries {
+			for trial := 0; trial < hiveTrials; trial++ {
+				for qi, q := range queries {
 					// Decorrelate each run from the scheduler heartbeat
 					// phase, as real back-to-back query runs would be.
 					v.Sleep(time.Duration(300+700*trial+137*qi) * time.Millisecond)
@@ -69,7 +49,7 @@ func RunHive(cfg HiveConfig) (*HiveResult, error) {
 					if err != nil {
 						return fmt.Errorf("query %s: %w", q.Name, err)
 					}
-					res.Durations[mode][q.Name] += qr.Duration / time.Duration(cfg.Trials)
+					res.Durations[mode][q.Name] += qr.Duration / hiveTrials
 				}
 			}
 			return nil
@@ -79,6 +59,30 @@ func RunHive(cfg HiveConfig) (*HiveResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// hiveQueries lists the catalog's query names in input-size order.
+func hiveQueries() []string {
+	var names []string
+	for _, q := range hive.Catalog() {
+		names = append(names, q.Name)
+	}
+	return names
+}
+
+// gain is Ignem's gain over HDFS on one query, in percent.
+func (r *HiveResult) gain(query string) float64 {
+	return gain(r.Durations[cluster.ModeHDFS][query].Seconds(), r.Durations[cluster.ModeIgnem][query].Seconds())
+}
+
+// meanGain is Ignem's gain over HDFS averaged over the queries.
+func (r *HiveResult) meanGain() float64 {
+	var sum float64
+	names := hiveQueries()
+	for _, q := range names {
+		sum += r.gain(q)
+	}
+	return sum / float64(len(names))
 }
 
 // Render prints Fig 9: query durations per configuration plus input
@@ -91,24 +95,16 @@ func (r *HiveResult) Render() string {
 		Caption: "(a) query durations (s) and Ignem speedup vs HDFS",
 		Header:  []string{"query", "HDFS", "Ignem", "RAM", "Ignem speedup"},
 	}
-	var sum, n float64
-	for _, q := range r.Config.Queries {
+	for _, q := range hive.Catalog() {
 		hd := r.Durations[cluster.ModeHDFS][q.Name].Seconds()
 		ig := r.Durations[cluster.ModeIgnem][q.Name].Seconds()
 		ram := r.Durations[cluster.ModeInputsInRAM][q.Name].Seconds()
-		sp := speedup(hd, ig)
-		if hd > 0 {
-			sum += (1 - ig/hd) * 100
-			n++
-		}
-		t.AddRow(q.Name, fmt.Sprintf("%.0f", hd), fmt.Sprintf("%.0f", ig), fmt.Sprintf("%.0f", ram), sp)
+		t.AddRow(q.Name, fmt.Sprintf("%.0f", hd), fmt.Sprintf("%.0f", ig), fmt.Sprintf("%.0f", ram), speedup(hd, ig))
 	}
 	b.WriteString(t.String())
-	if n > 0 {
-		fmt.Fprintf(&b, "mean Ignem speedup: %.0f%% (paper: 20%%, max 34%%)\n", sum/n)
-	}
+	fmt.Fprintf(&b, "mean Ignem speedup: %.0f%% (paper: 20%%, max 34%%)\n", r.meanGain())
 	var entries []metrics.BarEntry
-	for _, q := range r.Config.Queries {
+	for _, q := range hive.Catalog() {
 		entries = append(entries, metrics.BarEntry{Label: q.Name, Value: float64(q.InputBytes) / float64(1<<30)})
 	}
 	b.WriteString(metrics.BarChart("(b) query input size", "GB", entries))

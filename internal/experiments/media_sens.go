@@ -12,45 +12,28 @@ import (
 	"repro/internal/storage"
 )
 
-// MediaSensitivityConfig controls the §II-B extension experiment: the
-// paper argues that "regardless of whether cold job input data is stored
-// on HDDs or SSDs, migrating the data into memory is key to maximizing
-// performance". This runs the same job with the cold tier on HDD and on
-// SSD under all three file-system configurations.
-type MediaSensitivityConfig struct {
-	// InputBytes sizes the job (default 8 GB).
-	InputBytes int64
-	Nodes      int
-	Seed       int64
-}
-
-func (c *MediaSensitivityConfig) setDefaults() {
-	if c.InputBytes <= 0 {
-		c.InputBytes = 8 << 30
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-}
+// The §II-B extension experiment: the paper argues that "regardless of
+// whether cold job input data is stored on HDDs or SSDs, migrating the
+// data into memory is key to maximizing performance". This runs the
+// same 8 GB job with the cold tier on HDD and on SSD under all three
+// file-system configurations.
+const sensitivityInputBytes = 8 << 30
 
 // MediaSensitivityResult maps medium -> mode -> duration.
 type MediaSensitivityResult struct {
-	Config    MediaSensitivityConfig
 	Durations map[string]map[cluster.Mode]time.Duration
 }
 
 // RunMediaSensitivity runs the experiment.
-func RunMediaSensitivity(cfg MediaSensitivityConfig) (*MediaSensitivityResult, error) {
-	cfg.setDefaults()
+func RunMediaSensitivity(seed int64) (*MediaSensitivityResult, error) {
 	res := &MediaSensitivityResult{
-		Config:    cfg,
 		Durations: make(map[string]map[cluster.Mode]time.Duration),
 	}
 	media := []storage.Spec{storage.HDDSpec(), storage.SSDSpec()}
 	for _, spec := range media {
 		res.Durations[spec.Name] = make(map[cluster.Mode]time.Duration)
-		for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
-			ccfg := cluster.Config{Nodes: cfg.Nodes, Media: spec, Mode: mode, Seed: cfg.Seed}
+		for _, mode := range paperModes {
+			ccfg := cluster.Config{Nodes: paperNodes, Media: spec, Mode: mode, Seed: seed}
 			spec, mode := spec, mode
 			err := runOnCluster(ccfg, func(v *simclock.Virtual, c *cluster.Cluster) error {
 				cl, err := c.Client()
@@ -58,15 +41,15 @@ func RunMediaSensitivity(cfg MediaSensitivityConfig) (*MediaSensitivityResult, e
 					return err
 				}
 				defer cl.Close()
-				if err := cl.WriteSyntheticFile("/in", cfg.InputBytes, 0, dfs.DefaultReplication); err != nil {
+				if err := cl.WriteSyntheticFile("/in", sensitivityInputBytes, 0, dfs.DefaultReplication); err != nil {
 					return err
 				}
 				r, err := c.Engine.Run(mapreduce.Config{
 					ID:           "job",
 					InputPaths:   []string{"/in"},
 					MapRateMBps:  250,
-					ShuffleBytes: cfg.InputBytes / 20,
-					OutputBytes:  cfg.InputBytes / 50,
+					ShuffleBytes: sensitivityInputBytes / 20,
+					OutputBytes:  sensitivityInputBytes / 50,
 					UseIgnem:     c.UseIgnem(),
 				})
 				if err != nil {
@@ -86,7 +69,7 @@ func RunMediaSensitivity(cfg MediaSensitivityConfig) (*MediaSensitivityResult, e
 // Render prints the comparison table.
 func (r *MediaSensitivityResult) Render() string {
 	t := metrics.Table{
-		Caption: fmt.Sprintf("§II-B extension: %s job with the cold tier on HDD vs SSD", gb(r.Config.InputBytes)),
+		Caption: fmt.Sprintf("§II-B extension: %s job with the cold tier on HDD vs SSD", gb(sensitivityInputBytes)),
 		Header:  []string{"medium", "HDFS (s)", "Ignem (s)", "RAM (s)", "Ignem speedup", "RAM speedup"},
 	}
 	for _, medium := range []string{"hdd", "ssd"} {

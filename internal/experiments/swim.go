@@ -26,16 +26,15 @@ type SwimConfig struct {
 	Seed       int64
 	// Nodes is the cluster size (default 8, the paper's testbed).
 	Nodes int
-	// MeanInterarrival spaces job submissions (default 8s; the paper
-	// halves the Facebook trace's gaps for its smaller cluster).
-	MeanInterarrival time.Duration
-	// FIFO replaces smallest-job-first with FIFO in the Ignem slaves
-	// (the ablation).
-	FIFO bool
 }
 
-// memorySampleEvery is the Fig 7 sampling period.
-const memorySampleEvery = time.Second
+const (
+	// swimInterarrival spaces job submissions: the paper halves the
+	// Facebook trace's gaps for its smaller cluster.
+	swimInterarrival = 8 * time.Second
+	// memorySampleEvery is the Fig 7 sampling period.
+	memorySampleEvery = time.Second
+)
 
 func (c *SwimConfig) setDefaults() {
 	if c.Jobs <= 0 {
@@ -45,17 +44,13 @@ func (c *SwimConfig) setDefaults() {
 		c.TotalBytes = 170 << 30
 	}
 	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 8 * time.Second
+		c.Nodes = paperNodes
 	}
 }
 
 // SwimModeResult holds the measurements of one file-system configuration
 // over the SWIM workload.
 type SwimModeResult struct {
-	Mode cluster.Mode
 	// JobDurations is the per-job wall time (seconds).
 	JobDurations *metrics.Series
 	// BinDurations splits job durations by the paper's size bins.
@@ -75,8 +70,6 @@ type SwimModeResult struct {
 	MemoryPerServer *metrics.Series
 	// Slave aggregates Ignem slave counters.
 	Slave ignem.SlaveStats
-	// Makespan is the whole workload's span.
-	Makespan time.Duration
 	// jobDurations records each job's measured duration (for the Fig 7
 	// hypothetical-memory replay).
 	jobMu        sync.Mutex
@@ -89,7 +82,7 @@ type SwimResult struct {
 	Config SwimConfig
 	Modes  map[cluster.Mode]*SwimModeResult
 	// FIFOJobDurations holds the ablation run's job durations (Ignem
-	// with FIFO queues), nil unless the ablation ran.
+	// with FIFO queues instead of smallest-job-first).
 	FIFOJobDurations *metrics.Series
 	// HypotheticalMemory is the per-server memory occupancy of a scheme
 	// that migrates instantly at submit and evicts at completion.
@@ -97,17 +90,17 @@ type SwimResult struct {
 }
 
 // RunSwim runs the SWIM workload under HDFS, Ignem and
-// HDFS-Inputs-in-RAM, plus (optionally downscaled) the FIFO ablation.
+// HDFS-Inputs-in-RAM, plus the FIFO ablation.
 func RunSwim(cfg SwimConfig) (*SwimResult, error) {
 	cfg.setDefaults()
 	out := &SwimResult{Config: cfg, Modes: make(map[cluster.Mode]*SwimModeResult)}
 	jobs := workloads.GenerateSwim(workloads.SwimConfig{
 		Jobs:             cfg.Jobs,
 		TotalInputBytes:  cfg.TotalBytes,
-		MeanInterarrival: cfg.MeanInterarrival,
+		MeanInterarrival: swimInterarrival,
 		Seed:             cfg.Seed,
 	})
-	for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
+	for _, mode := range paperModes {
 		res, err := runSwimMode(cfg, jobs, mode, false)
 		if err != nil {
 			return nil, err
@@ -126,7 +119,6 @@ func RunSwim(cfg SwimConfig) (*SwimResult, error) {
 // runSwimMode runs the full workload on one cluster configuration.
 func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo bool) (*SwimModeResult, error) {
 	res := &SwimModeResult{
-		Mode:            mode,
 		JobDurations:    &metrics.Series{},
 		BinDurations:    map[string]*metrics.Series{"small": {}, "medium": {}, "large": {}},
 		TaskDurations:   &metrics.Series{},
@@ -138,8 +130,11 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 	ccfg := cluster.Config{
 		Nodes: cfg.Nodes,
 		Mode:  mode,
-		Seed:  cfg.Seed + int64(mode)*1000 + boolToInt64(fifo)*7777,
+		Seed:  cfg.Seed + int64(mode)*1000,
 		Slave: ignem.SlaveConfig{FIFO: fifo},
+	}
+	if fifo {
+		ccfg.Seed += 7777
 	}
 	err := runOnCluster(ccfg, func(v *simclock.Virtual, c *cluster.Cluster) error {
 		cl, err := c.Client()
@@ -171,7 +166,6 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 			}
 		})
 
-		start := v.Now()
 		var errMu sync.Mutex
 		var firstErr error
 		wg := simclock.NewWaitGroup(v)
@@ -219,10 +213,12 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 		if firstErr != nil {
 			return firstErr
 		}
-		res.Makespan = v.Now().Sub(start)
 		stopSampler.Send(struct{}{})
 		samplerDone.Recv()
 		res.Slave = c.SlaveStats()
+		if res.Slave.PinnedBytes != 0 {
+			return fmt.Errorf("%d pinned bytes outlived the workload", res.Slave.PinnedBytes)
+		}
 		if hits, misses := res.Slave.MemoryHits, res.Slave.MemoryMisses; hits+misses > 0 {
 			res.MemoryFromReads = float64(hits) / float64(hits+misses)
 		}
@@ -243,15 +239,10 @@ func hypotheticalMemory(cfg SwimConfig, ignemRun *SwimModeResult, jobs []workloa
 		delta int64
 	}
 	var events []event
-	meanDur := time.Duration(ignemRun.JobDurations.Mean() * float64(time.Second))
 	ignemRun.jobMu.Lock()
 	for _, j := range jobs {
-		dur, ok := ignemRun.jobDurations[j.Name]
-		if !ok {
-			dur = meanDur
-		}
 		events = append(events, event{at: j.Arrival, delta: j.InputBytes})
-		events = append(events, event{at: j.Arrival + dur, delta: -j.InputBytes})
+		events = append(events, event{at: j.Arrival + ignemRun.jobDurations[j.Name], delta: -j.InputBytes})
 	}
 	ignemRun.jobMu.Unlock()
 	sort.Slice(events, func(i, k int) bool { return events[i].at < events[k].at })
@@ -275,71 +266,59 @@ func hypotheticalMemory(cfg SwimConfig, ignemRun *SwimModeResult, jobs []workloa
 
 func swimPath(j workloads.Job) string { return "/swim/" + j.Name }
 
-func boolToInt64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+// jobMean is mode's mean job duration in seconds.
+func (r *SwimResult) jobMean(mode cluster.Mode) float64 { return r.Modes[mode].JobDurations.Mean() }
+
+// jobGain is mode's mean-job-duration gain over HDFS, in percent.
+func (r *SwimResult) jobGain(mode cluster.Mode) float64 {
+	return gain(r.jobMean(cluster.ModeHDFS), r.jobMean(mode))
 }
 
-// --- rendering ---
-
-// RenderTable1 prints the paper's Table I (mean SWIM job duration).
-func (r *SwimResult) RenderTable1() string {
-	t := metrics.Table{
-		Caption: "TABLE I: SWIM mean job duration (paper: HDFS 14.4s; Ignem -12%; RAM -21%)",
-		Header:  []string{"config", "mean job duration (s)", "speedup w.r.t HDFS"},
-	}
-	base := r.Modes[cluster.ModeHDFS].JobDurations.Mean()
-	for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
-		m := r.Modes[mode].JobDurations.Mean()
-		t.AddRow(mode.String(), fmt.Sprintf("%.1f", m), speedup(base, m))
-	}
-	return header("Table I — SWIM job duration") + t.String()
+// binGain is mode's mean-job-duration gain over HDFS within one Fig 5
+// size bin, in percent.
+func (r *SwimResult) binGain(bin string, mode cluster.Mode) float64 {
+	return gain(r.Modes[cluster.ModeHDFS].BinDurations[bin].Mean(), r.Modes[mode].BinDurations[bin].Mean())
 }
 
-// RenderFig5 prints the per-size-bin speedups (paper: small 8.8%,
-// medium 7.7%, large 25%; RAM large ~60%).
-func (r *SwimResult) RenderFig5() string {
+// taskMean is mode's mean map-task duration in seconds.
+func (r *SwimResult) taskMean(mode cluster.Mode) float64 { return r.Modes[mode].TaskDurations.Mean() }
+
+// taskGain is Ignem's mean-map-task gain over HDFS, in percent.
+func (r *SwimResult) taskGain() float64 {
+	return gain(r.taskMean(cluster.ModeHDFS), r.taskMean(cluster.ModeIgnem))
+}
+
+// Render prints every SWIM table and figure in the paper's order:
+//   - Table I, mean job duration (paper: HDFS 14.4s; Ignem -12%; RAM -21%);
+//   - Fig 5, per-size-bin speedups (paper: small 8.8%, medium 7.7%, large
+//     25%; RAM large ~60%);
+//   - Table II, mean map task duration (paper: 6.44s HDFS, 4.03s Ignem
+//     (38%), 0.28s RAM (96%));
+//   - Fig 6, block-read CDFs and the fraction of reads served from memory
+//     (paper: ~40% mean reduction, ~60% of blocks migrated);
+//   - Fig 7, per-server memory (paper: Ignem's footprint 2.6x lower than
+//     the hypothetical scheme);
+//   - the §IV-C5 prioritization ablation (paper: disabling
+//     smallest-job-first costs ~2 points of speedup, ~15% of the benefit).
+func (r *SwimResult) Render() string {
 	var b strings.Builder
-	b.WriteString(header("Fig 5 — mean job duration reduction by input size bin"))
+	b.WriteString(header("Table I — SWIM job duration") + modeTable(
+		"TABLE I: SWIM mean job duration (paper: HDFS 14.4s; Ignem -12%; RAM -21%)", "mean job duration (s)", "%.1f", r.jobMean))
+
+	b.WriteString("\n" + header("Fig 5 — mean job duration reduction by input size bin"))
 	for _, bin := range []string{"small", "medium", "large"} {
-		base := r.Modes[cluster.ModeHDFS].BinDurations[bin].Mean()
 		var entries []metrics.BarEntry
 		for _, mode := range []cluster.Mode{cluster.ModeIgnem, cluster.ModeInputsInRAM} {
-			m := r.Modes[mode].BinDurations[bin].Mean()
-			red := 0.0
-			if base > 0 {
-				red = (1 - m/base) * 100
-			}
-			entries = append(entries, metrics.BarEntry{Label: mode.String(), Value: red})
+			entries = append(entries, metrics.BarEntry{Label: mode.String(), Value: r.binGain(bin, mode)})
 		}
 		b.WriteString(metrics.BarChart(fmt.Sprintf("%s jobs (n=%d): %% reduction vs HDFS",
 			bin, r.Modes[cluster.ModeHDFS].BinDurations[bin].Len()), "%", entries))
 	}
-	return b.String()
-}
 
-// RenderTable2 prints the paper's Table II (mean map task duration;
-// paper: 6.44s HDFS, 4.03s Ignem (38%), 0.28s RAM (96%)).
-func (r *SwimResult) RenderTable2() string {
-	t := metrics.Table{
-		Caption: "TABLE II: SWIM mean mapper task duration (paper: 6.44s / 4.03s / 0.28s)",
-		Header:  []string{"config", "mean task duration (s)", "speedup w.r.t HDFS"},
-	}
-	base := r.Modes[cluster.ModeHDFS].TaskDurations.Mean()
-	for _, mode := range []cluster.Mode{cluster.ModeHDFS, cluster.ModeIgnem, cluster.ModeInputsInRAM} {
-		m := r.Modes[mode].TaskDurations.Mean()
-		t.AddRow(mode.String(), fmt.Sprintf("%.2f", m), speedup(base, m))
-	}
-	return header("Table II — SWIM mapper task duration") + t.String()
-}
+	b.WriteString("\n" + header("Table II — SWIM mapper task duration") + modeTable(
+		"TABLE II: SWIM mean mapper task duration (paper: 6.44s / 4.03s / 0.28s)", "mean task duration (s)", "%.2f", r.taskMean))
 
-// RenderFig6 prints the block-read CDFs and the fraction of reads served
-// from memory (paper: ~40% mean reduction, ~60% of blocks migrated).
-func (r *SwimResult) RenderFig6() string {
-	var b strings.Builder
-	b.WriteString(header("Fig 6 — HDFS block read durations (s)"))
+	b.WriteString("\n" + header("Fig 6 — HDFS block read durations (s)"))
 	labelled := map[string]*metrics.Series{}
 	for mode, mr := range r.Modes {
 		labelled[mode.String()] = mr.BlockReads
@@ -351,48 +330,21 @@ func (r *SwimResult) RenderFig6() string {
 		hdfs, ign, speedup(hdfs, ign))
 	fmt.Fprintf(&b, "block reads served from memory under Ignem: %.0f%% (paper ~60%%)\n",
 		r.Modes[cluster.ModeIgnem].MemoryFromReads*100)
-	hdfsDisk := r.Modes[cluster.ModeHDFS].DiskReads.Mean()
-	ignemDisk := r.Modes[cluster.ModeIgnem].DiskReads.Mean()
-	fmt.Fprintf(&b, "non-migrated (disk) reads: HDFS %.2fs vs Ignem %.2fs\n", hdfsDisk, ignemDisk)
+	fmt.Fprintf(&b, "non-migrated (disk) reads: HDFS %.2fs vs Ignem %.2fs\n",
+		r.Modes[cluster.ModeHDFS].DiskReads.Mean(), r.Modes[cluster.ModeIgnem].DiskReads.Mean())
 	b.WriteString("  (the paper reports these improve; here the survivors are precisely the\n" +
 		"   contended-burst reads — a selection effect; see EXPERIMENTS.md)\n")
-	return b.String()
-}
 
-// RenderFig7 prints the per-server memory comparison (paper: Ignem's
-// footprint 2.6x lower than the hypothetical scheme).
-func (r *SwimResult) RenderFig7() string {
-	var b strings.Builder
-	b.WriteString(header("Fig 7 — per-server migration memory (non-idle samples)"))
-	ign := r.Modes[cluster.ModeIgnem].MemoryPerServer
-	b.WriteString(metrics.Histogram("(a) Ignem per-server memory (bytes)", ign, 8))
+	b.WriteString("\n" + header("Fig 7 — per-server migration memory (non-idle samples)"))
+	im := r.Modes[cluster.ModeIgnem].MemoryPerServer
+	b.WriteString(metrics.Histogram("(a) Ignem per-server memory (bytes)", im, 8))
 	b.WriteString(metrics.Histogram("(b) hypothetical instantaneous scheme (bytes)", r.HypotheticalMemory, 8))
-	im, hm := ign.Mean(), r.HypotheticalMemory.Mean()
-	if im > 0 {
-		fmt.Fprintf(&b, "mean occupancy: Ignem %.0f MB vs hypothetical %.0f MB (%.1fx lower; paper 2.6x)\n",
-			im/(1<<20), hm/(1<<20), hm/im)
-	}
-	return b.String()
-}
+	fmt.Fprintf(&b, "mean occupancy: Ignem %.0f MB vs hypothetical %.0f MB (%.1fx lower; paper 2.6x)\n",
+		im.Mean()/(1<<20), r.HypotheticalMemory.Mean()/(1<<20), r.HypotheticalMemory.Mean()/im.Mean())
 
-// RenderAblation prints the §IV-C5 prioritization ablation (paper:
-// disabling smallest-job-first costs ~2 points of speedup, ~15% of the
-// benefit).
-func (r *SwimResult) RenderAblation() string {
-	var b strings.Builder
-	b.WriteString(header("Ablation §IV-C5 — smallest-job-first vs FIFO migration queue"))
-	base := r.Modes[cluster.ModeHDFS].JobDurations.Mean()
-	prio := r.Modes[cluster.ModeIgnem].JobDurations.Mean()
-	fifo := r.FIFOJobDurations.Mean()
+	b.WriteString("\n" + header("Ablation §IV-C5 — smallest-job-first vs FIFO migration queue"))
+	base, prio, fifo := r.jobMean(cluster.ModeHDFS), r.jobMean(cluster.ModeIgnem), r.FIFOJobDurations.Mean()
 	fmt.Fprintf(&b, "mean job duration: HDFS %.1fs; Ignem(priority) %.1fs (%s); Ignem(FIFO) %.1fs (%s)\n",
 		base, prio, speedup(base, prio), fifo, speedup(base, fifo))
 	return b.String()
-}
-
-// Render prints every SWIM table and figure.
-func (r *SwimResult) Render() string {
-	return strings.Join([]string{
-		r.RenderTable1(), r.RenderFig5(), r.RenderTable2(),
-		r.RenderFig6(), r.RenderFig7(), r.RenderAblation(),
-	}, "\n")
 }

@@ -18,18 +18,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// Config controls trace synthesis.
-type Config struct {
-	// Servers in the simulated cluster slice. Default 40 (the group the
-	// paper plots mean utilization for).
-	Servers int
-	// Duration of the analyzed window. Default 24h.
-	Duration time.Duration
-	Seed     int64
-}
-
-// The synthesizer's calibration.
+// The synthesizer's geometry and calibration.
 const (
+	// Servers in the simulated cluster slice: the group the paper plots
+	// mean utilization for.
+	Servers = 40
+	// Duration of the analyzed window: one day.
+	Duration = 24 * time.Hour
 	// targetUtilization is the mean disk utilization the workload is
 	// sized for: the paper's analyzed day.
 	targetUtilization = 0.031
@@ -44,18 +39,8 @@ const (
 	readSigma  = 2.0
 )
 
-func (c *Config) setDefaults() {
-	if c.Servers <= 0 {
-		c.Servers = 40
-	}
-	if c.Duration <= 0 {
-		c.Duration = 24 * time.Hour
-	}
-}
-
 // JobRecord is one synthesized job.
 type JobRecord struct {
-	Submit time.Duration // offset into the window
 	// Lead is the queue delay between submission and the first task
 	// start (the migration window).
 	Lead time.Duration
@@ -74,33 +59,26 @@ type TaskRecord struct {
 
 // Trace is a synthesized cluster trace.
 type Trace struct {
-	Config Config
-	Jobs   []JobRecord
+	Jobs []JobRecord
 }
 
-// Generate synthesizes a trace sized so the cluster's mean disk
-// utilization matches targetUtilization.
-func Generate(cfg Config) *Trace {
-	cfg.setDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// Generate synthesizes a trace of Servers servers over Duration, sized
+// so the cluster's mean disk utilization matches targetUtilization.
+func Generate(seed int64) *Trace {
+	rng := rand.New(rand.NewSource(seed))
 
 	// Mean per-job IO of the lognormal = median * exp(sigma^2/2).
 	meanJobIO := readMedian.Seconds() * math.Exp(readSigma*readSigma/2)
-	totalIONeeded := targetUtilization * float64(cfg.Servers) * cfg.Duration.Seconds()
-	nJobs := int(totalIONeeded / meanJobIO)
-	if nJobs < 1 {
-		nJobs = 1
-	}
+	nJobs := int(targetUtilization * Servers * Duration.Seconds() / meanJobIO)
 
-	t := &Trace{Config: cfg}
-	t.Jobs = make([]JobRecord, 0, nJobs)
+	t := &Trace{Jobs: make([]JobRecord, 0, nJobs)}
 	for i := 0; i < nJobs; i++ {
-		submit := time.Duration(rng.Float64() * float64(cfg.Duration))
+		submit := time.Duration(rng.Float64() * float64(Duration))
 		lead := lognormal(rng, leadMedian, leadSigma)
 		readTime := lognormal(rng, readMedian, readSigma)
 
 		nTasks := 1 + rng.Intn(int(2*tasksPerJobMean-1)) // uniform, mean ≈ tasksPerJobMean
-		job := JobRecord{Submit: submit, Lead: lead, ReadTime: readTime}
+		job := JobRecord{Lead: lead, ReadTime: readTime}
 		// Split the job's IO across its tasks with random weights.
 		weights := make([]float64, nTasks)
 		var wsum float64
@@ -115,7 +93,7 @@ func Generate(cfg Config) *Trace {
 				io = dur
 			}
 			job.Tasks = append(job.Tasks, TaskRecord{
-				Server:   rng.Intn(cfg.Servers),
+				Server:   rng.Intn(Servers),
 				Start:    submit + lead,
 				Duration: dur,
 				IOTime:   io,
@@ -156,9 +134,8 @@ func (t *Trace) LeadTimeSufficiency() (ratios *metrics.Series, fracSufficient fl
 // averaged over fixed windows (the paper uses 5 minutes), with each
 // task's IO time spread uniformly over its runtime.
 func (t *Trace) ServerUtilization(window time.Duration) [][]float64 {
-	cfg := t.Config
-	nWin := int(cfg.Duration/window) + 1
-	util := make([][]float64, cfg.Servers)
+	nWin := int(Duration/window) + 1
+	util := make([][]float64, Servers)
 	for s := range util {
 		util[s] = make([]float64, nWin)
 	}
@@ -170,7 +147,7 @@ func (t *Trace) ServerUtilization(window time.Duration) [][]float64 {
 			// IO density per second of runtime.
 			density := task.IOTime.Seconds() / task.Duration.Seconds()
 			start := task.Start
-			end := min(task.Start+task.Duration, cfg.Duration)
+			end := min(task.Start+task.Duration, Duration)
 			for w := int(start / window); w <= int(end/window) && w < nWin; w++ {
 				wStart := time.Duration(w) * window
 				wEnd := wStart + window
@@ -192,9 +169,9 @@ func (t *Trace) ServerUtilization(window time.Duration) [][]float64 {
 	return util
 }
 
-// MeanUtilization returns the across-servers, across-windows mean.
-func (t *Trace) MeanUtilization(window time.Duration) float64 {
-	util := t.ServerUtilization(window)
+// MeanUtilization returns the across-servers, across-windows mean of a
+// ServerUtilization grid.
+func MeanUtilization(util [][]float64) float64 {
 	var sum float64
 	var n int
 	for _, series := range util {
@@ -202,9 +179,6 @@ func (t *Trace) MeanUtilization(window time.Duration) float64 {
 			sum += u
 			n++
 		}
-	}
-	if n == 0 {
-		return 0
 	}
 	return sum / float64(n)
 }
@@ -215,17 +189,14 @@ func (t *Trace) MeanUtilization(window time.Duration) float64 {
 func MonthProfile(seed int64, dayUtil float64) (days []float64, monthMean float64) {
 	rng := rand.New(rand.NewSource(seed))
 	days = make([]float64, 30)
-	var sum float64
 	for i := range days {
 		// Intensity between 0.2 and 1.0 of the analyzed (busy) day.
 		f := 0.2 + 0.8*rng.Float64()*rng.Float64()
 		days[i] = dayUtil * f
-		sum += days[i]
 	}
 	// Make one day the analyzed day itself.
 	days[14] = dayUtil
-	sum += dayUtil - days[14]
-	sum = 0
+	var sum float64
 	for _, d := range days {
 		sum += d
 	}

@@ -33,11 +33,9 @@ type RealConfig struct {
 	// Nil means identity (each pair passes through).
 	Reduce func(key string, values []string) Pair
 	// Reducers is the reduce-task count (default 1). Keys are hash
-	// partitioned; each reducer emits one sorted output part.
+	// partitioned; each reducer emits one sorted output part, written
+	// under "/out/<job id>" as "key\tvalue" lines.
 	Reducers int
-	// OutputPath defaults to "/out/<job id>"; part files are written
-	// under it as "key\tvalue" lines.
-	OutputPath string
 
 	// UseIgnem and ImplicitEvict control the submitter's migration hook.
 	UseIgnem      bool
@@ -63,9 +61,6 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 	}
 	if cfg.Reducers <= 0 {
 		cfg.Reducers = 1
-	}
-	if cfg.OutputPath == "" {
-		cfg.OutputPath = "/out/" + string(cfg.ID)
 	}
 	start := e.clock.Now()
 
@@ -195,7 +190,7 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 					recordErr(&shuffleMu, &firstErr, err)
 					return
 				}
-				path := fmt.Sprintf("%s/part-%05d", cfg.OutputPath, i)
+				path := fmt.Sprintf("/out/%s/part-%05d", cfg.ID, i)
 				if len(out) == 0 {
 					out = []byte{'\n'}
 				}

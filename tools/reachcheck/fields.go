@@ -24,6 +24,8 @@ var configStructs = []configStruct{
 	{"internal/ignem", "SlaveConfig"},
 	{"internal/scheduler", "Config"},
 	{"internal/mapreduce", "Config"},
+	{"internal/mapreduce", "RealConfig"},
+	{"internal/experiments", "SwimConfig"},
 }
 
 // field is one exported field of a config struct.
