@@ -6,8 +6,30 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// paperRuns memoizes each registry experiment's paper-scale run with
+// seed 1 (ignem-bench's default), so TestExperimentsMatchGoldens and the
+// shape tests share one run per experiment.
+var paperRuns = func() map[string]func() (Result, error) {
+	runs := map[string]func() (Result, error){}
+	for _, s := range All() {
+		runs[s.ID] = sync.OnceValues(func() (Result, error) { return s.Run(1) })
+	}
+	return runs
+}()
+
+// paperRun returns experiment id's shared paper-scale run as R.
+func paperRun[R Result](t *testing.T, id string) R {
+	t.Helper()
+	res, err := paperRuns[id]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(R)
+}
 
 // csvExport is one CSV file an experiment's DataWriter writes: its
 // header line and its data-row count (0: at least one row).
@@ -38,8 +60,7 @@ var exports = map[string]map[string]csvExport{
 }
 
 // TestExperimentsMatchGoldens runs every registry experiment once, at
-// paper scale with seed 1 (ignem-bench's default), and checks that one
-// run four ways:
+// paper scale with seed 1, and checks that one run four ways:
 //   - its output equals testdata/<id>.golden, which is `ignem-bench
 //     <id>` without the wall-time line. The virtual clock makes every
 //     run repeat byte for byte, so a difference is a figure the change
@@ -51,7 +72,8 @@ var exports = map[string]map[string]csvExport{
 //   - its DataWriter, if it has one, writes exactly the CSV files listed
 //     in exports.
 //
-// The experiments share no package state, so they run in parallel.
+// The experiments share no package state, so they run in parallel;
+// the shape tests, also parallel, then read the same runs.
 func TestExperimentsMatchGoldens(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
 	if err != nil {
@@ -65,10 +87,7 @@ func TestExperimentsMatchGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.Run(1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := paperRun[Result](t, s.ID)
 			if got := res.Render() + "\n\n"; got != string(want) {
 				t.Errorf("output differs from testdata/%s.golden %s", s.ID, firstDiff(string(want), got))
 			}

@@ -8,11 +8,35 @@ import (
 	"time"
 )
 
-// The calibration itself (lead-time mean and median, the 81 % lead-time
-// sufficiency, the day's mean utilization) is checked by the fig3-4
-// experiment's claims on the same paper-scale trace. The tests here
-// check the synthesizer's mechanics on one trace, generated once.
+// The tests here share one paper-scale trace, generated once; the
+// fig3-4 experiment's claims check the same calibration on the same
+// trace against the paper's values.
 var paperTrace = sync.OnceValue(func() *Trace { return Generate(1) })
+
+func TestLeadTimeCalibration(t *testing.T) {
+	mean, median := paperTrace().LeadTimeStats()
+	// Published: mean 8.8s, median 1.8s. Allow sampling slack.
+	if median < 1200*time.Millisecond || median > 2700*time.Millisecond {
+		t.Errorf("lead median = %v, want ~1.8s", median)
+	}
+	if mean < 5*time.Second || mean > 15*time.Second {
+		t.Errorf("lead mean = %v, want ~8.8s", mean)
+	}
+}
+
+func TestLeadTimeSufficiencyNear81Percent(t *testing.T) {
+	_, frac := paperTrace().LeadTimeSufficiency()
+	if frac < 0.74 || frac > 0.9 {
+		t.Errorf("lead-time sufficient for %.0f%% of jobs, want ~81%%", frac*100)
+	}
+}
+
+func TestUtilizationNearTarget(t *testing.T) {
+	got := MeanUtilization(paperTrace().ServerUtilization(5 * time.Minute))
+	if got < 0.015 || got > 0.06 {
+		t.Errorf("mean utilization = %.3f, want ~0.031", got)
+	}
+}
 
 func TestUtilizationSeriesShape(t *testing.T) {
 	util := paperTrace().ServerUtilization(5 * time.Minute)
