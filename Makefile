@@ -51,11 +51,12 @@ WITH_BENCH = dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && bin="$$dir/ign
 	$(GO) build -o "$$bin" ./cmd/ignem-bench && ids="$$("$$bin" -list | awk '{ print $$1 }')" && \
 	[ -n "$$ids" ] || exit 1
 
-# Re-bless the goldens after an intentional figure change: removes every
-# golden, then writes one per registry experiment. Review the `git diff`
-# of the goldens before committing it.
+# Re-bless the goldens after an intentional figure change: writes one
+# per registry experiment. Review the `git diff` of the goldens before
+# committing it. A golden whose ID left the registry is not deleted
+# here: TestExperimentsMatchGoldens names it, and it goes by hand.
 golden:
-	@$(WITH_BENCH); rm -f $(GOLDEN_DIR)/*.golden; for id in $$ids; do \
+	@$(WITH_BENCH); for id in $$ids; do \
 		echo "golden: $$id"; \
 		"$$bin" "$$id" > "$$dir/out" && grep -v 'wall time' "$$dir/out" > "$(GOLDEN_DIR)/$$id.golden" || exit 1; \
 	done

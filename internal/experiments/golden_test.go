@@ -60,7 +60,8 @@ var exports = map[string]map[string]csvExport{
 }
 
 // TestExperimentsMatchGoldens runs every registry experiment once, at
-// paper scale with seed 1, and checks that one run four ways:
+// paper scale with seed 1, and checks that one run four ways (and that
+// every testdata/*.golden belongs to a registry experiment):
 //   - its output equals testdata/<id>.golden, which is `ignem-bench
 //     <id>` without the wall-time line. The virtual clock makes every
 //     run repeat byte for byte, so a difference is a figure the change
@@ -79,13 +80,23 @@ func TestExperimentsMatchGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range goldens {
+		id := strings.TrimSuffix(filepath.Base(f), ".golden")
+		if !slices.ContainsFunc(All(), func(s Spec) bool { return s.ID == id }) {
+			t.Errorf("testdata/%s.golden matches no registry experiment", id)
+		}
+	}
 	for _, s := range All() {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			t.Parallel()
 			want, err := os.ReadFile(filepath.Join("testdata", s.ID+".golden"))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("experiment %s has no golden (run make golden): %v", s.ID, err)
 			}
 			res := paperRun[Result](t, s.ID)
 			if got := res.Render() + "\n\n"; got != string(want) {

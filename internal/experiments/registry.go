@@ -77,8 +77,8 @@ func All() []Spec {
 					func(r *TraceResult) float64 { return r.MonthMeanUtil * 100 }),
 				order("Fig 4", "month mean below the analyzed (busy) day", "%.1f%%", Holds,
 					func(r *TraceResult) []float64 { return []float64{r.MonthMeanUtil * 100, r.DayMeanUtil * 100} }),
-				value("Fig 4", "peak of the 40-server mean (paper: at most this at all times)", 5, "%.1f%%", Match,
-					func(r *TraceResult) float64 { _, peak := r.meanLine(); return peak * 100 }),
+				order("Fig 4", "peak of the 40-server mean, under 5% at all times⁷", "%.1f%%", Fails,
+					func(r *TraceResult) []float64 { _, peak := r.meanLine(); return []float64{peak * 100, 5} }),
 			},
 		},
 		{
@@ -230,6 +230,15 @@ func All() []Spec {
 				order("Fig 9", "Ignem over HDFS on its worst query, below 1", "%.2f", Holds, func(r *HiveResult) []float64 {
 					return []float64{1 - slices.Min(mapSlice(hiveQueries(), r.gain))/100, 1}
 				}),
+			},
+		},
+		{
+			ID:    "ladder",
+			Title: "Extension (DESIGN §4h): the HDD→SSD→RAM tier ladder vs pin-in-RAM at RAM = 25%",
+			Run:   run(RunLadder),
+			Claims: []Claim{
+				order("DESIGN §4h", "p99 map-task time, ladder < pin-in-RAM", "%.2f s", Holds,
+					func(r *LadderResult) []float64 { return []float64{p99(r.Ladder), p99(r.PinRAM)} }),
 			},
 		},
 	}

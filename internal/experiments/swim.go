@@ -70,6 +70,10 @@ type SwimModeResult struct {
 	MemoryPerServer *metrics.Series
 	// Slave aggregates Ignem slave counters.
 	Slave ignem.SlaveStats
+	// Tiers is the master's tier-budget ledger once every job is done.
+	Tiers ignem.TierCounters
+	// PeakSSDBytes is the highest cluster-wide flash occupancy sampled.
+	PeakSSDBytes int64
 	// jobDurations records each job's measured duration (for the Fig 7
 	// hypothetical-memory replay).
 	jobMu        sync.Mutex
@@ -101,13 +105,18 @@ func RunSwim(cfg SwimConfig) (*SwimResult, error) {
 		Seed:             cfg.Seed,
 	})
 	for _, mode := range paperModes {
-		res, err := runSwimMode(cfg, jobs, mode, false)
+		res, err := runSwimMode(cluster.Config{Nodes: cfg.Nodes, Mode: mode, Seed: cfg.Seed + int64(mode)*1000}, jobs)
 		if err != nil {
 			return nil, err
 		}
 		out.Modes[mode] = res
 	}
-	fifoRes, err := runSwimMode(cfg, jobs, cluster.ModeIgnem, true)
+	fifoRes, err := runSwimMode(cluster.Config{
+		Nodes: cfg.Nodes,
+		Mode:  cluster.ModeIgnem,
+		Seed:  cfg.Seed + int64(cluster.ModeIgnem)*1000 + 7777,
+		Slave: ignem.SlaveConfig{FIFO: true},
+	}, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +125,11 @@ func RunSwim(cfg SwimConfig) (*SwimResult, error) {
 	return out, nil
 }
 
-// runSwimMode runs the full workload on one cluster configuration.
-func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo bool) (*SwimModeResult, error) {
+// runSwimMode runs the SWIM jobs on a cluster started from ccfg: each
+// job's input is written, then the jobs are submitted at their arrival
+// times and run to completion. Every SWIM-on-cluster experiment runs
+// through it.
+func runSwimMode(ccfg cluster.Config, jobs []workloads.Job) (*SwimModeResult, error) {
 	res := &SwimModeResult{
 		JobDurations:    &metrics.Series{},
 		BinDurations:    map[string]*metrics.Series{"small": {}, "medium": {}, "large": {}},
@@ -126,15 +138,6 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 		DiskReads:       &metrics.Series{},
 		MemoryPerServer: &metrics.Series{},
 		jobDurations:    make(map[string]time.Duration),
-	}
-	ccfg := cluster.Config{
-		Nodes: cfg.Nodes,
-		Mode:  mode,
-		Seed:  cfg.Seed + int64(mode)*1000,
-		Slave: ignem.SlaveConfig{FIFO: fifo},
-	}
-	if fifo {
-		ccfg.Seed += 7777
 	}
 	err := runOnCluster(ccfg, func(v *simclock.Virtual, c *cluster.Cluster) error {
 		cl, err := c.Client()
@@ -148,7 +151,8 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 			}
 		}
 
-		// Fig 7 sampler: per-server pinned memory during the run.
+		// Fig 7 sampler: per-server pinned memory during the run, and
+		// the cluster's flash occupancy.
 		stopSampler := simclock.NewChan[struct{}](v)
 		samplerDone := simclock.NewChan[struct{}](v)
 		v.Go(func() {
@@ -163,6 +167,7 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 						res.MemoryPerServer.Add(float64(pinned))
 					}
 				}
+				res.PeakSSDBytes = max(res.PeakSSDBytes, c.SlaveStats().SSDPinnedBytes)
 			}
 		})
 
@@ -216,6 +221,7 @@ func runSwimMode(cfg SwimConfig, jobs []workloads.Job, mode cluster.Mode, fifo b
 		stopSampler.Send(struct{}{})
 		samplerDone.Recv()
 		res.Slave = c.SlaveStats()
+		res.Tiers = c.NameNode.Stats().Tiers
 		if res.Slave.PinnedBytes != 0 {
 			return fmt.Errorf("%d pinned bytes outlived the workload", res.Slave.PinnedBytes)
 		}

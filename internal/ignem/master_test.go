@@ -508,6 +508,43 @@ func TestNotifyReadBeforeMigrationDiscardsQueuedCommand(t *testing.T) {
 	}
 }
 
+// TestDiscardedCommandReleasesItsCharge: the master charges the RAM
+// budget when it plans a block, and only an unpin report releases the
+// charge. A command the slave discards because its job already read the
+// block pins nothing, so the discard itself must be reported, or the
+// budget stays charged after every job is done.
+func TestDiscardedCommandReleasesItsCharge(t *testing.T) {
+	v := simclock.NewVirtual(epoch)
+	media := &fakeMedia{clock: v, readTime: time.Second}
+	var m *Master
+	s := NewSlave(v, SlaveConfig{Capacity: 1 << 30}, media, nil, func(id dfs.BlockID, tier dfs.Tier, pinned bool) {
+		if !pinned {
+			m.NoteUnpinned("dn1", tier, []dfs.BlockID{id})
+		}
+	})
+	link := &directLink{slaves: map[string]*Slave{"dn1": s}}
+	res := &fakeResolver{files: map[string][]dfs.LocatedBlock{
+		"/a": {located(1, 8<<20, "dn1"), located(2, 8<<20, "dn1")},
+	}}
+	m = NewMaster(res, link, 3)
+	if err := m.ConfigureTiers("paper", TierBudgets{RAM: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	v.Go(func() {
+		if _, err := m.Migrate(dfs.MigrateReq{Job: "j1", Paths: []string{"/a"}, Implicit: true, SubmitTime: v.Now()}); err != nil {
+			t.Errorf("migrate: %v", err)
+		}
+		m.NotifyRead("j1", []dfs.BlockID{1, 2})
+	})
+	v.Wait()
+	if st := s.Stats(); st.DiscardedMissed != 2 || st.PinnedBlocks != 0 {
+		t.Fatalf("discarded %d, pinned %d; want 2 discarded, none pinned", st.DiscardedMissed, st.PinnedBlocks)
+	}
+	if tiers := m.Stats().Tiers; tiers.PromotionsToRAM != 2 || tiers.RAMUsedBytes != 0 {
+		t.Errorf("RAM promotions %d, RAM used %d bytes; want 2 planned and 0 still charged", tiers.PromotionsToRAM, tiers.RAMUsedBytes)
+	}
+}
+
 // A master restart while a slave holds an in-flight migration from the
 // old epoch must not corrupt state: the stale read's result is dropped
 // when it lands (its epoch lost), the re-issued migration under the new

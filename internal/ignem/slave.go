@@ -518,6 +518,20 @@ func (s *Slave) notifyUnpinned(pins []tierPin) {
 	}
 }
 
+// dropLocked reports a command the worker discards as an unpin at its
+// tier, so the master releases the budget charge it took when it
+// planned the command; a block resident at that tier (for another job)
+// keeps the charge until it unpins. Called with s.mu held, which it
+// drops around the listener.
+func (s *Slave) dropLocked(cmd dfs.MigrateCmd) {
+	if pb := s.pinned[cmd.Block.ID]; pb != nil && pb.tier == cmd.Tier {
+		return
+	}
+	s.mu.Unlock()
+	s.onPin(cmd.Block.ID, cmd.Tier, false)
+	s.mu.Lock()
+}
+
 // worker is the single migration loop: strictly one device read at a
 // time, highest-priority command first, work-conserving.
 func (s *Slave) worker() {
@@ -534,11 +548,13 @@ func (s *Slave) worker() {
 		key := readKey{job: e.cmd.Job, block: e.cmd.Block.ID}
 		if _, gone := s.evicted[e.cmd.Job]; gone {
 			s.stats.DiscardedMissed++
+			s.dropLocked(e.cmd)
 			continue
 		}
 		if _, read := s.alreadyRead[key]; read {
 			delete(s.alreadyRead, key)
 			s.stats.DiscardedMissed++
+			s.dropLocked(e.cmd)
 			continue
 		}
 		target := e.cmd.Tier
@@ -563,6 +579,7 @@ func (s *Slave) worker() {
 			// is bounded by the master's per-tier budget.
 			if e.cmd.Block.Size > s.cfg.Capacity {
 				s.stats.RejectedTooLarge++
+				s.dropLocked(e.cmd)
 				continue
 			}
 			if s.pinnedBytes+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
@@ -588,6 +605,7 @@ func (s *Slave) worker() {
 			return
 		}
 		if err != nil || epoch != s.epoch {
+			s.dropLocked(e.cmd)
 			continue
 		}
 		_, read := s.alreadyRead[key]
@@ -598,6 +616,7 @@ func (s *Slave) worker() {
 			// memory.
 			delete(s.alreadyRead, key)
 			s.stats.DiscardedMissed++
+			s.dropLocked(e.cmd)
 			continue
 		}
 		if target == dfs.TierSSD {
@@ -624,6 +643,7 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 	id := e.cmd.Block.ID
 	if e.cmd.Block.Size > s.cfg.Capacity {
 		s.stats.RejectedTooLarge++
+		s.dropLocked(e.cmd)
 		return false
 	}
 	if s.pinnedBytes+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
@@ -641,11 +661,13 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 		return true
 	}
 	if err != nil || epoch != s.epoch {
+		s.dropLocked(e.cmd)
 		return false
 	}
 	if cur := s.pinned[id]; cur != pb || cur.tier != dfs.TierSSD {
 		// The block was unpinned or already climbed while we
 		// copied; nothing to flip.
+		s.dropLocked(e.cmd)
 		return false
 	}
 	pb.tier = dfs.TierRAM
