@@ -54,7 +54,7 @@ WITH_BENCH = dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && bin="$$dir/ign
 # Re-bless the goldens after an intentional figure change: writes one
 # per registry experiment. Review the `git diff` of the goldens before
 # committing it. A golden whose ID left the registry is not deleted
-# here: TestExperimentsMatchGoldens names it, and it goes by hand.
+# here: TestEveryExperimentHasAGolden names it, and it goes by hand.
 golden:
 	@$(WITH_BENCH); for id in $$ids; do \
 		echo "golden: $$id"; \

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,6 +51,30 @@ func TestRegistryCoversAllExperiments(t *testing.T) {
 		if !ids[want] {
 			t.Errorf("registry missing %s", want)
 		}
+	}
+}
+
+// TestEveryExperimentHasAGolden keeps the registry and the committed
+// goldens in step without running anything: each ID has a
+// testdata/<id>.golden, and no golden exists for an ID the registry
+// lacks.
+func TestEveryExperimentHasAGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, f := range files {
+		have[strings.TrimSuffix(filepath.Base(f), ".golden")] = true
+	}
+	for _, s := range All() {
+		if !have[s.ID] {
+			t.Errorf("experiment %s has no testdata/%s.golden (run make golden)", s.ID, s.ID)
+		}
+		delete(have, s.ID)
+	}
+	for id := range have {
+		t.Errorf("testdata/%s.golden matches no registry experiment", id)
 	}
 }
 
