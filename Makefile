@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all ci test race vet build fmt-check tidy-check golden \
 	chaos chaos-wal bench-alloc fuzz-smoke profile cover cover-check \
-	reach-check bench-e2e bench-e2e-smoke experiments tidy
+	reach-check cluster-smoke bench-e2e bench-e2e-smoke experiments tidy
 
 all: vet test
 
@@ -12,7 +12,7 @@ all: vet test
 # these same targets, so the two cannot drift); CI's race and chaos jobs
 # additionally run fuzz-smoke and chaos-wal.
 ci: vet build test race fmt-check tidy-check chaos bench-alloc \
-	cover-check reach-check bench-e2e-smoke
+	cover-check reach-check cluster-smoke bench-e2e-smoke
 
 test:
 	$(GO) test ./...
@@ -202,6 +202,16 @@ cover-check: cover
 # shrinks.
 reach-check:
 	$(GO) run ./tools/reachcheck
+
+# The live cluster end to end: builds ignem-cluster and runs its demo
+# (namenode and three datanodes on loopback ports; write, cold read,
+# migrate, hot read, evict) under a timeout, and fails unless the pins
+# drain back to zero.
+cluster-smoke:
+	@dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/ignem-cluster" ./cmd/ignem-cluster && \
+	timeout 60 "$$dir/ignem-cluster" -nodes 3 -blocks 2 -block-mb 1 | tee "$$dir/out" && \
+	grep -q "pinned memory back to zero" "$$dir/out"
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four
 # workloads, every end-to-end metric, ~2 minutes. Pass arguments with

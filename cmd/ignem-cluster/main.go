@@ -1,9 +1,10 @@
 // Command ignem-cluster runs a live Ignem cluster over real TCP sockets
-// on localhost: a namenode (with the Ignem master), several datanodes
-// (with Ignem slaves), and a client that writes a file, migrates it,
-// reads it hot and cold, and evicts it. It demonstrates that the same
-// components that power the virtual-time experiments also run as a real
-// networked system.
+// on localhost: cluster.StartOn brings up a namenode (with the Ignem
+// master), several datanodes (with Ignem slaves), the scheduler and the
+// engine on transport.Loopback, each on an ephemeral port it keeps, and
+// a client writes a file, migrates it, reads it hot and cold, and evicts
+// it. It is the same bring-up the virtual-time experiments run on the
+// in-memory network.
 package main
 
 import (
@@ -14,9 +15,7 @@ import (
 	"os/signal"
 	"time"
 
-	"repro/internal/dfs/client"
-	"repro/internal/dfs/datanode"
-	"repro/internal/dfs/namenode"
+	"repro/internal/cluster"
 	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -31,47 +30,18 @@ func main() {
 	flag.Parse()
 
 	clock := simclock.NewScaledReal(*scale)
-	net := transport.NewTCPNetwork()
-
-	// Bring up the namenode on an ephemeral port.
-	nnListener, err := net.Listen("127.0.0.1:0")
+	c, err := cluster.StartOn(clock, transport.Loopback{}, cluster.Config{Nodes: *nodes, Seed: 1})
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		log.Fatalf("cluster: %v", err)
 	}
-	nnAddr := nnListener.Addr()
-	nnListener.Close() // re-bound by the namenode itself
-	nn := namenode.New(clock, net, namenode.Config{Addr: nnAddr, Seed: 1})
-	if err := nn.Start(); err != nil {
-		log.Fatalf("namenode: %v", err)
-	}
-	defer nn.Close()
+	defer c.Close()
+	nnAddr := c.NameNode.Addr()
 	fmt.Printf("namenode up at %s\n", nnAddr)
-
-	var dns []*datanode.DataNode
-	for i := 0; i < *nodes; i++ {
-		l, err := net.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("listen: %v", err)
-		}
-		addr := l.Addr()
-		l.Close()
-		dn, err := datanode.New(clock, net, datanode.Config{
-			Addr:         addr,
-			NameNodeAddr: nnAddr,
-			Media:        storage.HDDSpec(),
-		})
-		if err != nil {
-			log.Fatalf("datanode: %v", err)
-		}
-		if err := dn.Start(); err != nil {
-			log.Fatalf("datanode start: %v", err)
-		}
-		defer dn.Close()
-		dns = append(dns, dn)
-		fmt.Printf("datanode %d up at %s\n", i, addr)
+	for i, dn := range c.DataNodes {
+		fmt.Printf("datanode %d up at %s\n", i, dn.Addr())
 	}
 
-	cl, err := client.New(clock, net, nnAddr)
+	cl, err := c.Client()
 	if err != nil {
 		log.Fatalf("client: %v", err)
 	}
@@ -100,7 +70,7 @@ func main() {
 		log.Fatalf("migrate: %v", err)
 	}
 	fmt.Printf("migrating %d blocks (%d MB)...\n", resp.Blocks, resp.Bytes>>20)
-	waitForPins(dns, resp.Blocks, 30*time.Second)
+	waitForPins(c, resp.Blocks, 30*time.Second)
 
 	start = time.Now()
 	if _, err := cl.ReadFile("/demo/input", "job-hot"); err != nil {
@@ -112,10 +82,10 @@ func main() {
 	if _, err := cl.Evict("job-hot", []string{"/demo/input"}); err != nil {
 		log.Fatalf("evict: %v", err)
 	}
-	waitForPins(dns, 0, 10*time.Second)
+	waitForPins(c, 0, 10*time.Second)
 	fmt.Println("evicted; pinned memory back to zero")
 	var mem storage.Memory
-	for _, dn := range dns {
+	for _, dn := range c.DataNodes {
 		m := dn.ReplicaMemory()
 		mem.Replicas += m.Replicas
 		mem.Slots += m.Slots
@@ -134,14 +104,10 @@ func main() {
 	}
 }
 
-func waitForPins(dns []*datanode.DataNode, want int, timeout time.Duration) {
+func waitForPins(c *cluster.Cluster, want int, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		total := 0
-		for _, dn := range dns {
-			total += dn.Slave().Stats().PinnedBlocks
-		}
-		if total == want {
+		if c.SlaveStats().PinnedBlocks == want {
 			return
 		}
 		time.Sleep(50 * time.Millisecond)

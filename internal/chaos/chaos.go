@@ -39,8 +39,6 @@ type Config struct {
 	Mode cluster.Mode
 	// Slave configures the Ignem slaves.
 	Slave ignem.SlaveConfig
-	// DFSHeartbeat overrides the datanode heartbeat interval.
-	DFSHeartbeat time.Duration
 	// WALBackend gives the Ignem master a migration write-ahead log
 	// (see cluster.Config.WALBackend). Chaos scenarios pass a
 	// wal.MemBackend so they can crash the master at chosen record
@@ -77,7 +75,6 @@ func Start(v *simclock.Virtual, cfg Config) (*Harness, error) {
 		Mode:          cfg.Mode,
 		Seed:          cfg.Seed,
 		Slave:         cfg.Slave,
-		DFSHeartbeat:  cfg.DFSHeartbeat,
 		WALBackend:    cfg.WALBackend,
 		ScrubInterval: cfg.ScrubInterval,
 

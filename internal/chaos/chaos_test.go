@@ -593,7 +593,7 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 // resync, and the datanode's snapshot must re-anchor the stream: after
 // one resync the counters go quiet again.
 func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
-	runChaos(t, Config{Nodes: 3, Seed: 7, DFSHeartbeat: 500 * time.Millisecond}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, Config{Nodes: 3, Seed: 7}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -630,10 +630,10 @@ func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 			return false
 		}, "gap-triggered resync and revival")
 
-		// Re-anchored: several more heartbeats flow without tripping
+		// Re-anchored: ten more heartbeats flow without tripping
 		// another resync, and the file still resolves fully replicated.
 		settled := h.Cluster.NameNode.Stats().ResyncRequests
-		v.Sleep(5 * time.Second)
+		v.Sleep(10 * time.Second)
 		if got := h.Cluster.NameNode.Stats().ResyncRequests; got != settled {
 			t.Fatalf("resyncs kept firing after the snapshot: %d -> %d", settled, got)
 		}
@@ -659,7 +659,7 @@ func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 // replica back. No resync round-trips are needed at any point: the
 // register IS the snapshot.
 func TestReconnectAfterMissedEpochConverges(t *testing.T) {
-	runChaos(t, Config{Nodes: 3, Seed: 9, DFSHeartbeat: 500 * time.Millisecond}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, Config{Nodes: 3, Seed: 9}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -702,9 +702,9 @@ func TestReconnectAfterMissedEpochConverges(t *testing.T) {
 		if _, err := c.Locations("/epoch/doomed"); err == nil {
 			t.Fatal("deleted file resolvable again after stale snapshot")
 		}
-		// And the fresh epoch anchors cleanly: continued heartbeats from
+		// And the fresh epoch anchors cleanly: ten more heartbeats from
 		// the revived node never trip a resync.
-		v.Sleep(5 * time.Second)
+		v.Sleep(10 * time.Second)
 		if got := h.Cluster.NameNode.Stats().ResyncRequests; got != 0 {
 			t.Fatalf("reconnect path needed %d resync round-trips; the register snapshot should anchor directly", got)
 		}

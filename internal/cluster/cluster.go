@@ -1,6 +1,7 @@
 // Package cluster wires the whole testbed together: namenode (with the
 // Ignem master), datanodes (with Ignem slaves), the Yarn-like scheduler,
-// and the MapReduce engine, all on an in-memory network under one clock.
+// and the MapReduce engine, all on one network under one clock — the
+// in-memory fabric for the experiments, TCP loopback for a live cluster.
 //
 // It models the paper's §IV-A setup: an 8-server cluster where every
 // server runs a datanode, one also hosts the namenode and resource
@@ -68,9 +69,6 @@ type Config struct {
 	// MaxAssignPerHeartbeat caps tasks handed to one node per heartbeat
 	// (scheduler default 3 when zero).
 	MaxAssignPerHeartbeat int
-	// DFSHeartbeat carries datanode liveness and pin/block deltas.
-	// Default 1s.
-	DFSHeartbeat time.Duration
 	// Slave configures the Ignem slaves.
 	Slave ignem.SlaveConfig
 	// SSD, when its Name is non-empty, gives every datanode a local SSD
@@ -106,7 +104,7 @@ type Config struct {
 	ScrubInterval time.Duration
 	// WrapNet, when set, wraps each component's view of the fabric —
 	// the chaos suite injects faults here (internal/faultnet). It is
-	// called once per component with its address ("namenode", "dn0"…,
+	// called once per component with its node name ("namenode", "dn0"…,
 	// "engine") and the shared base network, and must return the network
 	// that component will Listen and Dial on. Nil leaves the fabric
 	// untouched (the default for experiments: figures never see it).
@@ -120,15 +118,12 @@ func (c *Config) setDefaults() {
 	if c.Media.Name == "" {
 		c.Media = storage.HDDSpec()
 	}
-	if c.DFSHeartbeat <= 0 {
-		c.DFSHeartbeat = time.Second
-	}
 }
 
 // Cluster is a running testbed.
 type Cluster struct {
 	Clock     simclock.Clock
-	Net       *transport.InmemNetwork
+	Net       transport.Network
 	NameNode  *namenode.NameNode
 	DataNodes []*datanode.DataNode
 	Scheduler *scheduler.Scheduler
@@ -140,21 +135,28 @@ type Cluster struct {
 // hotCacheBytes sizes the per-node hot cache in ModeHotCache.
 const hotCacheBytes = 32 << 30
 
-// NameNodeAddr is the in-memory address of the namenode.
+// NameNodeAddr is the namenode's node name, and so its address on the
+// in-memory network.
 const NameNodeAddr = "namenode"
 
 // EngineAddr is the fabric node name the MapReduce engine dials from
 // (it listens on nothing; the name only matters to WrapNet fault rules).
 const EngineAddr = "engine"
 
-// Start brings up a cluster. It must be called from a simulation
-// goroutine when clock is virtual.
+// Start brings up a cluster on a fresh in-memory network, the testbed's
+// 10 GbE fabric. It must be called from a simulation goroutine when
+// clock is virtual.
 func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
+	return StartOn(clock, transport.NewInmemNetwork(clock), cfg)
+}
+
+// StartOn brings up a cluster on net. Every component listens first, on
+// its node name ("namenode", "dn0"…), and takes its listener's Addr as
+// its identity, so no address is closed and bound again: on the
+// in-memory network the Addr is the name itself, on transport.Loopback
+// a bound port.
+func StartOn(clock simclock.Clock, net transport.Network, cfg Config) (*Cluster, error) {
 	cfg.setDefaults()
-	// The fabric is a 10 GbE network: 200µs per hop, 1250 MB/s per link.
-	net := transport.NewInmemNetwork(clock,
-		transport.WithLatency(200*time.Microsecond),
-		transport.WithBandwidthMBps(1250))
 	wrap := func(node string) transport.Network {
 		if cfg.WrapNet != nil {
 			return cfg.WrapNet(node, net)
@@ -162,45 +164,60 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 		return net
 	}
 
-	nn := namenode.New(clock, wrap(NameNodeAddr), namenode.Config{
-		Addr:       NameNodeAddr,
+	nnNet := wrap(NameNodeAddr)
+	nl, err := nnNet.Listen(NameNodeAddr)
+	if err != nil {
+		return nil, fmt.Errorf("namenode: %w", err)
+	}
+	nnAddr := nl.Addr()
+	nn := namenode.New(clock, nnNet, namenode.Config{
+		Addr:       nnAddr,
 		Seed:       cfg.Seed,
 		WALBackend: cfg.WALBackend,
 
 		MigrationPolicy: cfg.MigrationPolicy,
 		TierBudgets:     cfg.TierBudgets,
 	})
-	if err := nn.Start(); err != nil {
+	if err := nn.Serve(nl); err != nil {
 		return nil, err
 	}
 
+	c := &Cluster{Clock: clock, Net: net, NameNode: nn, cfg: cfg}
+	nets := make([]transport.Network, cfg.Nodes)
 	addrs := make([]string, cfg.Nodes)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("dn%d", i)
+	var ls []transport.Listener
+	// fail undoes a partial bring-up; a listener closed twice is harmless.
+	fail := func(err error) (*Cluster, error) {
+		for _, l := range ls {
+			l.Close()
+		}
+		c.Close()
+		return nil, err
 	}
-	sched := scheduler.New(clock, scheduler.Config{
+	for i := range addrs {
+		name := fmt.Sprintf("dn%d", i)
+		nets[i] = wrap(name)
+		l, err := nets[i].Listen(name)
+		if err != nil {
+			return fail(fmt.Errorf("datanode: %w", err))
+		}
+		ls = append(ls, l)
+		addrs[i] = l.Addr()
+	}
+	c.Scheduler = scheduler.New(clock, scheduler.Config{
 		Nodes:                 addrs,
 		MaxAssignPerHeartbeat: cfg.MaxAssignPerHeartbeat,
 	})
-
-	c := &Cluster{
-		Clock:     clock,
-		Net:       net,
-		NameNode:  nn,
-		Scheduler: sched,
-		cfg:       cfg,
-	}
 	for i, addr := range addrs {
 		dncfg := datanode.Config{
-			Addr:              addr,
-			NameNodeAddr:      NameNodeAddr,
-			Media:             cfg.Media,
-			HeartbeatInterval: cfg.DFSHeartbeat,
-			Seed:              cfg.Seed,
-			Slave:             cfg.Slave,
-			Liveness:          sched,
-			ServeAllFromRAM:   cfg.Mode == ModeInputsInRAM,
-			ScrubInterval:     cfg.ScrubInterval,
+			Addr:            addr,
+			NameNodeAddr:    nnAddr,
+			Media:           cfg.Media,
+			Seed:            cfg.Seed,
+			Slave:           cfg.Slave,
+			Liveness:        c.Scheduler,
+			ServeAllFromRAM: cfg.Mode == ModeInputsInRAM,
+			ScrubInterval:   cfg.ScrubInterval,
 		}
 		if cfg.SSD.Name != "" {
 			dncfg.SSD = cfg.SSD
@@ -216,19 +233,17 @@ func Start(clock simclock.Clock, cfg Config) (*Cluster, error) {
 		if cfg.Mode == ModeHotCache {
 			dncfg.HotCacheBytes = hotCacheBytes
 		}
-		dn, err := datanode.New(clock, wrap(addr), dncfg)
+		dn, err := datanode.New(clock, nets[i], dncfg)
 		if err != nil {
-			c.Close()
-			return nil, err
+			return fail(err)
 		}
-		if err := dn.Start(); err != nil {
-			c.Close()
-			return nil, err
+		if err := dn.Serve(ls[i]); err != nil {
+			return fail(err)
 		}
 		c.DataNodes = append(c.DataNodes, dn)
 	}
-	sched.Start()
-	c.Engine = mapreduce.NewEngine(clock, sched, wrap(EngineAddr), NameNodeAddr)
+	c.Scheduler.Start()
+	c.Engine = mapreduce.NewEngine(clock, c.Scheduler, wrap(EngineAddr), nnAddr)
 	return c, nil
 }
 
@@ -238,7 +253,7 @@ func (c *Cluster) UseIgnem() bool { return c.cfg.Mode == ModeIgnem }
 
 // Client opens a new DFS client against the cluster.
 func (c *Cluster) Client(opts ...client.Option) (*client.Client, error) {
-	return client.New(c.Clock, c.Net, NameNodeAddr, opts...)
+	return client.New(c.Clock, c.Net, c.NameNode.Addr(), opts...)
 }
 
 // TotalPinnedBytes sums pinned migration memory across all slaves.

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,11 +17,13 @@ import (
 	"repro/internal/transport"
 )
 
+// On the in-memory network a component's listener address is its node
+// name, so StartOn keeps the names seeds and goldens are keyed by.
 func TestStartAndCloseAllModes(t *testing.T) {
 	for _, mode := range []Mode{ModeHDFS, ModeIgnem, ModeInputsInRAM} {
 		mode := mode
 		err := RunVirtual(time.Minute, func(v *simclock.Virtual) {
-			c, err := Start(v, Config{Nodes: 3, Mode: mode, Seed: 1})
+			c, err := StartOn(v, transport.NewInmemNetwork(v), Config{Nodes: 3, Mode: mode, Seed: 1})
 			if err != nil {
 				t.Errorf("%s: start: %v", mode, err)
 				return
@@ -27,6 +31,14 @@ func TestStartAndCloseAllModes(t *testing.T) {
 			defer c.Close()
 			if got := len(c.DataNodes); got != 3 {
 				t.Errorf("%s: %d nodes", mode, got)
+			}
+			if got := c.NameNode.Addr(); got != NameNodeAddr {
+				t.Errorf("%s: namenode at %q, want %q", mode, got, NameNodeAddr)
+			}
+			for i, dn := range c.DataNodes {
+				if want := fmt.Sprintf("dn%d", i); dn.Addr() != want {
+					t.Errorf("%s: datanode %d at %q, want %q", mode, i, dn.Addr(), want)
+				}
 			}
 			if c.UseIgnem() != (mode == ModeIgnem) {
 				t.Errorf("%s: UseIgnem = %v", mode, c.UseIgnem())
@@ -334,5 +346,116 @@ func TestMapTasksLocateOneBlock(t *testing.T) {
 	}
 	if got, want := located.Load(), int64(2*blocks); got != want {
 		t.Errorf("getLocations replies carried %d located blocks, want %d (submit %d + one per map task)", got, want, blocks)
+	}
+}
+
+// TestStartOnLoopbackTCP runs the stack ignem-cluster runs: the whole
+// cluster on the scaled real clock over TCP loopback, each component on
+// a port it bound itself. A file of real bytes survives a cold read, a
+// migration and a read as the migrating job, and an eviction; no
+// datanode holds a replica slot after Close.
+func TestStartOnLoopbackTCP(t *testing.T) {
+	c, err := StartOn(simclock.NewScaledReal(16), transport.Loopback{}, Config{Nodes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer c.Close()
+		exerciseLoopback(t, c)
+	}()
+	for _, dn := range c.DataNodes {
+		waitReal(t, dn.Addr()+"'s replica slots to be released", func() bool { return dn.ReplicaMemory().Slots == 0 })
+	}
+}
+
+// waitReal polls cond on the wall clock, for at most 30 s.
+func waitReal(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+func exerciseLoopback(t *testing.T, c *Cluster) {
+	addrs := map[string]bool{c.NameNode.Addr(): true}
+	for _, dn := range c.DataNodes {
+		addrs[dn.Addr()] = true
+	}
+	if len(addrs) != 4 {
+		t.Fatalf("addresses %v: want 4 distinct", addrs)
+	}
+	for addr := range addrs {
+		if host, port, err := net.SplitHostPort(addr); err != nil || host != "127.0.0.1" || port == "0" {
+			t.Fatalf("address %q is not a loopback port", addr)
+		}
+		// Bound: nobody else can take it.
+		if l, err := net.Listen("tcp", addr); err == nil {
+			l.Close()
+			t.Fatalf("address %q was free to bind again", addr)
+		}
+	}
+
+	cl, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const blockSize, blocks = 256 << 10, 4
+	data := make([]byte, blocks*blockSize)
+	rand.New(rand.NewSource(1)).Read(data)
+	if err := cl.WriteFile("/f", data, blockSize, 2); err != nil {
+		t.Fatal(err)
+	}
+	slots := 0
+	for _, dn := range c.DataNodes {
+		slots += dn.ReplicaMemory().Slots
+	}
+	if slots != 2*blocks {
+		t.Fatalf("%d replica slots held, want %d", slots, 2*blocks)
+	}
+	readBack := func(job dfs.JobID) {
+		t.Helper()
+		got, err := cl.ReadFile("/f", job)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read as %q: %d bytes, err %v; want the %d written", job, len(got), err, len(data))
+		}
+	}
+	readBack("cold")
+
+	resp, err := cl.Migrate("hot", []string{"/f"}, false)
+	if err != nil || resp.Blocks != blocks {
+		t.Fatalf("migrate: %d blocks, err %v; want %d", resp.Blocks, err, blocks)
+	}
+	waitReal(t, "every block to be pinned", func() bool { return c.SlaveStats().PinnedBlocks == blocks })
+	readBack("hot")
+	if _, err := cl.Evict("hot", []string{"/f"}); err != nil {
+		t.Fatal(err)
+	}
+	waitReal(t, "the pins to drain", func() bool { return c.SlaveStats().PinnedBlocks == 0 })
+}
+
+// A bring-up that fails part way releases every address it bound.
+func TestStartOnFailureReleasesListeners(t *testing.T) {
+	err := RunVirtual(time.Minute, func(v *simclock.Virtual) {
+		net := transport.NewInmemNetwork(v)
+		if _, err := net.Listen("dn1"); err != nil {
+			t.Error(err)
+			return
+		}
+		if c, err := StartOn(v, net, Config{Nodes: 3}); err == nil {
+			c.Close()
+			t.Error("StartOn succeeded with dn1's address taken")
+			return
+		}
+		for _, addr := range []string{NameNodeAddr, "dn0"} {
+			if _, err := net.Listen(addr); err != nil {
+				t.Errorf("%s still bound after the failed bring-up: %v", addr, err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/dfs/client"
 	"repro/internal/dfs/datanode"
-	"repro/internal/dfs/namenode"
 	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -23,13 +23,11 @@ import (
 // copy that gives its buffer up at once otherwise, so what is checked
 // here is who owns which bytes when, and what a read allocates.
 
-// liveCluster is a namenode plus RAM-served datanodes on the scaled real
+// liveCluster is a cluster of RAM-served datanodes on the scaled real
 // clock, over TCP loopback or the in-memory network.
 type liveCluster struct {
-	clock  simclock.Clock
-	net    transport.Network
-	nnAddr string
-	dns    []*datanode.DataNode
+	*cluster.Cluster
+	net transport.Network // the clients' view of the network
 }
 
 func startLive(tb testing.TB, tcp bool, nodes int) *liveCluster {
@@ -38,56 +36,36 @@ func startLive(tb testing.TB, tcp bool, nodes int) *liveCluster {
 }
 
 // startLiveVia is startLive with every component's network seen through
-// view (nil: the bare network), keyed by the component's address; the
+// view (nil: the bare network), keyed by the component's node name; the
 // cluster's clients use the view of "client". When the test ends and
 // the datanodes are closed, none may still hold a replica slot or keep
 // an arena chunk mapped.
 func startLiveVia(tb testing.TB, tcp bool, nodes int, view func(clock simclock.Clock, base transport.Network, node string) transport.Network) *liveCluster {
 	tb.Helper()
-	lc := &liveCluster{clock: simclock.NewScaledReal(4), nnAddr: "nn"}
-	// Registered first, so it runs after every datanode's Close.
+	clock := simclock.NewScaledReal(4)
+	var base transport.Network = transport.NewInmemNetwork(clock)
+	if tcp {
+		base = transport.Loopback{}
+	}
+	cfg := cluster.Config{Nodes: nodes, Seed: 11, Media: storage.RAMSpec(), Mode: cluster.ModeInputsInRAM}
+	lc := &liveCluster{net: base}
+	if view != nil {
+		cfg.WrapNet = func(node string, base transport.Network) transport.Network { return view(clock, base, node) }
+		lc.net = view(clock, base, "client")
+	}
+	c, err := cluster.StartOn(clock, base, cfg)
+	if err != nil {
+		tb.Fatalf("cluster start: %v", err)
+	}
+	lc.Cluster = c
 	tb.Cleanup(func() {
-		for _, dn := range lc.dns {
+		c.Close()
+		for _, dn := range c.DataNodes {
 			settleReplicaMemory(tb, dn, "nothing held or mapped after Close", func(m storage.Memory) bool {
 				return m.Slots == 0 && m.Chunks == 0
 			})
 		}
 	})
-	addr := func(i int) string { return fmt.Sprintf("dn%d", i) }
-	var base transport.Network
-	if tcp {
-		tnet := transport.NewTCPNetwork()
-		base = tnet
-		addr = func(int) string { return ephemeralAddr(tb, tnet) }
-		lc.nnAddr = addr(0)
-	} else {
-		base = transport.NewInmemNetwork(lc.clock)
-	}
-	netOf := func(string) transport.Network { return base }
-	if view != nil {
-		netOf = func(node string) transport.Network { return view(lc.clock, base, node) }
-	}
-	lc.net = netOf("client")
-	nn := namenode.New(lc.clock, netOf(lc.nnAddr), namenode.Config{Addr: lc.nnAddr, Seed: 11})
-	if err := nn.Start(); err != nil {
-		tb.Fatalf("namenode start: %v", err)
-	}
-	tb.Cleanup(nn.Close)
-	for i := 0; i < nodes; i++ {
-		a := addr(i)
-		dn, err := datanode.New(lc.clock, netOf(a), datanode.Config{
-			Addr: a, NameNodeAddr: lc.nnAddr, Media: storage.RAMSpec(),
-			ServeAllFromRAM: true,
-		})
-		if err != nil {
-			tb.Fatalf("datanode new: %v", err)
-		}
-		if err := dn.Start(); err != nil {
-			tb.Fatalf("datanode start: %v", err)
-		}
-		tb.Cleanup(dn.Close)
-		lc.dns = append(lc.dns, dn)
-	}
 	return lc
 }
 
@@ -106,19 +84,9 @@ func settleReplicaMemory(tb testing.TB, dn *datanode.DataNode, want string, ok f
 	}
 }
 
-func ephemeralAddr(tb testing.TB, tnet transport.TCPNetwork) string {
-	tb.Helper()
-	l, err := tnet.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatalf("Listen: %v", err)
-	}
-	defer l.Close()
-	return l.Addr()
-}
-
 func (lc *liveCluster) client(tb testing.TB, opts ...client.Option) *client.Client {
 	tb.Helper()
-	c, err := client.New(lc.clock, lc.net, lc.nnAddr, opts...)
+	c, err := client.New(lc.Clock, lc.net, lc.NameNode.Addr(), opts...)
 	if err != nil {
 		tb.Fatalf("client: %v", err)
 	}
@@ -359,7 +327,7 @@ func TestReplicaArenaReusesSlots(t *testing.T) {
 		}
 	}
 	chunks := func() (n int) {
-		for _, dn := range lc.dns {
+		for _, dn := range lc.DataNodes {
 			n += dn.ReplicaMemory().Chunks
 		}
 		return n
@@ -376,7 +344,7 @@ func TestReplicaArenaReusesSlots(t *testing.T) {
 	if got := chunks(); got != warm {
 		t.Errorf("%d write/delete cycles mapped %d more arena chunks after warm-up", cycles, got-warm)
 	}
-	for _, dn := range lc.dns {
+	for _, dn := range lc.DataNodes {
 		if m := dn.ReplicaMemory(); m.Slots != 0 || m.Replicas != 0 {
 			t.Errorf("%s holds %+v with every file deleted, want no slot", dn.Addr(), m)
 		}

@@ -53,7 +53,7 @@ func (o *countingObserver) maxPerBlock() int {
 func TestBlockCacheServesSecondScanFromMemory(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		var obs countingObserver
 		c := mc.client(t, client.WithBlockCache(64<<20), client.WithReadObserver(obs.fn()))
 		defer c.Close()
@@ -90,7 +90,7 @@ func TestBlockCacheServesSecondScanFromMemory(t *testing.T) {
 func TestBlockCacheSharedAcrossReaders(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		var obs countingObserver
 		c := mc.client(t, client.WithBlockCache(64<<20), client.WithReadObserver(obs.fn()))
 		defer c.Close()
@@ -127,7 +127,7 @@ func TestBlockCacheSharedAcrossReaders(t *testing.T) {
 func TestBlockCacheCoalescesConcurrentColdReaders(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		var obs countingObserver
 		c := mc.client(t, client.WithBlockCache(64<<20), client.WithReadObserver(obs.fn()))
 		defer c.Close()
@@ -158,7 +158,7 @@ func TestBlockCacheCoalescesConcurrentColdReaders(t *testing.T) {
 func TestBlockCacheInvalidatedOnRewrite(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t, client.WithBlockCache(64<<20))
 		defer c.Close()
 		writeBlocky(t, c, "/f", 4, 4096, 2)
@@ -188,7 +188,7 @@ func TestBlockCacheInvalidatedOnRewrite(t *testing.T) {
 func TestBlockCacheInvalidatedOnMigrateEvict(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
-		defer mc.close()
+		defer mc.Close()
 		var obs countingObserver
 		c := mc.client(t, client.WithBlockCache(64<<20), client.WithReadObserver(obs.fn()))
 		defer c.Close()
@@ -230,7 +230,7 @@ func TestBlockCacheInvalidatedOnMigrateEvict(t *testing.T) {
 func TestBlockCacheDefaultOff(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
-		defer mc.close()
+		defer mc.Close()
 		var obs countingObserver
 		c := mc.client(t, client.WithReadObserver(obs.fn()))
 		defer c.Close()
@@ -255,14 +255,14 @@ func TestBlockCacheDefaultOff(t *testing.T) {
 func TestBlockCacheFailoverInvalidatesByAddr(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t, client.WithBlockCache(64<<20))
 		defer c.Close()
 		data := writeBlocky(t, c, "/f", 8, 4096, 2)
 		if _, err := c.ReadFile("/f", "j"); err != nil {
 			t.Fatalf("warm scan: %v", err)
 		}
-		mc.dns[0].Close()
+		mc.DataNodes[0].Close()
 		c.ForgetDataNode("dn0")
 		got, err := c.ReadFile("/f", "j")
 		if err != nil {

@@ -7,32 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/dfs/client"
 	"repro/internal/dfs/datanode"
-	"repro/internal/dfs/namenode"
-	"repro/internal/ignem"
 	"repro/internal/simclock"
-	"repro/internal/storage"
-	"repro/internal/transport"
 )
 
-var epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-
-// miniCluster is a namenode plus datanodes on an in-memory network.
-type miniCluster struct {
-	clock *simclock.Virtual
-	net   *transport.InmemNetwork
-	nn    *namenode.NameNode
-	dns   []*datanode.DataNode
-}
+// miniCluster is a cluster on the in-memory network.
+type miniCluster struct{ *cluster.Cluster }
 
 type miniConfig struct {
-	nodes       int
-	media       storage.Spec
-	allRAM      bool
-	liveness    ignem.Liveness
-	slaveConfig ignem.SlaveConfig
+	nodes  int
+	allRAM bool
 }
 
 // startMini must run on a simulation goroutine.
@@ -41,45 +28,20 @@ func startMini(t *testing.T, v *simclock.Virtual, cfg miniConfig) *miniCluster {
 	if cfg.nodes == 0 {
 		cfg.nodes = 4
 	}
-	if cfg.media.Name == "" {
-		cfg.media = storage.HDDSpec()
+	ccfg := cluster.Config{Nodes: cfg.nodes, Seed: 7}
+	if cfg.allRAM {
+		ccfg.Mode = cluster.ModeInputsInRAM
 	}
-	net := transport.NewInmemNetwork(v)
-	nn := namenode.New(v, net, namenode.Config{Addr: "nn", Seed: 7})
-	if err := nn.Start(); err != nil {
-		t.Fatalf("namenode start: %v", err)
+	c, err := cluster.Start(v, ccfg)
+	if err != nil {
+		t.Fatalf("cluster start: %v", err)
 	}
-	mc := &miniCluster{clock: v, net: net, nn: nn}
-	for i := 0; i < cfg.nodes; i++ {
-		dn, err := datanode.New(v, net, datanode.Config{
-			Addr:            fmt.Sprintf("dn%d", i),
-			NameNodeAddr:    "nn",
-			Media:           cfg.media,
-			Slave:           cfg.slaveConfig,
-			Liveness:        cfg.liveness,
-			ServeAllFromRAM: cfg.allRAM,
-		})
-		if err != nil {
-			t.Fatalf("datanode new: %v", err)
-		}
-		if err := dn.Start(); err != nil {
-			t.Fatalf("datanode start: %v", err)
-		}
-		mc.dns = append(mc.dns, dn)
-	}
-	return mc
-}
-
-func (mc *miniCluster) close() {
-	for _, dn := range mc.dns {
-		dn.Close()
-	}
-	mc.nn.Close()
+	return &miniCluster{c}
 }
 
 func (mc *miniCluster) client(t *testing.T, opts ...client.Option) *client.Client {
 	t.Helper()
-	c, err := client.New(mc.clock, mc.net, "nn", opts...)
+	c, err := mc.Client(opts...)
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
@@ -90,16 +52,8 @@ func (mc *miniCluster) client(t *testing.T, opts ...client.Option) *client.Clien
 // the virtual-time simulation stalls in real time.
 func runSim(t *testing.T, fn func(v *simclock.Virtual)) {
 	t.Helper()
-	v := simclock.NewVirtual(epoch)
-	done := make(chan struct{})
-	v.Go(func() {
-		defer close(done)
-		fn(v)
-	})
-	select {
-	case <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatalf("simulation stalled: %v", v)
+	if err := cluster.RunVirtual(120*time.Second, fn); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -118,7 +72,7 @@ func waitUntil(t *testing.T, v *simclock.Virtual, timeout time.Duration, cond fu
 func TestWriteReadRoundTrip(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -146,7 +100,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestReplicasOnDistinctNodes(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 5})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -178,7 +132,7 @@ func TestReplicasOnDistinctNodes(t *testing.T) {
 func TestReplicationCappedByClusterSize(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 2})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		if err := c.WriteSyntheticFile("/f", 1<<20, 0, 3); err != nil {
@@ -194,7 +148,7 @@ func TestReplicationCappedByClusterSize(t *testing.T) {
 func TestMigrateThenReadFromMemory(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -209,11 +163,7 @@ func TestMigrateThenReadFromMemory(t *testing.T) {
 			t.Errorf("migrate enqueued %d blocks, want 4", resp.Blocks)
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			var pinned int
-			for _, dn := range mc.dns {
-				pinned += dn.Slave().Stats().PinnedBlocks
-			}
-			return pinned == 4
+			return mc.SlaveStats().PinnedBlocks == 4
 		}, "all blocks pinned")
 
 		// Wait for pin state to reach the namenode via heartbeats.
@@ -250,11 +200,7 @@ func TestMigrateThenReadFromMemory(t *testing.T) {
 			t.Fatalf("Evict: %v", err)
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			var pinned int64
-			for _, dn := range mc.dns {
-				pinned += dn.Slave().PinnedBytes()
-			}
-			return pinned == 0
+			return mc.TotalPinnedBytes() == 0
 		}, "eviction")
 	})
 }
@@ -262,7 +208,7 @@ func TestMigrateThenReadFromMemory(t *testing.T) {
 func TestMigratedReadsFasterThanCold(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -276,11 +222,7 @@ func TestMigratedReadsFasterThanCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			var n int
-			for _, dn := range mc.dns {
-				n += dn.Slave().Stats().PinnedBlocks
-			}
-			return n == 1
+			return mc.SlaveStats().PinnedBlocks == 1
 		}, "pin")
 
 		start := v.Now()
@@ -305,7 +247,7 @@ func TestMigratedReadsFasterThanCold(t *testing.T) {
 func TestImplicitEvictionViaReadPath(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -316,7 +258,7 @@ func TestImplicitEvictionViaReadPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			for _, dn := range mc.dns {
+			for _, dn := range mc.DataNodes {
 				if dn.Slave().Stats().PinnedBlocks == 1 {
 					return true
 				}
@@ -326,11 +268,7 @@ func TestImplicitEvictionViaReadPath(t *testing.T) {
 		if _, err := c.ReadFile("/in", "j"); err != nil {
 			t.Fatal(err)
 		}
-		var pinned int64
-		for _, dn := range mc.dns {
-			pinned += dn.Slave().PinnedBytes()
-		}
-		if pinned != 0 {
+		if pinned := mc.TotalPinnedBytes(); pinned != 0 {
 			t.Errorf("implicit eviction left %d bytes pinned", pinned)
 		}
 	})
@@ -339,7 +277,7 @@ func TestImplicitEvictionViaReadPath(t *testing.T) {
 func TestLocalityPreference(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -365,7 +303,7 @@ func TestLocalityPreference(t *testing.T) {
 func TestInputsInRAMMode(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{allRAM: true})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		if err := c.WriteSyntheticFile("/f", dfs.DefaultBlockSize, 0, 1); err != nil {
@@ -384,7 +322,7 @@ func TestInputsInRAMMode(t *testing.T) {
 func TestDeleteAndList(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		for i := 0; i < 3; i++ {
@@ -415,7 +353,7 @@ func TestDeleteAndList(t *testing.T) {
 func TestCreateErrors(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		if err := c.WriteSyntheticFile("/dup", 1<<20, 0, 1); err != nil {
@@ -436,7 +374,7 @@ func TestCreateErrors(t *testing.T) {
 func TestDataNodeDeathFailover(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 3})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -445,7 +383,7 @@ func TestDataNodeDeathFailover(t *testing.T) {
 		}
 		blocks, _ := c.Locations("/f")
 		victim := blocks[0].Nodes[0]
-		for _, dn := range mc.dns {
+		for _, dn := range mc.DataNodes {
 			if dn.Addr() == victim {
 				dn.Close()
 			}
@@ -465,7 +403,7 @@ func TestDataNodeDeathFailover(t *testing.T) {
 func TestMasterRestartPurgesSlaves(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -476,30 +414,22 @@ func TestMasterRestartPurgesSlaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			var n int
-			for _, dn := range mc.dns {
-				n += dn.Slave().Stats().PinnedBlocks
-			}
-			return n == 2
+			return mc.SlaveStats().PinnedBlocks == 2
 		}, "pin")
 
-		if err := mc.nn.RestartMaster(); err != nil {
+		if err := mc.NameNode.RestartMaster(); err != nil {
 			t.Fatalf("restart master: %v", err)
 		}
 		// Next command batch (for a new job) carries the new epoch and
 		// purges stale reference lists on the slaves it reaches.
-		if err := c.WriteSyntheticFile("/g", dfs.DefaultBlockSize, 0, len(mc.dns)); err != nil {
+		if err := c.WriteSyntheticFile("/g", dfs.DefaultBlockSize, 0, len(mc.DataNodes)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Migrate("j2", []string{"/g"}, false); err != nil {
 			t.Fatal(err)
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			var total int64
-			for _, dn := range mc.dns {
-				total += dn.Slave().PinnedBytes()
-			}
-			return total == dfs.DefaultBlockSize
+			return mc.TotalPinnedBytes() == dfs.DefaultBlockSize
 		}, "purge+remigrate")
 	})
 }
@@ -507,7 +437,7 @@ func TestMasterRestartPurgesSlaves(t *testing.T) {
 func TestSlaveProcessRestartKeepsServing(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -518,20 +448,13 @@ func TestSlaveProcessRestartKeepsServing(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			for _, dn := range mc.dns {
-				if dn.Slave().Stats().PinnedBlocks > 0 {
-					return true
-				}
-			}
-			return false
+			return mc.SlaveStats().PinnedBlocks > 0
 		}, "pin")
-		for _, dn := range mc.dns {
+		for _, dn := range mc.DataNodes {
 			dn.RestartSlaveProcess()
 		}
-		for _, dn := range mc.dns {
-			if dn.Slave().PinnedBytes() != 0 {
-				t.Error("slave restart kept pinned memory")
-			}
+		if mc.TotalPinnedBytes() != 0 {
+			t.Error("slave restart kept pinned memory")
 		}
 		// Data is still readable from disk after the slave restarts.
 		if _, err := c.ReadFile("/f", "j1"); err != nil {
@@ -543,7 +466,7 @@ func TestSlaveProcessRestartKeepsServing(t *testing.T) {
 func TestReadFailsOverWithoutExpiry(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 3})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -554,7 +477,7 @@ func TestReadFailsOverWithoutExpiry(t *testing.T) {
 		// Kill one replica holder; do NOT wait for namenode expiry. The
 		// client must fail over to the surviving replica on its own.
 		victim := blocks[0].Nodes[0]
-		for _, dn := range mc.dns {
+		for _, dn := range mc.DataNodes {
 			if dn.Addr() == victim {
 				dn.Close()
 			}
@@ -568,13 +491,13 @@ func TestReadFailsOverWithoutExpiry(t *testing.T) {
 func TestReadAllReplicasDead(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 2})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		if err := c.WriteSyntheticFile("/f", 1<<20, 0, 2); err != nil {
 			t.Fatal(err)
 		}
-		for _, dn := range mc.dns {
+		for _, dn := range mc.DataNodes {
 			dn.Close()
 		}
 		if _, err := c.ReadFile("/f", "j"); err == nil {
@@ -586,7 +509,7 @@ func TestReadAllReplicasDead(t *testing.T) {
 func TestReReplicationAfterNodeDeath(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -596,7 +519,7 @@ func TestReReplicationAfterNodeDeath(t *testing.T) {
 		}
 		blocks, _ := c.Locations("/f")
 		victim := blocks[0].Nodes[0]
-		for _, dn := range mc.dns {
+		for _, dn := range mc.DataNodes {
 			if dn.Addr() == victim {
 				dn.Close()
 			}
@@ -632,7 +555,7 @@ func TestReReplicationAfterNodeDeath(t *testing.T) {
 func TestDataNodeRestartReconcilesLocations(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 3})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -642,14 +565,14 @@ func TestDataNodeRestartReconcilesLocations(t *testing.T) {
 		}
 		blocks, _ := c.Locations("/f")
 		victimAddr := blocks[0].Nodes[0]
-		for i, dn := range mc.dns {
+		for i, dn := range mc.DataNodes {
 			if dn.Addr() == victimAddr {
 				// The whole process dies and comes back EMPTY (fresh
 				// block store), re-registering under the same address.
 				dn.Close()
-				fresh, err := datanode.New(v, mc.net, datanode.Config{
+				fresh, err := datanode.New(v, mc.Net, datanode.Config{
 					Addr:         victimAddr,
-					NameNodeAddr: "nn",
+					NameNodeAddr: cluster.NameNodeAddr,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -657,7 +580,7 @@ func TestDataNodeRestartReconcilesLocations(t *testing.T) {
 				if err := fresh.Start(); err != nil {
 					t.Fatal(err)
 				}
-				mc.dns[i] = fresh
+				mc.DataNodes[i] = fresh
 			}
 		}
 		c.ForgetDataNode(victimAddr)
@@ -698,7 +621,7 @@ func TestDataNodeRestartReconcilesLocations(t *testing.T) {
 func TestWriterErrors(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		if err := c.WriteSyntheticFile("/s", -1, 1024, 1); err == nil {
@@ -718,7 +641,7 @@ func TestWriterErrors(t *testing.T) {
 func TestMigrateUnknownPathFails(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		if _, err := c.Migrate("j", []string{"/nope"}, false); err == nil {

@@ -7,13 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/dfs/client"
-	"repro/internal/dfs/datanode"
 	"repro/internal/dfs/namenode"
 	"repro/internal/faultnet"
 	"repro/internal/simclock"
-	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -24,7 +23,7 @@ import (
 func TestWriterSurvivesDeadPipelineNode(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 
@@ -34,7 +33,7 @@ func TestWriterSurvivesDeadPipelineNode(t *testing.T) {
 		// dn2 dies before any block ships. The namenode has not yet
 		// expired its heartbeat, so allocations keep targeting it and the
 		// writer must fail over block by block.
-		mc.dns[2].Close()
+		mc.DataNodes[2].Close()
 		if err := c.WriteFile("/chaos/f", data, blockSize, 2); err != nil {
 			t.Fatalf("write with dead pipeline node: %v", err)
 		}
@@ -78,15 +77,15 @@ func TestWriterSurvivesDeadPipelineNode(t *testing.T) {
 func TestIdempotentNNCallRedialsRestartedNameNode(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		if _, err := c.List("/"); err != nil {
 			t.Fatalf("list before the restart: %v", err)
 		}
-		mc.nn.Close()
-		mc.nn = namenode.New(v, mc.net, namenode.Config{Addr: "nn", Seed: 7})
-		if err := mc.nn.Start(); err != nil {
+		mc.NameNode.Close()
+		mc.NameNode = namenode.New(v, mc.Net, namenode.Config{Addr: cluster.NameNodeAddr, Seed: 7})
+		if err := mc.NameNode.Start(); err != nil {
 			t.Fatalf("namenode restart: %v", err)
 		}
 		if _, err := c.List("/"); err != nil {
@@ -95,43 +94,25 @@ func TestIdempotentNNCallRedialsRestartedNameNode(t *testing.T) {
 	})
 }
 
-// faultyCluster is a miniCluster rebuilt over a faultnet fabric so tests
-// can drop and block the client↔namenode links deterministically.
+// faultyCluster is a miniCluster over a faultnet fabric so tests can
+// drop and block the client↔namenode links deterministically.
 type faultyCluster struct {
+	*cluster.Cluster
 	fab *faultnet.Fabric
-	nn  *namenode.NameNode
-	dns []*datanode.DataNode
 }
 
 func startFaulty(t *testing.T, v *simclock.Virtual, nodes int) *faultyCluster {
 	t.Helper()
-	fab := faultnet.New(v, transport.NewInmemNetwork(v), 11)
-	nn := namenode.New(v, fab.Node("nn"), namenode.Config{Addr: "nn", Seed: 7})
-	if err := nn.Start(); err != nil {
-		t.Fatalf("namenode start: %v", err)
+	base := transport.NewInmemNetwork(v)
+	fab := faultnet.New(v, base, 11)
+	c, err := cluster.StartOn(v, base, cluster.Config{
+		Nodes: nodes, Seed: 7,
+		WrapNet: func(node string, _ transport.Network) transport.Network { return fab.Node(node) },
+	})
+	if err != nil {
+		t.Fatalf("cluster start: %v", err)
 	}
-	fc := &faultyCluster{fab: fab, nn: nn}
-	for i := 0; i < nodes; i++ {
-		addr := "dn" + string(rune('0'+i))
-		dn, err := datanode.New(v, fab.Node(addr), datanode.Config{
-			Addr: addr, NameNodeAddr: "nn", Media: storage.HDDSpec(),
-		})
-		if err != nil {
-			t.Fatalf("datanode new: %v", err)
-		}
-		if err := dn.Start(); err != nil {
-			t.Fatalf("datanode start: %v", err)
-		}
-		fc.dns = append(fc.dns, dn)
-	}
-	return fc
-}
-
-func (fc *faultyCluster) close() {
-	for _, dn := range fc.dns {
-		dn.Close()
-	}
-	fc.nn.Close()
+	return &faultyCluster{c, fab}
 }
 
 // An idempotent namenode call whose first attempt times out must be
@@ -139,8 +120,8 @@ func (fc *faultyCluster) close() {
 func TestIdempotentNNCallRetriesThroughOutage(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		fc := startFaulty(t, v, 3)
-		defer fc.close()
-		c, err := client.New(v, fc.fab.Node("client"), "nn")
+		defer fc.Close()
+		c, err := client.New(v, fc.fab.Node("client"), cluster.NameNodeAddr)
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -150,10 +131,10 @@ func TestIdempotentNNCallRetriesThroughOutage(t *testing.T) {
 		}
 
 		// Requests vanish for the next 1.5 simulated seconds.
-		fc.fab.Block("client", "nn")
+		fc.fab.Block("client", cluster.NameNodeAddr)
 		v.Go(func() {
 			v.Sleep(1500 * time.Millisecond)
-			fc.fab.Unblock("client", "nn")
+			fc.fab.Unblock("client", cluster.NameNodeAddr)
 		})
 		start := v.Now()
 		info, err := c.Info("/f")
@@ -174,14 +155,14 @@ func TestIdempotentNNCallRetriesThroughOutage(t *testing.T) {
 func TestNonIdempotentNNCallDoesNotRetry(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		fc := startFaulty(t, v, 3)
-		defer fc.close()
-		c, err := client.New(v, fc.fab.Node("client"), "nn")
+		defer fc.Close()
+		c, err := client.New(v, fc.fab.Node("client"), cluster.NameNodeAddr)
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
 		defer c.Close()
 
-		fc.fab.Block("client", "nn")
+		fc.fab.Block("client", cluster.NameNodeAddr)
 		start := v.Now()
 		_, err = c.Migrate("job1", []string{"/f"}, true)
 		if !errors.Is(err, transport.ErrTimeout) {
@@ -199,18 +180,18 @@ func TestNonIdempotentNNCallDoesNotRetry(t *testing.T) {
 func TestAllocationRetryAfterLostReplyDoesNotDoubleAllocate(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		fc := startFaulty(t, v, 3)
-		defer fc.close()
+		defer fc.Close()
 		// Replies from the namenode vanish for 2.5s from the first
 		// addBlocks call on: that attempt allocates but its reply is lost,
 		// and the retry after its timeout hits the dedup path.
 		net := &firstCallNet{Network: fc.fab.Node("client"), method: "nn.addBlocks", hook: func() {
-			fc.fab.Block("nn", "client")
+			fc.fab.Block(cluster.NameNodeAddr, "client")
 			v.Go(func() {
 				v.Sleep(2500 * time.Millisecond)
-				fc.fab.Unblock("nn", "client")
+				fc.fab.Unblock(cluster.NameNodeAddr, "client")
 			})
 		}}
-		c, err := client.New(v, net, "nn")
+		c, err := client.New(v, net, cluster.NameNodeAddr)
 		if err != nil {
 			t.Fatalf("client: %v", err)
 		}
@@ -330,9 +311,9 @@ func TestStaleBlockAttemptStoresNoScribbledBytes(t *testing.T) {
 	t.Run("checksums=true", func(t *testing.T) {
 		runSim(t, func(v *simclock.Virtual) {
 			mc := startMini(t, v, miniConfig{nodes: 3})
-			defer mc.close()
-			ln := &lateNet{Network: mc.net, clock: v, hold: dfs.DefaultDataNodeTimeout + time.Minute}
-			c, err := client.New(v, ln, "nn")
+			defer mc.Close()
+			ln := &lateNet{Network: mc.Net, clock: v, hold: dfs.DefaultDataNodeTimeout + time.Minute}
+			c, err := client.New(v, ln, cluster.NameNodeAddr)
 			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
@@ -356,7 +337,7 @@ func TestStaleBlockAttemptStoresNoScribbledBytes(t *testing.T) {
 			if err != nil || len(lbs) != 1 {
 				t.Fatalf("Locations = %+v, %v; want one block", lbs, err)
 			}
-			for _, dn := range mc.dns {
+			for _, dn := range mc.DataNodes {
 				pinned := lbs[0]
 				pinned.Nodes = []string{dn.Addr()}
 				got, err := c.ReadBlock(pinned, "")

@@ -39,7 +39,7 @@ func TestReplicaSlotsUnderDeleteAndOverwrite(t *testing.T) {
 			}
 			return fab.Node(node)
 		})
-		for _, dn := range lc.dns {
+		for _, dn := range lc.DataNodes {
 			fab.SetReorder(dn.Addr(), "client", 4)
 		}
 		hammerReplicaSlots(t, lc)
@@ -151,7 +151,7 @@ func hammerReplicaSlots(t *testing.T, lc *liveCluster) {
 // when the test ends.)
 func checkReplicaMemory(t *testing.T, lc *liveCluster) {
 	t.Helper()
-	for _, dn := range lc.dns {
+	for _, dn := range lc.DataNodes {
 		settleReplicaMemory(t, dn, "one unshared slot per replica", func(m storage.Memory) bool {
 			return m.Shared == 0 && m.Slots == m.Replicas
 		})

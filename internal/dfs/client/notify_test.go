@@ -18,7 +18,7 @@ import (
 func TestCachedReadStillDrivesImplicitEviction(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 3})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t, client.WithBlockCache(64<<20))
 		defer c.Close()
 
@@ -35,11 +35,7 @@ func TestCachedReadStillDrivesImplicitEviction(t *testing.T) {
 			}
 		}
 		waitUntil(t, v, time.Minute, func() bool {
-			pinned := 0
-			for _, dn := range mc.dns {
-				pinned += dn.Slave().Stats().PinnedBlocks
-			}
-			return pinned == 2
+			return mc.SlaveStats().PinnedBlocks == 2
 		}, "both blocks pinned")
 		// Pin state must reach the namenode so reads prefer the migrated
 		// replica (where the reference lists live).
@@ -72,23 +68,15 @@ func TestCachedReadStillDrivesImplicitEviction(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("cached read returned %d bytes, mismatch", len(got))
 		}
-		pinned := int64(0)
-		for _, dn := range mc.dns {
-			pinned += dn.Slave().PinnedBytes()
-		}
-		if pinned == 0 {
+		if mc.TotalPinnedBytes() == 0 {
 			t.Fatal("blocks unpinned before notifications flushed — the leak scenario never existed")
 		}
 
 		c.FlushReadNotifications()
 		waitUntil(t, v, time.Minute, func() bool {
-			var pinned int64
-			for _, dn := range mc.dns {
-				pinned += dn.Slave().PinnedBytes()
-			}
-			return pinned == 0
+			return mc.TotalPinnedBytes() == 0
 		}, "cached job's references released")
-		if st := mc.nn.Master().Stats(); st.ReadNotifies != 2 {
+		if st := mc.NameNode.Master().Stats(); st.ReadNotifies != 2 {
 			t.Errorf("master ReadNotifies = %d, want 2", st.ReadNotifies)
 		}
 	})

@@ -29,7 +29,7 @@ func writeBlocky(t *testing.T, c *client.Client, path string, nBlocks, blockSize
 func TestReadFileStripedRoundTrip(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		data := writeBlocky(t, c, "/f", 8, 4096, 2)
@@ -76,7 +76,7 @@ func TestReadFileStripedMatchesSerialReplicaChoice(t *testing.T) {
 	}
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		setup := mc.client(t)
 		defer setup.Close()
 		writeBlocky(t, setup, "/f", 8, 4096, 3)
@@ -106,11 +106,11 @@ func TestReadFileStripedMatchesSerialReplicaChoice(t *testing.T) {
 func TestReadFileStripedFailsOver(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 4})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		data := writeBlocky(t, c, "/f", 8, 4096, 2)
-		mc.dns[0].Close()
+		mc.DataNodes[0].Close()
 		got, err := c.ReadFile("/f", "j")
 		if err != nil {
 			t.Fatalf("striped read did not fail over: %v", err)
@@ -126,11 +126,11 @@ func TestReadFileStripedFailsOver(t *testing.T) {
 func TestReadFileStripedAllReplicasDead(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 3})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		writeBlocky(t, c, "/f", 8, 4096, 2)
-		for _, dn := range mc.dns {
+		for _, dn := range mc.DataNodes {
 			dn.Close()
 		}
 		if _, err := c.ReadFile("/f", "j"); err == nil {
@@ -145,7 +145,7 @@ func TestReadFileStripedAllReplicasDead(t *testing.T) {
 func TestReadFileStripedFasterThanSerial(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 8})
-		defer mc.close()
+		defer mc.Close()
 		setup := mc.client(t)
 		defer setup.Close()
 		writeBlocky(t, setup, "/f", 8, 1<<20, 2)
@@ -181,7 +181,7 @@ func TestReadFileStripedFasterThanSerial(t *testing.T) {
 func TestCachedReadersRaceRewrites(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t, client.WithBlockCache(64<<20))
 		defer c.Close()
 		// The writer runs as its own client (as a second job would): the
@@ -251,7 +251,7 @@ func TestCachedReadersRaceRewrites(t *testing.T) {
 func TestCachedReadersRaceMigrateEvict(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t, client.WithBlockCache(64<<20))
 		defer c.Close()
 		data := writeBlocky(t, c, "/hot", 4, 4096, 2)
@@ -311,7 +311,7 @@ func TestReadFileBlockCounts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			runSim(t, func(v *simclock.Virtual) {
 				mc := startMini(t, v, miniConfig{nodes: 4})
-				defer mc.close()
+				defer mc.Close()
 				var mu sync.Mutex
 				reads := map[dfs.BlockID]int{}
 				c := mc.client(t, client.WithReadObserver(func(ev client.BlockReadEvent) {

@@ -91,7 +91,7 @@ func TestReadFileReturnsOnlyWrittenBytes(t *testing.T) {
 			lb := short[4]
 			data := want[4*blockSize : 5*blockSize-1]
 			for _, addr := range lb.Nodes {
-				dc, err := transport.Dial(lc.clock, lc.net, addr)
+				dc, err := transport.Dial(lc.Clock, lc.net, addr)
 				if err != nil {
 					t.Fatalf("dial %s: %v", addr, err)
 				}
@@ -119,7 +119,7 @@ func TestReadFileReturnsOnlyWrittenBytes(t *testing.T) {
 func holderOfMidBlock(t *testing.T, lc *liveCluster, locs []dfs.LocatedBlock) (*datanode.DataNode, int) {
 	t.Helper()
 	for i := len(locs) / 2; i < len(locs)-1; i++ {
-		for _, dn := range lc.dns {
+		for _, dn := range lc.DataNodes {
 			for _, addr := range locs[i].Nodes {
 				if addr == dn.Addr() {
 					return dn, i

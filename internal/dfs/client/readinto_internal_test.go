@@ -34,38 +34,36 @@ func TestReadFileBlocksArriveInTheirSlots(t *testing.T) {
 func readBlocksIntoSlots(t *testing.T, tcp bool) {
 	clock := simclock.NewScaledReal(4)
 	var net transport.Network = transport.NewInmemNetwork(clock)
-	n := 0
-	freeAddr := func() string {
-		n++
-		return fmt.Sprintf("n%d", n)
-	}
 	if tcp {
-		tnet := transport.NewTCPNetwork()
-		net = tnet
-		freeAddr = func() string {
-			l, err := tnet.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("Listen: %v", err)
-			}
-			defer l.Close()
-			return l.Addr()
-		}
+		net = transport.Loopback{}
 	}
-	nnAddr := freeAddr()
+	// Each node listens first; its listener's Addr is its address.
+	n := 0
+	listen := func() transport.Listener {
+		n++
+		l, err := net.Listen(fmt.Sprintf("n%d", n))
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		return l
+	}
+	nl := listen()
+	nnAddr := nl.Addr()
 	nn := namenode.New(clock, net, namenode.Config{Addr: nnAddr, Seed: 11})
-	if err := nn.Start(); err != nil {
-		t.Fatalf("namenode start: %v", err)
+	if err := nn.Serve(nl); err != nil {
+		t.Fatalf("namenode serve: %v", err)
 	}
 	t.Cleanup(nn.Close)
 	for i := 0; i < 3; i++ {
+		l := listen()
 		dn, err := datanode.New(clock, net, datanode.Config{
-			Addr: freeAddr(), NameNodeAddr: nnAddr, Media: storage.RAMSpec(), ServeAllFromRAM: true,
+			Addr: l.Addr(), NameNodeAddr: nnAddr, Media: storage.RAMSpec(), ServeAllFromRAM: true,
 		})
 		if err != nil {
 			t.Fatalf("datanode new: %v", err)
 		}
-		if err := dn.Start(); err != nil {
-			t.Fatalf("datanode start: %v", err)
+		if err := dn.Serve(l); err != nil {
+			t.Fatalf("datanode serve: %v", err)
 		}
 		t.Cleanup(dn.Close)
 	}

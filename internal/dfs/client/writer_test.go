@@ -32,7 +32,7 @@ func TestWriteSyntheticBoundaries(t *testing.T) {
 		t.Run(fmt.Sprintf("par%d/%s", client.DefaultWriteParallelism, tc.name), func(t *testing.T) {
 			runSim(t, func(v *simclock.Virtual) {
 				mc := startMini(t, v, miniConfig{})
-				defer mc.close()
+				defer mc.Close()
 				c := mc.client(t)
 				defer c.Close()
 				if err := c.WriteSyntheticFile("/f", tc.size, blockSize, 2); err != nil {
@@ -73,10 +73,10 @@ func TestWriteSyntheticBoundaries(t *testing.T) {
 func TestWriteStickyAsyncError(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
-		mc.dns[0].Close()
+		mc.DataNodes[0].Close()
 		const blocks = 3 * client.DefaultWriteParallelism
 		if err := c.WriteFile("/f", make([]byte, blocks*1024), 1024, 1); err == nil {
 			t.Fatal("write to a dead datanode succeeded")
@@ -104,10 +104,10 @@ func TestWriteStickyAsyncError(t *testing.T) {
 func TestParallelWriteErrorSurfacesLater(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 1})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
-		mc.dns[0].Close()
+		mc.DataNodes[0].Close()
 		// One block fits the window, so dispatching it succeeds; the
 		// failure surfaces when the window drains.
 		if err := c.WriteFile("/f", make([]byte, 1024), 1024, 1); err == nil {
@@ -129,7 +129,7 @@ func TestParallelWriteErrorSurfacesLater(t *testing.T) {
 func TestParallelWriteRoundTrip(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		mc := startMini(t, v, miniConfig{nodes: 6})
-		defer mc.close()
+		defer mc.Close()
 		c := mc.client(t)
 		defer c.Close()
 		data := make([]byte, 8*4096+123)
@@ -158,7 +158,7 @@ func TestParallelWriteFasterThanSerial(t *testing.T) {
 		var d time.Duration
 		runSim(t, func(v *simclock.Virtual) {
 			mc := startMini(t, v, miniConfig{nodes: 6})
-			defer mc.close()
+			defer mc.Close()
 			c := mc.client(t)
 			defer c.Close()
 			start := v.Now()

@@ -192,13 +192,18 @@ func New(clock simclock.Clock, net transport.Network, cfg Config) (*DataNode, er
 	return dn, nil
 }
 
-// Start binds the RPC server, registers with the namenode, and begins
-// heartbeating.
+// Start listens on cfg.Addr and serves there (see Serve).
 func (dn *DataNode) Start() error {
 	l, err := dn.net.Listen(dn.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("datanode: %w", err)
 	}
+	return dn.Serve(l)
+}
+
+// Serve begins serving RPCs on l, whose Addr is cfg.Addr, registers
+// with the namenode, and begins heartbeating. On error it closes l.
+func (dn *DataNode) Serve(l transport.Listener) error {
 	s := transport.NewServer(dn.clock)
 	// A write's payload is received straight into the slot it is
 	// stored in.
@@ -217,6 +222,7 @@ func (dn *DataNode) Start() error {
 	c, err := transport.Dial(dn.clock, dn.net, dn.cfg.NameNodeAddr)
 	if err != nil {
 		s.Close()
+		l.Close()
 		return fmt.Errorf("datanode: dial namenode: %w", err)
 	}
 	dn.mu.Lock()
@@ -226,6 +232,7 @@ func (dn *DataNode) Start() error {
 	// backoff.
 	if err := dn.register(c); err != nil && !errors.Is(err, dfs.ErrBusy) {
 		s.Close()
+		l.Close()
 		c.Close()
 		return fmt.Errorf("datanode: register: %w", err)
 	}

@@ -209,7 +209,7 @@ func New(clock simclock.Clock, net transport.Network, cfg Config) *NameNode {
 }
 
 // attachWAL hands the configured migration WAL (if any) to the Ignem
-// master. Called from Start so the retry pump's goroutine spawns
+// master. Called from Serve so the retry pump's goroutine spawns
 // alongside the other serving loops.
 func (nn *NameNode) attachWAL() {
 	if nn.cfg.WALBackend == nil {
@@ -219,15 +219,21 @@ func (nn *NameNode) attachWAL() {
 	nn.master.AttachJournal(nn.clock, nn.walLog, nn.cfg.WALRetryInterval)
 }
 
-// Start binds the RPC server and begins serving. It also starts the
-// datanode-expiry sweeper.
+// Start listens on cfg.Addr and serves there (see Serve).
 func (nn *NameNode) Start() error {
-	if nn.tierErr != nil {
-		return fmt.Errorf("namenode: %w", nn.tierErr)
-	}
 	l, err := nn.net.Listen(nn.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("namenode: %w", err)
+	}
+	return nn.Serve(l)
+}
+
+// Serve begins serving RPCs on l, whose Addr is cfg.Addr, and starts the
+// datanode-expiry and replication sweepers. On error it closes l.
+func (nn *NameNode) Serve(l transport.Listener) error {
+	if nn.tierErr != nil {
+		l.Close()
+		return fmt.Errorf("namenode: %w", nn.tierErr)
 	}
 	s := transport.NewServer(nn.clock)
 	s.Handle("nn.create", wrap(nn.handleCreate))
@@ -299,6 +305,9 @@ func (nn *NameNode) isClosed() bool {
 	defer nn.stateMu.Unlock()
 	return nn.closed
 }
+
+// Addr returns the namenode's address.
+func (nn *NameNode) Addr() string { return nn.cfg.Addr }
 
 // Master exposes the embedded Ignem master (for failure-injection tests
 // and the cluster harness).

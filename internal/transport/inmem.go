@@ -9,44 +9,31 @@ import (
 	"repro/internal/simclock"
 )
 
-// InmemNetwork is an in-process Network whose links charge simulated
-// latency and bandwidth through a Clock. It models the paper's testbed
-// fabric: a 10 Gbps LAN where the network is not a bottleneck.
+// The fabric every in-memory network models: the paper's testbed LAN,
+// 10 GbE, where the network is not a bottleneck.
+const (
+	// linkLatency is the one-way latency of every message.
+	linkLatency = 200 * time.Microsecond
+	// linkMBps is the per-link streaming bandwidth charged to Sized
+	// bodies (10 Gbps).
+	linkMBps = 1250
+)
+
+// InmemNetwork is an in-process Network whose links charge the
+// testbed fabric's latency and bandwidth through a Clock.
 type InmemNetwork struct {
-	clock   simclock.Clock
-	latency time.Duration
-	mbps    float64
+	clock simclock.Clock
 
 	mu        sync.Mutex
 	listeners map[string]*inmemListener
 }
 
-// InmemOption configures an InmemNetwork.
-type InmemOption func(*InmemNetwork)
-
-// WithLatency sets the one-way message latency (default 200µs).
-func WithLatency(d time.Duration) InmemOption {
-	return func(n *InmemNetwork) { n.latency = d }
-}
-
-// WithBandwidthMBps sets the per-link streaming bandwidth used for Sized
-// bodies (default 1250 MB/s, i.e. 10 Gbps).
-func WithBandwidthMBps(mbps float64) InmemOption {
-	return func(n *InmemNetwork) { n.mbps = mbps }
-}
-
 // NewInmemNetwork creates an in-process network on the given clock.
-func NewInmemNetwork(clock simclock.Clock, opts ...InmemOption) *InmemNetwork {
-	n := &InmemNetwork{
+func NewInmemNetwork(clock simclock.Clock) *InmemNetwork {
+	return &InmemNetwork{
 		clock:     clock,
-		latency:   200 * time.Microsecond,
-		mbps:      1250,
 		listeners: make(map[string]*inmemListener),
 	}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
 }
 
 // Listen registers addr and returns its listener.
@@ -111,7 +98,7 @@ type link struct {
 
 // send queues m for delivery.
 func (l *link) send(m Message) error {
-	cost := l.net.latency + time.Duration(float64(wireSize(m.Body))/(l.net.mbps*1e6)*float64(time.Second))
+	cost := linkLatency + time.Duration(float64(wireSize(m.Body))/(linkMBps*1e6)*float64(time.Second))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.copyBulk(&m); err != nil {

@@ -18,8 +18,8 @@ func (s sized) WireSize() int64 { return int64(s) }
 
 // oneWay is what the in-memory link charges a message: latency plus the
 // body's transmit time at the link bandwidth.
-func oneWay(latency time.Duration, mbps float64, body any) time.Duration {
-	return latency + time.Duration(float64(wireSize(body))/(mbps*1e6)*float64(time.Second))
+func oneWay(body any) time.Duration {
+	return linkLatency + time.Duration(float64(wireSize(body))/(linkMBps*1e6)*float64(time.Second))
 }
 
 // TestInmemLinkContract pins the in-memory link's timing. Several senders
@@ -27,15 +27,15 @@ func oneWay(latency time.Duration, mbps float64, body any) time.Duration {
 // message must arrive, in send order, at max(sent, previous delivery) +
 // latency + transmit. Closing the conn with messages in flight must still
 // deliver them, at the same instants, before the receiver sees the close.
+// The bodies (up to 800 KiB, up to 655 µs on the wire) outlast the gaps
+// between sends, so nearly every message queues behind an earlier one.
 func TestInmemLinkContract(t *testing.T) {
 	const (
-		latency = 100 * time.Microsecond
-		mbps    = 100
 		senders = 4
 		each    = 25
 	)
 	v := simclock.NewVirtual(epoch)
-	net := NewInmemNetwork(v, WithLatency(latency), WithBandwidthMBps(mbps))
+	net := NewInmemNetwork(v)
 	l, err := net.Listen("srv")
 	if err != nil {
 		t.Fatal(err)
@@ -89,14 +89,14 @@ func TestInmemLinkContract(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(s + 1)))
 				for i := 0; i < each; i++ {
 					v.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
-					send(uint64(s*each+i), sized(rng.Intn(64<<10)))
+					send(uint64(s*each+i), sized(rng.Intn(800<<10)))
 				}
 			})
 		}
 		wg.Wait()
 		// A last burst still in flight when the conn closes.
 		for i := 0; i < 5; i++ {
-			send(uint64(senders*each+i), sized(32<<10))
+			send(uint64(senders*each+i), sized(400<<10))
 		}
 		conn.Close()
 		refused = conn.Send(Message{ID: 1 << 40}) != nil
@@ -106,17 +106,22 @@ func TestInmemLinkContract(t *testing.T) {
 		t.Fatalf("received %d messages, sent %d", len(got), len(sent))
 	}
 	var prev time.Time
+	queued := 0
 	for i, s := range sent {
 		deliver := s.at
 		if prev.After(deliver) {
 			deliver = prev
+			queued++
 		}
-		deliver = deliver.Add(oneWay(latency, mbps, size[s.id]))
+		deliver = deliver.Add(oneWay(size[s.id]))
 		prev = deliver
 		if got[i].id != s.id || !got[i].at.Equal(deliver) {
 			t.Fatalf("delivery %d: message %d at %v, want message %d at %v",
 				i, got[i].id, got[i].at.Sub(epoch), s.id, deliver.Sub(epoch))
 		}
+	}
+	if queued < len(sent)*9/10 {
+		t.Errorf("%d of %d messages queued behind an earlier delivery; the check needs a busy link", queued, len(sent))
 	}
 	if !closed {
 		t.Error("receiver did not see ErrClosed after the queued messages")
@@ -151,7 +156,7 @@ func TestInmemEchoVirtualTime(t *testing.T) {
 		}
 		took = v.Now().Sub(start)
 	})
-	want := n * 2 * oneWay(200*time.Microsecond, 1250, echoReq{})
+	want := n * 2 * oneWay(echoReq{})
 	if took != want {
 		t.Errorf("%d echo RPCs took %v of virtual time, want %v", n, took, want)
 	}

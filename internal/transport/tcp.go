@@ -73,6 +73,14 @@ func (n TCPNetwork) Dial(addr string) (Conn, error) {
 	return newTCPConn(c), nil
 }
 
+// Loopback is the TCP network of a cluster on one host: Listen binds an
+// ephemeral 127.0.0.1 port whatever node name it is given, so a
+// component's address is its listener's Addr.
+type Loopback struct{ TCPNetwork }
+
+// Listen binds a fresh loopback port; the name is not an address here.
+func (Loopback) Listen(string) (Listener, error) { return TCPNetwork{}.Listen("127.0.0.1:0") }
+
 type tcpListener struct {
 	l net.Listener
 

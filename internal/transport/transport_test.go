@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -105,7 +106,7 @@ func TestInmemEcho(t *testing.T) {
 
 func TestInmemLatencyCharged(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
-	net := NewInmemNetwork(v, WithLatency(5*time.Millisecond))
+	net := NewInmemNetwork(v)
 	startEchoServer(t, v, net, "nn")
 	v.Run(func() {
 		c, _ := Dial(v, net, "nn")
@@ -115,10 +116,10 @@ func TestInmemLatencyCharged(t *testing.T) {
 			t.Errorf("Call: %v", err)
 		}
 		rtt := v.Now().Sub(start)
-		if rtt < 10*time.Millisecond {
+		if rtt < 2*linkLatency {
 			t.Errorf("RTT %v below 2x one-way latency", rtt)
 		}
-		if rtt > 15*time.Millisecond {
+		if rtt > 3*linkLatency {
 			t.Errorf("RTT %v unexpectedly high", rtt)
 		}
 	})
@@ -126,14 +127,15 @@ func TestInmemLatencyCharged(t *testing.T) {
 
 func TestInmemBandwidthChargedForSizedBodies(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
-	net := NewInmemNetwork(v, WithBandwidthMBps(100), WithLatency(0))
+	net := NewInmemNetwork(v)
 	startEchoServer(t, v, net, "nn")
 	v.Run(func() {
 		c, _ := Dial(v, net, "nn")
 		defer c.Close()
 		start := v.Now()
-		// 100 MB at 100 MB/s should take ~1s on the reply direction.
-		if _, err := Call[bulkResp](c, "bulk", echoReq{Text: "100000000"}); err != nil {
+		// One second's worth of bytes at the link bandwidth takes ~1s on
+		// the reply direction.
+		if _, err := Call[bulkResp](c, "bulk", echoReq{Text: strconv.Itoa(linkMBps * 1e6)}); err != nil {
 			t.Errorf("Call: %v", err)
 		}
 		d := v.Now().Sub(start)
@@ -483,7 +485,7 @@ func TestInmemOrderingProperty(t *testing.T) {
 			return true
 		}
 		v := simclock.NewVirtual(epoch)
-		net := NewInmemNetwork(v, WithBandwidthMBps(10))
+		net := NewInmemNetwork(v)
 		l, err := net.Listen("srv")
 		if err != nil {
 			return false
@@ -512,7 +514,7 @@ func TestInmemOrderingProperty(t *testing.T) {
 				return
 			}
 			for i, sz := range sizes {
-				_ = conn.Send(Message{ID: uint64(i), Body: bulkResp{N: int64(sz) * 1000}})
+				_ = conn.Send(Message{ID: uint64(i), Body: bulkResp{N: int64(sz) * 125000}})
 			}
 			recvDone.Recv()
 			conn.Close()
