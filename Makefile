@@ -3,14 +3,14 @@
 GO ?= go
 
 .PHONY: all ci test race vet build fmt-check tidy-check golden \
-	chaos chaos-wal bench-alloc fuzz-smoke profile cover cover-check \
+	chaos bench-alloc fuzz-smoke profile cover cover-check \
 	reach-check cluster-smoke bench-e2e bench-e2e-smoke experiments tidy
 
 all: vet test
 
 # ci mirrors the GitHub Actions pipeline locally (the workflow calls
-# these same targets, so the two cannot drift); CI's race and chaos jobs
-# additionally run fuzz-smoke and chaos-wal.
+# these same targets, so the two cannot drift); CI's race job
+# additionally runs fuzz-smoke.
 ci: vet build test race fmt-check tidy-check chaos bench-alloc \
 	cover-check reach-check cluster-smoke bench-e2e-smoke
 
@@ -65,7 +65,13 @@ golden:
 # tests and the end-to-end chaos scenarios (datanode crash mid-write,
 # namenode partition, master restart mid-migration, seeded replay),
 # twice each and under the race detector — chaos that only passes once
-# is not deterministic — plus the replica-memory hammer (readers racing
+# is not deterministic. They include the durability scenarios
+# (TestWAL*): the WAL crash-at-every-record sweep under the paper
+# policy and the ladder, checksum corruption recovery with readers that
+# verify, with one that cannot and with none (the scrubber), and
+# retry-pump convergence through a one-way partition; the journal's own
+# tests (./internal/wal) run in `make test` and `make race`. Then comes
+# the replica-memory hammer (readers racing
 # deletes and overwrites that recycle replica slots, over TCP, in memory
 # and with reordered replies), whose race build poisons freed slots, and
 # the unwritten-byte check (ReadFile's unzeroed result holds exactly the
@@ -77,20 +83,6 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faultnet ./internal/chaos
 	$(GO) test -count=2 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
 	$(GO) test -race -count=1 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
-
-# The durability suite on its own (it also runs as part of `make
-# chaos`): the WAL crash-at-every-record sweep, checksum corruption
-# recovery with readers that verify (the reader detects, the holder
-# confirms, drops and reports), with the reader that cannot (a
-# re-replication pull: the datanode verifies before serving and rotten
-# bytes never leave it) and with no readers (the scrubber),
-# and retry-pump convergence through a one-way partition — plain and
-# race-checked.
-chaos-wal:
-	$(GO) test -count=1 ./internal/wal
-	$(GO) test -run 'TestWAL' -count=1 ./internal/chaos
-	$(GO) test -race -count=1 ./internal/wal
-	$(GO) test -race -run 'TestWAL' -count=1 ./internal/chaos
 
 # Allocation regression gate. Counts only: wall-clock ratios are the
 # repository benchmark's business (bench-e2e), not a test's. It pins

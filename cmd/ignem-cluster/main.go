@@ -13,9 +13,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dfs"
 	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -70,7 +72,13 @@ func main() {
 		log.Fatalf("migrate: %v", err)
 	}
 	fmt.Printf("migrating %d blocks (%d MB)...\n", resp.Blocks, resp.Bytes>>20)
-	waitForPins(c, resp.Blocks, 30*time.Second)
+	waitFor("the pins", 30*time.Second, func() bool { return c.SlaveStats().PinnedBlocks == resp.Blocks })
+	// The namenode learns of the pins from the slaves' next heartbeat;
+	// until then the read is routed to a disk copy.
+	waitFor("the namenode to list the pins", 10*time.Second, func() bool {
+		lbs, err := cl.Locations("/demo/input")
+		return err == nil && !slices.ContainsFunc(lbs, func(lb dfs.LocatedBlock) bool { return len(lb.Migrated) == 0 })
+	})
 
 	start = time.Now()
 	if _, err := cl.ReadFile("/demo/input", "job-hot"); err != nil {
@@ -82,7 +90,7 @@ func main() {
 	if _, err := cl.Evict("job-hot", []string{"/demo/input"}); err != nil {
 		log.Fatalf("evict: %v", err)
 	}
-	waitForPins(c, 0, 10*time.Second)
+	waitFor("the pins to drain", 10*time.Second, func() bool { return c.SlaveStats().PinnedBlocks == 0 })
 	fmt.Println("evicted; pinned memory back to zero")
 	var mem storage.Memory
 	for _, dn := range c.DataNodes {
@@ -104,13 +112,14 @@ func main() {
 	}
 }
 
-func waitForPins(c *cluster.Cluster, want int, timeout time.Duration) {
+// waitFor polls done until it holds, and exits the demo if it does not
+// within timeout.
+func waitFor(what string, timeout time.Duration, done func() bool) {
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if c.SlaveStats().PinnedBlocks == want {
-			return
+	for !done() {
+		if time.Now().After(deadline) {
+			log.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	log.Fatalf("timed out waiting for %d pinned blocks", want)
 }

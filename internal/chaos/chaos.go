@@ -11,50 +11,16 @@
 package chaos
 
 import (
-	"time"
-
 	"repro/internal/cluster"
 	"repro/internal/dfs/client"
 	"repro/internal/faultnet"
-	"repro/internal/ignem"
 	"repro/internal/simclock"
-	"repro/internal/storage"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 // ClientAddr is the fabric node chaos clients dial from, so tests can
 // aim fault rules at client↔cluster links specifically.
 const ClientAddr = "client"
-
-// Config sizes a chaos cluster.
-type Config struct {
-	// Nodes is the datanode count. Default 4 (small keeps scenarios
-	// fast; chaos is about failure interleavings, not scale).
-	Nodes int
-	// Seed drives cluster placement AND the fabric's fault randomness.
-	Seed int64
-	// Mode selects the file-system configuration. Chaos scenarios that
-	// exercise migration want cluster.ModeIgnem.
-	Mode cluster.Mode
-	// Slave configures the Ignem slaves.
-	Slave ignem.SlaveConfig
-	// WALBackend gives the Ignem master a migration write-ahead log
-	// (see cluster.Config.WALBackend). Chaos scenarios pass a
-	// wal.MemBackend so they can crash the master at chosen record
-	// boundaries and recover from the surviving prefix.
-	WALBackend wal.Backend
-	// ScrubInterval enables the datanodes' background checksum scrubber
-	// (see cluster.Config.ScrubInterval).
-	ScrubInterval time.Duration
-	// SSD gives every datanode a flash rung (see cluster.Config.SSD);
-	// MigrationPolicy and TierBudgets configure the master's migration
-	// ladder. Zero values give the two-tier (HDD + RAM) cluster, which
-	// pins every planned block in RAM.
-	SSD             storage.Spec
-	MigrationPolicy string
-	TierBudgets     ignem.TierBudgets
-}
 
 // Harness is a running cluster whose fabric is under test control.
 type Harness struct {
@@ -63,31 +29,23 @@ type Harness struct {
 	Cluster *cluster.Cluster
 }
 
-// Start brings up a cluster over a fresh fault fabric. Must be called
-// from a simulation goroutine.
-func Start(v *simclock.Virtual, cfg Config) (*Harness, error) {
+// Start brings up a cluster over a fresh fault fabric, whose fault
+// randomness cfg.Seed drives as it drives the cluster's. Nodes defaults
+// to 4 here (small keeps scenarios fast; chaos is about failure
+// interleavings, not scale), and any cfg.WrapNet is replaced by the
+// fabric's. Must be called from a simulation goroutine.
+func Start(v *simclock.Virtual, cfg cluster.Config) (*Harness, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
 	h := &Harness{Clock: v}
-	c, err := cluster.Start(v, cluster.Config{
-		Nodes:         cfg.Nodes,
-		Mode:          cfg.Mode,
-		Seed:          cfg.Seed,
-		Slave:         cfg.Slave,
-		WALBackend:    cfg.WALBackend,
-		ScrubInterval: cfg.ScrubInterval,
-
-		SSD:             cfg.SSD,
-		MigrationPolicy: cfg.MigrationPolicy,
-		TierBudgets:     cfg.TierBudgets,
-		WrapNet: func(node string, base transport.Network) transport.Network {
-			if h.Fabric == nil {
-				h.Fabric = faultnet.New(v, base, cfg.Seed)
-			}
-			return h.Fabric.Node(node)
-		},
-	})
+	cfg.WrapNet = func(node string, base transport.Network) transport.Network {
+		if h.Fabric == nil {
+			h.Fabric = faultnet.New(v, base, cfg.Seed)
+		}
+		return h.Fabric.Node(node)
+	}
+	c, err := cluster.Start(v, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ import (
 // wallTimeout bounds each scenario's real (not simulated) runtime.
 const wallTimeout = 120 * time.Second
 
-func runChaos(t *testing.T, cfg Config, fn func(v *simclock.Virtual, h *Harness)) {
+func runChaos(t *testing.T, cfg cluster.Config, fn func(v *simclock.Virtual, h *Harness)) {
 	t.Helper()
 	err := cluster.RunVirtual(wallTimeout, func(v *simclock.Virtual) {
 		h, err := Start(v, cfg)
@@ -138,7 +138,7 @@ func checkInvariantReplicaMemory(t *testing.T, v *simclock.Virtual, h *Harness) 
 // target replica count on the survivors, and the revived node rejoins
 // the cluster.
 func TestDataNodeCrashMidTrafficNoAckedDataLost(t *testing.T) {
-	runChaos(t, Config{Nodes: 4, Seed: 42}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 42}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -215,7 +215,7 @@ func TestDataNodeCrashMidTrafficNoAckedDataLost(t *testing.T) {
 // runs from disk, its eviction clears the master's dangling assignment,
 // and after heal the next job migrates end-to-end.
 func TestPartitionedSlaveConvergesAfterHeal(t *testing.T) {
-	runChaos(t, Config{Nodes: 4, Seed: 7, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 7, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -288,7 +288,7 @@ func TestPartitionedSlaveConvergesAfterHeal(t *testing.T) {
 // double-migrate or strand pins: slaves drop the stale epoch's work, the
 // re-issued job pins everything exactly once, and eviction drains it.
 func TestMasterRestartMidMigrationConvergesEndToEnd(t *testing.T) {
-	runChaos(t, Config{Nodes: 4, Seed: 9, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 9, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -342,7 +342,7 @@ func TestMasterRestartMidMigrationConvergesEndToEnd(t *testing.T) {
 // master's next epoch broadcast reconciles it, no migration is stuck and
 // no pinned byte survives the jobs.
 func TestSwimTrafficUnderChaos(t *testing.T) {
-	runChaos(t, Config{Nodes: 4, Seed: 11, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 11, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -420,7 +420,7 @@ func TestSwimTrafficUnderChaos(t *testing.T) {
 func chaosScenario(t *testing.T, seed int64) string {
 	var b strings.Builder
 	err := cluster.RunVirtual(wallTimeout, func(v *simclock.Virtual) {
-		h, err := Start(v, Config{Nodes: 3, Seed: seed, Mode: cluster.ModeIgnem})
+		h, err := Start(v, cluster.Config{Nodes: 3, Seed: seed, Mode: cluster.ModeIgnem})
 		if err != nil {
 			t.Errorf("start: %v", err)
 			return
@@ -521,7 +521,7 @@ func TestSeededChaosRunsAreDeterministic(t *testing.T) {
 // the moment Reconnect returns — no waiting for the next epoch
 // broadcast, which may be arbitrarily far away on an idle master.
 func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
-	runChaos(t, Config{Nodes: 4, Seed: 13, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 13, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -593,7 +593,7 @@ func TestRevivedSlaveAdoptsEpochImmediately(t *testing.T) {
 // resync, and the datanode's snapshot must re-anchor the stream: after
 // one resync the counters go quiet again.
 func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
-	runChaos(t, Config{Nodes: 3, Seed: 7}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 3, Seed: 7}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -659,7 +659,7 @@ func TestLostReportsTriggerResyncAndConverge(t *testing.T) {
 // replica back. No resync round-trips are needed at any point: the
 // register IS the snapshot.
 func TestReconnectAfterMissedEpochConverges(t *testing.T) {
-	runChaos(t, Config{Nodes: 3, Seed: 9}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 3, Seed: 9}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)

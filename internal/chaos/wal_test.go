@@ -16,131 +16,220 @@ import (
 	"repro/internal/wal"
 )
 
-// walScenario runs the full migration lifecycle — write, migrate, read,
-// evict — on a journaled cluster whose WAL backend crashes after
-// crashAfter records (crashAfter < 0 never crashes). At whatever point
-// the master's log dies, the scenario revives the backend and drives
-// RestartMaster, then asserts the invariants the journal exists to
-// protect: every block migrates EXACTLY once (resumed work never
-// double-copies, thanks to slave-side idempotency plus the journal's
-// copied markers), no pin is lost or leaked after resume, the file's
-// bytes survive, and eviction drains everything. It returns the number
-// of WAL records a crash-free run appends, so the sweep can enumerate
-// every boundary.
-func walScenario(t *testing.T, crashAfter int64) int64 {
+// crashPolicy is one migration policy the WAL crash sweep runs under.
+type crashPolicy struct {
+	// cfg is the journaled cluster, less its WAL backend.
+	cfg cluster.Config
+	// file seeds the file's bytes.
+	file int
+	// climbs reports whether every block climbs SSD→RAM once.
+	climbs bool
+	// minRecords is the fewest records a clean run must journal to
+	// cover the policy's whole state machine.
+	minRecords int64
+}
+
+var (
+	// paperCrash pins every block in RAM under an unlimited budget.
+	paperCrash = crashPolicy{
+		cfg:        cluster.Config{Nodes: 4, Seed: 11, Mode: cluster.ModeIgnem},
+		file:       2,
+		minRecords: 8,
+	}
+	// ladderCrash plans every block onto the SSD rung, and climbs it to
+	// RAM once the flash pin is confirmed (the job is small).
+	ladderCrash = crashPolicy{
+		cfg: cluster.Config{
+			Nodes: 4, Seed: 11, Mode: cluster.ModeIgnem,
+			SSD:             storage.SSDSpec(),
+			MigrationPolicy: "ladder",
+			TierBudgets:     ignem.TierBudgets{RAM: 64 << 20, SSD: 64 << 20},
+		},
+		file:       4,
+		climbs:     true,
+		minRecords: 10,
+	}
+)
+
+// crashScenario runs the full migration lifecycle — write, migrate (and
+// under the ladder, pin on SSD and climb SSD→RAM), read, evict — on a
+// journaled cluster whose WAL backend crashes after crashAfter records
+// (crashAfter < 0 never crashes). At whatever point the master's log
+// dies, the scenario revives the backend and drives RestartMaster, then
+// asserts the invariants the journal exists to protect: every block is
+// device-copied EXACTLY once (resumed work never double-copies, thanks
+// to slave-side idempotency plus the journal's copied markers) and
+// climbs exactly once under the ladder, no pin is lost or leaked after
+// resume, the file's bytes survive, eviction drains everything, and the
+// master's budget ledger is conserved: no SSD charge once every block
+// sits in RAM, RAM charges matching the pinned bytes, and both tiers
+// empty after eviction. Sweeping crashAfter across every boundary
+// covers, among all the others, the mid-ladder interleaving: master
+// killed after the SSD promotion became durable but before the RAM
+// promotion did. It returns the number of WAL records a crash-free run
+// appends, so the sweep can enumerate every boundary.
+func crashScenario(t *testing.T, p crashPolicy, crashAfter int64) int64 {
 	t.Helper()
 	const blockSize = 1 << 20
 	const nblocks = 6
 	be := wal.NewMem()
 	var appended int64
-	runChaos(t, Config{Nodes: 4, Seed: 11, Mode: cluster.ModeIgnem, WALBackend: be},
-		func(v *simclock.Virtual, h *Harness) {
-			c, err := h.Client()
+	cfg := p.cfg
+	cfg.WALBackend = be
+	runChaos(t, cfg, func(v *simclock.Virtual, h *Harness) {
+		c, err := h.Client()
+		if err != nil {
+			t.Fatalf("client: %v", err)
+		}
+		defer c.Close()
+		nn := h.Cluster.NameNode
+		data := filedata(p.file, nblocks*blockSize)
+		if err := c.WriteFile("/in", data, blockSize, 2); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if crashAfter >= 0 {
+			be.CrashAfter(crashAfter)
+		}
+
+		// recoverIfCrashed models a master restart at the record
+		// boundary where the log died: revive the backend (the new
+		// process has a working disk holding the surviving prefix) and
+		// rebuild planner state purely from the journal.
+		recoverIfCrashed := func() bool {
+			if !be.Crashed() {
+				return false
+			}
+			be.Revive()
+			if err := nn.RestartMaster(); err != nil {
+				t.Fatalf("recover at record %d: %v", crashAfter, err)
+			}
+			return true
+		}
+
+		_, err = c.Migrate("job1", []string{"/in"}, false)
+		if recoverIfCrashed() {
 			if err != nil {
-				t.Fatalf("client: %v", err)
-			}
-			defer c.Close()
-			nn := h.Cluster.NameNode
-			data := filedata(2, nblocks*blockSize)
-			if err := c.WriteFile("/in", data, blockSize, 2); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			if crashAfter >= 0 {
-				be.CrashAfter(crashAfter)
-			}
-
-			// recoverIfCrashed models a master restart at the record
-			// boundary where the log died: revive the backend (the new
-			// process has a working disk holding the surviving prefix)
-			// and rebuild planner state purely from the journal.
-			recoverIfCrashed := func() bool {
-				if !be.Crashed() {
-					return false
+				// The plan never became durable, so the request failed
+				// with the dying master; the resubmitted request plans
+				// afresh against the recovered one.
+				if _, err := c.Migrate("job1", []string{"/in"}, false); err != nil {
+					t.Fatalf("re-migrate after recovery: %v", err)
 				}
-				be.Revive()
-				if err := nn.RestartMaster(); err != nil {
-					t.Fatalf("recover at record %d: %v", crashAfter, err)
-				}
-				return true
 			}
+		} else if err != nil {
+			t.Fatalf("migrate: %v", err)
+		}
 
-			_, err = c.Migrate("job1", []string{"/in"}, false)
+		// The log may die (and be recovered) at any point after the plan
+		// became durable, including between the ladder's SSD pin
+		// confirmation and its RAM climb. Converged means: every block
+		// in RAM, the flash rung drained.
+		waitUntil(t, v, 2*time.Minute, func() bool {
 			if recoverIfCrashed() {
-				if err != nil {
-					// The plan never became durable, so the request
-					// failed with the dying master; the resubmitted
-					// request plans afresh against the recovered one.
-					if _, err := c.Migrate("job1", []string{"/in"}, false); err != nil {
-						t.Fatalf("re-migrate after recovery: %v", err)
-					}
-				}
-			} else if err != nil {
-				t.Fatalf("migrate: %v", err)
+				return false
 			}
-
-			waitUntil(t, v, 2*time.Minute, func() bool {
-				return h.Cluster.SlaveStats().PinnedBlocks == nblocks
-			}, "all blocks pinned after recovery")
-			// Let any duplicate queue entries from recovery re-sends
-			// drain before counting: the exactly-once assertion below is
-			// the heart of the sweep.
-			v.Sleep(10 * time.Second)
 			st := h.Cluster.SlaveStats()
-			if st.MigratedBlocks != nblocks {
-				t.Fatalf("crash at record %d: %d device copies for %d blocks — migration not exactly-once",
-					crashAfter, st.MigratedBlocks, nblocks)
-			}
-			if got := h.Cluster.TotalPinnedBytes(); got != int64(nblocks*blockSize) {
-				t.Fatalf("crash at record %d: pinned %d bytes, want %d", crashAfter, got, nblocks*blockSize)
-			}
+			return st.PinnedBlocks == nblocks && st.SSDPinnedBlocks == 0
+		}, "all blocks pinned in RAM after recovery")
+		// Let duplicate queue entries from recovery re-sends drain, and
+		// the pin-delta heartbeats reach the master's ledger, before
+		// counting: the exactly-once assertions are the heart of the
+		// sweep.
+		v.Sleep(10 * time.Second)
 
-			got, err := c.ReadFile("/in", "job1")
+		st := h.Cluster.SlaveStats()
+		if st.MigratedBlocks != nblocks {
+			t.Fatalf("crash at record %d: %d fast-path copies for %d blocks — migration not exactly-once",
+				crashAfter, st.MigratedBlocks, nblocks)
+		}
+		climbs := int64(0)
+		if p.climbs {
+			climbs = nblocks
+		}
+		if st.ClimbedBlocks != climbs {
+			t.Fatalf("crash at record %d: %d climbs, want %d — climb not exactly-once",
+				crashAfter, st.ClimbedBlocks, climbs)
+		}
+		if st.SSDPinnedBytes != 0 {
+			t.Fatalf("crash at record %d: %d bytes stranded on the flash rung", crashAfter, st.SSDPinnedBytes)
+		}
+		if got := h.Cluster.TotalPinnedBytes(); got != int64(nblocks*blockSize) {
+			t.Fatalf("crash at record %d: pinned %d bytes, want %d", crashAfter, got, nblocks*blockSize)
+		}
+		// Budget conservation at the master: no SSD charge outlives the
+		// climbs, and RAM charges match residency.
+		tiers := nn.Master().Stats().Tiers
+		if tiers.SSDUsedBytes != 0 {
+			t.Fatalf("crash at record %d: ledger still charges %d SSD bytes after all climbs",
+				crashAfter, tiers.SSDUsedBytes)
+		}
+		if tiers.RAMUsedBytes != int64(nblocks*blockSize) {
+			t.Fatalf("crash at record %d: ledger charges %d RAM bytes, want %d",
+				crashAfter, tiers.RAMUsedBytes, nblocks*blockSize)
+		}
+
+		got, err := c.ReadFile("/in", "job1")
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("crash at record %d: file corrupted after recovery", crashAfter)
+		}
+
+		_, err = c.Evict("job1", []string{"/in"})
+		if recoverIfCrashed() {
 			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("crash at record %d: file corrupted after recovery", crashAfter)
-			}
-
-			_, err = c.Evict("job1", []string{"/in"})
-			if recoverIfCrashed() {
-				if err != nil {
-					// The evict intent never became durable; the job is
-					// still live on the recovered master, so re-evict.
-					if _, err := c.Evict("job1", []string{"/in"}); err != nil {
-						t.Fatalf("re-evict after recovery: %v", err)
-					}
+				// The evict intent never became durable; the job is still
+				// live on the recovered master, so re-evict.
+				if _, err := c.Evict("job1", []string{"/in"}); err != nil {
+					t.Fatalf("re-evict after recovery: %v", err)
 				}
-			} else if err != nil {
-				t.Fatalf("evict: %v", err)
 			}
-			waitUntil(t, v, time.Minute, func() bool {
-				st := h.Cluster.SlaveStats()
-				return h.Cluster.TotalPinnedBytes() == 0 && st.QueuedCmds == 0 && st.DeferredCmds == 0
-			}, "eviction drains all pins")
-			if st := nn.Master().Stats(); st.ActiveJobs != 0 {
-				t.Fatalf("crash at record %d: %d jobs still active after eviction", crashAfter, st.ActiveJobs)
-			}
-			checkInvariantReplicaBytes(t, h, "/in", data)
-			checkInvariantReplicaMemory(t, v, h)
-			appended = be.Appends()
-		})
+		} else if err != nil {
+			t.Fatalf("evict: %v", err)
+		}
+		waitUntil(t, v, time.Minute, func() bool {
+			st := h.Cluster.SlaveStats()
+			return h.Cluster.TotalPinnedBytes() == 0 && st.SSDPinnedBytes == 0 &&
+				st.QueuedCmds == 0 && st.DeferredCmds == 0
+		}, "eviction drains both fast tiers")
+		if st := nn.Master().Stats(); st.ActiveJobs != 0 {
+			t.Fatalf("crash at record %d: %d jobs still active after eviction", crashAfter, st.ActiveJobs)
+		}
+		v.Sleep(10 * time.Second)
+		tiers = nn.Master().Stats().Tiers
+		if tiers.RAMUsedBytes != 0 || tiers.SSDUsedBytes != 0 {
+			t.Fatalf("crash at record %d: ledger leaks charges after eviction (ram %d, ssd %d)",
+				crashAfter, tiers.RAMUsedBytes, tiers.SSDUsedBytes)
+		}
+		checkInvariantReplicaBytes(t, h, "/in", data)
+		checkInvariantReplicaMemory(t, v, h)
+		appended = be.Appends()
+	})
 	return appended
 }
 
-// The tentpole chaos sweep: kill the master's WAL at EVERY record
-// boundary a clean run writes, and assert the recovered master
-// converges to the same exactly-once outcome each time. The virtual
-// clock keeps the whole sweep sub-second, so no sampling is needed.
-func TestWALCrashAtEveryRecordExactlyOnce(t *testing.T) {
-	records := walScenario(t, -1)
-	if records < 8 {
-		t.Fatalf("clean run journaled only %d records; the sweep expects the full state machine", records)
+// crashSweep kills the master's WAL at EVERY record boundary a clean
+// run under p writes, and asserts the recovered master converges to the
+// same exactly-once outcome each time. The virtual clock keeps the
+// whole sweep sub-second, so no sampling is needed.
+func crashSweep(t *testing.T, p crashPolicy) {
+	records := crashScenario(t, p, -1)
+	t.Logf("a clean run journals %d records", records)
+	if records < p.minRecords {
+		t.Fatalf("clean run journaled only %d records; the sweep expects at least %d for the full state machine", records, p.minRecords)
 	}
 	for k := int64(0); k < records; k++ {
-		walScenario(t, k)
+		crashScenario(t, p, k)
 	}
 }
+
+// The paper policy's crash sweep: one rung, RAM.
+func TestWALCrashAtEveryRecordExactlyOnce(t *testing.T) { crashSweep(t, paperCrash) }
+
+// The ladder's crash sweep, which includes the window between a durable
+// SSD promotion and its RAM climb.
+func TestWALLadderCrashAtEveryRecordExactlyOnce(t *testing.T) { crashSweep(t, ladderCrash) }
 
 // A corrupt replica is detected on read, never returned to the caller,
 // reported, and healed: the reading client's end-to-end check catches
@@ -150,7 +239,7 @@ func TestWALCrashAtEveryRecordExactlyOnce(t *testing.T) {
 // the client fails over to the good one, the namenode drops the bad
 // location, and the replication sweep restores a healthy copy.
 func TestWALChecksumCorruptionReadRecovery(t *testing.T) {
-	runChaos(t, Config{Nodes: 4, Seed: 13, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 13, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -224,7 +313,7 @@ func TestWALChecksumCorruptionReadRecovery(t *testing.T) {
 // still reads intact from the healthy holder.
 func TestWALNonVerifyingReaderNeverGetsRottenBytes(t *testing.T) {
 	const blockSize = 1 << 20
-	runChaos(t, Config{Nodes: 4, Seed: 23, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 23, Mode: cluster.ModeIgnem}, func(v *simclock.Virtual, h *Harness) {
 		c, err := h.Client()
 		if err != nil {
 			t.Fatalf("client: %v", err)
@@ -286,7 +375,7 @@ func TestWALNonVerifyingReaderNeverGetsRottenBytes(t *testing.T) {
 // is scanned against its write-time CRC on the simulated clock,
 // dropped, reported, and re-replicated — with no client traffic at all.
 func TestWALScrubberFindsSilentCorruption(t *testing.T) {
-	runChaos(t, Config{Nodes: 4, Seed: 17, Mode: cluster.ModeIgnem, ScrubInterval: 5 * time.Second},
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 17, Mode: cluster.ModeIgnem, ScrubInterval: 5 * time.Second},
 		func(v *simclock.Virtual, h *Harness) {
 			c, err := h.Client()
 			if err != nil {
@@ -336,7 +425,7 @@ func TestWALScrubberFindsSilentCorruption(t *testing.T) {
 // drop the unjournaled master suffered becomes a bounded retry.
 func TestWALRetryPumpDeliversThroughOneWayPartition(t *testing.T) {
 	be := wal.NewMem()
-	runChaos(t, Config{Nodes: 4, Seed: 19, Mode: cluster.ModeIgnem, WALBackend: be},
+	runChaos(t, cluster.Config{Nodes: 4, Seed: 19, Mode: cluster.ModeIgnem, WALBackend: be},
 		func(v *simclock.Virtual, h *Harness) {
 			c, err := h.Client()
 			if err != nil {
@@ -382,158 +471,4 @@ func TestWALRetryPumpDeliversThroughOneWayPartition(t *testing.T) {
 			checkInvariantReplicaBytes(t, h, "/in", data)
 			checkInvariantReplicaMemory(t, v, h)
 		})
-}
-
-// ladderScenario runs the migration ladder's full lifecycle — write,
-// migrate (plan to SSD, pin, climb SSD→RAM), read, evict — on a
-// journaled cluster whose WAL backend crashes after crashAfter records
-// (crashAfter < 0 never crashes). Reviving the backend and driving
-// RestartMaster at whatever boundary the log died must converge to the
-// same outcome as a clean run: every block device-copied onto the
-// fast path EXACTLY once and climbed EXACTLY once, all residency on
-// the RAM rung, and the master's budget ledger conserved — SSD charges
-// fully released by the climb confirmations, RAM charges matching the
-// pinned bytes, and both rungs empty after eviction. Sweeping
-// crashAfter across every boundary covers, among all the others, the
-// mid-ladder interleaving the journal exists for: master killed after
-// the SSD promotion became durable but before the RAM promotion did.
-func ladderScenario(t *testing.T, crashAfter int64) int64 {
-	t.Helper()
-	const blockSize = 1 << 20
-	const nblocks = 6
-	be := wal.NewMem()
-	var appended int64
-	cfg := Config{
-		Nodes: 4, Seed: 11, Mode: cluster.ModeIgnem, WALBackend: be,
-		SSD:             storage.SSDSpec(),
-		MigrationPolicy: "ladder",
-		TierBudgets:     ignem.TierBudgets{RAM: 64 << 20, SSD: 64 << 20},
-	}
-	runChaos(t, cfg, func(v *simclock.Virtual, h *Harness) {
-		c, err := h.Client()
-		if err != nil {
-			t.Fatalf("client: %v", err)
-		}
-		defer c.Close()
-		nn := h.Cluster.NameNode
-		data := filedata(4, nblocks*blockSize)
-		if err := c.WriteFile("/in", data, blockSize, 2); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if crashAfter >= 0 {
-			be.CrashAfter(crashAfter)
-		}
-		recoverIfCrashed := func() bool {
-			if !be.Crashed() {
-				return false
-			}
-			be.Revive()
-			if err := nn.RestartMaster(); err != nil {
-				t.Fatalf("recover at record %d: %v", crashAfter, err)
-			}
-			return true
-		}
-
-		_, err = c.Migrate("job1", []string{"/in"}, false)
-		if recoverIfCrashed() {
-			if err != nil {
-				if _, err := c.Migrate("job1", []string{"/in"}, false); err != nil {
-					t.Fatalf("re-migrate after recovery: %v", err)
-				}
-			}
-		} else if err != nil {
-			t.Fatalf("migrate: %v", err)
-		}
-
-		// The ladder may die (and be recovered) at any point after the
-		// plan became durable, including between the SSD pin
-		// confirmation and the RAM climb. Converged means: every block
-		// on the top rung, the flash rung drained.
-		waitUntil(t, v, 2*time.Minute, func() bool {
-			if recoverIfCrashed() {
-				return false
-			}
-			st := h.Cluster.SlaveStats()
-			return st.PinnedBlocks == nblocks && st.SSDPinnedBlocks == 0
-		}, "all blocks climbed to RAM after recovery")
-		// Let duplicate queue entries from recovery re-sends drain, and
-		// the pin-delta heartbeats reach the master's ledger.
-		v.Sleep(10 * time.Second)
-
-		st := h.Cluster.SlaveStats()
-		if st.MigratedBlocks != nblocks {
-			t.Fatalf("crash at record %d: %d fast-path copies for %d blocks — promotion not exactly-once",
-				crashAfter, st.MigratedBlocks, nblocks)
-		}
-		if st.ClimbedBlocks != nblocks {
-			t.Fatalf("crash at record %d: %d climbs for %d blocks — climb not exactly-once",
-				crashAfter, st.ClimbedBlocks, nblocks)
-		}
-		if st.SSDPinnedBytes != 0 {
-			t.Fatalf("crash at record %d: %d bytes stranded on the flash rung", crashAfter, st.SSDPinnedBytes)
-		}
-		if got := h.Cluster.TotalPinnedBytes(); got != int64(nblocks*blockSize) {
-			t.Fatalf("crash at record %d: pinned %d bytes, want %d", crashAfter, got, nblocks*blockSize)
-		}
-		// Budget conservation at the master: the climb confirmations
-		// released every SSD charge, and RAM charges match residency.
-		tiers := nn.Master().Stats().Tiers
-		if tiers.SSDUsedBytes != 0 {
-			t.Fatalf("crash at record %d: ledger still charges %d SSD bytes after all climbs",
-				crashAfter, tiers.SSDUsedBytes)
-		}
-		if tiers.RAMUsedBytes != int64(nblocks*blockSize) {
-			t.Fatalf("crash at record %d: ledger charges %d RAM bytes, want %d",
-				crashAfter, tiers.RAMUsedBytes, nblocks*blockSize)
-		}
-
-		got, err := c.ReadFile("/in", "job1")
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("crash at record %d: file corrupted after recovery", crashAfter)
-		}
-
-		_, err = c.Evict("job1", []string{"/in"})
-		if recoverIfCrashed() {
-			if err != nil {
-				if _, err := c.Evict("job1", []string{"/in"}); err != nil {
-					t.Fatalf("re-evict after recovery: %v", err)
-				}
-			}
-		} else if err != nil {
-			t.Fatalf("evict: %v", err)
-		}
-		waitUntil(t, v, time.Minute, func() bool {
-			st := h.Cluster.SlaveStats()
-			return h.Cluster.TotalPinnedBytes() == 0 && st.SSDPinnedBytes == 0 &&
-				st.QueuedCmds == 0 && st.DeferredCmds == 0
-		}, "eviction drains both fast tiers")
-		v.Sleep(10 * time.Second)
-		tiers = nn.Master().Stats().Tiers
-		if tiers.RAMUsedBytes != 0 || tiers.SSDUsedBytes != 0 {
-			t.Fatalf("crash at record %d: ledger leaks charges after eviction (ram %d, ssd %d)",
-				crashAfter, tiers.RAMUsedBytes, tiers.SSDUsedBytes)
-		}
-		checkInvariantReplicaBytes(t, h, "/in", data)
-		checkInvariantReplicaMemory(t, v, h)
-		appended = be.Appends()
-	})
-	return appended
-}
-
-// TestWALLadderCrashAtEveryRecordExactlyOnce is the mid-ladder chaos
-// sweep: kill the master's WAL at EVERY record boundary a clean
-// ladder run writes — which includes the window between a durable SSD
-// promotion and its RAM climb — and assert the recovered master
-// converges to exactly-once placement with the budget ledger conserved.
-func TestWALLadderCrashAtEveryRecordExactlyOnce(t *testing.T) {
-	records := ladderScenario(t, -1)
-	if records < 10 {
-		t.Fatalf("clean ladder run journaled only %d records; the sweep expects the full two-rung state machine", records)
-	}
-	for k := int64(0); k < records; k++ {
-		ladderScenario(t, k)
-	}
 }

@@ -80,15 +80,16 @@ type Config struct {
 	// from this spec's seed offset by the node index, so nodes draw
 	// independent but reproducible tails.
 	SSD storage.Spec
-	// MigrationPolicy selects the Ignem master's tier placement: "" or
-	// "paper" pins every planned block in RAM, as the paper's master
-	// does; "ladder" plans onto the SSD rung first and
-	// climbs SSD→RAM for small or re-read inputs (see
-	// ignem.Master.ConfigureTiers). The ladder never demotes.
+	// MigrationPolicy selects the placement policy of the Ignem
+	// master's tier plane (see ignem.Master.ConfigureTiers): "" or
+	// "paper" is the plane's one-rung form, pinning every planned block
+	// in RAM as the paper's master does; "ladder" plans onto the SSD
+	// rung first and climbs SSD→RAM for small or re-read inputs. The
+	// ladder never demotes.
 	MigrationPolicy string
-	// TierBudgets caps cluster-wide fast-tier residency in bytes. Zero
-	// RAM = unlimited, bounded only by each slave's capacity; zero SSD =
-	// SSD tier absent. See ignem.TierBudgets.
+	// TierBudgets caps cluster-wide fast-tier residency in bytes, for
+	// either policy. Zero RAM = unlimited, bounded only by each slave's
+	// capacity; zero SSD = SSD tier absent. See ignem.TierBudgets.
 	TierBudgets ignem.TierBudgets
 	// Seed drives all randomness (placement, replica choice).
 	Seed int64

@@ -103,29 +103,25 @@ type DataNode struct {
 	// store holds the replica payloads with their write-time checksums,
 	// in slots of its arena; it has its own lock and never calls back
 	// into the datanode, so it is safe to use both under dn.mu (keeping
-	// store and blkPending updates atomic) and without it.
+	// store and replica-delta updates atomic) and without it.
 	store *storage.ReplicaStore
 
 	mu sync.Mutex
-	// pinPending is the NET pin state change per block since the last
-	// report: true = now pinned, false = now unpinned. A block pinned
-	// then unpinned between reports collapses to a single entry instead
-	// of shipping both transitions. pinDirty records that SOME pin event
-	// happened, even if the entries collapsed away — it, not the entry
-	// count, drives the send cadence, so collapsing never changes when
-	// heartbeats go out.
-	pinPending map[dfs.BlockID]bool
-	// ssdPending mirrors pinPending for the SSD tier.
-	ssdPending map[dfs.BlockID]bool
-	pinDirty   bool
-	// blkPending is the incremental block report accumulator: the net
-	// presence change per replica since the last report (true = stored,
-	// false = deleted). Block deltas ride whatever heartbeat goes out
-	// next; they never trigger an early send.
-	blkPending map[dfs.BlockID]bool
+	// pending is the NET residency change per block since the last
+	// report, per tier: true = now resident, false = now gone. Its
+	// TierHDD map is the incremental block report (replicas stored or
+	// deleted); block deltas ride whatever heartbeat goes out next and
+	// never trigger an early send. The fast tiers carry pin transitions:
+	// a block pinned then unpinned between reports collapses to a single
+	// entry instead of shipping both. pinDirty records that SOME pin
+	// event happened, even if the entries collapsed away — it, not the
+	// entry count, drives the send cadence, so collapsing never changes
+	// when heartbeats go out.
+	pending  tierDeltas
+	pinDirty bool
 	// spare holds the delta maps of the last acknowledged heartbeat,
 	// cleared, to become the pending maps when the next one is built.
-	spare reportUndo
+	spare tierDeltas
 	// seq numbers every report sent (register or heartbeat) from one
 	// counter; epoch counts the register snapshots the namenode has
 	// accepted. Together they let the namenode detect a lost delta and
@@ -172,18 +168,16 @@ func New(clock simclock.Clock, net transport.Network, cfg Config) (*DataNode, er
 		}
 	}
 	dn := &DataNode{
-		clock:      clock,
-		net:        net,
-		cfg:        cfg,
-		media:      media,
-		ram:        ram,
-		ssd:        ssd,
-		store:      storage.NewReplicaStore(),
-		pinPending: make(map[dfs.BlockID]bool),
-		ssdPending: make(map[dfs.BlockID]bool),
-		blkPending: make(map[dfs.BlockID]bool),
-		jitter:     rand.New(rand.NewSource(mixSeed(cfg.Addr, cfg.Seed))),
-		peers:      make(map[string]*transport.Client),
+		clock:   clock,
+		net:     net,
+		cfg:     cfg,
+		media:   media,
+		ram:     ram,
+		ssd:     ssd,
+		store:   storage.NewReplicaStore(),
+		pending: newTierDeltas(),
+		jitter:  rand.New(rand.NewSource(mixSeed(cfg.Addr, cfg.Seed))),
+		peers:   make(map[string]*transport.Client),
 	}
 	if cfg.HotCacheBytes > 0 {
 		dn.hot = newHotCache(cfg.HotCacheBytes)
@@ -433,7 +427,7 @@ func (dn *DataNode) dropCorrupt(id dfs.BlockID) {
 		return
 	}
 	dn.store.Delete(id)
-	dn.blkPending[id] = false
+	dn.pending[dfs.TierHDD][id] = false
 	nn := dn.nnClient
 	dn.mu.Unlock()
 	if nn == nil {
@@ -445,19 +439,15 @@ func (dn *DataNode) dropCorrupt(id dfs.BlockID) {
 	})
 }
 
-// onPinChange queues pin-state transitions for the next heartbeat.
-// Latest state wins: a block pinned then unpinned between reports ships
-// as a single unpin instead of both transitions. RAM and SSD deltas
-// accumulate separately; both drive the report cadence, since the
-// master's tier budgets stay reserved until the unpin delta lands.
+// onPinChange queues a pin-state transition at a fast tier for the next
+// heartbeat. Latest state wins: a block pinned then unpinned between
+// reports ships as a single unpin instead of both transitions. Every
+// tier drives the report cadence, since the master's tier budgets stay
+// reserved until the unpin delta lands.
 func (dn *DataNode) onPinChange(id dfs.BlockID, tier dfs.Tier, pinned bool) {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
-	if tier == dfs.TierSSD {
-		dn.ssdPending[id] = pinned
-	} else {
-		dn.pinPending[id] = pinned
-	}
+	dn.pending[tier][id] = pinned
 	dn.pinDirty = true
 }
 
@@ -536,7 +526,7 @@ func (dn *DataNode) land(id dfs.BlockID, size int64, data []byte, slot *bufpool.
 		return fmt.Errorf("datanode: closed")
 	}
 	dn.store.Put(id, size, slot, sum)
-	dn.blkPending[id] = true
+	dn.pending[dfs.TierHDD][id] = true
 	return nil
 }
 
@@ -703,7 +693,7 @@ func (dn *DataNode) handleDeleteBlocks(req dfs.DeleteBlocksReq) (dfs.DeleteBlock
 	defer dn.mu.Unlock()
 	for _, id := range req.Blocks {
 		dn.store.Delete(id)
-		dn.blkPending[id] = false
+		dn.pending[dfs.TierHDD][id] = false
 	}
 	return dfs.DeleteBlocksResp{}, nil
 }
@@ -771,61 +761,46 @@ func (dn *DataNode) heartbeatLoop() {
 	}
 }
 
-// reportUndo holds the delta maps drained into an in-flight report so
-// they can be merged back if the transport loses it.
-type reportUndo struct {
-	pins map[dfs.BlockID]bool
-	ssd  map[dfs.BlockID]bool
-	blks map[dfs.BlockID]bool
+// tierDeltas holds one delta map per tier, indexed by dfs.Tier.
+type tierDeltas [dfs.TierRAM + 1]map[dfs.BlockID]bool
+
+func newTierDeltas() tierDeltas {
+	var d tierDeltas
+	for t := range d {
+		d[t] = make(map[dfs.BlockID]bool)
+	}
+	return d
 }
 
 // buildHeartbeatLocked drains the pending delta maps into a heartbeat
 // request with sorted ID lists (sorted lists delta-encode to 1-2 bytes
-// per ID on the wire) and the next sequence number.
-func (dn *DataNode) buildHeartbeatLocked() (dfs.HeartbeatReq, reportUndo) {
+// per ID on the wire) and the next sequence number. The drained maps
+// come back as the undo set, to merge back if the transport loses the
+// report.
+func (dn *DataNode) buildHeartbeatLocked() (dfs.HeartbeatReq, tierDeltas) {
 	req := dfs.HeartbeatReq{
 		Addr:  dn.cfg.Addr,
 		Seq:   dn.nextSeqLocked(),
 		Epoch: dn.epoch,
 	}
-	for id, pinned := range dn.pinPending {
-		if pinned {
-			req.Pinned = append(req.Pinned, id)
-		} else {
-			req.Unpinned = append(req.Unpinned, id)
+	for t, deltas := range dn.pending {
+		in, out := req.TierDeltas(dfs.Tier(t))
+		for id, now := range deltas {
+			if now {
+				*in = append(*in, id)
+			} else {
+				*out = append(*out, id)
+			}
 		}
+		slices.Sort(*in)
+		slices.Sort(*out)
 	}
-	for id, pinned := range dn.ssdPending {
-		if pinned {
-			req.SSDPinned = append(req.SSDPinned, id)
-		} else {
-			req.SSDUnpinned = append(req.SSDUnpinned, id)
-		}
+	undo := dn.pending
+	dn.pending = dn.spare
+	dn.spare = tierDeltas{}
+	if dn.pending[dfs.TierHDD] == nil {
+		dn.pending = newTierDeltas()
 	}
-	for id, present := range dn.blkPending {
-		if present {
-			req.Added = append(req.Added, id)
-		} else {
-			req.Removed = append(req.Removed, id)
-		}
-	}
-	slices.Sort(req.Pinned)
-	slices.Sort(req.Unpinned)
-	slices.Sort(req.SSDPinned)
-	slices.Sort(req.SSDUnpinned)
-	slices.Sort(req.Added)
-	slices.Sort(req.Removed)
-	undo := reportUndo{pins: dn.pinPending, ssd: dn.ssdPending, blks: dn.blkPending}
-	next := dn.spare
-	dn.spare = reportUndo{}
-	if next.pins == nil {
-		next = reportUndo{
-			pins: make(map[dfs.BlockID]bool),
-			ssd:  make(map[dfs.BlockID]bool),
-			blks: make(map[dfs.BlockID]bool),
-		}
-	}
-	dn.pinPending, dn.ssdPending, dn.blkPending = next.pins, next.ssd, next.blks
 	dn.pinDirty = false
 	return req, undo
 }
@@ -833,7 +808,7 @@ func (dn *DataNode) buildHeartbeatLocked() (dfs.HeartbeatReq, reportUndo) {
 // handleHeartbeatResult processes a heartbeat outcome: schedules a
 // register when the namenode detected a gap or rejected the report, and
 // requeues the deltas when the transport may have lost them.
-func (dn *DataNode) handleHeartbeatResult(err error, undo reportUndo, needFull bool) {
+func (dn *DataNode) handleHeartbeatResult(err error, undo tierDeltas, needFull bool) {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
 	if err == nil {
@@ -842,9 +817,9 @@ func (dn *DataNode) handleHeartbeatResult(err error, undo reportUndo, needFull b
 			dn.needFull = true
 		}
 		// The namenode has the deltas: their maps serve the next report.
-		clear(undo.pins)
-		clear(undo.ssd)
-		clear(undo.blks)
+		for _, m := range undo {
+			clear(m)
+		}
 		dn.spare = undo
 		return
 	}
@@ -865,23 +840,15 @@ func (dn *DataNode) handleHeartbeatResult(err error, undo reportUndo, needFull b
 
 // requeueLocked merges drained deltas back into the pending maps.
 // Entries recorded after the report was built win: they are newer.
-func (dn *DataNode) requeueLocked(undo reportUndo) {
-	for id, v := range undo.pins {
-		if _, ok := dn.pinPending[id]; !ok {
-			dn.pinPending[id] = v
+func (dn *DataNode) requeueLocked(undo tierDeltas) {
+	for t, deltas := range undo {
+		for id, v := range deltas {
+			if _, ok := dn.pending[t][id]; !ok {
+				dn.pending[t][id] = v
+			}
 		}
-	}
-	for id, v := range undo.ssd {
-		if _, ok := dn.ssdPending[id]; !ok {
-			dn.ssdPending[id] = v
-		}
-	}
-	if len(dn.pinPending) > 0 || len(dn.ssdPending) > 0 {
-		dn.pinDirty = true
-	}
-	for id, v := range undo.blks {
-		if _, ok := dn.blkPending[id]; !ok {
-			dn.blkPending[id] = v
+		if dfs.Tier(t) != dfs.TierHDD && len(dn.pending[t]) > 0 {
+			dn.pinDirty = true
 		}
 	}
 }
@@ -922,7 +889,7 @@ func (dn *DataNode) register(c *transport.Client) error {
 		Seq:    dn.nextSeqLocked(),
 		Epoch:  dn.epoch + 1,
 	}
-	clear(dn.blkPending)
+	clear(dn.pending[dfs.TierHDD])
 	dn.needFull = true
 	dn.mu.Unlock()
 	_, err := transport.Call[dfs.RegisterResp](c, "nn.register", req)

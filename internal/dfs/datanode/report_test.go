@@ -273,7 +273,7 @@ func TestBusyBackoffWindow(t *testing.T) {
 			}
 		}
 		// A successful heartbeat resets the streak.
-		dn.handleHeartbeatResult(nil, reportUndo{}, false)
+		dn.handleHeartbeatResult(nil, tierDeltas{}, false)
 		dn.mu.Lock()
 		streak := dn.busyStreak
 		dn.mu.Unlock()

@@ -328,6 +328,20 @@ type HeartbeatReq struct {
 	SSDUnpinned []BlockID
 }
 
+// TierDeltas returns the heartbeat's residency-delta lists for tier:
+// the blocks newly resident and newly released there. TierHDD's are
+// the replica deltas, Added and Removed.
+func (r *HeartbeatReq) TierDeltas(tier Tier) (in, out *[]BlockID) {
+	switch tier {
+	case TierRAM:
+		return &r.Pinned, &r.Unpinned
+	case TierSSD:
+		return &r.SSDPinned, &r.SSDUnpinned
+	default:
+		return &r.Added, &r.Removed
+	}
+}
+
 // HeartbeatResp acknowledges a heartbeat. NeedFullReport asks the
 // datanode to register again with a full snapshot: the namenode saw a
 // sequence gap or a stale epoch, so its incremental view may have

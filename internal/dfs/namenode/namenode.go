@@ -42,13 +42,15 @@ type Config struct {
 	// WALRetryInterval paces the journal's retry pump (re-sending
 	// transport-failed batches). Default 1s.
 	WALRetryInterval time.Duration
-	// MigrationPolicy selects the Ignem master's tier placement (see
-	// ignem.Master.ConfigureTiers): "paper" (or empty — the default
-	// smallest-job-first pin in RAM) or "ladder" (SSD first, then an
-	// SSD→RAM climb). Any other name makes Start fail.
+	// MigrationPolicy selects the placement policy of the Ignem
+	// master's tier plane (see ignem.Master.ConfigureTiers): "paper" (or
+	// empty — the plane's one RAM rung, the paper's smallest-job-first
+	// pin in RAM) or "ladder" (SSD first, then an SSD→RAM climb). Any
+	// other name makes Start fail.
 	MigrationPolicy string
-	// TierBudgets caps cluster-wide fast-tier residency. A zero SSD
-	// budget means the cluster has no flash rung.
+	// TierBudgets caps cluster-wide fast-tier residency, for either
+	// policy. A zero RAM budget is unlimited; a zero SSD budget means
+	// the cluster has no flash rung.
 	TierBudgets ignem.TierBudgets
 }
 
@@ -158,9 +160,9 @@ type Stats struct {
 	// datanode read paths and scrubbers; each drops the bad replica from
 	// the location map so the replication sweep restores a healthy copy.
 	CorruptReports int64
-	// Tiers is the Ignem master's tier-ladder accounting: per-tier
+	// Tiers is the Ignem master's tier-ledger accounting: per-tier
 	// reserved bytes, promotions by destination, climbs, and budget
-	// rejections. Zero-valued for a default (pin-in-RAM) master.
+	// rejections.
 	Tiers ignem.TierCounters
 }
 
@@ -200,11 +202,9 @@ func New(clock simclock.Clock, net transport.Network, cfg Config) *NameNode {
 	// Seed+1: the master's replica-choice stream must not replay the
 	// namespace's placement draws.
 	nn.master = ignem.NewMaster(nn, nn, cfg.Seed+1)
-	if cfg.MigrationPolicy != "" || cfg.TierBudgets != (ignem.TierBudgets{}) {
-		// New can't return an error without breaking every caller; an
-		// unknown policy name surfaces when Start reports it.
-		nn.tierErr = nn.master.ConfigureTiers(cfg.MigrationPolicy, cfg.TierBudgets)
-	}
+	// New can't return an error without breaking every caller; an
+	// unknown policy name surfaces when Serve reports it.
+	nn.tierErr = nn.master.ConfigureTiers(cfg.MigrationPolicy, cfg.TierBudgets)
 	return nn
 }
 
@@ -642,24 +642,21 @@ func (nn *NameNode) handleHeartbeat(req dfs.HeartbeatReq) (dfs.HeartbeatResp, er
 		return dfs.HeartbeatResp{NeedFullReport: true}, nil
 	}
 	// The steady-state heartbeat carries no deltas; only touch the
-	// namespace locks when there is state to record.
-	if len(req.Pinned)+len(req.Unpinned) > 0 {
-		nn.ns.PinDeltas(req.Addr, req.Pinned, req.Unpinned)
+	// namespace locks when there is state to record. RAM goes first, so
+	// its released budget is back before an SSD pin's climb reserves.
+	for _, tier := range [...]dfs.Tier{dfs.TierRAM, dfs.TierSSD} {
+		pinned, unpinned := req.TierDeltas(tier)
+		if len(*pinned)+len(*unpinned) == 0 {
+			continue
+		}
+		nn.ns.TierDeltas(req.Addr, tier, *pinned, *unpinned)
 		// Confirmed pins advance the migration WAL's state machine to
-		// swapped/checked (no-op without a journal): the slave verified
-		// and pinned these blocks, so recovery won't re-send them.
-		nn.master.NotePinned(req.Addr, dfs.TierRAM, req.Pinned)
-		// Confirmed unpins release the master's RAM-budget charge (no-op
-		// without tier budgets).
-		nn.master.NoteUnpinned(req.Addr, dfs.TierRAM, req.Unpinned)
-	}
-	if len(req.SSDPinned)+len(req.SSDUnpinned) > 0 {
-		nn.ns.SSDDeltas(req.Addr, req.SSDPinned, req.SSDUnpinned)
-		// A confirmed flash pin is what triggers the ladder's second
-		// rung (the policy's climb decision); a confirmed flash unpin
-		// releases the SSD-budget charge.
-		nn.master.NotePinned(req.Addr, dfs.TierSSD, req.SSDPinned)
-		nn.master.NoteUnpinned(req.Addr, dfs.TierSSD, req.SSDUnpinned)
+		// swapped/checked: the slave verified and pinned these blocks,
+		// so recovery won't re-send them. A confirmed flash pin is also
+		// what triggers the ladder's climb. Confirmed unpins release
+		// the tier's budget charge.
+		nn.master.NotePinned(req.Addr, tier, *pinned)
+		nn.master.NoteUnpinned(req.Addr, tier, *unpinned)
 	}
 	if len(req.Added)+len(req.Removed) > 0 {
 		nn.ns.ApplyReplicaDeltas(req.Addr, req.Added, req.Removed)

@@ -27,10 +27,10 @@ type memNamespace struct {
 	mu     sync.RWMutex
 	files  map[string]*fileEntry
 	blocks map[dfs.BlockID]*blockMeta
-	pins   pinMap
-	// ssd mirrors pins for the flash tier: which datanodes hold which
-	// blocks SSD-resident. Same sparse side-table reasoning.
-	ssd pinMap
+	// pins holds fast-tier residency, indexed by dfs.Tier: which
+	// datanodes hold which blocks pinned in RAM or resident on SSD.
+	// pins[dfs.TierHDD] stays nil: the replica set is the base tier.
+	pins [dfs.TierRAM + 1]pinMap
 	// sums is the sparse write-time checksum map. A side map, not a
 	// blockMeta field: most experiment blocks are synthetic and
 	// unchecksummed, and blockMeta's flat size class is budget-gated.
@@ -63,8 +63,7 @@ func newMemNamespace(seed int64, place placeFunc) *memNamespace {
 		table:  newNodeTable(),
 		files:  make(map[string]*fileEntry),
 		blocks: make(map[dfs.BlockID]*blockMeta),
-		pins:   make(pinMap),
-		ssd:    make(pinMap),
+		pins:   [...]pinMap{dfs.TierSSD: make(pinMap), dfs.TierRAM: make(pinMap)},
 		sums:   make(map[dfs.BlockID]uint32),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
@@ -223,8 +222,9 @@ func (ns *memNamespace) Delete(path string) (map[string][]dfs.BlockID, error) {
 			}
 		}
 		delete(ns.blocks, b.ID)
-		delete(ns.pins, b.ID)
-		delete(ns.ssd, b.ID)
+		for _, p := range ns.pins[dfs.TierSSD:] {
+			delete(p, b.ID)
+		}
 		delete(ns.sums, b.ID)
 	}
 	return toDelete, nil
@@ -278,8 +278,8 @@ func (ns *memNamespace) Resolve(path string, offset, length int64) ([]resolvedBl
 			rb := resolvedBlock{block: b, offset: start, checksum: ns.sums[b.ID]}
 			if meta := ns.blocks[b.ID]; meta != nil {
 				rb.nodes = idAddrs(addrs, meta.nodes.view())
-				rb.pinned = idAddrs(addrs, ns.pins.view(b.ID))
-				rb.onSSD = idAddrs(addrs, ns.ssd.view(b.ID))
+				rb.pinned = idAddrs(addrs, ns.pins[dfs.TierRAM].view(b.ID))
+				rb.onSSD = idAddrs(addrs, ns.pins[dfs.TierSSD].view(b.ID))
 			}
 			out = append(out, rb)
 		}
@@ -309,8 +309,7 @@ func (ns *memNamespace) Reconcile(addr string, held []dfs.BlockID) {
 			if meta.nodes.remove(node) {
 				ns.suspectLocked(id, meta)
 			}
-			ns.pins.remove(id, node)
-			ns.ssd.remove(id, node)
+			ns.dropPinLocked(id, node)
 		}
 	}
 }
@@ -335,40 +334,32 @@ func (ns *memNamespace) ApplyReplicaDeltas(addr string, added, removed []dfs.Blo
 			if meta.nodes.remove(node) {
 				ns.suspectLocked(b, meta)
 			}
-			ns.pins.remove(b, node)
-			ns.ssd.remove(b, node)
+			ns.dropPinLocked(b, node)
 		}
 	}
 }
 
-// PinDeltas applies a heartbeat's pinned/unpinned block deltas.
-func (ns *memNamespace) PinDeltas(addr string, pinned, unpinned []dfs.BlockID) {
-	id := ns.table.intern(addr)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	for _, b := range pinned {
-		if _, ok := ns.blocks[b]; ok {
-			ns.pins.add(b, id)
-		}
-	}
-	for _, b := range unpinned {
-		ns.pins.remove(b, id)
+// dropPinLocked drops node's residency of b on every fast tier.
+func (ns *memNamespace) dropPinLocked(b dfs.BlockID, node nodeID) {
+	for _, p := range ns.pins[dfs.TierSSD:] {
+		p.remove(b, node)
 	}
 }
 
-// SSDDeltas applies a heartbeat's SSD-tier residency deltas, exactly as
-// PinDeltas does for the RAM tier.
-func (ns *memNamespace) SSDDeltas(addr string, pinned, unpinned []dfs.BlockID) {
+// TierDeltas applies a heartbeat's residency deltas at a fast tier:
+// the blocks addr now holds pinned there, and those it released.
+func (ns *memNamespace) TierDeltas(addr string, tier dfs.Tier, pinned, unpinned []dfs.BlockID) {
 	id := ns.table.intern(addr)
+	p := ns.pins[tier]
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	for _, b := range pinned {
 		if _, ok := ns.blocks[b]; ok {
-			ns.ssd.add(b, id)
+			p.add(b, id)
 		}
 	}
 	for _, b := range unpinned {
-		ns.ssd.remove(b, id)
+		p.remove(b, id)
 	}
 }
 
@@ -384,7 +375,7 @@ func (ns *memNamespace) FastTierResidency(block dfs.BlockID, addr string) (ram, 
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	return ns.pins.has(block, id), ns.ssd.has(block, id)
+	return ns.pins[dfs.TierRAM].has(block, id), ns.pins[dfs.TierSSD].has(block, id)
 }
 
 // DropPinned drops all pinned state (both fast tiers) for the given
@@ -401,8 +392,9 @@ func (ns *memNamespace) DropPinned(addrs []string) {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	ns.pins.dropNodes(ids)
-	ns.ssd.dropNodes(ids)
+	for _, p := range ns.pins[dfs.TierSSD:] {
+		p.dropNodes(ids)
+	}
 }
 
 // RepairScan finds under-replicated blocks given the current liveness

@@ -122,8 +122,8 @@ func driveNamespace(ns *memNamespace) []string {
 	for _, rb := range rbs {
 		ids = append(ids, rb.block.ID)
 	}
-	ns.PinDeltas("c", ids[:1], nil)
-	ns.PinDeltas("c", nil, ids[1:])
+	ns.TierDeltas("c", dfs.TierRAM, ids[:1], nil)
+	ns.TierDeltas("c", dfs.TierRAM, nil, ids[1:])
 	ns.Reconcile("d", ids)
 	rbs, err = ns.Resolve("/a/x", 0, 0)
 	tr.resolved("resolve /a/x post-pin", rbs, err)

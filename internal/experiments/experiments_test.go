@@ -184,6 +184,12 @@ func TestSwimExperimentShape(t *testing.T) {
 	if ignem.Slave.PinnedBytes != 0 {
 		t.Errorf("leaked %d pinned bytes", ignem.Slave.PinnedBytes)
 	}
+	// The paper policy charges its pins to the master's tier ledger too,
+	// and every charge is released once the last job is done.
+	if tc := ignem.Tiers; tc.PromotionsToRAM == 0 || tc.RAMUsedBytes != 0 || tc.SSDUsedBytes != 0 {
+		t.Errorf("tier ledger after the last job: %d RAM promotions, RAM %d and SSD %d bytes still charged",
+			tc.PromotionsToRAM, tc.RAMUsedBytes, tc.SSDUsedBytes)
+	}
 	// The hypothetical scheme holds at least as much memory as Ignem.
 	if r.HypotheticalMemory.Mean() < ignem.MemoryPerServer.Mean() {
 		t.Errorf("hypothetical %.0f below Ignem %.0f",

@@ -221,6 +221,13 @@ func runSwimMode(ccfg cluster.Config, jobs []workloads.Job) (*SwimModeResult, er
 		stopSampler.Send(struct{}{})
 		samplerDone.Recv()
 		res.Slave = c.SlaveStats()
+		// Commands still queued for finished jobs drain as discards, and
+		// every unpin reaches the master's ledger with the next heartbeat;
+		// the ledger is read once both have happened.
+		for st := res.Slave; st.QueuedCmds+st.DeferredCmds > 0; st = c.SlaveStats() {
+			v.Sleep(100 * time.Millisecond)
+		}
+		v.Sleep(time.Second)
 		res.Tiers = c.NameNode.Stats().Tiers
 		if res.Slave.PinnedBytes != 0 {
 			return fmt.Errorf("%d pinned bytes outlived the workload", res.Slave.PinnedBytes)

@@ -32,8 +32,7 @@ import (
 //	recEvictIntent an Evict request was accepted for the job
 //	recEvictBatch  an evict batch was delivered to a slave
 //	recUnpinned    a slave's heartbeat reported blocks unpinned at a
-//	               tier, releasing their budget charge (tiered masters
-//	               only)
+//	               tier, releasing their budget charge
 //
 // Records are framed by wal.Log; payloads here are a one-byte kind tag
 // followed by uvarint-encoded fields (strings as length + bytes).
@@ -173,8 +172,8 @@ func (j *Journal) AppendPinned(job dfs.JobID, addr string, tier dfs.Tier, ids []
 }
 
 // AppendUnpinned journals a slave's heartbeat unpin delta at tier, the
-// budget-release half of the ledger's accounting. Only tiered masters
-// write these; errors are ignorable for the same reason as AppendPinned.
+// budget-release half of the ledger's accounting. Errors are ignorable
+// for the same reason as AppendPinned.
 func (j *Journal) AppendUnpinned(addr string, tier dfs.Tier, ids []dfs.BlockID) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -57,9 +57,8 @@ type MasterStats struct {
 	// ResumedJobs counts live (un-evicted) jobs rebuilt from the journal
 	// across all recoveries.
 	ResumedJobs int64
-	// Tiers is the tier ladder's budget accounting (occupancy,
-	// promotions, climbs, rejects). All-zero without a configured tier
-	// plane.
+	// Tiers is the tier ledger's budget accounting (occupancy,
+	// promotions, climbs, rejects).
 	Tiers TierCounters
 }
 
@@ -70,16 +69,16 @@ type Master struct {
 	link     SlaveLink
 	rng      *rand.Rand
 
-	// Tier plane (nil until ConfigureTiers — every consulting code path
-	// then short-circuits to the paper's pin-in-RAM behavior). ledger
-	// enforces the budgets, pop scores the read-notification stream for
-	// the climb, and ladder selects SSD-first placement with the
-	// SSD→RAM climb over the paper's pin-in-RAM.
-	ledger *tierLedger
-	pop    *popTracker
-	ladder bool
-
 	mu sync.Mutex
+	// The tier plane: ledger enforces the budgets (unlimited RAM and no
+	// SSD rung until ConfigureTiers), and ladder selects SSD-first
+	// placement with the SSD→RAM climb over the paper's pin-in-RAM.
+	// Both are replaced only by ConfigureTiers.
+	ledger *tierLedger
+	ladder bool
+	// reads counts read notifications per block, the re-read signal the
+	// ladder's climb scores against. Kept only under the ladder.
+	reads map[dfs.BlockID]int64
 	// epoch stamps every batch. Slaves hold one epoch and purge all
 	// state when it changes.
 	epoch uint64
@@ -148,16 +147,18 @@ func NewMaster(resolver Resolver, link SlaveLink, seed int64) *Master {
 		rng:      rand.New(rand.NewSource(seed)),
 		epoch:    1,
 		jobs:     make(map[dfs.JobID]*jobState),
+		ledger:   newTierLedger(TierBudgets{}),
+		reads:    make(map[dfs.BlockID]int64),
 	}
 }
 
-// ConfigureTiers installs the tier plane: a named policy plus per-tier
-// byte budgets. "paper" (or empty) pins every planned block in RAM;
-// "ladder" plans SSD first when the flash rung exists and climbs
-// SSD→RAM for small jobs and re-read blocks. Call before serving
-// requests (and before Restart, so a ledger recovered from the journal
-// has its limits). A master never configured keeps the paper's pin-in-RAM
-// behavior with no budgets.
+// ConfigureTiers replaces the tier plane's policy and ledger: a named
+// policy plus per-tier byte budgets. "paper" (or empty) pins every
+// planned block in RAM; "ladder" plans SSD first when the flash rung
+// exists and climbs SSD→RAM for small jobs and re-read blocks. Call
+// before serving requests (and before Restart, so a ledger recovered
+// from the journal has its limits). A new master runs the paper policy
+// with an unlimited RAM budget.
 func (m *Master) ConfigureTiers(policyName string, budgets TierBudgets) error {
 	var ladder bool
 	switch policyName {
@@ -171,7 +172,6 @@ func (m *Master) ConfigureTiers(policyName string, budgets TierBudgets) error {
 	defer m.mu.Unlock()
 	m.ladder = ladder
 	m.ledger = newTierLedger(budgets)
-	m.pop = newPopTracker()
 	return nil
 }
 
@@ -227,12 +227,9 @@ func (m *Master) Migrate(req dfs.MigrateReq) (dfs.MigrateResp, error) {
 		}
 		pending[lb.Block.ID] = struct{}{}
 		addr := lb.Nodes[m.rng.Intn(len(lb.Nodes))]
-		tier := dfs.TierRAM
-		if m.ledger != nil {
-			tier = m.planTierLocked(lb.Block, addr, ssdOn, &charges)
-			if tier == dfs.TierHDD {
-				continue // budget-rejected on every rung; the block stays on disk
-			}
+		tier := m.planTierLocked(lb.Block, addr, ssdOn, &charges)
+		if tier == dfs.TierHDD {
+			continue // budget-rejected on every rung; the block stays on disk
 		}
 		entries = append(entries, planEntry{ID: lb.Block.ID, Size: lb.Block.Size, Checksum: lb.Checksum, Addr: addr, Tier: tier})
 		batches[addr] = append(batches[addr], dfs.MigrateCmd{
@@ -494,13 +491,13 @@ func (m *Master) jobLive(job dfs.JobID) bool {
 // checksum-verified, which is the state machine's swapped/checked
 // stage. Blocks the master never assigned (or assigned elsewhere, or
 // at another tier) are ignored. Under the ladder, SSD pins then take
-// the second rung, promoting qualifying blocks SSD→RAM. A no-op without
-// a journal or a tier plane.
+// the second rung, promoting qualifying blocks SSD→RAM. A no-op for an
+// unjournaled master under the paper policy.
 func (m *Master) NotePinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
 	m.mu.Lock()
 	j := m.journal
 	ladder := m.ladder
-	if (j == nil && m.ledger == nil) || len(blocks) == 0 {
+	if (j == nil && !ladder) || len(blocks) == 0 {
 		m.mu.Unlock()
 		return
 	}
@@ -555,7 +552,7 @@ func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 			if a == nil || a.addr != addr || a.tier != dfs.TierSSD {
 				continue
 			}
-			if js.inputSize > climbMaxJobSize && m.pop.get(id) == 0 {
+			if js.inputSize > climbMaxJobSize && m.reads[id] == 0 {
 				continue // a large job's block earns RAM only once re-read
 			}
 			if ok, _ := m.ledger.reserve(id, addr, a.size, dfs.TierRAM, true); !ok {
@@ -606,18 +603,17 @@ func (m *Master) climb(addr string, perJob map[dfs.JobID][]dfs.BlockID) {
 
 // NoteUnpinned releases tier-budget charges for blocks a slave reported
 // unpinned at tier, journaling the release so a recovered ledger's
-// occupancy matches. A no-op without a configured tier plane, so the
-// default master's journal stream is unchanged.
+// occupancy matches.
 func (m *Master) NoteUnpinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) {
-	if m.ledger == nil || len(blocks) == 0 {
+	if len(blocks) == 0 {
 		return
 	}
-	for _, id := range blocks {
-		m.ledger.release(id, addr, tier)
-	}
 	m.mu.Lock()
-	j := m.journal
+	j, ledger := m.journal, m.ledger
 	m.mu.Unlock()
+	for _, id := range blocks {
+		ledger.release(id, addr, tier)
+	}
 	if j != nil {
 		_ = j.AppendUnpinned(addr, tier, blocks)
 	}
@@ -632,10 +628,14 @@ func (m *Master) NoteUnpinned(addr string, tier dfs.Tier, blocks []dfs.BlockID) 
 // evicted, never migrated, or assigned by a previous epoch) are dropped:
 // there is no reference to release.
 func (m *Master) NotifyRead(job dfs.JobID, blocks []dfs.BlockID) {
-	// Every notified read feeds the popularity score, whether or not the
-	// block is still assigned: a re-read earns the ladder's climb.
-	m.pop.bump(blocks)
 	m.mu.Lock()
+	if m.ladder {
+		// Every notified read feeds the popularity score, whether or not
+		// the block is still assigned: a re-read earns the climb.
+		for _, id := range blocks {
+			m.reads[id]++
+		}
+	}
 	epoch := m.epoch
 	js := m.jobs[job]
 	batches := make(map[string][]dfs.ReadNotifyCmd)

@@ -527,9 +527,6 @@ func TestDiscardedCommandReleasesItsCharge(t *testing.T) {
 		"/a": {located(1, 8<<20, "dn1"), located(2, 8<<20, "dn1")},
 	}}
 	m = NewMaster(res, link, 3)
-	if err := m.ConfigureTiers("paper", TierBudgets{RAM: 1 << 30}); err != nil {
-		t.Fatal(err)
-	}
 	v.Go(func() {
 		if _, err := m.Migrate(dfs.MigrateReq{Job: "j1", Paths: []string{"/a"}, Implicit: true, SubmitTime: v.Now()}); err != nil {
 			t.Errorf("migrate: %v", err)
@@ -669,9 +666,6 @@ func TestRestartBumpsEpochOnceAndResetsLedger(t *testing.T) {
 	}}
 	link := newFakeLink()
 	m := NewMaster(res, link, 3)
-	if err := m.ConfigureTiers("paper", TierBudgets{RAM: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := m.Migrate(dfs.MigrateReq{Job: "j", Paths: []string{"/f"}}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,55 +6,19 @@ import (
 	"repro/internal/dfs"
 )
 
-// This file holds the tier ladder's state: the climb's job-size bound,
-// the popularity tracker the climb reads from the read-notification
-// stream, and the tierLedger — the master-side per-tier byte-budget
-// accountant. The Master plans HDD→SSD, then climbs SSD→RAM
-// (planTierLocked, climb). The ladder only climbs: a fast-tier
-// residency ends when its jobs evict it, never by demotion.
-//
-// None of this exists for a default-configured master: a master
-// without ConfigureTiers runs with a nil ledger, and every planning
-// code path that consults it short-circuits to the paper's pin-in-RAM
-// behavior, bit for bit.
+// This file holds the tier plane's state: the climb's job-size bound
+// and the tierLedger — the master-side per-tier byte-budget accountant.
+// Every master has one ledger. The paper's policy is the ladder with a
+// single rung: it plans every block into RAM, under an unlimited RAM
+// budget unless one is configured, and never climbs. The ladder policy
+// plans HDD→SSD when the cluster has a flash rung, then climbs SSD→RAM
+// (planTierLocked, climb). The ladder only climbs: a fast-tier residency
+// ends when its jobs evict it, never by demotion.
 
 // climbMaxJobSize bounds the job input size that earns the ladder's
 // SSD→RAM climb without a re-read (the paper's smallest-job-first
 // intuition: small jobs gain the most per pinned byte).
 const climbMaxJobSize = 1 << 30
-
-// ---- popularity tracker ----
-
-// popTracker accumulates per-block read-notification counts, the
-// re-read signal the ladder's climb scores against.
-type popTracker struct {
-	mu sync.Mutex
-	m  map[dfs.BlockID]int64
-}
-
-func newPopTracker() *popTracker { return &popTracker{m: make(map[dfs.BlockID]int64)} }
-
-func (p *popTracker) bump(ids []dfs.BlockID) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	for _, id := range ids {
-		p.m[id]++
-	}
-	p.mu.Unlock()
-}
-
-func (p *popTracker) get(id dfs.BlockID) int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.m[id]
-}
-
-// ---- tier budget ledger ----
 
 // TierBudgets caps cluster-wide fast-tier residency in bytes. Zero
 // means unlimited for RAM and ABSENT for SSD: a cluster without an SSD
@@ -124,22 +88,16 @@ func newTierLedger(b TierBudgets) *tierLedger {
 	return l
 }
 
-// ssdEnabled reports whether the cluster has an SSD rung.
-func (l *tierLedger) ssdEnabled() bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.limit[dfs.TierSSD] > 0
-}
+// ssdEnabled reports whether the cluster has an SSD rung. The limits
+// never change after newTierLedger, so no lock is needed.
+func (l *tierLedger) ssdEnabled() bool { return l.limit[dfs.TierSSD] > 0 }
 
 // reserve charges tier for a (block, addr) residency. A residency
 // already charged at the tier shares that charge. ok reports whether
 // the reservation holds; fresh reports whether a new charge was taken
 // (so a failed caller can roll it back precisely).
 func (l *tierLedger) reserve(id dfs.BlockID, addr string, size int64, tier dfs.Tier, climb bool) (ok, fresh bool) {
-	if l == nil || tier == dfs.TierHDD {
+	if tier == dfs.TierHDD {
 		return true, false
 	}
 	l.mu.Lock()
@@ -172,9 +130,6 @@ func (l *tierLedger) reserve(id dfs.BlockID, addr string, size int64, tier dfs.T
 
 // noteReject counts a final budget rejection.
 func (l *tierLedger) noteReject(tier dfs.Tier) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if tier == dfs.TierSSD {
@@ -189,7 +144,7 @@ func (l *tierLedger) noteReject(tier dfs.Tier) {
 // journal append failed rolls back. Idempotent: releasing an uncharged
 // tier is a no-op.
 func (l *tierLedger) release(id dfs.BlockID, addr string, tier dfs.Tier) {
-	if l == nil || tier == dfs.TierHDD {
+	if tier == dfs.TierHDD {
 		return
 	}
 	l.mu.Lock()
@@ -216,9 +171,6 @@ func (l *tierLedger) reset() {
 // replayed charges (WAL recovery). Limits and cumulative counters are
 // kept; occupancy is recomputed from the replayed charges.
 func (l *tierLedger) load(res map[residentKey]*ledgerEntry) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.used = [3]int64{}
@@ -239,9 +191,6 @@ func (l *tierLedger) load(res map[residentKey]*ledgerEntry) {
 
 // snapshot returns the counters with current occupancy filled in.
 func (l *tierLedger) snapshot() TierCounters {
-	if l == nil {
-		return TierCounters{}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := l.counters

@@ -123,30 +123,6 @@ func TestTierLedgerRejectCountersAndUnlimitedRAM(t *testing.T) {
 		t.Errorf("rejects = ssd %d ram %d, want 1/2", c.BudgetRejectsSSD, c.BudgetRejectsRAM)
 	}
 
-	// A nil ledger (no ConfigureTiers) accepts everything silently.
-	var nilLedger *tierLedger
-	if ok, fresh := nilLedger.reserve(1, "dn1", 1, dfs.TierRAM, false); !ok || fresh {
-		t.Errorf("nil ledger reserve = (%v, %v)", ok, fresh)
-	}
-	if nilLedger.ssdEnabled() || nilLedger.snapshot() != (TierCounters{}) {
-		t.Error("nil ledger not inert")
-	}
-	nilLedger.release(1, "dn1", dfs.TierRAM)
-	nilLedger.noteReject(dfs.TierRAM)
-	nilLedger.reset()
-}
-
-func TestPopTrackerNilSafe(t *testing.T) {
-	var p *popTracker
-	p.bump([]dfs.BlockID{1})
-	if got := p.get(1); got != 0 {
-		t.Errorf("nil tracker get = %d", got)
-	}
-	p = newPopTracker()
-	p.bump([]dfs.BlockID{1, 1, 2})
-	if p.get(1) != 2 || p.get(2) != 1 || p.get(3) != 0 {
-		t.Errorf("counts = %d/%d/%d", p.get(1), p.get(2), p.get(3))
-	}
 }
 
 // sentTiers collects, per block, the tier of every migrate command the

@@ -149,10 +149,10 @@ type Slave struct {
 	// tombstonesExamined counts the tombstones expiry has looked at;
 	// TestTombstonePruneBounded holds it to O(1) per evict batch.
 	tombstonesExamined int64
-	pinnedBytes        int64
-	// ssdBytes tracks flash-rung occupancy; Capacity bounds RAM only
-	// (the master's cluster-wide SSD budget bounds the flash rung).
-	ssdBytes int64
+	// tierBytes is the resident bytes per fast tier, indexed by dfs.Tier.
+	// Capacity bounds the RAM rung only (the master's cluster-wide SSD
+	// budget bounds the flash rung).
+	tierBytes [dfs.TierRAM + 1]int64
 	// reserved is capacity claimed by the one in-flight migration read.
 	reserved  int64
 	lastSweep time.Time
@@ -335,7 +335,7 @@ func (s *Slave) OnBlockRead(id dfs.BlockID, job dfs.JobID) (tier dfs.Tier, resid
 func (s *Slave) PinnedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pinnedBytes
+	return s.tierBytes[dfs.TierRAM]
 }
 
 // Stats returns a snapshot of slave activity.
@@ -343,8 +343,8 @@ func (s *Slave) Stats() SlaveStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.PinnedBytes = s.pinnedBytes
-	st.SSDPinnedBytes = s.ssdBytes
+	st.PinnedBytes = s.tierBytes[dfs.TierRAM]
+	st.SSDPinnedBytes = s.tierBytes[dfs.TierSSD]
 	for _, pb := range s.pinned {
 		if pb.tier == dfs.TierSSD {
 			st.SSDPinnedBlocks++
@@ -448,8 +448,7 @@ func (s *Slave) purgeAllLocked() []tierPin {
 	}
 	s.pinned = make(map[dfs.BlockID]*pinnedBlock)
 	s.jobBlocks = make(map[dfs.JobID]map[dfs.BlockID]struct{})
-	s.pinnedBytes = 0
-	s.ssdBytes = 0
+	s.tierBytes = [dfs.TierRAM + 1]int64{}
 	return unpinned
 }
 
@@ -475,11 +474,7 @@ func (s *Slave) dropRefLocked(id dfs.BlockID, job dfs.JobID) []tierPin {
 		return nil
 	}
 	delete(s.pinned, id)
-	if pb.tier == dfs.TierSSD {
-		s.ssdBytes -= pb.size
-	} else {
-		s.pinnedBytes -= pb.size
-	}
+	s.tierBytes[pb.tier] -= pb.size
 	s.stats.Evictions++
 	s.retryDeferredLocked()
 	return []tierPin{{id: id, tier: pb.tier}}
@@ -582,7 +577,7 @@ func (s *Slave) worker() {
 				s.dropLocked(e.cmd)
 				continue
 			}
-			if s.pinnedBytes+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
+			if s.tierBytes[dfs.TierRAM]+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
 				// Do-not-harm: never evict an unread pinned block to admit a
 				// new one. Defer until eviction frees space.
 				s.deferred = append(s.deferred, e)
@@ -619,11 +614,7 @@ func (s *Slave) worker() {
 			s.dropLocked(e.cmd)
 			continue
 		}
-		if target == dfs.TierSSD {
-			s.ssdBytes += e.cmd.Block.Size
-		} else {
-			s.pinnedBytes += e.cmd.Block.Size
-		}
+		s.tierBytes[target] += e.cmd.Block.Size
 		s.pinned[e.cmd.Block.ID] = &pinnedBlock{size: e.cmd.Block.Size, refs: make(map[dfs.JobID]bool), tier: target}
 		s.addRefLocked(e.cmd.Block.ID, e.cmd.Job, e.cmd.Implicit)
 		s.stats.MigratedBlocks++
@@ -646,7 +637,7 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 		s.dropLocked(e.cmd)
 		return false
 	}
-	if s.pinnedBytes+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
+	if s.tierBytes[dfs.TierRAM]+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
 		s.deferred = append(s.deferred, e)
 		s.maybeSweepLocked()
 		return false
@@ -671,8 +662,8 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 		return false
 	}
 	pb.tier = dfs.TierRAM
-	s.ssdBytes -= pb.size
-	s.pinnedBytes += pb.size
+	s.tierBytes[dfs.TierSSD] -= pb.size
+	s.tierBytes[dfs.TierRAM] += pb.size
 	s.stats.ClimbedBlocks++
 	s.addRefLocked(id, e.cmd.Job, e.cmd.Implicit)
 	s.mu.Unlock()
@@ -689,7 +680,7 @@ func (s *Slave) maybeSweepLocked() {
 	if s.liveness == nil {
 		return
 	}
-	if float64(s.pinnedBytes) < cleanupThreshold*float64(s.cfg.Capacity) {
+	if float64(s.tierBytes[dfs.TierRAM]) < cleanupThreshold*float64(s.cfg.Capacity) {
 		return
 	}
 	now := s.clock.Now()

@@ -516,15 +516,15 @@ func checkAccounting(t *testing.T, s *Slave) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var sum int64
+	var sum [dfs.TierRAM + 1]int64
 	for _, pb := range s.pinned {
-		sum += pb.size
+		sum[pb.tier] += pb.size
 		if len(pb.refs) == 0 {
 			t.Error("pinned block with empty reference list")
 		}
 	}
-	if sum != s.pinnedBytes {
-		t.Errorf("pinnedBytes %d != sum of pinned blocks %d", s.pinnedBytes, sum)
+	if sum != s.tierBytes {
+		t.Errorf("per-tier bytes %v != sums of pinned blocks %v", s.tierBytes, sum)
 	}
 	if s.reserved < 0 {
 		t.Errorf("negative reservation %d", s.reserved)
