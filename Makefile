@@ -73,16 +73,19 @@ golden:
 # tests (./internal/wal) run in `make test` and `make race`. Then comes
 # the replica-memory hammer (readers racing
 # deletes and overwrites that recycle replica slots, over TCP, in memory
-# and with reordered replies), whose race build poisons freed slots, and
-# the unwritten-byte check (ReadFile's unzeroed result holds exactly the
-# written bytes through cache hits and a mid-file checksum failover, and
-# a wrong-length replica fails the read with no result), whose race
-# build poisons memory allocated without zero-fill.
+# and with reordered replies), whose race build poisons freed slots, the
+# block-cache hammer (readers copying cache hits out of arena slots while
+# a writer's overwrites invalidate them and the byte budget evicts them;
+# its race build poisons the slots they free), and the unwritten-byte
+# check (ReadFile's unzeroed result holds exactly the written bytes
+# through cache hits and a mid-file checksum failover, and a
+# wrong-length replica fails the read with no result), whose race build
+# poisons memory allocated without zero-fill.
 chaos:
 	$(GO) test -count=2 ./internal/faultnet ./internal/chaos
 	$(GO) test -race -count=1 ./internal/faultnet ./internal/chaos
-	$(GO) test -count=2 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
-	$(GO) test -race -count=1 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
+	$(GO) test -count=2 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestCachedReadsUnderInvalidation|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
+	$(GO) test -race -count=1 -run '^(TestReplicaSlotsUnderDeleteAndOverwrite|TestCachedReadsUnderInvalidation|TestReadFileReturnsOnlyWrittenBytes)$$' ./internal/dfs/client
 
 # Allocation regression gate. Counts only: wall-clock ratios are the
 # repository benchmark's business (bench-e2e), not a test's. It pins
@@ -92,7 +95,8 @@ chaos:
 #   over TCP and in memory; ≤1/32 of the file allocated on the heap by
 #   a whole-file write at replication 2 (replicas live in arena slots
 #   outside the heap; heap replicas made 2x, a staged copy 3x); no arena
-#   chunk mapped by a thousand write/delete cycles after warm-up;
+#   chunk mapped by a thousand write/delete cycles after warm-up, and no
+#   block-cache arena chunk by a thousand overwrite-and-read cycles;
 # - namenode: ≥4x less heap per block for the compact block map than
 #   for two maps per block; zero allocations for a replication sweep over
 #   a healthy namespace, full or queued, and no block visited by a queued
@@ -114,7 +118,7 @@ chaos:
 # - dfs: two control RPCs over TCP loopback, both ends counted: ≤14 for
 #   a getLocations-shaped call, ≤7 for a two-command MigrateBatch.
 bench-alloc:
-	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling|TestWriteFileAllocBytesCeiling|TestReplicaArenaReusesSlots' -count=1 -v
+	$(GO) test ./internal/dfs/client -run 'TestCachedReadAllocCeiling|TestLargeBlockReadAllocDrop|TestReadFileAllocBytesCeiling|TestWriteFileAllocBytesCeiling|TestReplicaArenaReusesSlots|TestCacheArenaReusesSlots' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestRepairScanHealthyAllocs|TestRangedLocationsAllocs' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 	$(GO) test ./internal/ignem -run 'TestTombstonePruneBounded' -count=1 -v

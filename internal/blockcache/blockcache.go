@@ -12,6 +12,15 @@
 // before the mutation can never install a stale payload; InvalidateAddr
 // drops everything served by a failed datanode.
 //
+// Payloads live in slots of the cache's own bufpool.Arena, outside the
+// Go heap, under the same rule as a datanode's stored replicas: the
+// collector neither scans them nor counts them toward its heap goal, so
+// a cached byte costs its memory once rather than twice at GOGC=100.
+// Each entry holds one reference to its slot, and each hit hands the
+// caller another, taken under the shard lock; eviction, replacement and
+// invalidation give back only the entry's, so a hit's bytes stay valid
+// until its holder releases them.
+//
 // All waiting goes through a clock-aware condition variable, so the
 // cache is usable under both the real and the virtual clock (though
 // experiment clients leave it off: a hit skips the read observer and
@@ -20,9 +29,10 @@ package blockcache
 
 import (
 	"bytes"
-	"slices"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/bufpool"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
@@ -39,21 +49,27 @@ type Stats struct {
 	Rejects   int64 // fetched payloads not installed (stale generation or oversized)
 	Bytes     int64 // payload bytes currently resident
 	Entries   int64 // entries currently resident
+	Slots     int64 // arena slots held, by entries and by hits not yet released
+	Chunks    int64 // arena chunks mapped
 }
 
 // FetchFunc materializes a block: it returns the payload bytes and the
 // datanode address that served them. A nil payload with a nil error
 // marks the block uncacheable (synthetic, size-only blocks); the result
-// is passed through without being installed.
+// is passed through without being installed, as is an empty payload.
+// The cache copies an installed payload into a slot of its own before
+// it returns, so the fetcher keeps ownership of data.
 type FetchFunc func() (data []byte, addr string, err error)
 
 type entry struct {
 	id   uint64
 	file string
 	addr string
-	data []byte
+	slot *bufpool.Slot // the entry's reference
 	elem *listElem
 }
+
+func (e *entry) size() int64 { return int64(len(e.slot.Bytes())) }
 
 // listElem is an intrusive doubly-linked LRU node (MRU at head).
 type listElem struct {
@@ -75,6 +91,8 @@ type shard struct {
 type Cache struct {
 	shardbudget int64
 	shards      [nShards]shard
+	arena       *bufpool.Arena
+	closed      atomic.Bool
 
 	// gens guards per-file generations. A file's generation is bumped by
 	// InvalidateFile; a fetch records the generation it started under and
@@ -96,6 +114,7 @@ func New(clock simclock.Clock, maxBytes int64) *Cache {
 	}
 	c := &Cache{
 		shardbudget: maxBytes / nShards,
+		arena:       bufpool.NewArena(),
 		gens:        make(map[string]uint64),
 	}
 	if c.shardbudget < 1 {
@@ -121,21 +140,27 @@ func (c *Cache) fileGen(file string) uint64 {
 	return c.gens[file]
 }
 
-// GetOrFetch returns the payload of block id, serving from the cache
-// when resident and otherwise fetching via fetch. Concurrent calls for
-// the same block coalesce: one caller fetches, the rest wait on the
-// clock and are served the installed result. hit reports whether the
-// payload came from the cache. The returned slice is shared — callers
-// must treat it as read-only.
-func (c *Cache) GetOrFetch(file string, id uint64, fetch FetchFunc) (data []byte, hit bool, err error) {
+// Get returns the payload of block id, serving from the cache when
+// resident and otherwise fetching via fetch. Concurrent calls for the
+// same block coalesce: one caller fetches, the rest wait on the clock
+// and are served the installed result.
+//
+// A hit returns the payload's slot with a reference taken for the
+// caller, who reads data (the slot's bytes) until it calls
+// hit.Release, once; eviction or invalidation in the meantime never
+// recycles the bytes under it. A miss returns a nil slot and data as
+// fetch returned it, still owned by the fetcher.
+func (c *Cache) Get(file string, id uint64, fetch FetchFunc) (data []byte, hit *bufpool.Slot, err error) {
 	sh := c.shard(id)
 	sh.mu.Lock()
 	for {
 		if e, ok := sh.entries[id]; ok {
 			sh.moveFrontLocked(e.elem)
+			s := e.slot
+			s.Retain()
 			sh.mu.Unlock()
 			c.hits.Inc()
-			return e.data, true, nil
+			return s.Bytes(), s, nil
 		}
 		if !sh.inflight[id] {
 			break
@@ -150,44 +175,72 @@ func (c *Cache) GetOrFetch(file string, id uint64, fetch FetchFunc) (data []byte
 	c.misses.Inc()
 	gen := c.fileGen(file)
 	data, addr, err := fetch()
+	var slot *bufpool.Slot
+	switch {
+	case err != nil || len(data) == 0:
+	case int64(len(data)) > c.shardbudget:
+		c.rejects.Inc()
+	default:
+		// The copy is made before the shard lock is taken; waiters for
+		// this block stay parked on inflight until the install below.
+		// The slot is nil once the cache is closed.
+		if slot = c.arena.Alloc(len(data)); slot != nil {
+			copy(slot.Bytes(), data)
+		}
+	}
 
 	sh.mu.Lock()
 	delete(sh.inflight, id)
-	if err == nil && data != nil {
-		c.installLocked(sh, &entry{id: id, file: file, addr: addr, data: data}, gen)
+	if slot != nil {
+		c.installLocked(sh, &entry{id: id, file: file, addr: addr, slot: slot}, gen)
 	}
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	return data, false, nil
+	return data, nil, nil
 }
 
-// installLocked adds e to the shard unless the file mutated underneath
-// the fetch or the payload exceeds the shard budget, then evicts from
-// the LRU tail until the shard fits its budget.
+// GetOrFetch is Get for callers that want the payload on the heap: a
+// hit is copied out of its slot, which is released before the return,
+// so the returned slice is the caller's own. hit reports whether the
+// payload came from the cache; a miss returns fetch's data unchanged.
+func (c *Cache) GetOrFetch(file string, id uint64, fetch FetchFunc) (data []byte, hit bool, err error) {
+	data, slot, err := c.Get(file, id, fetch)
+	if slot == nil {
+		return data, false, err
+	}
+	data = bytes.Clone(data)
+	slot.Release()
+	return data, true, nil
+}
+
+// installLocked adds e, whose slot holds a private copy of the fetched
+// payload, to the shard unless the file mutated underneath the fetch,
+// then evicts from the LRU tail until the shard fits its budget. The
+// copy is what lets the fetcher recycle its buffer (a pooled transport
+// buffer, or a read's destination) the moment its caller is done, and
+// keeps the payload off the Go heap. A rejected copy goes straight back
+// to the arena.
 func (c *Cache) installLocked(sh *shard, e *entry, gen uint64) {
-	if c.fileGen(e.file) != gen || int64(len(e.data)) > c.shardbudget {
-		c.rejects.Inc()
+	if c.closed.Load() {
+		e.slot.Release()
 		return
 	}
-	// The cache owns a private copy of the payload: fetched slices may
-	// be pooled transport buffers, recycled by the fetcher once its
-	// caller copies out. Hits hand out this copy; it is never returned
-	// to any pool. bytes.Clone writes each byte once (the runtime does
-	// not zero memory that append copies over), and the clip keeps a
-	// hit's capacity at its length, so no holder can append into memory
-	// other holders share.
-	e.data = slices.Clip(bytes.Clone(e.data))
+	if c.fileGen(e.file) != gen {
+		c.rejects.Inc()
+		e.slot.Release()
+		return
+	}
 	if old, ok := sh.entries[e.id]; ok {
 		c.removeLocked(sh, old)
 	}
 	e.elem = &listElem{e: e}
 	sh.entries[e.id] = e
 	sh.pushFrontLocked(e.elem)
-	sh.bytes += int64(len(e.data))
-	c.bytes.Add(int64(len(e.data)))
+	sh.bytes += e.size()
+	c.bytes.Add(e.size())
 	c.entries.Add(1)
 	for sh.bytes > c.shardbudget && sh.tail != nil {
 		victim := sh.tail.e
@@ -231,8 +284,20 @@ func (c *Cache) sweep(drop func(*entry) bool) {
 	}
 }
 
+// Close drops every entry and closes the arena: nothing is installed
+// afterwards, and the arena's memory is unmapped once the last hit
+// still held is released. An install racing Close checks the flag under
+// its shard's lock, which the sweep takes after setting it, so no entry
+// survives.
+func (c *Cache) Close() {
+	c.closed.Store(true)
+	c.sweep(func(*entry) bool { return true })
+	c.arena.Close()
+}
+
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
+	slots, chunks := c.arena.Usage()
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
@@ -240,6 +305,8 @@ func (c *Cache) Stats() Stats {
 		Rejects:   c.rejects.Load(),
 		Bytes:     c.bytes.Load(),
 		Entries:   c.entries.Load(),
+		Slots:     int64(slots),
+		Chunks:    int64(chunks),
 	}
 }
 
@@ -279,10 +346,13 @@ func (sh *shard) moveFrontLocked(el *listElem) {
 	sh.pushFrontLocked(el)
 }
 
+// removeLocked unlinks e and gives back the entry's slot reference;
+// hits still holding theirs keep the bytes until they release.
 func (c *Cache) removeLocked(sh *shard, e *entry) {
 	sh.unlinkLocked(e.elem)
 	delete(sh.entries, e.id)
-	sh.bytes -= int64(len(e.data))
-	c.bytes.Add(-int64(len(e.data)))
+	sh.bytes -= e.size()
+	c.bytes.Add(-e.size())
 	c.entries.Add(-1)
+	e.slot.Release()
 }

@@ -20,9 +20,10 @@ const chunkBytes = 1 << maxClassBits
 const poisonByte = 0xDB
 
 // Arena is memory outside the Go heap for data that lives long and
-// turns over: a datanode's stored replicas. It maps anonymous memory in
-// chunks, on the first Alloc of a class, and cuts each chunk into slots
-// of one power-of-two class (the pool's classes, 512 B upwards). A freed
+// turns over: a datanode's stored replicas, a client's cached blocks.
+// It maps anonymous memory in chunks, on the first Alloc of a class,
+// and cuts each chunk into slots of one power-of-two class (the pool's
+// classes, 512 B upwards). A freed
 // slot goes on its class's LIFO free list, so the next Alloc of that
 // class reuses the memory that was touched last; chunks are unmapped
 // only once the arena is closed and its last slot released.

@@ -41,14 +41,15 @@ func (c *Client) CacheStats() blockcache.Stats {
 // path may be "" when the caller does not know the owning file (bare
 // ReadBlock); such entries still serve hits and honour the byte budget
 // but cannot be invalidated per-file. dst is the fetch's destination
-// (see readBlockFrom); a hit is served from the cache's own copy.
+// (see readBlockFrom); a hit is served from the cache's own slot, and
+// the response holds a reference to it (HoldSlot) until its Release.
 func (c *Client) readBlockVia(path string, lb dfs.LocatedBlock, job dfs.JobID, first string, dst []byte) (dfs.ReadBlockResp, error) {
 	if c.cache == nil {
 		resp, _, err := c.readBlockFrom1st(lb, job, first, dst)
 		return resp, err
 	}
 	var fetched dfs.ReadBlockResp
-	data, hit, err := c.cache.GetOrFetch(path, uint64(lb.Block.ID), func() ([]byte, string, error) {
+	data, hit, err := c.cache.Get(path, uint64(lb.Block.ID), func() ([]byte, string, error) {
 		resp, addr, err := c.readBlockFrom1st(lb, job, first, dst)
 		if err != nil {
 			return nil, "", err
@@ -61,19 +62,21 @@ func (c *Client) readBlockVia(path string, lb dfs.LocatedBlock, job dfs.JobID, f
 	if err != nil {
 		return dfs.ReadBlockResp{}, err
 	}
-	if hit {
-		// The datanode never saw this read, so Ignem's reference lists
-		// would stall without help: queue a read notification for the
-		// namenode (job-tagged reads only — anonymous reads carry no
-		// reference-list state).
-		if job != "" {
-			c.noteCacheHit(job, lb.Block.ID)
-		}
-		// FromMemory is honest here: the bytes came from this client's
-		// memory without touching a datanode.
-		return dfs.ReadBlockResp{Data: data, Size: int64(len(data)), FromMemory: true}, nil
+	if hit == nil {
+		return fetched, nil
 	}
-	return fetched, nil
+	// The datanode never saw this read, so Ignem's reference lists
+	// would stall without help: queue a read notification for the
+	// namenode (job-tagged reads only — anonymous reads carry no
+	// reference-list state).
+	if job != "" {
+		c.noteCacheHit(job, lb.Block.ID)
+	}
+	// FromMemory is honest here: the bytes came from this client's
+	// memory without touching a datanode.
+	resp := dfs.ReadBlockResp{Data: data, Size: int64(len(data)), FromMemory: true}
+	resp.HoldSlot(hit)
+	return resp, nil
 }
 
 // notifyBatchSize is how many queued cache-hit notifications trigger a

@@ -111,6 +111,7 @@ func TestBlockCacheSharedAcrossReaders(t *testing.T) {
 				t.Fatalf("ReadBlock: %v", err)
 			}
 			got = append(got, resp.Data...)
+			resp.Release()
 		}
 		if !bytes.Equal(got, data) {
 			t.Error("block-read bytes differ from written bytes")

@@ -106,10 +106,15 @@ func New(clock simclock.Clock, net transport.Network, nnAddr string, opts ...Opt
 	return c, nil
 }
 
-// Close flushes pending read notifications and releases the namenode
-// and datanode connections.
+// Close flushes pending read notifications, releases the namenode and
+// datanode connections and closes the block cache, whose memory goes
+// back to the system once every response still holding a hit is
+// released.
 func (c *Client) Close() {
 	c.FlushReadNotifications()
+	if c.cache != nil {
+		c.cache.Close()
+	}
 	c.mu.Lock()
 	c.closed = true
 	nn := c.nn
@@ -227,7 +232,9 @@ func (c *Client) Evict(job dfs.JobID, paths []string) (int, error) {
 // honours the paper's locality preferences: the Ignem-assigned copy when
 // pinned, then a migrated copy, then a local copy, then a random
 // replica. A failed replica is forgotten and the read transparently
-// fails over to the remaining holders.
+// fails over to the remaining holders. The caller owns the response and
+// calls its Release once when done with Data: a block-cache hit holds a
+// reference to the cache's slot, which stays pinned until then.
 func (c *Client) ReadBlock(lb dfs.LocatedBlock, job dfs.JobID) (dfs.ReadBlockResp, error) {
 	return c.readBlockVia("", lb, job, c.chooseReplica(lb), nil)
 }

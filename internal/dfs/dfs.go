@@ -459,10 +459,12 @@ type ReadBlockResp struct {
 	FromMemory bool
 	Local      bool
 
-	// slot is the replica slot Data lies in when the response holds a
+	// slot is the arena slot Data lies in when the response holds a
 	// reference to one: a datanode serves its stored slot (HoldSlot),
 	// and the transport server releases the reference once the reply is
-	// sent; a pull receives into a slot of its own (the frame decoder).
+	// sent; a pull receives into a slot of its own (the frame decoder);
+	// a client's block-cache hit holds the cache's slot (HoldSlot) until
+	// the reader's Release.
 	slot *bufpool.Slot
 
 	// pooled marks Data as a bufpool buffer owned by the holder; set

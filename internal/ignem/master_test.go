@@ -542,6 +542,50 @@ func TestDiscardedCommandReleasesItsCharge(t *testing.T) {
 	}
 }
 
+// TestSharedChargeSurvivesOneJobsDrop: two jobs that plan one block on
+// one slave share a single ledger charge. When the slave discards one
+// job's command (the job already read the block), the other job's
+// command for the same block and tier is still pending and will pin it,
+// so the discard must not release the shared charge: the ledger keeps
+// charging every byte the slave ends up pinning.
+func TestSharedChargeSurvivesOneJobsDrop(t *testing.T) {
+	v := simclock.NewVirtual(epoch)
+	media := &fakeMedia{clock: v, readTime: time.Second}
+	var m *Master
+	s := NewSlave(v, SlaveConfig{Capacity: 1 << 30}, media, nil, func(id dfs.BlockID, tier dfs.Tier, pinned bool) {
+		if !pinned {
+			m.NoteUnpinned("dn1", tier, []dfs.BlockID{id})
+		}
+	})
+	link := &directLink{slaves: map[string]*Slave{"dn1": s}}
+	res := &fakeResolver{files: map[string][]dfs.LocatedBlock{
+		"/in": {located(1, 8<<20, "dn1"), located(2, 8<<20, "dn1")},
+	}}
+	m = NewMaster(res, link, 3)
+	v.Go(func() {
+		// b is submitted later, so the slave serves a's commands first:
+		// a's command for block 1 is discarded while b's is still queued.
+		for i, job := range []dfs.JobID{"a", "b"} {
+			submit := v.Now().Add(time.Duration(i) * time.Second)
+			if _, err := m.Migrate(dfs.MigrateReq{Job: job, Paths: []string{"/in"}, SubmitTime: submit}); err != nil {
+				t.Errorf("migrate %s: %v", job, err)
+			}
+		}
+		m.NotifyRead("a", []dfs.BlockID{1})
+	})
+	v.Wait()
+	st := s.Stats()
+	if st.DiscardedMissed != 1 {
+		t.Fatalf("discarded %d commands, want a's command for block 1", st.DiscardedMissed)
+	}
+	if used := m.Stats().Tiers.RAMUsedBytes; used != s.PinnedBytes() {
+		t.Errorf("ledger charges %d RAM bytes while the slave pins %d", used, s.PinnedBytes())
+	}
+	if s.PinnedBytes() != 16<<20 {
+		t.Errorf("slave pins %d bytes, want both blocks for job b", s.PinnedBytes())
+	}
+}
+
 // A master restart while a slave holds an in-flight migration from the
 // old epoch must not corrupt state: the stale read's result is dropped
 // when it lands (its epoch lost), the re-issued migration under the new

@@ -132,9 +132,14 @@ type Slave struct {
 	mu   sync.Mutex
 	cond *simclock.Cond
 
-	epoch       uint64
-	queue       migQueue
-	deferred    []*migEntry
+	epoch    uint64
+	queue    migQueue
+	deferred []*migEntry
+	// pending counts the queued and deferred commands per (block,
+	// tier). Jobs that plan one block on this slave at one tier share
+	// the master's budget charge, so a discarded command reports its
+	// unpin only when no other command for the pair is still pending.
+	pending     map[tierPin]int
 	pinned      map[dfs.BlockID]*pinnedBlock
 	jobBlocks   map[dfs.JobID]map[dfs.BlockID]struct{}
 	alreadyRead map[readKey]struct{}
@@ -177,6 +182,7 @@ func NewSlave(clock simclock.Clock, cfg SlaveConfig, media MediaReader, liveness
 		jobBlocks:   make(map[dfs.JobID]map[dfs.BlockID]struct{}),
 		alreadyRead: make(map[readKey]struct{}),
 		evicted:     make(map[dfs.JobID]*list.Element),
+		pending:     make(map[tierPin]int),
 	}
 	if s.onPin == nil {
 		s.onPin = func(dfs.BlockID, dfs.Tier, bool) {}
@@ -208,6 +214,7 @@ func (s *Slave) ApplyMigrateBatch(b dfs.MigrateBatch) {
 			continue
 		}
 		s.queue.push(&migEntry{cmd: cmd, seq: s.queue.nextSeq()})
+		s.pending[pendingKey(cmd)]++
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -366,6 +373,7 @@ func (s *Slave) Restart() {
 	unpinned = s.purgeAllLocked()
 	s.queue.clear()
 	s.deferred = nil
+	clear(s.pending)
 	s.alreadyRead = make(map[readKey]struct{})
 	s.clearTombstonesLocked()
 	s.mu.Unlock()
@@ -378,6 +386,7 @@ func (s *Slave) Close() {
 	s.closed = true
 	s.queue.clear()
 	s.deferred = nil
+	clear(s.pending)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -436,6 +445,7 @@ func (s *Slave) adoptEpochLocked(epoch uint64) []tierPin {
 	s.epoch = epoch
 	s.queue.clear()
 	s.deferred = nil
+	clear(s.pending)
 	s.alreadyRead = make(map[readKey]struct{})
 	s.clearTombstonesLocked()
 	return unpinned
@@ -513,13 +523,39 @@ func (s *Slave) notifyUnpinned(pins []tierPin) {
 	}
 }
 
+// pendingKey is the pending-count key of cmd.
+func pendingKey(cmd dfs.MigrateCmd) tierPin { return tierPin{id: cmd.Block.ID, tier: cmd.Tier} }
+
+// popLocked takes the next command off the queue; it is no longer
+// pending.
+func (s *Slave) popLocked() *migEntry {
+	e := s.queue.pop()
+	k := pendingKey(e.cmd)
+	if s.pending[k]--; s.pending[k] <= 0 {
+		delete(s.pending, k)
+	}
+	return e
+}
+
+// deferLocked parks a command that does not fit the RAM rung until an
+// eviction frees space (the do-not-harm rule); it is pending again.
+func (s *Slave) deferLocked(e *migEntry) {
+	s.deferred = append(s.deferred, e)
+	s.pending[pendingKey(e.cmd)]++
+	s.maybeSweepLocked()
+}
+
 // dropLocked reports a command the worker discards as an unpin at its
 // tier, so the master releases the budget charge it took when it
-// planned the command; a block resident at that tier (for another job)
-// keeps the charge until it unpins. Called with s.mu held, which it
-// drops around the listener.
+// planned the command. The charge stays while the block is resident at
+// that tier (for another job), until it unpins, and while another
+// job's command for the block and tier is pending, which shares it.
+// Called with s.mu held, which it drops around the listener.
 func (s *Slave) dropLocked(cmd dfs.MigrateCmd) {
 	if pb := s.pinned[cmd.Block.ID]; pb != nil && pb.tier == cmd.Tier {
+		return
+	}
+	if s.pending[pendingKey(cmd)] > 0 {
 		return
 	}
 	s.mu.Unlock()
@@ -539,7 +575,7 @@ func (s *Slave) worker() {
 		if s.closed {
 			return
 		}
-		e := s.queue.pop()
+		e := s.popLocked()
 		key := readKey{job: e.cmd.Job, block: e.cmd.Block.ID}
 		if _, gone := s.evicted[e.cmd.Job]; gone {
 			s.stats.DiscardedMissed++
@@ -580,8 +616,7 @@ func (s *Slave) worker() {
 			if s.tierBytes[dfs.TierRAM]+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
 				// Do-not-harm: never evict an unread pinned block to admit a
 				// new one. Defer until eviction frees space.
-				s.deferred = append(s.deferred, e)
-				s.maybeSweepLocked()
+				s.deferLocked(e)
 				continue
 			}
 			s.reserved += e.cmd.Block.Size // reserve before the slow read
@@ -638,8 +673,7 @@ func (s *Slave) climbLocked(e *migEntry, pb *pinnedBlock) (closed bool) {
 		return false
 	}
 	if s.tierBytes[dfs.TierRAM]+s.reserved+e.cmd.Block.Size > s.cfg.Capacity {
-		s.deferred = append(s.deferred, e)
-		s.maybeSweepLocked()
+		s.deferLocked(e)
 		return false
 	}
 	s.reserved += e.cmd.Block.Size

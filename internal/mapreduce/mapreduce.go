@@ -374,9 +374,11 @@ func (e *Engine) runMapTask(node string, cfg Config, path string, lb dfs.Located
 			}
 		}
 	}
-	if _, err := c.ReadBlock(lb, cfg.ID); err != nil {
+	resp, err := c.ReadBlock(lb, cfg.ID)
+	if err != nil {
 		return fmt.Errorf("%s block %d: %w", path, lb.Block.ID, err)
 	}
+	resp.Release()
 	if cfg.MapRateMBps > 0 {
 		e.clock.Sleep(rateTime(lb.Block.Size, cfg.MapRateMBps))
 	}

@@ -72,15 +72,19 @@ func TestSlotsLandAndGoBack(t *testing.T) {
 				t.Errorf("%d pulled slots held after the reply's release", slots)
 			}
 			// The server releases the reply's reference after its Send,
-			// which may come just after the client has the reply.
+			// which may come just after the client has the reply. Usage
+			// counts slots, not references, so the stored slot reads as
+			// held before and after that release; only once the handler's
+			// own reference is gone too does it read 0, and then only
+			// after the server's release.
+			kept.Release()
 			deadline := time.Now().Add(5 * time.Second)
-			for slots, _ := stored.Usage(); slots != 1; slots, _ = stored.Usage() {
+			for slots, _ := stored.Usage(); slots != 0; slots, _ = stored.Usage() {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d stored slots held after the reply was sent, want 1", slots)
+					t.Fatalf("%d stored slots held after the reply was sent and the handler's reference released, want 0", slots)
 				}
 				time.Sleep(time.Millisecond)
 			}
-			kept.Release()
 			stored.Close()
 			pulled.Close()
 			for _, a := range []*bufpool.Arena{stored, pulled} {
