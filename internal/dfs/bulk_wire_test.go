@@ -18,24 +18,8 @@ import (
 // one byte, either side of the smallest pool class, the largest head,
 // a whole block, and one byte more. Both travel as bulk units.
 func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
-	clock := simclock.NewReal()
 	sizes := []int{0, 1, 511, 512, 64 << 10, 4 << 20, 4<<20 + 1}
-
-	tnet := transport.NewTCPNetwork()
-	l, err := tnet.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer l.Close()
-	srv := transport.NewServer(clock)
-	srv.Handle("echo", func(arg any) (any, error) { return arg, nil })
-	srv.ServeBackground(l)
-	defer srv.Close()
-	c, err := transport.Dial(clock, tnet, l.Addr(), transport.WithCallTimeout(30*time.Second))
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
+	c := echoClient(t)
 
 	// Both ends frame registered bodies (fast_to_fast), the one wire
 	// configuration a TCP conn has.
@@ -61,6 +45,7 @@ func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
 					t.Errorf("head changed: %+v -> %+v", sent.Block, got.Block)
 				}
 				checkBulk(t, got.Data, data)
+				checkLanded(t, got.sum, got.DataSum(), data)
 				got.Release()
 				if got.Data != nil {
 					t.Error("Release did not give the buffer up")
@@ -76,6 +61,7 @@ func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
 					t.Errorf("head changed: %+v -> %+v", sent.Size, got.Size)
 				}
 				checkBulk(t, got.Data, data)
+				checkLanded(t, got.sum, got.DataSum(), data)
 				if got.Pooled() != wantPooled {
 					t.Errorf("Pooled() = %v, want %v", got.Pooled(), wantPooled)
 				}
@@ -83,6 +69,37 @@ func TestBulkMessagesRoundTripOverTCP(t *testing.T) {
 			})
 		}
 	})
+}
+
+// echoClient returns a client of a TCP loopback server whose "echo"
+// method replies with its argument.
+func echoClient(t *testing.T) *transport.Client {
+	t.Helper()
+	clock := simclock.NewReal()
+	tnet := transport.NewTCPNetwork()
+	l, err := tnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	srv := transport.NewServer(clock)
+	srv.Handle("echo", func(arg any) (any, error) { return arg, nil })
+	srv.ServeBackground(l)
+	c, err := transport.Dial(clock, tnet, l.Addr(), transport.WithCallTimeout(30*time.Second))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close(); srv.Close(); l.Close() })
+	return c
+}
+
+// checkLanded fails unless a decoded body's payload was summed as it
+// landed, and DataSum reports that sum: Checksum(want) for a payload,
+// and 0 for none.
+func checkLanded(t *testing.T, landed landedSum, dataSum uint32, want []byte) {
+	t.Helper()
+	if landed.sum != Checksum(want) || dataSum != Checksum(want) {
+		t.Errorf("%d-byte payload: landed sum %08x, DataSum %08x, want %08x", len(want), landed.sum, dataSum, Checksum(want))
+	}
 }
 
 func checkBulk(t *testing.T, got, want []byte) {

@@ -322,8 +322,10 @@ func (c *Client) readBlockFrom(addr string, lb dfs.LocatedBlock, job dfs.JobID, 
 	// End-to-end verification: the returned bytes must match the CRC the
 	// writer recorded at allocation time — rot at rest, a stored checksum
 	// (wrongly) recomputed after the damage, or corruption on the wire. A
-	// mismatch counts as a failed replica, so the caller fails over.
-	if verify && len(resp.Data) > 0 && dfs.Checksum(resp.Data) != lb.Checksum {
+	// mismatch counts as a failed replica, so the caller fails over. The
+	// transport summed the bytes as they landed, so this check makes no
+	// second pass over them.
+	if verify && len(resp.Data) > 0 && resp.DataSum() != lb.Checksum {
 		resp.Release()
 		c.checksumFailures.Add(1)
 		secondOpinion(dc, lb.Block.ID)

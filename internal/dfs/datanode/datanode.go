@@ -469,9 +469,10 @@ func (dn *DataNode) handleWriteBlock(req dfs.WriteBlockReq) (dfs.WriteBlockResp,
 	// client retries against fresh targets. When the writer sent no
 	// checksum, record a locally computed one so the read path and the
 	// scrubber can still detect later rot (zero for synthetic blocks).
+	// The sum is the one the transport took as the payload landed.
 	sum := req.Checksum
 	if len(req.Data) > 0 {
-		if got := dfs.Checksum(req.Data); sum == 0 {
+		if got := req.DataSum(); sum == 0 {
 			sum = got
 		} else if got != sum {
 			return dfs.WriteBlockResp{}, fmt.Errorf("datanode: write block %d: %w", req.Block.ID, dfs.ErrChecksum)
@@ -647,9 +648,10 @@ func (dn *DataNode) handlePullBlock(req dfs.PullBlockReq) (dfs.PullBlockResp, er
 	if len(resp.Data) > 0 {
 		size = int64(len(resp.Data))
 	}
-	// The checksum is recomputed from the received bytes: the peer
-	// verified them before serving, so a later mismatch is our own rot.
-	if err := dn.land(req.Block.ID, size, resp.Data, resp.Slot(), dfs.Checksum(resp.Data)); err != nil {
+	// The checksum is taken of the received bytes, as they landed: the
+	// peer verified them before serving, so a later mismatch is our own
+	// rot.
+	if err := dn.land(req.Block.ID, size, resp.Data, resp.Slot(), resp.DataSum()); err != nil {
 		return dfs.PullBlockResp{}, err
 	}
 	return dfs.PullBlockResp{}, nil

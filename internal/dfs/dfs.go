@@ -40,11 +40,41 @@ func Checksum(data []byte) uint32 {
 	if len(data) == 0 {
 		return 0
 	}
-	sum := crc32.Checksum(data, castagnoli)
-	if sum == 0 {
+	return nonZero(crc32.Checksum(data, castagnoli))
+}
+
+// nonZero applies Checksum's zero-to-one rule to a payload's CRC32C.
+func nonZero(crc uint32) uint32 {
+	if crc == 0 {
 		return 1
 	}
-	return sum
+	return crc
+}
+
+// landedSum is the checksum of a payload the transport summed as it
+// landed (transport.Bulk.Sum, under Checksum's zero-to-one rule), with
+// the slice it was taken over. It vouches for a body's Data only while
+// Data is that very slice; the zero value vouches for nothing.
+type landedSum struct {
+	over []byte
+	sum  uint32
+}
+
+// landed returns what bulk's landing sum says of bulk.Data.
+func landed(bulk transport.Bulk) landedSum {
+	if !bulk.Summed || len(bulk.Data) == 0 {
+		return landedSum{}
+	}
+	return landedSum{over: bulk.Data, sum: nonZero(bulk.Sum)}
+}
+
+// of returns Checksum(data): the landed sum when it was taken over data
+// itself, and a full pass over data otherwise.
+func (l landedSum) of(data []byte) uint32 {
+	if l.sum != 0 && len(data) == len(l.over) && &data[0] == &l.over[0] {
+		return l.sum
+	}
+	return Checksum(data)
 }
 
 // JobID identifies a job for migration reference lists, carried on the
@@ -418,11 +448,20 @@ type WriteBlockReq struct {
 	// reference to one: a datanode receives a write straight into the
 	// slot its store keeps. Set only by the frame decoder.
 	slot *bufpool.Slot
+	// sum is Data's checksum as the transport landed it; set only by
+	// DecodeHead (see DataSum).
+	sum landedSum
 }
 
 // Slot implements transport.SlotHolder: the slot Data lies in when the
 // request holds a reference to one, and nil otherwise.
 func (r WriteBlockReq) Slot() *bufpool.Slot { return r.slot }
+
+// DataSum returns Checksum(Data). A request the transport decoded around
+// a payload it summed as the bytes landed returns that sum; any other
+// request (one decoded from a whole frame, one built by hand, one whose
+// Data was since reassigned) pays a full pass over Data.
+func (r WriteBlockReq) DataSum() uint32 { return r.sum.of(r.Data) }
 
 // WireSize charges the network for the payload.
 func (r WriteBlockReq) WireSize() int64 {
@@ -470,7 +509,17 @@ type ReadBlockResp struct {
 	// pooled marks Data as a bufpool buffer owned by the holder; set
 	// only by the frame decoders (see frame.go).
 	pooled bool
+	// sum is Data's checksum as the transport landed it; set only by
+	// DecodeHead (see DataSum).
+	sum landedSum
 }
+
+// DataSum returns Checksum(Data). A response the transport decoded
+// around a payload it summed as the bytes landed returns that sum; any
+// other response (one decoded from a whole frame, one built by hand or
+// served from the block cache, one whose Data was since reassigned) pays
+// a full pass over Data.
+func (r ReadBlockResp) DataSum() uint32 { return r.sum.of(r.Data) }
 
 // HoldSlot records that Data lies in s and hands the response the
 // caller's reference to it.

@@ -335,7 +335,7 @@ func (r *WriteBlockReq) DecodeHead(head []byte, bulk transport.Bulk) error {
 	if err := fr.done(); err != nil {
 		return err
 	}
-	r.Data, r.slot = bulk.Data, bulk.Slot
+	r.Data, r.slot, r.sum = bulk.Data, bulk.Slot, landed(bulk)
 	return nil
 }
 
@@ -361,7 +361,7 @@ func (r *WriteBlockReq) Release() {
 	} else {
 		bufpool.Put(r.Data)
 	}
-	r.Data, r.slot = nil, nil
+	r.Data, r.slot, r.sum = nil, nil, landedSum{}
 }
 
 // ---- ReadBlockReq ----
@@ -445,6 +445,7 @@ func (r *ReadBlockResp) DecodeHead(head []byte, bulk transport.Bulk) error {
 		return err
 	}
 	r.Data, r.slot, r.pooled = bulk.Data, bulk.Slot, bulk.Pooled && bulk.Data != nil
+	r.sum = landed(bulk)
 	return nil
 }
 
@@ -479,7 +480,7 @@ func (r *ReadBlockResp) Release() {
 	default:
 		return
 	}
-	r.Data, r.slot, r.pooled = nil, nil, false
+	r.Data, r.slot, r.pooled, r.sum = nil, nil, false, landedSum{}
 }
 
 // ---- control-plane report frames ----

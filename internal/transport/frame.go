@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"maps"
 	"reflect"
@@ -46,8 +47,9 @@ type Framer interface {
 //
 // DecodeHead parses a head produced by AppendHead, with nothing left
 // over, and adopts bulk as the body's payload: on a nil return the body
-// holds what bulk says (see Bulk); on an error the transport still does
-// and gives it back. bulk.Data is nil for an empty payload. head is
+// holds what bulk says (see Bulk), and may keep bulk.Sum as its
+// payload's checksum; on an error the transport still holds it and
+// gives it back. bulk.Data is nil for an empty payload. head is
 // receive scratch, as in DecodeFrame.
 type BulkFramer interface {
 	Framer
@@ -67,6 +69,38 @@ type Bulk struct {
 	// Pooled marks Data as a bufpool buffer the body owns: its eventual
 	// sole holder puts it back, or forgets it for the collector.
 	Pooled bool
+	// Sum is the CRC32C (Castagnoli) of Data, folded in chunk by chunk
+	// as recvBulk landed the bytes, so a receiver that verifies the
+	// payload needs no second pass over it. Summed reports that Sum was
+	// taken: a Bulk that did not come through recvBulk, or an empty one,
+	// carries none.
+	Sum    uint32
+	Summed bool
+}
+
+// landChunk bounds each read that lands bulk bytes: the chunk is summed
+// right after the read that filled it, while it is still in cache.
+const landChunk = 256 << 10
+
+// castagnoli is the CRC32C table; crc32 runs it on the CPU's CRC
+// instructions where there are any.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// land fills b.Data from src in chunks of at most landChunk bytes,
+// folding each chunk into a running CRC32C right after the read that
+// filled it. Only a complete landing sets Sum and Summed.
+func (b *Bulk) land(src io.Reader) error {
+	var sum uint32
+	for rest := b.Data; len(rest) > 0; {
+		chunk := rest[:min(len(rest), landChunk)]
+		if _, err := io.ReadFull(src, chunk); err != nil {
+			return err
+		}
+		sum = crc32.Update(sum, castagnoli, chunk)
+		rest = rest[len(chunk):]
+	}
+	b.Sum, b.Summed = sum, true
+	return nil
 }
 
 // SlotHolder is a body that may hold a reference to the arena slot its
@@ -427,11 +461,11 @@ type Dsts interface {
 }
 
 // recvBulk is the one receive path of a bulk unit, on both transports:
-// it reads the unit's n bulk bytes from src into memory, then decodes
-// the head around it. The memory is what dsts (nil: none) claims for the
-// unit, held until the read ends, and a pooled buffer otherwise. On any
-// failure a pooled buffer goes back to the pool and a slot's reference
-// is released.
+// it lands the unit's n bulk bytes from src in memory, taking their
+// CRC32C as they land (Bulk.Sum), then decodes the head around them. The
+// memory is what dsts (nil: none) claims for the unit, held until the
+// read ends, and a pooled buffer otherwise. On any failure a pooled
+// buffer goes back to the pool and a slot's reference is released.
 func recvBulk(dsts Dsts, head []byte, n int, src io.Reader) (m Message, err error) {
 	var bulk Bulk
 	if n > 0 {
@@ -444,7 +478,7 @@ func recvBulk(dsts Dsts, head []byte, n int, src io.Reader) (m Message, err erro
 		if !claimed {
 			bulk = Bulk{Data: bufpool.Get(n), Pooled: true}
 		}
-		_, err = io.ReadFull(src, bulk.Data)
+		err = bulk.land(src)
 		if claimed && bulk.Slot == nil {
 			dsts.(*Client).releaseDst()
 		}

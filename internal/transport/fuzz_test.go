@@ -55,12 +55,15 @@ func appendUvarintLen(buf []byte, n int) []byte {
 
 // fuzzBulk is the test-only bulk body: the tag is its head, Data its
 // bulk. Like the dfs block messages it adopts the pooled buffer or the
-// slot a bulk unit hands it and copies out of a whole frame.
+// slot a bulk unit hands it, with the sum the transport took as the
+// bytes landed, and copies out of a whole frame.
 type fuzzBulk struct {
 	Tag    string
 	Data   []byte
 	pooled bool
 	slot   *bufpool.Slot
+	sum    uint32
+	summed bool
 }
 
 func (b *fuzzBulk) AppendHead(buf []byte) []byte {
@@ -86,6 +89,7 @@ func (b *fuzzBulk) DecodeHead(head []byte, bulk Bulk) error {
 		return errFrame
 	}
 	b.Tag, b.Data, b.slot, b.pooled = string(tag), bulk.Data, bulk.Slot, bulk.Pooled && bulk.Data != nil
+	b.sum, b.summed = bulk.Sum, bulk.Summed
 	return nil
 }
 
@@ -217,7 +221,8 @@ func mustLookupFramer(tb testing.TB, body any) *framerInfo {
 // FuzzTCPRecvStream feeds arbitrary bytes into a tcpConn's receive side:
 // unit headers with unknown kinds, corrupted or oversized length
 // prefixes, and truncated payloads must all surface as errors, never
-// panics or giant allocations.
+// panics or giant allocations. Every bulk body it decodes must carry the
+// CRC32C of its bytes, taken as they landed.
 func FuzzTCPRecvStream(f *testing.F) {
 	registerFuzzBlob()
 	// A well-formed fast unit, so mutations explore the near-valid space.
@@ -261,8 +266,17 @@ func FuzzTCPRecvStream(f *testing.F) {
 		conn := newTCPConn(server)
 		server.SetReadDeadline(time.Now().Add(2 * time.Second))
 		for i := 0; i < 64; i++ { // bound: each Recv consumes ≥1 byte or errors
-			if _, err := conn.Recv(); err != nil {
+			m, err := conn.Recv()
+			if err != nil {
 				break
+			}
+			// A conn with no destinations lands every bulk body with bytes
+			// in a pooled buffer; a fast unit's fuzzBulk is decoded from
+			// its whole frame, not landed, and is neither pooled nor summed.
+			if b, ok := m.Body.(fuzzBulk); ok && (b.pooled || b.summed) {
+				if err := landedSumErr(b); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		conn.Close()

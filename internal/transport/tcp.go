@@ -226,8 +226,8 @@ func (t *tcpConn) Recv() (Message, error) {
 		if err != nil {
 			return Message{}, err
 		}
-		// A read this large bypasses br's buffer: the socket fills the
-		// chosen buffer directly.
+		// Reads of a block-sized body bypass br's buffer: the socket
+		// fills the chosen buffer directly, a chunk at a time.
 		return recvBulk(t.dsts, head, int(bn), t.br)
 	default:
 		return Message{}, fmt.Errorf("transport: unknown unit kind 0x%02x", kind)
