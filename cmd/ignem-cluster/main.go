@@ -77,7 +77,7 @@ func main() {
 	// until then the read is routed to a disk copy.
 	waitFor("the namenode to list the pins", 10*time.Second, func() bool {
 		lbs, err := cl.Locations("/demo/input")
-		return err == nil && !slices.ContainsFunc(lbs, func(lb dfs.LocatedBlock) bool { return len(lb.Migrated) == 0 })
+		return err == nil && !slices.ContainsFunc(lbs, func(lb dfs.LocatedBlock) bool { return !slices.Contains(lb.Tiers, dfs.TierRAM) })
 	})
 
 	start = time.Now()

@@ -109,8 +109,12 @@ func main() {
 			log.Fatalf("locations: %v", err)
 		}
 		for _, lb := range lbs {
-			fmt.Printf("block %-4d size=%-10d nodes=%v migrated=%v assigned=%q\n",
-				lb.Block.ID, lb.Block.Size, lb.Nodes, lb.Migrated, lb.Assigned)
+			nodes := make([]string, len(lb.Nodes))
+			for i, n := range lb.Nodes {
+				nodes[i] = n + ":" + lb.TierAt(i).String()
+			}
+			fmt.Printf("block %-4d size=%-10d nodes=%v assigned=%q\n",
+				lb.Block.ID, lb.Block.Size, nodes, lb.Assigned)
 		}
 	case "migrate":
 		need(rest, 2)

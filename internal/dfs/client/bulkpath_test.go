@@ -572,11 +572,13 @@ func readData(c *client.Client, lb dfs.LocatedBlock) ([]byte, error) {
 // the Ignem-assigned, already pinned copy, which chooseReplica always
 // prefers; the others are tried in order on failover.
 func firstThen(id dfs.BlockID, data []byte, sum uint32, first string, others ...string) dfs.LocatedBlock {
+	tiers := make([]dfs.Tier, 1+len(others))
+	tiers[0] = dfs.TierRAM
 	return dfs.LocatedBlock{
 		Block:    dfs.Block{ID: id, Size: int64(len(data))},
 		Nodes:    append([]string{first}, others...),
+		Tiers:    tiers,
 		Assigned: first,
-		Migrated: []string{first},
 		Checksum: sum,
 	}
 }

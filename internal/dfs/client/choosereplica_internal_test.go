@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,7 +31,22 @@ func choiceClient(local string, seed int64) (*Client, *countingSource) {
 // which ram are pinned in memory and ssd hold a flash copy (both in
 // nodes order; a node may be in both).
 func located(nodes, ram, ssd []string, assigned string) dfs.LocatedBlock {
-	return dfs.LocatedBlock{Nodes: nodes, Migrated: ram, OnSSD: ssd, Assigned: assigned}
+	lb := dfs.LocatedBlock{Nodes: nodes, Assigned: assigned}
+	for i, n := range nodes {
+		t := dfs.TierHDD
+		if slices.Contains(ram, n) {
+			t = dfs.TierRAM
+		} else if slices.Contains(ssd, n) {
+			t = dfs.TierSSD
+		}
+		if t != dfs.TierHDD && lb.Tiers == nil {
+			lb.Tiers = make([]dfs.Tier, len(nodes))
+		}
+		if lb.Tiers != nil {
+			lb.Tiers[i] = t
+		}
+	}
+	return lb
 }
 
 func TestChooseReplicaTable(t *testing.T) {

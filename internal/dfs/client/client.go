@@ -6,6 +6,7 @@ package client
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,65 +357,49 @@ func secondOpinion(dc *transport.Client, id dfs.BlockID) {
 }
 
 // chooseReplica applies migration-aware locality preferences: the
-// Ignem-assigned replica when its copy is already pinned (or when it is
-// this very node), then any pinned copy, then an SSD-resident copy,
-// then a local replica, then any. A not-yet-pinned assigned copy on
+// Ignem-assigned replica when it is this very node or already pinned in
+// RAM, then one walk down the tiers from RAM to HDD, where a local
+// replica at the tier wins and otherwise the rng draws among the
+// tier's replicas in Nodes order. A not-yet-pinned assigned copy on
 // another node is NOT preferred over a local disk replica: a local disk
-// read is cheaper than a remote one. The SSD slot draws from the rng
-// only when OnSSD is non-empty, so a cluster without an SSD tier makes
-// no draw for it.
+// read is cheaper than a remote one. A tier with no replica makes no
+// draw, so a cluster without an SSD tier never draws for it.
 func (c *Client) chooseReplica(lb dfs.LocatedBlock) string {
-	if lb.Assigned != "" {
-		if lb.Assigned == c.localAddr || contains(lb.Migrated, lb.Assigned) {
-			return lb.Assigned
-		}
+	if i := slices.Index(lb.Nodes, lb.Assigned); lb.Assigned != "" &&
+		(lb.Assigned == c.localAddr || i >= 0 && lb.TierAt(i) == dfs.TierRAM) {
+		return lb.Assigned
 	}
-	if c.localAddr != "" {
-		for _, a := range lb.Migrated {
-			if a == c.localAddr {
-				return a
+	for t := dfs.TierRAM; t >= dfs.TierHDD; t-- {
+		n := 0
+		for i, a := range lb.Nodes {
+			if lb.TierAt(i) == t {
+				if a == c.localAddr {
+					return a
+				}
+				n++
 			}
 		}
-	}
-	if len(lb.Migrated) > 0 {
-		return c.pick(lb.Migrated)
-	}
-	if c.localAddr != "" {
-		for _, a := range lb.OnSSD {
-			if a == c.localAddr {
-				return a
+		if n == 0 {
+			continue
+		}
+		k := c.pick(n)
+		for i, a := range lb.Nodes {
+			if lb.TierAt(i) == t {
+				if k == 0 {
+					return a
+				}
+				k--
 			}
 		}
-	}
-	if len(lb.OnSSD) > 0 {
-		return c.pick(lb.OnSSD)
-	}
-	if c.localAddr != "" {
-		for _, a := range lb.Nodes {
-			if a == c.localAddr {
-				return a
-			}
-		}
-	}
-	if len(lb.Nodes) > 0 {
-		return c.pick(lb.Nodes)
 	}
 	return ""
 }
 
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Client) pick(addrs []string) string {
+// pick draws a replica index in [0, n) from the replica-choice rng.
+func (c *Client) pick(n int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return addrs[c.rng.Intn(len(addrs))]
+	return c.rng.Intn(n)
 }
 
 // DefaultReadParallelism is how many blocks ReadFile keeps in flight.

@@ -3,6 +3,7 @@ package client_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,7 +174,7 @@ func TestMigrateThenReadFromMemory(t *testing.T) {
 				return false
 			}
 			for _, lb := range blocks {
-				if len(lb.Migrated) == 0 {
+				if !slices.Contains(lb.Tiers, dfs.TierRAM) {
 					return false
 				}
 			}

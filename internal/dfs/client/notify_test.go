@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,7 +46,7 @@ func TestCachedReadStillDrivesImplicitEviction(t *testing.T) {
 				return false
 			}
 			for _, lb := range lbs {
-				if len(lb.Migrated) == 0 {
+				if !slices.Contains(lb.Tiers, dfs.TierRAM) {
 					return false
 				}
 			}

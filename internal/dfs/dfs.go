@@ -119,19 +119,20 @@ type Block struct {
 }
 
 // LocatedBlock is a block with its replica locations.
+//
+// Each replica is ranked by its fastest tier, and only replica holders
+// have one: a fast copy is always one of Nodes. Tiers is parallel to
+// Nodes, or empty when every replica is at HDD (write-path allocations
+// and unpinned blocks). Readers prefer RAM, then SSD, then HDD.
 type LocatedBlock struct {
 	Block  Block
 	Offset int64 // byte offset of this block within the file
 	// Nodes are the datanode addresses that hold replicas.
 	Nodes []string
-	// Migrated are the addresses where the block is currently pinned in
-	// memory by Ignem (a subset of Nodes).
-	Migrated []string
-	// OnSSD are the addresses holding an SSD-tier copy of the block (a
-	// subset of Nodes, disjoint from Migrated in practice only when the
-	// ladder has not yet climbed). Readers prefer Migrated, then OnSSD,
-	// then the cold replicas.
-	OnSSD []string
+	// Tiers[i] is the fastest tier at which Nodes[i] holds the block
+	// (pinned in RAM by Ignem, resident on SSD, or HDD). Read it with
+	// TierAt.
+	Tiers []Tier
 	// Assigned is the replica the Ignem master chose to migrate for the
 	// requesting job (set only on job-scoped location queries). Tasks
 	// direct their reads there: that is where the in-memory copy is or
@@ -143,6 +144,15 @@ type LocatedBlock struct {
 	// verifiable end to end. Zero means no checksum (synthetic blocks,
 	// or writers that opted out).
 	Checksum uint32
+}
+
+// TierAt returns the fastest tier of the replica at Nodes[i]: TierHDD
+// when Tiers is empty.
+func (lb *LocatedBlock) TierAt(i int) Tier {
+	if len(lb.Tiers) == 0 {
+		return TierHDD
+	}
+	return lb.Tiers[i]
 }
 
 // FileInfo is file metadata.

@@ -16,7 +16,7 @@ func wireSamples() []any {
 	now := time.Date(2020, 1, 1, 0, 0, 0, 5, time.UTC)
 	lb := LocatedBlock{
 		Block: Block{ID: 7, Size: 99}, Offset: 4, Nodes: []string{"a", "b"},
-		Migrated: []string{"a"}, OnSSD: []string{"b"}, Assigned: "a", Checksum: 0xdeadbeef,
+		Tiers: []Tier{TierRAM, TierSSD}, Assigned: "a", Checksum: 0xdeadbeef,
 	}
 	info := FileInfo{Path: "/f", Size: 9, BlockSize: 3, Replication: 2, Complete: true}
 	data := []byte("xy")
@@ -25,7 +25,7 @@ func wireSamples() []any {
 		CreateResp{},
 		AddBlocksReq{Path: "/f", Sizes: []int64{123, 456}, ReqID: 5, Checksums: []uint32{1, 0xffffffff}},
 		AddBlocksResp{Located: []LocatedBlock{lb, {Block: Block{ID: 8, Size: 1}, Offset: 103,
-			Nodes: []string{"c"}, Migrated: []string{"c"}, OnSSD: []string{"c"}, Assigned: "c", Checksum: 1}}},
+			Nodes: []string{"c"}, Tiers: []Tier{TierSSD}, Assigned: "c", Checksum: 1}}},
 		RetargetBlockReq{Path: "/f", Block: 7, Exclude: []string{"c", "d"}},
 		RetargetBlockResp{Located: lb},
 		CompleteReq{Path: "/f"},

@@ -80,9 +80,13 @@ func (w frameWriter) block(b Block) frameWriter {
 	return w.uvarint(uint64(b.ID)).uvarint(uint64(b.Size))
 }
 
+// located writes Tiers as a count, then one byte per tier.
 func (w frameWriter) located(lb LocatedBlock) frameWriter {
-	return w.block(lb.Block).varint(lb.Offset).strs(lb.Nodes).strs(lb.Migrated).
-		strs(lb.OnSSD).str(lb.Assigned).uvarint(uint64(lb.Checksum))
+	w = w.block(lb.Block).varint(lb.Offset).strs(lb.Nodes).uvarint(uint64(len(lb.Tiers)))
+	for _, t := range lb.Tiers {
+		w = append(w, byte(t))
+	}
+	return w.str(lb.Assigned).uvarint(uint64(lb.Checksum))
 }
 
 func (w frameWriter) locatedList(lbs []LocatedBlock) frameWriter {
@@ -101,7 +105,7 @@ func (w frameWriter) info(fi FileInfo) frameWriter {
 // the bytes left cannot hold before it allocates the list, so a hostile
 // count in a large unit cannot ask for gigabytes.
 const (
-	minLocatedSize = 8 // block (2), offset, three lists, Assigned, Checksum
+	minLocatedSize = 7 // block (2), offset, two lists, Assigned, Checksum
 	minInfoSize    = 5 // Path, Size, BlockSize, Replication, Complete
 	minMigrateCmd  = 8 // block (2), Job, JobInputSize, time, Implicit, Checksum, Tier
 	minBlockJob    = 2 // Block, Job: an EvictCmd or ReadNotifyCmd
@@ -272,9 +276,17 @@ func (r *frameReader) block() Block {
 	return Block{ID: BlockID(r.uvarint()), Size: int64(r.uvarint())}
 }
 
+// located refuses a tier list whose length is neither 0 nor len(Nodes),
+// and a tier above TierRAM.
 func (r *frameReader) located() LocatedBlock {
-	return LocatedBlock{Block: r.block(), Offset: r.varint(), Nodes: r.addrs(), Migrated: r.addrs(),
-		OnSSD: r.addrs(), Assigned: r.intern(), Checksum: r.sum()}
+	lb := LocatedBlock{Block: r.block(), Offset: r.varint(), Nodes: r.addrs(), Tiers: makeList[Tier](r, 1)}
+	for i := range lb.Tiers {
+		if lb.Tiers[i] = Tier(r.byte()); lb.Tiers[i] > TierRAM || len(lb.Tiers) != len(lb.Nodes) {
+			r.fail()
+		}
+	}
+	lb.Assigned, lb.Checksum = r.intern(), r.sum()
+	return lb
 }
 
 func (r *frameReader) locatedList() []LocatedBlock {

@@ -159,6 +159,18 @@ func FuzzControlFrame(f *testing.F) {
 			f.Add(append([]byte{byte(i)}, empty.AppendFrame(nil)...))
 			f.Add(append([]byte{byte(i)}, full.AppendFrame(nil)[:1]...))
 		}
+		if typ == reflect.TypeFor[GetLocationsResp]() {
+			// A tier list longer than the node list, and a tier above
+			// RAM: both are refused.
+			for _, tiers := range [][]Tier{{TierRAM, TierHDD, TierSSD}, {TierHDD, TierRAM + 1}} {
+				bad := GetLocationsResp{Blocks: []LocatedBlock{{Block: Block{ID: 1, Size: 2}, Nodes: []string{"a", "b"}, Tiers: tiers}}}
+				frame := bad.AppendFrame(nil)
+				if err := new(GetLocationsResp).DecodeFrame(frame); err == nil {
+					f.Fatalf("tiers %v on two nodes decoded", tiers)
+				}
+				f.Add(append([]byte{byte(i)}, frame...))
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

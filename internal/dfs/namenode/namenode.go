@@ -325,7 +325,7 @@ func (nn *NameNode) Master() *ignem.Master { return nn.master }
 // immediately (the paper broadcasts the new master's address to all
 // servers; slaves reset to match the new master's empty state).
 func (nn *NameNode) RestartMaster() error {
-	if err := nn.master.Restart(nn.ns.FastTierResidency); err != nil {
+	if err := nn.master.Restart(nn.ns.Resident); err != nil {
 		return err
 	}
 	if nn.walLog != nil {
@@ -804,24 +804,24 @@ func (nn *NameNode) resolveRange(path string, offset, length int64) ([]dfs.Locat
 	defer nn.dnmu.RUnlock()
 	for _, rb := range raw {
 		lb := dfs.LocatedBlock{Block: rb.block, Offset: rb.offset, Checksum: rb.checksum}
-		for _, addr := range rb.nodes {
-			if dn := nn.datanodes[addr]; dn != nil && dn.alive {
-				lb.Nodes = append(lb.Nodes, addr)
+		n, fast := 0, false
+		for i, addr := range rb.nodes {
+			if dn := nn.datanodes[addr]; dn == nil || !dn.alive {
+				continue
 			}
-		}
-		sort.Strings(lb.Nodes)
-		for _, addr := range rb.pinned {
-			if dn := nn.datanodes[addr]; dn != nil && dn.alive {
-				lb.Migrated = append(lb.Migrated, addr)
+			rb.nodes[n] = addr
+			if rb.tiers != nil {
+				rb.tiers[n] = rb.tiers[i]
+				fast = fast || rb.tiers[n] > dfs.TierHDD
 			}
+			n++
 		}
-		sort.Strings(lb.Migrated)
-		for _, addr := range rb.onSSD {
-			if dn := nn.datanodes[addr]; dn != nil && dn.alive {
-				lb.OnSSD = append(lb.OnSSD, addr)
-			}
+		if n > 0 {
+			lb.Nodes = rb.nodes[:n]
 		}
-		sort.Strings(lb.OnSSD)
+		if fast {
+			lb.Tiers = rb.tiers[:n]
+		}
 		out = append(out, lb)
 	}
 	return out, nil

@@ -320,16 +320,70 @@ func TestPinStateTracking(t *testing.T) {
 			t.Fatal(err)
 		}
 		lbs, _ = h.nn.Resolve("/f")
-		if len(lbs[0].Migrated) != 1 || lbs[0].Migrated[0] != node {
-			t.Errorf("Migrated = %v", lbs[0].Migrated)
+		if lbs[0].Nodes[0] != node || !slices.Equal(lbs[0].Tiers, []dfs.Tier{dfs.TierRAM, dfs.TierHDD}) {
+			t.Errorf("nodes %v tiers %v, want %s at RAM", lbs[0].Nodes, lbs[0].Tiers, node)
 		}
 		if _, err := h.nn.heartbeat(dfs.HeartbeatReq{Addr: node, Unpinned: []dfs.BlockID{id}}); err != nil {
 			t.Fatal(err)
 		}
 		lbs, _ = h.nn.Resolve("/f")
-		if len(lbs[0].Migrated) != 0 {
-			t.Errorf("Migrated after unpin = %v", lbs[0].Migrated)
+		if lbs[0].Tiers != nil {
+			t.Errorf("tiers after unpin = %v, want none", lbs[0].Tiers)
 		}
+	})
+}
+
+// Each located replica carries its fastest tier, and only holders have
+// one: a RAM pin and an SSD copy come back on their holders, a node at
+// both ranks at RAM, a dead holder drops out with its tier, and a pin
+// heartbeated by a node that holds no replica is not listed.
+func TestLocationsRankReplicasByTier(t *testing.T) {
+	run(t, func(v *simclock.Virtual) {
+		h := newHarness(t, v, 4)
+		defer h.nn.Close()
+		lbs := h.mkFile(t, "/f", 1, 3)
+		id, holders := lbs[0].Block.ID, lbs[0].Nodes
+		var stranger string
+		for _, a := range []string{"a", "b", "c", "d"} {
+			if !slices.Contains(holders, a) {
+				stranger = a
+			}
+		}
+		pins := []dfs.HeartbeatReq{
+			{Addr: holders[0], Pinned: []dfs.BlockID{id}, SSDPinned: []dfs.BlockID{id}},
+			{Addr: holders[1], SSDPinned: []dfs.BlockID{id}},
+			{Addr: stranger, Pinned: []dfs.BlockID{id}, SSDPinned: []dfs.BlockID{id}},
+		}
+		for _, hb := range pins {
+			if _, err := h.nn.heartbeat(hb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(when string, nodes []string, tiers []dfs.Tier) {
+			t.Helper()
+			resp, err := h.nn.handleGetLocations(dfs.GetLocationsReq{Path: "/f"})
+			if err != nil || len(resp.Blocks) != 1 {
+				t.Fatalf("%s: %d blocks, err %v", when, len(resp.Blocks), err)
+			}
+			lb := resp.Blocks[0]
+			if !slices.Equal(lb.Nodes, nodes) || !slices.Equal(lb.Tiers, tiers) || (tiers == nil) != (lb.Tiers == nil) {
+				t.Errorf("%s: nodes %v tiers %v, want %v %v", when, lb.Nodes, lb.Tiers, nodes, tiers)
+			}
+		}
+		check("all live", holders, []dfs.Tier{dfs.TierRAM, dfs.TierSSD, dfs.TierHDD})
+		setAlive := func(addr string, alive bool) {
+			h.nn.dnmu.Lock()
+			h.nn.datanodes[addr].alive = alive
+			h.nn.dnmu.Unlock()
+		}
+		// Straight after expiry, before the dead node's pins are dropped.
+		setAlive(holders[0], false)
+		check("RAM holder dead", holders[1:], []dfs.Tier{dfs.TierSSD, dfs.TierHDD})
+		setAlive(holders[1], false)
+		check("fast holders dead", holders[2:], nil)
+		setAlive(holders[0], true)
+		setAlive(holders[1], true)
+		check("revived", holders, []dfs.Tier{dfs.TierRAM, dfs.TierSSD, dfs.TierHDD})
 	})
 }
 

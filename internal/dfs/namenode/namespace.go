@@ -19,15 +19,15 @@ type repairJob struct {
 	target string
 }
 
-// resolvedBlock is one block of a resolved file with raw locations;
-// liveness filtering happens in the NameNode against the registry.
+// resolvedBlock is one block of a resolved file with raw locations,
+// nodes sorted by address; liveness filtering happens in the NameNode
+// against the registry, in place: nodes and tiers are the caller's.
 type resolvedBlock struct {
 	block    dfs.Block
 	offset   int64
 	checksum uint32 // write-time CRC32C; 0 = unchecksummed
 	nodes    []string
-	pinned   []string
-	onSSD    []string
+	tiers    []dfs.Tier // parallel to nodes; nil when all are at HDD
 }
 
 type fileEntry struct {

@@ -245,11 +245,11 @@ func (ns *memNamespace) List(prefix string) []dfs.FileInfo {
 }
 
 // Resolve maps the blocks of a file that overlap the byte range
-// [offset, offset+length) to their raw (liveness-unaware) replica and
-// pin locations; length 0 means to the end of the file. The caller
-// filters against the registry. Only overlapping blocks are built, and
-// the walk stops past the range, so locating one block costs one block
-// however large the file.
+// [offset, offset+length) to their raw (liveness-unaware) replica
+// holders and each holder's fastest tier; length 0 means to the end of
+// the file. The caller filters against the registry. Only overlapping
+// blocks are built, and the walk stops past the range, so locating one
+// block costs one block however large the file.
 func (ns *memNamespace) Resolve(path string, offset, length int64) ([]resolvedBlock, error) {
 	if offset < 0 || length < 0 {
 		return nil, fmt.Errorf("namenode: bad range offset %d length %d", offset, length)
@@ -278,14 +278,32 @@ func (ns *memNamespace) Resolve(path string, offset, length int64) ([]resolvedBl
 			rb := resolvedBlock{block: b, offset: start, checksum: ns.sums[b.ID]}
 			if meta := ns.blocks[b.ID]; meta != nil {
 				rb.nodes = idAddrs(addrs, meta.nodes.view())
-				rb.pinned = idAddrs(addrs, ns.pins[dfs.TierRAM].view(b.ID))
-				rb.onSSD = idAddrs(addrs, ns.pins[dfs.TierSSD].view(b.ID))
+				slices.Sort(rb.nodes)
+				rb.tiers = ns.tiersLocked(b.ID, rb.nodes, addrs)
 			}
 			out = append(out, rb)
 		}
 		start += b.Size
 	}
 	return out, nil
+}
+
+// tiersLocked returns the fastest tier of each of b's holders, or nil
+// when none is above HDD. A pin from a node that does not hold the
+// replica ranks nothing.
+func (ns *memNamespace) tiersLocked(b dfs.BlockID, holders, addrs []string) []dfs.Tier {
+	var tiers []dfs.Tier
+	for t := dfs.TierSSD; t <= dfs.TierRAM; t++ { // faster tiers overwrite
+		for _, id := range ns.pins[t].view(b) {
+			if i := slices.Index(holders, addrs[id]); i >= 0 {
+				if tiers == nil {
+					tiers = make([]dfs.Tier, len(holders))
+				}
+				tiers[i] = t
+			}
+		}
+	}
+	return tiers
 }
 
 // Reconcile makes the location map agree with a datanode's actual
@@ -363,19 +381,19 @@ func (ns *memNamespace) TierDeltas(addr string, tier dfs.Tier, pinned, unpinned 
 	}
 }
 
-// FastTierResidency reports whether the datanode at addr holds block
-// pinned in RAM and on SSD, per the heartbeat-maintained side tables.
-// Master recovery reconciles the replayed journal against this
-// authoritative view: pin and unpin deltas the dead master consumed
-// without journaling are still reflected here.
-func (ns *memNamespace) FastTierResidency(block dfs.BlockID, addr string) (ram, ssd bool) {
+// Resident reports whether the datanode at addr holds block resident
+// at a fast tier, per the heartbeat-maintained side tables (never at
+// TierHDD, which has none). Master recovery reconciles the replayed
+// journal against this authoritative view: pin and unpin deltas the
+// dead master consumed without journaling are still reflected here.
+func (ns *memNamespace) Resident(block dfs.BlockID, addr string, tier dfs.Tier) bool {
 	id, ok := ns.table.lookup(addr)
 	if !ok {
-		return false, false
+		return false
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	return ns.pins[dfs.TierRAM].has(block, id), ns.pins[dfs.TierSSD].has(block, id)
+	return ns.pins[tier].has(block, id)
 }
 
 // DropPinned drops all pinned state (both fast tiers) for the given

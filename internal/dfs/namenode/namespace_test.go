@@ -62,11 +62,15 @@ func (tr *transcript) located(op string, lbs []dfs.LocatedBlock, err error) {
 func (tr *transcript) resolved(op string, rbs []resolvedBlock, err error) {
 	tr.err(op, err)
 	for _, rb := range rbs {
-		nodes := append([]string(nil), rb.nodes...)
-		pinned := append([]string(nil), rb.pinned...)
+		nodes := make([]string, len(rb.nodes))
+		for i, n := range rb.nodes {
+			nodes[i] = n
+			if rb.tiers != nil {
+				nodes[i] += ":" + rb.tiers[i].String()
+			}
+		}
 		sort.Strings(nodes)
-		sort.Strings(pinned)
-		tr.addf("  block=%d size=%d off=%d nodes=%v pinned=%v", rb.block.ID, rb.block.Size, rb.offset, nodes, pinned)
+		tr.addf("  block=%d size=%d off=%d nodes=%v", rb.block.ID, rb.block.Size, rb.offset, nodes)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestControlCallAllocCeiling(t *testing.T) {
 	now := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	locations := GetLocationsResp{Blocks: []LocatedBlock{{
 		Block: Block{ID: 42, Size: 64 << 10}, Nodes: []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
-		Migrated: []string{"127.0.0.1:9002"}, Assigned: "127.0.0.1:9002", Checksum: 0x1234,
+		Tiers: []Tier{TierHDD, TierRAM, TierHDD}, Assigned: "127.0.0.1:9002", Checksum: 0x1234,
 	}}}
 	clock := simclock.NewReal()
 	tnet := transport.NewTCPNetwork()

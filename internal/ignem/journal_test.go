@@ -124,7 +124,7 @@ func journaledMaster(resolver Resolver, link SlaveLink, be wal.Backend) *Master 
 // noResidency is the residency view of the fake links: their slaves
 // never heartbeat a pin, so nothing is resident and recovery has
 // nothing to reconcile.
-func noResidency(dfs.BlockID, string) (ram, ssd bool) { return false, false }
+func noResidency(dfs.BlockID, string, dfs.Tier) bool { return false }
 
 func TestTransportFailedBatchParkedAndRetried(t *testing.T) {
 	resolver := &fakeResolver{files: map[string][]dfs.LocatedBlock{

@@ -52,13 +52,14 @@ func (m *Master) maybeTruncate() {
 	}
 }
 
-// ResidencyView reports a block replica's authoritative fast-tier
-// residency — the namenode's heartbeat-maintained pin side tables. The
+// ResidencyView reports whether a block replica is resident at a fast
+// tier, per the authoritative record — the namenode's
+// heartbeat-maintained pin side tables. The
 // dying master may have consumed pin/unpin deltas whose journal appends
 // failed (the slaves won't re-send them), so replay alone under-counts
 // confirmed pins and over-counts released charges; recovery reconciles
 // against this view to close both gaps.
-type ResidencyView func(id dfs.BlockID, addr string) (ram, ssd bool)
+type ResidencyView func(id dfs.BlockID, addr string, tier dfs.Tier) bool
 
 // Restart simulates a master failure and recovery. Without a journal
 // it follows the paper: the epoch bumps exactly once and all job state
@@ -200,8 +201,7 @@ func reconcileReplay(j *Journal, rec *recovered, view ResidencyView) {
 			if e.pinned || e.tier == dfs.TierHDD {
 				continue
 			}
-			ram, ssd := view(id, e.addr)
-			if (e.tier == dfs.TierRAM && ram) || (e.tier == dfs.TierSSD && ssd) {
+			if view(id, e.addr, e.tier) {
 				e.copied = true
 				e.pinned = true
 				j.MarkPinned(job, id, e.tier)
@@ -212,8 +212,7 @@ func reconcileReplay(j *Journal, rec *recovered, view ResidencyView) {
 		if !r.charged[dfs.TierSSD] {
 			continue
 		}
-		ram, ssd := view(k.id, k.addr)
-		if !ssd && ram {
+		if view(k.id, k.addr, dfs.TierRAM) && !view(k.id, k.addr, dfs.TierSSD) {
 			// The SSD→RAM flip completed before the crash; the lost
 			// unpin record would have released this charge.
 			r.charged[dfs.TierSSD] = false

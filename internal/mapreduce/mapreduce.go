@@ -283,11 +283,14 @@ func (e *Engine) Run(cfg Config) (Result, error) {
 	mapTasks := make([]scheduler.TaskSpec, len(splits))
 	for i, sp := range splits {
 		sp := sp
-		strong, weak := placementPreferences(sp.lb)
+		// Every replica holder is preferred alike, the migrated copy's
+		// too, so an idle cluster can start the task anywhere at its next
+		// heartbeat; the read path still finds the migrated copy remotely
+		// (the paper: a task that cannot run on the migrated server "can
+		// still efficiently read the block over the network").
 		mapTasks[i] = scheduler.TaskSpec{
 			Name:           fmt.Sprintf("%s-map-%d", cfg.ID, i),
-			PreferredNodes: strong,
-			SecondaryNodes: weak,
+			PreferredNodes: sp.lb.Nodes,
 			Run: func(node string) {
 				if err := e.runMapTask(node, cfg, sp.path, sp.lb); err != nil {
 					recordErr(&errMu, &taskErr, err)
@@ -402,43 +405,6 @@ func (e *Engine) runReduceTask(node string, cfg Config, idx int, shuffleBytes, o
 		return err
 	}
 	return c.WriteSyntheticFile(fmt.Sprintf("%s/part-%05d", cfg.OutputPath, idx), outBytes, 0, 1)
-}
-
-// placementPreferences derives the task's locality preference: every
-// replica holder, with the Ignem-assigned one listed first. All holders
-// stay first-tier so an idle cluster can start the task anywhere at its
-// next heartbeat; the read path still finds the migrated copy remotely
-// (the paper: a task that cannot run on the migrated server "can still
-// efficiently read the block over the network").
-func placementPreferences(lb dfs.LocatedBlock) (strong, weak []string) {
-	return preferredNodes(lb), nil
-}
-
-func preferredNodes(lb dfs.LocatedBlock) []string {
-	out := make([]string, 0, len(lb.Migrated)+len(lb.OnSSD)+len(lb.Nodes)+1)
-	if lb.Assigned != "" {
-		out = append(out, lb.Assigned)
-	}
-	out = append(out, lb.Migrated...)
-	appendNew := func(nodes []string) {
-		for _, n := range nodes {
-			dup := false
-			for _, seen := range out {
-				if seen == n {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, n)
-			}
-		}
-	}
-	// SSD-resident copies rank between pinned-in-RAM and plain disk
-	// replicas, mirroring the client's read-path preference.
-	appendNew(lb.OnSSD)
-	appendNew(lb.Nodes)
-	return out
 }
 
 func rateTime(bytes int64, mbps float64) time.Duration {

@@ -94,7 +94,7 @@ func (e *Engine) RunReal(cfg RealConfig) (RealResult, error) {
 		prefSet := map[string]struct{}{}
 		for _, lb := range lbs {
 			inputBytes += lb.Block.Size
-			for _, n := range preferredNodes(lb) {
+			for _, n := range lb.Nodes {
 				prefSet[n] = struct{}{}
 			}
 		}

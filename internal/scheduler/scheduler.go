@@ -24,13 +24,9 @@ import (
 type TaskSpec struct {
 	// Name labels the task in metrics.
 	Name string
-	// PreferredNodes requests locality (input replica or migrated-copy
-	// locations). Empty means any node.
+	// PreferredNodes requests locality (the input block's replica
+	// holders). Empty means any node.
 	PreferredNodes []string
-	// SecondaryNodes is a weaker preference tier: nodes acceptable when
-	// no PreferredNodes slot frees up (e.g. the other replica holders
-	// when Ignem assigned a specific one).
-	SecondaryNodes []string
 	// Run executes the task body on the node it was assigned to. It runs
 	// on a simulation goroutine and may block on clock-aware waits.
 	Run func(node string)
@@ -192,11 +188,10 @@ func (s *Scheduler) heartbeatLoop(n *node) {
 }
 
 // takeTaskLocked pops the best task for node addr. Candidates are
-// filtered in three locality tiers (preferred node, secondary node after
-// half the locality delay, then anyone after the full delay); within a
-// tier, fair sharing picks the candidate whose job has the fewest
-// running tasks (FIFO as tie-break), so a one-task job is not starved
-// behind a 400-task job's burst. The locality delay (delay scheduling)
+// filtered in two locality levels (a preferred node, then any node
+// after the locality delay); within a level, fair sharing picks the
+// candidate whose job has the fewest running tasks (FIFO as tie-break),
+// so a one-task job is not starved behind a 400-task job's burst. The locality delay (delay scheduling)
 // is two heartbeat intervals, so every preferred node gets at least one
 // full heartbeat's chance first.
 func (s *Scheduler) takeTaskLocked(addr string, now time.Time) *task {
@@ -206,13 +201,7 @@ func (s *Scheduler) takeTaskLocked(addr string, now time.Time) *task {
 	})
 	if pick < 0 {
 		pick = s.pickFairLocked(func(t *task) bool {
-			return contains(t.spec.SecondaryNodes, addr) && now.Sub(t.submitted) >= localityDelay/2
-		})
-	}
-	if pick < 0 {
-		pick = s.pickFairLocked(func(t *task) bool {
-			return (len(t.spec.PreferredNodes) == 0 && len(t.spec.SecondaryNodes) == 0) ||
-				now.Sub(t.submitted) >= localityDelay
+			return len(t.spec.PreferredNodes) == 0 || now.Sub(t.submitted) >= localityDelay
 		})
 	}
 	if pick < 0 {
@@ -254,7 +243,7 @@ func (s *Scheduler) runTask(n *node, t *task, assigned time.Time) {
 	t.spec.Run(n.addr)
 	finished := s.clock.Now()
 
-	local := contains(t.spec.PreferredNodes, n.addr) || contains(t.spec.SecondaryNodes, n.addr)
+	local := contains(t.spec.PreferredNodes, n.addr)
 	res := TaskResult{
 		Name:      t.spec.Name,
 		Node:      n.addr,

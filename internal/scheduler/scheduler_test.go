@@ -319,33 +319,6 @@ func TestContainerReuseAvoidsHeartbeatStalls(t *testing.T) {
 	})
 }
 
-func TestSecondaryTierUsedAfterHalfDelay(t *testing.T) {
-	runSim(t, func(v *simclock.Virtual) {
-		s := New(v, Config{
-			Nodes: []string{"n1", "n2"}, slots: 1,
-			heartbeat: time.Second,
-		})
-		s.Start()
-		defer s.Close()
-		j, _ := s.SubmitJob("j")
-		// n1 is tied up by a long task; the second task prefers n1 with
-		// n2 secondary, so it should land on n2 after half the locality
-		// delay (1s of the 2s that two heartbeats make), not the full 2s.
-		var secondNode string
-		results := j.RunTasks([]TaskSpec{
-			{PreferredNodes: []string{"n1"}, Run: func(string) { v.Sleep(30 * time.Second) }},
-			{PreferredNodes: []string{"n1"}, SecondaryNodes: []string{"n2"},
-				Run: func(node string) { secondNode = node }},
-		})
-		if secondNode != "n2" {
-			t.Errorf("secondary task ran on %q", secondNode)
-		}
-		if q := results[1].QueueTime; q >= 2*time.Second {
-			t.Errorf("secondary task queued %v, want less than the full 2s delay", q)
-		}
-	})
-}
-
 func TestMaxAssignPerHeartbeatSpreadsBurst(t *testing.T) {
 	runSim(t, func(v *simclock.Virtual) {
 		s := New(v, Config{
