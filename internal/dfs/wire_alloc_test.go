@@ -13,7 +13,7 @@ import (
 // over TCP loopback, counted across both ends (client, conns, server
 // dispatch and handler): a getLocations-shaped call answered with one
 // three-replica block, and a two-command MigrateBatch. Framed they take
-// 11 and 5 (2 cores, go1.24.0); the ceilings leave about 25 % headroom.
+// 10 and 4 (2 cores, go1.24.0); the ceilings leave 25 % headroom or more.
 // Through gob they took 34 and 21.
 func TestControlCallAllocCeiling(t *testing.T) {
 	now := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)

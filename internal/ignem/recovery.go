@@ -54,11 +54,11 @@ func (m *Master) maybeTruncate() {
 
 // ResidencyView reports whether a block replica is resident at a fast
 // tier, per the authoritative record — the namenode's
-// heartbeat-maintained pin side tables. The
-// dying master may have consumed pin/unpin deltas whose journal appends
-// failed (the slaves won't re-send them), so replay alone under-counts
-// confirmed pins and over-counts released charges; recovery reconciles
-// against this view to close both gaps.
+// heartbeat-maintained pin side tables. The dying master may have
+// consumed pin/unpin deltas whose journal appends failed (the slaves
+// won't re-send them), so replay alone under-counts confirmed pins and
+// over-counts released charges; recovery reconciles against this view
+// to close both gaps.
 type ResidencyView func(id dfs.BlockID, addr string, tier dfs.Tier) bool
 
 // Restart simulates a master failure and recovery. Without a journal
